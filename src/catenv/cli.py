@@ -86,10 +86,8 @@ def dispatch(command, kind, obj, args, report: Report):
                                stop_after=_STOP[command])
         report.extend(res.entries)
         if command == "boundary" and "lattice" in res.context:
-            lat, omega = res.context["lattice"], res.context["omega"]
-            bd = res.context["boundary"]
             report.add("boundary-members", "certified",
-                       "; ".join(repr(chi) for chi in bd))
+                       "; ".join(repr(chi) for chi in res.context["boundary"]))
         return
     if command == "groupoid":
         if kind == "groupoid":
@@ -110,8 +108,7 @@ def dispatch(command, kind, obj, args, report: Report):
     if command == "lcm":
         if kind != "category" or len(obj.objects) != 1:
             raise ParseError("lcm needs a monoid fixture")
-        for item in starling_report(obj, bound=min(args.depth, 4)):
-            report.add(item.check, item.status, item.detail)
+        report.extend(starling_report(obj, bound=min(args.depth, 4)))
         return
     raise ParseError(f"unknown command {command!r}")
 
@@ -170,8 +167,7 @@ def _coaction_report(obj, args, report: Report):
                f"cover blocks {cover.block_sizes}; Shilov mask "
                f"{sorted(shilov.mask)}; envelope blocks {shilov.quotient_blocks}")
     try:
-        env_basis = [cover.rep(b, shilov.mask)
-                     for b in AlgebraSpan(basis, selfadjoint=True).basis]
+        env_basis = [cover.rep(b, shilov.mask) for b in span.basis]
         env_graded = extend_grading(graded, env_basis,
                                     kappa=lambda a: cover.rep(a, shilov.mask))
         env_delta = coaction_from_grading(env_graded)

@@ -14,15 +14,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .matrixrep import (AlgebraSpan, IsometryVerdict, NotSelfAdjoint, TOL,
-                        complete_isometry_check, direct_sum, in_span,
-                        matrix_rank, operator_norm)
+                        _joint_rank, complete_isometry_check, direct_sum,
+                        in_span, matrix_rank, operator_norm)
 
 
 class NotACover(ValueError):
-    pass
-
-
-class JoinCertificationFailed(RuntimeError):
     pass
 
 
@@ -285,20 +281,8 @@ def shilov_ideal(a_basis, cover: FinDimCStar, levels=None, samples=25,
                 v = is_boundary_ideal(a_basis, cover, mask, levels, samples, tol, seed)
                 verdicts[mask] = v
             if v.certified:
-                _check_join_property(a_basis, cover, mask, verdicts, levels,
-                                     samples, tol, seed)
                 return ShilovResult(mask, cover, verdicts, levels or max(cover.block_sizes))
     return ShilovResult(frozenset(), cover, verdicts, levels or max(cover.block_sizes))
-
-
-def _check_join_property(a_basis, cover, mask, verdicts, levels, samples, tol, seed):
-    """The join of certified boundary singles inside the mask must re-certify."""
-    singles = [frozenset({k}) for k in mask]
-    if all(verdicts[s].certified for s in singles):
-        v = verdicts.get(mask)
-        if v is not None and not v.certified:
-            raise JoinCertificationFailed(
-                f"join of boundary ideals {sorted(mask)} failed re-certification")
 
 
 def detects_ideals(d_basis, cover: FinDimCStar, tol=TOL) -> bool:
@@ -344,12 +328,7 @@ class SpannedStarMap:
         self.xs = [np.asarray(x, dtype=complex) for x, _ in pairs]
         self.ys = [np.asarray(y, dtype=complex) for _, y in pairs]
         self.tol = tol
-        xr = matrix_rank(self.xs)
-        rows = [np.concatenate([x.ravel(), y.ravel()])
-                for x, y in zip(self.xs, self.ys)]
-        sv = np.linalg.svd(np.array(rows), compute_uv=False)
-        joint = int(np.sum(sv > TOL * max(1.0, sv[0])))
-        if joint != xr:
+        if _joint_rank(self.xs, self.ys) != matrix_rank(self.xs):
             raise ValueError("map is not well defined on the span")
         self._basis_x = []
         self._basis_y = []

@@ -222,9 +222,3 @@ class FreeAbelianTarget:
 
     def composable(self, g, h):
         return True
-
-    def source_of(self, g):
-        return self.unit
-
-    def range_of(self, g):
-        return self.unit

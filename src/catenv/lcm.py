@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from .categories import (CategoryPresentation, DirectProduct, FreeMonoid,
                          GraphPath, GroupoidSub, Morphism, NkMonoid)
 from .hull import HullClosure, InverseHull, PiecewiseBijection
+from .report import Entry
 
 
 class NotCore(ValueError):
@@ -251,45 +252,37 @@ def transformation_iso_check(pres, hull_ctx: InverseHull, closure: HullClosure,
     return True, checked
 
 
-@dataclass
-class ReportEntry:
-    check: str
-    status: str  # "certified" | "rejected" | "bounded-evidence"
-    detail: str = ""
-    witness: object = None
-
-
-def starling_report(pres, bound: int = 4, sample: int = 40) -> list[ReportEntry]:
+def starling_report(pres, bound: int = 4, sample: int = 40) -> list[Entry]:
     """Consolidated verdict chain for the boundary-core reduction of a monoid."""
     entries = []
     lcm = is_right_lcm(pres, bound)
     if lcm.is_lcm is False:
-        entries.append(ReportEntry("right-lcm", "rejected",
-                                   f"two-element alignment at {lcm.witness}",
-                                   lcm.witness))
+        entries.append(Entry("right-lcm", "rejected",
+                             f"two-element alignment at {lcm.witness}",
+                             witness=lcm.witness))
         return entries
-    entries.append(ReportEntry("right-lcm",
-                               "certified" if lcm.mode in ("structural", "exhaustive")
-                               else "bounded-evidence", lcm.mode))
+    entries.append(Entry("right-lcm",
+                         "certified" if lcm.mode in ("structural", "exhaustive")
+                         else "bounded-evidence", lcm.mode))
     hull_ctx = InverseHull(pres)
     closure = hull_ctx.generate(None if pres.is_finite else bound)
     ball = pres.ball(None if pres.is_finite else bound)
     core = [c for c in ball
             if core_membership(pres, c, bound).status == "in_core"][:sample]
-    entries.append(ReportEntry("core-elements",
-                               "certified" if pres.is_finite else "bounded-evidence",
-                               f"{len(core)} certified core elements in the window"))
+    entries.append(Entry("core-elements",
+                         "certified" if pres.is_finite else "bounded-evidence",
+                         f"{len(core)} certified core elements in the window"))
     ore = OreGroup(pres, bound=bound)
     try:
         iso_ok, info = transformation_iso_check(pres, hull_ctx, closure, ore, sample)
-        entries.append(ReportEntry(
+        entries.append(Entry(
             "fraction-germ-correspondence",
             ("certified" if pres.is_finite else "bounded-evidence") if iso_ok
             else "rejected",
             f"{info} composable pairs matched" if iso_ok else f"mismatch {info}"))
     except NotCore as exc:
-        entries.append(ReportEntry("fraction-germ-correspondence",
-                                   "bounded-evidence", f"partial core: {exc}"))
+        entries.append(Entry("fraction-germ-correspondence",
+                             "bounded-evidence", f"partial core: {exc}"))
     # κ₀ kernel: a trivial fraction forces numerator = denominator (core injectivity)
     kernel_ok = True
     for s in closure.nonzero()[:sample]:
@@ -299,15 +292,15 @@ def starling_report(pres, bound: int = 4, sample: int = 40) -> list[ReportEntry]
             continue
         if ore.is_identity(f) and f.num != f.den:
             kernel_ok = False
-    entries.append(ReportEntry("cocycle-kernel",
-                               "certified" if pres.is_finite and kernel_ok
-                               else ("bounded-evidence" if kernel_ok else "rejected"),
-                               "trivial fractions come from equal numerator and denominator"))
+    entries.append(Entry("cocycle-kernel",
+                         "certified" if pres.is_finite and kernel_ok
+                         else ("bounded-evidence" if kernel_ok else "rejected"),
+                         "trivial fractions come from equal numerator and denominator"))
     checked = 0
     for c in core[:10]:
         core_unitary_check(pres, c, hull_ctx, closure, bound)
         checked += 1
-    entries.append(ReportEntry("core-unitaries",
-                               "certified" if pres.is_finite else "bounded-evidence",
-                               f"{checked} core elements give boundary unitaries"))
+    entries.append(Entry("core-unitaries",
+                         "certified" if pres.is_finite else "bounded-evidence",
+                         f"{checked} core elements give boundary unitaries"))
     return entries

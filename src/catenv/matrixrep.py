@@ -4,7 +4,8 @@ numerical complete-isometry certifier.
 
 All matrices are dense complex arrays over explicitly labelled bases. Reduced
 norms are operator norms computed by SVD; the independent eigen-solve oracle
-lives in the test suite.
+lives in the test suite. Norms on truncation windows of infinite inputs are
+computed matrix-free by `windowed_norm`.
 """
 
 from __future__ import annotations
@@ -43,6 +44,55 @@ def operator_norm(a: np.ndarray) -> float:
     return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
+# effort of the block subspace iteration in `windowed_norm`
+_WINDOW_ITERATIONS = 110
+_WINDOW_BLOCK = 4
+
+
+def windowed_norm(combo, basis, action) -> float:
+    """Operator norm of A = Σ c·T_x on ℓ²(basis), for combo = [(c, x), ...].
+
+    T_x e_d = e_{action(x, d)}; images that are None or outside the basis are
+    dropped, which is the truncation window of a partial-isometry
+    representation. Matrix-free: block subspace iteration on A*A from a seeded
+    start, then the largest Ritz value.
+    """
+    n = len(basis)
+    if n == 0:
+        return 0.0
+    index = {m: i for i, m in enumerate(basis)}
+    coef, src, dst = [], [], []
+    for c, x in combo:
+        for j, d in enumerate(basis):
+            image = action(x, d)
+            if image is not None and image in index:
+                coef.append(c)
+                src.append(j)
+                dst.append(index[image])
+    coef = np.array(coef, dtype=complex)[:, None]
+    src, dst = np.array(src, dtype=int), np.array(dst, dtype=int)
+
+    def gram(v):
+        av = np.zeros_like(v)
+        np.add.at(av, dst, coef * v[src])
+        out = np.zeros_like(v)
+        np.add.at(out, src, coef.conj() * av[dst])
+        return out
+
+    block = min(_WINDOW_BLOCK, n)
+    rng = np.random.default_rng(7)
+    v = rng.standard_normal((n, block)) + 1j * rng.standard_normal((n, block))
+    v, _ = np.linalg.qr(v)
+    for _ in range(_WINDOW_ITERATIONS):
+        w = gram(v)
+        if np.linalg.norm(w) < 1e-30:
+            return 0.0
+        v, _ = np.linalg.qr(w)
+    ritz = v.conj().T @ gram(v)
+    lam = max(np.linalg.eigvalsh((ritz + ritz.conj().T) / 2).max(), 0.0)
+    return float(np.sqrt(lam))
+
+
 def _vec(ms):
     return np.array([m.ravel() for m in ms])
 
@@ -71,8 +121,6 @@ class AlgebraSpan:
             gens = gens + [g.conj().T for g in gens]
         if unit is not None:
             gens = [np.asarray(unit, dtype=complex)] + gens
-        self.selfadjoint = selfadjoint
-        self.generators = gens
         basis = self._independent(gens)
         for _ in range(max_rounds):
             products = [a @ b for a in basis for b in gens] + \
@@ -144,9 +192,6 @@ class LambdaRep:
                 out[self.index[y], j] = 1.0
         return out
 
-    def operator_algebra(self) -> AlgebraSpan:
-        return AlgebraSpan([self.lam(c) for c in self.basis], selfadjoint=False)
-
     def toeplitz_algebra(self) -> AlgebraSpan:
         gens = [self.lam(c) for c in self.basis]
         return AlgebraSpan(gens, selfadjoint=True)
@@ -186,10 +231,6 @@ class GroupoidRep:
         return [sum(1 for x in self.basis if self.g.source[x] == u)
                 for u in self.rep_units]
 
-    def full_algebra(self) -> AlgebraSpan:
-        gens = [self.element_matrix(el) for el in self.g.elements]
-        return AlgebraSpan(gens, selfadjoint=True)
-
     def unit_diagonal(self, m: np.ndarray) -> np.ndarray:
         """The conditional expectation onto functions on units: keep the diagonal."""
         return np.diag(np.diag(m))
@@ -222,12 +263,6 @@ class GermModel:
     def spanning_matrix(self, s: PiecewiseBijection) -> np.ndarray:
         return self.rep.function_matrix({g: 1.0 for g in self.bisection(s)})
 
-    def diagonal_matrix(self, ideal_index: int) -> np.ndarray:
-        """1_{Ω(X)} for a constructible ideal X, as a diagonal germ function."""
-        ctx = self.gg.ctx
-        idem = ctx.hull.idempotent(ctx.lat.ideals[ideal_index].parts)
-        return self.spanning_matrix(idem)
-
     def reduced_algebra(self) -> AlgebraSpan:
         mats = [self.spanning_matrix(s) for s in self.closure.nonzero()]
         return AlgebraSpan(mats, selfadjoint=True)
@@ -239,10 +274,6 @@ class GermModel:
         for c in p.ball(None):
             out.append((c, self.spanning_matrix(self.gg.ctx.hull.from_morphism(c))))
         return out
-
-    def operator_algebra(self) -> AlgebraSpan:
-        return AlgebraSpan([m for _, m in self.operator_algebra_generators()],
-                           selfadjoint=False)
 
 
 def jack_check(hull_ctx: InverseHull, closure: HullClosure, model: GermModel,
@@ -327,10 +358,6 @@ class ThetaRep:
             if any(self.p.in_ideal(b, d) for b in parts):
                 out[j, j] = 1.0
         return out
-
-
-def theta_family(pres, hull_ctx, boundary_chars, radius=None):
-    return [ThetaRep(pres, hull_ctx, chi, radius) for chi in boundary_chars]
 
 
 def direct_sum(mats) -> np.ndarray:

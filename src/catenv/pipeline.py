@@ -2,13 +2,18 @@
 
 The thesis pipeline runs: validation → hull closure → ideal lattice → boundary →
 separation check → germ groupoid → matrix models → boundary isometry → envelope,
-and reports one status per stage. Finite fixtures get exact verdicts; infinite
-ones run in a truncation window and are downgraded to bounded evidence.
+and reports one `report.Entry` per stage; `PipelineResult.exit_code` is the
+report's exit-code rule. Finite fixtures get exact verdicts; infinite ones run
+in a truncation window and are downgraded to bounded evidence, carrying the
+LCM chain's entries under an `lcm:` prefix for monoids.
+
+`truncation_norm_study` compares windowed norms under λ and ⊕ϑ_χ across
+window depths; it is evidence, never certification.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import ideals as IL
 from .categories import CategoryPresentation
@@ -16,22 +21,9 @@ from .envelope import (FinDimCStar, SpannedStarMap, block_decompose,
                        detects_ideals, quotient_kernel_mask, shilov_ideal)
 from .germs import GermContext
 from .hull import InverseHull
-from .matrixrep import (GermModel, GroupoidRep, LambdaRep,
-                        complete_isometry_check, jack_check, operator_norm)
-
-
-@dataclass
-class Entry:
-    check: str
-    status: str          # "certified" | "rejected" | "bounded-evidence"
-    detail: str = ""
-    data: dict = field(default_factory=dict)
-
-    def as_dict(self):
-        out = {"check": self.check, "status": self.status, "detail": self.detail}
-        if self.data:
-            out["data"] = self.data
-        return out
+from .matrixrep import (GermModel, GroupoidRep, LambdaRep, ThetaRep,
+                        complete_isometry_check, jack_check, windowed_norm)
+from .report import Entry, exit_code
 
 
 @dataclass
@@ -41,11 +33,7 @@ class PipelineResult:
 
     @property
     def exit_code(self) -> int:
-        if any(e.status == "rejected" for e in self.entries):
-            return 2
-        if any(e.status == "bounded-evidence" for e in self.entries):
-            return 3
-        return 0
+        return exit_code(self.entries)
 
     def entry(self, check: str) -> Entry:
         for e in self.entries:
@@ -275,29 +263,34 @@ def _bounded_tail(pres, hull, closure, depth, entries, ctx):
                          {"window": len(lam.basis)}))
     if len(pres.objects) == 1:
         from .lcm import starling_report
-        for item in starling_report(pres, bound=min(depth, 4)):
-            entries.append(Entry(f"lcm:{item.check}", item.status, item.detail))
+        entries.extend(replace(item, check=f"lcm:{item.check}")
+                       for item in starling_report(pres, bound=min(depth, 4)))
 
 
-def truncation_norm_study(pres, hull_ctx, boundary_chars, elements, depths,
-                          seed=0) -> dict:
-    """Level-1 norms of sampled algebra elements under the truncated regular
-    representation and under the truncated ⊕ϑ_χ, per depth.
+def truncation_norm_study(pres, hull_ctx, boundary_chars, elements, depths) -> dict:
+    """Worst gap per depth between the level-1 norms of sampled algebra
+    elements under the truncated regular representation and under the
+    truncated ⊕ϑ_χ, whose norm is the largest ‖ϑ_χ‖.
 
-    `elements` are formal combinations [(coeff, morphism), ...].
+    `elements` are formal combinations [(coeff, morphism), ...]. Norms are
+    taken matrix-free by `windowed_norm`.
     """
-    from .matrixrep import ThetaRep, direct_sum
+    hull_of = {x: hull_ctx.from_morphism(x) for combo in elements for _, x in combo}
+
+    def theta_action(x, d):
+        return hull_ctx.apply(hull_of[x], d)
 
     gaps = {}
     for depth in depths:
-        lam = LambdaRep.build(pres, radius=depth)
-        thetas = [ThetaRep(pres, hull_ctx, chi, radius=depth)
-                  for chi in boundary_chars]
+        lam_basis = LambdaRep.build(pres, radius=depth).basis
+        # characters with the same window have the same ϑ-norm: one evaluation each
+        theta_bases = dict.fromkeys(tuple(ThetaRep(pres, hull_ctx, chi, radius=depth).basis)
+                                    for chi in boundary_chars)
         worst = 0.0
         for combo in elements:
-            m_lam = sum(c * lam.lam(x) for c, x in combo)
-            m_theta = direct_sum([sum(c * th.theta(hull_ctx.from_morphism(x))
-                                      for c, x in combo) for th in thetas])
-            worst = max(worst, abs(operator_norm(m_lam) - operator_norm(m_theta)))
+            n_lam = windowed_norm(combo, lam_basis, pres.compose)
+            n_theta = max((windowed_norm(combo, basis, theta_action)
+                           for basis in theta_bases), default=0.0)
+            worst = max(worst, abs(n_lam - n_theta))
         gaps[depth] = worst
     return gaps

@@ -1,7 +1,8 @@
-"""Report assembly: plain text and a stable JSON document.
+"""Report entries, the exit-code rule, and the plain-text and JSON reports.
 
-Reports are deterministic for a fixed config: seeded numerics, ordered entries,
-no timestamps.
+Every verdict (pipeline stage, LCM chain or command line) is one ``Entry``;
+``exit_code`` scores any list of them. Reports are deterministic for a fixed
+config: seeded numerics, ordered entries, no timestamps.
 """
 
 from __future__ import annotations
@@ -11,7 +12,32 @@ from dataclasses import dataclass, field
 
 SCHEMA = "catenv-report/1"
 
-_EXIT_BY_STATUS = {"certified": 0, "rejected": 2, "bounded-evidence": 3}
+
+@dataclass
+class Entry:
+    """One verdict. ``witness`` backs a rejection for callers and is never
+    serialized; ``data`` is serialized only when nonempty."""
+
+    check: str
+    status: str          # "certified" | "rejected" | "bounded-evidence"
+    detail: str = ""
+    data: dict = field(default_factory=dict)
+    witness: object = None
+
+    def as_dict(self):
+        out = {"check": self.check, "status": self.status, "detail": self.detail}
+        if self.data:
+            out["data"] = self.data
+        return out
+
+
+def exit_code(entries) -> int:
+    """2 on any rejection (or unknown status), else 3 on any bounded evidence,
+    else 0 when everything is certified."""
+    statuses = {e.status for e in entries}
+    if statuses - {"certified", "bounded-evidence"}:
+        return 2
+    return 3 if "bounded-evidence" in statuses else 0
 
 
 @dataclass
@@ -19,32 +45,22 @@ class Report:
     command: str
     fixture: str
     config: dict
-    entries: list = field(default_factory=list)
+    entries: list[Entry] = field(default_factory=list)
 
-    def add(self, check, status, detail="", data=None):
-        entry = {"check": check, "status": status, "detail": detail}
-        if data:
-            entry["data"] = data
-        self.entries.append(entry)
+    def add(self, check, status, detail=""):
+        self.entries.append(Entry(check, status, detail))
 
-    def extend(self, pipeline_entries):
-        for e in pipeline_entries:
-            self.entries.append(e.as_dict() if hasattr(e, "as_dict") else
-                                {"check": e.check, "status": e.status,
-                                 "detail": e.detail})
+    def extend(self, entries):
+        self.entries.extend(entries)
 
     @property
     def exit_code(self) -> int:
-        codes = [_EXIT_BY_STATUS.get(e["status"], 2) for e in self.entries]
-        if 2 in codes:
-            return 2
-        if 3 in codes:
-            return 3
-        return 0
+        return exit_code(self.entries)
 
     def as_json(self) -> str:
         doc = {"schema": SCHEMA, "command": self.command, "fixture": self.fixture,
-               "config": self.config, "entries": self.entries,
+               "config": self.config,
+               "entries": [e.as_dict() for e in self.entries],
                "exit": self.exit_code}
         return json.dumps(doc, indent=2, sort_keys=True, default=_jsonable) + "\n"
 
@@ -54,9 +70,9 @@ class Report:
         lines.append(f"config: {cfg}")
         lines.append("-" * 72)
         for e in self.entries:
-            lines.append(f"[{e['status']:>16}] {e['check']}: {e['detail']}")
-            if "data" in e:
-                lines.append(f"{'':18} {json.dumps(e['data'], sort_keys=True, default=_jsonable)}")
+            lines.append(f"[{e.status:>16}] {e.check}: {e.detail}")
+            if e.data:
+                lines.append(f"{'':18} {json.dumps(e.data, sort_keys=True, default=_jsonable)}")
         lines.append("-" * 72)
         lines.append(f"exit: {self.exit_code}")
         return "\n".join(lines) + "\n"

@@ -25,8 +25,8 @@ from catenv.hull import ExplicitBijection, InverseHull
 from catenv.lcm import (OreGroup, core_membership, core_unitary_check,
                         starling_report, transformation_iso_check)
 from catenv.matrixrep import (GermModel, LambdaRep, complete_isometry_check,
-                              jack_check, operator_norm)
-from catenv.pipeline import analyze_category
+                              jack_check, operator_norm, windowed_norm)
+from catenv.pipeline import analyze_category, truncation_norm_study
 from catenv.univgroup import (CategoryFunctor, Cocycle, IsoLetter, XLetter,
                               cocycle_identity_holds, enveloping_groupoid,
                               idempotent_pure_check, j_map, kernel_subgroupoid,
@@ -346,57 +346,6 @@ def test_criterion_11_right_lcm_suite():
 # -- criterion 12: truncation evidence ------------------------------------------
 
 
-def _index_action_norm(terms, basis, index, iterations=110, block=4):
-    """Operator norm of Σ c·(d ↦ image(d)) by block subspace iteration on A*A.
-
-    `terms` are (coeff, mapping) pairs with mapping as (src_index, dst_index)
-    arrays over the window basis.
-    """
-    n = len(basis)
-    if n == 0:
-        return 0.0
-    block = min(block, n)
-    rng = np.random.default_rng(7)
-    v = rng.standard_normal((n, block)) + 1j * rng.standard_normal((n, block))
-    v, _ = np.linalg.qr(v)
-
-    def matvec(x):
-        y = np.zeros_like(x)
-        for c, (src, dst) in terms:
-            if len(src):
-                np.add.at(y, dst, c * x[src])
-        return y
-
-    def rmatvec(x):
-        y = np.zeros_like(x)
-        for c, (src, dst) in terms:
-            if len(src):
-                np.add.at(y, src, np.conj(c) * x[dst])
-        return y
-
-    for _ in range(iterations):
-        w = rmatvec(matvec(v))
-        if np.linalg.norm(w) < 1e-30:
-            return 0.0
-        v, _ = np.linalg.qr(w)
-    ritz = v.conj().T @ rmatvec(matvec(v))
-    lam = max(np.linalg.eigvalsh((ritz + ritz.conj().T) / 2).max(), 0.0)
-    return float(np.sqrt(lam))
-
-
-def _window_terms(pres, basis, index, combo, action):
-    terms = []
-    for coeff, x in combo:
-        src, dst = [], []
-        for j, d in enumerate(basis):
-            image = action(x, d)
-            if image is not None and image in index:
-                src.append(j)
-                dst.append(index[image])
-        terms.append((coeff, (np.array(src, dtype=int), np.array(dst, dtype=int))))
-    return terms
-
-
 def test_criterion_12_truncation_evidence():
     pres = fix_free2()
     hull = InverseHull(pres)
@@ -414,43 +363,13 @@ def test_criterion_12_truncation_evidence():
         elements.append([(complex(c), words[i]) for c, i in zip(coeffs, support)])
 
     depths = list(range(4, 11))
-    gaps = {}
-    for depth in depths:
-        basis = pres.ball(depth)
-        index = {m: i for i, m in enumerate(basis)}
-        # the germ window [𝔠, χ] of a monoid admits every morphism, so the five
-        # characters share one window; distinct windows are computed separately
-        windows = {}
-        for chi in chars:
-            theta_basis = tuple(d for d in basis
-                                if chi.value_on_parts((pres.identity(d.dom),)))
-            windows.setdefault(theta_basis, []).append(chi)
-        worst = 0.0
-        for combo in elements:
-            lam_terms = _window_terms(pres, basis, index, combo,
-                                      action=lambda x, d: pres.compose(x, d))
-            n_lam = _index_action_norm(lam_terms, basis, index)
-            theta_norms = []
-            for theta_basis in windows:
-                theta_index = {m: i for i, m in enumerate(theta_basis)}
-                th_terms = _window_terms(
-                    pres, theta_basis, theta_index, combo,
-                    action=lambda x, d: hull.apply(hull.from_morphism(x), d))
-                theta_norms.append(_index_action_norm(th_terms, theta_basis,
-                                                      theta_index))
-            n_theta = max(theta_norms)
-            worst = max(worst, abs(n_lam - n_theta))
-        gaps[depth] = worst
+    gaps = truncation_norm_study(pres, hull, chars, elements, depths)
 
     # cross-check the power iteration against dense SVDs at the smallest depth
-    basis4 = pres.ball(4)
     lam4 = LambdaRep.build(pres, radius=4)
     for combo in elements[:5]:
         dense = operator_norm(sum(c * lam4.lam(x) for c, x in combo))
-        idx4 = {m: i for i, m in enumerate(basis4)}
-        fast = _index_action_norm(_window_terms(pres, basis4, idx4, combo,
-                                                lambda x, d: pres.compose(x, d)),
-                                  basis4, idx4)
+        fast = windowed_norm(combo, lam4.basis, pres.compose)
         assert abs(dense - fast) < 1e-6
 
     assert gaps[10] < 1e-3

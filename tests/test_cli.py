@@ -99,6 +99,19 @@ def test_bad_flags_are_input_errors(capsys):
     assert run(capsys, "thesis", fx("edge.cat"), "--tol", "0.5")[0] == 1
 
 
+def test_thesis_carries_the_lcm_entries(tmp_path, capsys):
+    """On a monoid, thesis reports the lcm chain under an `lcm:` prefix."""
+    entries = {}
+    for command in ("thesis", "lcm"):
+        out_path = tmp_path / f"{command}.json"
+        run(capsys, command, fx("free2.cat"), "--depth", "4", "--format", "json",
+            "--out", str(out_path))
+        entries[command] = json.loads(out_path.read_text())["entries"]
+    prefixed = [{**e, "check": e["check"].removeprefix("lcm:")}
+                for e in entries["thesis"] if e["check"].startswith("lcm:")]
+    assert prefixed and prefixed == entries["lcm"]
+
+
 def test_free2_thesis_is_bounded(capsys):
     code, out, _ = run(capsys, "thesis", fx("free2.cat"), "--depth", "3")
     assert code == 3

@@ -19,8 +19,9 @@ from catenv.matrixrep import (AlgebraSpan, GermModel, GroupoidRep, LambdaRep,
                               ThetaRep, complete_isometry_check,
                               compression_identity_check, direct_sum,
                               expectation_units_checks, inclusion_exclusion_check,
-                              jack_check, norm_level_k, operator_norm)
-from catenv.pipeline import boundary_quotient
+                              jack_check, norm_level_k, operator_norm,
+                              windowed_norm)
+from catenv.pipeline import boundary_quotient, truncation_norm_study
 
 
 def eig_norm(a):
@@ -286,6 +287,38 @@ def test_truncation_monotone_in_window():
             lam = LambdaRep.build(p, radius=radius)
             norms.append(operator_norm(sum(c * lam.lam(x) for c, x in combo)))
         assert all(b >= a - 1e-12 for a, b in zip(norms, norms[1:]))
+
+
+def test_windowed_norms_match_dense_oracle():
+    """The matrix-free window norms against SVDs of the dense λ and ϑ_χ."""
+    p = fix_free2()
+    hull = InverseHull(p)
+    chars = IL.boundary_sample(p, count=3)
+    rng = np.random.default_rng(11)
+    words = [p.identity("*")] + [p.word(w) for w in ("a", "b", "ab", "ba", "aab")]
+    elements = []
+    for _ in range(4):
+        support = rng.choice(len(words), size=3, replace=False)
+        coeffs = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        elements.append([(complex(c), words[i]) for c, i in zip(coeffs, support)])
+    gaps = truncation_norm_study(p, hull, chars, elements, (3, 4))
+    for depth in (3, 4):
+        lam = LambdaRep.build(p, radius=depth)
+        thetas = [ThetaRep(p, hull, chi, radius=depth) for chi in chars]
+        dense_gap = 0.0
+        for combo in elements:
+            n_lam = operator_norm(sum(c * lam.lam(x) for c, x in combo))
+            assert abs(windowed_norm(combo, lam.basis, p.compose) - n_lam) < 1e-6
+            n_thetas = []
+            for th in thetas:
+                n_th = operator_norm(sum(c * th.theta(hull.from_morphism(x))
+                                         for c, x in combo))
+                fast = windowed_norm(combo, th.basis, lambda x, d:
+                                     hull.apply(hull.from_morphism(x), d))
+                assert abs(fast - n_th) < 1e-6
+                n_thetas.append(n_th)
+            dense_gap = max(dense_gap, abs(n_lam - max(n_thetas)))
+        assert abs(gaps[depth] - dense_gap) < 1e-6
 
 
 # -- the complete-isometry certifier ----------------------------------------------------
