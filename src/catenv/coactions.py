@@ -4,16 +4,19 @@ The group algebra is represented on ℓ²(G) via the left regular representation
 (full = reduced for finite groups), so a coaction is the same thing as a grading
 and every identity below is a concrete matrix identity. The duality data (U, S,
 V = I⊗US) and the double crossed product follow the explicit unitary picture.
+δ(m) solves for m's graded coefficients once per call; a double crossed product
+builds the basis δ_λ(aᵢ)⊗E_pq of δ_λ(A)⊗𝕂 once and reuses it for every δ̃.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .matrixrep import (AlgebraSpan, complete_isometry_check, in_span,
+from .matrixrep import (AlgebraSpan, SpanBasis, _rank, complete_isometry_check,
                         matrix_rank, operator_norm)
 
 
@@ -116,6 +119,7 @@ class GradedAlgebra:
             for m in self.components[g]:
                 self.basis.append(m)
                 self.degrees.append(g)
+        self._flat = np.array([b.ravel() for b in self.basis]).T  # basis as columns
         if check:
             self.validate()
 
@@ -124,26 +128,29 @@ class GradedAlgebra:
         total = matrix_rank(self.basis)
         if sum(comp_dims.values()) != total:
             raise GradingInvalid("components are not in direct sum")
+        spans = {g: SpanBasis() for g in self.group.elements}
+        for g, ms in self.components.items():
+            spans[g].extend(ms)
         for g, ms in self.components.items():
             for h, ns in self.components.items():
-                tgt = self.components.get(self.group.mul(g, h), [])
+                tgt = spans[self.group.mul(g, h)]
                 for a in ms:
                     for b in ns:
-                        if not in_span(a @ b, list(tgt) + [np.zeros_like(a)]):
+                        if not tgt.contains(a @ b):
                             raise GradingInvalid(
                                 f"A_{g}·A_{h} escapes A_{self.group.mul(g, h)}")
 
-    def component_of(self, m, g):
-        """Degree-g part of an algebra element (coefficients in the graded basis)."""
-        A = np.array([b.ravel() for b in self.basis]).T
-        coef, *_ = np.linalg.lstsq(A, np.asarray(m, dtype=complex).ravel(), rcond=None)
-        if not np.allclose(A @ coef, np.asarray(m).ravel(), atol=1e-8):
+    def components_of(self, m) -> dict:
+        """Degree parts g → m_g of an algebra element, from one solve for its
+        coefficients in the graded basis."""
+        m = np.asarray(m, dtype=complex)
+        coef, *_ = np.linalg.lstsq(self._flat, m.ravel(), rcond=None)
+        if not np.allclose(self._flat @ coef, m.ravel(), atol=1e-8):
             raise GradingInvalid("element outside the algebra")
-        out = np.zeros_like(np.asarray(m, dtype=complex))
+        parts = {g: np.zeros_like(m) for g in self.group.elements}
         for c, b, d in zip(coef, self.basis, self.degrees):
-            if d == g:
-                out = out + c * b
-        return out
+            parts[d] = parts[d] + c * b
+        return parts
 
     def unit(self) -> np.ndarray | None:
         """The algebra unit if the span contains one acting neutrally on the basis."""
@@ -167,8 +174,8 @@ class Coaction:
 
     def delta(self, m) -> np.ndarray:
         out = None
-        for g in self.group.elements:
-            part = np.kron(self.graded.component_of(m, g), self.group.lam(g))
+        for g, part in self.graded.components_of(m).items():
+            part = np.kron(part, self.group.lam(g))
             out = part if out is None else out + part
         return out
 
@@ -194,16 +201,8 @@ class Coaction:
         return True
 
     def nondegeneracy_check(self) -> bool:
-        """span δ(A)(I⊗C*(G)) must equal A⊗C*(G)."""
-        prods = []
-        target = []
-        eye = np.eye(self.graded.ambient_dim)
-        for a in self.graded.basis:
-            da = self.delta(a)
-            for h in self.group.elements:
-                prods.append(da @ np.kron(eye, self.group.lam(h)))
-                target.append(np.kron(a, self.group.lam(h)))
-        return matrix_rank(prods) == matrix_rank(target)
+        basis = self.graded.basis
+        return _nondegenerate(basis, [self.delta(a) for a in basis], self.group)
 
     def fourier(self, m, g) -> np.ndarray:
         """𝔼_g(m): the degree-g component read back from δ(m) by trace contraction."""
@@ -223,10 +222,7 @@ class Coaction:
             rows = []
             for a in span:
                 rows.append((self.delta_lambda(a) - np.kron(a, self.group.lam(g))).ravel())
-            A = np.array(rows)
-            sv = np.linalg.svd(A, compute_uv=False)
-            rank = int(np.sum(sv > 1e-9 * max(1.0, sv[0] if len(sv) else 1.0)))
-            dims[g] = len(span) - rank
+            dims[g] = len(span) - _rank(np.linalg.svd(np.array(rows), compute_uv=False))
         return dims
 
     def normality_verdict(self, levels=None, samples=25, seed=0):
@@ -247,8 +243,9 @@ def verify_coaction_axioms(basis, images, group: FiniteGroup, tol=1e-9) -> dict:
     n = len(group)
     d = basis[0].shape[0]
 
+    A = np.array([b.ravel() for b in basis]).T
+
     def delta(m):
-        A = np.array([b.ravel() for b in basis]).T
         coef, *_ = np.linalg.lstsq(A, np.asarray(m, complex).ravel(), rcond=None)
         return sum(c * im for c, im in zip(coef, images))
 
@@ -274,14 +271,16 @@ def verify_coaction_axioms(basis, images, group: FiniteGroup, tol=1e-9) -> dict:
             ok = False
             break
     out["coaction_identity"] = ok
-    prods, target = [], []
-    eye = np.eye(d)
-    for a, da in zip(basis, map(delta, basis)):
-        for h in group.elements:
-            prods.append(da @ np.kron(eye, group.lam(h)))
-            target.append(np.kron(a, group.lam(h)))
-    out["nondegenerate"] = matrix_rank(prods) == matrix_rank(target)
+    out["nondegenerate"] = _nondegenerate(basis, [delta(a) for a in basis], group)
     return out
+
+
+def _nondegenerate(basis, images, group: FiniteGroup) -> bool:
+    """span δ(A)(I⊗C*(G)) = A⊗C*(G) for the map δ(basis[i]) = images[i]."""
+    eye = np.eye(basis[0].shape[0])
+    prods = [da @ np.kron(eye, group.lam(h)) for da in images for h in group.elements]
+    target = [np.kron(a, group.lam(h)) for a in basis for h in group.elements]
+    return matrix_rank(prods) == matrix_rank(target)
 
 
 def coaction_from_grading(graded: GradedAlgebra) -> Coaction:
@@ -369,6 +368,16 @@ class DoubleCrossedProduct:
         V = np.kron(np.eye(self.h_dim), U @ S)
         self.data = KatayamaData(U, S, V)
 
+    @cached_property
+    def kron_basis(self):
+        """(B, degrees): the basis B_i = δ_λ(a_i)⊗E_pq of δ_λ(A)⊗𝕂 as a stack,
+        a_i running over the graded basis and (p, q) over G×G, and the group
+        index of each a_i's degree."""
+        graded, units = self.delta.graded, np.eye(self.n * self.n).reshape(-1, self.n, self.n)
+        stack = np.array([np.kron(self.delta.delta_lambda(a), e_pq)
+                          for a in graded.basis for e_pq in units])
+        return stack, np.repeat([self.group.index[g] for g in graded.degrees], len(units))
+
     def k_A(self, a) -> np.ndarray:
         return np.kron(self.delta.delta_lambda(a), np.eye(self.n))
 
@@ -394,9 +403,6 @@ class DoubleCrossedProduct:
                     out.append(((a, dg, f, g),
                                 self.k_A(a) @ self.k_c0(f) @ self.k_G(g)))
         return out
-
-    def span(self) -> AlgebraSpan:
-        return AlgebraSpan([m for _, m in self.generators()], selfadjoint=False)
 
     def double_dual(self, x) -> np.ndarray:
         """δ̂̂(x) = (I⊗I⊗U)(x ⊗ I)(I⊗I⊗U)*, the U acting on the last two legs."""
@@ -434,7 +440,6 @@ def katayama_verify(delta: Coaction, tol=1e-12) -> KatayamaReport:
     G = delta.group
     n = len(G)
     V = dcp.data.V
-    eye_h = np.eye(dcp.h_dim)
 
     def ad_v(x):
         return V @ x @ V.conj().T
@@ -450,38 +455,26 @@ def katayama_verify(delta: Coaction, tol=1e-12) -> KatayamaReport:
                  for g in G.elements)
 
     # span equality Ad(V)(double crossed product) = δ_λ(A) ⊗ 𝕂
-    images = [ad_v(m) for _, m in dcp.generators()]
-    target = []
-    for a in delta.graded.basis:
-        for p in G.elements:
-            for q in G.elements:
-                e_pq = np.zeros((n, n), dtype=complex)
-                e_pq[G.index[p], G.index[q]] = 1.0
-                target.append(np.kron(delta.delta_lambda(a), e_pq))
+    generators = [m for _, m in dcp.generators()]
+    images = [ad_v(m) for m in generators]
+    target = list(dcp.kron_basis[0])
     ri, rt = matrix_rank(images), matrix_rank(target)
     rj = matrix_rank(images + target)
     span_ok = ri == rt == rj
     image_dim = ri
 
     # conjugation: (Ψ⊗id)∘δ̂̂ = δ̃∘Ψ on generators, with δ̃ the explicit formula
-    big_u = np.kron(np.eye(dcp.h_dim * n), dcp.data.U)
-    conj_ok = True
-    for (a, dg, f, g), mat in dcp.generators():
-        lhs = np.kron(V, np.eye(n)) @ dcp.double_dual(mat) @ np.kron(V, np.eye(n)).conj().T
-        rhs = _tilde_delta(dcp, ad_v(mat), delta)
-        if not np.allclose(lhs, rhs, atol=tol):
-            conj_ok = False
-            break
+    v_n = np.kron(V, np.eye(n))
+    conj_ok = all(np.allclose(v_n @ dcp.double_dual(mat) @ v_n.conj().T,
+                              _tilde_delta(dcp, image, delta), atol=tol)
+                  for mat, image in zip(generators, images))
 
     # invariance of δ_λ(A)⊗P_e under δ̃
     pe = G.point_mass(G.identity)
-    pe_ok = True
-    for a, g in zip(delta.graded.basis, delta.graded.degrees):
-        y = np.kron(delta.delta_lambda(a), pe)
-        expected = np.kron(np.kron(delta.delta_lambda(a), pe), G.lam(g))
-        if not np.allclose(_tilde_delta(dcp, y, delta), expected, atol=tol):
-            pe_ok = False
-            break
+    ys = [(np.kron(delta.delta_lambda(a), pe), g)
+          for a, g in zip(delta.graded.basis, delta.graded.degrees)]
+    pe_ok = all(np.allclose(_tilde_delta(dcp, y, delta), np.kron(y, G.lam(g)), atol=tol)
+                for y, g in ys)
 
     return KatayamaReport(ok_i, ok_ii, ok_iii, span_ok, image_dim, conj_ok, pe_ok)
 
@@ -489,23 +482,19 @@ def katayama_verify(delta: Coaction, tol=1e-12) -> KatayamaReport:
 def _tilde_delta(dcp: DoubleCrossedProduct, y, delta: Coaction):
     """δ̃(δ_λ(a)⊗K) = (I⊗I⊗U)*(δ_λ(a)⊗K⊗λ_g)(I⊗I⊗U), extended linearly.
 
-    Decomposes y over the basis δ_λ(a_i)⊗E_pq with a_i graded.
+    Decomposes y = Σ cᵢBᵢ over the basis Bᵢ = δ_λ(aᵢ)⊗E_pq with aᵢ graded; the
+    middle term is Σ_g (Σ_{deg i = g} cᵢBᵢ)⊗λ_g.
     """
     G = delta.group
     n = len(G)
-    basis, mats = [], []
-    for a, g in zip(delta.graded.basis, delta.graded.degrees):
-        for p in G.elements:
-            for q in G.elements:
-                e_pq = np.zeros((n, n), dtype=complex)
-                e_pq[G.index[p], G.index[q]] = 1.0
-                basis.append(np.kron(delta.delta_lambda(a), e_pq))
-                mats.append(np.kron(np.kron(delta.delta_lambda(a), e_pq), G.lam(g)))
-    A = np.array([b.ravel() for b in basis]).T
-    coef, *_ = np.linalg.lstsq(A, np.asarray(y, dtype=complex).ravel(), rcond=None)
-    if not np.allclose(A @ coef, np.asarray(y).ravel(), atol=1e-8):
+    stack, degrees = dcp.kron_basis
+    A = stack.reshape(len(stack), -1).T
+    y = np.asarray(y, dtype=complex).ravel()
+    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
+    if not np.allclose(A @ coef, y, atol=1e-8):
         raise ValueError("element outside δ_λ(A)⊗𝕂")
-    middle = sum(c * m for c, m in zip(coef, mats))
+    middle = sum(np.kron(np.tensordot(coef[degrees == i], stack[degrees == i], 1), G.lam(g))
+                 for i, g in enumerate(G.elements))
     big_u = np.kron(np.eye(dcp.h_dim * n), dcp.data.U)
     return big_u.conj().T @ middle @ big_u
 
@@ -523,23 +512,20 @@ def extend_grading(graded: GradedAlgebra, env_basis, kappa, max_rounds=40):
     G = graded.group
     env_span = AlgebraSpan([np.asarray(b, dtype=complex) for b in env_basis],
                            selfadjoint=True)
-    spans: dict = {g: [] for g in G.elements}
+    degree_spans = {g: SpanBasis() for g in G.elements}
     for a, g in zip(graded.basis, graded.degrees):
         img = np.asarray(kappa(a), dtype=complex)
-        if not in_span(img, spans[g]):
-            spans[g].append(img)
-        adj = img.conj().T
-        if not in_span(adj, spans[G.inv(g)]):
-            spans[G.inv(g)].append(adj)
+        degree_spans[g].add(img)
+        degree_spans[G.inv(g)].add(img.conj().T)
+    spans = {g: span.members for g, span in degree_spans.items()}
     for _ in range(max_rounds):
         grew = False
         items = [(g, m) for g in G.elements for m in list(spans[g])]
         for g1, m1 in items:
             for g2, m2 in items:
                 prod = m1 @ m2
-                tgt = G.mul(g1, g2)
-                if operator_norm(prod) > 1e-10 and not in_span(prod, spans[tgt]):
-                    spans[tgt].append(prod)
+                if operator_norm(prod) > 1e-10 \
+                        and degree_spans[G.mul(g1, g2)].add(prod):
                     grew = True
         if not grew:
             break

@@ -2,6 +2,10 @@
 Shilov ideal search, and realization of the canonical surjection onto the
 envelope for category fixtures.
 
+Boundary-ideal trials compare level-k norms block by block in the cover's
+coordinates (the norm of a block-diagonal element is its largest block norm);
+null spaces come from a thin SVD unless the matrix is wide.
+
 Certification semantics: REJECT verdicts carry an explicit witness and are
 sound; CERTIFY verdicts are numerical certificates with stated effort.
 """
@@ -13,9 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .matrixrep import (AlgebraSpan, IsometryVerdict, NotSelfAdjoint, TOL,
-                        _joint_rank, complete_isometry_check, direct_sum,
-                        in_span, matrix_rank, operator_norm)
+from .matrixrep import (AlgebraSpan, IsometryVerdict, NotSelfAdjoint, SpanBasis,
+                        TOL, _joint_rank, _rank, deviation_search, direct_sum,
+                        level_k_norms, matrix_rank, operator_norm)
 
 
 class NotACover(ValueError):
@@ -62,11 +66,15 @@ def _hermitian_parts(ms):
 
 
 def _null_space(a: np.ndarray, tol=TOL):
+    """Orthonormal columns spanning {x : a·x = 0}.
+
+    A thin SVD already has all of Vᴴ when a has at least as many rows as
+    columns; only a wide a needs the full one.
+    """
     if a.size == 0:
         return np.eye(a.shape[1] if a.ndim == 2 else 0, dtype=complex)
-    u, s, vh = np.linalg.svd(a)
-    rank = int(np.sum(s > tol * max(1.0, s[0] if len(s) else 1.0)))
-    return vh[rank:].conj().T
+    _, s, vh = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
+    return vh[_rank(s, tol):].conj().T
 
 
 def _commutant_basis(mats, dim, tol=TOL):
@@ -216,6 +224,7 @@ def is_boundary_ideal(a_basis, cover: FinDimCStar, mask, levels=None,
 
     A sound exact pre-test first: an isometry is injective, so any nonzero
     element of span(A) supported inside the masked blocks refutes the mask.
+    Then `deviation_search` on `_blockwise_deviation`.
     """
     mask = frozenset(mask)
     if len(mask) == len(cover.block_sizes):
@@ -226,11 +235,33 @@ def is_boundary_ideal(a_basis, cover: FinDimCStar, mask, levels=None,
     if kernel_witness is not None:
         return IsometryVerdict(False, operator_norm(kernel_witness), 0, 0, 0,
                                tol, witness=kernel_witness)
-    pairs = [(direct_sum(cover.coords(a)), cover.rep(a, mask)) for a in a_basis]
     if levels is None:
         levels = max(cover.block_sizes)
-    return complete_isometry_check(pairs, levels=levels, samples=samples,
-                                   tol=tol, seed=seed)
+    return deviation_search(_blockwise_deviation(a_basis, cover, mask), len(a_basis),
+                            levels, samples=samples, tol=tol, seed=seed)
+
+
+def _blockwise_deviation(a_basis, cover: FinDimCStar, mask):
+    """c ↦ |‖Σ c⊗q(a_b)‖ − ‖Σ c⊗a_b‖| for the quotient q by the masked blocks.
+
+    The level-k norm of a block-diagonal element is the largest of its blocks'
+    level-k norms, so each block's norm is computed once per c and serves both
+    sides: ‖A‖ is the maximum over all blocks, ‖B‖ over the unmasked ones.
+    Blocks are zero-padded to the largest size, which keeps their norms, so
+    one batched SVD gives them all.
+    """
+    n = max(cover.block_sizes)
+    blocks = np.zeros((len(cover.block_sizes), len(a_basis), n, n), dtype=complex)
+    for b, a in enumerate(a_basis):
+        for k, c in enumerate(cover.coords(a)):
+            blocks[k, b, :len(c), :len(c)] = c
+    kept = np.array([k not in mask for k in range(len(blocks))])
+
+    def deviation(c):
+        norms = level_k_norms(blocks, c)
+        return float(abs(norms[kept].max() - norms.max()))
+
+    return deviation
 
 
 def _span_kernel_element(a_basis, cover: FinDimCStar, mask, tol=TOL):
@@ -241,20 +272,12 @@ def _span_kernel_element(a_basis, cover: FinDimCStar, mask, tol=TOL):
     for a in a_basis:
         coords = cover.coords(a)
         rows.append(np.concatenate([coords[k].ravel() for k in outside]))
-    for c in _null_space_rows(np.array(rows), tol):
+    # coefficient rows c with c·rows = 0
+    for c in _null_space(np.array(rows).T, tol).T:
         el = sum(ci * a for ci, a in zip(c, a_basis))
         if operator_norm(el) > 1e-7:
             return el
     return None
-
-
-def _null_space_rows(a: np.ndarray, tol=TOL):
-    """Vectors c with c·a = 0, as rows."""
-    if a.shape[0] == 0:
-        return np.zeros((0, 0))
-    u, s, vh = np.linalg.svd(a.T, full_matrices=True)
-    rank = int(np.sum(s > tol * max(1.0, s[0] if len(s) else 1.0)))
-    return vh[rank:].conj()
 
 
 def shilov_ideal(a_basis, cover: FinDimCStar, levels=None, samples=25,
@@ -293,13 +316,12 @@ def detects_ideals(d_basis, cover: FinDimCStar, tol=TOL) -> bool:
         return False
     dependencies = len(d_basis) - d_rank
     nblocks = len(cover.block_sizes)
+    d_coords = [cover.coords(d) for d in d_basis]
     for r in range(1, nblocks):
         for combo in itertools.combinations(range(nblocks), r):
             outside = [k for k in range(nblocks) if k not in combo]
-            rows = []
-            for d in d_basis:
-                coords = cover.coords(d)
-                rows.append(np.concatenate([coords[k].ravel() for k in outside]))
+            rows = [np.concatenate([coords[k].ravel() for k in outside])
+                    for coords in d_coords]
             # kernel elements beyond the dependencies of D land inside the ideal
             if _kernel_dim(np.array(rows)) <= dependencies:
                 return False
@@ -309,9 +331,7 @@ def detects_ideals(d_basis, cover: FinDimCStar, tol=TOL) -> bool:
 def _kernel_dim(a: np.ndarray, tol=TOL) -> int:
     if a.shape[1] == 0:
         return a.shape[0]
-    sv = np.linalg.svd(a, compute_uv=False)
-    rank = int(np.sum(sv > tol * max(1.0, sv[0] if len(sv) else 1.0)))
-    return a.shape[0] - rank
+    return a.shape[0] - _rank(np.linalg.svd(a, compute_uv=False), tol)
 
 
 # -- linear *-maps between spanned algebras --------------------------------------
@@ -324,26 +344,18 @@ class SpannedStarMap:
     y's; products and adjoints of spanning elements map consistently.
     """
 
-    def __init__(self, pairs, tol=1e-8):
+    def __init__(self, pairs):
         self.xs = [np.asarray(x, dtype=complex) for x, _ in pairs]
         self.ys = [np.asarray(y, dtype=complex) for _, y in pairs]
-        self.tol = tol
         if _joint_rank(self.xs, self.ys) != matrix_rank(self.xs):
             raise ValueError("map is not well defined on the span")
-        self._basis_x = []
-        self._basis_y = []
-        for x, y in zip(self.xs, self.ys):
-            if not in_span(x, self._basis_x):
-                self._basis_x.append(x)
-                self._basis_y.append(y)
+        self._domain = SpanBasis()
+        self._basis_y = np.array([y for x, y in zip(self.xs, self.ys)
+                                  if self._domain.add(x)])
 
     def apply(self, m) -> np.ndarray:
-        m = np.asarray(m, dtype=complex)
-        A = np.array([b.ravel() for b in self._basis_x]).T
-        coef, *_ = np.linalg.lstsq(A, m.ravel(), rcond=None)
-        if not np.allclose(A @ coef, m.ravel(), atol=self.tol):
-            raise ValueError("element outside the domain span")
-        return sum(c * y for c, y in zip(coef, self._basis_y))
+        """The image of m; ValueError if m is outside the domain span."""
+        return np.tensordot(self._domain.coordinates(m), self._basis_y, 1)
 
     @property
     def image_dim(self):
@@ -353,20 +365,18 @@ class SpannedStarMap:
     def domain_dim(self):
         return matrix_rank(self.xs)
 
-    def kernel_dim(self):
-        return self.domain_dim - self.image_dim
-
     def is_injective(self):
-        return self.kernel_dim() == 0
+        return self.domain_dim == self.image_dim
 
-    def check_star_homomorphism(self, product_closure=None, rng_seed=3, trials=8):
+    def check_star_homomorphism(self, rng_seed=3, trials=8):
         rng = np.random.default_rng(rng_seed)
-        n = len(self._basis_x)
+        basis_x = self._domain.members
+        n = len(basis_x)
         for _ in range(trials):
             c1 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             c2 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            a = sum(c * b for c, b in zip(c1, self._basis_x))
-            b = sum(c * m for c, m in zip(c2, self._basis_x))
+            a = sum(c * b for c, b in zip(c1, basis_x))
+            b = sum(c * m for c, m in zip(c2, basis_x))
             try:
                 img_ab = self.apply(a @ b)
                 img_astar = self.apply(a.conj().T)
@@ -382,17 +392,6 @@ class SpannedStarMap:
 def quotient_kernel_mask(cover: FinDimCStar, star_map: SpannedStarMap,
                          tol=1e-8) -> frozenset:
     """Blocks of the cover killed by a *-homomorphism defined on its algebra."""
-    dead = set()
-    for k, n in enumerate(cover.block_sizes):
-        killed = True
-        for i in range(n):
-            for j in range(n):
-                el = cover.block_element(k, i, j)
-                if operator_norm(star_map.apply(el)) > tol:
-                    killed = False
-                    break
-            if not killed:
-                break
-        if killed:
-            dead.add(k)
-    return frozenset(dead)
+    return frozenset(k for k, n in enumerate(cover.block_sizes)
+                     if all(operator_norm(star_map.apply(cover.block_element(k, i, j))) <= tol
+                            for i in range(n) for j in range(n)))

@@ -148,8 +148,9 @@ class GermGroupoid:
         g0 = self.groupoid
         elements = [g for g in g0.elements
                     if g0.source[g].chi_min in keep_min and g0.range[g].chi_min in keep_min]
+        kept = set(elements)
         product = {(g, h): gh for (g, h), gh in g0.product.items()
-                   if g in elements and h in elements}
+                   if g in kept and h in kept}
         sub = FiniteGroupoid(elements,
                              source={g: g0.source[g] for g in elements},
                              range_={g: g0.range[g] for g in elements},

@@ -6,6 +6,12 @@ All matrices are dense complex arrays over explicitly labelled bases. Reduced
 norms are operator norms computed by SVD; the independent eigen-solve oracle
 lives in the test suite. Norms on truncation windows of infinite inputs are
 computed matrix-free by `windowed_norm`.
+
+Linear algebra has one engine: `SpanBasis` keeps an incremental orthonormal
+basis for span membership, growth and coordinates, and `AlgebraSpan` closes
+generators under products semi-naively on it; `_rank` is the one numerical
+rank threshold. The least-squares membership test it replaced is kept in the
+test suite as the oracle.
 """
 
 from __future__ import annotations
@@ -93,66 +99,138 @@ def windowed_norm(combo, basis, action) -> float:
     return float(np.sqrt(lam))
 
 
-def _vec(ms):
-    return np.array([m.ravel() for m in ms])
+def _rank(sv, tol=TOL) -> int:
+    """Numerical rank from singular values in descending order: the one
+    threshold every rank and null-space computation uses."""
+    return int(np.sum(sv > tol * max(1.0, sv[0] if len(sv) else 1.0)))
 
 
 def matrix_rank(ms, tol=TOL) -> int:
     if not len(ms):
         return 0
-    sv = np.linalg.svd(_vec(ms), compute_uv=False)
-    return int(np.sum(sv > tol * max(1.0, sv[0] if len(sv) else 1.0)))
+    return _rank(np.linalg.svd(np.array([m.ravel() for m in ms]),
+                               compute_uv=False), tol)
 
 
-def in_span(m, basis, tol=1e-8) -> bool:
-    if not basis:
-        return np.allclose(m, 0, atol=tol)
-    A = _vec(basis).T
-    coef, *_ = np.linalg.lstsq(A, m.ravel(), rcond=None)
-    return np.allclose(A @ coef, m.ravel(), atol=tol)
+def _joint_rank(va, vb):
+    return matrix_rank([np.concatenate([a.ravel(), b.ravel()]) for a, b in zip(va, vb)])
+
+
+class SpanBasis:
+    """An incrementally grown linear span of equally shaped matrices.
+
+    `members` are the matrices accepted so far, each outside the span of the
+    ones before it. An orthonormal basis of their vectorisations (Gram–Schmidt,
+    orthogonalised twice) makes a membership test two pairs of products, and
+    `extend` tests a whole batch at once. m is in the span when its orthogonal
+    projection p satisfies np.allclose(p, m, atol=1e-8).
+    """
+
+    def __init__(self):
+        self.members: list[np.ndarray] = []
+        self._q = None  # orthonormal rows, one per member
+        self._pinv = None
+
+    def _residuals(self, rows, start=0):
+        """Rows minus their projection onto the basis rows from `start` on."""
+        if self._q is not None:
+            for _ in range(2):
+                rows = rows - (rows @ self._q[start:].conj().T) @ self._q[start:]
+        return rows
+
+    @staticmethod
+    def _inside(rows, residuals):
+        return np.all(np.abs((rows - residuals) - rows) <= 1e-8 + 1e-5 * np.abs(rows),
+                      axis=-1)
+
+    def contains(self, m) -> bool:
+        row = np.asarray(m, dtype=complex).reshape(1, -1)
+        return bool(self._inside(row, self._residuals(row))[0])
+
+    def add(self, m) -> bool:
+        """Accept m if it is outside the span; report whether it was."""
+        return bool(self.extend(np.asarray(m, dtype=complex)[None]))
+
+    def extend(self, ms) -> list:
+        """Accept, in order, each of ms outside the span of the members and of
+        the ms accepted before it; return the accepted ones."""
+        ms = np.asarray(ms, dtype=complex)
+        if not len(ms):
+            return []
+        rows = ms.reshape(len(ms), -1)
+        if self._q is None:
+            self._q = np.zeros((0, rows.shape[1]), dtype=complex)
+        start, res = len(self._q), self._residuals(rows)
+        accepted = []
+        for i in np.flatnonzero(~self._inside(rows, res)):
+            r = self._residuals(res[i:i + 1], start)  # against this call's acceptances
+            if not self._inside(rows[i:i + 1], r)[0]:
+                self._q = np.vstack([self._q, r / np.linalg.norm(r)])
+                accepted.append(ms[i].copy())
+        if accepted:
+            self.members += accepted
+            self._pinv = None
+        return accepted
+
+    def coordinates(self, m) -> np.ndarray:
+        """Coefficients c with m = Σ c_i members[i]; ValueError if m is outside."""
+        if not self.contains(m):
+            raise ValueError("element outside the span")
+        if self._pinv is None:
+            self._pinv = np.linalg.pinv(np.array([b.ravel() for b in self.members]).T)
+        return self._pinv @ np.asarray(m, dtype=complex).ravel()
+
+
+# a closure that still grows after this many rounds of products is reported
+_CLOSURE_ROUNDS = 60
 
 
 class AlgebraSpan:
-    """Linear basis of the algebra (or *-algebra) generated by some matrices."""
+    """Linear basis of the algebra (or *-algebra) generated by some matrices.
 
-    def __init__(self, generators, selfadjoint=False, unit=None, max_rounds=60):
-        gens = [np.asarray(g, dtype=complex) for g in generators]
-        if selfadjoint:
-            gens = gens + [g.conj().T for g in gens]
-        if unit is not None:
-            gens = [np.asarray(unit, dtype=complex)] + gens
-        basis = self._independent(gens)
-        for _ in range(max_rounds):
-            products = [a @ b for a in basis for b in gens] + \
-                       [b @ a for a in basis for b in gens]
-            new_basis = self._independent(basis + products)
-            if len(new_basis) == len(basis):
+    Semi-naive closure: each round multiplies by the generators, on either
+    side, only the basis elements the previous round added; the products of
+    older elements already lie in the span. The greedy selection order is that
+    of re-multiplying the whole basis every round.
+    """
+
+    def __init__(self, generators, selfadjoint=False):
+        gens = np.array([np.asarray(g, dtype=complex) for g in generators])
+        if selfadjoint and len(gens):
+            gens = np.concatenate([gens, gens.conj().transpose(0, 2, 1)])
+        self._span = SpanBasis()
+        new = self._span.extend(gens)
+        for _ in range(_CLOSURE_ROUNDS):
+            if not new:
                 break
-            basis = new_basis
-        else:
+            new = [m for a in new for m in self._span.extend(a @ gens)] \
+                + [m for a in new for m in self._span.extend(gens @ a)]
+        if new:
             raise RuntimeError("algebra closure did not stabilize")
-        self.basis = basis
-
-    @staticmethod
-    def _independent(ms, tol=TOL):
-        out = []
-        for m in ms:
-            if not in_span(m, out):
-                out.append(m)
-        return out
+        self.basis = self._span.members
 
     @property
     def dim(self):
         return len(self.basis)
 
     def contains(self, m) -> bool:
-        return in_span(np.asarray(m, dtype=complex), self.basis)
+        return self._span.contains(m)
 
     def closed_under_adjoint(self) -> bool:
-        return all(in_span(b.conj().T, self.basis) for b in self.basis)
+        return all(self._span.contains(b.conj().T) for b in self.basis)
 
 
 # -- the left regular representation -------------------------------------------
+
+
+def _partial_permutation(basis, index, image) -> np.ndarray:
+    """e_j ↦ e_{image(basis[j])}, dropping images that are None or outside the basis."""
+    out = np.zeros((len(basis), len(basis)), dtype=complex)
+    for j, x in enumerate(basis):
+        y = image(x)
+        if y is not None and y in index:
+            out[index[y], j] = 1.0
+    return out
 
 
 @dataclass
@@ -174,23 +252,12 @@ class LambdaRep:
         return cls(pres, basis, exact)
 
     def lam(self, c: Morphism) -> np.ndarray:
-        n = len(self.basis)
-        out = np.zeros((n, n), dtype=complex)
-        for j, x in enumerate(self.basis):
-            cx = self.pres.compose(c, x)
-            if cx is not None and cx in self.index:
-                out[self.index[cx], j] = 1.0
-        return out
+        return _partial_permutation(self.basis, self.index,
+                                    lambda x: self.pres.compose(c, x))
 
     def inverse_rep(self, hull_ctx: InverseHull, s: PiecewiseBijection) -> np.ndarray:
         """Λ_s e_x = e_{s(x)}; partial permutation matrix."""
-        n = len(self.basis)
-        out = np.zeros((n, n), dtype=complex)
-        for j, x in enumerate(self.basis):
-            y = hull_ctx.apply(s, x)
-            if y is not None and y in self.index:
-                out[self.index[y], j] = 1.0
-        return out
+        return _partial_permutation(self.basis, self.index, lambda x: hull_ctx.apply(s, x))
 
     def toeplitz_algebra(self) -> AlgebraSpan:
         gens = [self.lam(c) for c in self.basis]
@@ -212,12 +279,8 @@ class GroupoidRep:
 
     def element_matrix(self, el) -> np.ndarray:
         """The indicator function of a single groupoid element, represented."""
-        n = len(self.basis)
-        out = np.zeros((n, n), dtype=complex)
-        for j, t in enumerate(self.basis):
-            if self.g.source[el] == self.g.range[t]:
-                out[self.index[self.g.mul(el, t)], j] = 1.0
-        return out
+        return _partial_permutation(self.basis, self.index, lambda t: self.g.mul(el, t)
+                                    if self.g.source[el] == self.g.range[t] else None)
 
     def function_matrix(self, coeffs: dict) -> np.ndarray:
         n = len(self.basis)
@@ -309,12 +372,6 @@ def jack_check(hull_ctx: InverseHull, closure: HullClosure, model: GermModel,
     return True, ra
 
 
-def _joint_rank(va, vb):
-    rows = [np.concatenate([a.ravel(), b.ravel()]) for a, b in zip(va, vb)]
-    sv = np.linalg.svd(np.array(rows), compute_uv=False)
-    return int(np.sum(sv > TOL * max(1.0, sv[0])))
-
-
 # -- the boundary compressions ϑ_χ ----------------------------------------------
 
 
@@ -342,13 +399,7 @@ class ThetaRep:
         return bool(self.chi.value_on_parts(parts))
 
     def theta(self, s: PiecewiseBijection) -> np.ndarray:
-        n = len(self.basis)
-        out = np.zeros((n, n), dtype=complex)
-        for j, d in enumerate(self.basis):
-            y = self.hull.apply(s, d)
-            if y is not None and y in self.index:
-                out[self.index[y], j] = 1.0
-        return out
+        return _partial_permutation(self.basis, self.index, lambda d: self.hull.apply(s, d))
 
     def diagonal_indicator(self, parts) -> np.ndarray:
         """ϑ_χ(1_{Ω(X)}): the projection onto basis germs lying in X = ⋃ b𝔠."""
@@ -443,10 +494,16 @@ def norm_level_k(basis, coeffs) -> float:
     k1, k2, nb = coeffs.shape
     if nb != len(basis) or k1 != k2:
         raise DimensionMismatch(f"need (k, k, {len(basis)}) coefficients")
-    stack = np.asarray(basis, dtype=complex)
-    n = stack.shape[1]
-    big = np.einsum("ijb,bxy->ixjy", coeffs, stack).reshape(k1 * n, k1 * n)
-    return operator_norm(big)
+    return float(level_k_norms(np.asarray(basis, dtype=complex)[None], coeffs)[0])
+
+
+def level_k_norms(stacks, coeffs) -> np.ndarray:
+    """`norm_level_k` for each basis in stacks, shape (m, nb, n, n), in one
+    batched SVD."""
+    m, _, n, _ = stacks.shape
+    k = coeffs.shape[0]
+    big = np.einsum("ijb,mbxy->mixjy", coeffs, stacks).reshape(m, k * n, k * n)
+    return np.linalg.svd(big, compute_uv=False)[:, 0]
 
 
 @dataclass
@@ -466,22 +523,30 @@ class IsometryVerdict:
 
 def complete_isometry_check(pairs, levels=None, samples=40, restarts=3,
                             tol=1e-9, seed=0) -> IsometryVerdict:
-    """Compare ‖Σ c ⊗ A_b‖ against ‖Σ c ⊗ B_b‖ over matrix levels.
+    """Compare ‖Σ c ⊗ A_b‖ against ‖Σ c ⊗ B_b‖ over matrix levels, by
+    `deviation_search` on dense pairs (A_b, B_b)."""
+    amats = np.array([np.asarray(a, dtype=complex) for a, _ in pairs])
+    bmats = np.array([np.asarray(b, dtype=complex) for _, b in pairs])
+    if levels is None:
+        levels = max(amats.shape[1], bmats.shape[1])
+
+    def deviation(c):
+        return abs(norm_level_k(bmats, c) - norm_level_k(amats, c))
+
+    return deviation_search(deviation, len(pairs), levels, samples, restarts,
+                            tol, seed)
+
+
+def deviation_search(deviation, nb, levels, samples=40, restarts=3, tol=1e-9,
+                     seed=0) -> IsometryVerdict:
+    """Search coefficient arrays c of shape (k, k, nb), k ≤ levels, for a
+    deviation(c) beyond tol.
 
     Deterministic basis sweeps plus seeded random coefficients with local
     perturbation ascent on the deviation. Rejection (a deviation beyond tol) is
     sound; certification is an effort-stamped numerical certificate.
     """
-    amats = [np.asarray(a, dtype=complex) for a, _ in pairs]
-    bmats = [np.asarray(b, dtype=complex) for _, b in pairs]
-    nb = len(pairs)
-    if levels is None:
-        levels = max(m.shape[0] for m in amats + bmats)
     rng = np.random.default_rng(seed)
-
-    def deviation(c):
-        return abs(norm_level_k(bmats, c) - norm_level_k(amats, c))
-
     worst, witness = 0.0, None
     tried = 0
     for k in range(1, levels + 1):

@@ -21,7 +21,7 @@ from .envelope import (FinDimCStar, SpannedStarMap, block_decompose,
                        detects_ideals, quotient_kernel_mask, shilov_ideal)
 from .germs import GermContext
 from .hull import InverseHull
-from .matrixrep import (GermModel, GroupoidRep, LambdaRep, ThetaRep,
+from .matrixrep import (AlgebraSpan, GermModel, GroupoidRep, LambdaRep, ThetaRep,
                         complete_isometry_check, jack_check, windowed_norm)
 from .report import Entry, exit_code
 
@@ -185,11 +185,8 @@ def envelope_coincidence(ctx, levels=None, tol=1e-9, seed=0) -> list[Entry]:
                          {"mask": sorted(shilov.mask),
                           "envelope_blocks": shilov.quotient_blocks}))
 
-    # the boundary restriction as a *-map on the spanning family, and its kernel
-    span_pairs = [(model_omega.spanning_matrix(s), model_bound.spanning_matrix(s))
-                  for s in closure.nonzero()]
-    q_map = SpannedStarMap(span_pairs)
-    ker_mask = quotient_kernel_mask(cover, q_map)
+    _, ker_mask, _ = boundary_quotient(model_omega, model_bound, closure, cover,
+                                       bound_algebra)
     ctx["boundary_kernel_mask"] = ker_mask
     coincide = ker_mask == shilov.mask
     # certify the generator correspondence boundary → envelope is a *-isomorphism
@@ -238,20 +235,19 @@ def envelope_coincidence(ctx, levels=None, tol=1e-9, seed=0) -> list[Entry]:
 
 
 def boundary_quotient(model_omega: GermModel, model_bound: GermModel, closure,
-                      cover: FinDimCStar | None = None, seed: int = 0):
+                      cover: FinDimCStar, bound_algebra: AlgebraSpan):
     """Block-coordinate description of the restriction map to the boundary.
 
-    Returns (star_map, kernel_mask, surjective): the map on the spanning family,
-    the cover blocks it kills, and whether it fills the boundary algebra.
+    `cover` is the block decomposition of the spectrum model's algebra and
+    `bound_algebra` the boundary model's algebra. Returns (star_map,
+    kernel_mask, surjective): the map on the spanning family, the cover blocks
+    it kills, and whether it fills the boundary algebra.
     """
     pairs = [(model_omega.spanning_matrix(s), model_bound.spanning_matrix(s))
              for s in closure.nonzero()]
     star_map = SpannedStarMap(pairs)
-    if cover is None:
-        cover = block_decompose(model_omega.reduced_algebra(), seed=seed)
     kernel_mask = quotient_kernel_mask(cover, star_map)
-    surjective = star_map.image_dim == model_bound.reduced_algebra().dim
-    return star_map, kernel_mask, surjective
+    return star_map, kernel_mask, star_map.image_dim == bound_algebra.dim
 
 
 def _bounded_tail(pres, hull, closure, depth, entries, ctx):

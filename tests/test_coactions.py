@@ -12,6 +12,7 @@ from catenv.coactions import (CrossedProduct, DoubleCrossedProduct,
 from catenv.fixtures import fix_edge, fix_two, t2_graded, t3_graded
 from catenv.matrixrep import AlgebraSpan, LambdaRep
 from catenv.envelope import block_decompose, shilov_ideal
+from oracles import in_span
 
 
 def t2_delta():
@@ -166,7 +167,6 @@ def test_extension_t2_to_m2():
     assert dims == {0: 2, 1: 2}
     e21 = np.zeros((2, 2), complex)
     e21[1, 0] = 1
-    from catenv.matrixrep import in_span
     assert in_span(e21, env.components[1])
     env_delta = coaction_from_grading(env)
     assert equivariance_check(graded, env_delta, kappa=lambda a: a)

@@ -1,0 +1,153 @@
+"""Differential tests: the span engine, the thin null space, the blockwise
+Shilov norms and the cached coaction coordinates against the reference
+formulas in `oracles`."""
+
+import itertools
+
+import numpy as np
+import pytest
+
+from catenv.coactions import (DoubleCrossedProduct, FiniteGroup, GradedAlgebra,
+                              _tilde_delta, coaction_from_grading)
+from catenv.envelope import (_blockwise_deviation, _null_space, block_decompose,
+                             is_boundary_ideal)
+from catenv.fixtures import t2_graded, t3_graded
+from catenv.matrixrep import (AlgebraSpan, GermModel, SpanBasis,
+                              complete_isometry_check, direct_sum, norm_level_k)
+from oracles import (algebra_span_by_rescan, delta_per_degree, in_span,
+                     tilde_delta_by_lstsq)
+
+
+def random_generator_sets(seed):
+    """Generic, rank-deficient, nilpotent and block-repeated generator sets."""
+    rng = np.random.default_rng(seed)
+
+    def cplx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    d = int(rng.integers(2, 5))
+    generic = [cplx(d, d) for _ in range(int(rng.integers(1, 3)))]
+    a, b = cplx(d, d), cplx(d, d)
+    deficient = [a, b, 2 * a - 1j * b, np.zeros((d, d), complex), a]
+    nilpotent = [np.triu(cplx(d, d), 1) for _ in range(2)]
+    block = cplx(2, 2)
+    repeated = [np.kron(np.eye(2), block), np.kron(np.eye(2), block.conj().T @ block)]
+    return [generic, deficient, nilpotent, repeated]
+
+
+def assert_same_span(generators, selfadjoint):
+    new = AlgebraSpan(generators, selfadjoint=selfadjoint)
+    old = algebra_span_by_rescan(generators, selfadjoint=selfadjoint)
+    assert new.dim == len(old)
+    for x, y in zip(new.basis, old):
+        assert np.allclose(x, y, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_algebra_span_matches_rescan_on_random_generators(seed):
+    for gens in random_generator_sets(seed):
+        for selfadjoint in (False, True):
+            assert_same_span(gens, selfadjoint)
+
+
+@pytest.mark.parametrize("name", ["edge", "two"])
+def test_algebra_span_matches_rescan_on_germ_models(name, request):
+    fx = request.getfixturevalue(name)
+    for gg in (fx.g_omega, fx.g_boundary):
+        model = GermModel(gg, fx.closure)
+        assert_same_span([model.spanning_matrix(s) for s in fx.closure.nonzero()], True)
+
+
+def test_span_basis_membership_and_coordinates():
+    rng = np.random.default_rng(5)
+    ms = [rng.standard_normal((3, 3)) for _ in range(4)]
+    ms.insert(2, ms[0] - 3 * ms[1])
+    span = SpanBasis()
+    accepted = [span.add(m) for m in ms]
+    assert accepted == [not in_span(m, ms[:i]) for i, m in enumerate(ms)]
+    assert accepted == [True, True, False, True, True]
+    for _ in range(5):
+        c = rng.standard_normal(4)
+        target = sum(x * m for x, m in zip(c, span.members))
+        assert span.contains(target) and in_span(target, span.members)
+        assert np.allclose(span.coordinates(target), c, atol=1e-10)
+    outside = SpanBasis()
+    outside.extend(ms[:2])
+    assert not outside.contains(ms[3]) and not in_span(ms[3], ms[:2])
+    with pytest.raises(ValueError):
+        outside.coordinates(ms[3])
+
+
+@pytest.mark.parametrize("shape", [(9, 5), (3, 7)])  # tall, then wide
+def test_null_space_matches_full_svd(shape):
+    rng = np.random.default_rng(3)
+    rows, cols = shape
+    a = (rng.standard_normal((rows, 2)) + 1j * rng.standard_normal((rows, 2))) \
+        @ (rng.standard_normal((2, cols)) + 1j * rng.standard_normal((2, cols)))
+    ns = _null_space(a)
+    _, _, vh = np.linalg.svd(a, full_matrices=True)
+    full = vh[2:].conj().T
+    assert ns.shape == full.shape == (cols, cols - 2)
+    assert np.allclose(a @ ns, 0, atol=1e-10)
+    assert np.allclose(ns @ ns.conj().T, full @ full.conj().T, atol=1e-10)
+
+
+def shilov_cases(two):
+    """(generators, cover): the spectrum model of `two`, and diag(1, 2) in
+    ℂ⊕ℂ, where quotienting by the second block is injective but not isometric."""
+    model = GermModel(two.g_omega, two.closure)
+    yield ([m for _, m in model.operator_algebra_generators()],
+           block_decompose(model.reduced_algebra()))
+    toy = [np.diag([1.0, 2.0]).astype(complex)]
+    yield toy, block_decompose(AlgebraSpan(toy, selfadjoint=True))
+
+
+def test_blockwise_deviations_match_dense_direct_sums(two):
+    rng = np.random.default_rng(2)
+    outcomes = set()
+    for a_basis, cover in shilov_cases(two):
+        nblocks = len(cover.block_sizes)
+        dense_a = [direct_sum(cover.coords(a)) for a in a_basis]
+        for r in range(1, nblocks):
+            for mask in map(frozenset, itertools.combinations(range(nblocks), r)):
+                dense_b = [cover.rep(a, mask) for a in a_basis]
+                blockwise = _blockwise_deviation(a_basis, cover, mask)
+                for k in (1, 2, 3):
+                    c = rng.standard_normal((k, k, len(a_basis))) \
+                        + 1j * rng.standard_normal((k, k, len(a_basis)))
+                    dense = abs(norm_level_k(dense_b, c) - norm_level_k(dense_a, c))
+                    assert abs(blockwise(c) - dense) <= 1e-12 * max(1.0, dense)
+                verdict = is_boundary_ideal(a_basis, cover, mask)
+                if not verdict.samples:  # decided by the exact kernel pre-test
+                    continue
+                oracle = complete_isometry_check(list(zip(dense_a, dense_b)),
+                                                 levels=max(cover.block_sizes),
+                                                 samples=25)
+                assert verdict.certified == oracle.certified
+                assert abs(verdict.max_deviation - oracle.max_deviation) <= 1e-12
+                if verdict.certified:
+                    assert verdict.samples == oracle.samples
+                outcomes.add(verdict.certified)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("graded_fixture", [t2_graded, t3_graded])
+def test_coaction_coordinates_match_per_degree_solves(graded_fixture):
+    comps, order = graded_fixture()
+    group = FiniteGroup.cyclic(order)
+    delta = coaction_from_grading(GradedAlgebra(group, comps))
+    rng = np.random.default_rng(4)
+    basis = delta.graded.basis
+    samples = list(basis) + [sum(rng.standard_normal() * b for b in basis)
+                             for _ in range(3)]
+    for m in samples:
+        assert np.allclose(delta.delta(m), delta_per_degree(delta.graded, m),
+                           rtol=0, atol=1e-12)
+    dcp = DoubleCrossedProduct(delta)
+    V = dcp.data.V
+    pe = group.point_mass(group.identity)
+    ys = [V @ mat @ V.conj().T for _, mat in dcp.generators()[::7]]
+    ys += [np.kron(delta.delta_lambda(a), pe) for a in basis]
+    for y in ys:
+        assert np.allclose(_tilde_delta(dcp, y, delta), tilde_delta_by_lstsq(dcp, y, delta),
+                           rtol=0, atol=1e-12)

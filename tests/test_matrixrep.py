@@ -222,7 +222,8 @@ def test_boundary_quotient_blocks():
     model_bd = GermModel(g_bd, closure)
     from catenv.envelope import block_decompose
     cover = block_decompose(model_om.reduced_algebra())
-    qmap, mask, surjective = boundary_quotient(model_om, model_bd, closure, cover)
+    qmap, mask, surjective = boundary_quotient(model_om, model_bd, closure, cover,
+                                               model_bd.reduced_algebra())
     assert surjective
     assert [cover.block_sizes[k] for k in sorted(mask)] == [1]  # the χ_v block dies
 
