@@ -100,8 +100,15 @@ class CategoryPresentation:
         return self.divide_left(b, m) is not None
 
     def sort_key(self, m: Morphism):
-        gi = self._gen_index
-        return (len(m.word), tuple(gi[w] for w in m.word), self._obj_index[m.dom])
+        index = self.__dict__.get("_sort_index")
+        if index is None or index[0] is not self.generator_names \
+                or index[1] is not self.objects:
+            index = self._sort_index = (
+                self.generator_names, self.objects,
+                {name: i for i, name in enumerate(self.generator_names)},
+                {o: i for i, o in enumerate(self.objects)})
+        _, _, gi, oi = index
+        return (len(m.word), tuple(gi[w] for w in m.word), oi[m.dom])
 
     def _check_nonempty(self):
         if not self.objects:
@@ -125,14 +132,6 @@ class CategoryPresentation:
                 kept = [(m2, x2, y2) for m2, x2, y2 in kept if not self.in_ideal(m, m2)]
                 kept.append((m, x, y))
         return tuple((x, y) for _, x, y in kept)
-
-    @property
-    def _gen_index(self):
-        return {name: i for i, name in enumerate(self.generator_names)}
-
-    @property
-    def _obj_index(self):
-        return {o: i for i, o in enumerate(self.objects)}
 
 
 # -- finite composition tables ---------------------------------------------

@@ -183,10 +183,11 @@ class Coaction:
         return self.delta(m)  # u_g and λ_g are the same matrices for finite G
 
     def homomorphism_check(self) -> bool:
-        for a in self.graded.basis:
-            for b in self.graded.basis:
-                if not np.allclose(self.delta(a @ b), self.delta(a) @ self.delta(b),
-                                   atol=1e-9):
+        basis = self.graded.basis
+        images = [self.delta(a) for a in basis]
+        for a, da in zip(basis, images):
+            for b, db in zip(basis, images):
+                if not np.allclose(self.delta(a @ b), da @ db, atol=1e-9):
                     return False
         return True
 

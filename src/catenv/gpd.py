@@ -2,15 +2,38 @@
 
 Used both as embedding targets for category functors and as the output type of the
 germ-groupoid builder.
+
+Integer tables inside, labels outside: callers see the labelled `elements`,
+`source`, `range`, `product` and `inverse` dicts, while the constructor interns
+every label once and reads inverses and the axioms off integer arrays, so no
+label is hashed per pair or per triple.
 """
 
 from __future__ import annotations
 
-import itertools
+import numpy as np
+
+_MISSING = -2  # the index of an endpoint that the source or range dict lacks
 
 
 class GroupoidError(ValueError):
     pass
+
+
+def _composable_triples(P, s, r):
+    """All (g, h, k) with P[g, h] and P[h, k] defined, in lexicographic order.
+
+    Each defined pair (g, h), taken row-major, is repeated once per k with
+    r(k) = s(h); the k's come from the elements sorted stably by range.
+    """
+    g, h = np.nonzero(P >= 0)
+    by_range = np.argsort(r, kind="stable")
+    r_sorted = r[by_range]
+    lo = np.searchsorted(r_sorted, s[h], "left")
+    count = np.searchsorted(r_sorted, s[h], "right") - lo
+    offset = np.repeat(lo - (np.cumsum(count) - count), count)
+    return (np.repeat(g, count), np.repeat(h, count),
+            by_range[offset + np.arange(offset.size)])
 
 
 class FiniteGroupoid:
@@ -18,6 +41,16 @@ class FiniteGroupoid:
 
     Elements are arbitrary hashable labels; units are elements with source = range = self
     acting neutrally. The product dict contains exactly the composable pairs.
+
+    Internally element i is the i-th distinct label of `elements`; labels that
+    occur only in the dicts are numbered after them. `_s` and `_r` map an index
+    to its endpoints' indices (`_MISSING` where the dict has no entry) and `_P`
+    is the product table, -1 where undefined. The tables are built once, so the
+    dicts are not to be changed after construction. Each check of `validate`
+    finds its candidate positions with array gathers and runs the per-position
+    test on them in the order of a label-by-label scan (product-dict order,
+    row-major pairs, lexicographic triples), so an error names the same first
+    witness as that scan.
     """
 
     def __init__(self, elements, source, range_, product, units=None):
@@ -31,14 +64,50 @@ class FiniteGroupoid:
                                  key=str))
         self.units = tuple(units)
         self._unit_set = set(self.units)
-        self.inverse = {}
-        for g in self.elements:
-            for h in self.elements:
-                if self.product.get((g, h)) == self.range[g] and \
-                   self.product.get((h, g)) == self.source[g]:
-                    self.inverse[g] = h
-                    break
+        self._intern()
+        self.inverse = self._find_inverses()
         self.validate()
+
+    def _intern(self):
+        """Number the labels and build `_s`, `_r`, `_P` and the product entries."""
+        index = {}
+
+        def ix(x):
+            return index.setdefault(x, len(index))
+
+        for g in self.elements:
+            ix(g)
+        self._n = len(index)
+        self._entries = np.array([(ix(g), ix(h), ix(gh))
+                                  for (g, h), gh in self.product.items()],
+                                 dtype=np.intp).reshape(-1, 3)
+        looked_up = list(index)  # elements and product labels: their endpoints are read
+        ends = [[ix(d[x]) if x in d else _MISSING for x in looked_up]
+                for d in (self.source, self.range)]
+        size = len(index)
+        self._s, self._r = (np.array(e + [_MISSING] * (size - len(e)), dtype=np.intp)
+                            for e in ends)
+        self._P = np.full((size, size), -1, dtype=np.intp)
+        a, b, ab = self._entries.T
+        self._P[a, b] = ab
+        self._index = index
+        self._labels = list(index)
+
+    def _find_inverses(self):
+        """For each element g, the first h in element order with gh = r(g) and hg = s(g)."""
+        n = self._n
+        P, s, r = self._P[:n, :n], self._s[:n], self._r[:n]
+        hits = P == r[:, None]
+        # a scan by label reads range[g] first and source[g] only after a hit
+        unreadable = np.flatnonzero((r < 0) | ((s < 0) & hits.any(axis=1)))
+        if unreadable.size:
+            raise KeyError(self._labels[unreadable[0]])
+        g, h = np.nonzero(hits & (P.T == s[:, None]))
+        g, first = np.unique(g, return_index=True)
+        self._inv = np.full(n, -1, dtype=np.intp)
+        self._inv[g] = h[first]
+        labels = self._labels
+        return {labels[g]: labels[h] for g, h in enumerate(self._inv.tolist()) if h >= 0}
 
     # -- axioms ---------------------------------------------------------
 
@@ -46,27 +115,42 @@ class FiniteGroupoid:
         els = set(self.elements)
         if not self._unit_set <= els:
             raise GroupoidError("units not among elements")
-        for g in self.elements:
+        n, labels, P, s, r = self._n, self._labels, self._P, self._s, self._r
+        is_unit = np.zeros(len(labels) + 2, dtype=bool)  # indices -1 and -2 read False
+        is_unit[[self._index[u] for u in self.units]] = True
+        for i in np.flatnonzero(~is_unit[s[:n]] | ~is_unit[r[:n]] | (self._inv < 0)):
+            g = labels[i]
             if self.source[g] not in self._unit_set or self.range[g] not in self._unit_set:
                 raise GroupoidError(f"source/range of {g!r} is not a unit")
             if g not in self.inverse:
                 raise GroupoidError(f"no inverse for {g!r}")
-        for (g, h), gh in self.product.items():
+        a, b, ab = self._entries.T
+        lost = (s < 0) | (r < 0)
+        suspects = np.flatnonzero(lost[a] | lost[b] | lost[ab] | (s[a] != r[b])
+                                  | (s[ab] != s[b]) | (r[ab] != r[a]))
+        items = list(self.product.items()) if suspects.size else []
+        for (g, h), gh in (items[i] for i in suspects):
             if self.source[g] != self.range[h]:
                 raise GroupoidError(f"product defined on non-composable pair {(g, h)!r}")
             if self.source[gh] != self.source[h] or self.range[gh] != self.range[g]:
                 raise GroupoidError(f"endpoints broken at {(g, h)!r}")
-        for g, h in itertools.product(self.elements, repeat=2):
+        s, r = s[:n], r[:n]  # from here on every endpoint is a unit, hence an element
+        for i, j in np.argwhere((P[:n, :n] >= 0) != (s[:, None] == r[None, :])):
+            g, h = labels[i], labels[j]
             defined = (g, h) in self.product
             if defined != (self.source[g] == self.range[h]):
                 raise GroupoidError(f"composability/table mismatch at {(g, h)!r}")
-        for g in self.elements:
+        e = np.arange(n)
+        for i in np.flatnonzero((P[e, s] != e) | (P[r, e] != e)):
+            g = labels[i]
             if self.mul(g, self.source[g]) != g or self.mul(self.range[g], g) != g:
                 raise GroupoidError(f"units not neutral at {g!r}")
-        for g, h, k in itertools.product(self.elements, repeat=3):
-            if self.source[g] == self.range[h] and self.source[h] == self.range[k]:
-                if self.mul(self.mul(g, h), k) != self.mul(g, self.mul(h, k)):
-                    raise GroupoidError(f"associativity fails at {(g, h, k)!r}")
+        a, b, c = _composable_triples(P[:n, :n], s, r)
+        left, right = P[P[a, b], c], P[a, P[b, c]]
+        for t in np.flatnonzero((left != right) | (left < 0)):
+            g, h, k = labels[a[t]], labels[b[t]], labels[c[t]]
+            if self.mul(self.mul(g, h), k) != self.mul(g, self.mul(h, k)):
+                raise GroupoidError(f"associativity fails at {(g, h, k)!r}")
 
     # -- arithmetic -----------------------------------------------------
 

@@ -213,10 +213,10 @@ class InverseHull:
             for s, cs in items:
                 if offer(self.hinverse(s), cs):
                     changed = True
-                for t, ct in items:
+                for t, ct in items:  # ascending cost: every later t is over the bound too
                     if bound is not None and cs + ct > bound:
                         truncated = True
-                        continue
+                        break
                     if offer(self.hcompose(s, t), cs + ct):
                         changed = True
         elements = sorted(cost, key=lambda s: (len(s.pieces),

@@ -250,8 +250,9 @@ def kernel_subgroupoid(germ_gpd: GermGroupoid, cocycle: Cocycle) -> FiniteGroupo
     """The subgroupoid {g : κ(g) = identity}; same unit space."""
     g0 = germ_gpd.groupoid
     elements = [g for g in g0.elements if cocycle.is_identity_value(cocycle.of(g))]
+    kept = set(elements)
     product = {(g, h): gh for (g, h), gh in g0.product.items()
-               if g in elements and h in elements}
+               if g in kept and h in kept}
     return FiniteGroupoid(elements,
                           source={g: g0.source[g] for g in elements},
                           range_={g: g0.range[g] for g in elements},

@@ -1,10 +1,16 @@
 """Reference implementations the fast library paths are tested against.
 
 Each is the straightforward formula the library replaced: a fresh least-squares
-solve per question instead of a maintained basis or factorization.
+solve per question instead of a maintained basis or factorization, loops over
+labels instead of integer tables, and a closure round that visits every pair.
 """
 
+import itertools
+
 import numpy as np
+
+from catenv.gpd import GroupoidError
+from catenv.hull import HullClosure
 
 
 def in_span(m, basis, tol=1e-8) -> bool:
@@ -74,3 +80,91 @@ def tilde_delta_by_lstsq(dcp, y, delta):
     middle = sum(c * m for c, m in zip(coef, mats))
     big_u = np.kron(np.eye(dcp.h_dim * n), dcp.data.U)
     return big_u.conj().T @ middle @ big_u
+
+
+def groupoid_by_scan(elements, source, range_, product, units=None):
+    """The groupoid constructor as label-by-label loops: the inverse scan over
+    element pairs and the axiom checks over pairs and triples, each hashing
+    labels per lookup. Returns the inverse dict or raises what the scan raises."""
+    elements, source, range_, product = \
+        tuple(elements), dict(source), dict(range_), dict(product)
+    if units is None:
+        units = tuple(sorted((g for g in elements
+                              if source[g] == g and range_[g] == g), key=str))
+    unit_set = set(units)
+    inverse = {}
+    for g in elements:
+        for h in elements:
+            if product.get((g, h)) == range_[g] and product.get((h, g)) == source[g]:
+                inverse[g] = h
+                break
+
+    def mul(g, h):
+        try:
+            return product[(g, h)]
+        except KeyError:
+            raise GroupoidError(f"{g!r}·{h!r} undefined") from None
+
+    if not unit_set <= set(elements):
+        raise GroupoidError("units not among elements")
+    for g in elements:
+        if source[g] not in unit_set or range_[g] not in unit_set:
+            raise GroupoidError(f"source/range of {g!r} is not a unit")
+        if g not in inverse:
+            raise GroupoidError(f"no inverse for {g!r}")
+    for (g, h), gh in product.items():
+        if source[g] != range_[h]:
+            raise GroupoidError(f"product defined on non-composable pair {(g, h)!r}")
+        if source[gh] != source[h] or range_[gh] != range_[g]:
+            raise GroupoidError(f"endpoints broken at {(g, h)!r}")
+    for g, h in itertools.product(elements, repeat=2):
+        defined = (g, h) in product
+        if defined != (source[g] == range_[h]):
+            raise GroupoidError(f"composability/table mismatch at {(g, h)!r}")
+    for g in elements:
+        if mul(g, source[g]) != g or mul(range_[g], g) != g:
+            raise GroupoidError(f"units not neutral at {g!r}")
+    for g, h, k in itertools.product(elements, repeat=3):
+        if source[g] == range_[h] and source[h] == range_[k]:
+            if mul(mul(g, h), k) != mul(g, mul(h, k)):
+                raise GroupoidError(f"associativity fails at {(g, h, k)!r}")
+    return inverse
+
+
+def hull_closure_by_full_scan(hull, bound=None, gen_radius=None):
+    """`InverseHull.generate` with an inner loop that visits every pair of the
+    round, including the pairs whose cost is already over the bound."""
+    radius = gen_radius if gen_radius is not None else bound
+    cost = {}
+
+    def offer(s, c):
+        if bound is not None and c > bound:
+            return False
+        if s not in cost or cost[s] > c:
+            cost[s] = c
+            return True
+        return False
+
+    for c in hull.p.ball(radius):
+        s = hull.from_morphism(c)
+        offer(s, len(c.word))
+        offer(hull.hinverse(s), len(c.word))
+    truncated = False
+    changed = True
+    while changed:
+        changed = False
+        items = sorted(cost.items(), key=lambda kv: (kv[1], str(kv[0])))
+        for s, cs in items:
+            if offer(hull.hinverse(s), cs):
+                changed = True
+            for t, ct in items:
+                if bound is not None and cs + ct > bound:
+                    truncated = True
+                    continue
+                if offer(hull.hcompose(s, t), cs + ct):
+                    changed = True
+    elements = sorted(cost, key=lambda s: (len(s.pieces),
+                                           [(hull.p.sort_key(b), hull.p.sort_key(a))
+                                            for a, b in s.pieces]))
+    return HullClosure(elements=elements, bound=bound,
+                       complete=hull.p.is_finite and not truncated)

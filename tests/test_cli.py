@@ -65,6 +65,16 @@ def test_groupoid_command_on_gpd(capsys):
     assert "word-map" in out
 
 
+def test_groupoid_command_on_non_associative_gpd(tmp_path, capsys):
+    """ℤ/3 on arrows a, b with the row `a a b` replaced by `a a e`."""
+    bad = tmp_path / "nonassoc.gpd"
+    bad.write_text("class: groupoid\nunits: e\narrows:\na e e\nb e e\n"
+                   "products:\na a e\na b e\nb a e\nb b a\n")
+    code, out, err = run(capsys, "groupoid", str(bad))
+    assert code == 1 and out == ""
+    assert err == "error: associativity fails at ('a', 'a', 'b')\n"
+
+
 def test_coaction_command_on_grad(capsys):
     for name in ("t2.grad", "t3.grad"):
         code, out, _ = run(capsys, "coaction", fx(name))

@@ -8,9 +8,10 @@ import itertools
 
 import pytest
 
-from catenv.fixtures import (fix_edge, fix_free2, fix_n2, fix_trivial_monoid,
-                             fix_two, fix_two_mce_category)
+from catenv.fixtures import (fix_edge, fix_free2, fix_kgraph_acyclic, fix_n2,
+                             fix_trivial_monoid, fix_two, fix_two_mce_category)
 from catenv.hull import ExplicitBijection, InverseHull, ZERO
+from oracles import hull_closure_by_full_scan
 
 
 def graph_of(hull, s, ball):
@@ -114,6 +115,19 @@ def test_edge_hull_has_six_elements(edge_hull):
     assert hull.contains_zero(h)
     idempotents = [s for s in h.nonzero() if hull.is_idempotent(s)]
     assert len(idempotents) == 3  # identities on v𝔠, w𝔠, e𝔠
+
+
+@pytest.mark.parametrize("fixture,bound", [
+    *[(fix_free2, d) for d in (3, 4, 5, 6)], *[(fix_n2, d) for d in (3, 4, 5, 6)],
+    (fix_edge, None), (fix_two, None), (fix_kgraph_acyclic, None),
+    (fix_two_mce_category, None), (fix_trivial_monoid, None),
+    (fix_edge, 1), (fix_edge, 8), (fix_two, 1), (fix_kgraph_acyclic, 2),
+    (fix_two_mce_category, 2), (fix_two_mce_category, 12)])
+def test_generate_matches_full_scan(fixture, bound):
+    fast = InverseHull(fixture()).generate(bound)
+    full = hull_closure_by_full_scan(InverseHull(fixture()), bound)
+    assert fast.elements == full.elements
+    assert fast.complete == full.complete
 
 
 def test_n2_hull_bound_two():
