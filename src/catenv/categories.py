@@ -269,6 +269,25 @@ class FiniteTable(CategoryPresentation):
 # -- path categories of directed graphs --------------------------------------
 
 
+def _acyclic(objects, arcs) -> bool:
+    """No directed cycle through the arcs (dom, tgt) of a graph on `objects`;
+    its path category is then finite."""
+    adj = {o: set() for o in objects}
+    for d, t in arcs:
+        adj[t].add(d)  # walking a path extends at the domain side
+    state = {o: 0 for o in objects}
+
+    def dfs(u):
+        state[u] = 1
+        for v in adj[u]:
+            if state[v] == 1 or (state[v] == 0 and dfs(v)):
+                return True
+        state[u] = 2
+        return False
+
+    return not any(state[o] == 0 and dfs(o) for o in objects)
+
+
 class GraphPath(CategoryPresentation):
     """The path category of a directed graph: free composition of edges.
 
@@ -288,23 +307,7 @@ class GraphPath(CategoryPresentation):
             if d not in self.objects or t not in self.objects:
                 raise MalformedPresentation(f"dangling endpoints on edge {name!r}")
         self.generator_names = tuple(sorted(self.edges))
-        self.is_finite = self._acyclic()
-
-    def _acyclic(self):
-        adj = {o: [] for o in self.objects}
-        for name, (d, t) in self.edges.items():
-            adj[t].append(d)  # walking a path extends at the domain side
-        state = {o: 0 for o in self.objects}
-
-        def dfs(u):
-            state[u] = 1
-            for v in adj[u]:
-                if state[v] == 1 or (state[v] == 0 and dfs(v)):
-                    return True
-            state[u] = 2
-            return False
-
-        return not any(state[o] == 0 and dfs(o) for o in self.objects)
+        self.is_finite = _acyclic(self.objects, self.edges.values())
 
     def identity(self, obj):
         return Morphism((), obj, obj)
@@ -476,7 +479,7 @@ class KGraph(CategoryPresentation):
             self.flip_up[(e, f)] = (f2, e2)
             self.flip_down[(f2, e2)] = (e, f)
         self._check_squares()
-        self.is_finite = self._acyclic()
+        self.is_finite = _acyclic(self.objects, ((d, t) for d, t, _ in self.edges.values()))
 
     def color(self, edge):
         return self.edges[edge][2]
@@ -610,22 +613,6 @@ class KGraph(CategoryPresentation):
         if self.is_finite and n >= len(self.edges) * max(1, len(self.objects)):
             return uniq
         return [m for m in uniq if len(m.word) <= n]
-
-    def _acyclic(self):
-        adj = {o: set() for o in self.objects}
-        for d, t, _ in self.edges.values():
-            adj[t].add(d)
-        state = {o: 0 for o in self.objects}
-
-        def dfs(u):
-            state[u] = 1
-            for v in adj[u]:
-                if state[v] == 1 or (state[v] == 0 and dfs(v)):
-                    return True
-            state[u] = 2
-            return False
-
-        return not any(state[o] == 0 and dfs(o) for o in self.objects)
 
     def validate(self):
         rep = ValidationReport(ok=True, mode="structural",

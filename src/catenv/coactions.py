@@ -4,20 +4,23 @@ The group algebra is represented on ℓ²(G) via the left regular representation
 (full = reduced for finite groups), so a coaction is the same thing as a grading
 and every identity below is a concrete matrix identity. The duality data (U, S,
 V = I⊗US) and the double crossed product follow the explicit unitary picture.
-δ(m) solves for m's graded coefficients once per call; a double crossed product
-builds the basis δ_λ(aᵢ)⊗E_pq of δ_λ(A)⊗𝕂 once and reuses it for every δ̃.
+δ is one linear map: its images a⊗λ_g on the graded basis are stored once, in
+closed form, and any other element goes through its span-engine coordinates.
+`verify_coaction_axioms` is the one axiom checker, for graded and planted maps
+alike. A double crossed product keeps one span basis over δ_λ(aᵢ)⊗E_pq, from
+which every δ̃ takes its coefficients.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .matrixrep import (AlgebraSpan, SpanBasis, _rank, complete_isometry_check,
-                        matrix_rank, operator_norm)
+from .envelope import SpannedStarMap
+from .gpd import group_as_groupoid
+from .matrixrep import AlgebraSpan, SpanBasis, complete_isometry_check, matrix_rank
 
 
 class GradingInvalid(ValueError):
@@ -36,18 +39,9 @@ class FiniteGroup:
         self.index = {g: i for i, g in enumerate(self.elements)}
         self.table = dict(mul_table)
         self.identity = identity
-        self.inverse = {}
-        for g in self.elements:
-            for h in self.elements:
-                if self.table[(g, h)] == identity and self.table[(h, g)] == identity:
-                    self.inverse[g] = h
+        # the groupoid axioms on one unit; a GroupoidError is a ValueError
+        self.inverse = group_as_groupoid(self.elements, self.table, identity).inverse
         n = len(self.elements)
-        for g in self.elements:
-            if g not in self.inverse:
-                raise ValueError(f"no inverse for {g!r}")
-        for g, h, k in itertools.product(self.elements, repeat=3):
-            if self.mul(self.mul(g, h), k) != self.mul(g, self.mul(h, k)):
-                raise ValueError("multiplication table is not associative")
         self._lam = {}
         self._rho = {}
         for g in self.elements:
@@ -108,7 +102,7 @@ class FiniteGroup:
 class GradedAlgebra:
     """A matrix algebra with a G-grading: components g → list of basis matrices."""
 
-    def __init__(self, group: FiniteGroup, components: dict, check=True):
+    def __init__(self, group: FiniteGroup, components: dict):
         self.group = group
         self.components = {g: [np.asarray(m, dtype=complex) for m in ms]
                            for g, ms in components.items() if ms}
@@ -119,9 +113,7 @@ class GradedAlgebra:
             for m in self.components[g]:
                 self.basis.append(m)
                 self.degrees.append(g)
-        self._flat = np.array([b.ravel() for b in self.basis]).T  # basis as columns
-        if check:
-            self.validate()
+        self.validate()
 
     def validate(self):
         comp_dims = {g: matrix_rank(ms) for g, ms in self.components.items()}
@@ -140,18 +132,6 @@ class GradedAlgebra:
                             raise GradingInvalid(
                                 f"A_{g}·A_{h} escapes A_{self.group.mul(g, h)}")
 
-    def components_of(self, m) -> dict:
-        """Degree parts g → m_g of an algebra element, from one solve for its
-        coefficients in the graded basis."""
-        m = np.asarray(m, dtype=complex)
-        coef, *_ = np.linalg.lstsq(self._flat, m.ravel(), rcond=None)
-        if not np.allclose(self._flat @ coef, m.ravel(), atol=1e-8):
-            raise GradingInvalid("element outside the algebra")
-        parts = {g: np.zeros_like(m) for g in self.group.elements}
-        for c, b, d in zip(coef, self.basis, self.degrees):
-            parts[d] = parts[d] + c * b
-        return parts
-
     def unit(self) -> np.ndarray | None:
         """The algebra unit if the span contains one acting neutrally on the basis."""
         span = AlgebraSpan(self.basis, selfadjoint=False)
@@ -166,44 +146,24 @@ class GradedAlgebra:
 
 
 class Coaction:
-    """δ(a) = Σ_g a_g ⊗ u_g with u_g realized as λ_g; axioms verified as matrices."""
+    """δ(a) = Σ_g a_g ⊗ u_g with u_g realized as λ_g (full = reduced for finite G).
+
+    `images[i]` = basis[i]⊗λ_{degrees[i]} is δ of the i-th graded basis element;
+    δ of any other element extends these linearly through its coordinates.
+    """
 
     def __init__(self, graded: GradedAlgebra):
         self.graded = graded
         self.group = graded.group
+        self.images = [np.kron(a, self.group.lam(g))
+                       for a, g in zip(graded.basis, graded.degrees)]
+        self._map = SpannedStarMap(list(zip(graded.basis, self.images)))
 
     def delta(self, m) -> np.ndarray:
-        out = None
-        for g, part in self.graded.components_of(m).items():
-            part = np.kron(part, self.group.lam(g))
-            out = part if out is None else out + part
-        return out
-
-    def delta_lambda(self, m) -> np.ndarray:
-        return self.delta(m)  # u_g and λ_g are the same matrices for finite G
-
-    def homomorphism_check(self) -> bool:
-        basis = self.graded.basis
-        images = [self.delta(a) for a in basis]
-        for a, da in zip(basis, images):
-            for b, db in zip(basis, images):
-                if not np.allclose(self.delta(a @ b), da @ db, atol=1e-9):
-                    return False
-        return True
-
-    def coaction_identity_check(self) -> bool:
-        """(δ⊗id)∘δ = (id⊗Δ)∘δ with Δ(λ_g) = λ_g⊗λ_g, on the graded basis."""
-        n = len(self.group)
-        for a, g in zip(self.graded.basis, self.graded.degrees):
-            lhs = np.kron(self.delta(a), self.group.lam(g))
-            rhs = np.kron(a, np.kron(self.group.lam(g), self.group.lam(g)))
-            if not np.allclose(lhs, rhs, atol=1e-9):
-                return False
-        return True
-
-    def nondegeneracy_check(self) -> bool:
-        basis = self.graded.basis
-        return _nondegenerate(basis, [self.delta(a) for a in basis], self.group)
+        try:
+            return self._map.apply(m)
+        except ValueError:
+            raise GradingInvalid("element outside the algebra") from None
 
     def fourier(self, m, g) -> np.ndarray:
         """𝔼_g(m): the degree-g component read back from δ(m) by trace contraction."""
@@ -218,61 +178,61 @@ class Coaction:
     def spectral_subspace_dims_from_reduction(self) -> dict:
         """Solve {a : δ_λ(a) = a⊗λ_g} inside the algebra span, per g."""
         span = self.graded.basis
-        dims = {}
-        for g in self.group.elements:
-            rows = []
-            for a in span:
-                rows.append((self.delta_lambda(a) - np.kron(a, self.group.lam(g))).ravel())
-            dims[g] = len(span) - _rank(np.linalg.svd(np.array(rows), compute_uv=False))
-        return dims
+        return {g: len(span) - matrix_rank([da - np.kron(a, self.group.lam(g))
+                                            for a, da in zip(span, self.images)])
+                for g in self.group.elements}
 
     def normality_verdict(self, levels=None, samples=25, seed=0):
-        pairs = [(a, self.delta_lambda(a)) for a in self.graded.basis]
+        pairs = list(zip(self.graded.basis, self.images))
         return complete_isometry_check(pairs, levels=levels or 3,
                                        samples=samples, seed=seed)
 
 
 def verify_coaction_axioms(basis, images, group: FiniteGroup, tol=1e-9) -> dict:
-    """Axioms for an arbitrary linear map given by δ(basis[i]) = images[i].
+    """Axioms for the linear map δ(basis[i]) = images[i], graded or planted.
 
-    Used on planted maps that are not of graded form: multiplicativity, the
-    coaction identity against Δ(λ_g) = λ_g⊗λ_g, and nondegeneracy as a span
-    equality.
+    Multiplicativity (a product outside the span is a failure), the coaction
+    identity against Δ(λ_g) = λ_g⊗λ_g, and nondegeneracy as a span equality.
     """
     basis = [np.asarray(b, dtype=complex) for b in basis]
     images = [np.asarray(m, dtype=complex) for m in images]
     n = len(group)
     d = basis[0].shape[0]
+    delta = SpannedStarMap(list(zip(basis, images))).apply
 
-    A = np.array([b.ravel() for b in basis]).T
+    def image(m):
+        """δ(m), or None when m is outside the span of the basis."""
+        try:
+            return delta(m)
+        except ValueError:
+            return None
 
-    def delta(m):
-        coef, *_ = np.linalg.lstsq(A, np.asarray(m, complex).ravel(), rcond=None)
-        return sum(c * im for c, im in zip(coef, images))
+    def maps_to(m, target):
+        dm = image(m)
+        return dm is not None and np.allclose(dm, target, atol=tol)
 
-    out = {}
-    out["homomorphism"] = all(
-        np.allclose(delta(a @ b), delta(a) @ delta(b), atol=tol)
-        for a in basis for b in basis)
-    # (δ⊗id)∘δ needs δ applied to the A-leg of δ(a); expand over a product basis
-    ok = True
-    for a in basis:
-        da = np.asarray(delta(a)).reshape(d, n, d, n)
+    def identity_holds(da):
+        # (δ⊗id)∘δ needs δ applied to the A-leg of δ(a); expand over a product basis
+        da = da.reshape(d, n, d, n)
         lhs = np.zeros((d, n, n, d, n, n), dtype=complex)
         for p in range(n):
             for q in range(n):
-                block = delta(da[:, p, :, q]).reshape(d, n, d, n)
-                lhs[:, :, p, :, :, q] += block
+                leg = image(da[:, p, :, q])
+                if leg is None:
+                    return False
+                lhs[:, :, p, :, :, q] = leg.reshape(d, n, d, n)
         rhs = np.zeros_like(lhs)
         for g in group.elements:
-            comp = np.einsum("ipjq,pq->ij", da, group.lam(g).conj()) / n
             lg = group.lam(g)
+            comp = np.einsum("ipjq,pq->ij", da, lg.conj()) / n
             rhs += np.einsum("ij,pq,rs->iprjqs", comp, lg, lg)
-        if not np.allclose(lhs, rhs, atol=tol):
-            ok = False
-            break
-    out["coaction_identity"] = ok
-    out["nondegenerate"] = _nondegenerate(basis, [delta(a) for a in basis], group)
+        return np.allclose(lhs, rhs, atol=tol)
+
+    out = {"homomorphism": all(maps_to(a @ b, da @ db)
+                               for a, da in zip(basis, images)
+                               for b, db in zip(basis, images))}
+    out["coaction_identity"] = all(identity_holds(da) for da in images)
+    out["nondegenerate"] = _nondegenerate(basis, images, group)
     return out
 
 
@@ -284,15 +244,18 @@ def _nondegenerate(basis, images, group: FiniteGroup) -> bool:
     return matrix_rank(prods) == matrix_rank(target)
 
 
+_AXIOM_FAILURES = (("homomorphism", "δ is not multiplicative"),
+                   ("coaction_identity", "coaction identity fails"),
+                   ("nondegenerate", "coaction is degenerate"))
+
+
 def coaction_from_grading(graded: GradedAlgebra) -> Coaction:
-    """Build and verify the coaction attached to a grading."""
+    """Build the coaction attached to a grading and verify its axioms."""
     delta = Coaction(graded)
-    if not delta.homomorphism_check():
-        raise GradingInvalid("δ is not multiplicative")
-    if not delta.coaction_identity_check():
-        raise GradingInvalid("coaction identity fails")
-    if not delta.nondegeneracy_check():
-        raise GradingInvalid("coaction is degenerate")
+    axioms = verify_coaction_axioms(graded.basis, delta.images, graded.group)
+    for axiom, message in _AXIOM_FAILURES:
+        if not axioms[axiom]:
+            raise GradingInvalid(message)
     return delta
 
 
@@ -309,11 +272,11 @@ class CrossedProduct:
         eye = np.eye(self.h_dim)
         self.generators = []
         self.generator_tags = []
-        for a, g in zip(delta.graded.basis, delta.graded.degrees):
+        for da, g in zip(delta.images, delta.graded.degrees):
             for f in self.group.elements:
-                mat = delta.delta_lambda(a) @ np.kron(eye, self.group.point_mass(f))
+                mat = da @ np.kron(eye, self.group.point_mass(f))
                 self.generators.append(mat)
-                self.generator_tags.append((a, g, f))
+                self.generator_tags.append((da, g, f))
         self.span = AlgebraSpan(self.generators, selfadjoint=False)
 
     def dual_action(self, g, x) -> np.ndarray:
@@ -324,10 +287,10 @@ class CrossedProduct:
     def dual_action_formula_check(self) -> bool:
         """δ̂_g(δ_λ(a) j(f)) = δ_λ(a) j(σ_g f) with σ_g(f)(h) = f(hg)."""
         eye = np.eye(self.h_dim)
-        for (a, dg, f), mat in zip(self.generator_tags, self.generators):
+        for (da, dg, f), mat in zip(self.generator_tags, self.generators):
             for g in self.group.elements:
                 shifted = self.group.point_mass(self.group.mul(f, self.group.inv(g)))
-                rhs = self.delta.delta_lambda(a) @ np.kron(eye, shifted)
+                rhs = da @ np.kron(eye, shifted)
                 if not np.allclose(self.dual_action(g, mat), rhs, atol=1e-9):
                     return False
         return True
@@ -371,16 +334,17 @@ class DoubleCrossedProduct:
 
     @cached_property
     def kron_basis(self):
-        """(B, degrees): the basis B_i = δ_λ(a_i)⊗E_pq of δ_λ(A)⊗𝕂 as a stack,
-        a_i running over the graded basis and (p, q) over G×G, and the group
-        index of each a_i's degree."""
-        graded, units = self.delta.graded, np.eye(self.n * self.n).reshape(-1, self.n, self.n)
-        stack = np.array([np.kron(self.delta.delta_lambda(a), e_pq)
-                          for a in graded.basis for e_pq in units])
-        return stack, np.repeat([self.group.index[g] for g in graded.degrees], len(units))
-
-    def k_A(self, a) -> np.ndarray:
-        return np.kron(self.delta.delta_lambda(a), np.eye(self.n))
+        """(span, accepted): a span basis of δ_λ(A)⊗𝕂 grown from the
+        B_kr = δ_λ(a_k)⊗E_r, a_k running over the graded basis and E_r over the
+        n² matrix units E_pq of G×G, and the positions k·n² + r of the B_kr
+        it accepted."""
+        units = np.eye(self.n * self.n).reshape(-1, self.n, self.n)
+        span, accepted = SpanBasis(), []
+        for k, da in enumerate(self.delta.images):
+            for r, e_pq in enumerate(units):
+                if span.add(np.kron(da, e_pq)):
+                    accepted.append(k * len(units) + r)
+        return span, np.array(accepted, dtype=np.intp)
 
     def k_c0(self, f_point) -> np.ndarray:
         """k_{c₀(G)}(δ_k): diagonal (p, q) ↦ [p = k·q] on the two group legs."""
@@ -397,12 +361,15 @@ class DoubleCrossedProduct:
         return np.kron(np.eye(self.h_dim * self.n), self.group.lam(g))
 
     def generators(self):
+        """((a, deg a, f, g), k_A(a) k_{c₀}(δ_f) k_G(g)) over the graded basis
+        and G×G, with k_A(a) = δ_λ(a)⊗I."""
         out = []
-        for a, dg in zip(self.delta.graded.basis, self.delta.graded.degrees):
+        graded, eye = self.delta.graded, np.eye(self.n)
+        for a, da, dg in zip(graded.basis, self.delta.images, graded.degrees):
             for f in self.group.elements:
                 for g in self.group.elements:
                     out.append(((a, dg, f, g),
-                                self.k_A(a) @ self.k_c0(f) @ self.k_G(g)))
+                                np.kron(da, eye) @ self.k_c0(f) @ self.k_G(g)))
         return out
 
     def double_dual(self, x) -> np.ndarray:
@@ -445,9 +412,8 @@ def katayama_verify(delta: Coaction, tol=1e-12) -> KatayamaReport:
     def ad_v(x):
         return V @ x @ V.conj().T
 
-    ok_i = all(np.allclose(ad_v(dcp.k_A(a)),
-                           np.kron(delta.delta_lambda(a), G.lam(g)), atol=tol)
-               for a, g in zip(delta.graded.basis, delta.graded.degrees))
+    ok_i = all(np.allclose(ad_v(np.kron(da, np.eye(n))), np.kron(da, G.lam(g)), atol=tol)
+               for da, g in zip(delta.images, delta.graded.degrees))
     ok_ii = all(np.allclose(ad_v(dcp.k_c0(f)),
                             np.kron(np.eye(dcp.h_dim * n), G.point_mass(f)), atol=tol)
                 for f in G.elements)
@@ -458,7 +424,7 @@ def katayama_verify(delta: Coaction, tol=1e-12) -> KatayamaReport:
     # span equality Ad(V)(double crossed product) = δ_λ(A) ⊗ 𝕂
     generators = [m for _, m in dcp.generators()]
     images = [ad_v(m) for m in generators]
-    target = list(dcp.kron_basis[0])
+    target = dcp.kron_basis[0].members
     ri, rt = matrix_rank(images), matrix_rank(target)
     rj = matrix_rank(images + target)
     span_ok = ri == rt == rj
@@ -472,8 +438,7 @@ def katayama_verify(delta: Coaction, tol=1e-12) -> KatayamaReport:
 
     # invariance of δ_λ(A)⊗P_e under δ̃
     pe = G.point_mass(G.identity)
-    ys = [(np.kron(delta.delta_lambda(a), pe), g)
-          for a, g in zip(delta.graded.basis, delta.graded.degrees)]
+    ys = [(np.kron(da, pe), g) for da, g in zip(delta.images, delta.graded.degrees)]
     pe_ok = all(np.allclose(_tilde_delta(dcp, y, delta), np.kron(y, G.lam(g)), atol=tol)
                 for y, g in ys)
 
@@ -483,19 +448,18 @@ def katayama_verify(delta: Coaction, tol=1e-12) -> KatayamaReport:
 def _tilde_delta(dcp: DoubleCrossedProduct, y, delta: Coaction):
     """δ̃(δ_λ(a)⊗K) = (I⊗I⊗U)*(δ_λ(a)⊗K⊗λ_g)(I⊗I⊗U), extended linearly.
 
-    Decomposes y = Σ cᵢBᵢ over the basis Bᵢ = δ_λ(aᵢ)⊗E_pq with aᵢ graded; the
-    middle term is Σ_g (Σ_{deg i = g} cᵢBᵢ)⊗λ_g.
+    Takes y's coordinates in the span basis δ_λ(a_k)⊗E_pq with a_k graded
+    (ValueError if y is outside δ_λ(A)⊗𝕂) as one n×n block C_k per a_k, so that
+    y = Σ_k δ_λ(a_k)⊗C_k; the middle term is Σ_k δ_λ(a_k)⊗C_k⊗λ_{deg a_k}.
     """
     G = delta.group
     n = len(G)
-    stack, degrees = dcp.kron_basis
-    A = stack.reshape(len(stack), -1).T
-    y = np.asarray(y, dtype=complex).ravel()
-    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-    if not np.allclose(A @ coef, y, atol=1e-8):
-        raise ValueError("element outside δ_λ(A)⊗𝕂")
-    middle = sum(np.kron(np.tensordot(coef[degrees == i], stack[degrees == i], 1), G.lam(g))
-                 for i, g in enumerate(G.elements))
+    span, accepted = dcp.kron_basis
+    coef = np.zeros(len(delta.images) * n * n, dtype=complex)
+    coef[accepted] = span.coordinates(y)
+    middle = sum(np.kron(np.kron(da, c), G.lam(g))
+                 for da, c, g in zip(delta.images, coef.reshape(-1, n, n),
+                                     delta.graded.degrees))
     big_u = np.kron(np.eye(dcp.h_dim * n), dcp.data.U)
     return big_u.conj().T @ middle @ big_u
 
@@ -503,33 +467,35 @@ def _tilde_delta(dcp: DoubleCrossedProduct, y, delta: Coaction):
 # -- extension of the coaction to a computed envelope -----------------------------
 
 
-def extend_grading(graded: GradedAlgebra, env_basis, kappa, max_rounds=40):
+def extend_grading(graded: GradedAlgebra, env_basis, kappa):
     """Search a grading of the envelope extending the image grading of A.
 
     Degree-g span = closed span of monomials in κ(A_h) and adjoints with total
     degree g. The extension exists exactly when these spans are in direct sum and
-    fill the envelope; otherwise NoExtensionFound.
+    fill the envelope; otherwise NoExtensionFound. Semi-naive closure: each round
+    multiplies only the previous round's new members by the generators, on the
+    right and then on the left; it stops when no span grows, which their
+    dimensions bound.
     """
     G = graded.group
     env_span = AlgebraSpan([np.asarray(b, dtype=complex) for b in env_basis],
                            selfadjoint=True)
     degree_spans = {g: SpanBasis() for g in G.elements}
+    candidates = []
     for a, g in zip(graded.basis, graded.degrees):
         img = np.asarray(kappa(a), dtype=complex)
-        degree_spans[g].add(img)
-        degree_spans[G.inv(g)].add(img.conj().T)
+        candidates += [(g, img), (G.inv(g), img.conj().T)]
+    new = [(g, m) for g, m in candidates if degree_spans[g].add(m)]
+    gens = {}
+    for g, m in new:
+        gens.setdefault(g, []).append(m)
+    gens = {h: np.array(ms) for h, ms in gens.items()}
+    while new:
+        new = [(G.mul(g, h), p) for g, m in new for h, ms in gens.items()
+               for p in degree_spans[G.mul(g, h)].extend(m @ ms)] \
+            + [(G.mul(h, g), p) for g, m in new for h, ms in gens.items()
+               for p in degree_spans[G.mul(h, g)].extend(ms @ m)]
     spans = {g: span.members for g, span in degree_spans.items()}
-    for _ in range(max_rounds):
-        grew = False
-        items = [(g, m) for g in G.elements for m in list(spans[g])]
-        for g1, m1 in items:
-            for g2, m2 in items:
-                prod = m1 @ m2
-                if operator_norm(prod) > 1e-10 \
-                        and degree_spans[G.mul(g1, g2)].add(prod):
-                    grew = True
-        if not grew:
-            break
     total = sum(matrix_rank(spans[g]) for g in G.elements)
     flat = [m for g in G.elements for m in spans[g]]
     if matrix_rank(flat) != env_span.dim:
@@ -566,7 +532,7 @@ def approx_identity_checks(delta: Coaction) -> dict:
         for b in delta.graded.basis)
     cp = CrossedProduct(delta)
     chi_g = sum(delta.group.point_mass(f) for f in delta.group.elements)
-    cai = delta.delta_lambda(unit) @ np.kron(np.eye(delta.graded.ambient_dim), chi_g)
+    cai = delta.delta(unit) @ np.kron(np.eye(delta.graded.ambient_dim), chi_g)
     out["crossed_product_identity"] = all(
         np.allclose(cai @ m, m, atol=1e-9) and np.allclose(m @ cai, m, atol=1e-9)
         for m in cp.generators)

@@ -323,15 +323,9 @@ def detects_ideals(d_basis, cover: FinDimCStar, tol=TOL) -> bool:
             rows = [np.concatenate([coords[k].ravel() for k in outside])
                     for coords in d_coords]
             # kernel elements beyond the dependencies of D land inside the ideal
-            if _kernel_dim(np.array(rows)) <= dependencies:
+            if len(rows) - matrix_rank(rows) <= dependencies:
                 return False
     return True
-
-
-def _kernel_dim(a: np.ndarray, tol=TOL) -> int:
-    if a.shape[1] == 0:
-        return a.shape[0]
-    return a.shape[0] - _rank(np.linalg.svd(a, compute_uv=False), tol)
 
 
 # -- linear *-maps between spanned algebras --------------------------------------

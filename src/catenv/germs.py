@@ -106,20 +106,13 @@ class GermContext:
         source = {g: unit_of[members[g][0]] for g in elements}
         range_ = {g: unit_of[members[g][1]] for g in elements}
         product = {}
-        by_source: dict[int, list[Germ]] = {}
-        rep_of: dict[Germ, PiecewiseBijection] = {}
-        for g in elements:
-            by_source.setdefault(members[g][0], []).append(g)
-        # recover a representative s for each germ: the restriction itself acts the same way
-        for g in elements:
-            rep_of[g] = g.restricted
         for g in elements:
             gsrc, grng = members[g]
             for h in elements:
                 hsrc, hrng = members[h]
                 if hrng != gsrc:
                     continue
-                st = self.hull.hcompose(rep_of[g], rep_of[h])
+                st = self.hull.hcompose(g.restricted, h.restricted)
                 prod = self.germ(st, char_by_min[hsrc])
                 product[(g, h)] = prod
         gpd = FiniteGroupoid(elements,
@@ -127,7 +120,7 @@ class GermContext:
                              range_={g: range_[g] for g in elements},
                              product=product,
                              units=tuple(unit_of[chi.min_index] for chi in chars))
-        return GermGroupoid(gpd, self, char_by_min, rep_of)
+        return GermGroupoid(gpd, self, char_by_min)
 
 
 @dataclass
@@ -137,7 +130,6 @@ class GermGroupoid:
     groupoid: FiniteGroupoid
     ctx: GermContext
     char_by_min: dict[int, Character]
-    rep_of: dict[Germ, PiecewiseBijection]
 
     def char_of_unit(self, unit: Germ) -> Character:
         return self.char_by_min[unit.chi_min]
@@ -146,18 +138,12 @@ class GermGroupoid:
         """Full subgroupoid over a sub-character-set (boundary restriction)."""
         keep_min = {chi.min_index for chi in chars}
         g0 = self.groupoid
-        elements = [g for g in g0.elements
-                    if g0.source[g].chi_min in keep_min and g0.range[g].chi_min in keep_min]
-        kept = set(elements)
-        product = {(g, h): gh for (g, h), gh in g0.product.items()
-                   if g in kept and h in kept}
-        sub = FiniteGroupoid(elements,
-                             source={g: g0.source[g] for g in elements},
-                             range_={g: g0.range[g] for g in elements},
-                             product=product,
-                             units=tuple(u for u in g0.units if u.chi_min in keep_min))
+        sub = g0.subgroupoid(
+            [g for g in g0.elements
+             if g0.source[g].chi_min in keep_min and g0.range[g].chi_min in keep_min],
+            units=tuple(u for u in g0.units if u.chi_min in keep_min))
         return GermGroupoid(sub, self.ctx, {m: c for m, c in self.char_by_min.items()
-                                            if m in keep_min}, dict(self.rep_of))
+                                            if m in keep_min})
 
     def boundary_invariance_holds(self, boundary_chars) -> bool:
         """act maps boundary characters to boundary characters for every element."""

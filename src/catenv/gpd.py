@@ -160,6 +160,17 @@ class FiniteGroupoid:
         except KeyError:
             raise GroupoidError(f"{g!r}·{h!r} undefined") from None
 
+    def subgroupoid(self, elements, units) -> "FiniteGroupoid":
+        """The subgroupoid on `elements` with unit space `units`: the tables
+        restricted to it, validated anew."""
+        kept = set(elements)
+        return FiniteGroupoid(elements,
+                              source={g: self.source[g] for g in elements},
+                              range_={g: self.range[g] for g in elements},
+                              product={(g, h): gh for (g, h), gh in self.product.items()
+                                       if g in kept and h in kept},
+                              units=units)
+
     def composable(self, g, h):
         return self.source[g] == self.range[h]
 

@@ -181,15 +181,15 @@ class InverseHull:
 
     # -- closure generation ------------------------------------------------
 
-    def generate(self, bound: int | None = None, gen_radius: int | None = None) -> HullClosure:
+    def generate(self, bound: int | None = None) -> HullClosure:
         """Closure of the left-multiplication maps under ∘ and inverse.
 
         `bound` caps the provenance cost (total word length of a shortest known
-        expression); None runs to the fixpoint and requires a finite category.
+        expression) and the radius of the generating ball; None runs to the
+        fixpoint and requires a finite category.
         """
         if bound is None and not self.p.is_finite:
             raise ValueError("infinite category: a provenance bound is required")
-        radius = gen_radius if gen_radius is not None else bound
         cost: dict[PiecewiseBijection, int] = {}
 
         def offer(s, c):
@@ -200,7 +200,7 @@ class InverseHull:
                 return True
             return False
 
-        for c in self.p.ball(radius):
+        for c in self.p.ball(bound):
             s = self.from_morphism(c)
             offer(s, len(c.word))
             offer(self.hinverse(s), len(c.word))

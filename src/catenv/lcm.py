@@ -113,16 +113,13 @@ def core_membership(pres: CategoryPresentation, c: Morphism,
 class OreGroup:
     """Fractions c·d⁻¹ of core elements, resolved through right multiples."""
 
-    def __init__(self, pres: CategoryPresentation, require_core=True, bound=4):
+    def __init__(self, pres: CategoryPresentation, bound=4):
         if not _is_monoid(pres):
             raise ValueError("fractions need a monoid")
         self.p = pres
-        self.require_core = require_core
         self.bound = bound
 
     def _check_core(self, m: Morphism):
-        if not self.require_core:
-            return
         cert = core_membership(self.p, m, self.bound)
         if cert.status == "not_in_core":
             raise NotCore(f"{m} is not in the core (witness {cert.witness})")

@@ -270,6 +270,12 @@ def truncation_norm_study(pres, hull_ctx, boundary_chars, elements, depths) -> d
 
     `elements` are formal combinations [(coeff, morphism), ...]. Norms are
     taken matrix-free by `windowed_norm`.
+
+    On a one-object monoid every character admits every morphism, so each ϑ_χ
+    window equals the λ window and the gap is 0 by construction. The
+    characters of `ideals.boundary_sample`, the only ones available for
+    infinite inputs, are all on one-object monoids, so on them this study
+    cannot fail; evidence that can needs more than one object.
     """
     hull_of = {x: hull_ctx.from_morphism(x) for combo in elements for _, x in combo}
 

@@ -157,15 +157,15 @@ def evaluate_in_group(w: UGWord, x_images: dict, iso_images: dict, mul, inv, uni
 
 
 class CategoryFunctor:
-    """Object and generator images in a groupoid target, validated on a ball."""
+    """Object and generator images in a groupoid target, validated on a ball
+    (the whole category when finite, else radius 4)."""
 
-    def __init__(self, pres, target, object_map: dict, generator_map: dict,
-                 check_radius: int = 4):
+    def __init__(self, pres, target, object_map: dict, generator_map: dict):
         self.p = pres
         self.target = target
         self.object_map = dict(object_map)
         self.generator_map = dict(generator_map)
-        self._check(check_radius)
+        self._check()
 
     def _is_finite_groupoid(self):
         return isinstance(self.target, FiniteGroupoid)
@@ -185,8 +185,8 @@ class CategoryFunctor:
             acc = img if acc is None else self._mul(acc, img)
         return acc
 
-    def _check(self, radius):
-        ball = self.p.ball(None if self.p.is_finite else radius)
+    def _check(self):
+        ball = self.p.ball(None if self.p.is_finite else 4)
         for c in ball:
             for d in ball:
                 cd = self.p.compose(c, d)
@@ -226,8 +226,7 @@ class Cocycle:
 
     def of(self, germ):
         if germ not in self._cache:
-            s = self.gg.rep_of[germ]
-            val = rho_tilde(self.gg.ctx.hull, s, self.rho)
+            val = rho_tilde(self.gg.ctx.hull, germ.restricted, self.rho)
             self._cache[germ] = j_map(val, self.od) if self.finite_target else val
         return self._cache[germ]
 
@@ -249,14 +248,8 @@ def kappa(germ, cocycle: Cocycle):
 def kernel_subgroupoid(germ_gpd: GermGroupoid, cocycle: Cocycle) -> FiniteGroupoid:
     """The subgroupoid {g : κ(g) = identity}; same unit space."""
     g0 = germ_gpd.groupoid
-    elements = [g for g in g0.elements if cocycle.is_identity_value(cocycle.of(g))]
-    kept = set(elements)
-    product = {(g, h): gh for (g, h), gh in g0.product.items()
-               if g in kept and h in kept}
-    return FiniteGroupoid(elements,
-                          source={g: g0.source[g] for g in elements},
-                          range_={g: g0.range[g] for g in elements},
-                          product=product, units=g0.units)
+    return g0.subgroupoid([g for g in g0.elements
+                           if cocycle.is_identity_value(cocycle.of(g))], units=g0.units)
 
 
 def cocycle_identity_holds(germ_gpd: GermGroupoid, cocycle: Cocycle) -> bool:

@@ -2,15 +2,17 @@
 
 Each is the straightforward formula the library replaced: a fresh least-squares
 solve per question instead of a maintained basis or factorization, loops over
-labels instead of integer tables, and a closure round that visits every pair.
+labels instead of integer tables, and closure rounds that visit every pair.
 """
 
 import itertools
 
 import numpy as np
 
+from catenv.coactions import GradedAlgebra, NoExtensionFound
 from catenv.gpd import GroupoidError
 from catenv.hull import HullClosure
+from catenv.matrixrep import AlgebraSpan, SpanBasis, matrix_rank, operator_norm
 
 
 def in_span(m, basis, tol=1e-8) -> bool:
@@ -72,7 +74,7 @@ def tilde_delta_by_lstsq(dcp, y, delta):
             for q in G.elements:
                 e_pq = np.zeros((n, n), dtype=complex)
                 e_pq[G.index[p], G.index[q]] = 1.0
-                basis.append(np.kron(delta.delta_lambda(a), e_pq))
+                basis.append(np.kron(delta.delta(a), e_pq))
                 mats.append(np.kron(basis[-1], G.lam(g)))
     A = np.array([b.ravel() for b in basis]).T
     coef, *_ = np.linalg.lstsq(A, np.asarray(y, dtype=complex).ravel(), rcond=None)
@@ -80,6 +82,38 @@ def tilde_delta_by_lstsq(dcp, y, delta):
     middle = sum(c * m for c, m in zip(coef, mats))
     big_u = np.kron(np.eye(dcp.h_dim * n), dcp.data.U)
     return big_u.conj().T @ middle @ big_u
+
+
+def extend_grading_by_all_pairs(graded, env_basis, kappa):
+    """`extend_grading` with closure rounds, at most 40, that multiply every
+    pair of members, skipping products of operator norm at most 1e-10."""
+    G = graded.group
+    env_span = AlgebraSpan([np.asarray(b, dtype=complex) for b in env_basis],
+                           selfadjoint=True)
+    degree_spans = {g: SpanBasis() for g in G.elements}
+    for a, g in zip(graded.basis, graded.degrees):
+        img = np.asarray(kappa(a), dtype=complex)
+        degree_spans[g].add(img)
+        degree_spans[G.inv(g)].add(img.conj().T)
+    spans = {g: span.members for g, span in degree_spans.items()}
+    for _ in range(40):
+        grew = False
+        items = [(g, m) for g in G.elements for m in list(spans[g])]
+        for g1, m1 in items:
+            for g2, m2 in items:
+                prod = m1 @ m2
+                if operator_norm(prod) > 1e-10 \
+                        and degree_spans[G.mul(g1, g2)].add(prod):
+                    grew = True
+        if not grew:
+            break
+    total = sum(matrix_rank(spans[g]) for g in G.elements)
+    flat = [m for g in G.elements for m in spans[g]]
+    if matrix_rank(flat) != env_span.dim:
+        raise NoExtensionFound("monomial spans do not fill the envelope")
+    if total != env_span.dim:
+        raise NoExtensionFound("degree spans are not in direct sum; no extension")
+    return GradedAlgebra(G, {g: spans[g] for g in G.elements if spans[g]})
 
 
 def groupoid_by_scan(elements, source, range_, product, units=None):
@@ -131,10 +165,9 @@ def groupoid_by_scan(elements, source, range_, product, units=None):
     return inverse
 
 
-def hull_closure_by_full_scan(hull, bound=None, gen_radius=None):
+def hull_closure_by_full_scan(hull, bound=None):
     """`InverseHull.generate` with an inner loop that visits every pair of the
     round, including the pairs whose cost is already over the bound."""
-    radius = gen_radius if gen_radius is not None else bound
     cost = {}
 
     def offer(s, c):
@@ -145,7 +178,7 @@ def hull_closure_by_full_scan(hull, bound=None, gen_radius=None):
             return True
         return False
 
-    for c in hull.p.ball(radius):
+    for c in hull.p.ball(bound):
         s = hull.from_morphism(c)
         offer(s, len(c.word))
         offer(hull.hinverse(s), len(c.word))

@@ -44,9 +44,16 @@ def test_group_regular_representations():
 
 def test_graded_fixtures_define_coactions():
     for delta in (t2_delta(), t3_delta()):
-        assert delta.homomorphism_check()
-        assert delta.coaction_identity_check()
-        assert delta.nondegeneracy_check()
+        axioms = verify_coaction_axioms(delta.graded.basis, delta.images, delta.group)
+        assert axioms == {"homomorphism": True, "coaction_identity": True,
+                          "nondegenerate": True}
+
+
+def test_delta_outside_the_algebra_raises():
+    delta = t2_delta()
+    e21 = np.array([[0, 0], [1, 0]], dtype=complex)
+    with pytest.raises(GradingInvalid, match="^element outside the algebra$"):
+        delta.delta(e21)
 
 
 def test_trivial_grading():
@@ -85,6 +92,19 @@ def test_planted_nondegeneracy_failure_rejected():
     assert not report["nondegenerate"]
 
 
+def test_planted_maps_leaving_the_span_are_rejected_without_raising():
+    z2 = FiniteGroup.cyclic(2)
+    e12 = np.array([[0, 1], [0, 0]], dtype=complex)
+    e21 = e12.T.copy()
+    # span{E₁₂, E₂₁} is no algebra: E₁₂E₂₁ = E₁₁ has no image
+    report = verify_coaction_axioms([e12, e21], [np.kron(e12, z2.lam(1)),
+                                                 np.kron(e21, z2.lam(1))], z2)
+    assert not report["homomorphism"]
+    # δ(E₁₂) = E₂₁⊗λ₀: the A-leg E₂₁ lies outside span{E₁₂}
+    report = verify_coaction_axioms([e12], [np.kron(e21, z2.lam(0))], z2)
+    assert report["homomorphism"] and not report["coaction_identity"]
+
+
 def test_fourier_examples():
     delta = t2_delta()
     comps, _ = t2_graded()
@@ -109,7 +129,7 @@ def test_unique_normal_lift():
         assert dims == {g: len(ms) for g, ms in comps.items()}
         for g, ms in comps.items():
             for a in ms:
-                assert np.allclose(delta.delta_lambda(a),
+                assert np.allclose(delta.delta(a),
                                    np.kron(a, delta.group.lam(g)))
 
 
@@ -236,3 +256,16 @@ def test_projection_cai_for_two_fixture():
     delta = coaction_from_grading(GradedAlgebra(z2, comps))
     checks = approx_identity_checks(delta)
     assert all(checks.values())
+
+
+def test_group_tables_without_inverses_or_associativity_rejected():
+    # a·a = a: the identity is neutral but a has no inverse
+    with pytest.raises(ValueError, match="^no inverse for 'a'$"):
+        FiniteGroup("ea", {("e", "e"): "e", ("e", "a"): "a", ("a", "e"): "a",
+                           ("a", "a"): "a"}, "e")
+    # a² = b² = e and ab = ba = a: every element is its own inverse, yet
+    # (a·a)·b = b while a·(a·b) = e
+    table = {("e", x): x for x in "eab"} | {(x, "e"): x for x in "eab"}
+    table |= {("a", "a"): "e", ("b", "b"): "e", ("a", "b"): "a", ("b", "a"): "a"}
+    with pytest.raises(ValueError, match="^associativity fails at"):
+        FiniteGroup("eab", table, "e")

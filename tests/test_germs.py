@@ -78,7 +78,7 @@ def test_range_source_laws(edge):
     ctx = edge.germs
     for el in g.elements:
         chi = edge.g_omega.char_of_unit(g.source[el])
-        target = ctx.act(edge.g_omega.rep_of[el], chi)
+        target = ctx.act(el.restricted, chi)
         assert g.range[el].chi_min == target.min_index
     for x in g.elements:
         for y in g.elements:

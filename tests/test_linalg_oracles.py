@@ -1,21 +1,24 @@
 """Differential tests: the span engine, the thin null space, the blockwise
-Shilov norms and the cached coaction coordinates against the reference
-formulas in `oracles`."""
+Shilov norms, the coaction coordinates and the semi-naive grading extension
+against the reference formulas in `oracles`."""
 
+import functools
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 from catenv.coactions import (DoubleCrossedProduct, FiniteGroup, GradedAlgebra,
-                              _tilde_delta, coaction_from_grading)
+                              NoExtensionFound, _tilde_delta, coaction_from_grading,
+                              extend_grading)
 from catenv.envelope import (_blockwise_deviation, _null_space, block_decompose,
-                             is_boundary_ideal)
-from catenv.fixtures import t2_graded, t3_graded
-from catenv.matrixrep import (AlgebraSpan, GermModel, SpanBasis,
+                             is_boundary_ideal, shilov_ideal)
+from catenv.fixtures import fix_edge, t2_graded, t3_graded
+from catenv.matrixrep import (AlgebraSpan, GermModel, LambdaRep, SpanBasis,
                               complete_isometry_check, direct_sum, norm_level_k)
-from oracles import (algebra_span_by_rescan, delta_per_degree, in_span,
-                     tilde_delta_by_lstsq)
+from oracles import (algebra_span_by_rescan, delta_per_degree,
+                     extend_grading_by_all_pairs, in_span, tilde_delta_by_lstsq)
 
 
 def random_generator_sets(seed):
@@ -131,7 +134,38 @@ def test_blockwise_deviations_match_dense_direct_sums(two):
     assert outcomes == {True, False}
 
 
-@pytest.mark.parametrize("graded_fixture", [t2_graded, t3_graded])
+def dense_grading(seed, order, dim):
+    """(components, order): the upper-triangular dim×dim matrices graded by
+    ℤ/order, E_ij in degree u·(j − i) for a seeded unit u. A component of k
+    matrix units is spanned by k seeded dense combinations, the r-th of units
+    r..k-1, so no basis element is a matrix unit once k > 1."""
+    rng = np.random.default_rng(seed)
+    u = rng.choice([x for x in range(1, order) if math.gcd(x, order) == 1])
+    units = {}
+    for i, j in itertools.combinations_with_replacement(range(dim), 2):
+        e = np.zeros((dim, dim), dtype=complex)
+        e[i, j] = 1
+        units.setdefault(int(u * (j - i) % order), []).append(e)
+    comps = {g: [sum((rng.standard_normal() + 1j * rng.standard_normal()) * e for e in es[r:])
+                 for r in range(len(es))]
+             for g, es in units.items()}
+    return comps, order
+
+
+DENSE = [pytest.param(functools.partial(dense_grading, seed, order, dim),
+                      id=f"dense-z{order}-d{dim}-s{seed}")
+         for seed, order, dim in ((0, 2, 2), (1, 2, 3), (2, 3, 3), (3, 3, 4))]
+
+
+def t2_with_repeated_generator():
+    """t2 with E₁₁ listed twice in degree 0: a dependent graded basis."""
+    comps, order = t2_graded()
+    return {0: comps[0] + [2 * comps[0][0]], 1: comps[1]}, order
+
+
+@pytest.mark.parametrize("graded_fixture", [
+    pytest.param(t2_graded, id="t2_graded"), pytest.param(t3_graded, id="t3_graded"),
+    *DENSE, t2_with_repeated_generator])
 def test_coaction_coordinates_match_per_degree_solves(graded_fixture):
     comps, order = graded_fixture()
     group = FiniteGroup.cyclic(order)
@@ -147,7 +181,63 @@ def test_coaction_coordinates_match_per_degree_solves(graded_fixture):
     V = dcp.data.V
     pe = group.point_mass(group.identity)
     ys = [V @ mat @ V.conj().T for _, mat in dcp.generators()[::7]]
-    ys += [np.kron(delta.delta_lambda(a), pe) for a in basis]
+    ys += [np.kron(delta.delta(a), pe) for a in basis]
     for y in ys:
         assert np.allclose(_tilde_delta(dcp, y, delta), tilde_delta_by_lstsq(dcp, y, delta),
                            rtol=0, atol=1e-12)
+
+
+def matrix_units(dim):
+    out = []
+    for i, j in itertools.product(range(dim), repeat=2):
+        out.append(np.zeros((dim, dim), dtype=complex))
+        out[-1][i, j] = 1
+    return out
+
+
+def extension_cases():
+    """(graded, env_basis, kappa): t2 → M₂, the trivial ℤ/2 grading of T₂, the
+    one-edge operator algebra → its envelope, dense gradings → M_d, and two
+    inputs without an extension (κ misses E₁₂; the degree spans overlap)."""
+    z2 = FiniteGroup.cyclic(2)
+    comps, _ = t2_graded()
+    t2 = GradedAlgebra(z2, comps)
+    yield t2, matrix_units(2), lambda a: a
+    yield (GradedAlgebra(z2, {0: comps[0] + comps[1]}),
+           AlgebraSpan(comps[0] + comps[1], selfadjoint=True).basis, lambda a: a)
+    lam = LambdaRep.build(fix_edge())
+    gens = {m.label(): lam.lam(m) for m in lam.pres.ball(None)}
+    edge = GradedAlgebra(z2, {0: [gens["id:v"], gens["id:w"]], 1: [gens["e"]]})
+    cover = block_decompose(lam.toeplitz_algebra())
+    mask = shilov_ideal(list(gens.values()), cover).mask
+    yield (edge, [cover.rep(b, mask)
+                  for b in AlgebraSpan(list(gens.values()), selfadjoint=True).basis],
+           lambda a: cover.rep(a, mask))
+    for seed, order, dim in ((1, 2, 3), (2, 3, 3)):
+        dense, _ = dense_grading(seed, order, dim)
+        yield GradedAlgebra(FiniteGroup.cyclic(order), dense), matrix_units(dim), lambda a: a
+    yield t2, matrix_units(2), lambda a: np.diag(np.diag(a))
+    yield t2, matrix_units(2), lambda a: a + a[0, 1] * np.diag([1, 0])
+
+
+def test_extend_grading_matches_all_pairs_closure():
+    outcomes = []
+    for graded, env_basis, kappa in extension_cases():
+        try:
+            old = extend_grading_by_all_pairs(graded, env_basis, kappa)
+        except NoExtensionFound as exc:
+            with pytest.raises(NoExtensionFound) as new_exc:
+                extend_grading(graded, env_basis, kappa)
+            assert str(new_exc.value) == str(exc)
+            outcomes.append(str(exc))
+            continue
+        new = extend_grading(graded, env_basis, kappa)
+        assert {g: len(ms) for g, ms in new.components.items()} \
+            == {g: len(ms) for g, ms in old.components.items()}
+        for g, ms in new.components.items():
+            assert all(in_span(m, old.components[g]) for m in ms)
+            assert all(in_span(m, ms) for m in old.components[g])
+        outcomes.append(sorted(len(ms) for ms in new.components.values()))
+    assert outcomes == [[2, 2], [4], [2, 2], [4, 5], [3, 3, 3],
+                        "monomial spans do not fill the envelope",
+                        "degree spans are not in direct sum; no extension"]

@@ -1,5 +1,6 @@
 """The scripts under scripts/ run against the library API as it stands."""
 
+import json
 import runpy
 import sys
 from pathlib import Path
@@ -27,3 +28,28 @@ def test_groupoid_zoo_word_maps_hold(monkeypatch, capsys):
     assert len(lines) == 6
     assert all("kernel=units:True" in line and "injective-off-units:True" in line
                for line in lines)
+
+
+# exit codes of each command over the sorted fixtures: edge.cat, free2.cat,
+# kgraph-acyclic.cat, n2.cat, pairgpd.gpd, t2.grad, t3.grad, two.cat
+CORPUS_EXITS = {
+    "validate": "00001110", "hull": "03031110", "ideals": "03031110",
+    "boundary": "03031110", "groupoid": "03030110", "envelope": "03031110",
+    "coaction": "11111001", "lcm": "13131111", "thesis": "03031110",
+}
+
+
+def test_corpus_reports_cover_every_command_and_fixture(monkeypatch, capsys, tmp_path):
+    out = run_script(monkeypatch, capsys, "corpus_reports.py", str(tmp_path))
+    exits = {}
+    for line in out.splitlines():
+        command, fixture, _, code = line.split()
+        exits[command] = exits.get(command, "") + code
+        doc = json.loads((tmp_path / f"{command}__{fixture}.json").read_text())
+        assert doc["exit"] == int(code)
+        if code == "1":
+            assert doc["stderr"].startswith("error: ")
+        else:
+            assert doc["command"] == command and doc["fixture"] == fixture
+    assert exits == CORPUS_EXITS
+    assert len(list(tmp_path.iterdir())) == 72
