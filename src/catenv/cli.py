@@ -14,9 +14,9 @@ import argparse
 import sys
 
 from .categories import MalformedPresentation
-from .coactions import (CrossedProduct, DoubleCrossedProduct, GradingInvalid,
-                        NoExtensionFound, coaction_from_grading, extend_grading,
-                        equivariance_check, katayama_verify, approx_identity_checks)
+from .coactions import (GradingInvalid, NoExtensionFound, coaction_from_grading,
+                        extend_grading, equivariance_check, katayama_verify,
+                        approx_identity_checks)
 from .envelope import block_decompose, shilov_ideal
 from .matrixrep import AlgebraSpan
 from .lcm import starling_report
@@ -146,11 +146,11 @@ def _coaction_report(obj, args, report: Report):
     nv = delta.normality_verdict(levels=args.levels, seed=args.seed)
     report.add("normality", nv.status,
                f"max deviation {nv.max_deviation:.2e} at {nv.levels} levels")
-    cp = CrossedProduct(delta)
+    cp = delta.crossed_product
     ok = cp.dual_action_formula_check() and cp.dual_action_group_law_check()
     report.add("crossed-product", "certified" if ok else "rejected",
                f"dimension {cp.span.dim}; dual action verified on generators")
-    dcp = DoubleCrossedProduct(delta)
+    dcp = delta.double_crossed_product
     kat = katayama_verify(delta)
     report.add("duality", "certified" if kat.all_ok and
                dcp.double_dual_formula_check() else "rejected",

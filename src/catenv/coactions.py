@@ -8,7 +8,8 @@ V = I⊗US) and the double crossed product follow the explicit unitary picture.
 closed form, and any other element goes through its span-engine coordinates.
 `verify_coaction_axioms` is the one axiom checker, for graded and planted maps
 alike. A double crossed product keeps one span basis over δ_λ(aᵢ)⊗E_pq, from
-which every δ̃ takes its coefficients.
+which every δ̃ takes its coefficients. A coaction builds each of its crossed
+products once, for every check that reads it.
 """
 
 from __future__ import annotations
@@ -186,6 +187,14 @@ class Coaction:
         pairs = list(zip(self.graded.basis, self.images))
         return complete_isometry_check(pairs, levels=levels or 3,
                                        samples=samples, seed=seed)
+
+    @cached_property
+    def crossed_product(self) -> CrossedProduct:
+        return CrossedProduct(self)
+
+    @cached_property
+    def double_crossed_product(self) -> DoubleCrossedProduct:
+        return DoubleCrossedProduct(self)
 
 
 def verify_coaction_axioms(basis, images, group: FiniteGroup, tol=1e-9) -> dict:
@@ -404,7 +413,7 @@ class KatayamaReport:
 
 
 def katayama_verify(delta: Coaction, tol=1e-12) -> KatayamaReport:
-    dcp = DoubleCrossedProduct(delta)
+    dcp = delta.double_crossed_product
     G = delta.group
     n = len(G)
     V = dcp.data.V
@@ -530,7 +539,7 @@ def approx_identity_checks(delta: Coaction) -> dict:
     out["fourier_unit_is_unit"] = all(
         np.allclose(ee @ b, b, atol=1e-9) and np.allclose(b @ ee, b, atol=1e-9)
         for b in delta.graded.basis)
-    cp = CrossedProduct(delta)
+    cp = delta.crossed_product
     chi_g = sum(delta.group.point_mass(f) for f in delta.group.elements)
     cai = delta.delta(unit) @ np.kron(np.eye(delta.graded.ambient_dim), chi_g)
     out["crossed_product_identity"] = all(

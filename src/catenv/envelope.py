@@ -308,7 +308,7 @@ def shilov_ideal(a_basis, cover: FinDimCStar, levels=None, samples=25,
     return ShilovResult(frozenset(), cover, verdicts, levels or max(cover.block_sizes))
 
 
-def detects_ideals(d_basis, cover: FinDimCStar, tol=TOL) -> bool:
+def detects_ideals(d_basis, cover: FinDimCStar) -> bool:
     """Every nonzero block ideal must intersect span(D) nontrivially."""
     d_basis = [np.asarray(d, dtype=complex) for d in d_basis]
     d_rank = matrix_rank(d_basis)

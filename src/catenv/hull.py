@@ -3,7 +3,8 @@
 An element is a finite set of pieces (a, b) with common domain object; the piece
 acts on the principal ideal b𝔠 by b·t ↦ a·t. Canonical forms make equality
 syntactic: generators are normalized, subsumed pieces are dropped, and the piece
-list is sorted.
+list is sorted. Every hull element is a product of atoms: the maps of the
+identities and generators (word length at most 1) and their inverses.
 """
 
 from __future__ import annotations
@@ -184,41 +185,39 @@ class InverseHull:
     def generate(self, bound: int | None = None) -> HullClosure:
         """Closure of the left-multiplication maps under ∘ and inverse.
 
-        `bound` caps the provenance cost (total word length of a shortest known
-        expression) and the radius of the generating ball; None runs to the
-        fixpoint and requires a finite category.
+        A cost-ordered walk of the right Cayley graph (Froidure and Pin 1997)
+        over the atoms from_morphism(c) and their inverses, at cost len(c.word)
+        for c of word length at most 1. Cost is additive, so taking elements in
+        order of cost and multiplying each once, on the right, by every atom
+        reaches each at its least cost. `bound` caps the cost; None requires a
+        finite category. Complete when finite and no product was cut at `bound`.
         """
         if bound is None and not self.p.is_finite:
             raise ValueError("infinite category: a provenance bound is required")
-        cost: dict[PiecewiseBijection, int] = {}
-
-        def offer(s, c):
-            if bound is not None and c > bound:
-                return False
-            if s not in cost or cost[s] > c:
-                cost[s] = c
-                return True
-            return False
-
-        for c in self.p.ball(bound):
-            s = self.from_morphism(c)
-            offer(s, len(c.word))
-            offer(self.hinverse(s), len(c.word))
-
+        atoms: dict[PiecewiseBijection, int] = {}
+        for c in self.p.ball(None if bound is None else min(bound, 1)):
+            if len(c.word) <= 1:
+                s = self.from_morphism(c)
+                for t in (s, self.hinverse(s)):
+                    atoms[t] = min(atoms.get(t, 1), len(c.word))
+        cost = dict(atoms)
+        buckets = [[s for s, c in atoms.items() if c == level] for level in (0, 1)]
         truncated = False
-        changed = True
-        while changed:
-            changed = False
-            items = sorted(cost.items(), key=lambda kv: (kv[1], str(kv[0])))
-            for s, cs in items:
-                if offer(self.hinverse(s), cs):
-                    changed = True
-                for t, ct in items:  # ascending cost: every later t is over the bound too
-                    if bound is not None and cs + ct > bound:
+        for level, bucket in enumerate(buckets):  # both lists grow while walked
+            for s in bucket:
+                if cost[s] < level:  # reached at a lower cost since it was queued
+                    continue
+                for a, ca in atoms.items():
+                    c = level + ca
+                    if bound is not None and c > bound:
                         truncated = True
-                        break
-                    if offer(self.hcompose(s, t), cs + ct):
-                        changed = True
+                        continue
+                    t = self.hcompose(s, a)
+                    if c < cost.get(t, c + 1):
+                        cost[t] = c
+                        if c == len(buckets):
+                            buckets.append([])
+                        buckets[c].append(t)
         elements = sorted(cost, key=lambda s: (len(s.pieces),
                                                [(self.p.sort_key(b), self.p.sort_key(a))
                                                 for a, b in s.pieces]))

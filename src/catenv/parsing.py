@@ -29,6 +29,9 @@ Graded-algebra files (.grad):
     group: cyclic <n>
     ambient: <matrix size>
     generators:                        <degree> i,j,re[,im];i,j,re[,im];...
+
+A field or section that the document's class does not read is an error, so a
+misspelled header cannot silently drop its records.
 """
 
 from __future__ import annotations
@@ -41,6 +44,19 @@ from .coactions import FiniteGroup, GradedAlgebra
 from .gpd import FiniteGroupoid
 
 
+# class -> (scalar fields, sections) that its loader reads, besides `class`
+_READS = {
+    "graph_path": ({"objects"}, {"generators"}),
+    "free_monoid": (set(), {"generators"}),
+    "nk_monoid": ({"k"}, set()),
+    "kgraph": ({"objects", "k"}, {"generators", "squares"}),
+    "finite_table": ({"objects"}, {"generators", "table"}),
+    "groupoid_sub": ({"units"}, {"arrows", "products", "chosen"}),
+    "groupoid": ({"units"}, {"arrows", "products"}),
+    "graded_algebra": ({"group", "ambient"}, {"generators"}),
+}
+
+
 class ParseError(ValueError):
     def __init__(self, message, line=None):
         self.line = line
@@ -48,8 +64,10 @@ class ParseError(ValueError):
 
 
 def _read_document(text: str):
+    """(scalars, sections, headers); headers lists (lineno, key, is_section)."""
     scalars: dict[str, str] = {}
     sections: dict[str, list[tuple[int, list[str]]]] = {}
+    headers: list[tuple[int, str, bool]] = []
     current: str | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -63,11 +81,12 @@ def _read_document(text: str):
             else:
                 current = key
                 sections.setdefault(key, [])
+            headers.append((lineno, key, not value))
             continue
         if current is None:
             raise ParseError(f"stray record {line!r} outside any section", lineno)
         sections[current].append((lineno, line.split()))
-    return scalars, sections
+    return scalars, sections, headers
 
 
 def _require(scalars, key, lineno=None):
@@ -78,8 +97,15 @@ def _require(scalars, key, lineno=None):
 
 def load_text(text: str):
     """Parse a fixture document; returns (kind, object)."""
-    scalars, sections = _read_document(text)
+    scalars, sections, headers = _read_document(text)
     cls = _require(scalars, "class")
+    if cls not in _READS:
+        raise ParseError(f"unknown class {cls!r}")
+    fields, known_sections = _READS[cls]
+    for lineno, key, is_section in headers:
+        if key not in (known_sections if is_section else fields | {"class"}):
+            kind = "section" if is_section else "field"
+            raise ParseError(f"class {cls} has no {kind} {key!r}", lineno)
     try:
         if cls == "graph_path":
             return "category", GraphPath(
@@ -111,13 +137,11 @@ def load_text(text: str):
             return "category", GroupoidSub(ambient, chosen)
         if cls == "groupoid":
             return "groupoid", _groupoid_from_sections(scalars, sections)
-        if cls == "graded_algebra":
-            return "graded", _graded_from_sections(scalars, sections)
+        return "graded", _graded_from_sections(scalars, sections)  # graded_algebra
     except (MalformedPresentation, ValueError) as exc:
         if isinstance(exc, ParseError):
             raise
         raise ParseError(str(exc)) from exc
-    raise ParseError(f"unknown class {cls!r}")
 
 
 def _groupoid_from_sections(scalars, sections) -> FiniteGroupoid:

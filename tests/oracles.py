@@ -166,8 +166,11 @@ def groupoid_by_scan(elements, source, range_, product, units=None):
 
 
 def hull_closure_by_full_scan(hull, bound=None):
-    """`InverseHull.generate` with an inner loop that visits every pair of the
-    round, including the pairs whose cost is already over the bound."""
+    """The hull closure as a fixpoint over all pairs: seed with the map of every
+    ball morphism and its inverse, then in each round, over the closure sorted
+    by cost and `str`, add every inverse and every product of two members at the
+    sum of their costs, until no cost drops. Complete when the category is
+    finite and no pair's cost was over the bound."""
     cost = {}
 
     def offer(s, c):

@@ -5,11 +5,15 @@ oracle evaluated on enumerated balls.
 """
 
 import itertools
+import random
+from functools import partial
 
 import pytest
 
-from catenv.fixtures import (fix_edge, fix_free2, fix_kgraph_acyclic, fix_n2,
-                             fix_trivial_monoid, fix_two, fix_two_mce_category)
+from catenv.categories import DirectProduct, FreeMonoid, GraphPath, GroupoidSub, NkMonoid
+from catenv.fixtures import (fix_edge, fix_flip_monoid, fix_free2, fix_kgraph_acyclic,
+                             fix_n2, fix_trivial_monoid, fix_two, fix_two_mce_category)
+from catenv.gpd import cyclic_groupoid, pair_groupoid
 from catenv.hull import ExplicitBijection, InverseHull, ZERO
 from oracles import hull_closure_by_full_scan
 
@@ -128,6 +132,46 @@ def test_generate_matches_full_scan(fixture, bound):
     full = hull_closure_by_full_scan(InverseHull(fixture()), bound)
     assert fast.elements == full.elements
     assert fast.complete == full.complete
+
+
+def layered_dag(seed):
+    """Path category of a 5-object DAG in 3 layers; each arc between adjacent layers
+    is present with chance 0.7."""
+    rng = random.Random(seed)
+    objects = [f"o{i}" for i in range(5)]
+    cut1 = rng.randint(1, 3)
+    cut2 = rng.randint(cut1 + 1, 4)
+    layers = [objects[:cut1], objects[cut1:cut2], objects[cut2:]]
+    arcs = [(d, t) for lo, hi in zip(layers, layers[1:]) for d in lo for t in hi
+            if rng.random() < 0.7] or [(layers[0][0], layers[1][0])]
+    return GraphPath(objects=objects,
+                     edges=[(f"e{i}", d, t) for i, (d, t) in enumerate(arcs)])
+
+
+@pytest.mark.parametrize("make,bound", [
+    *[pytest.param(partial(layered_dag, seed), b, id=f"dag{seed}-{b}")
+      for seed in range(5) for b in (None, 2)],
+    *[pytest.param(partial(GroupoidSub, g, g.elements), None, id=name)
+      for name, g in (("pair12", pair_groupoid((1, 2))), ("z2", cyclic_groupoid(2)),
+                      ("z3", cyclic_groupoid(3)))],
+    *[pytest.param(partial(DirectProduct, NkMonoid(1), FreeMonoid(("a", "b"))), b,
+                   id=f"n1xfree2-{b}") for b in (3, 4)],
+    *[pytest.param(partial(DirectProduct, fix_edge(), fix_two()), b, id=f"edgextwo-{b}")
+      for b in (None, 2)],
+    *[pytest.param(fix_flip_monoid, b, id=f"flip-{b}") for b in (3, 4)],
+    pytest.param(fix_two, 3, id="two-3")])
+def test_generate_matches_full_scan_on_generated_inputs(make, bound):
+    """Same elements as the pair loop at every bound. `complete` is sound: the walk
+    claims it only for the whole hull, and whenever the pair loop claims it; on
+    `two` at bound 3 it reaches all 10 elements, which the pair loop calls
+    incomplete because it pairs elements of cost 2."""
+    fast = InverseHull(make()).generate(bound)
+    full = hull_closure_by_full_scan(InverseHull(make()), bound)
+    assert fast.elements == full.elements
+    if fast.complete:
+        assert fast.elements == hull_closure_by_full_scan(InverseHull(make())).elements
+    if full.complete:
+        assert fast.complete
 
 
 def test_n2_hull_bound_two():

@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from catenv.cli import main
 from catenv.parsing import ParseError, load_path, load_text
 from catenv.pipeline import analyze_category
 
@@ -90,6 +91,18 @@ def test_stray_record_rejected():
     with pytest.raises(ParseError) as err:
         load_text("class: free_monoid\nstray record\n")
     assert "line 2" in str(err.value)
+
+
+def test_unknown_sections_and_fields_rejected(tmp_path, capsys):
+    misspelled = tmp_path / "misspelled.cat"
+    misspelled.write_text("class: graph_path\nobjects: v w\ngeneratrs:\ne w v\n")
+    code = main(["validate", str(misspelled)])
+    out = capsys.readouterr()
+    assert code == 1 and out.out == ""
+    assert "line 3" in out.err and "generatrs" in out.err
+    with pytest.raises(ParseError) as err:
+        load_text("class: nk_monoid\nk: 2\ncolors: 3\n")
+    assert "line 3" in str(err.value)
 
 
 def test_graded_entries_with_imaginary_parts():
