@@ -3,12 +3,14 @@
 Every presentation supports the same four oracles: composition, left division,
 alignment (minimal principal decompositions of intersections c𝔠 ∩ d𝔠), and ball
 enumeration. Morphisms are normal-form words over the presentation's generators,
-so equality is syntactic.
+so equality is syntactic, and each presentation hands out one shared object per
+normal form. Generator names must be distinct.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 
 from .gpd import FiniteGroupoid
@@ -65,11 +67,12 @@ class CategoryPresentation:
 
     objects: tuple[str, ...] = ()
     generator_names: tuple[str, ...] = ()
+    _identities: dict[str, Morphism]  # object -> its shared identity
 
-    # subclasses must implement: identity, compose, divide_left, align_raw, ball
+    # subclasses must implement: compose, divide_left, align_raw, ball
 
     def identity(self, obj) -> Morphism:
-        raise NotImplementedError
+        return self._identities[obj]
 
     def compose(self, c: Morphism, d: Morphism) -> Morphism | None:
         raise NotImplementedError
@@ -108,11 +111,19 @@ class CategoryPresentation:
                 {name: i for i, name in enumerate(self.generator_names)},
                 {o: i for i, o in enumerate(self.objects)})
         _, _, gi, oi = index
-        return (len(m.word), tuple(gi[w] for w in m.word), oi[m.dom])
+        return (len(m.word), tuple(map(gi.__getitem__, m.word)), oi[m.dom])
 
     def _check_nonempty(self):
         if not self.objects:
             raise MalformedPresentation("category with zero objects")
+
+    @staticmethod
+    def _check_distinct(names):
+        seen = set()
+        for name in names:
+            if name in seen:
+                raise MalformedPresentation(f"generator {name!r} listed twice")
+            seen.add(name)
 
     def _prune_alignment(self, c, pairs):
         """Drop pairs whose ideal cx𝔠 sits inside another pair's; dedupe equal ideals."""
@@ -140,8 +151,9 @@ class CategoryPresentation:
 class FiniteTable(CategoryPresentation):
     """A finite category given by an explicit composition table.
 
-    `element_endpoints` maps non-identity element names to (dom, tgt); objects double
-    as identity elements. `table` maps composable non-identity pairs (c, d) to cd;
+    `element_endpoints` maps non-identity element names to (dom, tgt), or lists
+    (name, (dom, tgt)) pairs, each name once; objects double as identity
+    elements. `table` maps composable non-identity pairs (c, d) to cd;
     rows involving identities are implied.
     """
 
@@ -152,7 +164,10 @@ class FiniteTable(CategoryPresentation):
     def __init__(self, objects, element_endpoints, table):
         self.objects = tuple(objects)
         self._check_nonempty()
-        self.endpoints = dict(element_endpoints)
+        rows = list(element_endpoints.items() if isinstance(element_endpoints, dict)
+                    else element_endpoints)
+        self._check_distinct(name for name, _ in rows)
+        self.endpoints = dict(rows)
         for name, (d, t) in self.endpoints.items():
             if d not in self.objects or t not in self.objects:
                 raise MalformedPresentation(f"dangling endpoints on {name!r}")
@@ -160,23 +175,21 @@ class FiniteTable(CategoryPresentation):
                 raise MalformedPresentation(f"element {name!r} clashes with an object")
         self.table = dict(table)
         self.generator_names = tuple(sorted(self.endpoints))
+        self._identities = {o: Morphism((), o, o) for o in self.objects}
+        self._named = {**self._identities,
+                       **{name: Morphism((name,), d, t)
+                          for name, (d, t) in self.endpoints.items()}}
         for (a, b), c in self.table.items():
             for x in (a, b, c):
                 if x not in self.endpoints:
                     raise MalformedPresentation(f"table mentions unknown element {x!r}")
 
     def _morph(self, name):
-        if name in self.objects:
-            return self.identity(name)
-        d, t = self.endpoints[name]
-        return Morphism((name,), d, t)
+        return self._named[name]
 
     def all_morphisms(self):
         return [self.identity(o) for o in self.objects] + \
                [self._morph(n) for n in self.generator_names]
-
-    def identity(self, obj):
-        return Morphism((), obj, obj)
 
     def compose(self, c, d):
         if c.dom != d.tgt:
@@ -302,18 +315,25 @@ class GraphPath(CategoryPresentation):
     def __init__(self, objects, edges):
         self.objects = tuple(objects)
         self._check_nonempty()
+        edges = list(edges)
+        self._check_distinct(name for name, _, _ in edges)
         self.edges = {name: (d, t) for name, d, t in edges}
         for name, (d, t) in self.edges.items():
             if d not in self.objects or t not in self.objects:
                 raise MalformedPresentation(f"dangling endpoints on edge {name!r}")
         self.generator_names = tuple(sorted(self.edges))
         self.is_finite = _acyclic(self.objects, self.edges.values())
-
-    def identity(self, obj):
-        return Morphism((), obj, obj)
+        self._identities = {o: Morphism((), o, o) for o in self.objects}
+        self._by_word: dict[tuple[str, ...], Morphism] = {}
 
     def _mk(self, word, dom, tgt):
-        return Morphism(tuple(word), dom, tgt)
+        """The shared morphism of a path; a nonempty word fixes its endpoints."""
+        if not word:
+            return self.identity(dom)
+        m = self._by_word.get(word)
+        if m is None:
+            m = self._by_word[word] = Morphism(word, dom, tgt)
+        return m
 
     def compose(self, c, d):
         if c.dom != d.tgt:
@@ -377,14 +397,19 @@ class FreeMonoid(GraphPath):
 
     def word(self, s):
         """Morphism from a plain string of single-letter generators."""
-        return Morphism(tuple(s), self.objects[0], self.objects[0])
+        return self._mk(tuple(s), self.objects[0], self.objects[0])
 
 
 # -- the lattice monoids ℕ^k -------------------------------------------------
 
 
 class NkMonoid(CategoryPresentation):
-    """The additive monoid ℕ^k; generators e1..ek, words sorted by coordinate."""
+    """The additive monoid ℕ^k; generators e1..ek, words sorted by coordinate.
+
+    Each lattice point has one shared morphism, kept in a memo keyed by its
+    degree vector: `vector` validates its argument, and compose, divide_left
+    and align_raw, whose results are valid by construction, read the memo.
+    """
 
     class_name = "nk_monoid"
     structurally_cancellative = True
@@ -395,32 +420,42 @@ class NkMonoid(CategoryPresentation):
         self.k = k
         self.objects = (obj,)
         self.generator_names = tuple(f"e{i + 1}" for i in range(k))
+        self._by_degree: dict[tuple[int, ...], Morphism] = {}
+        self._zero = (0,) * k
 
     def vector(self, vec):
         vec = tuple(int(v) for v in vec)
         if len(vec) != self.k or any(v < 0 for v in vec):
             raise MalformedPresentation(f"bad lattice point {vec!r}")
-        word = tuple(itertools.chain.from_iterable(
-            [self.generator_names[i]] * v for i, v in enumerate(vec)))
-        return Morphism(word, self.objects[0], self.objects[0], degree=vec)
+        m = self._by_degree.get(vec)
+        if m is None:
+            word = tuple(itertools.chain.from_iterable(
+                [self.generator_names[i]] * v for i, v in enumerate(vec)))
+            m = self._by_degree[vec] = Morphism(word, self.objects[0], self.objects[0],
+                                                degree=vec)
+        return m
+
+    def _shared(self, vec):
+        """The morphism of a lattice point known to be valid."""
+        m = self._by_degree.get(vec)
+        return m if m is not None else self.vector(vec)
 
     def identity(self, obj=None):
-        return self.vector((0,) * self.k)
+        return self._shared(self._zero)
 
     def compose(self, c, d):
-        return self.vector(tuple(a + b for a, b in zip(c.degree, d.degree)))
+        return self._shared(tuple(map(operator.add, c.degree, d.degree)))
 
     def divide_left(self, c, m):
-        diff = tuple(a - b for a, b in zip(m.degree, c.degree))
-        if any(v < 0 for v in diff):
+        diff = tuple(map(operator.sub, m.degree, c.degree))
+        if min(diff) < 0:
             return None
-        return self.vector(diff)
+        return self._shared(diff)
 
     def align_raw(self, c, d):
-        lcm = tuple(max(a, b) for a, b in zip(c.degree, d.degree))
-        x = tuple(l - a for l, a in zip(lcm, c.degree))
-        y = tuple(l - b for l, b in zip(lcm, d.degree))
-        return [(self.vector(x), self.vector(y))]
+        lcm = tuple(map(max, c.degree, d.degree))
+        return [(self._shared(tuple(map(operator.sub, lcm, c.degree))),
+                 self._shared(tuple(map(operator.sub, lcm, d.degree))))]
 
     def ball(self, n=None):
         if n is None:
@@ -459,6 +494,8 @@ class KGraph(CategoryPresentation):
         self.objects = tuple(objects)
         self._check_nonempty()
         self.k = k
+        edges = list(edges)
+        self._check_distinct(name for name, _, _, _ in edges)
         self.edges = {}
         for name, d, t, color in edges:
             if d not in self.objects or t not in self.objects:
@@ -480,6 +517,8 @@ class KGraph(CategoryPresentation):
             self.flip_down[(f2, e2)] = (e, f)
         self._check_squares()
         self.is_finite = _acyclic(self.objects, ((d, t) for d, t, _ in self.edges.values()))
+        self._identities = {o: Morphism((), o, o, degree=(0,) * k) for o in self.objects}
+        self._by_word: dict[tuple[str, ...], Morphism] = {}
 
     def color(self, edge):
         return self.edges[edge][2]
@@ -507,9 +546,6 @@ class KGraph(CategoryPresentation):
             if not (f2t == et and e2d == fd and f2d == e2t):
                 raise MalformedPresentation(f"square {e},{f}={f2},{e2} breaks endpoints")
 
-    def identity(self, obj):
-        return Morphism((), obj, obj, degree=(0,) * self.k)
-
     def _normalize(self, word):
         w = list(word)
         changed = True
@@ -522,10 +558,18 @@ class KGraph(CategoryPresentation):
         return tuple(w)
 
     def _mk(self, word, dom, tgt):
-        deg = [0] * self.k
-        for x in word:
-            deg[self.color(x)] += 1
-        return Morphism(tuple(word), dom, tgt, degree=tuple(deg))
+        """The shared morphism of a normal-form word; a nonempty word fixes its
+        endpoints."""
+        word = tuple(word)
+        if not word:
+            return self.identity(dom)
+        m = self._by_word.get(word)
+        if m is None:
+            deg = [0] * self.k
+            for x in word:
+                deg[self.color(x)] += 1
+            m = self._by_word[word] = Morphism(word, dom, tgt, degree=tuple(deg))
+        return m
 
     def path(self, word):
         word = tuple(word)
@@ -675,12 +719,14 @@ class GroupoidSub(CategoryPresentation):
         self.generator_names = tuple(sorted(self._label[g] for g in self.chosen
                                             if g not in set(units)))
         self._by_label = {self._label[g]: g for g in self.chosen}
+        self._identities = {o: Morphism((), o, o) for o in self.objects}
+        self._morphs = {g: self._identities[str(g)] if ambient.is_unit(g)
+                        else Morphism((self._label[g],), str(ambient.source[g]),
+                                      str(ambient.range[g]))
+                        for g in self.chosen}
 
     def _morph(self, g):
-        if self.ambient.is_unit(g):
-            return self.identity(str(g))
-        return Morphism((self._label[g],), str(self.ambient.source[g]),
-                        str(self.ambient.range[g]))
+        return self._morphs[g]
 
     def _elem(self, m: Morphism):
         if m.is_identity:
@@ -689,9 +735,6 @@ class GroupoidSub(CategoryPresentation):
 
     def all_morphisms(self):
         return sorted((self._morph(g) for g in self.chosen), key=self.sort_key)
-
-    def identity(self, obj):
-        return Morphism((), obj, obj)
 
     def compose(self, c, d):
         if c.dom != d.tgt:
@@ -746,10 +789,16 @@ class DirectProduct(CategoryPresentation):
         self.structurally_cancellative = (left.structurally_cancellative
                                           and right.structurally_cancellative)
         self.trivial_units_only = left.trivial_units_only and right.trivial_units_only
+        self._pairs: dict[tuple[Morphism, Morphism], Morphism] = {}
 
     def pair(self, c: Morphism, d: Morphism):
-        word = tuple(f"L:{w}" for w in c.word) + tuple(f"R:{w}" for w in d.word)
-        return Morphism(word, f"{c.dom}×{d.dom}", f"{c.tgt}×{d.tgt}")
+        """The shared morphism of the pair (c, d)."""
+        m = self._pairs.get((c, d))
+        if m is None:
+            word = tuple(f"L:{w}" for w in c.word) + tuple(f"R:{w}" for w in d.word)
+            m = self._pairs[(c, d)] = Morphism(word, f"{c.dom}×{d.dom}",
+                                               f"{c.tgt}×{d.tgt}")
+        return m
 
     def split(self, m: Morphism):
         lw = tuple(w[2:] for w in m.word if w.startswith("L:"))

@@ -64,18 +64,52 @@ class HausdorffVerdict:
 
 
 class InverseHull:
-    """Arithmetic of piecewise partial bijections over one presentation."""
+    """Arithmetic of piecewise partial bijections over one presentation.
+
+    Canonical elements are interned: equal elements are one object, numbered in
+    the order they were first made. Products, inverses and domains are cached
+    by those numbers, so a cache lookup hashes integers, not nested pieces.
+    """
 
     def __init__(self, pres: CategoryPresentation):
         self.p = pres
-        self._compose_cache: dict = {}
-        self._inverse_cache: dict = {}
+        self._elements: list[PiecewiseBijection] = []
+        self._by_pieces: dict[tuple, PiecewiseBijection] = {}
+        self._number: dict[int, int] = {}  # id() of an interned element -> its number
+        self._products: dict[int, int] = {}  # (i << 32) | j -> number of s_i∘s_j
+        self._inverses: dict[int, PiecewiseBijection] = {}
+        self._domains: dict[int, tuple[Morphism, ...]] = {}
+        self._of_morphism: dict[Morphism, PiecewiseBijection] = {}
+        self._add(ZERO)
+
+    # -- interning ---------------------------------------------------------
+
+    def _add(self, s: PiecewiseBijection) -> PiecewiseBijection:
+        self._by_pieces[s.pieces] = s
+        self._number[id(s)] = len(self._elements)
+        self._elements.append(s)
+        return s
+
+    def _intern(self, pieces: tuple) -> PiecewiseBijection:
+        s = self._by_pieces.get(pieces)
+        return s if s is not None else self._add(PiecewiseBijection(pieces))
+
+    def index(self, s: PiecewiseBijection) -> int:
+        """The number of the interned element equal to s; s is interned if new."""
+        n = self._number.get(id(s))  # interned elements stay alive, so ids are unique
+        if n is None:
+            u = self._by_pieces.get(s.pieces)
+            n = self._number[id(u if u is not None else self._add(s))]
+        return n
 
     # -- constructors ---------------------------------------------------
 
     def from_morphism(self, c: Morphism) -> PiecewiseBijection:
         """The map 𝔡(c)𝔠 → c𝔠, x ↦ cx."""
-        return self.canonical([(c, self.p.identity(c.dom))])
+        s = self._of_morphism.get(c)
+        if s is None:
+            s = self._of_morphism[c] = self.canonical([(c, self.p.identity(c.dom))])
+        return s
 
     def idempotent(self, parts) -> PiecewiseBijection:
         """Identity on the union of the principal ideals generated by `parts`."""
@@ -95,13 +129,18 @@ class InverseHull:
         return best, bx
 
     def canonical(self, raw_pieces) -> PiecewiseBijection:
+        """The interned element with these pieces, put in canonical form."""
         pieces = []
         for a, b in raw_pieces:
             if a.dom != b.dom:
                 raise InconsistentPieces(f"piece ({a}, {b}) has mismatched domains")
-            b_can, x = self._canonical_generator(b)
-            a_can = a if x.is_identity else self.p.compose(a, x)
-            pieces.append((a_can, b_can))
+            if not self.p.trivial_units_only:
+                b, x = self._canonical_generator(b)
+                if not x.is_identity:
+                    a = self.p.compose(a, x)
+            pieces.append((a, b))
+        if len(pieces) == 1:  # nothing to sort, check or subsume
+            return self._intern((pieces[0],))
         pieces = sorted(set(pieces), key=lambda ab: (self.p.sort_key(ab[1]),
                                                      self.p.sort_key(ab[0])))
         self._check_consistent(pieces)
@@ -115,7 +154,7 @@ class InverseHull:
                     break
             if not subsumed:
                 kept.append((a, b))
-        return PiecewiseBijection(tuple(kept))
+        return self._intern(tuple(kept))
 
     def _check_consistent(self, pieces):
         # single-valued: overlapping domains agree; injective: same for inverses
@@ -129,21 +168,28 @@ class InverseHull:
     # -- inverse semigroup arithmetic -------------------------------------
 
     def hinverse(self, s: PiecewiseBijection) -> PiecewiseBijection:
-        if s not in self._inverse_cache:
-            self._inverse_cache[s] = self.canonical([(b, a) for a, b in s.pieces])
-        return self._inverse_cache[s]
+        i = self.index(s)
+        inv = self._inverses.get(i)
+        if inv is None:
+            inv = self._inverses[i] = self.canonical([(b, a) for a, b in s.pieces])
+        return inv
 
     def hcompose(self, s: PiecewiseBijection, t: PiecewiseBijection) -> PiecewiseBijection:
         """s∘t; cross-piece products resolve through alignment."""
-        key = (s, t)
-        if key not in self._compose_cache:
+        return self._elements[self._compose(self.index(s), self.index(t))]
+
+    def _compose(self, i: int, j: int) -> int:
+        """Number of s∘t for the elements s, t numbered i, j."""
+        key = (i << 32) | j
+        n = self._products.get(key)
+        if n is None:
             out = []
-            for a, b in s.pieces:
-                for a2, b2 in t.pieces:
+            for a, b in self._elements[i].pieces:
+                for a2, b2 in self._elements[j].pieces:
                     for u, v in self.p.align(a2, b):
                         out.append((self.p.compose(a, v), self.p.compose(b2, u)))
-            self._compose_cache[key] = self.canonical(out)
-        return self._compose_cache[key]
+            n = self._products[key] = self._number[id(self.canonical(out))]
+        return n
 
     def apply(self, s: PiecewiseBijection, x: Morphism) -> Morphism | None:
         for a, b in s.pieces:
@@ -153,10 +199,14 @@ class InverseHull:
         return None
 
     def domain_parts(self, s):
-        return self._ideal_parts([b for _, b in s.pieces])
+        i = self.index(s)
+        parts = self._domains.get(i)
+        if parts is None:
+            parts = self._domains[i] = self._ideal_parts([b for _, b in s.pieces])
+        return parts
 
     def image_parts(self, s):
-        return self._ideal_parts([a for a, _ in s.pieces])
+        return self.domain_parts(self.hinverse(s))
 
     def _ideal_parts(self, gens):
         gens = sorted({self._canonical_generator(b)[0] for b in gens},
@@ -194,33 +244,35 @@ class InverseHull:
         """
         if bound is None and not self.p.is_finite:
             raise ValueError("infinite category: a provenance bound is required")
-        atoms: dict[PiecewiseBijection, int] = {}
+        atoms: dict[int, int] = {}  # element number -> cost
         for c in self.p.ball(None if bound is None else min(bound, 1)):
             if len(c.word) <= 1:
                 s = self.from_morphism(c)
                 for t in (s, self.hinverse(s)):
-                    atoms[t] = min(atoms.get(t, 1), len(c.word))
+                    n = self.index(t)
+                    atoms[n] = min(atoms.get(n, 1), len(c.word))
         cost = dict(atoms)
-        buckets = [[s for s, c in atoms.items() if c == level] for level in (0, 1)]
+        buckets = [[n for n, c in atoms.items() if c == level] for level in (0, 1)]
         truncated = False
         for level, bucket in enumerate(buckets):  # both lists grow while walked
-            for s in bucket:
-                if cost[s] < level:  # reached at a lower cost since it was queued
+            for i in bucket:
+                if cost[i] < level:  # reached at a lower cost since it was queued
                     continue
                 for a, ca in atoms.items():
                     c = level + ca
                     if bound is not None and c > bound:
                         truncated = True
                         continue
-                    t = self.hcompose(s, a)
-                    if c < cost.get(t, c + 1):
-                        cost[t] = c
+                    k = self._compose(i, a)
+                    if c < cost.get(k, c + 1):
+                        cost[k] = c
                         if c == len(buckets):
                             buckets.append([])
-                        buckets[c].append(t)
-        elements = sorted(cost, key=lambda s: (len(s.pieces),
-                                               [(self.p.sort_key(b), self.p.sort_key(a))
-                                                for a, b in s.pieces]))
+                        buckets[c].append(k)
+        elements = sorted((self._elements[n] for n in cost),
+                          key=lambda s: (len(s.pieces),
+                                         [(self.p.sort_key(b), self.p.sort_key(a))
+                                          for a, b in s.pieces]))
         complete = self.p.is_finite and not truncated
         return HullClosure(elements=elements, bound=bound, complete=complete)
 

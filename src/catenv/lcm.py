@@ -223,14 +223,13 @@ def transformation_iso_check(pres, hull_ctx: InverseHull, closure: HullClosure,
                              ore: OreGroup, sample_limit=200):
     """Germs at the full-support character map to fractions: the map must be
     well defined, injective on the sample, and multiplicative."""
-    elements = [s for s in closure.nonzero()]
-    fractions = {}
-    for s in elements[:sample_limit]:
+    items = []
+    for s in closure.nonzero()[:sample_limit]:
         try:
-            fractions[s] = kappa0(hull_ctx, s, ore)
+            items.append((s, kappa0(hull_ctx, s, ore)))
         except NotCore:
             continue
-    items = list(fractions.items())
+    fraction_of = {hull_ctx.index(s): f for s, f in items}
     for i, (s, fs) in enumerate(items):
         for t, ft in items[i + 1:]:
             same_germ = germ_equal_at_full_support(hull_ctx, s, t)
@@ -240,10 +239,10 @@ def transformation_iso_check(pres, hull_ctx: InverseHull, closure: HullClosure,
     checked = 0
     for s, fs in items:
         for t, ft in items:
-            st = hull_ctx.hcompose(s, t)
-            if st.is_zero or st not in fractions:
+            fst = fraction_of.get(hull_ctx.index(hull_ctx.hcompose(s, t)))
+            if fst is None:  # zero, or outside the sample
                 continue
-            if not ore.equal(fractions[st], ore.mul(fs, ft)):
+            if not ore.equal(fst, ore.mul(fs, ft)):
                 return False, ("cocycle", s, t)
             checked += 1
     return True, checked

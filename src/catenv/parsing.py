@@ -31,7 +31,8 @@ Graded-algebra files (.grad):
     generators:                        <degree> i,j,re[,im];i,j,re[,im];...
 
 A field or section that the document's class does not read is an error, so a
-misspelled header cannot silently drop its records.
+misspelled header cannot silently drop its records; so is a field given twice,
+which would otherwise keep only its last value.
 """
 
 from __future__ import annotations
@@ -76,6 +77,8 @@ def _read_document(text: str):
         if ":" in line and line.split(":", 1)[0].strip().isidentifier():
             key, value = (part.strip() for part in line.split(":", 1))
             if value:
+                if key in scalars:
+                    raise ParseError(f"field {key!r} given twice", lineno)
                 scalars[key] = value
                 current = None
             else:
@@ -128,8 +131,8 @@ def load_text(text: str):
         if cls == "finite_table":
             return "category", FiniteTable(
                 objects=tuple(_require(scalars, "objects").split()),
-                element_endpoints={r[0]: (r[1], r[2])
-                                   for _, r in sections.get("generators", [])},
+                element_endpoints=[(r[0], (r[1], r[2]))
+                                   for _, r in sections.get("generators", [])],
                 table={(r[0], r[1]): r[2] for _, r in sections.get("table", [])})
         if cls == "groupoid_sub":
             ambient = _groupoid_from_sections(scalars, sections)

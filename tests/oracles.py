@@ -2,7 +2,8 @@
 
 Each is the straightforward formula the library replaced: a fresh least-squares
 solve per question instead of a maintained basis or factorization, loops over
-labels instead of integer tables, and closure rounds that visit every pair.
+labels instead of integer tables, closure rounds that visit every pair, and hull
+products formed from their pieces with no cache and no interning.
 """
 
 import itertools
@@ -11,7 +12,7 @@ import numpy as np
 
 from catenv.coactions import GradedAlgebra, NoExtensionFound
 from catenv.gpd import GroupoidError
-from catenv.hull import HullClosure
+from catenv.hull import HullClosure, InconsistentPieces, PiecewiseBijection
 from catenv.matrixrep import AlgebraSpan, SpanBasis, matrix_rank, operator_norm
 
 
@@ -204,3 +205,35 @@ def hull_closure_by_full_scan(hull, bound=None):
                                             for a, b in s.pieces]))
     return HullClosure(elements=elements, bound=bound,
                        complete=hull.p.is_finite and not truncated)
+
+
+def hull_product_by_definition(hull, s, t):
+    """s∘t from the pieces, using only the presentation's oracles: every
+    cross-piece product (a·v, b2·u) over the alignments b·v = a2·u, then the
+    general canonical form: each domain generator replaced by the least
+    generator of its ideal, pieces deduplicated and sorted, checked to be
+    single-valued and injective, and pieces inside an earlier one dropped.
+    A fresh element each call: no cache, no interning."""
+    p = hull.p
+    raw = [(p.compose(a, v), p.compose(b2, u))
+           for a, b in s.pieces for a2, b2 in t.pieces for u, v in p.align(a2, b)]
+    pieces = set()
+    for a, b in raw:
+        best, x = b, p.identity(b.dom)
+        if not p.trivial_units_only:
+            for m in p.ball(None):
+                if p.in_ideal(b, m) and p.in_ideal(m, b) and p.sort_key(m) < p.sort_key(best):
+                    best, x = m, p.divide_left(b, m)
+        pieces.add((a if x.is_identity else p.compose(a, x), best))
+    pieces = sorted(pieces, key=lambda ab: (p.sort_key(ab[1]), p.sort_key(ab[0])))
+    for direction in (pieces, [(b, a) for a, b in pieces]):
+        for (a1, b1), (a2, b2) in itertools.combinations(direction, 2):
+            for x, y in p.align(b1, b2):
+                if p.compose(a1, x) != p.compose(a2, y):
+                    raise InconsistentPieces(f"pieces disagree on {b1}·{x}")
+    kept = []
+    for a, b in pieces:
+        if not any((x := p.divide_left(b2, b)) is not None and p.compose(a2, x) == a
+                   for a2, b2 in kept):
+            kept.append((a, b))
+    return PiecewiseBijection(tuple(kept))

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from catenv.categories import (DirectProduct, FreeMonoid, GraphPath, KGraph,
+from catenv.categories import (DirectProduct, FiniteTable, FreeMonoid, GraphPath, KGraph,
                                MalformedPresentation, Morphism, NkMonoid)
 from catenv.fixtures import (fix_broken_table, fix_edge, fix_flip_monoid,
                              fix_free2, fix_kgraph_acyclic, fix_n2,
@@ -71,6 +71,28 @@ def test_dangling_edge_rejected():
         GraphPath(objects=("v",), edges=[("e", "v", "q")])
 
 
+def test_graph_path_duplicate_generator_rejected():
+    with pytest.raises(MalformedPresentation, match="'e' listed twice"):
+        GraphPath(objects=("v", "w"), edges=[("e", "v", "w"), ("e", "w", "v")])
+
+
+def test_free_monoid_duplicate_generator_rejected():
+    with pytest.raises(MalformedPresentation, match="'a' listed twice"):
+        FreeMonoid(("a", "b", "a"))
+
+
+def test_kgraph_duplicate_generator_rejected():
+    with pytest.raises(MalformedPresentation, match="'e' listed twice"):
+        KGraph(objects=("*",), edges=[("e", "*", "*", 0), ("e", "*", "*", 1)],
+               squares=[], k=2)
+
+
+def test_finite_table_duplicate_generator_rejected():
+    with pytest.raises(MalformedPresentation, match="'c' listed twice"):
+        FiniteTable(objects=("u", "v"),
+                    element_endpoints=[("c", ("u", "v")), ("c", ("v", "u"))], table={})
+
+
 # -- composition and division -----------------------------------------------
 
 
@@ -100,6 +122,41 @@ def test_divide_left_inverts_composition():
                 m = p.compose(c, x)
                 if m is not None and (n is None or len(m.word) <= n + 3):
                     assert p.divide_left(c, m) == x
+
+
+def test_nk_memo_shares_morphisms_and_vector_still_validates():
+    p = fix_n2()
+    a, b = p.vector((2, 1)), p.vector((1, 3))
+    ab = p.compose(a, b)
+    assert ab is p.compose(b, a) is p.vector((3, 4))
+    assert p.divide_left(a, ab) is b and p.divide_left(b, ab) is a
+    assert p.divide_left(ab, a) is None
+    assert p.identity() is p.vector((0, 0)) is p.divide_left(a, a)
+    (x, y), = p.align_raw(a, b)
+    assert x is p.vector((0, 2)) and y is p.vector((1, 0))
+    ball = p.ball(6)
+    assert all(p.vector(m.degree) is m for m in ball)  # the memo is full up to 6
+    for bad in ((-1, 0), (0, -2), (1,), (1, 2, 3), ()):
+        with pytest.raises(MalformedPresentation):
+            p.vector(bad)
+
+
+@pytest.mark.parametrize("make,radius", [(fix_edge, None), (fix_free2, 3), (fix_n2, 3),
+                                         (fix_kgraph_acyclic, None), (fix_two_mce_category, None),
+                                         (fix_flip_monoid, 2)])
+def test_presentations_return_shared_morphisms(make, radius):
+    p = make()
+    ball = p.ball(radius)
+    shared = {m: m for m in ball}
+    assert len(shared) == len(ball)
+    for c in ball:
+        assert p.identity(c.dom) is p.identity(c.dom)
+        for d in ball:
+            cd = p.compose(c, d)
+            if cd is None:
+                continue
+            assert cd is p.compose(c, d) and shared.get(cd, cd) is cd
+            assert p.divide_left(c, cd) is d
 
 
 # -- alignment ---------------------------------------------------------------

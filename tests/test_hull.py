@@ -14,8 +14,8 @@ from catenv.categories import DirectProduct, FreeMonoid, GraphPath, GroupoidSub,
 from catenv.fixtures import (fix_edge, fix_flip_monoid, fix_free2, fix_kgraph_acyclic,
                              fix_n2, fix_trivial_monoid, fix_two, fix_two_mce_category)
 from catenv.gpd import cyclic_groupoid, pair_groupoid
-from catenv.hull import ExplicitBijection, InverseHull, ZERO
-from oracles import hull_closure_by_full_scan
+from catenv.hull import ExplicitBijection, InverseHull, PiecewiseBijection, ZERO
+from oracles import hull_closure_by_full_scan, hull_product_by_definition
 
 
 def graph_of(hull, s, ball):
@@ -172,6 +172,34 @@ def test_generate_matches_full_scan_on_generated_inputs(make, bound):
         assert fast.elements == hull_closure_by_full_scan(InverseHull(make())).elements
     if full.complete:
         assert fast.complete
+
+
+@pytest.mark.parametrize("make,bound", [
+    pytest.param(fix_free2, 4, id="free2-4"), pytest.param(fix_n2, 4, id="n2-4"),
+    pytest.param(fix_two, None, id="two"),
+    pytest.param(fix_kgraph_acyclic, None, id="kgraph-acyclic"),
+    *[pytest.param(partial(layered_dag, seed), None, id=f"dag{seed}") for seed in range(3)],
+    # presentations with invertible morphisms besides identities
+    pytest.param(fix_two_mce_category, None, id="two-mce"),
+    pytest.param(partial(GroupoidSub, pair_groupoid((1, 2)), pair_groupoid((1, 2)).elements),
+                 None, id="pair12")])
+def test_hcompose_matches_product_by_definition(make, bound):
+    """The cached product of interned elements equals the product formed from the
+    pieces on every pair of the closure; equal elements are one object, also when
+    the product is asked of an equal copy that was never interned."""
+    hull = InverseHull(make())
+    els = hull.generate(bound).elements
+    interned = {s: s for s in els}
+    assert len(interned) == len(els)
+    for s in els:
+        assert hull.canonical(s.pieces) is s and hull.hinverse(hull.hinverse(s)) is s
+        for t in els:
+            st = hull.hcompose(s, t)
+            assert st == hull_product_by_definition(hull, s, t)
+            assert interned.get(st, st) is st and hull.canonical(st.pieces) is st
+        copy = PiecewiseBijection(s.pieces)
+        assert hull.hcompose(copy, s) is hull.hcompose(s, s)
+        assert hull.hinverse(copy) is hull.hinverse(s)
 
 
 def test_n2_hull_bound_two():

@@ -105,6 +105,30 @@ def test_unknown_sections_and_fields_rejected(tmp_path, capsys):
     assert "line 3" in str(err.value)
 
 
+def test_repeated_scalar_field_rejected(tmp_path, capsys):
+    repeated = tmp_path / "repeated.cat"
+    repeated.write_text("class: graph_path\nobjects: v w\nobjects: v\n")
+    code = main(["validate", str(repeated)])
+    out = capsys.readouterr()
+    assert code == 1 and out.out == ""
+    assert "line 3" in out.err and "'objects' given twice" in out.err
+
+
+@pytest.mark.parametrize("command,doc", [
+    ("lcm", "class: free_monoid\ngenerators:\na\na\n"),
+    ("validate", "class: graph_path\nobjects: v w\ngenerators:\ne v w\ne w v\n"),
+    ("validate", "class: kgraph\nobjects: u\nk: 2\ngenerators:\ne u u 0\ne u u 1\n"),
+    ("validate", "class: finite_table\nobjects: u\ngenerators:\nc u u\nc u u\n"
+                 "table:\nc c c\n")])
+def test_duplicate_generator_names_are_input_errors(tmp_path, capsys, command, doc):
+    path = tmp_path / "dup.cat"
+    path.write_text(doc)
+    code = main([command, str(path)])
+    out = capsys.readouterr()
+    assert code == 1 and out.out == ""
+    assert "listed twice" in out.err and "Traceback" not in out.err
+
+
 def test_graded_entries_with_imaginary_parts():
     doc = """class: graded_algebra
 group: cyclic 2
