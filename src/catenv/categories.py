@@ -3,8 +3,9 @@
 Every presentation supports the same four oracles: composition, left division,
 alignment (minimal principal decompositions of intersections c𝔠 ∩ d𝔠), and ball
 enumeration. Morphisms are normal-form words over the presentation's generators,
-so equality is syntactic, and each presentation hands out one shared object per
-normal form. Generator names must be distinct.
+so equality is syntactic. Path categories, ℕ^k, finite tables and groupoid
+subcategories also hand out one shared object per normal form. Generator names
+must be distinct.
 """
 
 from __future__ import annotations
@@ -151,10 +152,10 @@ class CategoryPresentation:
 class FiniteTable(CategoryPresentation):
     """A finite category given by an explicit composition table.
 
-    `element_endpoints` maps non-identity element names to (dom, tgt), or lists
-    (name, (dom, tgt)) pairs, each name once; objects double as identity
-    elements. `table` maps composable non-identity pairs (c, d) to cd;
-    rows involving identities are implied.
+    `element_endpoints` lists a (name, (dom, tgt)) row for each non-identity
+    element, each name once; objects double as identity elements. `table` maps
+    composable non-identity pairs (c, d) to cd; rows involving identities are
+    implied.
     """
 
     class_name = "finite_table"
@@ -164,10 +165,9 @@ class FiniteTable(CategoryPresentation):
     def __init__(self, objects, element_endpoints, table):
         self.objects = tuple(objects)
         self._check_nonempty()
-        rows = list(element_endpoints.items() if isinstance(element_endpoints, dict)
-                    else element_endpoints)
-        self._check_distinct(name for name, _ in rows)
-        self.endpoints = dict(rows)
+        element_endpoints = list(element_endpoints)
+        self._check_distinct(name for name, _ in element_endpoints)
+        self.endpoints = dict(element_endpoints)
         for name, (d, t) in self.endpoints.items():
             if d not in self.objects or t not in self.objects:
                 raise MalformedPresentation(f"dangling endpoints on {name!r}")
@@ -518,7 +518,6 @@ class KGraph(CategoryPresentation):
         self._check_squares()
         self.is_finite = _acyclic(self.objects, ((d, t) for d, t, _ in self.edges.values()))
         self._identities = {o: Morphism((), o, o, degree=(0,) * k) for o in self.objects}
-        self._by_word: dict[tuple[str, ...], Morphism] = {}
 
     def color(self, edge):
         return self.edges[edge][2]
@@ -558,18 +557,10 @@ class KGraph(CategoryPresentation):
         return tuple(w)
 
     def _mk(self, word, dom, tgt):
-        """The shared morphism of a normal-form word; a nonempty word fixes its
-        endpoints."""
-        word = tuple(word)
-        if not word:
-            return self.identity(dom)
-        m = self._by_word.get(word)
-        if m is None:
-            deg = [0] * self.k
-            for x in word:
-                deg[self.color(x)] += 1
-            m = self._by_word[word] = Morphism(word, dom, tgt, degree=tuple(deg))
-        return m
+        deg = [0] * self.k
+        for x in word:
+            deg[self.color(x)] += 1
+        return Morphism(tuple(word), dom, tgt, degree=tuple(deg))
 
     def path(self, word):
         word = tuple(word)
@@ -789,16 +780,10 @@ class DirectProduct(CategoryPresentation):
         self.structurally_cancellative = (left.structurally_cancellative
                                           and right.structurally_cancellative)
         self.trivial_units_only = left.trivial_units_only and right.trivial_units_only
-        self._pairs: dict[tuple[Morphism, Morphism], Morphism] = {}
 
     def pair(self, c: Morphism, d: Morphism):
-        """The shared morphism of the pair (c, d)."""
-        m = self._pairs.get((c, d))
-        if m is None:
-            word = tuple(f"L:{w}" for w in c.word) + tuple(f"R:{w}" for w in d.word)
-            m = self._pairs[(c, d)] = Morphism(word, f"{c.dom}×{d.dom}",
-                                               f"{c.tgt}×{d.tgt}")
-        return m
+        word = tuple(f"L:{w}" for w in c.word) + tuple(f"R:{w}" for w in d.word)
+        return Morphism(word, f"{c.dom}×{d.dom}", f"{c.tgt}×{d.tgt}")
 
     def split(self, m: Morphism):
         lw = tuple(w[2:] for w in m.word if w.startswith("L:"))

@@ -52,8 +52,8 @@ def fix_broken_table():
     """FiniteTable with a planted left-cancellation violation: c·x = c·y, x ≠ y."""
     return FiniteTable(
         objects=("u",),
-        element_endpoints={"c": ("u", "u"), "x": ("u", "u"),
-                           "y": ("u", "u"), "z": ("u", "u")},
+        element_endpoints=[("c", ("u", "u")), ("x", ("u", "u")),
+                           ("y", ("u", "u")), ("z", ("u", "u"))],
         table={("c", "x"): "z", ("c", "y"): "z", ("c", "c"): "z",
                ("c", "z"): "z", ("x", "x"): "z", ("x", "y"): "z",
                ("x", "c"): "z", ("x", "z"): "z", ("y", "x"): "z",
@@ -66,9 +66,9 @@ def fix_two_mce_category():
     """Finite cancellative category where p𝔠 ∩ q𝔠 needs two principal pieces."""
     return FiniteTable(
         objects=("u", "v", "w"),
-        element_endpoints={"p": ("v", "u"), "q": ("v", "u"),
-                           "x": ("w", "v"), "y": ("w", "v"),
-                           "m1": ("w", "u"), "m2": ("w", "u")},
+        element_endpoints=[("p", ("v", "u")), ("q", ("v", "u")),
+                           ("x", ("w", "v")), ("y", ("w", "v")),
+                           ("m1", ("w", "u")), ("m2", ("w", "u"))],
         table={("p", "x"): "m1", ("p", "y"): "m2",
                ("q", "x"): "m2", ("q", "y"): "m1"})
 

@@ -134,13 +134,11 @@ class InverseHull:
         for a, b in raw_pieces:
             if a.dom != b.dom:
                 raise InconsistentPieces(f"piece ({a}, {b}) has mismatched domains")
-            if not self.p.trivial_units_only:
-                b, x = self._canonical_generator(b)
-                if not x.is_identity:
-                    a = self.p.compose(a, x)
-            pieces.append((a, b))
+            b_can, x = self._canonical_generator(b)
+            a_can = a if x.is_identity else self.p.compose(a, x)
+            pieces.append((a_can, b_can))
         if len(pieces) == 1:  # nothing to sort, check or subsume
-            return self._intern((pieces[0],))
+            return self._intern(tuple(pieces))
         pieces = sorted(set(pieces), key=lambda ab: (self.p.sort_key(ab[1]),
                                                      self.p.sort_key(ab[0])))
         self._check_consistent(pieces)
@@ -206,7 +204,7 @@ class InverseHull:
         return parts
 
     def image_parts(self, s):
-        return self.domain_parts(self.hinverse(s))
+        return self._ideal_parts([a for a, _ in s.pieces])
 
     def _ideal_parts(self, gens):
         gens = sorted({self._canonical_generator(b)[0] for b in gens},

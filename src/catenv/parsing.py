@@ -32,7 +32,8 @@ Graded-algebra files (.grad):
 
 A field or section that the document's class does not read is an error, so a
 misspelled header cannot silently drop its records; so is a field given twice,
-which would otherwise keep only its last value.
+or a table row, arrow or product row given twice, which would otherwise keep
+only its last value.
 """
 
 from __future__ import annotations
@@ -92,6 +93,17 @@ def _read_document(text: str):
     return scalars, sections, headers
 
 
+def _check_unique(rows, width, what):
+    """A section row whose first `width` fields repeat an earlier row's is an
+    error naming its line, so a later row cannot silently replace an earlier."""
+    seen = set()
+    for lineno, row in rows:
+        key = tuple(row[:width])
+        if key in seen:
+            raise ParseError(f"{what} {' '.join(key)!r} given twice", lineno)
+        seen.add(key)
+
+
 def _require(scalars, key, lineno=None):
     if key not in scalars:
         raise ParseError(f"missing field {key!r}", lineno)
@@ -129,6 +141,7 @@ def load_text(text: str):
                 squares=[tuple(r) for _, r in sections.get("squares", [])],
                 k=int(scalars.get("k", "2")))
         if cls == "finite_table":
+            _check_unique(sections.get("table", []), 2, "table row")
             return "category", FiniteTable(
                 objects=tuple(_require(scalars, "objects").split()),
                 element_endpoints=[(r[0], (r[1], r[2]))
@@ -149,6 +162,8 @@ def load_text(text: str):
 
 def _groupoid_from_sections(scalars, sections) -> FiniteGroupoid:
     units = _require(scalars, "units").split()
+    _check_unique(sections.get("arrows", []), 1, "arrow")
+    _check_unique(sections.get("products", []), 2, "product row")
     arrows = {r[0]: (r[1], r[2]) for _, r in sections.get("arrows", [])}
     elements = list(units) + list(arrows)
     source = {u: u for u in units}

@@ -10,11 +10,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from catenv.categories import (DirectProduct, FiniteTable, FreeMonoid, GraphPath, KGraph,
-                               MalformedPresentation, Morphism, NkMonoid)
+from catenv.categories import (DirectProduct, FiniteTable, FreeMonoid, GraphPath,
+                               GroupoidSub, KGraph, MalformedPresentation, Morphism,
+                               NkMonoid)
 from catenv.fixtures import (fix_broken_table, fix_edge, fix_flip_monoid,
                              fix_free2, fix_kgraph_acyclic, fix_n2,
                              fix_two_mce_category)
+from catenv.gpd import pair_groupoid
+
+
+def fix_pair_sub():
+    """The whole pair groupoid on {1, 2} as a groupoid subcategory."""
+    g = pair_groupoid((1, 2))
+    return GroupoidSub(g, g.elements)
 
 
 def ideal_members(pres, gen, ball):
@@ -142,8 +150,7 @@ def test_nk_memo_shares_morphisms_and_vector_still_validates():
 
 
 @pytest.mark.parametrize("make,radius", [(fix_edge, None), (fix_free2, 3), (fix_n2, 3),
-                                         (fix_kgraph_acyclic, None), (fix_two_mce_category, None),
-                                         (fix_flip_monoid, 2)])
+                                         (fix_two_mce_category, None), (fix_pair_sub, None)])
 def test_presentations_return_shared_morphisms(make, radius):
     p = make()
     ball = p.ball(radius)

@@ -129,6 +129,25 @@ def test_duplicate_generator_names_are_input_errors(tmp_path, capsys, command, d
     assert "listed twice" in out.err and "Traceback" not in out.err
 
 
+@pytest.mark.parametrize("command,suffix,doc,line,what", [
+    pytest.param("validate", ".cat", "class: finite_table\nobjects: u\ngenerators:\n"
+                 "c u u\ntable:\nc c c\nc c u\n", 7, "table row 'c c'", id="table"),
+    pytest.param("groupoid", ".gpd", "class: groupoid\nunits: u v\narrows:\ng u v\n"
+                 "h v u\ng u v\n", 6, "arrow 'g'", id="arrow"),
+    pytest.param("groupoid", ".gpd", "class: groupoid\nunits: u v\narrows:\ng u v\n"
+                 "h v u\nproducts:\ng h v\ng h u\n", 8, "product row 'g h'",
+                 id="product")])
+def test_repeated_rows_rejected(tmp_path, capsys, command, suffix, doc, line, what):
+    """A row that repeats an earlier row's key is an input error naming its line,
+    instead of replacing the earlier row."""
+    path = tmp_path / f"repeated{suffix}"
+    path.write_text(doc)
+    code = main([command, str(path)])
+    out = capsys.readouterr()
+    assert code == 1 and out.out == ""
+    assert f"line {line}" in out.err and f"{what} given twice" in out.err
+
+
 def test_graded_entries_with_imaginary_parts():
     doc = """class: graded_algebra
 group: cyclic 2
