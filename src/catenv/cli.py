@@ -5,7 +5,7 @@
 
 Commands: validate | hull | ideals | boundary | groupoid | envelope | coaction
 | lcm | thesis. Exit codes: 0 all certified, 1 input error, 2 rejection or
-counterexample, 3 inconclusive at the bound.
+counterexample, 3 inconclusive at the bound, 4 internal numerical failure.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ from .categories import MalformedPresentation
 from .coactions import (GradingInvalid, NoExtensionFound, coaction_from_grading,
                         extend_grading, equivariance_check, katayama_verify,
                         approx_identity_checks)
-from .envelope import block_decompose, shilov_ideal
-from .matrixrep import AlgebraSpan
+from .envelope import NotACover, block_decompose, shilov_ideal
+from .matrixrep import AlgebraSpan, NumericalFailure
 from .lcm import starling_report
 from .parsing import ParseError, load_path
 from .pipeline import analyze_category
@@ -68,6 +68,9 @@ def main(argv=None) -> int:
     except (ParseError, MalformedPresentation, GradingInvalid) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except (NumericalFailure, NotACover) as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
     text = report.as_json() if args.format == "json" else report.as_text()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

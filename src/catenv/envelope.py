@@ -2,6 +2,14 @@
 Shilov ideal search, and realization of the canonical surjection onto the
 envelope for category fixtures.
 
+The Shilov search is union-first. A sub-ideal of a boundary ideal is
+boundary, and the Shilov ideal contains every boundary ideal (Arveson 1969;
+Hamana 1979), so in exact arithmetic its mask is the union of the single
+blocks that are boundary. Each single block gets only the exact kernel
+pre-test; one numerical search then settles the union of those that pass.
+Only when it rejects the union does the search fall back to numerical
+searches of the singles and then their combinations, largest first.
+
 Boundary-ideal trials compare level-k norms block by block in the cover's
 coordinates (the norm of a block-diagonal element is its largest block norm);
 null spaces come from a thin SVD unless the matrix is wide.
@@ -17,13 +25,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .matrixrep import (AlgebraSpan, IsometryVerdict, NotSelfAdjoint, SpanBasis,
-                        TOL, _joint_rank, _rank, deviation_search, direct_sum,
-                        level_k_norms, matrix_rank, operator_norm)
+from .matrixrep import (AlgebraSpan, IsometryVerdict, NotSelfAdjoint,
+                        NumericalFailure, SpanBasis, TOL, _joint_rank, _rank,
+                        deviation_search, direct_sum, level_k_norms, matrix_rank,
+                        operator_norm)
 
 
 class NotACover(ValueError):
-    pass
+    """The generators do not generate the cover handed to the Shilov search."""
 
 
 @dataclass
@@ -149,7 +158,8 @@ def block_decompose(algebra: AlgebraSpan, seed=0) -> FinDimCStar:
         subdim = matrix_rank(sub)
         n = int(round(np.sqrt(subdim)))
         if n * n != subdim:
-            raise RuntimeError(f"central block of dimension {subdim} is not a full matrix algebra")
+            raise NumericalFailure(f"central block of dimension {subdim} is not a "
+                                   "full matrix algebra")
         csub = _commutant_basis(sub, q.shape[1])
         vecs2 = None
         for attempt in range(8):
@@ -159,19 +169,19 @@ def block_decompose(algebra: AlgebraSpan, seed=0) -> FinDimCStar:
                 vecs2 = eigclusters[0][1]
                 break
         if vecs2 is None:
-            raise RuntimeError("failed to cut a multiplicity copy of the block")
+            raise NumericalFailure("failed to cut a multiplicity copy of the block")
         q2, _ = np.linalg.qr(vecs2)
         w = q @ q2
         img = [w.conj().T @ b @ w for b in basis]
         if matrix_rank(img) != n * n:
-            raise RuntimeError("block compression is not irreducible")
+            raise NumericalFailure("block compression is not irreducible")
         sizes.append(n)
         isoms.append(w)
     order = sorted(range(len(sizes)), key=lambda k: (sizes[k], k))
     fd = FinDimCStar([sizes[k] for k in order], [isoms[k] for k in order], algebra)
     if fd.dim != algebra.dim:
-        raise RuntimeError(f"block dimensions {fd.block_sizes} miss the algebra "
-                           f"dimension {algebra.dim}")
+        raise NumericalFailure(f"block dimensions {fd.block_sizes} miss the algebra "
+                               f"dimension {algebra.dim}")
     _verify_iso(fd)
     return fd
 
@@ -197,9 +207,9 @@ def _verify_iso(fd: FinDimCStar, tol=1e-7):
         right = [ca @ cb for ca, cb in zip(fd.coords(a), fd.coords(b))]
         for l, r in zip(left, right):
             if not np.allclose(l, r, atol=tol):
-                raise RuntimeError("block coordinates are not multiplicative")
+                raise NumericalFailure("block coordinates are not multiplicative")
         if abs(fd.norm(a) - operator_norm(a)) > 1e-6 * max(1.0, operator_norm(a)):
-            raise RuntimeError("block coordinates do not preserve norms")
+            raise NumericalFailure("block coordinates do not preserve norms")
 
 
 # -- boundary ideals and the Shilov ideal ---------------------------------------
@@ -207,6 +217,11 @@ def _verify_iso(fd: FinDimCStar, tol=1e-7):
 
 @dataclass
 class ShilovResult:
+    """The Shilov mask, and `verdicts`: one entry per mask the search decided,
+    namely each single block the exact kernel pre-test rejects, the union of
+    the others, and, only when the union was rejected, the singles and
+    combinations the fallback searched."""
+
     mask: frozenset
     cover: FinDimCStar
     verdicts: dict
@@ -227,51 +242,57 @@ def is_boundary_ideal(a_basis, cover: FinDimCStar, mask, levels=None,
     Then `deviation_search` on `_blockwise_deviation`.
     """
     mask = frozenset(mask)
-    if len(mask) == len(cover.block_sizes):
-        nonzero = any(operator_norm(np.asarray(a)) > tol for a in a_basis)
-        return IsometryVerdict(not nonzero, 1.0 if nonzero else 0.0,
-                               0, 0, 0, tol, witness="full mask")
     kernel_witness = _span_kernel_element(a_basis, cover, mask)
     if kernel_witness is not None:
-        return IsometryVerdict(False, operator_norm(kernel_witness), 0, 0, 0,
-                               tol, witness=kernel_witness)
+        return _kernel_rejection(kernel_witness, tol)
     if levels is None:
         levels = max(cover.block_sizes)
     return deviation_search(_blockwise_deviation(a_basis, cover, mask), len(a_basis),
                             levels, samples=samples, tol=tol, seed=seed)
 
 
+def _kernel_rejection(witness, tol) -> IsometryVerdict:
+    return IsometryVerdict(False, operator_norm(witness), 0, 0, 0, tol,
+                           witness=witness)
+
+
 def _blockwise_deviation(a_basis, cover: FinDimCStar, mask):
-    """c ↦ |‖Σ c⊗q(a_b)‖ − ‖Σ c⊗a_b‖| for the quotient q by the masked blocks.
+    """cs ↦ |‖Σ c⊗q(a_b)‖ − ‖Σ c⊗a_b‖| for each c in the stack cs, q the
+    quotient by the masked blocks.
 
     The level-k norm of a block-diagonal element is the largest of its blocks'
     level-k norms, so each block's norm is computed once per c and serves both
     sides: ‖A‖ is the maximum over all blocks, ‖B‖ over the unmasked ones.
-    Blocks are zero-padded to the largest size, which keeps their norms, so
-    one batched SVD gives them all.
+    Blocks of one size are stacked and share one batched SVD; none is padded.
     """
-    n = max(cover.block_sizes)
-    blocks = np.zeros((len(cover.block_sizes), len(a_basis), n, n), dtype=complex)
-    for b, a in enumerate(a_basis):
-        for k, c in enumerate(cover.coords(a)):
-            blocks[k, b, :len(c), :len(c)] = c
-    kept = np.array([k not in mask for k in range(len(blocks))])
+    coords = [cover.coords(a) for a in a_basis]
+    sizes = cover.block_sizes
+    stacks, order = [], []
+    for n in sorted(set(sizes)):
+        ks = [k for k, m in enumerate(sizes) if m == n]
+        stacks.append(np.array([[c[k] for c in coords] for k in ks]))
+        order += ks
+    kept = np.array([k not in mask for k in order])
 
-    def deviation(c):
-        norms = level_k_norms(blocks, c)
-        return float(abs(norms[kept].max() - norms.max()))
+    def deviation(cs):
+        norms = np.concatenate([level_k_norms(st, cs) for st in stacks], axis=1)
+        return np.abs(norms[:, kept].max(axis=1, initial=0.0) - norms.max(axis=1))
 
     return deviation
 
 
 def _span_kernel_element(a_basis, cover: FinDimCStar, mask, tol=TOL):
-    """A nonzero element of span(a_basis) with zero coordinates off the mask."""
+    """A nonzero element of span(a_basis) with zero coordinates off the mask.
+
+    With every block masked there are no coordinates to vanish, and this is
+    the first nonzero generator."""
     a_basis = [np.asarray(a, dtype=complex) for a in a_basis]
     outside = [k for k in range(len(cover.block_sizes)) if k not in mask]
     rows = []
     for a in a_basis:
         coords = cover.coords(a)
-        rows.append(np.concatenate([coords[k].ravel() for k in outside]))
+        rows.append(np.concatenate([np.zeros(0, dtype=complex)]
+                                   + [coords[k].ravel() for k in outside]))
     # coefficient rows c with c·rows = 0
     for c in _null_space(np.array(rows).T, tol).T:
         el = sum(ci * a for ci, a in zip(c, a_basis))
@@ -282,30 +303,47 @@ def _span_kernel_element(a_basis, cover: FinDimCStar, mask, tol=TOL):
 
 def shilov_ideal(a_basis, cover: FinDimCStar, levels=None, samples=25,
                  tol=1e-9, seed=0) -> ShilovResult:
-    """Largest boundary ideal, by descending mask cardinality with rejection pruning."""
+    """Largest boundary ideal, union first.
+
+    The exact kernel pre-test runs on each single block, and one numerical
+    search on the union of the blocks that pass: if that certifies, the union
+    is the mask. The Shilov ideal contains every boundary ideal and each of
+    its sub-ideals is boundary, so it is the union of the boundary single
+    blocks, and blocks the pre-test rejects are not boundary. Only if the
+    union is rejected do the singles get numerical searches, then their
+    certified combinations, largest first; the first certified one is the mask.
+    """
     a_basis = [np.asarray(a, dtype=complex) for a in a_basis]
     generated = AlgebraSpan(a_basis, selfadjoint=True)
     if generated.dim != cover.dim:
         raise NotACover(f"A generates dimension {generated.dim}, cover has {cover.dim}")
-    nblocks = len(cover.block_sizes)
     verdicts = {}
-    rejected_singles = set()
-    for k in range(nblocks):
-        v = is_boundary_ideal(a_basis, cover, {k}, levels, samples, tol, seed)
-        verdicts[frozenset({k})] = v
-        if not v.certified:
-            rejected_singles.add(k)
-    candidates = [k for k in range(nblocks) if k not in rejected_singles]
+
+    def certified(mask):
+        if mask not in verdicts:
+            verdicts[mask] = is_boundary_ideal(a_basis, cover, mask, levels,
+                                               samples, tol, seed)
+        return verdicts[mask].certified
+
+    def result(mask):
+        return ShilovResult(mask, cover, verdicts, levels or max(cover.block_sizes))
+
+    passing = []
+    for k in range(len(cover.block_sizes)):
+        witness = _span_kernel_element(a_basis, cover, {k})
+        if witness is None:
+            passing.append(k)
+        else:
+            verdicts[frozenset({k})] = _kernel_rejection(witness, tol)
+    union = frozenset(passing)
+    if not union or certified(union):
+        return result(union)
+    candidates = [k for k in passing if certified(frozenset({k}))]
     for size in range(len(candidates), 0, -1):
-        for combo in itertools.combinations(candidates, size):
-            mask = frozenset(combo)
-            v = verdicts.get(mask)
-            if v is None:
-                v = is_boundary_ideal(a_basis, cover, mask, levels, samples, tol, seed)
-                verdicts[mask] = v
-            if v.certified:
-                return ShilovResult(mask, cover, verdicts, levels or max(cover.block_sizes))
-    return ShilovResult(frozenset(), cover, verdicts, levels or max(cover.block_sizes))
+        for combo in map(frozenset, itertools.combinations(candidates, size)):
+            if certified(combo):
+                return result(combo)
+    return result(frozenset())
 
 
 def detects_ideals(d_basis, cover: FinDimCStar) -> bool:

@@ -41,6 +41,12 @@ class NotSelfAdjoint(ValueError):
     pass
 
 
+class NumericalFailure(RuntimeError):
+    """A numerical construction that exact arithmetic would complete did not:
+    a closure that keeps growing, or a block decomposition that fails its own
+    checks. An internal failure, not a verdict on the input."""
+
+
 # -- linear algebra helpers ----------------------------------------------------
 
 
@@ -206,7 +212,7 @@ class AlgebraSpan:
             new = [m for a in new for m in self._span.extend(a @ gens)] \
                 + [m for a in new for m in self._span.extend(gens @ a)]
         if new:
-            raise RuntimeError("algebra closure did not stabilize")
+            raise NumericalFailure("algebra closure did not stabilize")
         self.basis = self._span.members
 
     @property
@@ -494,16 +500,19 @@ def norm_level_k(basis, coeffs) -> float:
     k1, k2, nb = coeffs.shape
     if nb != len(basis) or k1 != k2:
         raise DimensionMismatch(f"need (k, k, {len(basis)}) coefficients")
-    return float(level_k_norms(np.asarray(basis, dtype=complex)[None], coeffs)[0])
+    return float(level_k_norms(np.asarray(basis, dtype=complex)[None],
+                               coeffs[None])[0, 0])
 
 
 def level_k_norms(stacks, coeffs) -> np.ndarray:
-    """`norm_level_k` for each basis in stacks, shape (m, nb, n, n), in one
-    batched SVD."""
+    """`norm_level_k` for each of t coefficient arrays, coeffs of shape
+    (t, k, k, nb), and each basis in stacks, shape (m, nb, n, n): a (t, m)
+    array from one batched SVD. Each entry is bit for bit the norm of that
+    coefficient array and basis alone."""
     m, _, n, _ = stacks.shape
-    k = coeffs.shape[0]
-    big = np.einsum("ijb,mbxy->mixjy", coeffs, stacks).reshape(m, k * n, k * n)
-    return np.linalg.svd(big, compute_uv=False)[:, 0]
+    t, k = coeffs.shape[:2]
+    big = np.einsum("tijb,mbxy->tmixjy", coeffs, stacks).reshape(t, m, k * n, k * n)
+    return np.linalg.svd(big, compute_uv=False)[..., 0]
 
 
 @dataclass
@@ -530,11 +539,16 @@ def complete_isometry_check(pairs, levels=None, samples=40, restarts=3,
     if levels is None:
         levels = max(amats.shape[1], bmats.shape[1])
 
-    def deviation(c):
-        return abs(norm_level_k(bmats, c) - norm_level_k(amats, c))
+    def deviation(cs):
+        return np.abs(level_k_norms(bmats[None], cs)[:, 0]
+                      - level_k_norms(amats[None], cs)[:, 0])
 
     return deviation_search(deviation, len(pairs), levels, samples, restarts,
                             tol, seed)
+
+
+# the perturbation ascent: chains per level, steps per restart
+_CHAINS, _ASCENT_STEPS = 3, 20
 
 
 def deviation_search(deviation, nb, levels, samples=40, restarts=3, tol=1e-9,
@@ -545,59 +559,74 @@ def deviation_search(deviation, nb, levels, samples=40, restarts=3, tol=1e-9,
     Deterministic basis sweeps plus seeded random coefficients with local
     perturbation ascent on the deviation. Rejection (a deviation beyond tol) is
     sound; certification is an effort-stamped numerical certificate.
+
+    Batched contract: `deviation` maps a stack of t coefficient arrays, shape
+    (t, k, k, nb), to their t deviations, each equal bit for bit to the
+    deviation of that array alone. A level's initial trials are scored in one
+    call; its ascent chains run in lockstep, one call per step, on noise drawn
+    up front in the order the chains would draw it one after another. The
+    bookkeeping is then replayed in that order, so the verdict, the witness
+    and `samples` (the trials counted one at a time, up to the one that
+    decided a rejection) are those of scoring every trial by itself.
     """
     rng = np.random.default_rng(seed)
     worst, witness = 0.0, None
     tried = 0
     for k in range(1, levels + 1):
-        trials = []
-        for b in range(nb):  # single basis elements at the corner
-            c = np.zeros((k, k, nb), dtype=complex)
-            c[0, 0, b] = 1.0
-            trials.append(c)
-        c = np.zeros((k, k, nb), dtype=complex)
-        c[0, 0, :] = 1.0
-        trials.append(c)
-        for _ in range(samples):
-            trials.append(rng.standard_normal((k, k, nb))
-                          + 1j * rng.standard_normal((k, k, nb)))
-        scored = []
-        for c0 in trials:
+        trials = np.zeros((nb + 1 + samples, k, k, nb), dtype=complex)
+        trials[np.arange(nb), 0, 0, np.arange(nb)] = 1.0  # single basis elements
+        trials[nb, 0, 0, :] = 1.0  # and their sum, at the corner
+        noise = rng.standard_normal((samples, 2, k, k, nb))
+        trials[nb + 1:] = noise[:, 0] + 1j * noise[:, 1]
+        scores = deviation(trials).tolist()
+        for i, d0 in enumerate(scores):
             tried += 1
-            d0 = deviation(c0)
-            scored.append((d0, c0))
             if d0 > worst:
-                worst, witness = d0, (k, c0)
+                worst, witness = d0, (k, trials[i])
             if worst > tol:
                 return IsometryVerdict(False, worst, levels, tried, restarts,
                                        tol, witness)
         # local perturbation ascent from the most promising starting points only
-        scored.sort(key=lambda t: -t[0])
-        for d0, c0 in scored[:3]:
-            best_c, best_d = c0, d0
-            for _ in range(restarts):
-                step = 0.5
-                c_cur, d_cur = best_c, best_d
-                for _ in range(20):
-                    tried += 1
-                    cand = c_cur + step * (rng.standard_normal(c_cur.shape)
-                                           + 1j * rng.standard_normal(c_cur.shape))
-                    scale = np.linalg.norm(cand)
-                    if scale > 0:
-                        cand = cand / scale
-                    d_new = deviation(cand)
-                    if d_new > d_cur:
-                        c_cur, d_cur = cand, d_new
-                    else:
-                        step *= 0.7
-                if d_cur > best_d:
-                    best_c, best_d = c_cur, d_cur
+        starts = sorted(range(len(scores)), key=lambda i: -scores[i])[:_CHAINS]
+        chains = _ascend(deviation, [trials[i] for i in starts],
+                         [scores[i] for i in starts], restarts, rng)
+        for best_d, best_c in chains:
+            tried += restarts * _ASCENT_STEPS
             if best_d > worst:
                 worst, witness = best_d, (k, best_c)
             if worst > tol:
                 return IsometryVerdict(False, worst, levels, tried, restarts,
                                        tol, witness)
     return IsometryVerdict(True, worst, levels, tried, restarts, tol)
+
+
+def _ascend(deviation, starts, start_scores, restarts, rng):
+    """One perturbation-ascent chain from each start, run in lockstep.
+
+    A chain makes `restarts` runs of `_ASCENT_STEPS` steps, each run from its
+    best point so far; the step shrinks whenever a step fails to climb.
+    Returns (best deviation, best c) per chain."""
+    n = len(starts)
+    noise = rng.standard_normal((n, restarts * _ASCENT_STEPS, 2) + starts[0].shape)
+    noise = noise[:, :, 0] + 1j * noise[:, :, 1]
+    best = list(zip(start_scores, starts))
+    for r in range(restarts):
+        cur, step = list(best), [0.5] * n
+        for s in range(r * _ASCENT_STEPS, (r + 1) * _ASCENT_STEPS):
+            cands = []
+            for j in range(n):
+                cand = cur[j][1] + step[j] * noise[j, s]
+                scale = np.linalg.norm(cand)
+                if scale > 0:
+                    cand = cand / scale
+                cands.append(cand)
+            for j, d_new in enumerate(deviation(np.array(cands)).tolist()):
+                if d_new > cur[j][0]:
+                    cur[j] = (d_new, cands[j])
+                else:
+                    step[j] *= 0.7
+        best = [c if c[0] > b[0] else b for b, c in zip(best, cur)]
+    return best
 
 
 def expectation_units_checks(rep: GroupoidRep, rng_seed=0, trials=10, tol=1e-9):

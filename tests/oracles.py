@@ -2,8 +2,10 @@
 
 Each is the straightforward formula the library replaced: a fresh least-squares
 solve per question instead of a maintained basis or factorization, loops over
-labels instead of integer tables, closure rounds that visit every pair, and hull
-products formed from their pieces with no cache and no interning.
+labels instead of integer tables, closure rounds that visit every pair, hull
+products formed from their pieces with no cache and no interning, a Shilov
+search that runs the numerical search on every single block before any union,
+and a deviation search that scores one trial at a time.
 """
 
 import itertools
@@ -11,9 +13,11 @@ import itertools
 import numpy as np
 
 from catenv.coactions import GradedAlgebra, NoExtensionFound
+from catenv.envelope import NotACover, ShilovResult, is_boundary_ideal
 from catenv.gpd import GroupoidError
 from catenv.hull import HullClosure, InconsistentPieces, PiecewiseBijection
-from catenv.matrixrep import AlgebraSpan, SpanBasis, matrix_rank, operator_norm
+from catenv.matrixrep import (AlgebraSpan, IsometryVerdict, SpanBasis, matrix_rank,
+                              operator_norm)
 
 
 def in_span(m, basis, tol=1e-8) -> bool:
@@ -237,3 +241,94 @@ def hull_product_by_definition(hull, s, t):
                    for a2, b2 in kept):
             kept.append((a, b))
     return PiecewiseBijection(tuple(kept))
+
+
+def shilov_ideal_by_singles(a_basis, cover, levels=None, samples=25, tol=1e-9,
+                            seed=0):
+    """The Shilov search with a numerical search on every single block first,
+    then on the combinations of the certified singles, largest first."""
+    a_basis = [np.asarray(a, dtype=complex) for a in a_basis]
+    generated = AlgebraSpan(a_basis, selfadjoint=True)
+    if generated.dim != cover.dim:
+        raise NotACover(f"A generates dimension {generated.dim}, cover has {cover.dim}")
+    nblocks = len(cover.block_sizes)
+    verdicts = {}
+    rejected_singles = set()
+    for k in range(nblocks):
+        v = is_boundary_ideal(a_basis, cover, {k}, levels, samples, tol, seed)
+        verdicts[frozenset({k})] = v
+        if not v.certified:
+            rejected_singles.add(k)
+    candidates = [k for k in range(nblocks) if k not in rejected_singles]
+    for size in range(len(candidates), 0, -1):
+        for combo in itertools.combinations(candidates, size):
+            mask = frozenset(combo)
+            v = verdicts.get(mask)
+            if v is None:
+                v = is_boundary_ideal(a_basis, cover, mask, levels, samples, tol, seed)
+                verdicts[mask] = v
+            if v.certified:
+                return ShilovResult(mask, cover, verdicts, levels or max(cover.block_sizes))
+    return ShilovResult(frozenset(), cover, verdicts, levels or max(cover.block_sizes))
+
+
+def deviation_search_by_trial(deviation, nb, levels, samples=40, restarts=3,
+                              tol=1e-9, seed=0):
+    """`deviation_search` scoring one coefficient array per call, with the
+    ascent chains run one after another."""
+    rng = np.random.default_rng(seed)
+    worst, witness = 0.0, None
+    tried = 0
+
+    def score(c):
+        return float(deviation(c[None])[0])
+
+    for k in range(1, levels + 1):
+        trials = []
+        for b in range(nb):  # single basis elements at the corner
+            c = np.zeros((k, k, nb), dtype=complex)
+            c[0, 0, b] = 1.0
+            trials.append(c)
+        c = np.zeros((k, k, nb), dtype=complex)
+        c[0, 0, :] = 1.0
+        trials.append(c)
+        for _ in range(samples):
+            trials.append(rng.standard_normal((k, k, nb))
+                          + 1j * rng.standard_normal((k, k, nb)))
+        scored = []
+        for c0 in trials:
+            tried += 1
+            d0 = score(c0)
+            scored.append((d0, c0))
+            if d0 > worst:
+                worst, witness = d0, (k, c0)
+            if worst > tol:
+                return IsometryVerdict(False, worst, levels, tried, restarts,
+                                       tol, witness)
+        # local perturbation ascent from the most promising starting points only
+        scored.sort(key=lambda t: -t[0])
+        for d0, c0 in scored[:3]:
+            best_c, best_d = c0, d0
+            for _ in range(restarts):
+                step = 0.5
+                c_cur, d_cur = best_c, best_d
+                for _ in range(20):
+                    tried += 1
+                    cand = c_cur + step * (rng.standard_normal(c_cur.shape)
+                                           + 1j * rng.standard_normal(c_cur.shape))
+                    scale = np.linalg.norm(cand)
+                    if scale > 0:
+                        cand = cand / scale
+                    d_new = score(cand)
+                    if d_new > d_cur:
+                        c_cur, d_cur = cand, d_new
+                    else:
+                        step *= 0.7
+                if d_cur > best_d:
+                    best_c, best_d = c_cur, d_cur
+            if best_d > worst:
+                worst, witness = best_d, (k, best_c)
+            if worst > tol:
+                return IsometryVerdict(False, worst, levels, tried, restarts,
+                                       tol, witness)
+    return IsometryVerdict(True, worst, levels, tried, restarts, tol)

@@ -125,3 +125,37 @@ def test_thesis_carries_the_lcm_entries(tmp_path, capsys):
 def test_free2_thesis_is_bounded(capsys):
     code, out, _ = run(capsys, "thesis", fx("free2.cat"), "--depth", "3")
     assert code == 3
+
+
+def assert_internal_error(capsys, message, *argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 4 and out == ""
+    assert err.startswith("internal error: ") and message in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_unstable_closure_exits_four(monkeypatch, capsys):
+    import catenv.matrixrep
+    monkeypatch.setattr(catenv.matrixrep, "_CLOSURE_ROUNDS", 0)
+    assert_internal_error(capsys, "closure did not stabilize", "coaction", fx("t2.grad"))
+
+
+def test_failed_block_decomposition_exits_four(monkeypatch, capsys):
+    import catenv.envelope
+    monkeypatch.setattr(catenv.envelope, "matrix_rank", lambda ms: 3)
+    assert_internal_error(capsys, "not a full matrix algebra", "thesis", fx("edge.cat"))
+
+
+def test_failed_block_isomorphism_check_exits_four(monkeypatch, capsys):
+    import catenv.envelope
+    monkeypatch.setattr(catenv.envelope.FinDimCStar, "norm", lambda self, m: 0.0)
+    assert_internal_error(capsys, "do not preserve norms", "envelope", fx("two.cat"))
+
+
+def test_generators_outside_the_cover_exit_four(monkeypatch, capsys):
+    import types
+
+    import catenv.envelope
+    monkeypatch.setattr(catenv.envelope, "AlgebraSpan",
+                        lambda gens, selfadjoint: types.SimpleNamespace(dim=0))
+    assert_internal_error(capsys, "generates dimension 0", "thesis", fx("edge.cat"))
