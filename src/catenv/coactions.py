@@ -2,14 +2,17 @@
 
 The group algebra is represented on ℓ²(G) via the left regular representation
 (full = reduced for finite groups), so a coaction is the same thing as a grading
-and every identity below is a concrete matrix identity. The duality data (U, S,
-V = I⊗US) and the double crossed product follow the explicit unitary picture.
-δ is one linear map: its images a⊗λ_g on the graded basis are stored once, in
-closed form, and any other element goes through its span-engine coordinates.
-`verify_coaction_axioms` is the one axiom checker, for graded and planted maps
-alike. A double crossed product keeps one span basis over δ_λ(aᵢ)⊗E_pq, from
-which every δ̃ takes its coefficients. A coaction builds each of its crossed
-products once, for every check that reads it.
+and every identity below is a concrete matrix identity. δ is one linear map:
+its images a⊗λ_g on the graded basis are stored once, in closed form, and any
+other element goes through its span-engine coordinates. `verify_coaction_axioms`
+is the one axiom checker, for graded and planted maps alike. Every unitary of
+the crossed products and of duality (λ, ρ, U, V = I⊗US, k_G) permutes basis
+vectors and each k_{c₀}(δ_f), I⊗M_f is a 0/1 diagonal, built from the group
+table as index arrays and masks: Ad(P) is a gather, with the entries of the
+dense product. The double crossed product builds its generators once, and its
+checks on matrices of side d·n³ take them n at a time; the dense formulas are
+the test oracles. One span basis over δ_λ(aᵢ)⊗E_pq gives every δ̃ its
+coefficients. A coaction builds each of its crossed products once.
 """
 
 from __future__ import annotations
@@ -33,7 +36,10 @@ class NoExtensionFound(RuntimeError):
 
 
 class FiniteGroup:
-    """A finite group with its left and right regular matrices on ℓ²(G)."""
+    """A finite group with its left and right regular matrices on ℓ²(G), and
+    its table on positions: `mul_index[i, j]` is that of gᵢgⱼ, `inv_index[i]`
+    that of gᵢ⁻¹, and row r of λ_{gᵢ} (ρ_{gᵢ}) has its 1 in column
+    `lam_perms[i, r]` (`rho_perms[i, r]`)."""
 
     def __init__(self, elements, mul_table, identity):
         self.elements = list(elements)
@@ -42,17 +48,14 @@ class FiniteGroup:
         self.identity = identity
         # the groupoid axioms on one unit; a GroupoidError is a ValueError
         self.inverse = group_as_groupoid(self.elements, self.table, identity).inverse
-        n = len(self.elements)
-        self._lam = {}
-        self._rho = {}
-        for g in self.elements:
-            L = np.zeros((n, n), dtype=complex)
-            R = np.zeros((n, n), dtype=complex)
-            for h in self.elements:
-                L[self.index[self.mul(g, h)], self.index[h]] = 1.0
-                R[self.index[self.mul(h, self.inverse[g])], self.index[h]] = 1.0
-            self._lam[g] = L
-            self._rho[g] = R
+        self.mul_index = np.array([[self.index[self.mul(g, h)] for h in self.elements]
+                                   for g in self.elements])
+        self.inv_index = np.array([self.index[self.inverse[g]] for g in self.elements])
+        self.lam_perms = self.mul_index[self.inv_index]  # λ_g e_h = e_{gh}
+        self.rho_perms = self.mul_index.T.copy()  # ρ_g e_h = e_{hg⁻¹}
+        eye = np.eye(len(self.elements), dtype=complex)
+        self._lam = {g: eye[p] for g, p in zip(self.elements, self.lam_perms)}
+        self._rho = {g: eye[p] for g, p in zip(self.elements, self.rho_perms)}
 
     @classmethod
     def cyclic(cls, n):
@@ -73,31 +76,8 @@ class FiniteGroup:
         """Right regular representation: ρ_g e_h = e_{hg⁻¹} (a homomorphism)."""
         return self._rho[g]
 
-    def point_mass(self, g) -> np.ndarray:
-        n = len(self.elements)
-        out = np.zeros((n, n), dtype=complex)
-        out[self.index[g], self.index[g]] = 1.0
-        return out
-
     def __len__(self):
         return len(self.elements)
-
-    def commutation_check(self) -> bool:
-        return all(np.allclose(self.lam(g) @ self.rho(h), self.rho(h) @ self.lam(g))
-                   for g in self.elements for h in self.elements)
-
-    def fell_absorption_check(self) -> bool:
-        """λ_g ↦ λ_g⊗λ_g is multiplicative with independent images."""
-        images = []
-        for g in self.elements:
-            images.append(np.kron(self.lam(g), self.lam(g)))
-        for g in self.elements:
-            for h in self.elements:
-                lhs = np.kron(self.lam(g), self.lam(g)) @ np.kron(self.lam(h), self.lam(h))
-                rhs = np.kron(self.lam(self.mul(g, h)), self.lam(self.mul(g, h)))
-                if not np.allclose(lhs, rhs):
-                    return False
-        return matrix_rank(images) == len(self.elements)
 
 
 class GradedAlgebra:
@@ -168,20 +148,9 @@ class Coaction:
 
     def fourier(self, m, g) -> np.ndarray:
         """𝔼_g(m): the degree-g component read back from δ(m) by trace contraction."""
-        n = len(self.group)
-        dm = self.delta(m)
-        d = self.graded.ambient_dim
-        dm4 = dm.reshape(d, n, d, n)
-        lam_g = self.group.lam(g)
-        comp = np.einsum("ipjq,pq->ij", dm4, lam_g.conj()) / n
-        return comp
-
-    def spectral_subspace_dims_from_reduction(self) -> dict:
-        """Solve {a : δ_λ(a) = a⊗λ_g} inside the algebra span, per g."""
-        span = self.graded.basis
-        return {g: len(span) - matrix_rank([da - np.kron(a, self.group.lam(g))
-                                            for a, da in zip(span, self.images)])
-                for g in self.group.elements}
+        n, d = len(self.group), self.graded.ambient_dim
+        dm4 = self.delta(m).reshape(d, n, d, n)
+        return np.einsum("ipjq,pq->ij", dm4, self.group.lam(g).conj()) / n
 
     def normality_verdict(self, levels=None, samples=25, seed=0):
         pairs = list(zip(self.graded.basis, self.images))
@@ -271,129 +240,153 @@ def coaction_from_grading(graded: GradedAlgebra) -> Coaction:
 # -- crossed products and duality -------------------------------------------------
 
 
+def _conjugate(xs, perm):
+    """Ad(P) on the last two axes of xs, P the permutation unitary whose row r
+    has its 1 in column perm[r]: a gather, with the entries of P x P*."""
+    flat = (perm[:, None] * len(perm) + perm).ravel()
+    return np.take(xs.reshape(xs.shape[:-2] + (-1,)), flat, axis=-1).reshape(xs.shape)
+
+
+def _kron(xs, ys):
+    """np.kron on the last two axes of two broadcasting stacks."""
+    (a, b), (c, d) = xs.shape[-2:], ys.shape[-2:]
+    out = xs[..., :, None, :, None] * ys[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (a * c, b * d))
+
+
+def _lifted(perm, outer):
+    """The index array of I_outer ⊗ P for P given by perm."""
+    return (np.arange(outer)[:, None] * len(perm) + perm).ravel()
+
+
+def _stacks(xs, size):
+    return [xs[i:i + size] for i in range(0, len(xs), size)]
+
+
+_MIDDLE = "kac,zkbd,kef->zabecdf"  # Σ_k δ_λ(a_k)⊗C_k⊗λ_{deg a_k} over a stack of C
+
+
 class CrossedProduct:
-    """A ⋊_δ G on H⊗ℓ²(G), generated by δ_λ(a)·(I⊗M_f)."""
+    """A ⋊_δ G on H⊗ℓ²(G), generated by δ_λ(a)·(I⊗M_f).
 
-    def __init__(self, delta: Coaction):
-        self.delta = delta
-        self.group = delta.group
-        self.h_dim = delta.graded.ambient_dim
-        eye = np.eye(self.h_dim)
-        self.generators = []
-        self.generator_tags = []
-        for da, g in zip(delta.images, delta.graded.degrees):
-            for f in self.group.elements:
-                mat = da @ np.kron(eye, self.group.point_mass(f))
-                self.generators.append(mat)
-                self.generator_tags.append((da, g, f))
-        self.span = AlgebraSpan(self.generators, selfadjoint=False)
-
-    def dual_action(self, g, x) -> np.ndarray:
-        """δ̂_g = Ad(I⊗ρ_g)."""
-        u = np.kron(np.eye(self.h_dim), self.group.rho(g))
-        return u @ x @ u.conj().T
-
-    def dual_action_formula_check(self) -> bool:
-        """δ̂_g(δ_λ(a) j(f)) = δ_λ(a) j(σ_g f) with σ_g(f)(h) = f(hg)."""
-        eye = np.eye(self.h_dim)
-        for (da, dg, f), mat in zip(self.generator_tags, self.generators):
-            for g in self.group.elements:
-                shifted = self.group.point_mass(self.group.mul(f, self.group.inv(g)))
-                rhs = da @ np.kron(eye, shifted)
-                if not np.allclose(self.dual_action(g, mat), rhs, atol=1e-9):
-                    return False
-        return True
-
-    def dual_action_group_law_check(self) -> bool:
-        for g in self.group.elements:
-            for h in self.group.elements:
-                gh = self.group.mul(g, h)
-                for mat in self.generators:
-                    if not np.allclose(self.dual_action(g, self.dual_action(h, mat)),
-                                       self.dual_action(gh, mat), atol=1e-9):
-                        return False
-        return True
-
-
-@dataclass
-class KatayamaData:
-    U: np.ndarray
-    S: np.ndarray
-    V: np.ndarray  # I_H ⊗ U S
-
-
-class DoubleCrossedProduct:
-    """A ⋊_δ G ⋊^r G on H⊗ℓ²(G)⊗ℓ²(G) with the duality unitaries."""
+    `generators[k·n + f]` is δ_λ(a_k) with the columns off the ℓ²(G) leg f
+    cleared, which is its product with the diagonal I⊗M_f. The dual action
+    δ̂_g = Ad(I⊗ρ_g) is a gather by `rho_perms[g]`.
+    """
 
     def __init__(self, delta: Coaction):
         self.delta = delta
         self.group = delta.group
         self.h_dim = delta.graded.ambient_dim
         n = len(self.group)
-        self.n = n
-        U = np.zeros((n * n, n * n), dtype=complex)
-        S = np.zeros((n * n, n * n), dtype=complex)
-        idx = self.group.index
-        for g in self.group.elements:
-            for h in self.group.elements:
-                U[idx[g] * n + idx[self.group.mul(g, h)], idx[g] * n + idx[h]] = 1.0
-                S[idx[g] * n + idx[self.group.inv(h)], idx[g] * n + idx[h]] = 1.0
-        V = np.kron(np.eye(self.h_dim), U @ S)
-        self.data = KatayamaData(U, S, V)
+        leg = np.tile(np.arange(n), self.h_dim)
+        masks = leg == np.arange(n)[:, None]
+        self.generators = (np.array(delta.images)[:, None] * masks[:, None, :]) \
+            .reshape(-1, len(leg), len(leg))
+        self.rho_perms = np.array([_lifted(p, self.h_dim) for p in self.group.rho_perms])
+        self.span = AlgebraSpan(self.generators, selfadjoint=False)
+
+    def dual_action(self, g, x) -> np.ndarray:
+        """δ̂_g = Ad(I⊗ρ_g), on x or a stack of x."""
+        return _conjugate(x, self.rho_perms[self.group.index[g]])
+
+    def dual_action_formula_check(self) -> bool:
+        """δ̂_g(δ_λ(a) j(f)) = δ_λ(a) j(σ_g f) with σ_g(f)(h) = f(hg)."""
+        G, gens = self.group, self.generators
+        k, f = np.divmod(np.arange(len(gens)), len(G))
+        return all(np.allclose(_conjugate(gens, perm),
+                               gens[k * len(G) + G.mul_index[f, G.inv_index[g]]], atol=1e-9)
+                   for g, perm in enumerate(self.rho_perms))
+
+    def dual_action_group_law_check(self) -> bool:
+        moved = [_conjugate(self.generators, perm) for perm in self.rho_perms]
+        return all(np.allclose(_conjugate(moved[h], self.rho_perms[g]),
+                               moved[self.group.mul_index[g, h]], atol=1e-9)
+                   for g, h in np.ndindex(self.group.mul_index.shape))
+
+
+class DoubleCrossedProduct:
+    """A ⋊_δ G ⋊^r G on H⊗ℓ²(G)⊗ℓ²(G) with the duality unitaries.
+
+    A unitary is the index array whose entry r is the column of row r's 1:
+    `u_perm` for U e_p⊗e_q = e_p⊗e_{pq}, `v_perm` for V = I⊗US, `g_perms[g]`
+    for k_G(g) = I⊗I⊗λ_g and `big_u_perm` for I⊗I⊗U, the U on the legs a
+    double dual adds; k_{c₀}(δ_f) is the diagonal `c0_masks[f]`, (p, q) ↦
+    [p = f·q]. Checks on matrices of side d·n³ take n generators at a time.
+    """
+
+    def __init__(self, delta: Coaction):
+        self.delta = delta
+        self.group = G = delta.group
+        self.h_dim = d = delta.graded.ambient_dim
+        self.n = n = len(G)
+        mul, inv = G.mul_index, G.inv_index
+        p, q = np.divmod(np.arange(n * n), n)
+        self.u_perm = p * n + mul[inv[p], q]
+        self.v_perm = _lifted(p * n + mul[inv[q], p], d)  # US e_p⊗e_q = e_p⊗e_{pq⁻¹}
+        self.c0_masks = np.tile(mul[p, inv[q]], d) == np.arange(n)[:, None]
+        self.g_perms = np.array([_lifted(perm, d * n) for perm in G.lam_perms])
+        self.images = np.array(delta.images)  # δ_λ(a_k)
+        self.degree_lams = np.array([G.lam(g) for g in delta.graded.degrees])
+
+    @property
+    def big_u_perm(self):
+        return _lifted(self.u_perm, self.h_dim * self.n)
+
+    @cached_property
+    def generators(self) -> np.ndarray:
+        """k_A(a_k) k_{c₀}(δ_f) k_G(g) at position (k·n + f)·n + g, with
+        k_A(a) = δ_λ(a)⊗I; each run of n shares (a_k, f)."""
+        k_a_c0 = _kron(self.images, np.eye(self.n))[:, None] * self.c0_masks[:, None, :]
+        # column c of X·k_G(g) is column perm⁻¹(c) of X
+        rows, cols = np.arange(len(self.v_perm))[:, None], np.argsort(self.g_perms, axis=1)
+        return k_a_c0[:, :, rows, cols[:, None, :]].reshape((-1,) + k_a_c0.shape[2:])
 
     @cached_property
     def kron_basis(self):
         """(span, accepted): a span basis of δ_λ(A)⊗𝕂 grown from the
         B_kr = δ_λ(a_k)⊗E_r, a_k running over the graded basis and E_r over the
-        n² matrix units E_pq of G×G, and the positions k·n² + r of the B_kr
-        it accepted."""
+        n² matrix units E_pq of G×G, one batch per a_k, and the positions
+        k·n² + r of the B_kr it accepted."""
         units = np.eye(self.n * self.n).reshape(-1, self.n, self.n)
         span, accepted = SpanBasis(), []
-        for k, da in enumerate(self.delta.images):
-            for r, e_pq in enumerate(units):
-                if span.add(np.kron(da, e_pq)):
-                    accepted.append(k * len(units) + r)
+        for k, da in enumerate(self.images):
+            accepted += [k * len(units) + r for r in span.accept(_kron(da, units))]
         return span, np.array(accepted, dtype=np.intp)
 
-    def k_c0(self, f_point) -> np.ndarray:
-        """k_{c₀(G)}(δ_k): diagonal (p, q) ↦ [p = k·q] on the two group legs."""
-        n = self.n
-        idx = self.group.index
-        diag = np.zeros((n * n, n * n), dtype=complex)
-        for p in self.group.elements:
-            for q in self.group.elements:
-                if self.group.mul(p, self.group.inv(q)) == f_point:
-                    diag[idx[p] * n + idx[q], idx[p] * n + idx[q]] = 1.0
-        return np.kron(np.eye(self.h_dim), diag)
-
-    def k_G(self, g) -> np.ndarray:
-        return np.kron(np.eye(self.h_dim * self.n), self.group.lam(g))
-
-    def generators(self):
-        """((a, deg a, f, g), k_A(a) k_{c₀}(δ_f) k_G(g)) over the graded basis
-        and G×G, with k_A(a) = δ_λ(a)⊗I."""
-        out = []
-        graded, eye = self.delta.graded, np.eye(self.n)
-        for a, da, dg in zip(graded.basis, self.delta.images, graded.degrees):
-            for f in self.group.elements:
-                for g in self.group.elements:
-                    out.append(((a, dg, f, g),
-                                np.kron(da, eye) @ self.k_c0(f) @ self.k_G(g)))
-        return out
-
-    def double_dual(self, x) -> np.ndarray:
-        """δ̂̂(x) = (I⊗I⊗U)(x ⊗ I)(I⊗I⊗U)*, the U acting on the last two legs."""
-        n = self.n
-        big_u = np.kron(np.eye(self.h_dim * n), self.data.U)
-        return big_u @ np.kron(x, np.eye(n)) @ big_u.conj().T
+    def double_dual(self, xs) -> np.ndarray:
+        """δ̂̂(x) = (I⊗I⊗U)(x ⊗ I)(I⊗I⊗U)*, on a stack of x."""
+        return _conjugate(_kron(xs, np.eye(self.n)), self.big_u_perm)
 
     def double_dual_formula_check(self) -> bool:
         """δ̂̂(k_A k_{c₀} k_G(g)) = (same) ⊗ λ_g."""
-        for (a, dg, f, g), mat in self.generators():
-            rhs = np.kron(mat, self.group.lam(g))
-            if not np.allclose(self.double_dual(mat), rhs, atol=1e-9):
-                return False
-        return True
+        lams = np.array([self.group.lam(g) for g in self.group.elements])
+        return all(np.allclose(self.double_dual(xs), _kron(xs, lams), atol=1e-9)
+                   for xs in _stacks(self.generators, self.n))
+
+    def tilde_coefficients(self, ys):
+        """(inside, C): whether each y of the stack lies in δ_λ(A)⊗𝕂, and the
+        n×n blocks C[j, k] with ys[j] = Σ_k δ_λ(a_k)⊗C[j, k], a_k graded."""
+        span, accepted = self.kron_basis
+        inside, coef = span.solve(ys)
+        blocks = np.zeros((len(ys), len(self.images) * self.n ** 2), dtype=complex)
+        blocks[:, accepted] = coef
+        return inside, blocks.reshape(len(ys), -1, self.n, self.n)
+
+    @cached_property
+    def _middle_path(self):
+        blocks = np.zeros((self.n, len(self.images), self.n, self.n), dtype=complex)
+        return np.einsum_path(_MIDDLE, self.images, blocks, self.degree_lams,
+                              optimize="optimal")[0]
+
+    def tilde_delta(self, blocks) -> np.ndarray:
+        """δ̃(δ_λ(a)⊗K) = (I⊗I⊗U)*(δ_λ(a)⊗K⊗λ_g)(I⊗I⊗U), extended linearly,
+        on the stack with blocks C from `tilde_coefficients`."""
+        middle = np.einsum(_MIDDLE, self.images, blocks, self.degree_lams,
+                           optimize=self._middle_path)
+        side = len(self.big_u_perm)
+        return _conjugate(middle.reshape(len(blocks), side, side),
+                          np.argsort(self.big_u_perm))
 
 
 @dataclass
@@ -413,64 +406,42 @@ class KatayamaReport:
 
 
 def katayama_verify(delta: Coaction, tol=1e-12) -> KatayamaReport:
+    """Katayama duality through Ad(V): the three conjugation identities, the span
+    equality Ad(V)(A ⋊ G ⋊ G) = δ_λ(A)⊗𝕂, (Ψ⊗id)∘δ̂̂ = δ̃∘Ψ on generators and the
+    invariance of δ_λ(A)⊗P_e under δ̃. An image outside δ_λ(A)⊗𝕂 fails the
+    check that takes δ̃ of it. The large arrays go n generators at a time."""
     dcp = delta.double_crossed_product
-    G = delta.group
-    n = len(G)
-    V = dcp.data.V
-
-    def ad_v(x):
-        return V @ x @ V.conj().T
-
-    ok_i = all(np.allclose(ad_v(np.kron(da, np.eye(n))), np.kron(da, G.lam(g)), atol=tol)
-               for da, g in zip(delta.images, delta.graded.degrees))
-    ok_ii = all(np.allclose(ad_v(dcp.k_c0(f)),
-                            np.kron(np.eye(dcp.h_dim * n), G.point_mass(f)), atol=tol)
-                for f in G.elements)
-    ok_iii = all(np.allclose(ad_v(dcp.k_G(g)),
-                             np.kron(np.eye(dcp.h_dim * n), G.rho(g)), atol=tol)
-                 for g in G.elements)
+    G, n, v = delta.group, dcp.n, dcp.v_perm
+    das, lams = dcp.images, dcp.degree_lams
+    ok_i = np.allclose(_conjugate(_kron(das, np.eye(n)), v), _kron(das, lams), atol=tol)
+    # Ad(V) of a 0/1 diagonal or a permutation is again one: compare them exactly
+    last_leg = np.tile(np.arange(n), dcp.h_dim * n)
+    ok_ii = np.array_equal(dcp.c0_masks[:, v], last_leg == np.arange(n)[:, None])
+    rho = np.array([_lifted(perm, dcp.h_dim * n) for perm in G.rho_perms])
+    ok_iii = np.array_equal(np.argsort(v)[dcp.g_perms[:, v]], rho)
 
     # span equality Ad(V)(double crossed product) = δ_λ(A) ⊗ 𝕂
-    generators = [m for _, m in dcp.generators()]
-    images = [ad_v(m) for m in generators]
+    images = _conjugate(dcp.generators, v)
     target = dcp.kron_basis[0].members
     ri, rt = matrix_rank(images), matrix_rank(target)
-    rj = matrix_rank(images + target)
+    rj = matrix_rank([*images, *target])
     span_ok = ri == rt == rj
-    image_dim = ri
 
     # conjugation: (Ψ⊗id)∘δ̂̂ = δ̃∘Ψ on generators, with δ̃ the explicit formula
-    v_n = np.kron(V, np.eye(n))
-    conj_ok = all(np.allclose(v_n @ dcp.double_dual(mat) @ v_n.conj().T,
-                              _tilde_delta(dcp, image, delta), atol=tol)
-                  for mat, image in zip(generators, images))
+    v_n = (v[:, None] * n + np.arange(n)).ravel()  # V⊗I
+    inside, blocks = dcp.tilde_coefficients(images)
+    conj_ok = bool(inside.all()) and all(
+        np.allclose(_conjugate(dcp.double_dual(xs), v_n), dcp.tilde_delta(cs), atol=tol)
+        for xs, cs in zip(_stacks(dcp.generators, n), _stacks(blocks, n)))
 
     # invariance of δ_λ(A)⊗P_e under δ̃
-    pe = G.point_mass(G.identity)
-    ys = [(np.kron(da, pe), g) for da, g in zip(delta.images, delta.graded.degrees)]
-    pe_ok = all(np.allclose(_tilde_delta(dcp, y, delta), np.kron(y, G.lam(g)), atol=tol)
-                for y, g in ys)
+    ys = _kron(das, np.diag(np.arange(n) == G.index[G.identity]))
+    inside, blocks = dcp.tilde_coefficients(ys)
+    pe_ok = bool(inside.all()) and all(
+        np.allclose(dcp.tilde_delta(cs), _kron(y, lg), atol=tol)
+        for y, cs, lg in zip(_stacks(ys, n), _stacks(blocks, n), _stacks(lams, n)))
 
-    return KatayamaReport(ok_i, ok_ii, ok_iii, span_ok, image_dim, conj_ok, pe_ok)
-
-
-def _tilde_delta(dcp: DoubleCrossedProduct, y, delta: Coaction):
-    """δ̃(δ_λ(a)⊗K) = (I⊗I⊗U)*(δ_λ(a)⊗K⊗λ_g)(I⊗I⊗U), extended linearly.
-
-    Takes y's coordinates in the span basis δ_λ(a_k)⊗E_pq with a_k graded
-    (ValueError if y is outside δ_λ(A)⊗𝕂) as one n×n block C_k per a_k, so that
-    y = Σ_k δ_λ(a_k)⊗C_k; the middle term is Σ_k δ_λ(a_k)⊗C_k⊗λ_{deg a_k}.
-    """
-    G = delta.group
-    n = len(G)
-    span, accepted = dcp.kron_basis
-    coef = np.zeros(len(delta.images) * n * n, dtype=complex)
-    coef[accepted] = span.coordinates(y)
-    middle = sum(np.kron(np.kron(da, c), G.lam(g))
-                 for da, c, g in zip(delta.images, coef.reshape(-1, n, n),
-                                     delta.graded.degrees))
-    big_u = np.kron(np.eye(dcp.h_dim * n), dcp.data.U)
-    return big_u.conj().T @ middle @ big_u
+    return KatayamaReport(ok_i, ok_ii, ok_iii, span_ok, ri, conj_ok, pe_ok)
 
 
 # -- extension of the coaction to a computed envelope -----------------------------
@@ -539,10 +510,8 @@ def approx_identity_checks(delta: Coaction) -> dict:
     out["fourier_unit_is_unit"] = all(
         np.allclose(ee @ b, b, atol=1e-9) and np.allclose(b @ ee, b, atol=1e-9)
         for b in delta.graded.basis)
-    cp = delta.crossed_product
-    chi_g = sum(delta.group.point_mass(f) for f in delta.group.elements)
-    cai = delta.delta(unit) @ np.kron(np.eye(delta.graded.ambient_dim), chi_g)
-    out["crossed_product_identity"] = all(
-        np.allclose(cai @ m, m, atol=1e-9) and np.allclose(m @ cai, m, atol=1e-9)
-        for m in cp.generators)
+    gens = delta.crossed_product.generators
+    cai = delta.delta(unit)  # j(χ_G) = I
+    out["crossed_product_identity"] = bool(
+        np.allclose(cai @ gens, gens, atol=1e-9) and np.allclose(gens @ cai, gens, atol=1e-9))
     return out

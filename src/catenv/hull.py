@@ -10,6 +10,7 @@ identities and generators (word length at most 1) and their inverses.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .categories import CategoryPresentation, Morphism
 
@@ -102,6 +103,11 @@ class InverseHull:
             n = self._number[id(u if u is not None else self._add(s))]
         return n
 
+    @cached_property
+    def _ball(self) -> list[Morphism]:
+        """Every morphism of a finite presentation, enumerated once."""
+        return self.p.ball(None)
+
     # -- constructors ---------------------------------------------------
 
     def from_morphism(self, c: Morphism) -> PiecewiseBijection:
@@ -122,7 +128,7 @@ class InverseHull:
         if self.p.trivial_units_only:
             return b, self.p.identity(b.dom)
         best, bx = b, self.p.identity(b.dom)
-        for m in self.p.ball(None):
+        for m in self._ball:
             if self.p.in_ideal(b, m) and self.p.in_ideal(m, b):
                 if self.p.sort_key(m) < self.p.sort_key(best):
                     best, bx = m, self.p.divide_left(b, m)
@@ -291,7 +297,7 @@ class InverseHull:
             if a == b:
                 parts.append(b)
             elif self.p.is_finite:
-                fixed = [x for x in self.p.ball(None)
+                fixed = [x for x in self._ball
                          if (t := self.p.divide_left(b, x)) is not None
                          and self.p.compose(a, t) == x]
                 parts.extend(self._ideal_parts(fixed))
@@ -315,7 +321,7 @@ class InverseHull:
         if not self.p.is_finite:
             return HausdorffVerdict("bounded", witness=s)
         fixed = set(s.fixed_points())
-        ground = self.p.ball(None)
+        ground = self._ball
         covered = set()
         for t in h.elements:
             if not isinstance(t, PiecewiseBijection):

@@ -160,6 +160,11 @@ class SpanBasis:
     def extend(self, ms) -> list:
         """Accept, in order, each of ms outside the span of the members and of
         the ms accepted before it; return the accepted ones."""
+        accepted = self.accept(ms)
+        return self.members[len(self.members) - len(accepted):]
+
+    def accept(self, ms) -> list:
+        """`extend`, returning the positions in ms of the accepted ones."""
         ms = np.asarray(ms, dtype=complex)
         if not len(ms):
             return []
@@ -172,19 +177,29 @@ class SpanBasis:
             r = self._residuals(res[i:i + 1], start)  # against this call's acceptances
             if not self._inside(rows[i:i + 1], r)[0]:
                 self._q = np.vstack([self._q, r / np.linalg.norm(r)])
-                accepted.append(ms[i].copy())
+                self.members.append(ms[i].copy())
+                accepted.append(int(i))
         if accepted:
-            self.members += accepted
             self._pinv = None
         return accepted
+
+    def _pseudo_inverse(self):
+        if self._pinv is None:
+            self._pinv = np.linalg.pinv(np.array([b.ravel() for b in self.members]).T)
+        return self._pinv
 
     def coordinates(self, m) -> np.ndarray:
         """Coefficients c with m = Σ c_i members[i]; ValueError if m is outside."""
         if not self.contains(m):
             raise ValueError("element outside the span")
-        if self._pinv is None:
-            self._pinv = np.linalg.pinv(np.array([b.ravel() for b in self.members]).T)
-        return self._pinv @ np.asarray(m, dtype=complex).ravel()
+        return self._pseudo_inverse() @ np.asarray(m, dtype=complex).ravel()
+
+    def solve(self, ms):
+        """(inside, c): whether each m of the stack ms lies in the span, in one
+        batch, and c[j] with ms[j] = Σ c[j, i] members[i] where it does."""
+        rows = np.asarray(ms, dtype=complex).reshape(len(ms), -1)
+        inside = self._inside(rows, self._residuals(rows))
+        return inside, rows @ self._pseudo_inverse().T
 
 
 # a closure that still grows after this many rounds of products is reported

@@ -5,14 +5,17 @@ solve per question instead of a maintained basis or factorization, loops over
 labels instead of integer tables, closure rounds that visit every pair, hull
 products formed from their pieces with no cache and no interning, a Shilov
 search that runs the numerical search on every single block before any union,
-and a deviation search that scores one trial at a time.
+a deviation search that scores one trial at a time, and the duality checks of
+a coaction with every permutation unitary and 0/1 diagonal a dense matrix.
 """
 
 import itertools
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from catenv.coactions import GradedAlgebra, NoExtensionFound
+from catenv.coactions import GradedAlgebra, KatayamaReport, NoExtensionFound
 from catenv.envelope import NotACover, ShilovResult, is_boundary_ideal
 from catenv.gpd import GroupoidError
 from catenv.hull import HullClosure, InconsistentPieces, PiecewiseBijection
@@ -70,7 +73,8 @@ def delta_per_degree(graded, m):
 
 def tilde_delta_by_lstsq(dcp, y, delta):
     """δ̃(y): rebuild the basis δ_λ(a_i)⊗E_pq and every δ_λ(a_i)⊗E_pq⊗λ_{deg a_i},
-    solve for y's coefficients, and conjugate the combination by I⊗I⊗U."""
+    solve for y's coefficients, and conjugate the combination by I⊗I⊗U, taken
+    from the `DenseDoubleCrossedProduct` dcp."""
     G = delta.group
     n = len(G)
     basis, mats = [], []
@@ -332,3 +336,228 @@ def deviation_search_by_trial(deviation, nb, levels, samples=40, restarts=3,
                 return IsometryVerdict(False, worst, levels, tried, restarts,
                                        tol, witness)
     return IsometryVerdict(True, worst, levels, tried, restarts, tol)
+
+
+# -- coactions: groups and the dense duality formulas -----------------------------
+
+
+def point_mass(group, g) -> np.ndarray:
+    n = len(group)
+    out = np.zeros((n, n), dtype=complex)
+    out[group.index[g], group.index[g]] = 1.0
+    return out
+
+
+def commutation_check(group) -> bool:
+    return all(np.allclose(group.lam(g) @ group.rho(h), group.rho(h) @ group.lam(g))
+               for g in group.elements for h in group.elements)
+
+
+def fell_absorption_check(group) -> bool:
+    """λ_g ↦ λ_g⊗λ_g is multiplicative with independent images."""
+    images = []
+    for g in group.elements:
+        images.append(np.kron(group.lam(g), group.lam(g)))
+    for g in group.elements:
+        for h in group.elements:
+            lhs = np.kron(group.lam(g), group.lam(g)) @ np.kron(group.lam(h), group.lam(h))
+            rhs = np.kron(group.lam(group.mul(g, h)), group.lam(group.mul(g, h)))
+            if not np.allclose(lhs, rhs):
+                return False
+    return matrix_rank(images) == len(group.elements)
+
+
+def spectral_subspace_dims_from_reduction(delta) -> dict:
+    """Solve {a : δ_λ(a) = a⊗λ_g} inside the algebra span, per g."""
+    span = delta.graded.basis
+    return {g: len(span) - matrix_rank([da - np.kron(a, delta.group.lam(g))
+                                        for a, da in zip(span, delta.images)])
+            for g in delta.group.elements}
+
+
+class DenseCrossedProduct:
+    """A ⋊_δ G on H⊗ℓ²(G), generated by δ_λ(a)·(I⊗M_f), with the dual action's
+    unitaries I⊗ρ_g as dense matrices in `rho`."""
+
+    def __init__(self, delta):
+        self.delta = delta
+        self.group = delta.group
+        self.h_dim = delta.graded.ambient_dim
+        eye = np.eye(self.h_dim)
+        self.generators = []
+        self.generator_tags = []
+        for da, g in zip(delta.images, delta.graded.degrees):
+            for f in self.group.elements:
+                mat = da @ np.kron(eye, point_mass(self.group, f))
+                self.generators.append(mat)
+                self.generator_tags.append((da, g, f))
+        self.rho = {g: np.kron(eye, self.group.rho(g)) for g in self.group.elements}
+
+    def dual_action(self, g, x) -> np.ndarray:
+        """δ̂_g = Ad(I⊗ρ_g)."""
+        u = self.rho[g]
+        return u @ x @ u.conj().T
+
+    def dual_action_formula_check(self) -> bool:
+        """δ̂_g(δ_λ(a) j(f)) = δ_λ(a) j(σ_g f) with σ_g(f)(h) = f(hg)."""
+        eye = np.eye(self.h_dim)
+        for (da, dg, f), mat in zip(self.generator_tags, self.generators):
+            for g in self.group.elements:
+                shifted = point_mass(self.group, self.group.mul(f, self.group.inv(g)))
+                rhs = da @ np.kron(eye, shifted)
+                if not np.allclose(self.dual_action(g, mat), rhs, atol=1e-9):
+                    return False
+        return True
+
+    def dual_action_group_law_check(self) -> bool:
+        for g in self.group.elements:
+            for h in self.group.elements:
+                gh = self.group.mul(g, h)
+                for mat in self.generators:
+                    if not np.allclose(self.dual_action(g, self.dual_action(h, mat)),
+                                       self.dual_action(gh, mat), atol=1e-9):
+                        return False
+        return True
+
+
+@dataclass
+class KatayamaData:
+    U: np.ndarray
+    S: np.ndarray
+    V: np.ndarray  # I_H ⊗ U S
+
+
+class DenseDoubleCrossedProduct:
+    """A ⋊_δ G ⋊^r G on H⊗ℓ²(G)⊗ℓ²(G) with the duality unitaries, k_{c₀}(δ_f)
+    and k_G(g) as dense matrices (`data`, `c0`, `kg`)."""
+
+    def __init__(self, delta):
+        self.delta = delta
+        self.group = delta.group
+        self.h_dim = delta.graded.ambient_dim
+        n = len(self.group)
+        self.n = n
+        U = np.zeros((n * n, n * n), dtype=complex)
+        S = np.zeros((n * n, n * n), dtype=complex)
+        idx = self.group.index
+        for g in self.group.elements:
+            for h in self.group.elements:
+                U[idx[g] * n + idx[self.group.mul(g, h)], idx[g] * n + idx[h]] = 1.0
+                S[idx[g] * n + idx[self.group.inv(h)], idx[g] * n + idx[h]] = 1.0
+        V = np.kron(np.eye(self.h_dim), U @ S)
+        self.data = KatayamaData(U, S, V)
+        self.c0 = {}
+        for f_point in self.group.elements:
+            diag = np.zeros((n * n, n * n), dtype=complex)
+            for p in self.group.elements:
+                for q in self.group.elements:
+                    if self.group.mul(p, self.group.inv(q)) == f_point:
+                        diag[idx[p] * n + idx[q], idx[p] * n + idx[q]] = 1.0
+            self.c0[f_point] = np.kron(np.eye(self.h_dim), diag)
+        self.kg = {g: np.kron(np.eye(self.h_dim * n), self.group.lam(g))
+                   for g in self.group.elements}
+
+    @cached_property
+    def kron_basis(self):
+        """(span, accepted) grown one δ_λ(a_k)⊗E_r at a time."""
+        units = np.eye(self.n * self.n).reshape(-1, self.n, self.n)
+        span, accepted = SpanBasis(), []
+        for k, da in enumerate(self.delta.images):
+            for r, e_pq in enumerate(units):
+                if span.add(np.kron(da, e_pq)):
+                    accepted.append(k * len(units) + r)
+        return span, np.array(accepted, dtype=np.intp)
+
+    def k_c0(self, f_point) -> np.ndarray:
+        """k_{c₀(G)}(δ_k): diagonal (p, q) ↦ [p = k·q] on the two group legs."""
+        return self.c0[f_point]
+
+    def k_G(self, g) -> np.ndarray:
+        return self.kg[g]
+
+    def generators(self):
+        """((a, deg a, f, g), k_A(a) k_{c₀}(δ_f) k_G(g)) over the graded basis
+        and G×G, with k_A(a) = δ_λ(a)⊗I."""
+        out = []
+        graded, eye = self.delta.graded, np.eye(self.n)
+        for a, da, dg in zip(graded.basis, self.delta.images, graded.degrees):
+            for f in self.group.elements:
+                for g in self.group.elements:
+                    out.append(((a, dg, f, g),
+                                np.kron(da, eye) @ self.k_c0(f) @ self.k_G(g)))
+        return out
+
+    def double_dual(self, x) -> np.ndarray:
+        """δ̂̂(x) = (I⊗I⊗U)(x ⊗ I)(I⊗I⊗U)*, the U acting on the last two legs."""
+        n = self.n
+        big_u = np.kron(np.eye(self.h_dim * n), self.data.U)
+        return big_u @ np.kron(x, np.eye(n)) @ big_u.conj().T
+
+    def double_dual_formula_check(self, sample=slice(None)) -> bool:
+        """δ̂̂(k_A k_{c₀} k_G(g)) = (same) ⊗ λ_g on the generators in `sample`."""
+        for (a, dg, f, g), mat in self.generators()[sample]:
+            rhs = np.kron(mat, self.group.lam(g))
+            if not np.allclose(self.double_dual(mat), rhs, atol=1e-9):
+                return False
+        return True
+
+
+def tilde_delta_dense(dcp, y, delta):
+    """δ̃(δ_λ(a)⊗K) = (I⊗I⊗U)*(δ_λ(a)⊗K⊗λ_g)(I⊗I⊗U), extended linearly, through
+    y's coordinates in `dcp.kron_basis`; ValueError if y is outside."""
+    G = delta.group
+    n = len(G)
+    span, accepted = dcp.kron_basis
+    coef = np.zeros(len(delta.images) * n * n, dtype=complex)
+    coef[accepted] = span.coordinates(y)
+    middle = sum(np.kron(np.kron(da, c), G.lam(g))
+                 for da, c, g in zip(delta.images, coef.reshape(-1, n, n),
+                                     delta.graded.degrees))
+    big_u = np.kron(np.eye(dcp.h_dim * n), dcp.data.U)
+    return big_u.conj().T @ middle @ big_u
+
+
+def katayama_verify_dense(delta, dcp=None, tol=1e-12, sample=slice(None)) -> KatayamaReport:
+    """`katayama_verify` with dense conjugations, one generator at a time, on
+    the `DenseDoubleCrossedProduct` dcp (built from delta when None). The
+    conjugation identity visits the generators in `sample`, all by default."""
+    dcp = dcp or DenseDoubleCrossedProduct(delta)
+    G = delta.group
+    n = len(G)
+    V = dcp.data.V
+
+    def ad_v(x):
+        return V @ x @ V.conj().T
+
+    ok_i = all(np.allclose(ad_v(np.kron(da, np.eye(n))), np.kron(da, G.lam(g)), atol=tol)
+               for da, g in zip(delta.images, delta.graded.degrees))
+    ok_ii = all(np.allclose(ad_v(dcp.k_c0(f)),
+                            np.kron(np.eye(dcp.h_dim * n), point_mass(G, f)), atol=tol)
+                for f in G.elements)
+    ok_iii = all(np.allclose(ad_v(dcp.k_G(g)),
+                             np.kron(np.eye(dcp.h_dim * n), G.rho(g)), atol=tol)
+                 for g in G.elements)
+
+    generators = [m for _, m in dcp.generators()]
+    images = [ad_v(m) for m in generators]
+    target = dcp.kron_basis[0].members
+    ri, rt = matrix_rank(images), matrix_rank(target)
+    rj = matrix_rank(images + target)
+    span_ok = ri == rt == rj
+
+    def tilde(y):
+        try:
+            return tilde_delta_dense(dcp, y, delta)
+        except ValueError:
+            return None
+
+    def matches(a, b):
+        return a is not None and b is not None and np.allclose(a, b, atol=tol)
+
+    v_n = np.kron(V, np.eye(n))
+    conj_ok = all(matches(v_n @ dcp.double_dual(mat) @ v_n.conj().T, tilde(image))
+                  for mat, image in list(zip(generators, images))[sample])
+    pe = point_mass(G, G.identity)
+    ys = [(np.kron(da, pe), g) for da, g in zip(delta.images, delta.graded.degrees)]
+    pe_ok = all(matches(tilde(y), np.kron(y, G.lam(g))) for y, g in ys)
+    return KatayamaReport(ok_i, ok_ii, ok_iii, span_ok, ri, conj_ok, pe_ok)

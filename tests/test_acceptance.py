@@ -32,6 +32,7 @@ from catenv.univgroup import (CategoryFunctor, Cocycle, IsoLetter, XLetter,
                               idempotent_pure_check, j_map, kernel_subgroupoid,
                               partial_action_iso_check, reduce_word,
                               universal_group, word_mul)
+from oracles import spectral_subspace_dims_from_reduction
 
 
 def report(criterion, detail):
@@ -275,7 +276,7 @@ def test_criterion_09_grading_coaction_equivalence():
         images = [delta.delta(b) for b in basis]
         axioms = verify_coaction_axioms(basis, images, group)
         assert all(axioms.values())
-        dims = delta.spectral_subspace_dims_from_reduction()
+        dims = spectral_subspace_dims_from_reduction(delta)
         assert dims == {g: len(ms) for g, ms in comps.items()}
     comps, _ = t2_graded()
     basis = comps[0] + comps[1]

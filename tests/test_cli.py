@@ -159,3 +159,23 @@ def test_generators_outside_the_cover_exit_four(monkeypatch, capsys):
     monkeypatch.setattr(catenv.envelope, "AlgebraSpan",
                         lambda gens, selfadjoint: types.SimpleNamespace(dim=0))
     assert_internal_error(capsys, "generates dimension 0", "thesis", fx("edge.cat"))
+
+
+def test_duality_image_outside_the_span_is_rejected(monkeypatch, capsys):
+    # with V = I the images Ad(V)(generators) leave δ_λ(A)⊗𝕂: δ̃ has no
+    # coefficients for them, which is a rejection, not an error
+    import numpy as np
+
+    from catenv.coactions import DoubleCrossedProduct
+    init = DoubleCrossedProduct.__init__
+
+    def with_identity_v(self, delta):
+        init(self, delta)
+        self.v_perm = np.arange(len(self.v_perm))
+
+    monkeypatch.setattr(DoubleCrossedProduct, "__init__", with_identity_v)
+    code, out, err = run(capsys, "coaction", fx("t2.grad"), "--format", "json")
+    assert code == 2 and err == ""
+    status = {e["check"]: e["status"] for e in json.loads(out)["entries"]}
+    assert status["duality"] == "rejected"
+    assert status["crossed-product"] == "certified"

@@ -10,15 +10,15 @@ import numpy as np
 import pytest
 
 from catenv.coactions import (DoubleCrossedProduct, FiniteGroup, GradedAlgebra,
-                              NoExtensionFound, _tilde_delta, coaction_from_grading,
-                              extend_grading)
+                              NoExtensionFound, coaction_from_grading, extend_grading)
 from catenv.envelope import (_blockwise_deviation, _null_space, block_decompose,
                              is_boundary_ideal, shilov_ideal)
 from catenv.fixtures import fix_edge, t2_graded, t3_graded
 from catenv.matrixrep import (AlgebraSpan, GermModel, LambdaRep, SpanBasis,
                               complete_isometry_check, direct_sum, norm_level_k)
-from oracles import (algebra_span_by_rescan, delta_per_degree,
-                     extend_grading_by_all_pairs, in_span, tilde_delta_by_lstsq)
+from oracles import (DenseDoubleCrossedProduct, algebra_span_by_rescan, delta_per_degree,
+                     extend_grading_by_all_pairs, in_span, point_mass,
+                     tilde_delta_by_lstsq)
 
 
 def random_generator_sets(seed):
@@ -177,14 +177,15 @@ def test_coaction_coordinates_match_per_degree_solves(graded_fixture):
     for m in samples:
         assert np.allclose(delta.delta(m), delta_per_degree(delta.graded, m),
                            rtol=0, atol=1e-12)
-    dcp = DoubleCrossedProduct(delta)
-    V = dcp.data.V
-    pe = group.point_mass(group.identity)
-    ys = [V @ mat @ V.conj().T for _, mat in dcp.generators()[::7]]
+    dcp, dense = DoubleCrossedProduct(delta), DenseDoubleCrossedProduct(delta)
+    V = dense.data.V
+    pe = point_mass(group, group.identity)
+    ys = [V @ mat @ V.conj().T for _, mat in dense.generators()[::7]]
     ys += [np.kron(delta.delta(a), pe) for a in basis]
-    for y in ys:
-        assert np.allclose(_tilde_delta(dcp, y, delta), tilde_delta_by_lstsq(dcp, y, delta),
-                           rtol=0, atol=1e-12)
+    inside, blocks = dcp.tilde_coefficients(np.array(ys))
+    assert inside.all()
+    for y, value in zip(ys, dcp.tilde_delta(blocks)):
+        assert np.allclose(value, tilde_delta_by_lstsq(dense, y, delta), rtol=0, atol=1e-12)
 
 
 def matrix_units(dim):
