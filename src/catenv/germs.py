@@ -3,6 +3,10 @@
 A germ [s, χ] is canonicalized by restricting s to the minimal ideal of the
 filter of χ, so germ equality is normal-form comparison. The builder produces an
 explicit FiniteGroupoid whose units are the characters.
+
+Keys are integers: hull element numbers and ideal indices. Each (element,
+character) pair is settled once, and germs are interned, one object per
+(character, number of the restricted element), hashed by those two numbers.
 """
 
 from __future__ import annotations
@@ -26,55 +30,68 @@ class InfiniteCharacterSpace(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Germ:
+    """A germ in normal form, interned by its GermContext (compare germs of one
+    context only): equality and hash read the two integers, never the pieces."""
+
     chi_min: int                      # index of the character's minimal ideal
     restricted: PiecewiseBijection    # s restricted to that ideal, canonical
+    number: int                       # hull number of `restricted`
+
+    def __eq__(self, other):
+        return (isinstance(other, Germ) and self.chi_min == other.chi_min
+                and self.number == other.number)
+
+    def __hash__(self):
+        return hash((self.chi_min, self.number))
 
     def __repr__(self):
         return f"[{self.restricted} @ χ{self.chi_min}]"
 
 
 class GermContext:
-    """Germ arithmetic over one semilattice + hull closure."""
+    """Germ arithmetic over one semilattice + hull closure, on integer keys."""
 
     def __init__(self, hull_ctx: InverseHull, lat: Semilattice):
         self.hull = hull_ctx
         self.lat = lat
         self.p = hull_ctx.p
+        self._at: dict[int, tuple[Germ, int] | None] = {}  # (n << 32) | x
+        self._germs: dict[int, tuple[Germ, int]] = {}  # (restricted number << 32) | x
 
-    # -- the action on characters -----------------------------------------
+    def at(self, n: int, x: int) -> tuple[Germ, int] | None:
+        """([s, χ_X], index of the minimal ideal of s.χ_X) for s numbered n and
+        X = ideals[x], or None when χ_X(dom s) = 0."""
+        key = (n << 32) | x
+        if key in self._at:
+            return self._at[key]
+        hull, lat = self.hull, self.lat
+        found = None
+        if lat.contains(lat.domain_index(n), x):
+            r = hull.index(hull.restrict(hull._elements[n], lat.ideals[x].parts))
+            found = self._germs.get((r << 32) | x)
+            if found is None:
+                restricted = hull._elements[r]
+                image = lat.index[lat.canonical(hull.image_parts(restricted))]
+                found = self._germs[(r << 32) | x] = (Germ(x, restricted, r), image)
+        self._at[key] = found
+        return found
+
+    def _in_domain(self, n: int, x: int) -> tuple[Germ, int]:
+        found = self.at(n, x)
+        if found is None:
+            raise NotInDomain(f"χ({self.lat.ideals[self.lat.domain_index(n)]}) = 0")
+        return found
+
+    # -- the action on characters and germs -------------------------------------
 
     def act(self, s: PiecewiseBijection, chi: Character) -> Character:
         """s.χ, using s.χ_X = χ_{s(X)} for the principal filter at X."""
-        dom = self.lat.index[self.lat.canonical(self.hull.domain_parts(s))]
-        if not chi.value(dom):
-            raise NotInDomain(f"χ({self.lat.ideals[dom]}) = 0")
-        restricted = self.hull.restrict(s, self.lat.ideals[chi.min_index].parts)
-        image = self.lat.canonical(self.hull.image_parts(restricted))
-        return Character(self.lat, self.lat.index[image])
-
-    def act_by_definition(self, s: PiecewiseBijection, chi: Character) -> dict:
-        """Oracle form: evaluate s.χ(X) = χ(dom(id_X ∘ s)) on every ideal."""
-        out = {}
-        for j, X in enumerate(self.lat.ideals):
-            idem = self.hull.idempotent(X.parts)
-            pulled = self.lat.canonical(self.hull.domain_parts(
-                self.hull.hcompose(idem, s)))
-            out[j] = chi.value(self.lat.index[pulled])
-        return out
-
-    # -- germs --------------------------------------------------------------
+        return Character(self.lat, self._in_domain(self.hull.index(s), chi.min_index)[1])
 
     def germ(self, s: PiecewiseBijection, chi: Character) -> Germ:
-        dom = self.lat.index[self.lat.canonical(self.hull.domain_parts(s))]
-        if not chi.value(dom):
-            raise NotInDomain(f"χ({self.lat.ideals[dom]}) = 0")
-        restricted = self.hull.restrict(s, self.lat.ideals[chi.min_index].parts)
-        return Germ(chi.min_index, restricted)
-
-    def germ_equal(self, s, t, chi: Character) -> bool:
-        return self.germ(s, chi) == self.germ(t, chi)
+        return self._in_domain(self.hull.index(s), chi.min_index)[0]
 
     def unit_germ(self, chi: Character) -> Germ:
         return self.germ(self.hull.idempotent(chi.min_ideal().parts), chi)
@@ -90,34 +107,27 @@ class GermContext:
         if not self.lat.complete:
             raise InfiniteCharacterSpace("finite character space required")
         char_by_min = {chi.min_index: chi for chi in chars}
+        numbers = [self.hull.index(s) for s in closure.nonzero()]
         members: dict[Germ, tuple[int, int]] = {}  # germ -> (source min, range min)
         for chi in chars:
-            for s in closure.nonzero():
-                dom = self.lat.index[self.lat.canonical(self.hull.domain_parts(s))]
-                if not chi.value(dom):
-                    continue
-                tgt = self.act(s, chi)
-                if tgt.min_index not in char_by_min:
-                    continue  # action leaves the given character set
-                members[self.germ(s, chi)] = (chi.min_index, tgt.min_index)
+            x = chi.min_index
+            for n in numbers:
+                found = self.at(n, x)
+                if found is not None and found[1] in char_by_min:
+                    members[found[0]] = (x, found[1])
         elements = sorted(members, key=lambda g: (g.chi_min, str(g.restricted)))
-        unit_of = {chi.min_index: self.unit_germ(char_by_min[chi.min_index])
-                   for chi in chars}
-        source = {g: unit_of[members[g][0]] for g in elements}
-        range_ = {g: unit_of[members[g][1]] for g in elements}
+        unit_of = {chi.min_index: self.unit_germ(chi) for chi in chars}
+        by_range: dict[int, list[Germ]] = {}
+        for h in elements:
+            by_range.setdefault(members[h][1], []).append(h)
         product = {}
         for g in elements:
-            gsrc, grng = members[g]
-            for h in elements:
-                hsrc, hrng = members[h]
-                if hrng != gsrc:
-                    continue
-                st = self.hull.hcompose(g.restricted, h.restricted)
-                prod = self.germ(st, char_by_min[hsrc])
-                product[(g, h)] = prod
+            for h in by_range.get(members[g][0], ()):
+                st = self.hull._compose(g.number, h.number)
+                product[(g, h)] = self._in_domain(st, h.chi_min)[0]
         gpd = FiniteGroupoid(elements,
-                             source={g: source[g] for g in elements},
-                             range_={g: range_[g] for g in elements},
+                             source={g: unit_of[members[g][0]] for g in elements},
+                             range_={g: unit_of[members[g][1]] for g in elements},
                              product=product,
                              units=tuple(unit_of[chi.min_index] for chi in chars))
         return GermGroupoid(gpd, self, char_by_min)
@@ -130,9 +140,6 @@ class GermGroupoid:
     groupoid: FiniteGroupoid
     ctx: GermContext
     char_by_min: dict[int, Character]
-
-    def char_of_unit(self, unit: Germ) -> Character:
-        return self.char_by_min[unit.chi_min]
 
     def restrict_to(self, chars) -> "GermGroupoid":
         """Full subgroupoid over a sub-character-set (boundary restriction)."""

@@ -4,11 +4,16 @@ Ideals are canonical finite unions of principal ideals. On a finite meet
 semilattice every character is a principal filter ↑X, so the spectrum is indexed
 by nonzero ideals; the interesting content is the union condition (membership in
 Ω), covers, tightness, and the closure of the maximal part.
+
+Ideals are keyed by their integer index. Containment is derived from the parts
+once per index pair, in a table built on first use, so a character's value is
+a lookup; the index of dom(s) is cached by the hull number of s.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .categories import CategoryPresentation, Morphism
 from .hull import HullClosure, InverseHull, PiecewiseBijection
@@ -54,6 +59,7 @@ class Semilattice:
             seen, key=lambda X: [self.p.sort_key(b) for b in X.parts])
         self.index = {X: i for i, X in enumerate(self.ideals)}
         self._meet_cache: dict[tuple[int, int], int] = {}
+        self._domain_index: dict[int, int] = {}  # hull number of s -> index of dom(s)
 
     # -- basic structure -----------------------------------------------------
 
@@ -67,11 +73,24 @@ class Semilattice:
     def canonical(self, gens) -> Ideal:
         return Ideal(self.hull._ideal_parts(list(gens)))
 
+    @cached_property
+    def _containment(self) -> list[list[bool]]:
+        """Row i, column j: ideals[j] ⊆ ideals[i], each pair derived once."""
+        in_ideal = self.p.in_ideal
+        return [[all(any(in_ideal(b, c) for b in big.parts) for c in small.parts)
+                 for small in self.ideals] for big in self.ideals]
+
     def contains(self, i: int, j: int) -> bool:
         """ideals[j] ⊆ ideals[i]."""
-        big, small = self.ideals[i], self.ideals[j]
-        return all(any(self.p.in_ideal(b, c) for b in big.parts)
-                   for c in small.parts)
+        return self._containment[i][j]
+
+    def domain_index(self, n: int) -> int:
+        """Index of dom(s) for the hull element s numbered n."""
+        d = self._domain_index.get(n)
+        if d is None:
+            parts = self.hull.domain_parts(self.hull._elements[n])
+            d = self._domain_index[n] = self.index[self.canonical(parts)]
+        return d
 
     def meet(self, i: int, j: int) -> int:
         key = (min(i, j), max(i, j))

@@ -112,9 +112,12 @@ def _rank(sv, tol=TOL) -> int:
 
 
 def matrix_rank(ms, tol=TOL) -> int:
+    """Rank of the stack of flattened matrices. A wide stack's SVD is taken of
+    its transpose, which has the same singular values and is faster."""
     if not len(ms):
         return 0
-    return _rank(np.linalg.svd(np.array([m.ravel() for m in ms]),
+    a = np.array([m.ravel() for m in ms])
+    return _rank(np.linalg.svd(a.T if a.shape[1] > a.shape[0] else a,
                                compute_uv=False), tol)
 
 
@@ -330,19 +333,16 @@ class GermModel:
         self.gg = germ_gpd
         self.rep = GroupoidRep(germ_gpd.groupoid)
         self.closure = closure
-        self._bisection_cache = {}
+        self._bisection_cache: dict[int, list[Germ]] = {}  # by hull number
 
     def bisection(self, s: PiecewiseBijection):
         """All germs of s over the groupoid's character set."""
-        if s not in self._bisection_cache:
-            ctx = self.gg.ctx
-            out = []
-            dom = ctx.lat.index[ctx.lat.canonical(ctx.hull.domain_parts(s))]
-            for _, chi in sorted(self.gg.char_by_min.items()):
-                if chi.value(dom):
-                    out.append(ctx.germ(s, chi))
-            self._bisection_cache[s] = out
-        return self._bisection_cache[s]
+        ctx = self.gg.ctx
+        n = ctx.hull.index(s)
+        if n not in self._bisection_cache:
+            self._bisection_cache[n] = [found[0] for x in sorted(self.gg.char_by_min)
+                                        if (found := ctx.at(n, x)) is not None]
+        return self._bisection_cache[n]
 
     def spanning_matrix(self, s: PiecewiseBijection) -> np.ndarray:
         return self.rep.function_matrix({g: 1.0 for g in self.bisection(s)})
@@ -363,29 +363,28 @@ class GermModel:
 def jack_check(hull_ctx: InverseHull, closure: HullClosure, model: GermModel,
                lam: LambdaRep, tol=1e-8):
     """Certify the spanning-element correspondence 1_{[s,Ω(dom s)]} ↦ Λ_s is a
-    *-isomorphism: products and adjoints match pairwise, and the two spanning
-    families have identical linear dependencies."""
+    *-isomorphism: products and adjoints match, and the two spanning
+    families have identical linear dependencies. For each s, M_s M_t over all
+    t is compared in one `isclose` per family with M_st, gathered from the stack
+    (its last matrix is zero); the first failing t is the witness, as pairwise."""
     elements = closure.nonzero()
-    lam_mats = {s: lam.inverse_rep(hull_ctx, s) for s in elements}
-    grm_mats = {s: model.spanning_matrix(s) for s in elements}
-    for s in elements:
-        for t in elements:
-            st = hull_ctx.hcompose(s, t)
-            lhs_l = lam_mats[s] @ lam_mats[t]
-            lhs_g = grm_mats[s] @ grm_mats[t]
-            rhs_l = lam_mats.get(st, np.zeros_like(lhs_l))
-            rhs_g = grm_mats.get(st, np.zeros_like(lhs_g))
-            if st.is_zero:
-                rhs_l, rhs_g = np.zeros_like(lhs_l), np.zeros_like(lhs_g)
-            if not (np.allclose(lhs_l, rhs_l, atol=tol)
-                    and np.allclose(lhs_g, rhs_g, atol=tol)):
-                return False, (s, t)
-        sinv = hull_ctx.hinverse(s)
-        if not (np.allclose(lam_mats[s].conj().T, lam_mats[sinv], atol=tol)
-                and np.allclose(grm_mats[s].conj().T, grm_mats[sinv], atol=tol)):
+    numbers = [hull_ctx.index(s) for s in elements]
+    position = {n: k for k, n in enumerate(numbers)}
+    zero = len(elements)
+    stacks = [np.array([*ms, np.zeros((d, d))], dtype=complex) for ms, d in (
+        ([lam.inverse_rep(hull_ctx, s) for s in elements], len(lam.basis)),
+        ([model.spanning_matrix(s) for s in elements], len(model.rep.basis)))]
+    for k, s in enumerate(elements):
+        st = [position.get(hull_ctx._compose(numbers[k], n), zero) for n in numbers]
+        bad = np.zeros(zero, dtype=bool)
+        for m in stacks:
+            bad |= ~np.isclose(m[k] @ m[:zero], m[st], atol=tol).all(axis=(1, 2))
+        if bad.any():
+            return False, (s, elements[int(np.argmax(bad))])
+        sinv = position[hull_ctx.index(hull_ctx.hinverse(s))]
+        if not all(np.allclose(m[k].conj().T, m[sinv], atol=tol) for m in stacks):
             return False, s
-    va = [lam_mats[s] for s in elements]
-    vb = [grm_mats[s] for s in elements]
+    va, vb = (m[:zero] for m in stacks)
     ra, rb = matrix_rank(va), matrix_rank(vb)
     rjoint = _joint_rank(va, vb)
     if not (ra == rb == rjoint):

@@ -5,8 +5,10 @@ solve per question instead of a maintained basis or factorization, loops over
 labels instead of integer tables, closure rounds that visit every pair, hull
 products formed from their pieces with no cache and no interning, a Shilov
 search that runs the numerical search on every single block before any union,
-a deviation search that scores one trial at a time, and the duality checks of
-a coaction with every permutation unitary and 0/1 diagonal a dense matrix.
+a deviation search that scores one trial at a time, the duality checks of
+a coaction with every permutation unitary and 0/1 diagonal a dense matrix,
+germs compared by their pieces with every ideal containment derived from the
+parts, and the spanning-family correspondence checked one pair at a time.
 """
 
 import itertools
@@ -17,10 +19,11 @@ import numpy as np
 
 from catenv.coactions import GradedAlgebra, KatayamaReport, NoExtensionFound
 from catenv.envelope import NotACover, ShilovResult, is_boundary_ideal
-from catenv.gpd import GroupoidError
+from catenv.germs import InfiniteCharacterSpace, NotHausdorff, NotInDomain
+from catenv.gpd import FiniteGroupoid, GroupoidError
 from catenv.hull import HullClosure, InconsistentPieces, PiecewiseBijection
-from catenv.matrixrep import (AlgebraSpan, IsometryVerdict, SpanBasis, matrix_rank,
-                              operator_norm)
+from catenv.matrixrep import (AlgebraSpan, IsometryVerdict, SpanBasis, _joint_rank,
+                              matrix_rank, operator_norm)
 
 
 def in_span(m, basis, tol=1e-8) -> bool:
@@ -245,6 +248,110 @@ def hull_product_by_definition(hull, s, t):
                    for a2, b2 in kept):
             kept.append((a, b))
     return PiecewiseBijection(tuple(kept))
+
+
+def contains_by_parts(lat, i, j) -> bool:
+    """ideals[j] ⊆ ideals[i], derived from the parts on every call."""
+    return all(any(lat.p.in_ideal(b, c) for b in lat.ideals[i].parts)
+               for c in lat.ideals[j].parts)
+
+
+def act_by_definition(ctx, s, chi) -> dict:
+    """s.χ on every ideal X, evaluated as χ(dom(id_X ∘ s))."""
+    hull, lat = ctx.hull, ctx.lat
+    out = {}
+    for j, X in enumerate(lat.ideals):
+        pulled = lat.canonical(hull.domain_parts(hull.hcompose(hull.idempotent(X.parts), s)))
+        out[j] = int(contains_by_parts(lat, lat.index[pulled], chi.min_index))
+    return out
+
+
+@dataclass(frozen=True)
+class StructuralGerm:
+    """A germ compared and hashed by its pieces."""
+    chi_min: int
+    restricted: PiecewiseBijection
+
+    def __repr__(self):
+        return f"[{self.restricted} @ χ{self.chi_min}]"
+
+
+def germ_groupoid_by_definition(ctx, closure, chars, require_hausdorff=True):
+    """The germ groupoid over `chars` as a FiniteGroupoid of `StructuralGerm`s:
+    each (element, character) pair settled from the parts, the ideal of the
+    domain re-derived on every call, and products tried on every pair of germs."""
+    hull, lat = ctx.hull, ctx.lat
+    if require_hausdorff:
+        verdict = hull.hausdorff_check(closure)
+        if not verdict.ok:
+            raise NotHausdorff(f"separation fails at {verdict.witness}")
+    if not lat.complete:
+        raise InfiniteCharacterSpace("finite character space required")
+    char_mins = {chi.min_index for chi in chars}
+
+    def settle(s, x):
+        """([s, χ_X], index of the minimal ideal of s.χ_X) for X = ideals[x]."""
+        dom = lat.index[lat.canonical(hull.domain_parts(s))]
+        if not contains_by_parts(lat, dom, x):
+            raise NotInDomain(f"χ({lat.ideals[dom]}) = 0")
+        restricted = hull.restrict(s, lat.ideals[x].parts)
+        return (StructuralGerm(x, restricted),
+                lat.index[lat.canonical(hull.image_parts(restricted))])
+
+    members = {}  # germ -> (source min, range min)
+    for chi in chars:
+        for s in closure.nonzero():
+            try:
+                germ, image = settle(s, chi.min_index)
+            except NotInDomain:
+                continue
+            if image in char_mins:
+                members[germ] = (chi.min_index, image)
+    elements = sorted(members, key=lambda g: (g.chi_min, str(g.restricted)))
+    unit_of = {chi.min_index: settle(hull.idempotent(chi.min_ideal().parts),
+                                     chi.min_index)[0] for chi in chars}
+    product = {}
+    for g in elements:
+        for h in elements:
+            if members[h][1] == members[g][0]:
+                st = hull.hcompose(g.restricted, h.restricted)
+                product[(g, h)] = settle(st, members[h][0])[0]
+    return FiniteGroupoid(elements,
+                          source={g: unit_of[members[g][0]] for g in elements},
+                          range_={g: unit_of[members[g][1]] for g in elements},
+                          product=product,
+                          units=tuple(unit_of[chi.min_index] for chi in chars))
+
+
+def jack_check_by_pairs(hull_ctx, closure, model, lam, tol=1e-8):
+    """The spanning-element correspondence checked one pair (s, t) at a time,
+    with two `np.allclose` per pair."""
+    elements = closure.nonzero()
+    lam_mats = {s: lam.inverse_rep(hull_ctx, s) for s in elements}
+    grm_mats = {s: model.spanning_matrix(s) for s in elements}
+    for s in elements:
+        for t in elements:
+            st = hull_ctx.hcompose(s, t)
+            lhs_l = lam_mats[s] @ lam_mats[t]
+            lhs_g = grm_mats[s] @ grm_mats[t]
+            rhs_l = lam_mats.get(st, np.zeros_like(lhs_l))
+            rhs_g = grm_mats.get(st, np.zeros_like(lhs_g))
+            if st.is_zero:
+                rhs_l, rhs_g = np.zeros_like(lhs_l), np.zeros_like(lhs_g)
+            if not (np.allclose(lhs_l, rhs_l, atol=tol)
+                    and np.allclose(lhs_g, rhs_g, atol=tol)):
+                return False, (s, t)
+        sinv = hull_ctx.hinverse(s)
+        if not (np.allclose(lam_mats[s].conj().T, lam_mats[sinv], atol=tol)
+                and np.allclose(grm_mats[s].conj().T, grm_mats[sinv], atol=tol)):
+            return False, s
+    va = [lam_mats[s] for s in elements]
+    vb = [grm_mats[s] for s in elements]
+    ra, rb = matrix_rank(va), matrix_rank(vb)
+    rjoint = _joint_rank(va, vb)
+    if not (ra == rb == rjoint):
+        return False, ("dependency mismatch", ra, rb, rjoint)
+    return True, ra
 
 
 def shilov_ideal_by_singles(a_basis, cover, levels=None, samples=25, tol=1e-9,

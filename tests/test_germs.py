@@ -1,10 +1,17 @@
 """Germ groupoids: the character action, germ equality, builder, predicates."""
 
+from functools import partial
+
 import pytest
 
+from catenv.categories import GroupoidSub
+from catenv.fixtures import fix_edge, fix_kgraph_acyclic, fix_two
 from catenv.germs import NotHausdorff, NotInDomain
-from catenv.gpd import cyclic_groupoid
+from catenv.gpd import cyclic_groupoid, pair_groupoid
 from catenv.hull import ExplicitBijection
+from conftest import FixtureBundle
+from oracles import act_by_definition, contains_by_parts, germ_groupoid_by_definition
+from test_hull import layered_dag
 
 
 def e_map(bundle):
@@ -34,7 +41,7 @@ def test_act_matches_definitional_oracle(edge):
             if not chi.value(dom):
                 continue
             result = ctx.act(s, chi)
-            oracle = ctx.act_by_definition(s, chi)
+            oracle = act_by_definition(ctx, s, chi)
             assert oracle == {j: result.value(j) for j in range(len(ctx.lat.ideals))}
 
 
@@ -43,11 +50,11 @@ def test_germ_equality_examples(edge):
     chi_e, chi_w = edge.char("e𝔠"), edge.char("id:w𝔠")
     idv = hull.idempotent([p.identity("v")])
     ide = hull.idempotent([by_word(p, ("e",))])
-    assert ctx.germ_equal(idv, ide, chi_e)
+    assert ctx.germ(idv, chi_e) == ctx.germ(ide, chi_e)
     s = e_map(edge)
-    assert ctx.germ_equal(s, s, chi_w)
+    assert ctx.germ(s, chi_w) == ctx.germ(s, chi_w)
     idw = hull.idempotent([p.identity("w")])
-    assert not ctx.germ_equal(s, idw, chi_w)
+    assert ctx.germ(s, chi_w) != ctx.germ(idw, chi_w)
 
 
 def by_word(p, word):
@@ -77,7 +84,7 @@ def test_range_source_laws(edge):
     g = edge.g_omega.groupoid
     ctx = edge.germs
     for el in g.elements:
-        chi = edge.g_omega.char_of_unit(g.source[el])
+        chi = edge.g_omega.char_by_min[g.source[el].chi_min]
         target = ctx.act(el.restricted, chi)
         assert g.range[el].chi_min == target.min_index
     for x in g.elements:
@@ -147,5 +154,74 @@ def test_units_identified_with_characters(edge):
     g = edge.g_omega.groupoid
     assert len(g.units) == len(edge.omega)
     for u in g.units:
-        chi = edge.g_omega.char_of_unit(u)
+        chi = edge.g_omega.char_by_min[u.chi_min]
         assert chi.min_index == u.chi_min
+
+
+# -- the integer germ layer against its oracles -----------------------------------
+
+
+def _pair12():
+    g = pair_groupoid((1, 2))
+    return GroupoidSub(g, g.elements)
+
+
+@pytest.fixture(scope="module", params=[
+    pytest.param(fix_edge, id="edge"), pytest.param(fix_two, id="two"),
+    pytest.param(fix_kgraph_acyclic, id="kgraph-acyclic"),
+    pytest.param(_pair12, id="pair12"),
+    *[pytest.param(partial(layered_dag, seed), id=f"dag{seed}") for seed in range(5)]])
+def generated(request):
+    return FixtureBundle(request.param())
+
+
+def _key(g):
+    return g.chi_min, str(g.restricted)
+
+
+def test_build_matches_germ_groupoid_by_definition(generated):
+    """Same elements in the same order, and the same source, range, product
+    (in the same order) and units, over the spectrum, over the boundary, and
+    over every other character, which the action need not preserve."""
+    for chars in (generated.omega, generated.boundary, generated.omega[::2]):
+        fast = generated.germs.build_groupoid(generated.closure, chars).groupoid
+        slow = germ_groupoid_by_definition(generated.germs, generated.closure, chars)
+        assert [_key(g) for g in fast.elements] == [_key(g) for g in slow.elements]
+        for d_fast, d_slow in ((fast.source, slow.source), (fast.range, slow.range)):
+            assert {_key(g): _key(u) for g, u in d_fast.items()} == \
+                {_key(g): _key(u) for g, u in d_slow.items()}
+        assert [(_key(g), _key(h), _key(gh)) for (g, h), gh in fast.product.items()] == \
+            [(_key(g), _key(h), _key(gh)) for (g, h), gh in slow.product.items()]
+        assert [_key(u) for u in fast.units] == [_key(u) for u in slow.units]
+
+
+def test_act_matches_act_by_definition(generated):
+    ctx, lat = generated.germs, generated.lattice
+    for s in generated.closure.nonzero():
+        dom = lat.index[lat.canonical(generated.hull.domain_parts(s))]
+        for chi in generated.omega:
+            if not contains_by_parts(lat, dom, chi.min_index):
+                with pytest.raises(NotInDomain):
+                    ctx.act(s, chi)
+                continue
+            result = ctx.act(s, chi)
+            assert act_by_definition(ctx, s, chi) == \
+                {j: result.value(j) for j in range(len(lat.ideals))}
+
+
+def test_contains_matches_parts(generated):
+    lat = generated.lattice
+    n = len(lat.ideals)
+    assert all(lat.contains(i, j) == contains_by_parts(lat, i, j)
+               for i in range(n) for j in range(n))
+
+
+def test_germs_equal_exactly_when_restrictions_are(generated):
+    ctx = generated.germs
+    germs = [ctx.germ(s, chi) for s in generated.closure.nonzero() for chi in generated.omega
+             if ctx.at(generated.hull.index(s), chi.min_index) is not None]
+    for g in germs:
+        for h in germs:
+            same = g.chi_min == h.chi_min and g.restricted.pieces == h.restricted.pieces
+            assert (g == h) == same
+            assert (g is h) == same  # interned: equal germs are one object

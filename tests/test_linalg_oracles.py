@@ -14,8 +14,9 @@ from catenv.coactions import (DoubleCrossedProduct, FiniteGroup, GradedAlgebra,
 from catenv.envelope import (_blockwise_deviation, _null_space, block_decompose,
                              is_boundary_ideal, shilov_ideal)
 from catenv.fixtures import fix_edge, t2_graded, t3_graded
-from catenv.matrixrep import (AlgebraSpan, GermModel, LambdaRep, SpanBasis,
-                              complete_isometry_check, direct_sum, norm_level_k)
+from catenv.matrixrep import (AlgebraSpan, GermModel, LambdaRep, SpanBasis, _joint_rank,
+                              _rank, complete_isometry_check, direct_sum, matrix_rank,
+                              norm_level_k)
 from oracles import (DenseDoubleCrossedProduct, algebra_span_by_rescan, delta_per_degree,
                      extend_grading_by_all_pairs, in_span, point_mass,
                      tilde_delta_by_lstsq)
@@ -93,6 +94,21 @@ def test_null_space_matches_full_svd(shape):
     assert ns.shape == full.shape == (cols, cols - 2)
     assert np.allclose(a @ ns, 0, atol=1e-10)
     assert np.allclose(ns @ ns.conj().T, full @ full.conj().T, atol=1e-10)
+
+
+@pytest.mark.parametrize("count,side,rank", [(12, 9, 5), (40, 3, 9), (6, 6, 6), (3, 1, 1)])
+def test_matrix_rank_of_wide_and_tall_stacks(count, side, rank):
+    """Stacks of `count` side×side matrices spanning `rank` dimensions, wide
+    (count < side²) and tall: the rank is the rank of the untransposed stack,
+    also after scaling, which moves the threshold."""
+    rng = np.random.default_rng(count)
+    coef = rng.standard_normal((count, rank)) + 1j * rng.standard_normal((count, rank))
+    basis = rng.standard_normal((rank, side * side))
+    for scale in (1.0, 1e-6, 1e6):
+        ms = list((scale * coef @ basis).reshape(count, side, side))
+        sv = np.linalg.svd(np.array([m.ravel() for m in ms]), compute_uv=False)
+        assert matrix_rank(ms) == _rank(sv) == rank
+        assert _joint_rank(ms, ms) == rank
 
 
 def shilov_cases(two):

@@ -22,6 +22,7 @@ from catenv.matrixrep import (AlgebraSpan, GermModel, GroupoidRep, LambdaRep,
                               jack_check, norm_level_k, operator_norm,
                               windowed_norm)
 from catenv.pipeline import boundary_quotient, truncation_norm_study
+from oracles import jack_check_by_pairs
 
 
 def eig_norm(a):
@@ -135,6 +136,57 @@ def test_jack_isomorphism():
         ok, dim = jack_check(hull, closure, model, lam)
         assert ok
         assert dim == lam.toeplitz_algebra().dim
+
+
+class PlantedLambda:
+    """λ with each Λ_s replaced by change(s, Λ_s)."""
+
+    def __init__(self, lam, change):
+        self.basis, self._lam, self._change = lam.basis, lam, change
+
+    def inverse_rep(self, hull, s):
+        return self._change(s, self._lam.inverse_rep(hull, s))
+
+
+def _wrong_entry(target):
+    def change(s, m):
+        if s is target:
+            m = m.copy()
+            m[0, -1] += 1.0
+        return m
+    return change
+
+
+def _conjugate_by_diagonal(s, m):
+    """S Λ_s S⁻¹ for S = diag(1, 2, 4, ...): products are kept exactly, adjoints
+    of the non-diagonal Λ_s are not."""
+    d = 2.0 ** np.arange(len(m))
+    return d[:, None] * m / d[None, :]
+
+
+@pytest.mark.parametrize("pres", [fix_edge, fix_two, fix_two_mce_category])
+def test_jack_check_matches_pairwise_oracle(pres):
+    """The stacked check returns the pairwise loop's (ok, info): on the true
+    families, and on planted failures of each kind, with the same first witness."""
+    p, hull, closure, lat, omega, bd, ctx, g_om, g_bd = bundle(pres())
+    lam = LambdaRep.build(p)
+    model, model_bd = GermModel(g_om, closure), GermModel(g_bd, closure)
+    elements = closure.nonzero()
+    moves = [s for s in elements if not hull.is_idempotent(s)]
+    cases = {"true": (lam, model),
+             **{f"entry{i}": (PlantedLambda(lam, _wrong_entry(s)), model)
+                for i, s in enumerate((elements[0], moves[0], elements[-1]))},
+             "adjoint": (PlantedLambda(lam, _conjugate_by_diagonal), model),
+             "dependency": (lam, model_bd)}
+    kinds = {}
+    for name, (lam_c, model_c) in cases.items():
+        got = jack_check(hull, closure, model_c, lam_c)
+        assert got == jack_check_by_pairs(hull, closure, model_c, lam_c), name
+        kinds[name] = got
+    assert kinds["true"][0] and all(not ok for ok, _ in list(kinds.values())[1:])
+    assert all(len(kinds[f"entry{i}"][1]) == 2 for i in range(3))  # a product witness (s, t)
+    assert kinds["adjoint"][1] is moves[0]
+    assert kinds["dependency"][1][0] == "dependency mismatch"
 
 
 # -- theta compressions ----------------------------------------------------------------
