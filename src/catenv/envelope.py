@@ -54,8 +54,13 @@ class FinDimCStar:
 
     def rep(self, m, mask=frozenset()) -> np.ndarray:
         """Block-diagonal image, omitting the masked blocks."""
-        blocks = [c for k, c in enumerate(self.coords(m)) if k not in mask]
-        return direct_sum(blocks)
+        return direct_sum(self.quotient(mask).coords(m))
+
+    def quotient(self, mask) -> "FinDimCStar":
+        """The quotient by the masked blocks, in the others' coordinates."""
+        keep = [k for k in range(len(self.block_sizes)) if k not in mask]
+        return FinDimCStar([self.block_sizes[k] for k in keep],
+                           [self.isometries[k] for k in keep], self.algebra)
 
     def norm(self, m) -> float:
         return max((operator_norm(c) for c in self.coords(m)), default=0.0)
@@ -229,8 +234,7 @@ class ShilovResult:
     quotient_blocks: list[int] = field(init=False)
 
     def __post_init__(self):
-        self.quotient_blocks = [n for k, n in enumerate(self.cover.block_sizes)
-                                if k not in self.mask]
+        self.quotient_blocks = self.cover.quotient(self.mask).block_sizes
 
 
 def is_boundary_ideal(a_basis, cover: FinDimCStar, mask, levels=None,
@@ -347,14 +351,17 @@ def shilov_ideal(a_basis, cover: FinDimCStar, levels=None, samples=25,
 
 
 def detects_ideals(d_basis, cover: FinDimCStar) -> bool:
-    """Every nonzero block ideal must intersect span(D) nontrivially."""
-    d_basis = [np.asarray(d, dtype=complex) for d in d_basis]
-    d_rank = matrix_rank(d_basis)
+    """Every nonzero block ideal must intersect span(D) nontrivially.
+
+    D is read in the cover's coordinates, so on a quotient cover this is the
+    question for the image of D."""
+    d_coords = [cover.coords(d) for d in d_basis]
+    d_rank = matrix_rank([np.concatenate([c.ravel() for c in coords])
+                          for coords in d_coords])
     if d_rank == 0:
         return False
     dependencies = len(d_basis) - d_rank
     nblocks = len(cover.block_sizes)
-    d_coords = [cover.coords(d) for d in d_basis]
     for r in range(1, nblocks):
         for combo in itertools.combinations(range(nblocks), r):
             outside = [k for k in range(nblocks) if k not in combo]
@@ -401,6 +408,13 @@ class SpannedStarMap:
         return self.domain_dim == self.image_dim
 
     def check_star_homomorphism(self, rng_seed=3, trials=8):
+        return self.star_homomorphism_witness(rng_seed, trials) is None
+
+    def star_homomorphism_witness(self, rng_seed=3, trials=8):
+        """None when products and adjoints map consistently on `trials` seeded
+        random pairs (a, b) of the domain; else (defect, a, b) for the first that
+        fails: the largest |entry| of π(ab) − π(a)π(b) and π(a*) − π(a)*, or inf
+        off the domain span."""
         rng = np.random.default_rng(rng_seed)
         basis_x = self._domain.members
         n = len(basis_x)
@@ -410,15 +424,13 @@ class SpannedStarMap:
             a = sum(c * b for c, b in zip(c1, basis_x))
             b = sum(c * m for c, m in zip(c2, basis_x))
             try:
-                img_ab = self.apply(a @ b)
-                img_astar = self.apply(a.conj().T)
+                sides = [(self.apply(a @ b), self.apply(a) @ self.apply(b)),
+                         (self.apply(a.conj().T), self.apply(a).conj().T)]
             except ValueError:
-                return False
-            if not np.allclose(img_ab, self.apply(a) @ self.apply(b), atol=1e-7):
-                return False
-            if not np.allclose(img_astar, self.apply(a).conj().T, atol=1e-7):
-                return False
-        return True
+                return np.inf, a, b
+            if not all(np.allclose(x, y, atol=1e-7) for x, y in sides):
+                return max(float(np.abs(x - y).max()) for x, y in sides), a, b
+        return None
 
 
 def quotient_kernel_mask(cover: FinDimCStar, star_map: SpannedStarMap,

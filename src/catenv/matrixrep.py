@@ -308,10 +308,8 @@ class GroupoidRep:
 
     def function_matrix(self, coeffs: dict) -> np.ndarray:
         n = len(self.basis)
-        out = np.zeros((n, n), dtype=complex)
-        for el, c in coeffs.items():
-            out += c * self.element_matrix(el)
-        return out
+        return sum((c * self.element_matrix(el) for el, c in coeffs.items()),
+                   np.zeros((n, n), dtype=complex))
 
     def block_sizes(self):
         """Sizes ℓ²(G_χ) per orbit representative."""
@@ -334,6 +332,7 @@ class GermModel:
         self.rep = GroupoidRep(germ_gpd.groupoid)
         self.closure = closure
         self._bisection_cache: dict[int, list[Germ]] = {}  # by hull number
+        self._matrix_cache: dict[int, np.ndarray] = {}  # by hull number, read-only
 
     def bisection(self, s: PiecewiseBijection):
         """All germs of s over the groupoid's character set."""
@@ -345,7 +344,17 @@ class GermModel:
         return self._bisection_cache[n]
 
     def spanning_matrix(self, s: PiecewiseBijection) -> np.ndarray:
-        return self.rep.function_matrix({g: 1.0 for g in self.bisection(s)})
+        """Σ of the bisection's element matrices, cached and read-only: its germs
+        have distinct sources, so it is one partial permutation t ↦ g_{r(t)}·t."""
+        n = self.gg.ctx.hull.index(s)
+        if n not in self._matrix_cache:
+            g = self.rep.g
+            by_source = {g.source[el]: el for el in self.bisection(s)}
+            m = _partial_permutation(self.rep.basis, self.rep.index, lambda t: g.mul(
+                by_source[g.range[t]], t) if g.range[t] in by_source else None)
+            m.flags.writeable = False
+            self._matrix_cache[n] = m
+        return self._matrix_cache[n]
 
     def reduced_algebra(self) -> AlgebraSpan:
         mats = [self.spanning_matrix(s) for s in self.closure.nonzero()]
@@ -353,11 +362,8 @@ class GermModel:
 
     def operator_algebra_generators(self):
         """Generators 1_{[c, Ω(𝔡(c)𝔠)]} for the morphism maps c."""
-        p = self.gg.ctx.p
-        out = []
-        for c in p.ball(None):
-            out.append((c, self.spanning_matrix(self.gg.ctx.hull.from_morphism(c))))
-        return out
+        ctx = self.gg.ctx
+        return [(c, self.spanning_matrix(ctx.hull.from_morphism(c))) for c in ctx.p.ball(None)]
 
 
 def jack_check(hull_ctx: InverseHull, closure: HullClosure, model: GermModel,
@@ -432,8 +438,6 @@ class ThetaRep:
 
 
 def direct_sum(mats) -> np.ndarray:
-    if not mats:
-        return np.zeros((0, 0), dtype=complex)
     n = sum(m.shape[0] for m in mats)
     out = np.zeros((n, n), dtype=complex)
     pos = 0

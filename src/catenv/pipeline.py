@@ -3,9 +3,14 @@
 The thesis pipeline runs: validation → hull closure → ideal lattice → boundary →
 separation check → germ groupoid → matrix models → boundary isometry → envelope,
 and reports one `report.Entry` per stage; `PipelineResult.exit_code` is the
-report's exit-code rule. Finite fixtures get exact verdicts; infinite ones run
-in a truncation window and are downgraded to bounded evidence, carrying the
-LCM chain's entries under an `lcm:` prefix for monoids.
+report's exit-code rule. The boundary side is read off one cover: the
+restriction π to the boundary model kills a set of blocks of the spectrum
+model's cover (`boundary_quotient`). Once π is certified a *-homomorphism,
+`boundary-isometry` is `is_boundary_ideal` on that kernel mask, and the
+boundary algebra's blocks are the cover's blocks outside it. Finite fixtures
+get exact verdicts; infinite ones run in a truncation window and are
+downgraded to bounded evidence, carrying the LCM chain's entries under an
+`lcm:` prefix for monoids.
 
 `truncation_norm_study` compares windowed norms under λ and ⊕ϑ_χ across
 window depths; it is evidence, never certification.
@@ -17,12 +22,13 @@ from dataclasses import dataclass, field, replace
 
 from . import ideals as IL
 from .categories import CategoryPresentation
-from .envelope import (FinDimCStar, SpannedStarMap, block_decompose,
-                       detects_ideals, quotient_kernel_mask, shilov_ideal)
+from .envelope import (FinDimCStar, SpannedStarMap, block_decompose, detects_ideals,
+                       is_boundary_ideal, quotient_kernel_mask, shilov_ideal)
 from .germs import GermContext
 from .hull import InverseHull
-from .matrixrep import (AlgebraSpan, GermModel, GroupoidRep, LambdaRep, ThetaRep,
-                        complete_isometry_check, jack_check, windowed_norm)
+from .matrixrep import (GermModel, IsometryVerdict, LambdaRep, ThetaRep, jack_check,
+                        windowed_norm)
+from .matrixrep import complete_isometry_check  # noqa: F401  traced by bench/layers.py
 from .report import Entry, exit_code
 
 
@@ -135,46 +141,39 @@ def analyze_category(pres: CategoryPresentation, depth: int = 8,
                          f"(dimension {toeplitz.dim})" if ok else f"mismatch {info}",
                          {"dim": toeplitz.dim}))
 
-    gens = model_omega.operator_algebra_generators()
-    pairs = [(m_om, model_bound.spanning_matrix(hull.from_morphism(c)))
-             for c, m_om in gens]
-    lv = levels
-    if lv is None:
-        lv = max(GroupoidRep(g_bound.groupoid).block_sizes() + [1])
-    iso = complete_isometry_check(pairs, levels=lv, tol=tol, seed=seed)
-    entries.append(Entry("boundary-isometry",
-                         "certified" if iso.certified else "rejected",
-                         f"restriction map completely isometric up to level {lv} "
-                         f"(max deviation {iso.max_deviation:.2e})",
+    cover = block_decompose(model_omega.reduced_algebra(), seed=seed)
+    pi, ker_mask = boundary_quotient(model_omega, model_bound, closure, cover)
+    lv = levels if levels is not None else max(model_bound.rep.block_sizes() + [1])
+    failure = pi.star_homomorphism_witness()
+    if failure is None:
+        # π is isometric off its kernel blocks: its norm is a blockwise maximum
+        a_basis = [m for _, m in model_omega.operator_algebra_generators()]
+        iso = is_boundary_ideal(a_basis, cover, ker_mask, levels=lv, samples=40,
+                                tol=tol, seed=seed)
+        detail = (f"restriction map completely isometric up to level {lv} "
+                  f"(max deviation {iso.max_deviation:.2e})")
+    else:
+        iso = IsometryVerdict(False, failure[0], 0, 0, 0, tol, witness=failure[1:])
+        detail = f"restriction map is not a *-homomorphism (defect {failure[0]:.2e})"
+    entries.append(Entry("boundary-isometry", iso.status, detail,
                          {"levels": lv, "max_deviation": iso.max_deviation}))
-    ctx["boundary_isometry"] = iso
-    if stop_after == "isometry":
-        return PipelineResult(entries, ctx)
-
-    result = envelope_coincidence(ctx, levels=levels, tol=tol, seed=seed)
-    entries.extend(result)
+    ctx.update(omega_cover=cover, boundary_kernel_mask=ker_mask, boundary_isometry=iso)
+    entries.extend(envelope_coincidence(ctx, levels=levels, tol=tol, seed=seed))
     return PipelineResult(entries, ctx)
 
 
 def envelope_coincidence(ctx, levels=None, tol=1e-9, seed=0) -> list[Entry]:
-    """Shilov quotient of the spectrum model vs the boundary model."""
-    entries = []
-    hull: InverseHull = ctx["hull"]
-    closure = ctx["closure"]
-    model_omega: GermModel = ctx["model_omega"]
-    model_bound: GermModel = ctx["model_boundary"]
-
-    omega_algebra = model_omega.reduced_algebra()
-    cover = block_decompose(omega_algebra, seed=seed)
-    ctx["omega_cover"] = cover
-    bound_algebra = model_bound.reduced_algebra()
-    bound_cover = block_decompose(bound_algebra, seed=seed)
-    ctx["boundary_cover"] = bound_cover
-    entries.append(Entry("block-structure", "certified",
-                         f"spectrum algebra blocks {cover.block_sizes}, "
-                         f"boundary algebra blocks {bound_cover.block_sizes}",
-                         {"omega_blocks": cover.block_sizes,
-                          "boundary_blocks": bound_cover.block_sizes}))
+    """Shilov quotient of the spectrum model vs the boundary quotient, both on
+    the spectrum model's cover."""
+    hull, closure, lat = ctx["hull"], ctx["closure"], ctx["lattice"]
+    model_omega, model_bound = ctx["model_omega"], ctx["model_boundary"]
+    cover, ker_mask = ctx["omega_cover"], ctx["boundary_kernel_mask"]
+    boundary = cover.quotient(ker_mask)
+    entries = [Entry("block-structure", "certified",
+                     f"spectrum algebra blocks {cover.block_sizes}, "
+                     f"boundary algebra blocks {boundary.block_sizes}",
+                     {"omega_blocks": cover.block_sizes,
+                      "boundary_blocks": boundary.block_sizes})]
 
     a_basis = [m for _, m in model_omega.operator_algebra_generators()]
     shilov = shilov_ideal(a_basis, cover, levels=levels, tol=tol, seed=seed)
@@ -185,9 +184,6 @@ def envelope_coincidence(ctx, levels=None, tol=1e-9, seed=0) -> list[Entry]:
                          {"mask": sorted(shilov.mask),
                           "envelope_blocks": shilov.quotient_blocks}))
 
-    _, ker_mask, _ = boundary_quotient(model_omega, model_bound, closure, cover,
-                                       bound_algebra)
-    ctx["boundary_kernel_mask"] = ker_mask
     coincide = ker_mask == shilov.mask
     # certify the generator correspondence boundary → envelope is a *-isomorphism
     pi_pairs = [(model_bound.spanning_matrix(s), cover.rep(model_omega.spanning_matrix(s),
@@ -196,9 +192,7 @@ def envelope_coincidence(ctx, levels=None, tol=1e-9, seed=0) -> list[Entry]:
     try:
         pi_map = SpannedStarMap(pi_pairs)
         pi_ok = pi_map.check_star_homomorphism() and pi_map.is_injective() \
-            and pi_map.image_dim == sum(n * n for k, n in
-                                        enumerate(cover.block_sizes)
-                                        if k not in shilov.mask)
+            and pi_map.image_dim == sum(n * n for n in shilov.quotient_blocks)
     except ValueError:
         pi_ok = False
     entries.append(Entry("envelope-coincidence",
@@ -210,20 +204,16 @@ def envelope_coincidence(ctx, levels=None, tol=1e-9, seed=0) -> list[Entry]:
                          {"kernel_mask": sorted(ker_mask),
                           "shilov_mask": sorted(shilov.mask)}))
 
-    # the diagonal is injectively carried and detects ideals in the boundary model
-    diag_pairs = []
-    lat = ctx["lattice"]
-    for i in lat.nonzero_indices():
-        idem = hull.idempotent(lat.ideals[i].parts)
-        diag_pairs.append((model_bound.spanning_matrix(idem),
-                           cover.rep(model_omega.spanning_matrix(idem), shilov.mask)))
-    diag_map = SpannedStarMap(diag_pairs)
-    diag_basis = [p for p, _ in diag_pairs]
+    # the diagonal is injectively carried, and detects ideals of the boundary quotient
+    idempotents = [hull.idempotent(lat.ideals[i].parts) for i in lat.nonzero_indices()]
+    diag_omega = [model_omega.spanning_matrix(e) for e in idempotents]
+    diag_map = SpannedStarMap([(model_bound.spanning_matrix(e), cover.rep(d, shilov.mask))
+                               for e, d in zip(idempotents, diag_omega)])
     entries.append(Entry("diagonal-injectivity",
                          "certified" if diag_map.is_injective() else "rejected",
                          "the canonical diagonal embeds injectively",
                          {"diagonal_dim": diag_map.domain_dim}))
-    detects = detects_ideals(diag_basis, ctx["boundary_cover"])
+    detects = detects_ideals(diag_omega, boundary)
     entries.append(Entry("diagonal-detects-ideals",
                          "certified" if detects else "bounded-evidence",
                          "every nonzero ideal of the boundary algebra meets the "
@@ -235,19 +225,13 @@ def envelope_coincidence(ctx, levels=None, tol=1e-9, seed=0) -> list[Entry]:
 
 
 def boundary_quotient(model_omega: GermModel, model_bound: GermModel, closure,
-                      cover: FinDimCStar, bound_algebra: AlgebraSpan):
-    """Block-coordinate description of the restriction map to the boundary.
-
-    `cover` is the block decomposition of the spectrum model's algebra and
-    `bound_algebra` the boundary model's algebra. Returns (star_map,
-    kernel_mask, surjective): the map on the spanning family, the cover blocks
-    it kills, and whether it fills the boundary algebra.
-    """
+                      cover: FinDimCStar):
+    """(π, kernel mask): the restriction to the boundary on the spectrum model's
+    spanning family, and the blocks of `cover`, the spectrum algebra's, it kills."""
     pairs = [(model_omega.spanning_matrix(s), model_bound.spanning_matrix(s))
              for s in closure.nonzero()]
     star_map = SpannedStarMap(pairs)
-    kernel_mask = quotient_kernel_mask(cover, star_map)
-    return star_map, kernel_mask, star_map.image_dim == bound_algebra.dim
+    return star_map, quotient_kernel_mask(cover, star_map)
 
 
 def _bounded_tail(pres, hull, closure, depth, entries, ctx):

@@ -57,7 +57,7 @@ def test_criterion_01_edge_end_to_end():
     shilov = res.context["shilov"]
     assert [res.context["omega_cover"].block_sizes[k] for k in shilov.mask] == [1]
     assert shilov.quotient_blocks == [2]
-    assert res.context["boundary_cover"].block_sizes == [2]
+    assert res.entry("block-structure").data["boundary_blocks"] == [2]
     assert res.entry("envelope-coincidence").status == "certified"
     assert res.entry("boundary-isometry").data["max_deviation"] < 1e-10
     assert elapsed < 1.0

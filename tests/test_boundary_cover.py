@@ -1,0 +1,123 @@
+"""`thesis` reads the boundary side off the spectrum model's one cover; the
+dense paths it replaced are the oracles here.
+
+The dense complete-isometry sampler on the pairs (m_Ω, m_∂) of the morphism
+generators, the block decomposition of the boundary model's own algebra, and
+ideal detection on the boundary model's diagonal must agree with the
+`boundary-isometry`, `block-structure` and `diagonal-detects-ideals` entries.
+"""
+
+from functools import partial
+from pathlib import Path
+
+import pytest
+
+from catenv import cli, envelope, matrixrep, pipeline
+from catenv.categories import GraphPath, GroupoidSub
+from catenv.envelope import (SpannedStarMap, block_decompose, detects_ideals,
+                             quotient_kernel_mask)
+from catenv.fixtures import fix_edge, fix_kgraph_acyclic, fix_two, fix_two_mce_category
+from catenv.gpd import pair_groupoid, transitive_groupoid
+from catenv.matrixrep import complete_isometry_check
+from catenv.pipeline import analyze_category
+from test_hull import layered_dag
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def path_category(n_objects, arcs):
+    return GraphPath(objects=[f"o{i}" for i in range(n_objects)],
+                     edges=[(f"e{i}", f"o{a}", f"o{b}") for i, (a, b) in enumerate(arcs)])
+
+
+def z2_isotropy():
+    mul = {("0", "0"): "0", ("0", "1"): "1", ("1", "0"): "1", ("1", "1"): "0"}
+    amb = transitive_groupoid((1, 2), ["0", "1"], mul, "0")
+    return GroupoidSub(amb, set(amb.elements))
+
+
+CASES = [
+    pytest.param(fix_edge, id="edge"),
+    pytest.param(fix_two, id="two"),
+    pytest.param(fix_kgraph_acyclic, id="kgraph-acyclic"),
+    pytest.param(partial(path_category, 3, ((0, 1), (1, 2))), id="chain2"),
+    pytest.param(partial(path_category, 4, ((1, 0), (2, 0), (3, 0))), id="star3"),
+    pytest.param(partial(path_category, 2, ((0, 1),) * 3), id="parallel3"),
+    pytest.param(z2_isotropy, id="z2-isotropy"),
+    pytest.param(fix_two_mce_category, id="two-mce"),
+    pytest.param(partial(GroupoidSub, pair_groupoid((1, 2)), {(1, 1), (2, 2), (2, 1)}),
+                 id="pair-sub"),
+    *[pytest.param(partial(layered_dag, seed), id=f"dag{seed}") for seed in range(3)],
+]
+
+
+def dense_pairs(res, transpose=False):
+    """(m_Ω(c), m_∂(c)) for the morphism generators c, the dense sampler's input."""
+    hull, bound = res.context["hull"], res.context["model_boundary"]
+    pairs = [(m, bound.spanning_matrix(hull.from_morphism(c)))
+             for c, m in res.context["model_omega"].operator_algebra_generators()]
+    return [(a, b.T) for a, b in pairs] if transpose else pairs
+
+
+@pytest.mark.parametrize("make", CASES)
+def test_boundary_side_matches_dense_oracles(make):
+    res = analyze_category(make())
+    entry = res.entry("boundary-isometry")
+    dense = complete_isometry_check(dense_pairs(res), levels=entry.data["levels"])
+    blockwise = res.context["boundary_isometry"]
+    assert entry.status == dense.status == "certified"
+    assert blockwise.samples == dense.samples
+    assert entry.data["max_deviation"] < 1e-10 and dense.max_deviation < 1e-10
+
+    model_bound, hull = res.context["model_boundary"], res.context["hull"]
+    bound_cover = block_decompose(model_bound.reduced_algebra())
+    assert res.entry("block-structure").data["boundary_blocks"] == bound_cover.block_sizes
+
+    lat = res.context["lattice"]
+    diag = [model_bound.spanning_matrix(hull.idempotent(lat.ideals[i].parts))
+            for i in lat.nonzero_indices()]
+    assert res.entry("diagonal-detects-ideals").data["detects"] \
+        == detects_ideals(diag, bound_cover)
+
+
+def transposed_restriction(model_omega, model_bound, closure, cover):
+    """The restriction followed by the transpose: linear, *-preserving and well
+    defined, but it reverses products on every M_n block with n ≥ 2."""
+    star_map = SpannedStarMap([(model_omega.spanning_matrix(s),
+                                model_bound.spanning_matrix(s).T)
+                               for s in closure.nonzero()])
+    return star_map, quotient_kernel_mask(cover, star_map)
+
+
+@pytest.mark.parametrize("make", [fix_edge, fix_two])
+def test_planted_anti_homomorphism_is_rejected(monkeypatch, make):
+    monkeypatch.setattr(pipeline, "boundary_quotient", transposed_restriction)
+    res = analyze_category(make())
+    entry = res.entry("boundary-isometry")
+    verdict = res.context["boundary_isometry"]
+    assert entry.status == "rejected" and res.exit_code == 2
+    assert entry.data["max_deviation"] > 1e-9 and "*-homomorphism" in entry.detail
+    algebra = res.context["omega_cover"].algebra  # the witness pair lies in it
+    assert all(algebra.contains(x) for x in verdict.witness)
+    # the dense sampler rejects the transpose too: it is not completely isometric
+    dense = complete_isometry_check(dense_pairs(res, transpose=True), levels=2)
+    assert dense.status == "rejected" and dense.witness is not None
+
+
+def test_thesis_decomposes_once_and_samples_no_dense_pairs(monkeypatch):
+    calls = {"block_decompose": 0, "complete_isometry_check": 0}
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls[fn.__name__] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    decompose = counted(envelope.block_decompose)
+    sampler = counted(matrixrep.complete_isometry_check)
+    for module in (pipeline, envelope, cli):
+        monkeypatch.setattr(module, "block_decompose", decompose)
+    for module in (pipeline, matrixrep):
+        monkeypatch.setattr(module, "complete_isometry_check", sampler)
+    assert cli.main(["thesis", str(FIXTURES / "kgraph-acyclic.cat")]) == 0
+    assert calls == {"block_decompose": 1, "complete_isometry_check": 0}

@@ -144,6 +144,19 @@ def test_detects_ideals_examples():
     assert not detects_ideals(only_scalar, fd)
 
 
+def test_detects_ideals_on_a_quotient_cover_reads_the_image():
+    """On ℂ³ modulo its first block, D = {e₁, 1} maps onto the scalars of ℂ²,
+    which miss both proper ideals; e₁ lies in the kernel, so counting D's
+    dependencies on the matrices themselves would miss it."""
+    units = [np.diag(np.eye(3)[i]).astype(complex) for i in range(3)]
+    fd = block_decompose(AlgebraSpan(units, selfadjoint=True))
+    first = next(k for k in range(3) if np.abs(fd.coords(units[0])[k]).max() > 0.5)
+    quotient = fd.quotient({first})
+    assert quotient.block_sizes == [1, 1]
+    assert not detects_ideals([units[0], np.eye(3, dtype=complex)], quotient)
+    assert detects_ideals([units[1], units[2]], quotient)
+
+
 def test_diagonal_detects_ideals_in_boundary_model():
     pres = fix_edge()
     hull = InverseHull(pres)
@@ -172,8 +185,8 @@ def test_pi_env_is_isomorphism(fixture):
     assert res.entry("diagonal-injectivity").status == "certified"
     shilov = res.context["shilov"]
     assert res.context["boundary_kernel_mask"] == shilov.mask
-    bd_cover = res.context["boundary_cover"]
-    assert sorted(shilov.quotient_blocks) == sorted(bd_cover.block_sizes)
+    bd_blocks = res.entry("block-structure").data["boundary_blocks"]
+    assert sorted(shilov.quotient_blocks) == sorted(bd_blocks)
 
 
 def test_pi_env_for_groupoid_subcategory():
@@ -193,7 +206,7 @@ def test_pi_env_for_doubled_intersection_category():
     assert res.exit_code == 0
     assert res.entry("germ-groupoid").data["boundary_principal"]
     assert res.entry("envelope-coincidence").status == "certified"
-    assert res.context["boundary_cover"].block_sizes == [5]
+    assert res.entry("block-structure").data["boundary_blocks"] == [5]
 
 
 def test_pi_env_with_boundary_isotropy():

@@ -8,8 +8,8 @@ eigen-solve oracle sqrt(λ_max(A*A)).
 import numpy as np
 import pytest
 
-from catenv.fixtures import (fix_edge, fix_free2, fix_two, fix_two_mce_category,
-                             fix_trivial_monoid)
+from catenv.fixtures import (fix_edge, fix_free2, fix_kgraph_acyclic, fix_two,
+                             fix_two_mce_category, fix_trivial_monoid)
 from catenv.germs import GermContext
 from catenv.gpd import pair_groupoid
 from catenv.hull import InverseHull, ZERO
@@ -126,6 +126,22 @@ def test_groupoid_rep_blocks():
     assert GroupoidRep(units_only).block_sizes() == [1]
     two = bundle(fix_two())
     assert GroupoidRep(two[8].groupoid).block_sizes() == [2, 2]
+
+
+@pytest.mark.parametrize("pres", [fix_edge, fix_two, fix_kgraph_acyclic,
+                                  fix_two_mce_category])
+def test_spanning_matrix_is_the_function_matrix_sum(pres):
+    """The one partial permutation per bisection equals Σ of its element
+    matrices, on both models; it is cached by hull number and read-only."""
+    *_, closure, _, _, _, _, g_om, g_bd = bundle(pres())
+    for model in (GermModel(g_om, closure), GermModel(g_bd, closure)):
+        for s in closure.nonzero():
+            m = model.spanning_matrix(s)
+            assert np.array_equal(m, model.rep.function_matrix(
+                {g: 1.0 for g in model.bisection(s)}))
+            assert model.spanning_matrix(s) is m and not m.flags.writeable
+            with pytest.raises(ValueError):
+                m[0, 0] = 2.0
 
 
 def test_jack_isomorphism():
@@ -274,9 +290,8 @@ def test_boundary_quotient_blocks():
     model_bd = GermModel(g_bd, closure)
     from catenv.envelope import block_decompose
     cover = block_decompose(model_om.reduced_algebra())
-    qmap, mask, surjective = boundary_quotient(model_om, model_bd, closure, cover,
-                                               model_bd.reduced_algebra())
-    assert surjective
+    qmap, mask = boundary_quotient(model_om, model_bd, closure, cover)
+    assert qmap.image_dim == model_bd.reduced_algebra().dim  # onto the boundary algebra
     assert [cover.block_sizes[k] for k in sorted(mask)] == [1]  # the χ_v block dies
 
 
