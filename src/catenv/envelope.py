@@ -8,7 +8,11 @@ Hamana 1979), so in exact arithmetic its mask is the union of the single
 blocks that are boundary. Each single block gets only the exact kernel
 pre-test; one numerical search then settles the union of those that pass.
 Only when it rejects the union does the search fall back to numerical
-searches of the singles and then their combinations, largest first.
+searches of the singles and then their combinations, largest first. A caller
+that has already searched a mask, with at least the search's levels and
+samples, hands its verdict in (`verdicts=`), and the search reads it instead
+of searching that mask again: `thesis` hands in `boundary-isometry`'s verdict
+on the restriction's kernel mask, which is the union on every shipped fixture.
 
 Boundary-ideal trials compare level-k norms block by block in the cover's
 coordinates (the norm of a block-diagonal element is its largest block norm);
@@ -225,7 +229,8 @@ class ShilovResult:
     """The Shilov mask, and `verdicts`: one entry per mask the search decided,
     namely each single block the exact kernel pre-test rejects, the union of
     the others, and, only when the union was rejected, the singles and
-    combinations the fallback searched."""
+    combinations the fallback searched. A mask whose verdict the caller
+    handed in holds that verdict."""
 
     mask: frozenset
     cover: FinDimCStar
@@ -249,10 +254,15 @@ def is_boundary_ideal(a_basis, cover: FinDimCStar, mask, levels=None,
     kernel_witness = _span_kernel_element(a_basis, cover, mask)
     if kernel_witness is not None:
         return _kernel_rejection(kernel_witness, tol)
-    if levels is None:
-        levels = max(cover.block_sizes)
     return deviation_search(_blockwise_deviation(a_basis, cover, mask), len(a_basis),
-                            levels, samples=samples, tol=tol, seed=seed)
+                            search_levels(cover, levels), samples=samples, tol=tol,
+                            seed=seed)
+
+
+def search_levels(cover: FinDimCStar, levels=None) -> int:
+    """The matrix levels a boundary search on `cover` runs to: `levels`, else
+    the largest block."""
+    return max(cover.block_sizes) if levels is None else levels
 
 
 def _kernel_rejection(witness, tol) -> IsometryVerdict:
@@ -306,7 +316,7 @@ def _span_kernel_element(a_basis, cover: FinDimCStar, mask, tol=TOL):
 
 
 def shilov_ideal(a_basis, cover: FinDimCStar, levels=None, samples=25,
-                 tol=1e-9, seed=0) -> ShilovResult:
+                 tol=1e-9, seed=0, verdicts=None) -> ShilovResult:
     """Largest boundary ideal, union first.
 
     The exact kernel pre-test runs on each single block, and one numerical
@@ -316,21 +326,28 @@ def shilov_ideal(a_basis, cover: FinDimCStar, levels=None, samples=25,
     blocks, and blocks the pre-test rejects are not boundary. Only if the
     union is rejected do the singles get numerical searches, then their
     certified combinations, largest first; the first certified one is the mask.
+
+    `verdicts` maps masks to `IsometryVerdict`s the caller has already decided
+    on these generators and this cover, with at least these levels and
+    samples. The search reads such a mask's verdict instead of searching it,
+    and records it in `ShilovResult.verdicts` as its own.
     """
     a_basis = [np.asarray(a, dtype=complex) for a in a_basis]
     generated = AlgebraSpan(a_basis, selfadjoint=True)
     if generated.dim != cover.dim:
         raise NotACover(f"A generates dimension {generated.dim}, cover has {cover.dim}")
+    levels = search_levels(cover, levels)
+    seeded = {frozenset(mask): v for mask, v in (verdicts or {}).items()}
     verdicts = {}
 
     def certified(mask):
         if mask not in verdicts:
-            verdicts[mask] = is_boundary_ideal(a_basis, cover, mask, levels,
-                                               samples, tol, seed)
+            verdicts[mask] = seeded[mask] if mask in seeded else \
+                is_boundary_ideal(a_basis, cover, mask, levels, samples, tol, seed)
         return verdicts[mask].certified
 
     def result(mask):
-        return ShilovResult(mask, cover, verdicts, levels or max(cover.block_sizes))
+        return ShilovResult(mask, cover, verdicts, levels)
 
     passing = []
     for k in range(len(cover.block_sizes)):

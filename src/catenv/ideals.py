@@ -7,7 +7,9 @@ by nonzero ideals; the interesting content is the union condition (membership in
 
 Ideals are keyed by their integer index. Containment is derived from the parts
 once per index pair, in a table built on first use, so a character's value is
-a lookup; the index of dom(s) is cached by the hull number of s.
+a lookup; the index of dom(s) is cached by the hull number of s. The nonzero
+indices, and each ideal's nonzero sub-ideals, are listed once from that table,
+and a character keeps its filter as a set.
 """
 
 from __future__ import annotations
@@ -67,8 +69,20 @@ class Semilattice:
     def has_zero(self):
         return Ideal(()) in self.index
 
-    def nonzero_indices(self):
-        return [i for i, X in enumerate(self.ideals) if not X.is_empty]
+    @cached_property
+    def _nonzero(self) -> tuple[int, ...]:
+        return tuple(i for i, X in enumerate(self.ideals) if not X.is_empty)
+
+    def nonzero_indices(self) -> tuple[int, ...]:
+        return self._nonzero
+
+    @cached_property
+    def _nonzero_below(self) -> list[tuple[int, ...]]:
+        return [tuple(j for j in self._nonzero if row[j]) for row in self._containment]
+
+    def nonzero_subideals(self, i: int) -> tuple[int, ...]:
+        """The nonzero j with ideals[j] ⊆ ideals[i]."""
+        return self._nonzero_below[i]
 
     def canonical(self, gens) -> Ideal:
         return Ideal(self.hull._ideal_parts(list(gens)))
@@ -130,9 +144,7 @@ class Semilattice:
         for j in F:
             if not self.contains(i, j):
                 raise PreconditionViolated(f"{self.ideals[j]} ⊄ {self.ideals[i]}")
-        for j in self.nonzero_indices():
-            if not self.contains(i, j):
-                continue
+        for j in self.nonzero_subideals(i):
             if not any(not self.ideals[self.meet(j, z)].is_empty for z in F):
                 return False
         return True
@@ -145,11 +157,21 @@ class Character:
         self.lattice = lattice
         self.min_index = min_index
 
+    @cached_property
+    def filter(self) -> frozenset[int]:
+        """The indices j with χ(ideals[j]) = 1."""
+        lat = self.lattice
+        return frozenset(j for j in range(len(lat.ideals)) if lat.contains(j, self.min_index))
+
     def value(self, j: int) -> int:
-        return 1 if self.lattice.contains(j, self.min_index) else 0
+        return 1 if j in self.filter else 0
 
     def filter_indices(self):
-        return [j for j in range(len(self.lattice.ideals)) if self.value(j)]
+        return sorted(self.filter)
+
+    def zero_subideals(self, j: int) -> list[int]:
+        """The nonzero sub-ideals of ideals[j] where χ is 0."""
+        return [y for y in self.lattice.nonzero_subideals(j) if y not in self.filter]
 
     def min_ideal(self) -> Ideal:
         return self.lattice.ideals[self.min_index]
@@ -183,11 +205,8 @@ def enumerate_characters(lat: Semilattice):
 
 
 def _omega_condition(lat: Semilattice, chi: Character) -> bool:
-    for z in lat.nonzero_indices():
-        if not chi.value(z):
-            continue
-        zeros = [y for y in lat.nonzero_indices()
-                 if lat.contains(z, y) and not chi.value(y)]
+    for z in chi.filter_indices():
+        zeros = chi.zero_subideals(z)
         if zeros and lat.is_union(z, zeros):
             return False
     return True
@@ -217,10 +236,7 @@ def basic_set(lat: Semilattice, omega, x: int, f_indices):
 
 def minimal_basic_neighborhood(lat: Semilattice, chi: Character):
     """The smallest basic set around χ: X = min of the filter, 𝔣 = its zero sub-ideals."""
-    x = chi.min_index
-    f = [y for y in lat.nonzero_indices()
-         if lat.contains(x, y) and not chi.value(y)]
-    return x, f
+    return chi.min_index, chi.zero_subideals(chi.min_index)
 
 
 def closure(lat: Semilattice, omega, subset):
@@ -247,8 +263,7 @@ def is_tight(lat: Semilattice, chi: Character) -> bool:
     for z in chi.filter_indices():
         if lat.ideals[z].is_empty:
             continue
-        zeros = [y for y in lat.nonzero_indices()
-                 if lat.contains(z, y) and not chi.value(y)]
+        zeros = chi.zero_subideals(z)
         if zeros and lat.is_cover(zeros, z):
             return False
     return True

@@ -586,7 +586,11 @@ def deviation_search(deviation, nb, levels, samples=40, restarts=3, tol=1e-9,
     bookkeeping is then replayed in that order, so the verdict, the witness
     and `samples` (the trials counted one at a time, up to the one that
     decided a rejection) are those of scoring every trial by itself.
+
+    `levels` must be at least 1: a search that runs no trials certifies nothing.
     """
+    if levels < 1:
+        raise ValueError(f"a deviation search needs levels >= 1, got {levels}")
     rng = np.random.default_rng(seed)
     worst, witness = 0.0, None
     tried = 0

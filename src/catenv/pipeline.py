@@ -7,7 +7,9 @@ report's exit-code rule. The boundary side is read off one cover: the
 restriction π to the boundary model kills a set of blocks of the spectrum
 model's cover (`boundary_quotient`). Once π is certified a *-homomorphism,
 `boundary-isometry` is `is_boundary_ideal` on that kernel mask, and the
-boundary algebra's blocks are the cover's blocks outside it. Finite fixtures
+boundary algebra's blocks are the cover's blocks outside it. The Shilov
+search then reads that verdict instead of searching the kernel mask again
+(`shilov_seeds`), so each mask is searched once. Finite fixtures
 get exact verdicts; infinite ones run in a truncation window and are
 downgraded to bounded evidence, carrying the LCM chain's entries under an
 `lcm:` prefix for monoids.
@@ -23,7 +25,8 @@ from dataclasses import dataclass, field, replace
 from . import ideals as IL
 from .categories import CategoryPresentation
 from .envelope import (FinDimCStar, SpannedStarMap, block_decompose, detects_ideals,
-                       is_boundary_ideal, quotient_kernel_mask, shilov_ideal)
+                       is_boundary_ideal, quotient_kernel_mask, search_levels,
+                       shilov_ideal)
 from .germs import GermContext
 from .hull import InverseHull
 from .matrixrep import (GermModel, IsometryVerdict, LambdaRep, ThetaRep, jack_check,
@@ -150,14 +153,16 @@ def analyze_category(pres: CategoryPresentation, depth: int = 8,
         a_basis = [m for _, m in model_omega.operator_algebra_generators()]
         iso = is_boundary_ideal(a_basis, cover, ker_mask, levels=lv, samples=40,
                                 tol=tol, seed=seed)
-        detail = (f"restriction map completely isometric up to level {lv} "
-                  f"(max deviation {iso.max_deviation:.2e})")
+        detail = (f"restriction map {'' if iso.certified else 'not '}completely "
+                  f"isometric up to level {lv} (max deviation {iso.max_deviation:.2e}; "
+                  f"{iso.samples} trials, {iso.restarts} restarts)")
     else:
         iso = IsometryVerdict(False, failure[0], 0, 0, 0, tol, witness=failure[1:])
         detail = f"restriction map is not a *-homomorphism (defect {failure[0]:.2e})"
     entries.append(Entry("boundary-isometry", iso.status, detail,
                          {"levels": lv, "max_deviation": iso.max_deviation}))
-    ctx.update(omega_cover=cover, boundary_kernel_mask=ker_mask, boundary_isometry=iso)
+    ctx.update(omega_cover=cover, boundary_kernel_mask=ker_mask, boundary_isometry=iso,
+               restriction_homomorphism=failure is None)
     entries.extend(envelope_coincidence(ctx, levels=levels, tol=tol, seed=seed))
     return PipelineResult(entries, ctx)
 
@@ -176,11 +181,20 @@ def envelope_coincidence(ctx, levels=None, tol=1e-9, seed=0) -> list[Entry]:
                       "boundary_blocks": boundary.block_sizes})]
 
     a_basis = [m for _, m in model_omega.operator_algebra_generators()]
-    shilov = shilov_ideal(a_basis, cover, levels=levels, tol=tol, seed=seed)
+    seeds = shilov_seeds(ker_mask, ctx["boundary_isometry"],
+                         ctx["restriction_homomorphism"], cover, levels)
+    shilov = shilov_ideal(a_basis, cover, levels=levels, tol=tol, seed=seed,
+                          verdicts=seeds)
     ctx["shilov"] = shilov
+    reused = any(shilov.verdicts.get(m) is v for m, v in seeds.items())
     entries.append(Entry("shilov-ideal", "certified",
                          f"mask {sorted(shilov.mask)} of blocks {cover.block_sizes}; "
-                         f"envelope blocks {shilov.quotient_blocks}",
+                         f"envelope blocks {shilov.quotient_blocks}; "
+                         f"{len(shilov.verdicts)} masks decided, "
+                         f"{sum(v.samples > 0 for v in shilov.verdicts.values())} "
+                         "by numerical search"
+                         + ("; the kernel mask's verdict is boundary-isometry's"
+                            if reused else ""),
                          {"mask": sorted(shilov.mask),
                           "envelope_blocks": shilov.quotient_blocks}))
 
@@ -222,6 +236,20 @@ def envelope_coincidence(ctx, levels=None, tol=1e-9, seed=0) -> list[Entry]:
                          "diagonal); coincidence is settled by the Shilov search",
                          {"detects": detects}))
     return entries
+
+
+def shilov_seeds(ker_mask, iso: IsometryVerdict, homomorphism: bool,
+                 cover: FinDimCStar, levels=None) -> dict:
+    """The `boundary-isometry` verdict on the kernel mask, as a verdict the
+    Shilov search (run with `levels`) may read instead of searching that mask.
+
+    Only when π was certified a *-homomorphism: a π failure says nothing about
+    the mask. Then a rejection is sound, with its witness, whatever the effort
+    behind it; a certification must reach the search's levels. Its 40 samples
+    cover the search's 25."""
+    if not homomorphism or (iso.certified and iso.levels < search_levels(cover, levels)):
+        return {}
+    return {ker_mask: iso}
 
 
 def boundary_quotient(model_omega: GermModel, model_bound: GermModel, closure,

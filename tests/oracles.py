@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from catenv.coactions import GradedAlgebra, KatayamaReport, NoExtensionFound
-from catenv.envelope import NotACover, ShilovResult, is_boundary_ideal
+from catenv.envelope import NotACover, ShilovResult, is_boundary_ideal, search_levels
 from catenv.germs import InfiniteCharacterSpace, NotHausdorff, NotInDomain
 from catenv.gpd import FiniteGroupoid, GroupoidError
 from catenv.hull import HullClosure, InconsistentPieces, PiecewiseBijection
@@ -379,8 +379,8 @@ def shilov_ideal_by_singles(a_basis, cover, levels=None, samples=25, tol=1e-9,
                 v = is_boundary_ideal(a_basis, cover, mask, levels, samples, tol, seed)
                 verdicts[mask] = v
             if v.certified:
-                return ShilovResult(mask, cover, verdicts, levels or max(cover.block_sizes))
-    return ShilovResult(frozenset(), cover, verdicts, levels or max(cover.block_sizes))
+                return ShilovResult(mask, cover, verdicts, search_levels(cover, levels))
+    return ShilovResult(frozenset(), cover, verdicts, search_levels(cover, levels))
 
 
 def deviation_search_by_trial(deviation, nb, levels, samples=40, restarts=3,

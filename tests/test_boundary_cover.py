@@ -5,6 +5,8 @@ The dense complete-isometry sampler on the pairs (m_Ω, m_∂) of the morphism
 generators, the block decomposition of the boundary model's own algebra, and
 ideal detection on the boundary model's diagonal must agree with the
 `boundary-isometry`, `block-structure` and `diagonal-detects-ideals` entries.
+The Shilov search reads `boundary-isometry`'s verdict on the kernel mask
+instead of searching it again; a run that hands it nothing is the oracle there.
 """
 
 from functools import partial
@@ -102,19 +104,59 @@ def test_planted_anti_homomorphism_is_rejected(monkeypatch, make):
     # the dense sampler rejects the transpose too: it is not completely isometric
     dense = complete_isometry_check(dense_pairs(res, transpose=True), levels=2)
     assert dense.status == "rejected" and dense.witness is not None
+    # a π failure says nothing about the mask: the search's union verdict is its own
+    assert pipeline.shilov_seeds(res.context["boundary_kernel_mask"], verdict, False,
+                                 res.context["omega_cover"]) == {}
+    shilov = res.context["shilov"]
+    union = shilov.verdicts[shilov.mask]
+    assert union is not verdict and union.certified and union.samples > 0
+
+
+@pytest.mark.parametrize("make", CASES)
+def test_reused_verdict_gives_the_shilov_entries_of_a_fresh_search(monkeypatch, make):
+    res = analyze_category(make())
+    ker_mask, shilov = res.context["boundary_kernel_mask"], res.context["shilov"]
+    # the kernel mask is the union on each case here; an empty union needs no search
+    assert ker_mask == shilov.mask
+    assert (shilov.verdicts.get(ker_mask) is res.context["boundary_isometry"]) \
+        == bool(ker_mask)
+    monkeypatch.setattr(pipeline, "shilov_seeds", lambda *args: {})
+    fresh = analyze_category(make())
+    assert all(v is not fresh.context["boundary_isometry"]
+               for v in fresh.context["shilov"].verdicts.values())
+    entry, oracle = res.entry("shilov-ideal"), fresh.entry("shilov-ideal")
+    assert (entry.status, entry.data) == (oracle.status, oracle.data)
+    assert res.entry("envelope-coincidence") == fresh.entry("envelope-coincidence")
+
+
+def counting(calls, fn):
+    def wrapper(*args, **kwargs):
+        calls[fn.__name__] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+def test_thesis_searches_each_mask_once(monkeypatch):
+    calls = {"is_boundary_ideal": 0}
+    search = counting(calls, envelope.is_boundary_ideal)
+    for module in (pipeline, envelope):
+        monkeypatch.setattr(module, "is_boundary_ideal", search)
+    assert cli.main(["thesis", str(FIXTURES / "kgraph-acyclic.cat")]) == 0
+    assert calls == {"is_boundary_ideal": 1}
+
+
+def test_no_search_certifies_at_level_zero():
+    with pytest.raises(ValueError):
+        analyze_category(fix_edge(), levels=0)
+    res = analyze_category(fix_edge())
+    with pytest.raises(ValueError):
+        complete_isometry_check(dense_pairs(res), levels=0)
 
 
 def test_thesis_decomposes_once_and_samples_no_dense_pairs(monkeypatch):
     calls = {"block_decompose": 0, "complete_isometry_check": 0}
-
-    def counted(fn):
-        def wrapper(*args, **kwargs):
-            calls[fn.__name__] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    decompose = counted(envelope.block_decompose)
-    sampler = counted(matrixrep.complete_isometry_check)
+    decompose = counting(calls, envelope.block_decompose)
+    sampler = counting(calls, matrixrep.complete_isometry_check)
     for module in (pipeline, envelope, cli):
         monkeypatch.setattr(module, "block_decompose", decompose)
     for module in (pipeline, matrixrep):

@@ -1,6 +1,7 @@
 """The union-first Shilov search and the batched deviation search against the
 one-at-a-time references in `oracles`, the dominance inequality the
-union-first rule leans on, and the kernel pre-test on full masks."""
+union-first rule leans on, the kernel pre-test on full masks, and the
+verdicts a caller hands the search."""
 
 import itertools
 import os
@@ -14,10 +15,10 @@ from catenv.categories import GraphPath
 from catenv.envelope import (_blockwise_deviation, _span_kernel_element,
                              block_decompose, is_boundary_ideal, shilov_ideal)
 from catenv.fixtures import fix_edge, fix_kgraph_acyclic, fix_two
-from catenv.matrixrep import (AlgebraSpan, GermModel, LambdaRep, deviation_search,
-                              level_k_norms)
+from catenv.matrixrep import (AlgebraSpan, GermModel, IsometryVerdict, LambdaRep,
+                              deviation_search, level_k_norms)
 from catenv.parsing import load_path
-from catenv.pipeline import analyze_category
+from catenv.pipeline import analyze_category, shilov_seeds
 from oracles import deviation_search_by_trial, shilov_ideal_by_singles
 
 FIXDIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "fixtures")
@@ -126,6 +127,45 @@ def test_rejected_union_falls_back_to_singles():
     res = shilov_ideal(toy, cover)
     assert res.mask == shilov_ideal_by_singles(toy, cover).mask
     assert frozenset({0, 1}) in res.verdicts and not res.verdicts[frozenset({0, 1})].certified
+
+
+# -- verdicts handed in ---------------------------------------------------------------
+
+
+def test_seeded_rejected_union_falls_back_to_singles():
+    toy = [np.diag([1.0, 2.0]).astype(complex)]
+    cover = block_decompose(AlgebraSpan(toy, selfadjoint=True))
+    union = frozenset({0, 1})
+    rejected = is_boundary_ideal(toy, cover, union)
+    res = shilov_ideal(toy, cover, verdicts={union: rejected})
+    assert res.verdicts[union] is rejected
+    assert all(res.verdicts[frozenset({k})].samples > 0 for k in (0, 1))
+    assert res.mask == shilov_ideal(toy, cover).mask
+
+
+def test_seeds_only_what_the_search_would_decide():
+    """A π failure seeds nothing; a rejection is seeded whatever its effort; a
+    certification is seeded only at the search's levels or more."""
+    _, cover = spectrum_case(fix_kgraph_acyclic())
+    top = max(cover.block_sizes)
+    mask = frozenset({0})
+
+    def verdict(certified, levels):
+        return IsometryVerdict(certified, 0.0 if certified else 1.0, levels, 10, 3, 1e-9)
+
+    assert shilov_seeds(mask, verdict(False, 0), False, cover) == {}
+    assert shilov_seeds(mask, verdict(True, top), False, cover) == {}
+    low = verdict(True, top - 1)
+    assert shilov_seeds(mask, low, True, cover) == {}
+    assert shilov_seeds(mask, low, True, cover, levels=top - 1) == {mask: low}
+    for v in (verdict(False, 1), verdict(True, top), verdict(True, top + 1)):
+        assert shilov_seeds(mask, v, True, cover) == {mask: v}
+
+
+def test_shilov_search_at_level_zero_raises():
+    a_basis, cover = spectrum_case(fix_kgraph_acyclic())
+    with pytest.raises(ValueError):
+        shilov_ideal(a_basis, cover, levels=0)
 
 
 # -- the dominance inequality ------------------------------------------------------
