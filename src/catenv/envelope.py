@@ -2,6 +2,15 @@
 Shilov ideal search, and realization of the canonical surjection onto the
 envelope for category fixtures.
 
+A cover comes one of two ways. `orbit_cover` is exact: the C*-algebra of a
+principal finite groupoid is ⊕_orbits M_|O| (Renault 1980; Muhly, Renault and
+Williams 1987), each block on its orbit's coordinates, and a count of Σ|O|²
+against the spanning family's rank stands in for any decomposition; `thesis`
+takes it whenever the spectrum groupoid is principal. `block_decompose` is
+the numerical fallback for any selfadjoint matrix algebra (groupoids with
+isotropy, graded algebras of `coaction`): center from a commutant, spectral
+clusters of a generic central element, one irreducible compression per block.
+
 The Shilov search is union-first. A sub-ideal of a boundary ideal is
 boundary, and the Shilov ideal contains every boundary ideal (Arveson 1969;
 Hamana 1979), so in exact arithmetic its mask is the union of the single
@@ -46,7 +55,6 @@ class FinDimCStar:
 
     block_sizes: list[int]
     isometries: list[np.ndarray]
-    algebra: AlgebraSpan
 
     @property
     def dim(self):
@@ -64,7 +72,7 @@ class FinDimCStar:
         """The quotient by the masked blocks, in the others' coordinates."""
         keep = [k for k in range(len(self.block_sizes)) if k not in mask]
         return FinDimCStar([self.block_sizes[k] for k in keep],
-                           [self.isometries[k] for k in keep], self.algebra)
+                           [self.isometries[k] for k in keep])
 
     def norm(self, m) -> float:
         return max((operator_norm(c) for c in self.coords(m)), default=0.0)
@@ -187,12 +195,33 @@ def block_decompose(algebra: AlgebraSpan, seed=0) -> FinDimCStar:
         sizes.append(n)
         isoms.append(w)
     order = sorted(range(len(sizes)), key=lambda k: (sizes[k], k))
-    fd = FinDimCStar([sizes[k] for k in order], [isoms[k] for k in order], algebra)
+    fd = FinDimCStar([sizes[k] for k in order], [isoms[k] for k in order])
     if fd.dim != algebra.dim:
         raise NumericalFailure(f"block dimensions {fd.block_sizes} miss the algebra "
                                f"dimension {algebra.dim}")
-    _verify_iso(fd)
+    _verify_iso(fd, basis)
     return fd
+
+
+def orbit_cover(sizes, rank) -> FinDimCStar:
+    """The cover of a principal groupoid's C*-algebra, represented on ⊕_u ℓ²(G_u)
+    over one unit u per orbit, laid out orbit by orbit with `sizes` |G_u|.
+
+    G principal makes |G_u| the orbit's size |O|, and C*(G) ≅ ⊕_orbits M_|O|
+    (Renault 1980), each block acting on its orbit's coordinates: its isometry
+    is those identity columns, so its coordinates are exact compressions.
+    Blocks are ordered by (size, orbit), as `block_decompose` orders them.
+    `rank`, the dimension of the spanning family's span, must be Σ|O|²: that
+    span is block diagonal on the orbits, so it is then all of ⊕ M_|O|.
+    """
+    if sum(n * n for n in sizes) != rank:
+        raise NumericalFailure(f"orbit blocks {sorted(sizes)} miss the spanning "
+                               f"family's rank {rank}")
+    eye = np.eye(sum(sizes), dtype=complex)
+    starts = np.cumsum([0, *sizes])
+    order = sorted(range(len(sizes)), key=lambda k: (sizes[k], k))
+    return FinDimCStar([sizes[k] for k in order],
+                       [eye[:, starts[k]:starts[k + 1]] for k in order])
 
 
 def _support_projection(algebra: AlgebraSpan, tol=1e-8):
@@ -204,9 +233,8 @@ def _support_projection(algebra: AlgebraSpan, tol=1e-8):
     return keep @ keep.conj().T
 
 
-def _verify_iso(fd: FinDimCStar, tol=1e-7):
+def _verify_iso(fd: FinDimCStar, basis, tol=1e-7):
     rng = np.random.default_rng(7)
-    basis = fd.algebra.basis
     for _ in range(6):
         c1 = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
         c2 = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))

@@ -3,14 +3,20 @@
 The thesis pipeline runs: validation → hull closure → ideal lattice → boundary →
 separation check → germ groupoid → matrix models → boundary isometry → envelope,
 and reports one `report.Entry` per stage; `PipelineResult.exit_code` is the
-report's exit-code rule. The boundary side is read off one cover: the
-restriction π to the boundary model kills a set of blocks of the spectrum
-model's cover (`boundary_quotient`). Once π is certified a *-homomorphism,
+report's exit-code rule. The boundary side is read off one cover of the
+spectrum algebra C*(G_Ω). When the spectrum groupoid is principal that cover
+is exact (`spectrum_cover`): C*(G) ≅ ⊕_orbits M_|O|, one block per orbit on
+that orbit's coordinates of the groupoid representation, checked by counting
+Σ|O|² against the spanning family's rank, with no product closure and no
+numerical decomposition. Otherwise (isotropy) the algebra the spanning family
+generates is decomposed numerically by `block_decompose`. The restriction π
+to the boundary model kills a set of blocks of that cover
+(`boundary_quotient`). Once π is certified a *-homomorphism,
 `boundary-isometry` is `is_boundary_ideal` on that kernel mask, and the
 boundary algebra's blocks are the cover's blocks outside it. The Shilov
 search then reads that verdict instead of searching the kernel mask again
-(`shilov_seeds`), so each mask is searched once. Finite fixtures
-get exact verdicts; infinite ones run in a truncation window and are
+(`shilov_seeds`), so each mask is searched once. Finite fixtures get exact
+verdicts; infinite ones run in a truncation window and are
 downgraded to bounded evidence, carrying the LCM chain's entries under an
 `lcm:` prefix for monoids.
 
@@ -25,12 +31,12 @@ from dataclasses import dataclass, field, replace
 from . import ideals as IL
 from .categories import CategoryPresentation
 from .envelope import (FinDimCStar, SpannedStarMap, block_decompose, detects_ideals,
-                       is_boundary_ideal, quotient_kernel_mask, search_levels,
-                       shilov_ideal)
+                       is_boundary_ideal, orbit_cover, quotient_kernel_mask,
+                       search_levels, shilov_ideal)
 from .germs import GermContext
 from .hull import InverseHull
 from .matrixrep import (GermModel, IsometryVerdict, LambdaRep, ThetaRep, jack_check,
-                        windowed_norm)
+                        matrix_rank, windowed_norm)
 from .matrixrep import complete_isometry_check  # noqa: F401  traced by bench/layers.py
 from .report import Entry, exit_code
 
@@ -144,7 +150,7 @@ def analyze_category(pres: CategoryPresentation, depth: int = 8,
                          f"(dimension {toeplitz.dim})" if ok else f"mismatch {info}",
                          {"dim": toeplitz.dim}))
 
-    cover = block_decompose(model_omega.reduced_algebra(), seed=seed)
+    cover = spectrum_cover(model_omega, info if ok else None, seed=seed)
     pi, ker_mask = boundary_quotient(model_omega, model_bound, closure, cover)
     lv = levels if levels is not None else max(model_bound.rep.block_sizes() + [1])
     failure = pi.star_homomorphism_witness()
@@ -236,6 +242,18 @@ def envelope_coincidence(ctx, levels=None, tol=1e-9, seed=0) -> list[Entry]:
                          "diagonal); coincidence is settled by the Shilov search",
                          {"detects": detects}))
     return entries
+
+
+def spectrum_cover(model: GermModel, rank=None, seed=0) -> FinDimCStar:
+    """The spectrum algebra's cover: one block per orbit (`orbit_cover`) when
+    the groupoid is principal, else the numerical decomposition of the algebra
+    the spanning family generates. `rank` is the spanning family's, when the
+    caller already has it."""
+    if not model.rep.g.is_principal():
+        return block_decompose(model.reduced_algebra(), seed=seed)
+    if rank is None:
+        rank = matrix_rank([model.spanning_matrix(s) for s in model.closure.nonzero()])
+    return orbit_cover(model.rep.block_sizes(), rank)
 
 
 def shilov_seeds(ker_mask, iso: IsometryVerdict, homomorphism: bool,

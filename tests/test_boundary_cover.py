@@ -7,6 +7,9 @@ ideal detection on the boundary model's diagonal must agree with the
 `boundary-isometry`, `block-structure` and `diagonal-detects-ideals` entries.
 The Shilov search reads `boundary-isometry`'s verdict on the kernel mask
 instead of searching it again; a run that hands it nothing is the oracle there.
+On a principal spectrum groupoid the cover itself is the orbit cover; the
+numerical decomposition of the spectrum algebra, and a `thesis` run on it, are
+its oracle.
 """
 
 from functools import partial
@@ -20,7 +23,7 @@ from catenv.envelope import (SpannedStarMap, block_decompose, detects_ideals,
                              quotient_kernel_mask)
 from catenv.fixtures import fix_edge, fix_kgraph_acyclic, fix_two, fix_two_mce_category
 from catenv.gpd import pair_groupoid, transitive_groupoid
-from catenv.matrixrep import complete_isometry_check
+from catenv.matrixrep import AlgebraSpan, complete_isometry_check
 from catenv.pipeline import analyze_category
 from test_hull import layered_dag
 
@@ -99,7 +102,7 @@ def test_planted_anti_homomorphism_is_rejected(monkeypatch, make):
     verdict = res.context["boundary_isometry"]
     assert entry.status == "rejected" and res.exit_code == 2
     assert entry.data["max_deviation"] > 1e-9 and "*-homomorphism" in entry.detail
-    algebra = res.context["omega_cover"].algebra  # the witness pair lies in it
+    algebra = res.context["model_omega"].reduced_algebra()  # the witness pair lies in it
     assert all(algebra.contains(x) for x in verdict.witness)
     # the dense sampler rejects the transpose too: it is not completely isometric
     dense = complete_isometry_check(dense_pairs(res, transpose=True), levels=2)
@@ -153,13 +156,109 @@ def test_no_search_certifies_at_level_zero():
         complete_isometry_check(dense_pairs(res), levels=0)
 
 
-def test_thesis_decomposes_once_and_samples_no_dense_pairs(monkeypatch):
-    calls = {"block_decompose": 0, "complete_isometry_check": 0}
+def count_cover_work(monkeypatch):
+    """Counts of numerical decompositions, spectrum product closures and dense
+    samplings, as the calls happen."""
+    calls = {"block_decompose": 0, "reduced_algebra": 0, "complete_isometry_check": 0}
     decompose = counting(calls, envelope.block_decompose)
     sampler = counting(calls, matrixrep.complete_isometry_check)
     for module in (pipeline, envelope, cli):
         monkeypatch.setattr(module, "block_decompose", decompose)
     for module in (pipeline, matrixrep):
         monkeypatch.setattr(module, "complete_isometry_check", sampler)
+    monkeypatch.setattr(matrixrep.GermModel, "reduced_algebra",
+                        counting(calls, matrixrep.GermModel.reduced_algebra))
+    return calls
+
+
+def test_thesis_decomposes_once_and_samples_no_dense_pairs(monkeypatch):
+    """A principal spectrum groupoid gets the orbit cover: no product closure
+    and no numerical decomposition."""
+    calls = count_cover_work(monkeypatch)
     assert cli.main(["thesis", str(FIXTURES / "kgraph-acyclic.cat")]) == 0
-    assert calls == {"block_decompose": 1, "complete_isometry_check": 0}
+    assert calls == {"block_decompose": 0, "reduced_algebra": 0,
+                     "complete_isometry_check": 0}
+
+
+def test_thesis_decomposes_an_isotropy_spectrum_once(monkeypatch):
+    calls = count_cover_work(monkeypatch)
+    # the diagonal misses an ideal of the boundary algebra [2, 2]: bounded evidence
+    assert analyze_category(z2_isotropy()).exit_code == 3
+    assert calls == {"block_decompose": 1, "reduced_algebra": 1,
+                     "complete_isometry_check": 0}
+
+
+# -- the orbit cover against the numerical decomposition --------------------------
+
+PRINCIPAL = [case for case in CASES if case.id != "z2-isotropy"] \
+    + [pytest.param(partial(layered_dag, seed), id=f"dag{seed}") for seed in (3, 4)]
+
+
+def numerical_cover(model, rank=None, seed=0):
+    return block_decompose(model.reduced_algebra(), seed=seed)
+
+
+def as_sizes(entry, cover):
+    """(check, status, data) with masks as sorted block sizes, and max_deviation
+    apart: masks among equal blocks and rounding may differ between covers."""
+    data = {key: sorted(cover.block_sizes[k] for k in value)
+            if key in ("mask", "kernel_mask", "shilov_mask") else value
+            for key, value in entry.data.items() if key != "max_deviation"}
+    return entry.check, entry.status, data, entry.data.get("max_deviation", 0.0)
+
+
+@pytest.mark.parametrize("make", PRINCIPAL)
+def test_orbit_cover_matches_the_numerical_decomposition(monkeypatch, make):
+    res = analyze_category(make())
+    model, cover = res.context["model_omega"], res.context["omega_cover"]
+    g = model.rep.g
+    assert g.is_principal()
+    algebra = model.reduced_algebra()
+    assert cover.block_sizes == block_decompose(algebra).block_sizes
+    assert cover.dim == algebra.dim
+
+    # each orbit O is one block of size |O|: Σn² = |O|²·|G_u^u|, one block per
+    # conjugacy class of the isotropy G_u^u, which is trivial here
+    start = 0
+    for orbit, n in zip(g.orbits(), model.rep.block_sizes()):
+        u, span = orbit[0], slice(start, start + n)
+        isotropy = [x for x in g.elements if g.source[x] == g.range[x] == u]
+        on_orbit = block_decompose(AlgebraSpan([b[span, span] for b in algebra.basis]))
+        assert n == len(orbit) and len(isotropy) == 1
+        assert on_orbit.block_sizes == [len(orbit)]
+        start += n
+
+    ker_mask, shilov = res.context["boundary_kernel_mask"], res.context["shilov"]
+    assert sorted(cover.block_sizes[k] for k in ker_mask) \
+        == sorted(cover.block_sizes[k] for k in shilov.mask)
+
+    monkeypatch.setattr(pipeline, "spectrum_cover", numerical_cover)
+    oracle = analyze_category(make())
+    mine = [as_sizes(e, cover) for e in res.entries]
+    theirs = [as_sizes(e, oracle.context["omega_cover"]) for e in oracle.entries]
+    assert [m[:3] for m in mine] == [t[:3] for t in theirs]
+    assert all(abs(m[3] - t[3]) < 1e-12 for m, t in zip(mine, theirs))
+
+
+@pytest.mark.parametrize("plant", ["orbit size", "rank"])
+def test_miscounted_orbit_cover_exits_four(monkeypatch, capsys, plant):
+    """Σ|O|² against the spanning family's rank: a mismatch is an internal
+    error, never a silent fall back to the numerical decomposition."""
+    calls = {"block_decompose": 0}
+    for module in (pipeline, envelope):
+        monkeypatch.setattr(module, "block_decompose",
+                            counting(calls, envelope.block_decompose))
+    if plant == "orbit size":
+        sizes = matrixrep.GroupoidRep.block_sizes
+        monkeypatch.setattr(matrixrep.GroupoidRep, "block_sizes",
+                            lambda rep: [sizes(rep)[0] + 1, *sizes(rep)[1:]])
+    else:
+        def jack_check(*args):
+            ok, rank = matrixrep.jack_check(*args)
+            return ok, rank + 1
+        monkeypatch.setattr(pipeline, "jack_check", jack_check)
+    assert cli.main(["thesis", str(FIXTURES / "edge.cat")]) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("internal error: orbit blocks ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert calls == {"block_decompose": 0}

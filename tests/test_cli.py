@@ -143,13 +143,13 @@ def test_unstable_closure_exits_four(monkeypatch, capsys):
 def test_failed_block_decomposition_exits_four(monkeypatch, capsys):
     import catenv.envelope
     monkeypatch.setattr(catenv.envelope, "matrix_rank", lambda ms: 3)
-    assert_internal_error(capsys, "not a full matrix algebra", "thesis", fx("edge.cat"))
+    assert_internal_error(capsys, "not a full matrix algebra", "coaction", fx("t2.grad"))
 
 
 def test_failed_block_isomorphism_check_exits_four(monkeypatch, capsys):
     import catenv.envelope
     monkeypatch.setattr(catenv.envelope.FinDimCStar, "norm", lambda self, m: 0.0)
-    assert_internal_error(capsys, "do not preserve norms", "envelope", fx("two.cat"))
+    assert_internal_error(capsys, "do not preserve norms", "coaction", fx("t2.grad"))
 
 
 def test_generators_outside_the_cover_exit_four(monkeypatch, capsys):
