@@ -14,12 +14,12 @@ from .categories import (
     ValidationReport,
 )
 from .gpd import FiniteGroupoid, FreeAbelianTarget, pair_groupoid
-from .hull import ExplicitBijection, HullClosure, InverseHull, PiecewiseBijection, ZERO
+from .hull import HullClosure, InverseHull, PiecewiseBijection, ZERO
 
 __all__ = [
     "AlignmentUnavailable", "CategoryPresentation", "DirectProduct", "FiniteTable",
     "FreeMonoid", "GraphPath", "KGraph", "MalformedPresentation", "Morphism",
     "NkMonoid", "ValidationReport", "FiniteGroupoid", "FreeAbelianTarget",
-    "pair_groupoid", "ExplicitBijection", "HullClosure", "InverseHull",
+    "pair_groupoid", "HullClosure", "InverseHull",
     "PiecewiseBijection", "ZERO",
 ]

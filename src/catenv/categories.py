@@ -51,12 +51,6 @@ class ValidationReport:
     right_cancellative: bool | None = None
     failures: list[str] = field(default_factory=list)
 
-    @property
-    def cancellative(self):
-        if self.left_cancellative is None or self.right_cancellative is None:
-            return None
-        return self.left_cancellative and self.right_cancellative
-
 
 class CategoryPresentation:
     """Common surface for the presentation classes."""

@@ -286,10 +286,6 @@ class CrossedProduct:
         self.rho_perms = np.array([_lifted(p, self.h_dim) for p in self.group.rho_perms])
         self.span = AlgebraSpan(self.generators, selfadjoint=False)
 
-    def dual_action(self, g, x) -> np.ndarray:
-        """δ̂_g = Ad(I⊗ρ_g), on x or a stack of x."""
-        return _conjugate(x, self.rho_perms[self.group.index[g]])
-
     def dual_action_formula_check(self) -> bool:
         """δ̂_g(δ_λ(a) j(f)) = δ_λ(a) j(σ_g f) with σ_g(f)(h) = f(hg)."""
         G, gens = self.group, self.generators

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -431,7 +432,8 @@ class SpannedStarMap:
     def __init__(self, pairs):
         self.xs = [np.asarray(x, dtype=complex) for x, _ in pairs]
         self.ys = [np.asarray(y, dtype=complex) for _, y in pairs]
-        if _joint_rank(self.xs, self.ys) != matrix_rank(self.xs):
+        self.domain_dim = matrix_rank(self.xs)
+        if _joint_rank(self.xs, self.ys) != self.domain_dim:
             raise ValueError("map is not well defined on the span")
         self._domain = SpanBasis()
         self._basis_y = np.array([y for x, y in zip(self.xs, self.ys)
@@ -441,13 +443,9 @@ class SpannedStarMap:
         """The image of m; ValueError if m is outside the domain span."""
         return np.tensordot(self._domain.coordinates(m), self._basis_y, 1)
 
-    @property
+    @cached_property
     def image_dim(self):
         return matrix_rank(self.ys)
-
-    @property
-    def domain_dim(self):
-        return matrix_rank(self.xs)
 
     def is_injective(self):
         return self.domain_dim == self.image_dim

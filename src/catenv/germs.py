@@ -22,10 +22,6 @@ class NotInDomain(ValueError):
     pass
 
 
-class NotHausdorff(RuntimeError):
-    pass
-
-
 class InfiniteCharacterSpace(RuntimeError):
     pass
 
@@ -84,11 +80,7 @@ class GermContext:
             raise NotInDomain(f"χ({self.lat.ideals[self.lat.domain_index(n)]}) = 0")
         return found
 
-    # -- the action on characters and germs -------------------------------------
-
-    def act(self, s: PiecewiseBijection, chi: Character) -> Character:
-        """s.χ, using s.χ_X = χ_{s(X)} for the principal filter at X."""
-        return Character(self.lat, self._in_domain(self.hull.index(s), chi.min_index)[1])
+    # -- germs -----------------------------------------------------------------
 
     def germ(self, s: PiecewiseBijection, chi: Character) -> Germ:
         return self._in_domain(self.hull.index(s), chi.min_index)[0]
@@ -98,12 +90,9 @@ class GermContext:
 
     # -- the groupoid ---------------------------------------------------------
 
-    def build_groupoid(self, closure: HullClosure, chars,
-                       require_hausdorff: bool = True) -> "GermGroupoid":
-        if require_hausdorff:
-            verdict = self.hull.hausdorff_check(closure)
-            if not verdict.ok:
-                raise NotHausdorff(f"separation fails at {verdict.witness}")
+    def build_groupoid(self, closure: HullClosure, chars) -> "GermGroupoid":
+        """The germ groupoid over `chars`. Separation holds by construction
+        (`InverseHull.hausdorff_check`), so it is not checked again here."""
         if not self.lat.complete:
             raise InfiniteCharacterSpace("finite character space required")
         char_by_min = {chi.min_index: chi for chi in chars}

@@ -209,17 +209,10 @@ class FiniteGroupoid:
     # -- structural predicates ------------------------------------------
 
     def is_principal(self):
-        """True when every element with equal range and source is a unit."""
+        """True when every element with equal range and source is a unit. The
+        unit space is discrete, so this is also effectiveness."""
         return all(self.is_unit(g) for g in self.elements
                    if self.source[g] == self.range[g])
-
-    def is_effective(self):
-        """Interior of the isotropy bundle reduces to the unit space.
-
-        The unit space of a finite groupoid is discrete, so every isotropy point is
-        interior and effectiveness coincides with principality.
-        """
-        return self.is_principal()
 
     def __len__(self):
         return len(self.elements)

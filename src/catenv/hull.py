@@ -50,18 +50,7 @@ class HullClosure:
         return len(self.elements)
 
     def nonzero(self):
-        return [s for s in self.elements
-                if isinstance(s, PiecewiseBijection) and not s.is_zero]
-
-
-@dataclass
-class HausdorffVerdict:
-    status: str  # "certified" | "counterexample" | "bounded"
-    witness: object = None
-
-    @property
-    def ok(self):
-        return self.status != "counterexample"
+        return [s for s in self.elements if not s.is_zero]
 
 
 class InverseHull:
@@ -281,74 +270,21 @@ class InverseHull:
         return HullClosure(elements=elements, bound=bound, complete=complete)
 
     def contains_zero(self, h: HullClosure) -> bool:
-        return any(isinstance(s, PiecewiseBijection) and s.is_zero for s in h.elements)
+        return any(s.is_zero for s in h.elements)
 
-    # -- fixed points and the separation criterion --------------------------
+    # -- the separation criterion -------------------------------------------
 
-    def fix_set(self, s: PiecewiseBijection):
-        """Fixed points of s as principal-ideal parts.
-
-        A piece (a, b) fixes b·t exactly when a·t = b·t; the fixed set is right
-        invariant, so on cancellative presentations a piece contributes its whole
-        domain (a = b) or nothing, and finite presentations are settled pointwise.
+    def hausdorff_check(self, h: HullClosure) -> str:
+        """Spielberg's criterion: every fixed-point set is a finite union of
+        constructible ideals. It holds by construction on every presentation
+        accepted here. A piece (a, b) fixes b·t exactly when a·t = b·t, so its
+        fixed set is right invariant. On a finite category it is therefore the
+        union of the ideals x𝔠 over its points x, each the range of a closure
+        element; on an infinite cancellative one it is the piece's domain
+        (a = b) or nothing. Returns "certified" on a complete closure and
+        "bounded" on a truncated one.
         """
-        parts = []
-        for a, b in s.pieces:
-            if a == b:
-                parts.append(b)
-            elif self.p.is_finite:
-                fixed = [x for x in self._ball
-                         if (t := self.p.divide_left(b, x)) is not None
-                         and self.p.compose(a, t) == x]
-                parts.extend(self._ideal_parts(fixed))
-            elif not self.p.structurally_cancellative:
-                raise NotImplementedError(
-                    "bounded fixed-point analysis for infinite non-cancellative input")
-        return self._ideal_parts(parts)
-
-    def hausdorff_check(self, h: HullClosure) -> HausdorffVerdict:
-        """Every fixed-point set must be a finite union of constructible ideals."""
-        for s in h.elements:
-            if isinstance(s, ExplicitBijection):
-                verdict = self._explicit_fix_is_ideal_union(h, s)
-                if verdict is not None:
-                    return verdict
-            else:
-                self.fix_set(s)  # always an ideal union for piecewise elements
-        return HausdorffVerdict("certified" if h.complete else "bounded")
-
-    def _explicit_fix_is_ideal_union(self, h, s):
-        if not self.p.is_finite:
-            return HausdorffVerdict("bounded", witness=s)
-        fixed = set(s.fixed_points())
-        ground = self._ball
-        covered = set()
-        for t in h.elements:
-            if not isinstance(t, PiecewiseBijection):
-                continue
-            members = {m for m in ground
-                       if any(self.p.in_ideal(b, m) for b in self.domain_parts(t))}
-            if members and members <= fixed:
-                covered |= members
-        stray = sorted(fixed - covered, key=self.p.sort_key)
-        if stray:
-            return HausdorffVerdict("counterexample", witness=(s, stray[0]))
-        return None
-
-
-@dataclass(frozen=True)
-class ExplicitBijection:
-    """A hand-given partial bijection of the ground category, as an explicit graph.
-
-    Not necessarily an element of the inverse hull; used to exercise rejection
-    paths of the separation checker.
-    """
-
-    graph: tuple[tuple[Morphism, Morphism], ...]
-
-    def fixed_points(self):
-        return [x for x, y in self.graph if x == y]
-
-    @property
-    def is_zero(self):
-        return not self.graph
+        if not (self.p.is_finite or self.p.structurally_cancellative):
+            raise NotImplementedError(
+                "bounded fixed-point analysis for infinite non-cancellative input")
+        return "certified" if h.complete else "bounded"

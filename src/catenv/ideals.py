@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .categories import CategoryPresentation, Morphism
-from .hull import HullClosure, InverseHull, PiecewiseBijection
+from .hull import HullClosure, InverseHull
 
 
 class PreconditionViolated(ValueError):
@@ -53,8 +53,6 @@ class Semilattice:
         self.complete = closure.complete
         seen = {}
         for s in closure.elements:
-            if not isinstance(s, PiecewiseBijection):
-                continue
             for parts in (hull_ctx.domain_parts(s), hull_ctx.image_parts(s)):
                 seen[Ideal(parts)] = True
         self.ideals: list[Ideal] = sorted(

@@ -1,6 +1,6 @@
 """Concrete matrix models: left regular representation, groupoid regular
-representations, the boundary compressions ϑ_χ, norms at matrix levels, and the
-numerical complete-isometry certifier.
+representations, the germ bases of the boundary compressions ϑ_χ, norms at
+matrix levels, and the numerical complete-isometry certifier.
 
 All matrices are dense complex arrays over explicitly labelled bases. Reduced
 norms are operator norms computed by SVD; the independent eigen-solve oracle
@@ -17,6 +17,7 @@ test suite as the oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -27,10 +28,6 @@ from .hull import HullClosure, InverseHull, PiecewiseBijection
 from .ideals import Character
 
 TOL = 1e-9
-
-
-class DimensionMismatch(ValueError):
-    pass
 
 
 class NotBoundary(ValueError):
@@ -301,24 +298,10 @@ class GroupoidRep:
             (y for y in g.elements if g.source[y] == u), key=str)]
         self.index = {x: i for i, x in enumerate(self.basis)}
 
-    def element_matrix(self, el) -> np.ndarray:
-        """The indicator function of a single groupoid element, represented."""
-        return _partial_permutation(self.basis, self.index, lambda t: self.g.mul(el, t)
-                                    if self.g.source[el] == self.g.range[t] else None)
-
-    def function_matrix(self, coeffs: dict) -> np.ndarray:
-        n = len(self.basis)
-        return sum((c * self.element_matrix(el) for el, c in coeffs.items()),
-                   np.zeros((n, n), dtype=complex))
-
     def block_sizes(self):
         """Sizes ℓ²(G_χ) per orbit representative."""
         return [sum(1 for x in self.basis if self.g.source[x] == u)
                 for u in self.rep_units]
-
-    def unit_diagonal(self, m: np.ndarray) -> np.ndarray:
-        """The conditional expectation onto functions on units: keep the diagonal."""
-        return np.diag(np.diag(m))
 
 
 # -- spanning families over germ groupoids --------------------------------------
@@ -361,9 +344,13 @@ class GermModel:
         return AlgebraSpan(mats, selfadjoint=True)
 
     def operator_algebra_generators(self):
-        """Generators 1_{[c, Ω(𝔡(c)𝔠)]} for the morphism maps c."""
-        ctx = self.gg.ctx
-        return [(c, self.spanning_matrix(ctx.hull.from_morphism(c))) for c in ctx.p.ball(None)]
+        """Generators 1_{[c, Ω(𝔡(c)𝔠)]} for the morphism maps c, built once."""
+        return self._generators
+
+    @cached_property
+    def _generators(self):
+        hull = self.gg.ctx.hull
+        return [(c, self.spanning_matrix(hull.from_morphism(c))) for c in hull._ball]
 
 
 def jack_check(hull_ctx: InverseHull, closure: HullClosure, model: GermModel,
@@ -402,7 +389,8 @@ def jack_check(hull_ctx: InverseHull, closure: HullClosure, model: GermModel,
 
 
 class ThetaRep:
-    """ϑ_χ over the germ basis [𝔠, χ]; cancellative categories let morphisms label it."""
+    """The germ basis [𝔠, χ] of ϑ_χ, labelled by morphisms (cancellative
+    categories); a truncation window of it when `radius` is given."""
 
     def __init__(self, pres, hull_ctx: InverseHull, chi, radius=None,
                  boundary_chars=None):
@@ -424,18 +412,6 @@ class ThetaRep:
             return bool(self.chi.value(lat.index[ideal]))
         return bool(self.chi.value_on_parts(parts))
 
-    def theta(self, s: PiecewiseBijection) -> np.ndarray:
-        return _partial_permutation(self.basis, self.index, lambda d: self.hull.apply(s, d))
-
-    def diagonal_indicator(self, parts) -> np.ndarray:
-        """ϑ_χ(1_{Ω(X)}): the projection onto basis germs lying in X = ⋃ b𝔠."""
-        n = len(self.basis)
-        out = np.zeros((n, n), dtype=complex)
-        for j, d in enumerate(self.basis):
-            if any(self.p.in_ideal(b, d) for b in parts):
-                out[j, j] = 1.0
-        return out
-
 
 def direct_sum(mats) -> np.ndarray:
     n = sum(m.shape[0] for m in mats)
@@ -448,85 +424,14 @@ def direct_sum(mats) -> np.ndarray:
     return out
 
 
-def compression_identity_check(model: GermModel, theta: ThetaRep, tol=1e-9):
-    """P_χ ρ_χ(1_{[c,Ω(𝔡c𝔠)]}) P_χ = ϑ_χ on the morphism generators.
-
-    Requires the χ-fiber of the groupoid representation; the projection P picks the
-    germs [d,χ] of morphisms d.
-    """
-    ctx = model.gg.ctx
-    chi = theta.chi
-    g = model.gg.groupoid
-    fiber = [x for x in g.elements if x.chi_min == chi.min_index]
-    fiber.sort(key=lambda x: str(x))
-    fiber_index = {x: i for i, x in enumerate(fiber)}
-    morphism_germ = {}
-    for d in theta.basis:
-        germ = ctx.germ(ctx.hull.from_morphism(d), chi)
-        morphism_germ[d] = germ
-        if germ not in fiber_index:
-            return False, f"germ of {d} missing from the χ-fiber"
-    proj = np.zeros((len(theta.basis), len(fiber)), dtype=complex)
-    for d, i in theta.index.items():
-        proj[i, fiber_index[morphism_germ[d]]] = 1.0
-    for c in ctx.p.ball(None):
-        s = ctx.hull.from_morphism(c)
-        rho_fiber = np.zeros((len(fiber), len(fiber)), dtype=complex)
-        for j, t in enumerate(fiber):
-            for el in model.bisection(s):
-                if g.source[el] == g.range[t]:
-                    rho_fiber[fiber_index[g.mul(el, t)], j] += 1.0
-        lhs = proj @ rho_fiber @ proj.conj().T
-        if not np.allclose(lhs, theta.theta(s), atol=tol):
-            return False, c
-    return True, None
-
-
-def inclusion_exclusion_check(hull_ctx: InverseHull, s: PiecewiseBijection,
-                              theta: ThetaRep, tol=1e-9):
-    """ϑ_χ(1_{ℱ_s}) via signed meets of Ω(X) indicators equals 1_{[fix(s),χ]}."""
-    import itertools as it
-
-    parts = hull_ctx.fix_set(s)
-    n = len(theta.basis)
-    direct = np.zeros((n, n), dtype=complex)
-    for j, d in enumerate(theta.basis):
-        if hull_ctx.apply(s, d) == d:
-            direct[j, j] = 1.0
-    signed = np.zeros((n, n), dtype=complex)
-    for r in range(1, len(parts) + 1):
-        for combo in it.combinations(parts, r):
-            meet_parts = [combo[0]]
-            for b in combo[1:]:
-                new_parts = []
-                for m in meet_parts:
-                    for x, _ in hull_ctx.p.align(m, b):
-                        new_parts.append(hull_ctx.p.compose(m, x))
-                meet_parts = hull_ctx._ideal_parts(new_parts)
-            signed += ((-1) ** (r - 1)) * theta.diagonal_indicator(meet_parts)
-    return np.allclose(signed, direct, atol=tol)
-
-
 # -- norms at matrix levels and the complete-isometry certifier -------------------
 
 
-def norm_level_k(basis, coeffs) -> float:
-    """Operator norm of Σ coeffs[i,j,b] · E_ij ⊗ basis[b]."""
-    coeffs = np.asarray(coeffs, dtype=complex)
-    if coeffs.ndim == 1:
-        coeffs = coeffs.reshape(1, 1, -1)
-    k1, k2, nb = coeffs.shape
-    if nb != len(basis) or k1 != k2:
-        raise DimensionMismatch(f"need (k, k, {len(basis)}) coefficients")
-    return float(level_k_norms(np.asarray(basis, dtype=complex)[None],
-                               coeffs[None])[0, 0])
-
-
 def level_k_norms(stacks, coeffs) -> np.ndarray:
-    """`norm_level_k` for each of t coefficient arrays, coeffs of shape
-    (t, k, k, nb), and each basis in stacks, shape (m, nb, n, n): a (t, m)
-    array from one batched SVD. Each entry is bit for bit the norm of that
-    coefficient array and basis alone."""
+    """Operator norms of Σ coeffs[i, j, b] · E_ij ⊗ basis[b] for each of t
+    coefficient arrays, coeffs of shape (t, k, k, nb), and each basis in
+    stacks, shape (m, nb, n, n): a (t, m) array from one batched SVD. Each
+    entry is bit for bit the norm of that coefficient array and basis alone."""
     m, _, n, _ = stacks.shape
     t, k = coeffs.shape[:2]
     big = np.einsum("tijb,mbxy->tmixjy", coeffs, stacks).reshape(t, m, k * n, k * n)
@@ -649,23 +554,3 @@ def _ascend(deviation, starts, start_scores, restarts, rng):
                     step[j] *= 0.7
         best = [c if c[0] > b[0] else b for b, c in zip(best, cur)]
     return best
-
-
-def expectation_units_checks(rep: GroupoidRep, rng_seed=0, trials=10, tol=1e-9):
-    """Idempotence, positivity (diagonal compression), and faithfulness samples."""
-    rng = np.random.default_rng(rng_seed)
-    n = len(rep.basis)
-    for _ in range(trials):
-        coeffs = {el: complex(rng.standard_normal(), rng.standard_normal())
-                  for el in rep.g.elements}
-        m = rep.function_matrix(coeffs)
-        e = rep.unit_diagonal(m)
-        if not np.allclose(rep.unit_diagonal(e), e, atol=tol):
-            return False, "not idempotent"
-        pos = m.conj().T @ m
-        diag = rep.unit_diagonal(pos)
-        if np.any(np.diag(diag).real < -tol):
-            return False, "not positive"
-        if np.allclose(diag, 0, atol=tol) and not np.allclose(m, 0, atol=tol):
-            return False, "not faithful"
-    return True, None

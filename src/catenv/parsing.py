@@ -26,9 +26,10 @@ Groupoid files (.gpd):
 
 Graded-algebra files (.grad):
     class: graded_algebra
-    group: cyclic <n>
-    ambient: <matrix size>
+    group: cyclic <n>                  (n >= 1)
+    ambient: <matrix size>             (>= 1)
     generators:                        <degree> i,j,re[,im];i,j,re[,im];...
+                                       (at least one row; 0 <= i, j < size)
 
 A field or section that the document's class does not read is an error, so a
 misspelled header cannot silently drop its records; so is a field given twice,
@@ -153,7 +154,8 @@ def load_text(text: str):
             return "category", GroupoidSub(ambient, chosen)
         if cls == "groupoid":
             return "groupoid", _groupoid_from_sections(scalars, sections)
-        return "graded", _graded_from_sections(scalars, sections)  # graded_algebra
+        line_of = {key: lineno for lineno, key, _ in headers}
+        return "graded", _graded_from_sections(scalars, sections, line_of)
     except (MalformedPresentation, ValueError) as exc:
         if isinstance(exc, ParseError):
             raise
@@ -192,28 +194,44 @@ def _groupoid_from_sections(scalars, sections) -> FiniteGroupoid:
     return FiniteGroupoid(elements, source, range_, product, units=tuple(units))
 
 
-def _graded_from_sections(scalars, sections):
-    spec = _require(scalars, "group").split()
-    if spec[0] == "cyclic":
-        group = FiniteGroup.cyclic(int(spec[1]))
+def _integer(token, what, lineno, low=None, high=None):
+    """token as an int in [low, high), else a ParseError naming the line."""
+    try:
+        value = int(token)
+    except ValueError:
+        raise ParseError(f"{what} {token!r} is not an integer", lineno) from None
+    if (low is not None and value < low) or (high is not None and value >= high):
+        bounds = f"at least {low}" if high is None else f"in [{low}, {high})"
+        raise ParseError(f"{what} {value} must be {bounds}", lineno)
+    return value
 
-        def parse_degree(tok):
-            return int(tok) % len(group)
-    else:
-        raise ParseError(f"unsupported group spec {' '.join(spec)!r}")
-    dim = int(_require(scalars, "ambient"))
+
+def _graded_from_sections(scalars, sections, line_of):
+    spec = _require(scalars, "group").split()
+    if spec[0] != "cyclic":
+        raise ParseError(f"unsupported group spec {' '.join(spec)!r}", line_of["group"])
+    if len(spec) != 2:
+        raise ParseError("group spec is 'cyclic <order>'", line_of["group"])
+    group = FiniteGroup.cyclic(_integer(spec[1], "cyclic order", line_of["group"], 1))
+    dim = _integer(_require(scalars, "ambient"), "ambient", line_of["ambient"], 1)
+    rows = sections.get("generators", [])
+    if not rows:
+        raise ParseError("graded_algebra needs generators", line_of.get("generators"))
     components: dict = {}
-    for lineno, row in sections.get("generators", []):
+    for lineno, row in rows:
         if len(row) != 2:
             raise ParseError("generator rows are '<degree> <entries>'", lineno)
-        degree = parse_degree(row[0])
+        degree = _integer(row[0], "degree", lineno) % len(group)
         mat = np.zeros((dim, dim), dtype=complex)
         for chunk in row[1].split(";"):
             parts = chunk.split(",")
             if len(parts) not in (3, 4):
                 raise ParseError(f"bad entry {chunk!r}", lineno)
-            i, j = int(parts[0]), int(parts[1])
-            re, im = float(parts[2]), float(parts[3]) if len(parts) == 4 else 0.0
+            i, j = (_integer(x, "entry index", lineno, 0, dim) for x in parts[:2])
+            try:
+                re, im = float(parts[2]), float(parts[3]) if len(parts) == 4 else 0.0
+            except ValueError:
+                raise ParseError(f"bad entry {chunk!r}", lineno) from None
             mat[i, j] = re + 1j * im
         components.setdefault(degree, []).append(mat)
     return group, GradedAlgebra(group, components)

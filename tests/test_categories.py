@@ -43,7 +43,7 @@ def by_word(pres, word):
 def test_edge_valid_and_cancellative_exhaustively():
     p = fix_edge()
     rep = p.validate()
-    assert rep.ok and rep.cancellative
+    assert rep.ok and rep.left_cancellative and rep.right_cancellative
     # independent oracle: check cancellation over all composable pairs directly
     ball = p.ball(None)
     assert len(ball) == 3
@@ -66,7 +66,8 @@ def test_planted_left_cancellation_violation_reported():
 
 def test_free_monoid_certified_structurally():
     rep = fix_free2().validate()
-    assert rep.ok and rep.cancellative and rep.mode == "structural"
+    assert rep.ok and rep.left_cancellative and rep.right_cancellative \
+        and rep.mode == "structural"
 
 
 def test_zero_object_category_rejected():
@@ -205,7 +206,8 @@ def test_alignment_complete_and_minimal_on_ball():
 
 def test_two_mce_category_has_two_element_alignment():
     p = fix_two_mce_category()
-    assert p.validate().cancellative
+    rep = p.validate()
+    assert rep.left_cancellative and rep.right_cancellative
     ms = {m.word: m for m in p.ball(None)}
     pairs = p.align(ms[("p",)], ms[("q",)])
     assert len(pairs) == 2

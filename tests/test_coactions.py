@@ -12,8 +12,8 @@ from catenv.coactions import (CrossedProduct, DoubleCrossedProduct,
 from catenv.fixtures import fix_edge, fix_two, t2_graded, t3_graded
 from catenv.matrixrep import AlgebraSpan, LambdaRep
 from catenv.envelope import block_decompose, shilov_ideal
-from oracles import (DenseDoubleCrossedProduct, commutation_check, fell_absorption_check,
-                     in_span, spectral_subspace_dims_from_reduction)
+from oracles import (DenseDoubleCrossedProduct, commutation_check, crossed_dual_action,
+                     fell_absorption_check, in_span, spectral_subspace_dims_from_reduction)
 
 
 def t2_delta():
@@ -144,7 +144,7 @@ def test_crossed_product_dimension_and_dual_action():
     assert cp.dual_action_formula_check()
     assert cp.dual_action_group_law_check()
     x = cp.generators[0]
-    assert np.allclose(cp.dual_action(delta.group.identity, x), x)
+    assert np.allclose(crossed_dual_action(cp, delta.group.identity, x), x)
 
 
 def test_double_crossed_formulas():

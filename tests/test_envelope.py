@@ -233,3 +233,18 @@ def test_spanned_star_map_rejects_ill_defined():
     with pytest.raises(ValueError):
         # E11 and E11 must map to equal images
         SpannedStarMap([(e11, e11), (e11, e22)])
+
+
+def test_spanned_star_map_takes_each_rank_once(monkeypatch):
+    """The domain rank is the one the well-definedness test takes; the image
+    rank is taken on first use and kept."""
+    from catenv import envelope
+    calls = []
+    rank = envelope.matrix_rank
+    monkeypatch.setattr(envelope, "matrix_rank", lambda ms: calls.append(len(ms)) or rank(ms))
+    e11, e12, _, e22 = matrix_units(2)
+    star_map = SpannedStarMap([(e11, e11), (e22, e22), (e11 + e22, e11 + e22), (e12, 0 * e12)])
+    assert len(calls) == 1
+    assert not star_map.is_injective()
+    assert (star_map.domain_dim, star_map.image_dim) == (3, 2)
+    assert star_map.is_injective() is False and len(calls) == 2

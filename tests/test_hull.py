@@ -14,8 +14,9 @@ from catenv.categories import DirectProduct, FreeMonoid, GraphPath, GroupoidSub,
 from catenv.fixtures import (fix_edge, fix_flip_monoid, fix_free2, fix_kgraph_acyclic,
                              fix_n2, fix_trivial_monoid, fix_two, fix_two_mce_category)
 from catenv.gpd import cyclic_groupoid, pair_groupoid
-from catenv.hull import ExplicitBijection, InverseHull, PiecewiseBijection, ZERO
-from oracles import hull_closure_by_full_scan, hull_product_by_definition
+from catenv.hull import InverseHull, PiecewiseBijection, ZERO
+from oracles import (ExplicitBijection, fix_set, hull_closure_by_full_scan,
+                     hull_product_by_definition, separation_by_fixed_sets)
 
 
 def graph_of(hull, s, ball):
@@ -260,12 +261,12 @@ def test_fix_set_examples(edge_hull):
     hull, h = edge_hull
     p = hull.p
     idv = hull.idempotent([p.identity("v")])
-    assert hull.fix_set(idv) == (p.identity("v"),)
-    assert hull.fix_set(ZERO) == ()
+    assert fix_set(hull, idv) == (p.identity("v"),)
+    assert fix_set(hull, ZERO) == ()
     f2 = fix_free2()
     hull2 = InverseHull(f2)
     shift = hull2.canonical([(f2.word("a"), f2.word("b"))])
-    assert hull2.fix_set(shift) == ()
+    assert fix_set(hull2, shift) == ()
 
 
 def test_fix_set_right_invariant_two_parts():
@@ -273,7 +274,7 @@ def test_fix_set_right_invariant_two_parts():
     hull = InverseHull(p)
     h = hull.generate()
     two_part = [s for s in h.nonzero()
-                if hull.is_idempotent(s) and len(hull.fix_set(s)) == 2]
+                if hull.is_idempotent(s) and len(fix_set(hull, s)) == 2]
     assert two_part, "expected a two-part constructible fixed set"
 
 
@@ -306,16 +307,60 @@ def test_hausdorff_certified_on_fixtures():
                            (fix_free2(), 3, "bounded")):
         hull = InverseHull(p)
         h = hull.generate(bound)
-        assert hull.hausdorff_check(h).status == want
+        assert hull.hausdorff_check(h) == want
 
 
 def test_planted_non_ideal_union_rejected(edge_hull):
+    """The oracle's rejection path: a planted explicit bijection fixing id_v
+    alone, whose fixed set holds no ideal of the closure."""
     hull, h = edge_hull
     p = hull.p
     planted = ExplicitBijection(((p.identity("v"), p.identity("v")),))
     doctored = type(h)(elements=h.elements + [planted], bound=h.bound,
                        complete=h.complete)
-    verdict = hull.hausdorff_check(doctored)
+    verdict = separation_by_fixed_sets(hull, doctored)
     assert verdict.status == "counterexample"
     offender, witness = verdict.witness
     assert offender is planted and witness == p.identity("v")
+
+
+@pytest.mark.parametrize("make,bound", [
+    *[pytest.param(f, None, id=f.__name__)
+      for f in (fix_edge, fix_two, fix_kgraph_acyclic, fix_two_mce_category,
+                fix_trivial_monoid)],
+    *[pytest.param(f, b, id=f"{f.__name__}-{b}")
+      for f in (fix_free2, fix_n2, fix_flip_monoid) for b in (3, 4)],
+    *[pytest.param(partial(GroupoidSub, g, els or g.elements), None, id=name)
+      for name, g, els in (("pair12", pair_groupoid((1, 2)), None),
+                           ("pair12-lower", pair_groupoid((1, 2)), {(1, 1), (2, 2), (2, 1)}),
+                           ("z2", cyclic_groupoid(2), None), ("z3", cyclic_groupoid(3), None))],
+    *[pytest.param(partial(layered_dag, seed), None, id=f"dag{seed}") for seed in range(5)]])
+def test_separation_matches_the_fixed_set_oracle(make, bound):
+    """`hausdorff_check` decides by construction what the oracle decides from
+    every fixed-point set; on finite inputs each set `fix_set` reads off the
+    pieces is the pointwise fixed set."""
+    hull = InverseHull(make())
+    h = hull.generate(bound)
+    assert hull.hausdorff_check(h) == separation_by_fixed_sets(hull, h).status \
+        == ("certified" if bound is None else "bounded")
+    p = hull.p
+    if p.is_finite:
+        ground = p.ball(None)
+        for s in h.elements:
+            parts = fix_set(hull, s)
+            assert {x for x in ground if any(p.in_ideal(b, x) for b in parts)} \
+                == {x for x in ground if hull.apply(s, x) == x}
+
+
+def test_separation_on_infinite_non_cancellative_input_is_not_implemented():
+    """Neither path claims a verdict on an infinite presentation that is not
+    structurally cancellative. None is accepted today (an infinite product
+    with a finite table has no hull), so the flag is planted."""
+    pres = FreeMonoid(("a",))
+    pres.structurally_cancellative = False
+    hull = InverseHull(pres)
+    h = hull.generate(2)
+    with pytest.raises(NotImplementedError):
+        hull.hausdorff_check(h)
+    with pytest.raises(NotImplementedError):
+        separation_by_fixed_sets(hull, h)

@@ -15,10 +15,9 @@ from catenv.envelope import (_blockwise_deviation, _null_space, block_decompose,
                              is_boundary_ideal, shilov_ideal)
 from catenv.fixtures import fix_edge, t2_graded, t3_graded
 from catenv.matrixrep import (AlgebraSpan, GermModel, LambdaRep, SpanBasis, _joint_rank,
-                              _rank, complete_isometry_check, direct_sum, matrix_rank,
-                              norm_level_k)
+                              _rank, complete_isometry_check, direct_sum, matrix_rank)
 from oracles import (DenseDoubleCrossedProduct, algebra_span_by_rescan, delta_per_degree,
-                     extend_grading_by_all_pairs, in_span, point_mass,
+                     extend_grading_by_all_pairs, in_span, norm_level_k, point_mass,
                      tilde_delta_by_lstsq)
 
 

@@ -42,7 +42,8 @@ q y m1
     kind, pres = load_text(doc)
     assert kind == "category"
     rep = pres.validate()
-    assert rep.ok and rep.cancellative and rep.mode == "exhaustive"
+    assert rep.ok and rep.left_cancellative and rep.right_cancellative \
+        and rep.mode == "exhaustive"
 
 
 def test_groupoid_sub_document():
@@ -159,3 +160,30 @@ generators:
     kind, (group, graded) = load_text(doc)
     assert kind == "graded"
     assert graded.components[1][0][0, 1] == 1j
+
+
+_GRADED = "class: graded_algebra\ngroup: {group}\nambient: 2\ngenerators:\n{rows}"
+
+
+@pytest.mark.parametrize("doc,line,what", [
+    pytest.param(_GRADED.format(group="cyclic 2", rows=""), 4, "graded_algebra needs generators",
+                 id="no-generators"),
+    pytest.param(_GRADED.format(group="cyclic 2", rows="0 0,0,1\n0 2,0,1\n"), 6,
+                 "entry index 2 must be in [0, 2)", id="index-past-ambient"),
+    pytest.param(_GRADED.format(group="cyclic 2", rows="0 -1,0,1\n"), 5,
+                 "entry index -1 must be in [0, 2)", id="negative-index"),
+    pytest.param(_GRADED.format(group="cyclic", rows="0 0,0,1\n"), 2,
+                 "group spec is 'cyclic <order>'", id="cyclic-without-order"),
+    pytest.param(_GRADED.format(group="cyclic 0", rows="0 0,0,1\n"), 2,
+                 "cyclic order 0 must be at least 1", id="cyclic-zero"),
+    pytest.param(_GRADED.format(group="cyclic 2", rows="0 0,0,1;1,1,x\n"), 5,
+                 "bad entry '1,1,x'", id="entry-not-a-number")])
+def test_malformed_graded_documents_are_input_errors(tmp_path, capsys, doc, line, what):
+    """Each is one `error:` line naming the line, exit 1: no traceback, no
+    entry read at a wrapped index, no misleading message."""
+    path = tmp_path / "bad.grad"
+    path.write_text(doc)
+    code = main(["coaction", str(path)])
+    out = capsys.readouterr()
+    assert code == 1 and out.out == ""
+    assert out.err.splitlines() == [f"error: line {line}: {what}"]

@@ -13,11 +13,11 @@ from catenv.gpd import (FreeAbelianTarget, cyclic_groupoid, disjoint_union,
 from catenv.hull import InverseHull
 from catenv import ideals as IL
 from catenv.univgroup import (CategoryFunctor, Cocycle, IsoLetter, UGWord,
-                              XLetter, cocycle_identity_holds,
-                              enveloping_groupoid, evaluate_in_group,
+                              XLetter, cocycle_identity_holds, enveloping_groupoid,
                               idempotent_pure_check, j_map, kernel_subgroupoid,
                               partial_action_iso_check, reduce_word, rho_tilde,
-                              universal_group, word_inverse, word_mul)
+                              universal_group, word_mul)
+from oracles import evaluate_in_group, word_inverse
 
 
 # -- presentation data -----------------------------------------------------------
