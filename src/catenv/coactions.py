@@ -22,9 +22,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .envelope import SpannedStarMap
+from .envelope import FinDimCStar, SpannedStarMap, block_decompose, is_boundary_ideal
 from .gpd import group_as_groupoid
-from .matrixrep import AlgebraSpan, SpanBasis, complete_isometry_check, matrix_rank
+from .matrixrep import AlgebraSpan, SpanBasis, matrix_rank
 
 
 class GradingInvalid(ValueError):
@@ -153,9 +153,26 @@ class Coaction:
         return np.einsum("ipjq,pq->ij", dm4, self.group.lam(g).conj()) / n
 
     def normality_verdict(self, levels=None, samples=25, seed=0):
-        pairs = list(zip(self.graded.basis, self.images))
-        return complete_isometry_check(pairs, levels=levels or 3,
-                                       samples=samples, seed=seed)
+        """Is a ↦ δ(a) completely isometric, up to `levels` (default 3)?
+        `is_boundary_ideal` on `normality_cover`, with no dense matrices."""
+        return is_boundary_ideal(self.images, *self.normality_cover(),
+                                 levels=levels or 3, samples=samples, seed=seed)
+
+    def normality_cover(self):
+        """(cover, mask) on which normality is a boundary-ideal question.
+
+        C*(G) = span{λ_g} splits by `block_decompose` into blocks W_π, so
+        1_d⊗W_π covers M_d⊗C*(G) ∋ δ(a). The trivial character's block reads
+        a⊗λ_g as a; masking every other block leaves ‖Σ c⊗a‖ against
+        ‖Σ c⊗δ(a)‖, exactly the dense comparison of the pairs (a, δ(a))."""
+        lam = [self.group.lam(g) for g in self.group.elements]
+        regular = block_decompose(AlgebraSpan(lam, selfadjoint=True))
+        trivial = next(k for k, n in enumerate(regular.block_sizes)
+                       if n == 1 and all(np.allclose(regular.coords(u)[k], 1) for u in lam))
+        eye = np.eye(self.graded.ambient_dim)
+        cover = FinDimCStar([len(eye) * n for n in regular.block_sizes],
+                            [np.kron(eye, w) for w in regular.isometries])
+        return cover, frozenset(range(len(regular.block_sizes))) - {trivial}
 
     @cached_property
     def crossed_product(self) -> CrossedProduct:

@@ -15,20 +15,36 @@ The Shilov search is union-first. A sub-ideal of a boundary ideal is
 boundary, and the Shilov ideal contains every boundary ideal (Arveson 1969;
 Hamana 1979), so in exact arithmetic its mask is the union of the single
 blocks that are boundary. Each single block gets only the exact kernel
-pre-test; one numerical search then settles the union of those that pass.
-Only when it rejects the union does the search fall back to numerical
-searches of the singles and then their combinations, largest first. A caller
-that has already searched a mask, with at least the search's levels and
-samples, hands its verdict in (`verdicts=`), and the search reads it instead
-of searching that mask again: `thesis` hands in `boundary-isometry`'s verdict
-on the restriction's kernel mask, which is the union on every shipped fixture.
+pre-test; one `is_boundary_ideal` decision then settles the union of those
+that pass. Only when it rejects the union does the search fall back to
+deciding the singles and then their combinations, largest first. A caller
+that has already decided a mask, exactly or with at least the search's
+levels and samples, hands its verdict in (`verdicts=`), and the search reads
+it instead of deciding that mask again: `thesis` hands in
+`boundary-isometry`'s verdict on the restriction's kernel mask, which is the
+union on every shipped fixture.
 
-Boundary-ideal trials compare level-k norms block by block in the cover's
-coordinates (the norm of a block-diagonal element is its largest block norm);
-null spaces come from a thin SVD unless the matrix is wide.
+A boundary-ideal question (is quotienting by the masked blocks completely
+isometric on span(A)?) is settled exactly where it can be. After the kernel
+pre-test, `compression_certificate` looks for each masked block m for a kept
+block k and a coordinate injection S with coords_k(a)[S][:, S] ==
+coords_m(a) for every generator a, compared with `np.array_equal`. A
+representation that is a compression of another is dominated by it (Arveson
+1969, "Subalgebras of C*-algebras"; Dritschel and McCullough 2005, "Boundary
+representations for families of representations of operator algebras and
+spaces"): ‖Σ c⊗π_m(a)‖ = ‖(1⊗S)*(Σ c⊗π_k(a))(1⊗S)‖ ≤ ‖Σ c⊗π_k(a)‖ at every
+level, so the quotient keeps every norm on span(A), the statement the
+sampler tests. The orbit cover's coordinates are exact, and on the shipped
+categories every killed orbit block is such a compression. Where no
+certificate is found (float covers from `block_decompose`, rejections that
+need a witness) the numerical search runs: its trials compare level-k norms
+block by block in the cover's coordinates (the norm of a block-diagonal
+element is its largest block norm). Null spaces come from a thin SVD unless
+the matrix is wide.
 
 Certification semantics: REJECT verdicts carry an explicit witness and are
-sound; CERTIFY verdicts are numerical certificates with stated effort.
+sound; CERTIFY verdicts are exact (a compression certificate, valid at every
+level) or numerical certificates with stated effort.
 """
 
 from __future__ import annotations
@@ -277,15 +293,93 @@ def is_boundary_ideal(a_basis, cover: FinDimCStar, mask, levels=None,
 
     A sound exact pre-test first: an isometry is injective, so any nonzero
     element of span(A) supported inside the masked blocks refutes the mask.
-    Then `deviation_search` on `_blockwise_deviation`.
+    Then the exact `compression_certificate`, which certifies at every level
+    with no search; only without one does `deviation_search` run on
+    `_blockwise_deviation`. `levels` below 1 raise `ValueError` first: a
+    search that runs no trials certifies nothing.
     """
     mask = frozenset(mask)
+    levels = search_levels(cover, levels)
+    if levels < 1:
+        raise ValueError(f"a boundary search needs levels >= 1, got {levels}")
     kernel_witness = _span_kernel_element(a_basis, cover, mask)
     if kernel_witness is not None:
         return _kernel_rejection(kernel_witness, tol)
+    certificate = compression_certificate(a_basis, cover, mask)
+    if certificate is not None:
+        return IsometryVerdict(True, 0.0, levels, 0, 0, tol, certificate=certificate)
     return deviation_search(_blockwise_deviation(a_basis, cover, mask), len(a_basis),
-                            search_levels(cover, levels), samples=samples, tol=tol,
-                            seed=seed)
+                            levels, samples=samples, tol=tol, seed=seed)
+
+
+def compression_certificate(a_basis, cover: FinDimCStar, mask):
+    """{masked block m: (kept block k, coordinates S)} with
+    coords_k(a)[S][:, S] == coords_m(a) exactly for every a in `a_basis`, S
+    injective; None when some masked block has no such kept block.
+
+    Then π_m = S*π_k S on span(A), so ‖Σ c⊗π_m(a)‖ ≤ ‖Σ c⊗π_k(a)‖ at every
+    level and the quotient by the mask keeps every norm.
+    """
+    coords = [np.array(block) for block in zip(*(cover.coords(a) for a in a_basis))]
+    kept = [k for k in range(len(coords)) if k not in mask]
+    certificate = {}
+    for m in sorted(mask):
+        for k in kept:
+            injection = _coordinate_injection(coords[k], coords[m])
+            if injection is not None:
+                certificate[m] = (k, injection)
+                break
+        else:
+            return None
+    return certificate
+
+
+def _coordinate_injection(kept, masked):
+    """Distinct coordinates S of `kept` with kept[:, S][:, S] == masked, for
+    stacks of shape (nb, n, n); or None.
+
+    A kept block smaller than the masked one has no injection and is skipped
+    before any start. S(0) runs over kept's coordinates; the rest propagates
+    (`_propagate`). The last word is `np.array_equal`, with no tolerance.
+    """
+    if kept.shape[1] < masked.shape[1]:
+        return None
+    # links[i]: (b, j, value, along_row) per nonzero masked[b, i, j] or masked[b, j, i]
+    links = [[] for _ in range(masked.shape[1])]
+    for b, i, j in zip(*np.nonzero(masked)):
+        links[i].append((b, j, masked[b, i, j], True))
+        links[j].append((b, i, masked[b, i, j], False))
+    for start in range(kept.shape[1]):
+        injection = _propagate(kept, links, start)
+        if injection is not None and np.array_equal(kept[:, injection][:, :, injection],
+                                                    masked):
+            return injection
+    return None
+
+
+def _propagate(kept, links, start):
+    """S from S(0) = start: each nonzero masked[b, i, j] with S(i) known puts
+    S(j) at the one entry of row S(i) of kept[b] with the same value (columns
+    alike). A second candidate or none, a conflict, a repeated image or an
+    unreached coordinate gives None."""
+    image = {0: start}
+    frontier = [0]
+    while frontier:
+        i = frontier.pop()
+        for b, j, value, along_row in links[i]:
+            line = kept[b, image[i]] if along_row else kept[b, :, image[i]]
+            hits = np.flatnonzero(line == value)
+            if len(hits) != 1:
+                return None
+            if j not in image:
+                image[j] = int(hits[0])
+                frontier.append(j)
+            elif image[j] != hits[0]:
+                return None
+    injection = [image.get(i) for i in range(len(links))]
+    if None in injection or len(set(injection)) != len(injection):
+        return None
+    return injection
 
 
 def search_levels(cover: FinDimCStar, levels=None) -> int:
@@ -348,18 +442,19 @@ def shilov_ideal(a_basis, cover: FinDimCStar, levels=None, samples=25,
                  tol=1e-9, seed=0, verdicts=None) -> ShilovResult:
     """Largest boundary ideal, union first.
 
-    The exact kernel pre-test runs on each single block, and one numerical
-    search on the union of the blocks that pass: if that certifies, the union
-    is the mask. The Shilov ideal contains every boundary ideal and each of
-    its sub-ideals is boundary, so it is the union of the boundary single
-    blocks, and blocks the pre-test rejects are not boundary. Only if the
-    union is rejected do the singles get numerical searches, then their
-    certified combinations, largest first; the first certified one is the mask.
+    The exact kernel pre-test runs on each single block, and one
+    `is_boundary_ideal` on the union of the blocks that pass: if that
+    certifies, the union is the mask. The Shilov ideal contains every
+    boundary ideal and each of its sub-ideals is boundary, so it is the union
+    of the boundary single blocks, and blocks the pre-test rejects are not
+    boundary. Only if the union is rejected are the singles decided, then
+    their certified combinations, largest first; the first certified one is
+    the mask.
 
     `verdicts` maps masks to `IsometryVerdict`s the caller has already decided
-    on these generators and this cover, with at least these levels and
-    samples. The search reads such a mask's verdict instead of searching it,
-    and records it in `ShilovResult.verdicts` as its own.
+    on these generators and this cover, exactly or with at least these levels
+    and samples. The search reads such a mask's verdict instead of deciding
+    it, and records it in `ShilovResult.verdicts` as its own.
     """
     a_basis = [np.asarray(a, dtype=complex) for a in a_basis]
     generated = AlgebraSpan(a_basis, selfadjoint=True)

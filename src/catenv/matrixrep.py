@@ -440,6 +440,11 @@ def level_k_norms(stacks, coeffs) -> np.ndarray:
 
 @dataclass
 class IsometryVerdict:
+    """A complete-isometry verdict and its effort: `samples` and `restarts` of
+    a numerical search, or an exact `certificate` (masked block → (kept block,
+    coordinates), from `envelope.compression_certificate`) that holds at every
+    level with no search."""
+
     certified: bool
     max_deviation: float
     levels: int
@@ -447,6 +452,7 @@ class IsometryVerdict:
     restarts: int
     tol: float
     witness: object = None
+    certificate: dict | None = None
 
     @property
     def status(self):

@@ -29,7 +29,8 @@ Graded-algebra files (.grad):
     group: cyclic <n>                  (n >= 1)
     ambient: <matrix size>             (>= 1)
     generators:                        <degree> i,j,re[,im];i,j,re[,im];...
-                                       (at least one row; 0 <= i, j < size)
+                                       (at least one row, not all zero;
+                                        0 <= i, j < size)
 
 A field or section that the document's class does not read is an error, so a
 misspelled header cannot silently drop its records; so is a field given twice,
@@ -234,6 +235,9 @@ def _graded_from_sections(scalars, sections, line_of):
                 raise ParseError(f"bad entry {chunk!r}", lineno) from None
             mat[i, j] = re + 1j * im
         components.setdefault(degree, []).append(mat)
+    if not any(m.any() for ms in components.values() for m in ms):
+        raise ParseError("every generator is zero: the zero algebra has nothing to grade",
+                         line_of["generators"])
     return group, GradedAlgebra(group, components)
 
 

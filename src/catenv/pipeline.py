@@ -12,8 +12,10 @@ numerical decomposition. Otherwise (isotropy) the algebra the spanning family
 generates is decomposed numerically by `block_decompose`. The restriction π
 to the boundary model kills a set of blocks of that cover
 (`boundary_quotient`). Once π is certified a *-homomorphism,
-`boundary-isometry` is `is_boundary_ideal` on that kernel mask, and the
-boundary algebra's blocks are the cover's blocks outside it. The Shilov
+`boundary-isometry` is `is_boundary_ideal` on that kernel mask (exact, with
+no search, when every killed block is a coordinate compression of a kept
+one, as on the orbit cover of every shipped category), and the boundary
+algebra's blocks are the cover's blocks outside it. The Shilov
 search then reads that verdict instead of searching the kernel mask again
 (`shilov_seeds`), so each mask is searched once. Finite fixtures get exact
 verdicts; infinite ones run in a truncation window and are
@@ -157,9 +159,7 @@ def analyze_category(pres: CategoryPresentation, depth: int = 8,
         a_basis = [m for _, m in model_omega.operator_algebra_generators()]
         iso = is_boundary_ideal(a_basis, cover, ker_mask, levels=lv, samples=40,
                                 tol=tol, seed=seed)
-        detail = (f"restriction map {'' if iso.certified else 'not '}completely "
-                  f"isometric up to level {lv} (max deviation {iso.max_deviation:.2e}; "
-                  f"{iso.samples} trials, {iso.restarts} restarts)")
+        detail = isometry_detail(iso, lv)
     else:
         iso = IsometryVerdict(False, failure[0], 0, 0, 0, tol, witness=failure[1:])
         detail = f"restriction map is not a *-homomorphism (defect {failure[0]:.2e})"
@@ -169,6 +169,18 @@ def analyze_category(pres: CategoryPresentation, depth: int = 8,
                restriction_homomorphism=failure is None)
     entries.extend(envelope_coincidence(ctx, levels=levels, tol=tol, seed=seed))
     return PipelineResult(entries, ctx)
+
+
+def isometry_detail(iso: IsometryVerdict, levels: int) -> str:
+    """`boundary-isometry`'s detail for `is_boundary_ideal`'s verdict at
+    `levels`: the certificate's compressions, or the search's effort."""
+    if iso.certificate is not None:
+        killed = (f"blocks {sorted(iso.certificate)} are coordinate compressions of "
+                  "kept blocks" if iso.certificate else "it kills no block")
+        return f"restriction map completely isometric (exact: {killed}, at every level)"
+    return (f"restriction map {'' if iso.certified else 'not '}completely "
+            f"isometric up to level {levels} (max deviation {iso.max_deviation:.2e}; "
+            f"{iso.samples} trials, {iso.restarts} restarts)")
 
 
 def envelope_coincidence(ctx, levels=None, tol=1e-9, seed=0) -> list[Entry]:
@@ -191,12 +203,14 @@ def envelope_coincidence(ctx, levels=None, tol=1e-9, seed=0) -> list[Entry]:
                           verdicts=seeds)
     ctx["shilov"] = shilov
     reused = any(shilov.verdicts.get(m) is v for m, v in seeds.items())
+    decided = shilov.verdicts.values()
     entries.append(Entry("shilov-ideal", "certified",
                          f"mask {sorted(shilov.mask)} of blocks {cover.block_sizes}; "
                          f"envelope blocks {shilov.quotient_blocks}; "
                          f"{len(shilov.verdicts)} masks decided, "
-                         f"{sum(v.samples > 0 for v in shilov.verdicts.values())} "
-                         "by numerical search"
+                         f"{sum(v.certificate is not None for v in decided)} "
+                         "by compression certificate, "
+                         f"{sum(v.samples > 0 for v in decided)} by numerical search"
                          + ("; the kernel mask's verdict is boundary-isometry's"
                             if reused else ""),
                          {"mask": sorted(shilov.mask),

@@ -5,6 +5,9 @@ The dense complete-isometry sampler on the pairs (m_Ω, m_∂) of the morphism
 generators, the block decomposition of the boundary model's own algebra, and
 ideal detection on the boundary model's diagonal must agree with the
 `boundary-isometry`, `block-structure` and `diagonal-detects-ideals` entries.
+`boundary-isometry` certifies by the exact compression certificate; the
+blockwise sampler, called on the same cover and kernel mask, runs the dense
+sampler's trials to its verdict.
 The Shilov search reads `boundary-isometry`'s verdict on the kernel mask
 instead of searching it again; a run that hands it nothing is the oracle there.
 On a principal spectrum groupoid the cover itself is the orbit cover; the
@@ -20,11 +23,11 @@ import pytest
 from catenv import cli, envelope, matrixrep, pipeline
 from catenv import hull as hull_module
 from catenv.categories import GraphPath, GroupoidSub
-from catenv.envelope import (SpannedStarMap, block_decompose, detects_ideals,
-                             quotient_kernel_mask)
+from catenv.envelope import (SpannedStarMap, _blockwise_deviation, block_decompose,
+                             detects_ideals, quotient_kernel_mask)
 from catenv.fixtures import fix_edge, fix_kgraph_acyclic, fix_two, fix_two_mce_category
 from catenv.gpd import pair_groupoid, transitive_groupoid
-from catenv.matrixrep import AlgebraSpan, complete_isometry_check
+from catenv.matrixrep import AlgebraSpan, complete_isometry_check, deviation_search
 from catenv.pipeline import analyze_category
 from test_hull import layered_dag
 
@@ -65,15 +68,31 @@ def dense_pairs(res, transpose=False):
     return [(a, b.T) for a, b in pairs] if transpose else pairs
 
 
+def spectrum_generators(res):
+    return [m for _, m in res.context["model_omega"].operator_algebra_generators()]
+
+
 @pytest.mark.parametrize("make", CASES)
 def test_boundary_side_matches_dense_oracles(make):
     res = analyze_category(make())
     entry = res.entry("boundary-isometry")
-    dense = complete_isometry_check(dense_pairs(res), levels=entry.data["levels"])
-    blockwise = res.context["boundary_isometry"]
-    assert entry.status == dense.status == "certified"
+    levels = entry.data["levels"]
+    dense = complete_isometry_check(dense_pairs(res), levels=levels)
+    # the blockwise sampler on the same cover and mask, with thesis's effort
+    a_basis = spectrum_generators(res)
+    cover, ker_mask = res.context["omega_cover"], res.context["boundary_kernel_mask"]
+    blockwise = deviation_search(_blockwise_deviation(a_basis, cover, ker_mask),
+                                 len(a_basis), levels, samples=40)
+    assert entry.status == dense.status == blockwise.status == "certified"
     assert blockwise.samples == dense.samples
-    assert entry.data["max_deviation"] < 1e-10 and dense.max_deviation < 1e-10
+    assert blockwise.max_deviation < 1e-10 and dense.max_deviation < 1e-10
+    # thesis certifies by the exact compression certificate, with no search
+    verdict = res.context["boundary_isometry"]
+    assert verdict.certificate is not None and set(verdict.certificate) == ker_mask
+    assert (verdict.max_deviation, verdict.levels, verdict.samples, verdict.restarts) \
+        == (0.0, levels, 0, 0)
+    assert entry.data == {"levels": levels, "max_deviation": 0.0}
+    assert "exact:" in entry.detail and "trials" not in entry.detail
 
     model_bound, hull = res.context["model_boundary"], res.context["hull"]
     bound_cover = block_decompose(model_bound.reduced_algebra())
@@ -113,7 +132,11 @@ def test_planted_anti_homomorphism_is_rejected(monkeypatch, make):
                                  res.context["omega_cover"]) == {}
     shilov = res.context["shilov"]
     union = shilov.verdicts[shilov.mask]
-    assert union is not verdict and union.certified and union.samples > 0
+    assert union is not verdict and union.certified
+    assert union.certificate is not None or union.samples > 0
+    assert union == envelope.is_boundary_ideal(spectrum_generators(res),
+                                               res.context["omega_cover"], shilov.mask,
+                                               levels=shilov.levels)
 
 
 @pytest.mark.parametrize("make", CASES)

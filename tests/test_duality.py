@@ -1,7 +1,8 @@
 """The duality checks of a coaction, run as permutation gathers, against the
 dense formulas in `oracles`: on a non-abelian S₃ grading, the shipped gradings
 and seeded cyclic gradings the checks agree one by one, and each check rejects
-a planted corruption exactly when the dense formula does."""
+a planted corruption exactly when the dense formula does. Normality, read on
+the blocks of C*(G), against the dense complete-isometry sampler."""
 
 import itertools
 import math
@@ -12,7 +13,9 @@ import pytest
 
 from catenv.coactions import (CrossedProduct, FiniteGroup, GradedAlgebra,
                               _conjugate, coaction_from_grading, katayama_verify)
+from catenv.envelope import _blockwise_deviation
 from catenv.fixtures import t2_graded, t3_graded
+from catenv.matrixrep import complete_isometry_check, level_k_norms
 from oracles import (DenseCrossedProduct, DenseDoubleCrossedProduct,
                      crossed_dual_action, katayama_verify_dense, tilde_delta_dense)
 
@@ -148,6 +151,37 @@ def test_unitaries_generators_and_kron_basis_match_dense(prepared):
         assert np.array_equal(lhs, v_n @ dense.double_dual(mat) @ v_n.conj().T)
         assert np.allclose(dcp.tilde_delta(blocks[j:j + 1])[0],
                            tilde_delta_dense(dense, images[j], delta), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_normality_on_blocks_matches_the_dense_sampler(case):
+    """The trivial character's block reads δ(a) as a, and the blocks together
+    keep δ(A)'s norms: the masked deviation is the dense one, so both
+    searches run the same trials to the same verdict."""
+    delta = coaction(case)
+    basis, images = delta.graded.basis, delta.images
+    verdict = delta.normality_verdict()
+    dense = complete_isometry_check(list(zip(basis, images)), levels=3, samples=25)
+    assert verdict.certified and dense.certified and verdict.certificate is None
+    assert (verdict.levels, verdict.samples, verdict.restarts) \
+        == (dense.levels, dense.samples, dense.restarts) == (3, dense.samples, 3)
+    assert verdict.max_deviation < 1e-10
+
+    cover, mask = delta.normality_cover()
+    (trivial,) = set(range(len(cover.block_sizes))) - mask
+    assert all(np.allclose(cover.coords(m)[trivial], a, atol=1e-12)
+               for a, m in zip(basis, images))
+    rng = np.random.default_rng(5)
+    for k in (1, 2, 3):
+        cs = rng.standard_normal((4, k, k, len(basis))) \
+            + 1j * rng.standard_normal((4, k, k, len(basis)))
+        blocks = np.max([level_k_norms(np.array([[cover.coords(m)[b] for m in images]]),
+                                       cs)[:, 0] for b in range(len(cover.block_sizes))],
+                        axis=0)
+        norms = [level_k_norms(np.array([ms]), cs)[:, 0] for ms in (images, basis)]
+        assert np.allclose(blocks, norms[0], atol=1e-10)
+        assert np.allclose(_blockwise_deviation(images, cover, mask)(cs),
+                           np.abs(norms[0] - norms[1]), atol=1e-10)
 
 
 @pytest.mark.parametrize("case", CASES)

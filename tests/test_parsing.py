@@ -177,7 +177,13 @@ _GRADED = "class: graded_algebra\ngroup: {group}\nambient: 2\ngenerators:\n{rows
     pytest.param(_GRADED.format(group="cyclic 0", rows="0 0,0,1\n"), 2,
                  "cyclic order 0 must be at least 1", id="cyclic-zero"),
     pytest.param(_GRADED.format(group="cyclic 2", rows="0 0,0,1;1,1,x\n"), 5,
-                 "bad entry '1,1,x'", id="entry-not-a-number")])
+                 "bad entry '1,1,x'", id="entry-not-a-number"),
+    pytest.param(_GRADED.format(group="cyclic 2", rows="0 0,0,0\n"), 4,
+                 "every generator is zero: the zero algebra has nothing to grade",
+                 id="zero-algebra"),
+    pytest.param(_GRADED.format(group="cyclic 2", rows="0 0,0,0\n1 0,1,0;1,0,0.0\n"), 4,
+                 "every generator is zero: the zero algebra has nothing to grade",
+                 id="zero-rows-in-two-degrees")])
 def test_malformed_graded_documents_are_input_errors(tmp_path, capsys, doc, line, what):
     """Each is one `error:` line naming the line, exit 1: no traceback, no
     entry read at a wrapped index, no misleading message."""
@@ -187,3 +193,16 @@ def test_malformed_graded_documents_are_input_errors(tmp_path, capsys, doc, line
     out = capsys.readouterr()
     assert code == 1 and out.out == ""
     assert out.err.splitlines() == [f"error: line {line}: {what}"]
+
+
+def test_a_zero_generator_beside_nonzero_ones_loads(tmp_path, capsys):
+    """Only the zero algebra is refused: t2 with a zero generator in degree 1
+    added loads, and `coaction` certifies every entry."""
+    doc = _GRADED.format(group="cyclic 2", rows="0 0,0,1\n0 1,1,1\n1 0,1,1\n1 1,0,0\n")
+    _, (_, graded) = load_text(doc)
+    assert len(graded.basis) == 4 and not graded.basis[-1].any()
+    path = tmp_path / "t2-zero.grad"
+    path.write_text(doc)
+    code = main(["coaction", str(path)])
+    out = capsys.readouterr().out
+    assert code == 0 and "rejected" not in out and "normality" in out
