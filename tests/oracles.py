@@ -8,7 +8,9 @@ search that runs the numerical search on every single block before any union,
 a deviation search that scores one trial at a time, the duality checks of
 a coaction with every permutation unitary and 0/1 diagonal a dense matrix,
 germs compared by their pieces with every ideal containment derived from the
-parts, and the spanning-family correspondence checked one pair at a time.
+parts, the spanning-family correspondence checked one pair at a time, ideal
+detection asked of every set of blocks, and a kernel mask read off every
+matrix unit of each block.
 
 The second half keeps reference formulas that only tests compare against: the
 separation criterion checked point by point on every fixed-point set (and on a
@@ -386,6 +388,34 @@ def shilov_ideal_by_singles(a_basis, cover, levels=None, samples=25, tol=1e-9,
             if v.certified:
                 return ShilovResult(mask, cover, verdicts, search_levels(cover, levels))
     return ShilovResult(frozenset(), cover, verdicts, search_levels(cover, levels))
+
+
+def detects_ideals_by_subsets(d_basis, cover) -> bool:
+    """Ideal detection asked of every proper nonempty set of blocks, not only
+    the single ones."""
+    d_coords = [cover.coords(d) for d in d_basis]
+    d_rank = matrix_rank([np.concatenate([c.ravel() for c in coords])
+                          for coords in d_coords])
+    if d_rank == 0:
+        return False
+    dependencies = len(d_basis) - d_rank
+    nblocks = len(cover.block_sizes)
+    for r in range(1, nblocks):
+        for combo in itertools.combinations(range(nblocks), r):
+            outside = [k for k in range(nblocks) if k not in combo]
+            rows = [np.concatenate([coords[k].ravel() for k in outside])
+                    for coords in d_coords]
+            # kernel elements beyond the dependencies of D land inside the ideal
+            if len(rows) - matrix_rank(rows) <= dependencies:
+                return False
+    return True
+
+
+def quotient_kernel_mask_by_units(cover, star_map, tol=1e-8) -> frozenset:
+    """The blocks on every one of whose matrix units the map vanishes."""
+    return frozenset(k for k, n in enumerate(cover.block_sizes)
+                     if all(operator_norm(star_map.apply(cover.block_element(k, i, j))) <= tol
+                            for i in range(n) for j in range(n)))
 
 
 def deviation_search_by_trial(deviation, nb, levels, samples=40, restarts=3,

@@ -144,8 +144,8 @@ def test_seeded_rejected_union_falls_back_to_singles():
 
 
 def test_seeds_only_what_the_search_would_decide():
-    """A π failure seeds nothing; a rejection is seeded whatever its effort; a
-    certification is seeded only at the search's levels or more."""
+    """A rejection is seeded whatever its effort; a certification is seeded
+    only at the search's levels or more."""
     _, cover = spectrum_case(fix_kgraph_acyclic())
     top = max(cover.block_sizes)
     mask = frozenset({0})
@@ -153,13 +153,11 @@ def test_seeds_only_what_the_search_would_decide():
     def verdict(certified, levels):
         return IsometryVerdict(certified, 0.0 if certified else 1.0, levels, 10, 3, 1e-9)
 
-    assert shilov_seeds(mask, verdict(False, 0), False, cover) == {}
-    assert shilov_seeds(mask, verdict(True, top), False, cover) == {}
     low = verdict(True, top - 1)
-    assert shilov_seeds(mask, low, True, cover) == {}
-    assert shilov_seeds(mask, low, True, cover, levels=top - 1) == {mask: low}
+    assert shilov_seeds(mask, low, cover) == {}
+    assert shilov_seeds(mask, low, cover, levels=top - 1) == {mask: low}
     for v in (verdict(False, 1), verdict(True, top), verdict(True, top + 1)):
-        assert shilov_seeds(mask, v, True, cover) == {mask: v}
+        assert shilov_seeds(mask, v, cover) == {mask: v}
 
 
 def test_shilov_search_at_level_zero_raises():
