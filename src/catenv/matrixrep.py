@@ -2,10 +2,15 @@
 representations, the germ bases of the boundary compressions ϑ_χ, norms at
 matrix levels, and the numerical complete-isometry certifier.
 
-All matrices are dense complex arrays over explicitly labelled bases. Reduced
-norms are operator norms computed by SVD; the independent eigen-solve oracle
-lives in the test suite. Norms on truncation windows of infinite inputs are
-computed matrix-free by `windowed_norm`.
+Matrices live over explicitly labelled bases. Every Λ_s and every spanning
+matrix M_s is a 0/1 partial permutation, built once per hull number as an
+index array: the image position of each basis element, −1 where its column is
+zero (`LambdaRep.inverse_perm`, `GermModel.spanning_perm`). `jack_check` works
+on those arrays alone. The dense complex matrices (`inverse_rep`,
+`spanning_matrix`) are derived from them for the float consumers: covers,
+norms and ranks. Reduced norms are operator norms computed by SVD; the
+independent eigen-solve oracle lives in the test suite. Norms on truncation
+windows of infinite inputs are computed matrix-free by `windowed_norm`.
 
 Linear algebra has one engine: `SpanBasis` keeps an incremental orthonormal
 basis for span membership, growth and coordinates, and `AlgebraSpan` closes
@@ -244,14 +249,28 @@ class AlgebraSpan:
 # -- the left regular representation -------------------------------------------
 
 
-def _partial_permutation(basis, index, image) -> np.ndarray:
-    """e_j ↦ e_{image(basis[j])}, dropping images that are None or outside the basis."""
-    out = np.zeros((len(basis), len(basis)), dtype=complex)
+def _index_map(basis, index, image) -> np.ndarray:
+    """The index array of e_j ↦ e_{image(basis[j])}: the image's position, −1
+    where the image is None or outside the basis."""
+    out = np.full(len(basis), -1, dtype=np.intp)
     for j, x in enumerate(basis):
         y = image(x)
-        if y is not None and y in index:
-            out[index[y], j] = 1.0
+        if y is not None:
+            out[j] = index.get(y, -1)
     return out
+
+
+def _dense(p) -> np.ndarray:
+    """The 0/1 matrix of an index array p: column j is e_{p[j]}, or zero where p[j] = −1."""
+    out = np.zeros((len(p), len(p)), dtype=complex)
+    cols = np.flatnonzero(p >= 0)
+    out[p[cols], cols] = 1.0
+    return out
+
+
+def _partial_permutation(basis, index, image) -> np.ndarray:
+    """e_j ↦ e_{image(basis[j])}, dropping images that are None or outside the basis."""
+    return _dense(_index_map(basis, index, image))
 
 
 @dataclass
@@ -262,6 +281,7 @@ class LambdaRep:
     basis: list[Morphism]
     exact: bool
     index: dict = field(init=False)
+    _perms: dict = field(init=False, repr=False, default_factory=dict)  # by hull number
 
     def __post_init__(self):
         self.index = {m: i for i, m in enumerate(self.basis)}
@@ -276,9 +296,18 @@ class LambdaRep:
         return _partial_permutation(self.basis, self.index,
                                     lambda x: self.pres.compose(c, x))
 
+    def inverse_perm(self, hull_ctx: InverseHull, s: PiecewiseBijection) -> np.ndarray:
+        """Λ_s e_x = e_{s(x)} as an index array, built once per hull number and read-only."""
+        n = hull_ctx.index(s)
+        if n not in self._perms:
+            p = _index_map(self.basis, self.index, lambda x: hull_ctx.apply(s, x))
+            p.flags.writeable = False
+            self._perms[n] = p
+        return self._perms[n]
+
     def inverse_rep(self, hull_ctx: InverseHull, s: PiecewiseBijection) -> np.ndarray:
         """Λ_s e_x = e_{s(x)}; partial permutation matrix."""
-        return _partial_permutation(self.basis, self.index, lambda x: hull_ctx.apply(s, x))
+        return _dense(self.inverse_perm(hull_ctx, s))
 
     def toeplitz_algebra(self) -> AlgebraSpan:
         gens = [self.lam(c) for c in self.basis]
@@ -315,6 +344,7 @@ class GermModel:
         self.rep = GroupoidRep(germ_gpd.groupoid)
         self.closure = closure
         self._bisection_cache: dict[int, list[Germ]] = {}  # by hull number
+        self._perm_cache: dict[int, np.ndarray] = {}  # by hull number, read-only
         self._matrix_cache: dict[int, np.ndarray] = {}  # by hull number, read-only
 
     def bisection(self, s: PiecewiseBijection):
@@ -326,15 +356,25 @@ class GermModel:
                                         if (found := ctx.at(n, x)) is not None]
         return self._bisection_cache[n]
 
-    def spanning_matrix(self, s: PiecewiseBijection) -> np.ndarray:
-        """Σ of the bisection's element matrices, cached and read-only: its germs
-        have distinct sources, so it is one partial permutation t ↦ g_{r(t)}·t."""
+    def spanning_perm(self, s: PiecewiseBijection) -> np.ndarray:
+        """Σ of the bisection's element matrices as an index array, cached and
+        read-only: its germs have distinct sources, so it is one partial
+        permutation t ↦ g_{r(t)}·t."""
         n = self.gg.ctx.hull.index(s)
-        if n not in self._matrix_cache:
+        if n not in self._perm_cache:
             g = self.rep.g
             by_source = {g.source[el]: el for el in self.bisection(s)}
-            m = _partial_permutation(self.rep.basis, self.rep.index, lambda t: g.mul(
+            p = _index_map(self.rep.basis, self.rep.index, lambda t: g.mul(
                 by_source[g.range[t]], t) if g.range[t] in by_source else None)
+            p.flags.writeable = False
+            self._perm_cache[n] = p
+        return self._perm_cache[n]
+
+    def spanning_matrix(self, s: PiecewiseBijection) -> np.ndarray:
+        """The dense matrix of `spanning_perm`, cached and read-only."""
+        n = self.gg.ctx.hull.index(s)
+        if n not in self._matrix_cache:
+            m = _dense(self.spanning_perm(s))
             m.flags.writeable = False
             self._matrix_cache[n] = m
         return self._matrix_cache[n]
@@ -354,35 +394,63 @@ class GermModel:
 
 
 def jack_check(hull_ctx: InverseHull, closure: HullClosure, model: GermModel,
-               lam: LambdaRep, tol=1e-8):
+               lam: LambdaRep):
     """Certify the spanning-element correspondence 1_{[s,Ω(dom s)]} ↦ Λ_s is a
     *-isomorphism: products and adjoints match, and the two spanning
-    families have identical linear dependencies. For each s, M_s M_t over all
-    t is compared in one `isclose` per family with M_st, gathered from the stack
-    (its last matrix is zero); the first failing t is the witness, as pairwise."""
+    families have identical linear dependencies.
+
+    Exact, on the index arrays of both families (`LambdaRep.inverse_perm`,
+    `GermModel.spanning_perm`). M_t takes column j to t(j), so M_s·M_t is the
+    gather s∘t: for each s, one gather over the whole stack is compared with
+    M_st by `np.array_equal` (the stack's last row is the zero map), and the
+    first failing t is the witness, as pairwise. M_s* = M_{s⁻¹} exactly when
+    the two arrays are mutually inverse partial maps. A rank does not change
+    when zero columns are dropped, so each of the three ranks is taken on the
+    positions where some member of its family is nonzero."""
     elements = closure.nonzero()
     numbers = [hull_ctx.index(s) for s in elements]
     position = {n: k for k, n in enumerate(numbers)}
     zero = len(elements)
-    stacks = [np.array([*ms, np.zeros((d, d))], dtype=complex) for ms, d in (
-        ([lam.inverse_rep(hull_ctx, s) for s in elements], len(lam.basis)),
-        ([model.spanning_matrix(s) for s in elements], len(model.rep.basis)))]
+    stacks = [np.array([*ps, np.full(d, -1)], dtype=np.intp) for ps, d in (
+        ([lam.inverse_perm(hull_ctx, s) for s in elements], len(lam.basis)),
+        ([model.spanning_perm(s) for s in elements], len(model.rep.basis)))]
     for k, s in enumerate(elements):
         st = [position.get(hull_ctx._compose(numbers[k], n), zero) for n in numbers]
         bad = np.zeros(zero, dtype=bool)
-        for m in stacks:
-            bad |= ~np.isclose(m[k] @ m[:zero], m[st], atol=tol).all(axis=(1, 2))
+        for p in stacks:
+            bad |= (np.append(p[k], -1)[p[:zero]] != p[st]).any(axis=1)
         if bad.any():
             return False, (s, elements[int(np.argmax(bad))])
         sinv = position[hull_ctx.index(hull_ctx.hinverse(s))]
-        if not all(np.allclose(m[k].conj().T, m[sinv], atol=tol) for m in stacks):
+        if not all(_mutually_inverse(p[k], p[sinv]) for p in stacks):
             return False, s
-    va, vb = (m[:zero] for m in stacks)
+    va, vb = (_support_rows(p[:zero]) for p in stacks)
     ra, rb = matrix_rank(va), matrix_rank(vb)
     rjoint = _joint_rank(va, vb)
     if not (ra == rb == rjoint):
         return False, ("dependency mismatch", ra, rb, rjoint)
     return True, ra
+
+
+def _mutually_inverse(p, q) -> bool:
+    """Whether q[p[j]] = j wherever p[j] ≥ 0 and p[q[i]] = i wherever q[i] ≥ 0:
+    as 0/1 matrices, q is p's adjoint."""
+    return all(np.array_equal(b[a[a >= 0]], np.flatnonzero(a >= 0))
+               for a, b in ((p, q), (q, p)))
+
+
+def _support_rows(stack) -> np.ndarray:
+    """The 0/1 matrices of a stack of index arrays, flattened and kept only at
+    the positions where one of them is nonzero: the dense stack's rank, on
+    fewer columns."""
+    members, cols = np.nonzero(stack >= 0)
+    flat = stack[members, cols] * stack.shape[1] + cols
+    used = np.zeros(stack.shape[1] ** 2, dtype=bool)
+    used[flat] = True
+    # complex, like every other rank: a real SVD would load LAPACK's real routines too
+    rows = np.zeros((len(stack), int(used.sum())), dtype=complex)
+    rows[members, (np.cumsum(used) - 1)[flat]] = 1.0
+    return rows
 
 
 # -- the boundary compressions ϑ_χ ----------------------------------------------

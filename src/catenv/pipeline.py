@@ -9,13 +9,23 @@ is exact (`spectrum_cover`): C*(G) ≅ ⊕_orbits M_|O|, one block per orbit on
 that orbit's coordinates of the groupoid representation, checked by counting
 Σ|O|² against the spanning family's rank, with no product closure and no
 numerical decomposition. Otherwise (isotropy) the algebra the spanning family
-generates is decomposed numerically by `block_decompose`. The restriction π
-to the boundary model kills a set of blocks of that cover
-(`boundary_quotient`); π is the only map that reads the boundary model. When
-π is not a *-homomorphism, the run ends at `boundary-isometry`'s rejection
-with π's witness. Otherwise `boundary-isometry` is `is_boundary_ideal` on the
-kernel mask (exact, with no search, when every killed block is a coordinate
-compression of a kept one, as on the orbit cover of every shipped category),
+generates is decomposed numerically by `block_decompose`. Every spanning
+matrix is a 0/1 partial permutation held as an index array, and the checks
+that need no cover coordinates are exact on those arrays: `jack_check`
+(gathers, inverse maps and ranks on the support columns) and the Shilov
+search's generation count (Möbius inversion over the idempotents, then the
+classes the generators join). The restriction π to the boundary model kills
+a set of blocks of that cover (`boundary_quotient`); π is the only map that
+reads the boundary model. On the orbit cover π is certified with no trials
+when the boundary coordinates are a reducing subspace of every spanning
+matrix and each boundary matrix is the spectrum one restricted to them: π is
+then a compression by a projection commuting with the algebra, and it kills
+the orbit blocks with no boundary coordinate. Otherwise a `SpannedStarMap`
+with seeded trials decides π. When π is not a *-homomorphism, the run ends
+at `boundary-isometry`'s rejection with π's witness. Otherwise
+`boundary-isometry` is `is_boundary_ideal` on the kernel mask (exact, with no
+search, when every killed block is a coordinate compression of a kept one, as
+on the orbit cover of every shipped category),
 and the boundary algebra's blocks are the cover's blocks outside it. The
 Shilov search then reads that verdict instead of searching the kernel mask
 again (`shilov_seeds`), so each mask is searched once. The envelope entries
@@ -31,6 +41,8 @@ window depths; it is evidence, never certification.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+
+import numpy as np
 
 from . import ideals as IL
 from .categories import CategoryPresentation
@@ -153,9 +165,8 @@ def analyze_category(pres: CategoryPresentation, depth: int = 8,
                          {"dim": dim}))
 
     cover = spectrum_cover(model_omega, info if ok else None, seed=seed)
-    pi, ker_mask = boundary_quotient(model_omega, model_bound, closure, cover)
+    failure, ker_mask = boundary_quotient(model_omega, model_bound, closure, cover)
     lv = levels if levels is not None else max(model_bound.rep.block_sizes() + [1])
-    failure = pi.star_homomorphism_witness()
     if failure is None:
         # π is isometric off its kernel blocks: its norm is a blockwise maximum
         a_basis = [m for _, m in model_omega.operator_algebra_generators()]
@@ -286,12 +297,52 @@ def shilov_seeds(ker_mask, iso: IsometryVerdict, cover: FinDimCStar, levels=None
 
 def boundary_quotient(model_omega: GermModel, model_bound: GermModel, closure,
                       cover: FinDimCStar):
-    """(π, kernel mask): the restriction to the boundary on the spectrum model's
-    spanning family, and the blocks of `cover`, the spectrum algebra's, it kills."""
-    pairs = [(model_omega.spanning_matrix(s), model_bound.spanning_matrix(s))
-             for s in closure.nonzero()]
-    star_map = SpannedStarMap(pairs)
-    return star_map, quotient_kernel_mask(cover, star_map)
+    """(failure, kernel mask) of the restriction π: m_Ω(s) ↦ m_∂(s) to the
+    boundary model: None when π is a *-homomorphism, else its witness
+    (defect, a, b); and the blocks of `cover`, the spectrum algebra's, it kills.
+
+    On the orbit cover π is certified exactly, with no trials
+    (`_compression_kernel_mask`). Otherwise (a cover from `block_decompose`,
+    or a restriction that is not a compression) π is a `SpannedStarMap` on
+    the spanning pairs: seeded trials give its witness, and its kernel mask is
+    read off one matrix unit per block."""
+    elements = closure.nonzero()
+    if cover.coordinates is not None:
+        mask = _compression_kernel_mask(model_omega, model_bound, elements, cover)
+        if mask is not None:
+            return None, mask
+    star_map = SpannedStarMap([(model_omega.spanning_matrix(s),
+                                model_bound.spanning_matrix(s)) for s in elements])
+    return star_map.star_homomorphism_witness(), quotient_kernel_mask(cover, star_map)
+
+
+def _compression_kernel_mask(model_omega: GermModel, model_bound: GermModel, elements,
+                             cover: FinDimCStar):
+    """The blocks of the orbit cover π kills, when π is the compression to the
+    boundary model's coordinates; else None. Index arrays only.
+
+    Let V be the boundary model's basis, placed among the spectrum model's.
+    When every M^Ω_s maps V into V and (M^Ω_s)* does too, V is a reducing
+    subspace of the spectrum algebra, so its projection P commutes with the
+    algebra and a ↦ aP is a *-homomorphism. When also every M^∂_s is M^Ω_s
+    restricted to V, π is that compression on the spanning family, hence on
+    its span. Its kernel is then the blocks whose coordinates hold no point of V.
+    """
+    at = [model_omega.rep.index.get(x, -1) for x in model_bound.rep.basis]
+    if -1 in at:
+        return None
+    at = np.array(at, dtype=np.intp)
+    inside = np.zeros(len(model_omega.rep.basis) + 1, dtype=bool)  # index −1: False
+    inside[at] = True
+    omega = np.array([model_omega.spanning_perm(s) for s in elements])
+    bound = np.array([model_bound.spanning_perm(s) for s in elements])
+    moved = omega >= 0
+    reducing = np.array_equal(inside[omega][moved],
+                              np.broadcast_to(inside[:-1], omega.shape)[moved])
+    if not (reducing and np.array_equal(omega[:, at], np.append(at, -1)[bound])):
+        return None
+    return frozenset(k for k, coords in enumerate(cover.coordinates)
+                     if not inside[coords].any())
 
 
 def _bounded_tail(pres, hull, closure, depth, entries, ctx):

@@ -8,7 +8,8 @@ search that runs the numerical search on every single block before any union,
 a deviation search that scores one trial at a time, the duality checks of
 a coaction with every permutation unitary and 0/1 diagonal a dense matrix,
 germs compared by their pieces with every ideal containment derived from the
-parts, the spanning-family correspondence checked one pair at a time, ideal
+parts, the spanning-family correspondence checked one pair at a time and on
+dense stacks with `isclose` (the exact index-array check replaced both), ideal
 detection asked of every set of blocks, and a kernel mask read off every
 matrix unit of each block.
 
@@ -354,6 +355,36 @@ def jack_check_by_pairs(hull_ctx, closure, model, lam, tol=1e-8):
             return False, s
     va = [lam_mats[s] for s in elements]
     vb = [grm_mats[s] for s in elements]
+    ra, rb = matrix_rank(va), matrix_rank(vb)
+    rjoint = _joint_rank(va, vb)
+    if not (ra == rb == rjoint):
+        return False, ("dependency mismatch", ra, rb, rjoint)
+    return True, ra
+
+
+def jack_check_dense(hull_ctx, closure, model, lam, tol=1e-8):
+    """The spanning-element correspondence on dense matrices: for each s, M_s M_t
+    over all t compared in one `isclose` per family with M_st, gathered from
+    the stack (its last matrix is zero), adjoints by `allclose`, and the three
+    ranks of the full flattened stacks."""
+    elements = closure.nonzero()
+    numbers = [hull_ctx.index(s) for s in elements]
+    position = {n: k for k, n in enumerate(numbers)}
+    zero = len(elements)
+    stacks = [np.array([*ms, np.zeros((d, d))], dtype=complex) for ms, d in (
+        ([lam.inverse_rep(hull_ctx, s) for s in elements], len(lam.basis)),
+        ([model.spanning_matrix(s) for s in elements], len(model.rep.basis)))]
+    for k, s in enumerate(elements):
+        st = [position.get(hull_ctx._compose(numbers[k], n), zero) for n in numbers]
+        bad = np.zeros(zero, dtype=bool)
+        for m in stacks:
+            bad |= ~np.isclose(m[k] @ m[:zero], m[st], atol=tol).all(axis=(1, 2))
+        if bad.any():
+            return False, (s, elements[int(np.argmax(bad))])
+        sinv = position[hull_ctx.index(hull_ctx.hinverse(s))]
+        if not all(np.allclose(m[k].conj().T, m[sinv], atol=tol) for m in stacks):
+            return False, s
+    va, vb = (m[:zero] for m in stacks)
     ra, rb = matrix_rank(va), matrix_rank(vb)
     rjoint = _joint_rank(va, vb)
     if not (ra == rb == rjoint):

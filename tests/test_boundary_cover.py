@@ -105,13 +105,20 @@ def test_boundary_side_matches_dense_oracles(make):
         == detects_ideals(diag, bound_cover)
 
 
+def restriction_pairs(model_omega, model_bound, closure, transpose=False):
+    """(m_Ω(s), m_∂(s)) on the spanning family, or (m_Ω(s), m_∂(s)ᵀ)."""
+    return [(model_omega.spanning_matrix(s),
+             model_bound.spanning_matrix(s).T if transpose
+             else model_bound.spanning_matrix(s)) for s in closure.nonzero()]
+
+
 def transposed_restriction(model_omega, model_bound, closure, cover):
-    """The restriction followed by the transpose: linear, *-preserving and well
-    defined, but it reverses products on every M_n block with n ≥ 2."""
-    star_map = SpannedStarMap([(model_omega.spanning_matrix(s),
-                                model_bound.spanning_matrix(s).T)
-                               for s in closure.nonzero()])
-    return star_map, quotient_kernel_mask(cover, star_map)
+    """`boundary_quotient` for the restriction followed by the transpose:
+    linear, *-preserving and well defined, but it reverses products on every
+    M_n block with n ≥ 2."""
+    star_map = SpannedStarMap(restriction_pairs(model_omega, model_bound, closure,
+                                                transpose=True))
+    return star_map.star_homomorphism_witness(), quotient_kernel_mask(cover, star_map)
 
 
 @pytest.mark.parametrize("make", [fix_edge, fix_two])

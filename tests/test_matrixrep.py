@@ -16,12 +16,12 @@ from catenv.hull import InverseHull, ZERO
 from catenv import ideals as IL
 from catenv.ideals import PeriodicWordCharacter
 from catenv.matrixrep import (AlgebraSpan, GermModel, GroupoidRep, LambdaRep,
-                              ThetaRep, complete_isometry_check, direct_sum,
+                              ThetaRep, _dense, complete_isometry_check, direct_sum,
                               jack_check, matrix_rank, operator_norm, windowed_norm)
 from catenv.pipeline import boundary_quotient, truncation_norm_study
 from oracles import (DimensionMismatch, compression_identity_check, fix_set,
                      function_matrix, inclusion_exclusion_check, jack_check_by_pairs,
-                     norm_level_k, theta_matrix)
+                     jack_check_dense, norm_level_k, theta_matrix)
 
 
 def eig_norm(a):
@@ -154,13 +154,28 @@ def test_jack_isomorphism():
 
 
 class PlantedLambda:
-    """λ with each Λ_s replaced by change(s, Λ_s)."""
+    """λ with each Λ_s replaced by change(s, Λ_s), dense."""
 
     def __init__(self, lam, change):
         self.basis, self._lam, self._change = lam.basis, lam, change
 
     def inverse_rep(self, hull, s):
         return self._change(s, self._lam.inverse_rep(hull, s))
+
+
+class PlantedPerms:
+    """λ on `sheets` copies of its basis, with the index array of each Λ_s
+    replaced by change(s, array); `inverse_rep` is that array's dense matrix,
+    so the dense oracles read the same family."""
+
+    def __init__(self, lam, change, sheets=1):
+        self.basis, self._lam, self._change = lam.basis * sheets, lam, change
+
+    def inverse_perm(self, hull, s):
+        return self._change(s, self._lam.inverse_perm(hull, s))
+
+    def inverse_rep(self, hull, s):
+        return _dense(self.inverse_perm(hull, s))
 
 
 def _wrong_entry(target):
@@ -172,6 +187,16 @@ def _wrong_entry(target):
     return change
 
 
+def _redirected(target):
+    """Λ_target with its last column sent to e_0, or to zero where it already is e_0."""
+    def change(s, p):
+        if s is target:
+            p = p.copy()
+            p[-1] = -1 if p[-1] == 0 else 0
+        return p
+    return change
+
+
 def _conjugate_by_diagonal(s, m):
     """S Λ_s S⁻¹ for S = diag(1, 2, 4, ...): products are kept exactly, adjoints
     of the non-diagonal Λ_s are not."""
@@ -179,23 +204,58 @@ def _conjugate_by_diagonal(s, m):
     return d[:, None] * m / d[None, :]
 
 
-@pytest.mark.parametrize("pres", [fix_edge, fix_two, fix_two_mce_category])
-def test_jack_check_matches_pairwise_oracle(pres):
-    """The stacked check returns the pairwise loop's (ok, info): on the true
-    families, and on planted failures of each kind, with the same first witness."""
-    p, hull, closure, lat, omega, bd, ctx, g_om, g_bd = bundle(pres())
+def _onto_first_sheet(s, p):
+    """(x, b) ↦ (s(x), 0) on two sheets: products are kept exactly, but two
+    columns share each image, so no nonzero Λ_s has its adjoint's array."""
+    return np.concatenate([p, p])
+
+
+def _planted_families(p, hull, closure, g_om, g_bd, plant, change_adjoint):
     lam = LambdaRep.build(p)
     model, model_bd = GermModel(g_om, closure), GermModel(g_bd, closure)
     elements = closure.nonzero()
     moves = [s for s in elements if not hull.is_idempotent(s)]
-    cases = {"true": (lam, model),
-             **{f"entry{i}": (PlantedLambda(lam, _wrong_entry(s)), model)
-                for i, s in enumerate((elements[0], moves[0], elements[-1]))},
-             "adjoint": (PlantedLambda(lam, _conjugate_by_diagonal), model),
-             "dependency": (lam, model_bd)}
+    return elements, moves, {
+        "true": (lam, model),
+        **{f"entry{i}": (plant(lam, s), model)
+           for i, s in enumerate((elements[0], moves[0], elements[-1]))},
+        "adjoint": (change_adjoint(lam), model),
+        "dependency": (lam, model_bd)}
+
+
+@pytest.mark.parametrize("pres", [fix_edge, fix_two, fix_two_mce_category])
+def test_jack_check_matches_pairwise_oracle(pres):
+    """The exact check on index arrays returns the pairwise loop's (ok, info),
+    and the dense stacked oracle's: on the true families, and on planted
+    failures of each kind, with the same first witness."""
+    p, hull, closure, lat, omega, bd, ctx, g_om, g_bd = bundle(pres())
+    elements, moves, cases = _planted_families(
+        p, hull, closure, g_om, g_bd,
+        lambda lam, s: PlantedPerms(lam, _redirected(s)),
+        lambda lam: PlantedPerms(lam, _onto_first_sheet, sheets=2))
     kinds = {}
     for name, (lam_c, model_c) in cases.items():
         got = jack_check(hull, closure, model_c, lam_c)
+        assert got == jack_check_by_pairs(hull, closure, model_c, lam_c) \
+            == jack_check_dense(hull, closure, model_c, lam_c), name
+        kinds[name] = got
+    assert kinds["true"][0] and all(not ok for ok, _ in list(kinds.values())[1:])
+    assert all(len(kinds[f"entry{i}"][1]) == 2 for i in range(3))  # a product witness (s, t)
+    assert kinds["adjoint"][1] is elements[0]
+    assert kinds["dependency"][1][0] == "dependency mismatch"
+
+
+@pytest.mark.parametrize("pres", [fix_edge, fix_two, fix_two_mce_category])
+def test_dense_jack_check_matches_pairwise_oracle(pres):
+    """The two dense oracles agree, on plants no index array can hold."""
+    p, hull, closure, lat, omega, bd, ctx, g_om, g_bd = bundle(pres())
+    elements, moves, cases = _planted_families(
+        p, hull, closure, g_om, g_bd,
+        lambda lam, s: PlantedLambda(lam, _wrong_entry(s)),
+        lambda lam: PlantedLambda(lam, _conjugate_by_diagonal))
+    kinds = {}
+    for name, (lam_c, model_c) in cases.items():
+        got = jack_check_dense(hull, closure, model_c, lam_c)
         assert got == jack_check_by_pairs(hull, closure, model_c, lam_c), name
         kinds[name] = got
     assert kinds["true"][0] and all(not ok for ok, _ in list(kinds.values())[1:])
@@ -287,13 +347,20 @@ def test_boundary_quotient_blocks():
     p, hull, closure, lat, omega, bd, ctx, g_om, g_bd = EDGE
     model_om = GermModel(g_om, closure)
     model_bd = GermModel(g_bd, closure)
-    from catenv.envelope import block_decompose
+    from catenv.envelope import SpannedStarMap, block_decompose
+    from catenv.pipeline import spectrum_cover
     cover = block_decompose(model_om.reduced_algebra())
-    qmap, mask = boundary_quotient(model_om, model_bd, closure, cover)
+    failure, mask = boundary_quotient(model_om, model_bd, closure, cover)
+    qmap = SpannedStarMap([(model_om.spanning_matrix(s), model_bd.spanning_matrix(s))
+                           for s in closure.nonzero()])
     assert qmap.domain_dim == cover.dim  # the spanning family spans the cover
     assert matrix_rank(qmap.ys) == model_bd.reduced_algebra().dim  # onto the boundary algebra
-    assert qmap.star_homomorphism_witness() is None
+    assert failure is None and qmap.star_homomorphism_witness() is None
     assert [cover.block_sizes[k] for k in sorted(mask)] == [1]  # the χ_v block dies
+    # on the orbit cover, the exact path kills the same block
+    orbits = spectrum_cover(model_om)
+    failure, mask = boundary_quotient(model_om, model_bd, closure, orbits)
+    assert failure is None and [orbits.block_sizes[k] for k in sorted(mask)] == [1]
 
 
 # -- norms ------------------------------------------------------------------------------
