@@ -146,8 +146,10 @@ def _coaction_report(obj, args, report: Report):
     delta = coaction_from_grading(graded)
     report.add("grading-coaction", "certified",
                f"grading over {len(group)} group elements defines a coaction")
-    nv = delta.normality_verdict(levels=args.levels, seed=args.seed)
+    nv = delta.normality_verdict(levels=args.levels, tol=args.tol, seed=args.seed)
     report.add("normality", nv.status,
+               "exact: grading is spatial, at every level"
+               if delta.spatial_certificate is not None else
                f"max deviation {nv.max_deviation:.2e} at {nv.levels} levels")
     cp = delta.crossed_product
     ok = cp.dual_action_formula_check() and cp.dual_action_group_law_check()

@@ -13,10 +13,21 @@ dense product. The double crossed product builds its generators once, and its
 checks on matrices of side d·n³ take them n at a time; the dense formulas are
 the test oracles. One span basis over δ_λ(aᵢ)⊗E_pq gives every δ̃ its
 coefficients. A coaction builds each of its crossed products once.
+
+Normality is decided exactly when the grading is spatial: some labeling φ of
+the ambient coordinates by G has φ(i) = g·φ(j) at every nonzero entry (i, j)
+of every degree-g basis element. Then W = Σᵢ eᵢᵢ⊗λ_{φ(i)} is a permutation
+unitary with W(a⊗1)W* = Σ a_ij eᵢⱼ⊗λ_{φ(i)φ(j)⁻¹} = a⊗λ_g = δ(a) on the
+graded basis, so δ = Ad W ∘ (·⊗1) and ‖[δ(a_kl)]‖ = ‖[a_kl]‖ at every matrix
+level, for any finite G. A breadth-first pass over the nonzero pattern finds
+φ with group-table arithmetic, and the gather Ad W on a⊗1 must reproduce each
+stored image exactly; without such a φ, normality is the boundary-ideal
+search on the blocks of C*(G).
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -24,7 +35,7 @@ import numpy as np
 
 from .envelope import FinDimCStar, SpannedStarMap, block_decompose, is_boundary_ideal
 from .gpd import group_as_groupoid
-from .matrixrep import AlgebraSpan, SpanBasis, matrix_rank
+from .matrixrep import AlgebraSpan, IsometryVerdict, SpanBasis, matrix_rank
 
 
 class GradingInvalid(ValueError):
@@ -152,11 +163,71 @@ class Coaction:
         dm4 = self.delta(m).reshape(d, n, d, n)
         return np.einsum("ipjq,pq->ij", dm4, self.group.lam(g).conj()) / n
 
-    def normality_verdict(self, levels=None, samples=25, seed=0):
+    def normality_verdict(self, levels=None, samples=25, tol=1e-9, seed=0):
         """Is a ↦ δ(a) completely isometric, up to `levels` (default 3)?
-        `is_boundary_ideal` on `normality_cover`, with no dense matrices."""
-        return is_boundary_ideal(self.images, *self.normality_cover(),
-                                 levels=levels or 3, samples=samples, seed=seed)
+
+        `levels` below 1 raise `ValueError` first. When the grading is spatial
+        (`spatial_labeling`), δ = Ad W ∘ (·⊗1) keeps every norm at every
+        level: the verdict is certified with deviation 0, no samples and the
+        labeling φ as its certificate. Otherwise `is_boundary_ideal` on
+        `normality_cover`, with no dense matrices."""
+        levels = 3 if levels is None else levels
+        if levels < 1:
+            raise ValueError(f"a normality search needs levels >= 1, got {levels}")
+        if self.spatial_certificate is not None:
+            return IsometryVerdict(True, 0.0, levels, 0, 0, tol,
+                                   certificate=self.spatial_certificate)
+        return is_boundary_ideal(self.images, *self.normality_cover(), levels=levels,
+                                 samples=samples, tol=tol, seed=seed)
+
+    def spatial_labeling(self):
+        """Positions φ(i) in the group, one per ambient coordinate, with
+        φ(i) = g·φ(j) at every nonzero entry (i, j) of every degree-g basis
+        element; None when the entries conflict.
+
+        Breadth-first over the nonzero pattern, from φ = e at the first
+        unlabeled coordinate of each connected piece: an entry (i, j) of
+        degree g sets φ(j) = g⁻¹·φ(i) from i and φ(i) = g·φ(j) from j, by
+        table lookups only."""
+        G, d = self.group, self.graded.ambient_dim
+        links = [[] for _ in range(d)]
+        for b, g in zip(self.graded.basis, self.graded.degrees):
+            k = G.index[g]
+            for i, j in zip(*np.nonzero(b)):
+                links[i].append((j, G.inv_index[k]))
+                links[j].append((i, k))
+        phi = [None] * d
+        for root in range(d):
+            if phi[root] is not None:
+                continue
+            phi[root] = G.index[G.identity]
+            queue = deque([root])
+            while queue:
+                i = queue.popleft()
+                for j, g in links[i]:
+                    label = G.mul_index[g, phi[i]]
+                    if phi[j] is None:
+                        phi[j] = label
+                        queue.append(j)
+                    elif phi[j] != label:
+                        return None
+        return np.array(phi, dtype=np.intp)
+
+    @cached_property
+    def spatial_certificate(self) -> tuple | None:
+        """φ as a tuple of group elements, one per ambient coordinate, when
+        `spatial_labeling` finds one and W(a⊗1)W*, a gather with W the
+        permutation unitary Σᵢ eᵢᵢ⊗λ_{φ(i)}, equals each stored image
+        exactly; else None."""
+        phi = self.spatial_labeling()
+        if phi is None:
+            return None
+        n = len(self.group)
+        w = (np.arange(len(phi))[:, None] * n + self.group.lam_perms[phi]).ravel()
+        conjugates = _conjugate(_kron(np.array(self.graded.basis), np.eye(n)), w)
+        if not np.array_equal(conjugates, self.images):
+            return None
+        return tuple(self.group.elements[i] for i in phi)
 
     def normality_cover(self):
         """(cover, mask) on which normality is a boundary-ideal question.
@@ -436,7 +507,7 @@ def katayama_verify(delta: Coaction, tol=1e-12) -> KatayamaReport:
     # span equality Ad(V)(double crossed product) = δ_λ(A) ⊗ 𝕂
     images = _conjugate(dcp.generators, v)
     target = dcp.kron_basis[0].members
-    ri, rt = matrix_rank(images), matrix_rank(target)
+    ri, rt = matrix_rank(images), len(target)  # SpanBasis keeps independent members
     rj = matrix_rank([*images, *target])
     span_ok = ri == rt == rj
 

@@ -509,9 +509,12 @@ def level_k_norms(stacks, coeffs) -> np.ndarray:
 @dataclass
 class IsometryVerdict:
     """A complete-isometry verdict and its effort: `samples` and `restarts` of
-    a numerical search, or an exact `certificate` (masked block → (kept block,
-    coordinates), from `envelope.compression_certificate`) that holds at every
-    level with no search."""
+    a numerical search, or an exact `certificate` that holds at every level
+    with no search. A certificate is of one of two kinds: masked block →
+    (kept block, coordinates), from `envelope.compression_certificate`, or
+    the labeling φ of the ambient coordinates by G, one group element per
+    coordinate, with which `Coaction.normality_verdict` writes δ as
+    Ad W ∘ (·⊗1)."""
 
     certified: bool
     max_deviation: float
@@ -520,7 +523,7 @@ class IsometryVerdict:
     restarts: int
     tol: float
     witness: object = None
-    certificate: dict | None = None
+    certificate: dict | tuple | None = None
 
     @property
     def status(self):

@@ -1,3 +1,10 @@
+import os
+
+# one BLAS thread: with a thread per CPU, any concurrent load slows the
+# numerical tests by up to two orders of magnitude
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+
 import pytest
 
 from catenv import ideals as IL

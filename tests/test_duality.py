@@ -13,9 +13,9 @@ import pytest
 
 from catenv.coactions import (CrossedProduct, FiniteGroup, GradedAlgebra,
                               _conjugate, coaction_from_grading, katayama_verify)
-from catenv.envelope import _blockwise_deviation
+from catenv.envelope import _blockwise_deviation, is_boundary_ideal
 from catenv.fixtures import t2_graded, t3_graded
-from catenv.matrixrep import complete_isometry_check, level_k_norms
+from catenv.matrixrep import complete_isometry_check, level_k_norms, matrix_rank
 from oracles import (DenseCrossedProduct, DenseDoubleCrossedProduct,
                      crossed_dual_action, katayama_verify_dense, tilde_delta_dense)
 
@@ -139,6 +139,7 @@ def test_unitaries_generators_and_kron_basis_match_dense(prepared):
     dense_span, dense_accepted = dense.kron_basis
     assert np.array_equal(accepted, dense_accepted)
     assert np.array_equal(span.members, dense_span.members)
+    assert matrix_rank(span.members) == len(span.members)  # katayama_verify's rank
     # both sides of the conjugation identity, value by value
     images = _conjugate(generators, dcp.v_perm)
     inside, blocks = dcp.tilde_coefficients(images)
@@ -160,7 +161,7 @@ def test_normality_on_blocks_matches_the_dense_sampler(case):
     searches run the same trials to the same verdict."""
     delta = coaction(case)
     basis, images = delta.graded.basis, delta.images
-    verdict = delta.normality_verdict()
+    verdict = is_boundary_ideal(images, *delta.normality_cover(), levels=3, samples=25)
     dense = complete_isometry_check(list(zip(basis, images)), levels=3, samples=25)
     assert verdict.certified and dense.certified and verdict.certificate is None
     assert (verdict.levels, verdict.samples, verdict.restarts) \
