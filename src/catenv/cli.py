@@ -73,8 +73,12 @@ def main(argv=None) -> int:
         return 4
     text = report.as_json() if args.format == "json" else report.as_text()
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
     else:
         sys.stdout.write(text)
     return report.exit_code
@@ -152,14 +156,19 @@ def _coaction_report(obj, args, report: Report):
                if delta.spatial_certificate is not None else
                f"max deviation {nv.max_deviation:.2e} at {nv.levels} levels")
     cp = delta.crossed_product
-    ok = cp.dual_action_formula_check() and cp.dual_action_group_law_check()
-    report.add("crossed-product", "certified" if ok else "rejected",
-               f"dimension {cp.span.dim}; dual action verified on generators")
-    dcp = delta.double_crossed_product
+    failed = [name for name in ("dual_action_formula_check", "dual_action_group_law_check")
+              if not getattr(cp, name)()]
+    report.add("crossed-product", "rejected" if failed else "certified",
+               f"dimension {cp.span.dim}; "
+               + (f"{' and '.join(failed)} failed" if failed else
+                  "dual action verified on generators"))
     kat = katayama_verify(delta)
-    report.add("duality", "certified" if kat.all_ok and
-               dcp.double_dual_formula_check() else "rejected",
-               f"unitary conjugation identities hold; image dimension {kat.image_dim}")
+    failed = kat.failed + ([] if delta.double_crossed_product.double_dual_formula_check()
+                           else ["double_dual_formula_check"])
+    report.add("duality", "rejected" if failed else "certified",
+               (f"{', '.join(failed)} failed" if failed else
+                "unitary conjugation identities hold")
+               + f"; image dimension {kat.image_dim}")
     ai = approx_identity_checks(delta)
     report.add("approximate-identity",
                "certified" if all(ai.values()) else "rejected", str(ai))
@@ -179,7 +188,8 @@ def _coaction_report(obj, args, report: Report):
         eq = equivariance_check(graded, env_delta,
                                 kappa=lambda a: cover.rep(a, shilov.mask))
         report.add("envelope-coaction", "certified" if eq else "rejected",
-                   "the coaction extends to the envelope equivariantly")
+                   "the coaction extends to the envelope equivariantly" if eq else
+                   "equivariance fails: δ_env(κ(a)) ≠ κ(a)⊗λ_g on the graded basis")
     except NoExtensionFound as exc:
         report.add("envelope-coaction", "rejected", str(exc))
 

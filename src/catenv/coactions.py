@@ -4,8 +4,9 @@ The group algebra is represented on ℓ²(G) via the left regular representation
 (full = reduced for finite groups), so a coaction is the same thing as a grading
 and every identity below is a concrete matrix identity. δ is one linear map:
 its images a⊗λ_g on the graded basis are stored once, in closed form, and any
-other element goes through its span-engine coordinates. `verify_coaction_axioms`
-is the one axiom checker, for graded and planted maps alike. Every unitary of
+other element goes through its coordinates in one span basis of the graded
+basis. `GradedAlgebra.validate` is the one gate: a grading it accepts defines
+a coaction, by the argument in `coaction_from_grading`. Every unitary of
 the crossed products and of duality (λ, ρ, U, V = I⊗US, k_G) permutes basis
 vectors and each k_{c₀}(δ_f), I⊗M_f is a 0/1 diagonal, built from the group
 table as index arrays and masks: Ad(P) is a gather, with the entries of the
@@ -33,7 +34,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .envelope import FinDimCStar, SpannedStarMap, block_decompose, is_boundary_ideal
+from .envelope import FinDimCStar, block_decompose, is_boundary_ideal
 from .gpd import group_as_groupoid
 from .matrixrep import AlgebraSpan, IsometryVerdict, SpanBasis, matrix_rank
 
@@ -124,9 +125,17 @@ class GradedAlgebra:
                             raise GradingInvalid(
                                 f"A_{g}·A_{h} escapes A_{self.group.mul(g, h)}")
 
+    @cached_property
+    def span(self) -> tuple[SpanBasis, list]:
+        """(span, accepted): a span basis of the algebra grown from the graded
+        basis, and the positions in `basis` of the members it accepted. The
+        span is the algebra: validation showed it closed under products."""
+        span = SpanBasis()
+        return span, span.accept(self.basis)
+
     def unit(self) -> np.ndarray | None:
         """The algebra unit if the span contains one acting neutrally on the basis."""
-        span = AlgebraSpan(self.basis, selfadjoint=False)
+        span, _ = self.span
         candidate = sum(b @ b.conj().T for b in self.basis)
         vals, vecs = np.linalg.eigh(candidate)
         keep = vecs[:, vals > 1e-9 * max(1.0, vals[-1])]
@@ -141,7 +150,9 @@ class Coaction:
     """δ(a) = Σ_g a_g ⊗ u_g with u_g realized as λ_g (full = reduced for finite G).
 
     `images[i]` = basis[i]⊗λ_{degrees[i]} is δ of the i-th graded basis element;
-    δ of any other element extends these linearly through its coordinates.
+    δ of any other element extends these linearly through its coordinates in
+    `GradedAlgebra.span`. Those coordinates are unique and the accepted
+    members are homogeneous, so the extension is Σ_g m_g⊗λ_g.
     """
 
     def __init__(self, graded: GradedAlgebra):
@@ -149,13 +160,15 @@ class Coaction:
         self.group = graded.group
         self.images = [np.kron(a, self.group.lam(g))
                        for a, g in zip(graded.basis, graded.degrees)]
-        self._map = SpannedStarMap(list(zip(graded.basis, self.images)))
+        self._span, accepted = graded.span
+        self._span_images = np.array([self.images[i] for i in accepted])
 
     def delta(self, m) -> np.ndarray:
         try:
-            return self._map.apply(m)
+            coords = self._span.coordinates(m)
         except ValueError:
             raise GradingInvalid("element outside the algebra") from None
+        return np.tensordot(coords, self._span_images, 1)
 
     def fourier(self, m, g) -> np.ndarray:
         """𝔼_g(m): the degree-g component read back from δ(m) by trace contraction."""
@@ -254,75 +267,25 @@ class Coaction:
         return DoubleCrossedProduct(self)
 
 
-def verify_coaction_axioms(basis, images, group: FiniteGroup, tol=1e-9) -> dict:
-    """Axioms for the linear map δ(basis[i]) = images[i], graded or planted.
-
-    Multiplicativity (a product outside the span is a failure), the coaction
-    identity against Δ(λ_g) = λ_g⊗λ_g, and nondegeneracy as a span equality.
-    """
-    basis = [np.asarray(b, dtype=complex) for b in basis]
-    images = [np.asarray(m, dtype=complex) for m in images]
-    n = len(group)
-    d = basis[0].shape[0]
-    delta = SpannedStarMap(list(zip(basis, images))).apply
-
-    def image(m):
-        """δ(m), or None when m is outside the span of the basis."""
-        try:
-            return delta(m)
-        except ValueError:
-            return None
-
-    def maps_to(m, target):
-        dm = image(m)
-        return dm is not None and np.allclose(dm, target, atol=tol)
-
-    def identity_holds(da):
-        # (δ⊗id)∘δ needs δ applied to the A-leg of δ(a); expand over a product basis
-        da = da.reshape(d, n, d, n)
-        lhs = np.zeros((d, n, n, d, n, n), dtype=complex)
-        for p in range(n):
-            for q in range(n):
-                leg = image(da[:, p, :, q])
-                if leg is None:
-                    return False
-                lhs[:, :, p, :, :, q] = leg.reshape(d, n, d, n)
-        rhs = np.zeros_like(lhs)
-        for g in group.elements:
-            lg = group.lam(g)
-            comp = np.einsum("ipjq,pq->ij", da, lg.conj()) / n
-            rhs += np.einsum("ij,pq,rs->iprjqs", comp, lg, lg)
-        return np.allclose(lhs, rhs, atol=tol)
-
-    out = {"homomorphism": all(maps_to(a @ b, da @ db)
-                               for a, da in zip(basis, images)
-                               for b, db in zip(basis, images))}
-    out["coaction_identity"] = all(identity_holds(da) for da in images)
-    out["nondegenerate"] = _nondegenerate(basis, images, group)
-    return out
-
-
-def _nondegenerate(basis, images, group: FiniteGroup) -> bool:
-    """span δ(A)(I⊗C*(G)) = A⊗C*(G) for the map δ(basis[i]) = images[i]."""
-    eye = np.eye(basis[0].shape[0])
-    prods = [da @ np.kron(eye, group.lam(h)) for da in images for h in group.elements]
-    target = [np.kron(a, group.lam(h)) for a in basis for h in group.elements]
-    return matrix_rank(prods) == matrix_rank(target)
-
-
-_AXIOM_FAILURES = (("homomorphism", "δ is not multiplicative"),
-                   ("coaction_identity", "coaction identity fails"),
-                   ("nondegenerate", "coaction is degenerate"))
-
-
 def coaction_from_grading(graded: GradedAlgebra) -> Coaction:
-    """Build the coaction attached to a grading and verify its axioms."""
-    delta = Coaction(graded)
-    axioms = verify_coaction_axioms(graded.basis, delta.images, graded.group)
-    for axiom, message in _AXIOM_FAILURES:
-        if not axioms[axiom]:
-            raise GradingInvalid(message)
-    return delta
+    """The coaction δ(a_g) = a_g⊗λ_g of a validated grading.
+
+    `GradedAlgebra.validate` has checked that the components are in direct
+    sum and that A_g·A_h ⊆ A_gh; the coaction axioms follow from these:
+
+    - homomorphism: δ(a_g)δ(b_h) = a_g b_h⊗λ_gh. By validation a_g b_h lies
+      in A_gh, and the components are in direct sum, so its only component
+      is of degree gh and δ(a_g b_h) = a_g b_h⊗λ_gh;
+    - coaction identity: (δ⊗id)δ(a_g) = a_g⊗λ_g⊗λ_g = (id⊗Δ)δ(a_g);
+    - nondegeneracy: δ(a_g)(1⊗λ_{g⁻¹h}) = a_g⊗λ_h, and these span A⊗C*(G).
+
+    The containment A_g·A_h ⊆ A_gh is `SpanBasis`'s test, atol 1e-8 and rtol
+    1e-5 on the projection residual, so δ is multiplicative to that
+    tolerance. The reference `tests/oracles.verify_coaction_axioms`, for
+    graded and planted maps, compares δ(ab) with δ(a)δ(b) on that same
+    residual at atol 1e-9.
+    """
+    return Coaction(graded)
 
 
 # -- crossed products and duality -------------------------------------------------
@@ -484,9 +447,11 @@ class KatayamaReport:
     pe_invariance: bool
 
     @property
-    def all_ok(self):
-        return all([self.identity_i, self.identity_ii, self.identity_iii,
-                    self.span_equality, self.conjugation_match, self.pe_invariance])
+    def failed(self) -> list:
+        """The names of the checks that fail, in field order."""
+        return [name for name in ("identity_i", "identity_ii", "identity_iii",
+                                  "span_equality", "conjugation_match", "pe_invariance")
+                if not getattr(self, name)]
 
 
 def katayama_verify(delta: Coaction, tol=1e-12) -> KatayamaReport:

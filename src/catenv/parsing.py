@@ -30,7 +30,10 @@ Graded-algebra files (.grad):
     ambient: <matrix size>             (>= 1)
     generators:                        <degree> i,j,re[,im];i,j,re[,im];...
                                        (at least one row, not all zero;
-                                        0 <= i, j < size)
+                                        0 <= i, j < size; the degree
+                                        components in direct sum, with
+                                        A_g·A_h ⊆ A_gh, or the error
+                                        names the generators: line)
 
 A field or section that the document's class does not read is an error, so a
 misspelled header cannot silently drop its records; so is a field given twice,
@@ -44,7 +47,7 @@ import numpy as np
 
 from .categories import (FiniteTable, FreeMonoid, GraphPath, GroupoidSub,
                          KGraph, MalformedPresentation, NkMonoid)
-from .coactions import FiniteGroup, GradedAlgebra
+from .coactions import FiniteGroup, GradedAlgebra, GradingInvalid
 from .gpd import FiniteGroupoid
 
 
@@ -238,7 +241,10 @@ def _graded_from_sections(scalars, sections, line_of):
     if not any(m.any() for ms in components.values() for m in ms):
         raise ParseError("every generator is zero: the zero algebra has nothing to grade",
                          line_of["generators"])
-    return group, GradedAlgebra(group, components)
+    try:
+        return group, GradedAlgebra(group, components)
+    except GradingInvalid as exc:
+        raise ParseError(str(exc), line_of["generators"]) from None
 
 
 def load_path(path):

@@ -18,7 +18,9 @@ separation criterion checked point by point on every fixed-point set (and on a
 planted `ExplicitBijection`, which no hull produces), the compression and
 inclusion–exclusion identities of ϑ_χ, groupoid functions as sums of element
 matrices, the one-array level-k norm, word inverses and evaluation in a
-group, and the dual action of a crossed product.
+group, the dual action of a crossed product, and the coaction axioms of a
+linear map δ given on a basis, one leg and one basis product at a time: the
+grading validation implies them, and planted maps fail them.
 """
 
 import itertools
@@ -28,7 +30,8 @@ from functools import cached_property
 import numpy as np
 
 from catenv.coactions import GradedAlgebra, KatayamaReport, NoExtensionFound, _conjugate
-from catenv.envelope import NotACover, ShilovResult, is_boundary_ideal, search_levels
+from catenv.envelope import (NotACover, ShilovResult, SpannedStarMap, is_boundary_ideal,
+                             search_levels)
 from catenv.germs import InfiniteCharacterSpace, NotInDomain
 from catenv.gpd import FiniteGroupoid, GroupoidError
 from catenv.hull import HullClosure, InconsistentPieces, PiecewiseBijection
@@ -929,3 +932,70 @@ def evaluate_in_group(w: UGWord, x_images: dict, iso_images: dict, mul, inv, uni
 def crossed_dual_action(cp, g, x) -> np.ndarray:
     """δ̂_g = Ad(I⊗ρ_g) on x or a stack of x, for the `CrossedProduct` cp."""
     return _conjugate(x, cp.rho_perms[cp.group.index[g]])
+
+
+def verify_coaction_axioms(basis, images, group, tol=1e-9) -> dict:
+    """Axioms for the linear map δ(basis[i]) = images[i], graded or planted.
+
+    Multiplicativity (a product outside the span is a failure), the coaction
+    identity against Δ(λ_g) = λ_g⊗λ_g, and nondegeneracy as a span equality.
+    """
+    basis = [np.asarray(b, dtype=complex) for b in basis]
+    images = [np.asarray(m, dtype=complex) for m in images]
+    n = len(group)
+    d = basis[0].shape[0]
+    delta = SpannedStarMap(list(zip(basis, images))).apply
+
+    def image(m):
+        """δ(m), or None when m is outside the span of the basis."""
+        try:
+            return delta(m)
+        except ValueError:
+            return None
+
+    def maps_to(m, target):
+        dm = image(m)
+        return dm is not None and np.allclose(dm, target, atol=tol)
+
+    def identity_holds(da):
+        # (δ⊗id)∘δ needs δ applied to the A-leg of δ(a); expand over a product basis
+        da = da.reshape(d, n, d, n)
+        lhs = np.zeros((d, n, n, d, n, n), dtype=complex)
+        for p in range(n):
+            for q in range(n):
+                leg = image(da[:, p, :, q])
+                if leg is None:
+                    return False
+                lhs[:, :, p, :, :, q] = leg.reshape(d, n, d, n)
+        rhs = np.zeros_like(lhs)
+        for g in group.elements:
+            lg = group.lam(g)
+            comp = np.einsum("ipjq,pq->ij", da, lg.conj()) / n
+            rhs += np.einsum("ij,pq,rs->iprjqs", comp, lg, lg)
+        return np.allclose(lhs, rhs, atol=tol)
+
+    out = {"homomorphism": all(maps_to(a @ b, da @ db)
+                               for a, da in zip(basis, images)
+                               for b, db in zip(basis, images))}
+    out["coaction_identity"] = all(identity_holds(da) for da in images)
+    out["nondegenerate"] = _nondegenerate(basis, images, group)
+    return out
+
+
+def _nondegenerate(basis, images, group) -> bool:
+    """span δ(A)(I⊗C*(G)) = A⊗C*(G) for the map δ(basis[i]) = images[i]."""
+    eye = np.eye(basis[0].shape[0])
+    prods = [da @ np.kron(eye, group.lam(h)) for da in images for h in group.elements]
+    target = [np.kron(a, group.lam(h)) for a in basis for h in group.elements]
+    return matrix_rank(prods) == matrix_rank(target)
+
+
+_AXIOM_FAILURES = (("homomorphism", "δ is not multiplicative"),
+                   ("coaction_identity", "coaction identity fails"),
+                   ("nondegenerate", "coaction is degenerate"))
+
+
+def axiom_failures(basis, images, group) -> list:
+    """The message of each axiom `verify_coaction_axioms` finds failing."""
+    axioms = verify_coaction_axioms(basis, images, group)
+    return [message for axiom, message in _AXIOM_FAILURES if not axioms[axiom]]

@@ -13,8 +13,7 @@ import numpy as np
 
 from catenv import ideals as IL
 from catenv.coactions import (FiniteGroup, GradedAlgebra, coaction_from_grading,
-                              equivariance_check, extend_grading, katayama_verify,
-                              verify_coaction_axioms)
+                              equivariance_check, extend_grading, katayama_verify)
 from catenv.envelope import block_decompose, is_boundary_ideal, shilov_ideal
 from catenv.fixtures import (fix_edge, fix_free2, fix_kgraph_acyclic, fix_n2,
                              fix_two, fix_two_mce_category, t2_graded, t3_graded)
@@ -33,7 +32,7 @@ from catenv.univgroup import (CategoryFunctor, Cocycle, IsoLetter, XLetter,
                               partial_action_iso_check, reduce_word,
                               universal_group, word_mul)
 from oracles import (ExplicitBijection, separation_by_fixed_sets,
-                     spectral_subspace_dims_from_reduction)
+                     spectral_subspace_dims_from_reduction, verify_coaction_axioms)
 
 
 def report(criterion, detail):

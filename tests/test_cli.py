@@ -176,3 +176,52 @@ def test_duality_image_outside_the_span_is_rejected(monkeypatch, capsys):
     status = {e["check"]: e["status"] for e in json.loads(out)["entries"]}
     assert status["duality"] == "rejected"
     assert status["crossed-product"] == "certified"
+    detail = {e["check"]: e["detail"] for e in json.loads(out)["entries"]}
+    assert detail["duality"] == ("identity_i, identity_ii, span_equality, conjugation_match "
+                                 "failed; image dimension 12")
+
+
+def test_a_wrong_dual_action_names_both_failed_checks(monkeypatch, capsys):
+    # ρ_g and ρ_{g+1} swapped: neither δ̂_g's formula nor the group law holds
+    from catenv.coactions import CrossedProduct
+    init = CrossedProduct.__init__
+
+    def with_swapped_rho(self, delta):
+        init(self, delta)
+        self.rho_perms = self.rho_perms[::-1].copy()
+
+    monkeypatch.setattr(CrossedProduct, "__init__", with_swapped_rho)
+    code, out, err = run(capsys, "coaction", fx("t2.grad"), "--format", "json")
+    assert code == 2 and err == ""
+    entries = {e["check"]: e for e in json.loads(out)["entries"]}
+    assert entries["crossed-product"]["status"] == "rejected"
+    assert entries["crossed-product"]["detail"] == (
+        "dimension 6; dual_action_formula_check and dual_action_group_law_check failed")
+    assert entries["duality"]["status"] == "certified"
+
+
+def test_an_envelope_grading_that_is_not_equivariant_is_rejected(monkeypatch, capsys):
+    # the trivial grading of the envelope M₂ is a grading, but it puts κ(E₁₂)
+    # in degree 0 where A has it in degree 1
+    import catenv.cli
+    from catenv.coactions import GradedAlgebra, extend_grading
+
+    def trivial(graded, env_basis, kappa):
+        env = extend_grading(graded, env_basis, kappa)
+        return GradedAlgebra(env.group, {env.group.identity: env.basis})
+
+    monkeypatch.setattr(catenv.cli, "extend_grading", trivial)
+    code, out, err = run(capsys, "coaction", fx("t2.grad"), "--format", "json")
+    assert code == 2 and err == ""
+    entries = {e["check"]: e for e in json.loads(out)["entries"]}
+    assert entries["envelope-coaction"] == {
+        "check": "envelope-coaction", "status": "rejected",
+        "detail": "equivariance fails: δ_env(κ(a)) ≠ κ(a)⊗λ_g on the graded basis"}
+
+
+def test_out_under_a_missing_directory_is_an_input_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.json"
+    code, out, err = run(capsys, "coaction", fx("t2.grad"), "--out", str(target))
+    assert code == 1 and out == "" and not target.exists()
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert str(target) in err
