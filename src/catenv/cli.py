@@ -156,8 +156,9 @@ def _coaction_report(obj, args, report: Report):
                if delta.spatial_certificate is not None else
                f"max deviation {nv.max_deviation:.2e} at {nv.levels} levels")
     cp = delta.crossed_product
-    failed = [name for name in ("dual_action_formula_check", "dual_action_group_law_check")
-              if not getattr(cp, name)()]
+    failed = [name for name, ok in (
+        ("dual_action_formula_check", cp.dual_action_formula_check()),
+        ("dual_action_group_law_check", cp.dual_action_group_law_check())) if not ok]
     report.add("crossed-product", "rejected" if failed else "certified",
                f"dimension {cp.span.dim}; "
                + (f"{' and '.join(failed)} failed" if failed else

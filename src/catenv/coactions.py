@@ -28,8 +28,8 @@ search on the blocks of C*(G).
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
+from collections import Counter, deque
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -40,6 +40,10 @@ from .matrixrep import AlgebraSpan, IsometryVerdict, SpanBasis, matrix_rank
 
 
 class GradingInvalid(ValueError):
+    pass
+
+
+class NotDirectSum(GradingInvalid):
     pass
 
 
@@ -109,13 +113,18 @@ class GradedAlgebra:
         self.validate()
 
     def validate(self):
-        comp_dims = {g: matrix_rank(ms) for g, ms in self.components.items()}
-        total = matrix_rank(self.basis)
-        if sum(comp_dims.values()) != total:
-            raise GradingInvalid("components are not in direct sum")
+        """Direct sum, then A_g·A_h ⊆ A_gh, both in `SpanBasis`'s one sense of
+        independence: the span of the whole basis (`span`) must accept, in
+        each degree, as many members as that degree's own span. A member
+        absorbed by the members of other degrees is refused, so the accepted
+        members of each degree span its component."""
         spans = {g: SpanBasis() for g in self.group.elements}
         for g, ms in self.components.items():
             spans[g].extend(ms)
+        _, accepted = self.span
+        per_degree = Counter(self.degrees[i] for i in accepted)
+        if any(per_degree[g] != len(spans[g].members) for g in self.components):
+            raise NotDirectSum("components are not in direct sum")
         for g, ms in self.components.items():
             for h, ns in self.components.items():
                 tgt = spans[self.group.mul(g, h)]
@@ -129,7 +138,8 @@ class GradedAlgebra:
     def span(self) -> tuple[SpanBasis, list]:
         """(span, accepted): a span basis of the algebra grown from the graded
         basis, and the positions in `basis` of the members it accepted. The
-        span is the algebra: validation showed it closed under products."""
+        span is the algebra: validation showed it closed under products, and
+        that the accepted members of each degree span that component."""
         span = SpanBasis()
         return span, span.accept(self.basis)
 
@@ -151,8 +161,9 @@ class Coaction:
 
     `images[i]` = basis[i]⊗λ_{degrees[i]} is δ of the i-th graded basis element;
     δ of any other element extends these linearly through its coordinates in
-    `GradedAlgebra.span`. Those coordinates are unique and the accepted
-    members are homogeneous, so the extension is Σ_g m_g⊗λ_g.
+    `GradedAlgebra.span`. Those coordinates are unique, and validation showed
+    that the accepted members of each degree span that component, so the
+    extension is Σ_g m_g⊗λ_g.
     """
 
     def __init__(self, graded: GradedAlgebra):
@@ -279,11 +290,12 @@ def coaction_from_grading(graded: GradedAlgebra) -> Coaction:
     - coaction identity: (δ⊗id)δ(a_g) = a_g⊗λ_g⊗λ_g = (id⊗Δ)δ(a_g);
     - nondegeneracy: δ(a_g)(1⊗λ_{g⁻¹h}) = a_g⊗λ_h, and these span A⊗C*(G).
 
-    The containment A_g·A_h ⊆ A_gh is `SpanBasis`'s test, atol 1e-8 and rtol
-    1e-5 on the projection residual, so δ is multiplicative to that
-    tolerance. The reference `tests/oracles.verify_coaction_axioms`, for
-    graded and planted maps, compares δ(ab) with δ(a)δ(b) on that same
-    residual at atol 1e-9.
+    The direct sum and the containment A_g·A_h ⊆ A_gh are both read from
+    `SpanBasis`, whose test is atol 1e-8 and rtol 1e-5 on the projection
+    residual; δ reads its coordinates from a span basis of the same kind, so
+    δ is multiplicative to that tolerance. The reference axiom checker in
+    `tests/oracles.py`, for graded and planted maps, compares δ(ab) with
+    δ(a)δ(b) on that same residual at atol 1e-9.
     """
     return Coaction(graded)
 
@@ -449,9 +461,8 @@ class KatayamaReport:
     @property
     def failed(self) -> list:
         """The names of the checks that fail, in field order."""
-        return [name for name in ("identity_i", "identity_ii", "identity_iii",
-                                  "span_equality", "conjugation_match", "pe_invariance")
-                if not getattr(self, name)]
+        return [f.name for f in fields(self)
+                if f.type == "bool" and not getattr(self, f.name)]
 
 
 def katayama_verify(delta: Coaction, tol=1e-12) -> KatayamaReport:
@@ -500,11 +511,11 @@ def extend_grading(graded: GradedAlgebra, env_basis, kappa):
     """Search a grading of the envelope extending the image grading of A.
 
     Degree-g span = closed span of monomials in κ(A_h) and adjoints with total
-    degree g. The extension exists exactly when these spans are in direct sum and
-    fill the envelope; otherwise NoExtensionFound. Semi-naive closure: each round
-    multiplies only the previous round's new members by the generators, on the
-    right and then on the left; it stops when no span grows, which their
-    dimensions bound.
+    degree g. The extension exists exactly when these spans fill the envelope
+    and are in direct sum, in `GradedAlgebra.validate`'s sense; otherwise
+    NoExtensionFound. Semi-naive closure: each round multiplies only the
+    previous round's new members by the generators, on the right and then on
+    the left; it stops when no span grows, which their dimensions bound.
     """
     G = graded.group
     env_span = AlgebraSpan([np.asarray(b, dtype=complex) for b in env_basis],
@@ -525,14 +536,13 @@ def extend_grading(graded: GradedAlgebra, env_basis, kappa):
             + [(G.mul(h, g), p) for g, m in new for h, ms in gens.items()
                for p in degree_spans[G.mul(h, g)].extend(ms @ m)]
     spans = {g: span.members for g, span in degree_spans.items()}
-    total = sum(matrix_rank(spans[g]) for g in G.elements)
     flat = [m for g in G.elements for m in spans[g]]
     if matrix_rank(flat) != env_span.dim:
         raise NoExtensionFound("monomial spans do not fill the envelope")
-    if total != env_span.dim:
-        raise NoExtensionFound("degree spans are not in direct sum; no extension")
-    env_graded = GradedAlgebra(G, {g: spans[g] for g in G.elements if spans[g]})
-    return env_graded
+    try:
+        return GradedAlgebra(G, {g: spans[g] for g in G.elements if spans[g]})
+    except NotDirectSum:
+        raise NoExtensionFound("degree spans are not in direct sum; no extension") from None
 
 
 def equivariance_check(graded: GradedAlgebra, env_delta: Coaction, kappa,

@@ -187,7 +187,9 @@ _GRADED = "class: graded_algebra\ngroup: {group}\nambient: 2\ngenerators:\n{rows
     pytest.param(_GRADED.format(group="cyclic 2", rows="1 0,0,1\n"), 4,
                  "A_1·A_1 escapes A_0", id="product-leaves-its-degree"),
     pytest.param(_GRADED.format(group="cyclic 2", rows="0 0,0,1\n1 0,0,2\n"), 4,
-                 "components are not in direct sum", id="components-overlap")])
+                 "components are not in direct sum", id="components-overlap"),
+    pytest.param(_GRADED.format(group="cyclic 2", rows="0 0,0,1;1,1,1\n1 0,0,1;1,1,1.00001\n"),
+                 4, "components are not in direct sum", id="components-nearly-overlap")])
 def test_malformed_graded_documents_are_input_errors(tmp_path, capsys, doc, line, what):
     """Each is one `error:` line naming the line, exit 1: no traceback, no
     entry read at a wrapped index, no misleading message."""
