@@ -154,7 +154,9 @@ class FiniteTable(CategoryPresentation):
 
     class_name = "finite_table"
     is_finite = True
-    trivial_units_only = False
+    # table values must be element names, never objects, so no product of
+    # non-identities is an identity: the only invertible morphisms are identities
+    trivial_units_only = True
 
     def __init__(self, objects, element_endpoints, table):
         self.objects = tuple(objects)

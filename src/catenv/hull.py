@@ -5,10 +5,19 @@ acts on the principal ideal b𝔠 by b·t ↦ a·t. Canonical forms make equalit
 syntactic: generators are normalized, subsumed pieces are dropped, and the piece
 list is sorted. Every hull element is a product of atoms: the maps of the
 identities and generators (word length at most 1) and their inverses.
+
+The arithmetic runs on integers. The hull numbers each morphism it meets once,
+and interns an element by its code: its pieces written as pairs of morphism
+numbers. Composites, alignments and left quotients of morphisms are cached on
+pairs of morphism numbers, canonical generators and sort keys on one number,
+and products of elements on pairs of element numbers. So each oracle of the
+presentation runs once per argument pair, and a cache lookup hashes integers,
+not nested morphism tuples.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -53,43 +62,122 @@ class HullClosure:
         return [s for s in self.elements if not s.is_zero]
 
 
+_LOW = (1 << 32) - 1  # the low half of a (m << 32) | n key
+
+
+class _Table(dict):
+    """A cache of `owner` that fills a missing key with `fill(owner, key)`: a
+    hit is one dict lookup, with no Python call. The owner is held weakly, so
+    that its tables make no reference cycle and it is freed once dropped."""
+
+    __slots__ = ("owner", "fill")
+
+    def __init__(self, owner, fill):
+        super().__init__()
+        self.owner = weakref.ref(owner)
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(self.owner(), key)
+        return value
+
+
 class InverseHull:
     """Arithmetic of piecewise partial bijections over one presentation.
 
-    Canonical elements are interned: equal elements are one object, numbered in
-    the order they were first made. Products, inverses and domains are cached
-    by those numbers, so a cache lookup hashes integers, not nested pieces.
+    Morphisms are numbered in the order the hull first meets them:
+    `_morphisms[m]` is morphism m, `_morphism_number` finds m by value and
+    `_morphism_id` by the id() of the object `_morphisms[m]`. That list keeps
+    each such object alive, so no other live object has its id(), and an id()
+    hit is always the numbered object itself. A fresh object equal to a
+    numbered one (k-graphs and direct products build one per result) misses
+    the id() table and is found by value.
+
+    Canonical elements are interned the same way: equal elements are one
+    object, numbered in the order they were first made, found by the id() of
+    that object or by their code, the pieces as (a, b) pairs of morphism
+    numbers. Element 0 is the zero. The caches, on integer keys:
+
+    - (i << 32) | j on element numbers: the product s_i∘s_j;
+    - i: the inverse and the domain of s_i;
+    - (m << 32) | n on morphism numbers: the composite m·n, the alignment of
+      m and n, the x with n = m·x (−1 when there is none);
+    - m: the canonical generator of m𝔠, and the sort key of m.
     """
 
     def __init__(self, pres: CategoryPresentation):
         self.p = pres
+        self._morphisms: list[Morphism] = []
+        self._morphism_number: dict[Morphism, int] = {}
+        self._morphism_id: dict[int, int] = {}  # id() of a numbered morphism -> its number
+        self._sort_keys: list = []  # by morphism number
+        self._composites = _Table(self, InverseHull._fill_composite)
+        self._alignments = _Table(self, InverseHull._fill_alignment)
+        self._quotients = _Table(self, InverseHull._fill_quotient)
+        self._generators = _Table(self, InverseHull._fill_generator)
         self._elements: list[PiecewiseBijection] = []
-        self._by_pieces: dict[tuple, PiecewiseBijection] = {}
+        self._codes: list[tuple[tuple[int, int], ...]] = []  # by element number
+        self._by_code = _Table(self, InverseHull._fill_element)
         self._number: dict[int, int] = {}  # id() of an interned element -> its number
-        self._products: dict[int, int] = {}  # (i << 32) | j -> number of s_i∘s_j
-        self._inverses: dict[int, PiecewiseBijection] = {}
+        self._products = _Table(self, InverseHull._fill_product)
+        self._inverses = _Table(self, InverseHull._fill_inverse)
         self._domains: dict[int, tuple[Morphism, ...]] = {}
-        self._of_morphism: dict[Morphism, PiecewiseBijection] = {}
-        self._add(ZERO)
+        self._of_morphism: dict[int, int] = {}  # morphism number -> element number
+        self._add(ZERO, ())
+
+    # -- numbering ---------------------------------------------------------
+
+    def _morphism(self, c: Morphism) -> int:
+        """The number of c; c is numbered if new."""
+        m = self._morphism_id.get(id(c))
+        if m is None:
+            m = self._morphism_number.get(c)
+            if m is None:
+                m = self._morphism_number[c] = len(self._morphisms)
+                self._morphism_id[id(c)] = m
+                self._morphisms.append(c)
+                self._sort_keys.append(self.p.sort_key(c))
+        return m
+
+    def _pair(self, key: int) -> tuple[Morphism, Morphism]:
+        return self._morphisms[key >> 32], self._morphisms[key & _LOW]
+
+    def _fill_composite(self, key: int) -> int:
+        """Number of the composite m·n, or −1 when it is not defined."""
+        c = self.p.compose(*self._pair(key))
+        return -1 if c is None else self._morphism(c)
+
+    def _fill_alignment(self, key: int) -> tuple[tuple[int, int], ...]:
+        """The presentation's alignment of m and n, as number pairs."""
+        num = self._morphism
+        return tuple((num(x), num(y)) for x, y in self.p.align(*self._pair(key)))
+
+    def _fill_quotient(self, key: int) -> int:
+        """Number of the x with n = m·x, or −1 when n is not in m𝔠."""
+        x = self.p.divide_left(*self._pair(key))
+        return -1 if x is None else self._morphism(x)
 
     # -- interning ---------------------------------------------------------
 
-    def _add(self, s: PiecewiseBijection) -> PiecewiseBijection:
-        self._by_pieces[s.pieces] = s
-        self._number[id(s)] = len(self._elements)
+    def _add(self, s: PiecewiseBijection, code: tuple) -> int:
+        n = self._by_code[code] = self._number[id(s)] = len(self._elements)
         self._elements.append(s)
-        return s
+        self._codes.append(code)
+        return n
 
-    def _intern(self, pieces: tuple) -> PiecewiseBijection:
-        s = self._by_pieces.get(pieces)
-        return s if s is not None else self._add(PiecewiseBijection(pieces))
+    def _fill_element(self, code: tuple) -> int:
+        ms = self._morphisms
+        return self._add(PiecewiseBijection(tuple((ms[a], ms[b]) for a, b in code)), code)
 
     def index(self, s: PiecewiseBijection) -> int:
         """The number of the interned element equal to s; s is interned if new."""
         n = self._number.get(id(s))  # interned elements stay alive, so ids are unique
         if n is None:
-            u = self._by_pieces.get(s.pieces)
-            n = self._number[id(u if u is not None else self._add(s))]
+            num = self._morphism
+            code = tuple((num(a), num(b)) for a, b in s.pieces)
+            n = self._by_code.get(code)
+            if n is None:
+                n = self._add(s, code)
         return n
 
     @cached_property
@@ -101,10 +189,12 @@ class InverseHull:
 
     def from_morphism(self, c: Morphism) -> PiecewiseBijection:
         """The map 𝔡(c)𝔠 → c𝔠, x ↦ cx."""
-        s = self._of_morphism.get(c)
-        if s is None:
-            s = self._of_morphism[c] = self.canonical([(c, self.p.identity(c.dom))])
-        return s
+        m = self._morphism(c)
+        n = self._of_morphism.get(m)
+        if n is None:
+            n = self._of_morphism[m] = self._canonical(
+                [(m, self._morphism(self.p.identity(c.dom)))])
+        return self._elements[n]
 
     def idempotent(self, parts) -> PiecewiseBijection:
         """Identity on the union of the principal ideals generated by `parts`."""
@@ -112,60 +202,73 @@ class InverseHull:
 
     # -- canonical form --------------------------------------------------
 
-    def _canonical_generator(self, b: Morphism) -> tuple[Morphism, Morphism]:
-        """Smallest generator of b𝔠, with the translator x (b_can = b·x)."""
-        if self.p.trivial_units_only:
-            return b, self.p.identity(b.dom)
-        best, bx = b, self.p.identity(b.dom)
+    def _fill_generator(self, b: int) -> tuple[int, int | None]:
+        """Smallest generator of b𝔠, with the translator x (b_can = b·x), None
+        for an identity. Scans the ball; only needed when units are not
+        trivial."""
+        mb = self._morphisms[b]
+        best, bx = mb, None
         for m in self._ball:
-            if self.p.in_ideal(b, m) and self.p.in_ideal(m, b):
+            if self.p.in_ideal(mb, m) and self.p.in_ideal(m, mb):
                 if self.p.sort_key(m) < self.p.sort_key(best):
-                    best, bx = m, self.p.divide_left(b, m)
-        return best, bx
+                    best, bx = m, self.p.divide_left(mb, m)
+        return (self._morphism(best),
+                None if bx is None or bx.is_identity else self._morphism(bx))
 
     def canonical(self, raw_pieces) -> PiecewiseBijection:
         """The interned element with these pieces, put in canonical form."""
+        num = self._morphism
+        return self._elements[self._canonical([(num(a), num(b)) for a, b in raw_pieces])]
+
+    def _canonical(self, raw) -> int:
+        """Number of the interned element with pieces `raw`, (a, b) pairs of
+        morphism numbers, put in canonical form."""
+        if not raw:
+            return 0
+        ms = self._morphisms
+        trivial_units = self.p.trivial_units_only
         pieces = []
-        for a, b in raw_pieces:
-            if a.dom != b.dom:
-                raise InconsistentPieces(f"piece ({a}, {b}) has mismatched domains")
-            b_can, x = self._canonical_generator(b)
-            a_can = a if x.is_identity else self.p.compose(a, x)
-            pieces.append((a_can, b_can))
+        for a, b in raw:
+            if ms[a].dom != ms[b].dom:
+                raise InconsistentPieces(f"piece ({ms[a]}, {ms[b]}) has mismatched domains")
+            if not trivial_units:
+                b, x = self._generators[b]
+                if x is not None:
+                    a = self._composites[(a << 32) | x]
+            pieces.append((a, b))
         if len(pieces) == 1:  # nothing to sort, check or subsume
-            return self._intern(tuple(pieces))
-        pieces = sorted(set(pieces), key=lambda ab: (self.p.sort_key(ab[1]),
-                                                     self.p.sort_key(ab[0])))
+            return self._by_code[tuple(pieces)]
+        keys, mul, divide = self._sort_keys, self._composites, self._quotients
+        pieces = sorted(set(pieces), key=lambda ab: (keys[ab[1]], keys[ab[0]]))
         self._check_consistent(pieces)
         kept = []
         for a, b in pieces:
-            subsumed = False
             for a2, b2 in kept:
-                x = self.p.divide_left(b2, b)
-                if x is not None and self.p.compose(a2, x) == a:
-                    subsumed = True
-                    break
-            if not subsumed:
+                x = divide[(b2 << 32) | b]
+                if x >= 0 and mul[(a2 << 32) | x] == a:
+                    break  # subsumed
+            else:
                 kept.append((a, b))
-        return self._intern(tuple(kept))
+        return self._by_code[tuple(kept)]
 
     def _check_consistent(self, pieces):
         # single-valued: overlapping domains agree; injective: same for inverses
+        mul = self._composites
         for direction in (pieces, [(b, a) for a, b in pieces]):
             for i, (a1, b1) in enumerate(direction):
                 for a2, b2 in direction[i + 1:]:
-                    for x, y in self.p.align(b1, b2):
-                        if self.p.compose(a1, x) != self.p.compose(a2, y):
-                            raise InconsistentPieces(f"pieces disagree on {b1}·{x}")
+                    for x, y in self._alignments[(b1 << 32) | b2]:
+                        if mul[(a1 << 32) | x] != mul[(a2 << 32) | y]:
+                            ms = self._morphisms
+                            raise InconsistentPieces(f"pieces disagree on {ms[b1]}·{ms[x]}")
 
     # -- inverse semigroup arithmetic -------------------------------------
 
     def hinverse(self, s: PiecewiseBijection) -> PiecewiseBijection:
-        i = self.index(s)
-        inv = self._inverses.get(i)
-        if inv is None:
-            inv = self._inverses[i] = self.canonical([(b, a) for a, b in s.pieces])
-        return inv
+        return self._elements[self._inverses[self.index(s)]]
+
+    def _fill_inverse(self, i: int) -> int:
+        return self._canonical([(b, a) for a, b in self._codes[i]])
 
     def hcompose(self, s: PiecewiseBijection, t: PiecewiseBijection) -> PiecewiseBijection:
         """s∘t; cross-piece products resolve through alignment."""
@@ -173,16 +276,17 @@ class InverseHull:
 
     def _compose(self, i: int, j: int) -> int:
         """Number of s∘t for the elements s, t numbered i, j."""
-        key = (i << 32) | j
-        n = self._products.get(key)
-        if n is None:
-            out = []
-            for a, b in self._elements[i].pieces:
-                for a2, b2 in self._elements[j].pieces:
-                    for u, v in self.p.align(a2, b):
-                        out.append((self.p.compose(a, v), self.p.compose(b2, u)))
-            n = self._products[key] = self._number[id(self.canonical(out))]
-        return n
+        return self._products[(i << 32) | j]
+
+    def _fill_product(self, key: int) -> int:
+        mul, align = self._composites, self._alignments
+        right = self._codes[key & _LOW]
+        raw = []
+        for a, b in self._codes[key >> 32]:
+            for a2, b2 in right:
+                for u, v in align[(a2 << 32) | b]:
+                    raw.append((mul[(a << 32) | v], mul[(b2 << 32) | u]))
+        return self._canonical(raw)
 
     def apply(self, s: PiecewiseBijection, x: Morphism) -> Morphism | None:
         for a, b in s.pieces:
@@ -202,26 +306,28 @@ class InverseHull:
         return self._ideal_parts([a for a, _ in s.pieces])
 
     def _ideal_parts(self, gens):
-        gens = sorted({self._canonical_generator(b)[0] for b in gens},
-                      key=self.p.sort_key)
+        gens = [self._morphism(b) for b in gens]
+        if not self.p.trivial_units_only:
+            gens = [self._generators[b][0] for b in gens]
+        gens = sorted(set(gens), key=self._sort_keys.__getitem__)
+        divide = self._quotients
         kept = []
         for b in gens:
-            if not any(self.p.in_ideal(b2, b) for b2 in kept):
-                kept = [b2 for b2 in kept if not self.p.in_ideal(b, b2)]
+            if not any(divide[(b2 << 32) | b] >= 0 for b2 in kept):
+                kept = [b2 for b2 in kept if divide[(b << 32) | b2] < 0]
                 kept.append(b)
-        return tuple(sorted(kept, key=self.p.sort_key))
+        return tuple(self._morphisms[b] for b in sorted(kept, key=self._sort_keys.__getitem__))
 
     def is_idempotent(self, s: PiecewiseBijection) -> bool:
         return all(a == b for a, b in s.pieces)
 
     def restrict(self, s: PiecewiseBijection, parts) -> PiecewiseBijection:
         """Restriction of s to the ideal ⋃ x𝔠 over x in parts."""
-        out = []
-        for a, b in s.pieces:
-            for x in parts:
-                for u, _ in self.p.align(b, x):
-                    out.append((self.p.compose(a, u), self.p.compose(b, u)))
-        return self.canonical(out)
+        xs = [self._morphism(x) for x in parts]
+        mul, align = self._composites, self._alignments
+        return self._elements[self._canonical(
+            [(mul[(a << 32) | u], mul[(b << 32) | u]) for a, b in self._codes[self.index(s)]
+             for x in xs for u, _ in align[(b << 32) | x]])]
 
     # -- closure generation ------------------------------------------------
 
@@ -234,18 +340,22 @@ class InverseHull:
         order of cost and multiplying each once, on the right, by every atom
         reaches each at its least cost. `bound` caps the cost; None requires a
         finite category. Complete when finite and no product was cut at `bound`.
+        Products are cached, so a second walk over the same hull, at the same
+        or a lower bound, reads them.
         """
         if bound is None and not self.p.is_finite:
             raise ValueError("infinite category: a provenance bound is required")
         atoms: dict[int, int] = {}  # element number -> cost
         for c in self.p.ball(None if bound is None else min(bound, 1)):
             if len(c.word) <= 1:
-                s = self.from_morphism(c)
-                for t in (s, self.hinverse(s)):
-                    n = self.index(t)
-                    atoms[n] = min(atoms.get(n, 1), len(c.word))
-        cost = dict(atoms)
+                n = self.index(self.from_morphism(c))
+                for t in (n, self._inverses[n]):
+                    atoms[t] = min(atoms.get(t, 1), len(c.word))
+        cost, products = dict(atoms), self._products
         buckets = [[n for n, c in atoms.items() if c == level] for level in (0, 1)]
+        if len(self.p.objects) == 1:
+            # the identity's map is the unit, and s∘1 = s reaches nothing new
+            atoms.pop(self.index(self.from_morphism(self.p.identity(self.p.objects[0]))), None)
         truncated = False
         for level, bucket in enumerate(buckets):  # both lists grow while walked
             for i in bucket:
@@ -256,18 +366,24 @@ class InverseHull:
                     if bound is not None and c > bound:
                         truncated = True
                         continue
-                    k = self._compose(i, a)
+                    k = products[(i << 32) | a]
                     if c < cost.get(k, c + 1):
                         cost[k] = c
                         if c == len(buckets):
                             buckets.append([])
                         buckets[c].append(k)
-        elements = sorted((self._elements[n] for n in cost),
-                          key=lambda s: (len(s.pieces),
-                                         [(self.p.sort_key(b), self.p.sort_key(a))
-                                          for a, b in s.pieces]))
+        # pieces compare by (key of b, key of a); distinct morphisms have distinct
+        # keys, so a morphism's rank in key order compares as its key does
+        keys, codes = self._sort_keys, self._codes
+        rank = [0] * len(keys)
+        for r, m in enumerate(sorted(range(len(keys)), key=keys.__getitem__)):
+            rank[m] = r
+        size = len(rank)
+        order = sorted(cost, key=lambda n: (len(codes[n]),
+                                            [rank[b] * size + rank[a] for a, b in codes[n]]))
         complete = self.p.is_finite and not truncated
-        return HullClosure(elements=elements, bound=bound, complete=complete)
+        return HullClosure(elements=[self._elements[n] for n in order], bound=bound,
+                           complete=complete)
 
     def contains_zero(self, h: HullClosure) -> bool:
         return any(s.is_zero for s in h.elements)

@@ -90,8 +90,7 @@ def core_membership(pres: CategoryPresentation, c: Morphism,
         right = core_membership(pres.right, c2, bound)
         if left.status == right.status == "in_core":
             return CoreCert(c, "in_core", "structural")
-        for part, sub, lift in ((left, pres.left, lambda w: pres.pair(w, c2)),
-                                (right, pres.right, lambda w: pres.pair(c1, w))):
+        for part, sub in ((left, pres.left), (right, pres.right)):
             if part.status == "not_in_core":
                 # a witness in one factor lifts with the other factor's identity
                 w = part.witness
@@ -248,8 +247,11 @@ def transformation_iso_check(pres, hull_ctx: InverseHull, closure: HullClosure,
     return True, checked
 
 
-def starling_report(pres, bound: int = 4, sample: int = 40) -> list[Entry]:
-    """Consolidated verdict chain for the boundary-core reduction of a monoid."""
+def starling_report(pres, bound: int = 4, sample: int = 40,
+                    hull: InverseHull | None = None) -> list[Entry]:
+    """Consolidated verdict chain for the boundary-core reduction of a monoid.
+    `hull` is an inverse hull of `pres` to walk, with the products it has
+    cached; a new one by default."""
     entries = []
     lcm = is_right_lcm(pres, bound)
     if lcm.is_lcm is False:
@@ -260,7 +262,7 @@ def starling_report(pres, bound: int = 4, sample: int = 40) -> list[Entry]:
     entries.append(Entry("right-lcm",
                          "certified" if lcm.mode in ("structural", "exhaustive")
                          else "bounded-evidence", lcm.mode))
-    hull_ctx = InverseHull(pres)
+    hull_ctx = hull if hull is not None else InverseHull(pres)
     closure = hull_ctx.generate(None if pres.is_finite else bound)
     ball = pres.ball(None if pres.is_finite else bound)
     core = [c for c in ball

@@ -113,7 +113,7 @@ def analyze_category(pres: CategoryPresentation, depth: int = 8,
         return PipelineResult(entries, ctx)
 
     if not finite:
-        _bounded_tail(pres, hull, closure, depth, entries, ctx)
+        _bounded_tail(pres, hull, depth, entries, ctx)
         return PipelineResult(entries, ctx)
 
     lat = IL.Semilattice(hull, closure)
@@ -345,8 +345,9 @@ def _compression_kernel_mask(model_omega: GermModel, model_bound: GermModel, ele
                      if not inside[coords].any())
 
 
-def _bounded_tail(pres, hull, closure, depth, entries, ctx):
-    """Truncation-window evidence for an infinite fixture."""
+def _bounded_tail(pres, hull, depth, entries, ctx):
+    """Truncation-window evidence for an infinite fixture. A monoid's LCM
+    chain walks the same hull to a lower bound, so it reads cached products."""
     lam = LambdaRep.build(pres, radius=depth)
     ctx["lambda_rep"] = lam
     entries.append(Entry("regular-representation", "bounded-evidence",
@@ -355,7 +356,7 @@ def _bounded_tail(pres, hull, closure, depth, entries, ctx):
     if len(pres.objects) == 1:
         from .lcm import starling_report
         entries.extend(replace(item, check=f"lcm:{item.check}")
-                       for item in starling_report(pres, bound=min(depth, 4)))
+                       for item in starling_report(pres, bound=min(depth, 4), hull=hull))
 
 
 def truncation_norm_study(pres, hull_ctx, boundary_chars, elements, depths) -> dict:

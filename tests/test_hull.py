@@ -4,13 +4,20 @@ The piecewise calculus is cross-checked against a pointwise partial-function
 oracle evaluated on enumerated balls.
 """
 
+import gc
 import itertools
+import os
 import random
+import sys
+import weakref
+from collections import Counter
 from functools import partial
 
 import pytest
 
-from catenv.categories import DirectProduct, FreeMonoid, GraphPath, GroupoidSub, NkMonoid
+from catenv import cli
+from catenv.categories import (CategoryPresentation, DirectProduct, FreeMonoid, GraphPath,
+                               GroupoidSub, NkMonoid)
 from catenv.fixtures import (fix_edge, fix_flip_monoid, fix_free2, fix_kgraph_acyclic,
                              fix_n2, fix_trivial_monoid, fix_two, fix_two_mce_category)
 from catenv.gpd import cyclic_groupoid, pair_groupoid
@@ -160,7 +167,9 @@ def layered_dag(seed):
     *[pytest.param(partial(DirectProduct, fix_edge(), fix_two()), b, id=f"edgextwo-{b}")
       for b in (None, 2)],
     *[pytest.param(fix_flip_monoid, b, id=f"flip-{b}") for b in (3, 4)],
-    pytest.param(fix_two, 3, id="two-3")])
+    pytest.param(fix_two, 3, id="two-3"),
+    pytest.param(partial(DirectProduct, FreeMonoid(("a",)), fix_two_mce_category()), 2,
+                 id="free1xtwo-mce-2")])
 def test_generate_matches_full_scan_on_generated_inputs(make, bound):
     """Same elements as the pair loop at every bound. `complete` is sound: the walk
     claims it only for the whole hull, and whenever the pair loop claims it; on
@@ -180,10 +189,16 @@ def test_generate_matches_full_scan_on_generated_inputs(make, bound):
     pytest.param(fix_two, None, id="two"),
     pytest.param(fix_kgraph_acyclic, None, id="kgraph-acyclic"),
     *[pytest.param(partial(layered_dag, seed), None, id=f"dag{seed}") for seed in range(3)],
-    # presentations with invertible morphisms besides identities
+    # a finite table, whose ideals can need two principal pieces
     pytest.param(fix_two_mce_category, None, id="two-mce"),
+    # a groupoid: invertible morphisms besides identities
     pytest.param(partial(GroupoidSub, pair_groupoid((1, 2)), pair_groupoid((1, 2)).elements),
-                 None, id="pair12")])
+                 None, id="pair12"),
+    # direct products build a fresh morphism per result: found by value, not by id()
+    pytest.param(partial(DirectProduct, NkMonoid(1), FreeMonoid(("a", "b"))), 3,
+                 id="n1xfree2-3"),
+    pytest.param(partial(DirectProduct, FreeMonoid(("a",)), fix_two_mce_category()), 2,
+                 id="free1xtwo-mce-2")])
 def test_hcompose_matches_product_by_definition(make, bound):
     """The cached product of interned elements equals the product formed from the
     pieces on every pair of the closure; equal elements are one object, also when
@@ -201,6 +216,63 @@ def test_hcompose_matches_product_by_definition(make, bound):
         copy = PiecewiseBijection(s.pieces)
         assert hull.hcompose(copy, s) is hull.hcompose(s, s)
         assert hull.hinverse(copy) is hull.hinverse(s)
+
+
+def test_two_mce_has_no_units_but_identities():
+    """What `FiniteTable.trivial_units_only` claims, and the oracle above
+    reads, checked on the table itself: no non-identity morphism of two-MCE is
+    invertible, and the scan of the ball for the least generator of b𝔠 finds
+    b alone."""
+    p = fix_two_mce_category()
+    ball = p.ball(None)
+    for b in ball:
+        assert b.is_identity or not any(
+            p.compose(b, y) == p.identity(b.tgt) and p.compose(y, b) == p.identity(b.dom)
+            for y in ball)
+        assert [m for m in ball if p.in_ideal(b, m) and p.in_ideal(m, b)] == [b]
+
+
+@pytest.mark.parametrize("name", ["free2", "n2"])
+def test_bounded_thesis_builds_one_hull_and_asks_each_pair_once(monkeypatch, capsys, name):
+    """The LCM chain of a bounded `thesis` walks the thesis hull again, to
+    bound 4, so one run builds one hull. That hull asks the presentation for
+    each composite and each alignment at most once per argument pair."""
+    built = []
+    init = InverseHull.__init__
+
+    def counting_init(self, pres):
+        built.append(pres)
+        init(self, pres)
+
+    monkeypatch.setattr(InverseHull, "__init__", counting_init)
+    calls = Counter()
+    for owner, oracle in ((GraphPath, "compose"), (NkMonoid, "compose"),
+                          (CategoryPresentation, "align")):
+        def counted(self, c, d, fn=getattr(owner, oracle), oracle=oracle):
+            if sys._getframe(1).f_globals["__name__"] == "catenv.hull":
+                calls[oracle, c, d] += 1
+            return fn(self, c, d)
+        monkeypatch.setattr(owner, oracle, counted)
+    fixture = os.path.join(os.path.dirname(__file__), "..", "fixtures", f"{name}.cat")
+    assert cli.main(["thesis", fixture, "--depth", "6"]) == 3  # bounded evidence
+    capsys.readouterr()
+    assert len(built) == 1
+    assert {oracle for oracle, _, _ in calls} == {"compose", "align"}
+    assert max(calls.values()) == 1
+
+
+def test_a_dropped_hull_is_freed_by_reference_counting():
+    """The hull's caches hold the hull weakly, so they make no cycle: a
+    dropped hull is freed at once, not at the next collection."""
+    hull = InverseHull(fix_free2())
+    hull.generate(3)
+    freed = weakref.ref(hull)
+    gc.disable()
+    try:
+        del hull
+        assert freed() is None
+    finally:
+        gc.enable()
 
 
 def test_n2_hull_bound_two():
