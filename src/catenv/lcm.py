@@ -3,6 +3,14 @@ core elements, the boundary cocycle, and the consolidated injectivity report.
 
 Core membership is only certified structurally or refuted by an explicit witness;
 ball searches alone never certify it.
+
+The fraction chain runs on the numbers of an inverse hull: a fraction c·d⁻¹ is
+the pair (c, d) of morphism numbers, and an element is its number, with its
+pieces read from its code. Fraction arithmetic, κ₀ and germ equality read the
+hull's alignments, composites and products, cached on integer keys, so each
+oracle of the presentation runs once per argument pair. The hull numbers
+morphisms by value, so equal numbers are equal morphisms, and each comparison
+of numbers decides the comparison of morphisms it stands for.
 """
 
 from __future__ import annotations
@@ -11,7 +19,7 @@ from dataclasses import dataclass
 
 from .categories import (CategoryPresentation, DirectProduct, FreeMonoid,
                          GraphPath, GroupoidSub, Morphism, NkMonoid)
-from .hull import HullClosure, InverseHull, PiecewiseBijection
+from .hull import HullClosure, InverseHull
 from .report import Entry
 
 
@@ -32,15 +40,6 @@ class CoreCert:
     status: str  # "in_core" | "not_in_core" | "inconclusive"
     mode: str
     witness: Morphism | None = None
-
-
-@dataclass(frozen=True)
-class Fraction:
-    num: Morphism
-    den: Morphism
-
-    def __repr__(self):
-        return f"{self.num}·{self.den}⁻¹"
 
 
 def _is_monoid(pres: CategoryPresentation) -> bool:
@@ -110,79 +109,73 @@ def core_membership(pres: CategoryPresentation, c: Morphism,
 
 
 class OreGroup:
-    """Fractions c·d⁻¹ of core elements, resolved through right multiples."""
+    """Fractions c·d⁻¹ of core elements, resolved through right multiples.
 
-    def __init__(self, pres: CategoryPresentation, bound=4):
+    A fraction is the pair (c, d) of the numbers `hull` gives its morphisms.
+    An entry is refused when `core_membership` refutes it, which is decided
+    once per morphism number.
+    """
+
+    def __init__(self, hull: InverseHull, bound=4):
+        pres = hull.p
         if not _is_monoid(pres):
             raise ValueError("fractions need a monoid")
-        self.p = pres
+        self.hull = hull
         self.bound = bound
+        self._core: dict[int, bool] = {}  # morphism number -> not refuted as core
+        e = hull._morphism(pres.identity(pres.objects[0]))
+        self.identity = (e, e)
 
-    def _check_core(self, m: Morphism):
-        cert = core_membership(self.p, m, self.bound)
-        if cert.status == "not_in_core":
-            raise NotCore(f"{m} is not in the core (witness {cert.witness})")
+    def _in_core(self, m: int) -> bool:
+        ok = self._core.get(m)
+        if ok is None:
+            cert = core_membership(self.hull.p, self.hull._morphisms[m], self.bound)
+            ok = self._core[m] = cert.status != "not_in_core"
+        return ok
 
-    def fraction(self, num: Morphism, den: Morphism) -> Fraction:
-        self._check_core(num)
-        self._check_core(den)
-        return Fraction(num, den)
-
-    @property
-    def identity(self) -> Fraction:
-        e = self.p.identity(self.p.objects[0])
-        return Fraction(e, e)
-
-    def equal(self, f1: Fraction, f2: Fraction) -> bool:
+    def equal(self, f1, f2) -> bool:
         """(c,d) ~ (a,b) iff dx = by and cx = ay at the least common multiple."""
-        pairs = self.p.align(f1.den, f2.den)
+        (c, d), (a, b) = f1, f2
+        pairs = self.hull._alignments[(d << 32) | b]
         if not pairs:
-            raise NotCore(f"denominators {f1.den}, {f2.den} never meet")
+            ms = self.hull._morphisms
+            raise NotCore(f"denominators {ms[d]}, {ms[b]} never meet")
         x, y = pairs[0]
-        return self.p.compose(f1.num, x) == self.p.compose(f2.num, y)
+        mul = self.hull._composites
+        return mul[(c << 32) | x] == mul[(a << 32) | y]
 
-    def mul(self, f1: Fraction, f2: Fraction) -> Fraction:
+    def mul(self, f1, f2) -> tuple[int, int]:
         """c d⁻¹ · a b⁻¹ = (cx)(by)⁻¹ where dx = ay."""
-        pairs = self.p.align(f1.den, f2.num)
+        (c, d), (a, b) = f1, f2
+        pairs = self.hull._alignments[(d << 32) | a]
         if not pairs:
-            raise NotCore(f"{f1.den} and {f2.num} never meet")
+            ms = self.hull._morphisms
+            raise NotCore(f"{ms[d]} and {ms[a]} never meet")
         x, y = pairs[0]
-        return Fraction(self.p.compose(f1.num, x), self.p.compose(f2.den, y))
+        mul = self.hull._composites
+        return mul[(c << 32) | x], mul[(b << 32) | y]
 
-    def inv(self, f: Fraction) -> Fraction:
-        return Fraction(f.den, f.num)
+    def kappa0(self, elements) -> dict[int, tuple[int, int]]:
+        """κ₀ of the germs of `elements` at a boundary character with full
+        support (χ∞ regime), keyed by element number.
 
-    def is_identity(self, f: Fraction) -> bool:
-        return self.equal(f, self.identity)
-
-
-def kappa0(hull_ctx: InverseHull, s: PiecewiseBijection, ore: OreGroup) -> Fraction:
-    """κ₀ of a germ of s at a boundary character with full support (χ∞ regime).
-
-    Every piece (a, b) with core entries yields the fraction a·b⁻¹; pieces of one
-    element must agree, which is the well-definedness of the cocycle.
-    """
-    if s.is_zero:
-        raise NotCore("zero element has no fraction")
-    fractions = [ore.fraction(a, b) for a, b in s.pieces]
-    first = fractions[0]
-    for other in fractions[1:]:
-        if not ore.equal(first, other):
-            raise NotCore(f"pieces of {s} give inequivalent fractions")
-    return first
-
-
-def germ_equal_at_full_support(hull_ctx: InverseHull, s: PiecewiseBijection,
-                               t: PiecewiseBijection) -> bool:
-    """[s,χ] = [t,χ] for the everything-is-one character: agreement on some
-    principal ideal inside both domains."""
-    p = hull_ctx.p
-    for a1, b1 in s.pieces:
-        for a2, b2 in t.pieces:
-            for x, y in p.align(b1, b2):
-                if p.compose(a1, x) == p.compose(a2, y):
-                    return True
-    return False
+        Every piece (a, b) with core entries yields the fraction a·b⁻¹; pieces
+        of one element must agree, which is the well-definedness of the
+        cocycle. The zero, and an element with a refuted entry or with pieces
+        that disagree or never meet, have no κ₀ and are left out.
+        """
+        codes, fractions = self.hull._codes, {}
+        for s in elements:
+            i = self.hull.index(s)
+            code = codes[i]
+            if not (code and all(self._in_core(a) and self._in_core(b) for a, b in code)):
+                continue
+            try:
+                if all(self.equal(code[0], f) for f in code[1:]):
+                    fractions[i] = code[0]
+            except NotCore:
+                continue
+        return fractions
 
 
 @dataclass
@@ -218,31 +211,33 @@ def core_unitary_check(pres, c: Morphism, hull_ctx: InverseHull,
                               + ("" if pres.is_finite else f" in ball({bound})"))
 
 
-def transformation_iso_check(pres, hull_ctx: InverseHull, closure: HullClosure,
-                             ore: OreGroup, sample_limit=200):
+def transformation_iso_check(ore: OreGroup, fractions: dict[int, tuple[int, int]]):
     """Germs at the full-support character map to fractions: the map must be
-    well defined, injective on the sample, and multiplicative."""
-    items = []
-    for s in closure.nonzero()[:sample_limit]:
-        try:
-            items.append((s, kappa0(hull_ctx, s, ore)))
-        except NotCore:
-            continue
-    fraction_of = {hull_ctx.index(s): f for s, f in items}
-    for i, (s, fs) in enumerate(items):
-        for t, ft in items[i + 1:]:
-            same_germ = germ_equal_at_full_support(hull_ctx, s, t)
-            same_frac = ore.equal(fs, ft)
-            if same_germ != same_frac:
-                return False, (s, t)
+    well defined, injective on the sample, and multiplicative.
+
+    `fractions` is `ore.kappa0` of the sample, on the numbers of `ore.hull`.
+    [s,χ] = [t,χ] at the everything-is-one character when s and t agree on
+    some principal ideal inside both domains. A mismatch is witnessed by the
+    elements (s, t), or ("cocycle", s, t) when κ₀(s∘t) ≠ κ₀(s)·κ₀(t).
+    """
+    hull = ore.hull
+    codes, align, mul, elements = hull._codes, hull._alignments, hull._composites, hull._elements
+    items = list(fractions.items())
+    for k, (i, fi) in enumerate(items):
+        for j, fj in items[k + 1:]:
+            same_germ = any(mul[(a1 << 32) | x] == mul[(a2 << 32) | y]
+                            for a1, b1 in codes[i] for a2, b2 in codes[j]
+                            for x, y in align[(b1 << 32) | b2])
+            if same_germ != ore.equal(fi, fj):
+                return False, (elements[i], elements[j])
     checked = 0
-    for s, fs in items:
-        for t, ft in items:
-            fst = fraction_of.get(hull_ctx.index(hull_ctx.hcompose(s, t)))
-            if fst is None:  # zero, or outside the sample
+    for i, fi in items:
+        for j, fj in items:
+            fij = fractions.get(hull.index(hull.hcompose(elements[i], elements[j])))
+            if fij is None:  # zero, or outside the sample
                 continue
-            if not ore.equal(fst, ore.mul(fs, ft)):
-                return False, ("cocycle", s, t)
+            if not ore.equal(fij, ore.mul(fi, fj)):
+                return False, ("cocycle", elements[i], elements[j])
             checked += 1
     return True, checked
 
@@ -270,9 +265,10 @@ def starling_report(pres, bound: int = 4, sample: int = 40,
     entries.append(Entry("core-elements",
                          "certified" if pres.is_finite else "bounded-evidence",
                          f"{len(core)} certified core elements in the window"))
-    ore = OreGroup(pres, bound=bound)
+    ore = OreGroup(hull_ctx, bound=bound)
+    fractions = ore.kappa0(closure.nonzero()[:sample])
     try:
-        iso_ok, info = transformation_iso_check(pres, hull_ctx, closure, ore, sample)
+        iso_ok, info = transformation_iso_check(ore, fractions)
         entries.append(Entry(
             "fraction-germ-correspondence",
             ("certified" if pres.is_finite else "bounded-evidence") if iso_ok
@@ -283,12 +279,8 @@ def starling_report(pres, bound: int = 4, sample: int = 40,
                              "bounded-evidence", f"partial core: {exc}"))
     # κ₀ kernel: a trivial fraction forces numerator = denominator (core injectivity)
     kernel_ok = True
-    for s in closure.nonzero()[:sample]:
-        try:
-            f = kappa0(hull_ctx, s, ore)
-        except NotCore:
-            continue
-        if ore.is_identity(f) and f.num != f.den:
+    for f in fractions.values():
+        if ore.equal(f, ore.identity) and f[0] != f[1]:
             kernel_ok = False
     entries.append(Entry("cocycle-kernel",
                          "certified" if pres.is_finite and kernel_ok

@@ -10,8 +10,10 @@ a coaction with every permutation unitary and 0/1 diagonal a dense matrix,
 germs compared by their pieces with every ideal containment derived from the
 parts, the spanning-family correspondence checked one pair at a time and on
 dense stacks with `isclose` (the exact index-array check replaced both), ideal
-detection asked of every set of blocks, and a kernel mask read off every
-matrix unit of each block.
+detection asked of every set of blocks, a kernel mask read off every matrix
+unit of each block, and the boundary-core chain of a monoid (fractions, κ₀,
+germ equality at the full-support character) on morphisms, through the
+presentation's `align` and `compose` instead of the hull's morphism numbers.
 
 The second half keeps reference formulas that only tests compare against: the
 separation criterion checked point by point on every fixed-point set (and on a
@@ -35,9 +37,11 @@ from catenv.envelope import (NotACover, ShilovResult, SpannedStarMap, is_boundar
 from catenv.germs import InfiniteCharacterSpace, NotInDomain
 from catenv.gpd import FiniteGroupoid, GroupoidError
 from catenv.hull import HullClosure, InconsistentPieces, PiecewiseBijection
+from catenv.lcm import NotCore, core_membership
 from catenv.matrixrep import (AlgebraSpan, IsometryVerdict, SpanBasis, _joint_rank,
                               _partial_permutation, level_k_norms, matrix_rank,
                               operator_norm)
+from catenv.report import Entry
 from catenv.univgroup import IsoLetter, OrbitData, UGWord, XLetter, reduce_word
 
 
@@ -737,6 +741,153 @@ def katayama_verify_dense(delta, dcp=None, tol=1e-12, sample=slice(None)) -> Kat
     ys = [(np.kron(da, pe), g) for da, g in zip(delta.images, delta.graded.degrees)]
     pe_ok = all(matches(tilde(y), np.kron(y, G.lam(g))) for y, g in ys)
     return KatayamaReport(ok_i, ok_ii, ok_iii, span_ok, ri, conj_ok, pe_ok)
+
+
+# -- the boundary-core chain on morphisms ------------------------------------------
+
+
+@dataclass(frozen=True)
+class Fraction:
+    num: object
+    den: object
+
+    def __repr__(self):
+        return f"{self.num}·{self.den}⁻¹"
+
+
+class MorphismOreGroup:
+    """Fractions c·d⁻¹ of core elements as pairs of morphisms, resolved through
+    the presentation's `align` and `compose` on every call."""
+
+    def __init__(self, pres, bound=4):
+        if len(pres.objects) != 1:
+            raise ValueError("fractions need a monoid")
+        self.p = pres
+        self.bound = bound
+
+    def _check_core(self, m):
+        cert = core_membership(self.p, m, self.bound)
+        if cert.status == "not_in_core":
+            raise NotCore(f"{m} is not in the core (witness {cert.witness})")
+
+    def fraction(self, num, den) -> Fraction:
+        self._check_core(num)
+        self._check_core(den)
+        return Fraction(num, den)
+
+    @property
+    def identity(self) -> Fraction:
+        e = self.p.identity(self.p.objects[0])
+        return Fraction(e, e)
+
+    def equal(self, f1, f2) -> bool:
+        """(c,d) ~ (a,b) iff dx = by and cx = ay at the least common multiple."""
+        pairs = self.p.align(f1.den, f2.den)
+        if not pairs:
+            raise NotCore(f"denominators {f1.den}, {f2.den} never meet")
+        x, y = pairs[0]
+        return self.p.compose(f1.num, x) == self.p.compose(f2.num, y)
+
+    def mul(self, f1, f2) -> Fraction:
+        """c d⁻¹ · a b⁻¹ = (cx)(by)⁻¹ where dx = ay."""
+        pairs = self.p.align(f1.den, f2.num)
+        if not pairs:
+            raise NotCore(f"{f1.den} and {f2.num} never meet")
+        x, y = pairs[0]
+        return Fraction(self.p.compose(f1.num, x), self.p.compose(f2.den, y))
+
+    def inv(self, f) -> Fraction:
+        return Fraction(f.den, f.num)
+
+    def is_identity(self, f) -> bool:
+        return self.equal(f, self.identity)
+
+
+def kappa0(hull_ctx, s, ore) -> Fraction:
+    """κ₀ of a germ of s at a boundary character with full support (χ∞ regime).
+
+    Every piece (a, b) with core entries yields the fraction a·b⁻¹; pieces of one
+    element must agree, which is the well-definedness of the cocycle.
+    """
+    if s.is_zero:
+        raise NotCore("zero element has no fraction")
+    fractions = [ore.fraction(a, b) for a, b in s.pieces]
+    first = fractions[0]
+    for other in fractions[1:]:
+        if not ore.equal(first, other):
+            raise NotCore(f"pieces of {s} give inequivalent fractions")
+    return first
+
+
+def germ_equal_at_full_support(hull_ctx, s, t) -> bool:
+    """[s,χ] = [t,χ] for the everything-is-one character: agreement on some
+    principal ideal inside both domains."""
+    p = hull_ctx.p
+    for a1, b1 in s.pieces:
+        for a2, b2 in t.pieces:
+            for x, y in p.align(b1, b2):
+                if p.compose(a1, x) == p.compose(a2, y):
+                    return True
+    return False
+
+
+def transformation_iso_check_by_morphisms(hull_ctx, closure, ore, sample_limit=200):
+    """The fraction-germ correspondence on morphisms: κ₀ of each sampled
+    element, then every germ pair and every cocycle product compared through
+    the presentation's oracles, with hull products formed by `hcompose`."""
+    items = []
+    for s in closure.nonzero()[:sample_limit]:
+        try:
+            items.append((s, kappa0(hull_ctx, s, ore)))
+        except NotCore:
+            continue
+    fraction_of = {hull_ctx.index(s): f for s, f in items}
+    for i, (s, fs) in enumerate(items):
+        for t, ft in items[i + 1:]:
+            same_germ = germ_equal_at_full_support(hull_ctx, s, t)
+            same_frac = ore.equal(fs, ft)
+            if same_germ != same_frac:
+                return False, (s, t)
+    checked = 0
+    for s, fs in items:
+        for t, ft in items:
+            fst = fraction_of.get(hull_ctx.index(hull_ctx.hcompose(s, t)))
+            if fst is None:  # zero, or outside the sample
+                continue
+            if not ore.equal(fst, ore.mul(fs, ft)):
+                return False, ("cocycle", s, t)
+            checked += 1
+    return True, checked
+
+
+def chain_entries_by_morphisms(hull_ctx, closure, bound=4, sample=40) -> list:
+    """The "fraction-germ-correspondence" and "cocycle-kernel" entries of
+    `starling_report`, from the chain on morphisms, with κ₀ recomputed for the
+    kernel entry."""
+    pres = hull_ctx.p
+    ore = MorphismOreGroup(pres, bound=bound)
+    try:
+        iso_ok, info = transformation_iso_check_by_morphisms(hull_ctx, closure, ore, sample)
+        entries = [Entry("fraction-germ-correspondence",
+                         ("certified" if pres.is_finite else "bounded-evidence") if iso_ok
+                         else "rejected",
+                         f"{info} composable pairs matched" if iso_ok else f"mismatch {info}")]
+    except NotCore as exc:
+        entries = [Entry("fraction-germ-correspondence", "bounded-evidence",
+                         f"partial core: {exc}")]
+    kernel_ok = True
+    for s in closure.nonzero()[:sample]:
+        try:
+            f = kappa0(hull_ctx, s, ore)
+        except NotCore:
+            continue
+        if ore.is_identity(f) and f.num != f.den:
+            kernel_ok = False
+    entries.append(Entry("cocycle-kernel",
+                         "certified" if pres.is_finite and kernel_ok
+                         else ("bounded-evidence" if kernel_ok else "rejected"),
+                         "trivial fractions come from equal numerator and denominator"))
+    return entries
 
 
 # -- reference formulas for identities the library does not compute --------------

@@ -326,8 +326,8 @@ def test_criterion_11_right_lcm_suite():
     closure = hull.generate(bound=3)
     for vec in itertools.product(range(3), repeat=2):
         assert core_membership(n2, n2.vector(vec)).status == "in_core"
-    ore = OreGroup(n2)
-    ok, pairs = transformation_iso_check(n2, hull, closure, ore)
+    ore = OreGroup(hull)
+    ok, pairs = transformation_iso_check(ore, ore.kappa0(closure.nonzero()[:200]))
     assert ok and pairs >= 100
     core_sample = [n2.vector(v) for v in itertools.product(range(4), repeat=2)
                    if sum(v) <= 3][:10]

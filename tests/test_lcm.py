@@ -1,17 +1,19 @@
 """Right LCM certification, core membership, fractions, the boundary cocycle."""
 
 import itertools
+from collections import Counter
 
 import pytest
 
 from catenv.categories import DirectProduct, FreeMonoid, GroupoidSub, NkMonoid
 from catenv.fixtures import fix_flip_monoid, fix_free2, fix_n2, fix_trivial_monoid
 from catenv.gpd import cyclic_groupoid
-from catenv.hull import InverseHull
-from catenv.lcm import (NotCore, OreGroup, core_membership,
-                        core_unitary_check, germ_equal_at_full_support,
-                        is_right_lcm, kappa0, starling_report,
-                        transformation_iso_check)
+from catenv.hull import InverseHull, PiecewiseBijection
+from catenv.lcm import (NotCore, OreGroup, core_membership, core_unitary_check,
+                        is_right_lcm, starling_report, transformation_iso_check)
+from oracles import (MorphismOreGroup, chain_entries_by_morphisms,
+                     germ_equal_at_full_support, kappa0,
+                     transformation_iso_check_by_morphisms)
 
 
 def z2_monoid():
@@ -62,24 +64,29 @@ def test_core_closed_under_composition_on_samples():
 # -- fractions -------------------------------------------------------------------------
 
 
+def fraction(ore, num, den):
+    """num·den⁻¹ as the number pair of `ore`."""
+    return ore.hull._morphism(num), ore.hull._morphism(den)
+
+
 def test_fraction_arithmetic_in_n2():
     n2 = fix_n2()
-    ore = OreGroup(n2)
-    f1 = ore.fraction(n2.vector((2, 1)), n2.vector((1, 1)))
-    f2 = ore.fraction(n2.vector((1, 0)), n2.vector((0, 0)))
+    ore = OreGroup(InverseHull(n2))
+    f1 = fraction(ore, n2.vector((2, 1)), n2.vector((1, 1)))
+    f2 = fraction(ore, n2.vector((1, 0)), n2.vector((0, 0)))
     assert ore.equal(f1, f2)
-    assert ore.is_identity(ore.fraction(n2.vector((1, 1)), n2.vector((1, 1))))
-    prod = ore.mul(ore.fraction(n2.vector((1, 0)), n2.vector((0, 1))),
-                   ore.fraction(n2.vector((0, 1)), n2.vector((1, 0))))
-    assert ore.is_identity(prod)
-    assert ore.equal(ore.inv(f1), ore.fraction(n2.vector((1, 1)), n2.vector((2, 1))))
+    assert ore.equal(fraction(ore, n2.vector((1, 1)), n2.vector((1, 1))), ore.identity)
+    prod = ore.mul(fraction(ore, n2.vector((1, 0)), n2.vector((0, 1))),
+                   fraction(ore, n2.vector((0, 1)), n2.vector((1, 0))))
+    assert ore.equal(prod, ore.identity)
+    assert ore.equal(f1[::-1], fraction(ore, n2.vector((1, 1)), n2.vector((2, 1))))
 
 
 def test_fraction_equality_is_congruence():
     n2 = fix_n2()
-    ore = OreGroup(n2)
+    ore = OreGroup(InverseHull(n2))
     vs = [n2.vector(v) for v in itertools.product(range(2), repeat=2)]
-    fractions = [ore.fraction(a, b) for a in vs for b in vs]
+    fractions = [fraction(ore, a, b) for a in vs for b in vs]
     for f1, f2 in itertools.combinations(fractions, 2):
         if ore.equal(f1, f2):
             for g in fractions[:4]:
@@ -87,11 +94,29 @@ def test_fraction_equality_is_congruence():
                 assert ore.equal(ore.mul(g, f1), ore.mul(g, f2))
 
 
+def test_fraction_arithmetic_matches_morphisms():
+    n2 = fix_n2()
+    ore, ref = OreGroup(InverseHull(n2)), MorphismOreGroup(n2)
+    vs = [n2.vector(v) for v in itertools.product(range(2), repeat=2)]
+    pairs = [(a, b) for a in vs for b in vs]
+    morphisms = ore.hull._morphisms
+    for (a, b), (c, d) in itertools.product(pairs, repeat=2):
+        f, g = fraction(ore, a, b), fraction(ore, c, d)
+        assert ore.equal(f, g) == ref.equal(ref.fraction(a, b), ref.fraction(c, d))
+        num, den = ore.mul(f, g)
+        assert ref.mul(ref.fraction(a, b), ref.fraction(c, d)) == ref.fraction(
+            morphisms[num], morphisms[den])
+
+
 def test_fractions_reject_non_core():
     f2 = fix_free2()
-    ore = OreGroup(f2)
     with pytest.raises(NotCore):
-        ore.fraction(f2.word("a"), f2.identity("*"))
+        MorphismOreGroup(f2).fraction(f2.word("a"), f2.identity("*"))
+    hull = InverseHull(f2)
+    ore = OreGroup(hull)
+    unit = hull.from_morphism(f2.identity("*"))
+    kappa = ore.kappa0([hull.from_morphism(f2.word("a")), unit])
+    assert kappa == {hull.index(unit): ore.identity}
 
 
 # -- the cocycle -------------------------------------------------------------------------
@@ -100,30 +125,50 @@ def test_fractions_reject_non_core():
 def test_kappa0_examples():
     n2 = fix_n2()
     hull = InverseHull(n2)
-    ore = OreGroup(n2)
+    ore = OreGroup(hull)
     s = hull.canonical([(n2.vector((2, 1)), n2.vector((1, 1)))])
-    assert ore.equal(kappa0(hull, s, ore),
-                     ore.fraction(n2.vector((1, 0)), n2.vector((0, 0))))
     unit = hull.idempotent([n2.identity()])
-    assert ore.is_identity(kappa0(hull, unit, ore))
+    kappa = ore.kappa0([s, unit])
+    assert ore.equal(kappa[hull.index(s)],
+                     fraction(ore, n2.vector((1, 0)), n2.vector((0, 0))))
+    assert ore.equal(kappa[hull.index(unit)], ore.identity)
+
+
+def test_kappa0_needs_pieces_that_agree():
+    """Two pieces give κ₀ only when their fractions are equal; the elements are
+    interned as given, with no canonical form to reject them."""
+    n2 = fix_n2()
+    hull = InverseHull(n2)
+    ore, ref = OreGroup(hull), MorphismOreGroup(n2)
+    v = n2.vector
+    agree = PiecewiseBijection(((v((1, 0)), v((0, 0))), (v((1, 1)), v((0, 1)))))
+    disagree = PiecewiseBijection(((v((1, 0)), v((0, 0))), (v((0, 0)), v((0, 1)))))
+    assert ore.kappa0([agree, disagree]) == {hull.index(agree): fraction(ore, v((1, 0)),
+                                                                       v((0, 0)))}
+    assert kappa0(hull, agree, ref) == ref.fraction(v((1, 0)), v((0, 0)))
+    with pytest.raises(NotCore):
+        kappa0(hull, disagree, ref)
 
 
 def test_kappa0_constant_on_germ_classes():
     n2 = fix_n2()
     hull = InverseHull(n2)
-    ore = OreGroup(n2)
+    ore = OreGroup(hull)
     s = hull.canonical([(n2.vector((1, 0)), n2.vector((0, 1)))])
     t = hull.canonical([(n2.vector((2, 1)), n2.vector((1, 2)))])  # restriction of s
     assert germ_equal_at_full_support(hull, s, t)
-    assert ore.equal(kappa0(hull, s, ore), kappa0(hull, t, ore))
+    kappa = ore.kappa0([s, t])
+    assert ore.equal(kappa[hull.index(s)], kappa[hull.index(t)])
+    ref = MorphismOreGroup(n2)
+    assert ref.equal(kappa0(hull, s, ref), kappa0(hull, t, ref))
 
 
 def test_kappa0_cocycle_identity_on_many_pairs():
     n2 = fix_n2()
     hull = InverseHull(n2)
     h = hull.generate(bound=3)
-    ore = OreGroup(n2)
-    ok, pairs = transformation_iso_check(n2, hull, h, ore)
+    ore = OreGroup(hull)
+    ok, pairs = transformation_iso_check(ore, ore.kappa0(h.nonzero()[:200]))
     assert ok and pairs >= 100
 
 
@@ -171,3 +216,104 @@ def test_starling_report_trivial_monoid():
 def test_starling_report_rejects_non_lcm():
     entries = starling_report(fix_flip_monoid(), bound=2)
     assert entries[0].status == "rejected" and entries[0].witness is not None
+
+
+# -- the number chain against the chain on morphisms -----------------------------------------
+
+
+CHAIN = ("fraction-germ-correspondence", "cocycle-kernel")
+
+AGREEMENT_CASES = {
+    "n2-2": (fix_n2, 2), "n2-3": (fix_n2, 3), "n2-4": (fix_n2, 4),
+    "n3": (lambda: NkMonoid(3), 4),
+    "free2": (fix_free2, 4),
+    "n1xfree2": (lambda: DirectProduct(NkMonoid(1), FreeMonoid(("a", "b"))), 4),  # a zero, partial core
+    "z2": (z2_monoid, 4),  # finite and exact
+    "trivial": (fix_trivial_monoid, 4),
+}
+
+
+def both_chains(pres, bound, sample=40):
+    """(ok, info) of the number chain and of the chain on morphisms, on one hull."""
+    hull = InverseHull(pres)
+    closure = hull.generate(None if pres.is_finite else bound)
+    ore = OreGroup(hull, bound=bound)
+    ours = transformation_iso_check(ore, ore.kappa0(closure.nonzero()[:sample]))
+    ref = transformation_iso_check_by_morphisms(hull, closure, MorphismOreGroup(pres, bound),
+                                                sample)
+    return ours, ref
+
+
+def chain_entries(pres, bound):
+    """The chain entries of `starling_report`, and those the chain on morphisms
+    gives on the same hull."""
+    hull = InverseHull(pres)
+    entries = [e for e in starling_report(pres, bound=bound, hull=hull) if e.check in CHAIN]
+    closure = hull.generate(None if pres.is_finite else bound)
+    return entries, chain_entries_by_morphisms(hull, closure, bound)
+
+
+@pytest.mark.parametrize("case", AGREEMENT_CASES)
+def test_number_chain_matches_morphism_chain(case):
+    make, bound = AGREEMENT_CASES[case]
+    ours, ref = both_chains(make(), bound)
+    assert ours == ref
+    entries, ref_entries = chain_entries(make(), bound)
+    assert entries == ref_entries and len(entries) == 2
+
+
+class PlantedN2(NkMonoid):
+    """ℕ² whose `align` answers `answer`, given as lattice points, for the one
+    pair of lattice points `pair`."""
+
+    def __init__(self, pair, answer):
+        super().__init__(2)
+        self.pair, self.answer = pair, answer
+
+    def align(self, c, d):
+        if (c.degree, d.degree) == self.pair:
+            return [(self.vector(x), self.vector(y)) for x, y in self.answer]
+        return super().align(c, d)
+
+
+@pytest.mark.parametrize("pair, answer, kind", [
+    (((1, 0), (0, 1)), [((1, 0), (0, 1))], "cocycle"),  # e1·e1 ≠ e2·e2
+    (((2, 0), (1, 1)), [((0, 0), (0, 0)), ((0, 1), (1, 0))], "germ"),  # a wrong pair first
+])
+def test_planted_wrong_alignment_is_rejected_by_both_chains(pair, answer, kind):
+    ours, ref = both_chains(PlantedN2(pair, answer), 3)
+    assert ours == ref and ours[0] is False
+    assert (ours[1][0] == "cocycle") == (kind == "cocycle")
+    entries, ref_entries = chain_entries(PlantedN2(pair, answer), 3)
+    assert entries == ref_entries and entries[0].status == "rejected"
+
+
+@pytest.mark.parametrize("pair, detail", [
+    (((0, 1), (1, 2)), "denominators e2, e1*e2*e2 never meet"),  # from equal
+    (((2, 0), (0, 1)), "e1*e1 and e2 never meet"),  # from mul
+])
+def test_planted_empty_alignment_gives_the_same_partial_core(pair, detail):
+    entries, ref_entries = chain_entries(PlantedN2(pair, []), 3)
+    assert entries == ref_entries
+    assert (entries[0].status, entries[0].detail) == ("bounded-evidence",
+                                                      f"partial core: {detail}")
+
+
+def test_starling_report_asks_each_oracle_pair_once():
+    """The chain reads the hull's tables, so the presentation is asked each
+    alignment and composite once; calls the presentation makes from inside
+    one of them are its own and not counted."""
+    pres = fix_n2()
+    calls, depth = Counter(), [0]
+    for name in ("align", "compose"):
+        def counted(c, d, oracle=getattr(pres, name), name=name):
+            if not depth[0]:
+                calls[name, c, d] += 1
+            depth[0] += 1
+            try:
+                return oracle(c, d)
+            finally:
+                depth[0] -= 1
+        setattr(pres, name, counted)
+    starling_report(pres, bound=4)
+    assert calls and max(calls.values()) == 1
