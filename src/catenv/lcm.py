@@ -215,7 +215,9 @@ def transformation_iso_check(ore: OreGroup, fractions: dict[int, tuple[int, int]
     """Germs at the full-support character map to fractions: the map must be
     well defined, injective on the sample, and multiplicative.
 
-    `fractions` is `ore.kappa0` of the sample, on the numbers of `ore.hull`.
+    `fractions` is `ore.kappa0` of the sample: element numbers of `ore.hull`
+    to (num, den) pairs of its morphism numbers. The hull numbers morphisms
+    and elements by value, so equal numbers are equal morphisms or elements.
     [s,χ] = [t,χ] at the everything-is-one character when s and t agree on
     some principal ideal inside both domains. A mismatch is witnessed by the
     elements (s, t), or ("cocycle", s, t) when κ₀(s∘t) ≠ κ₀(s)·κ₀(t).

@@ -796,9 +796,6 @@ class MorphismOreGroup:
         x, y = pairs[0]
         return Fraction(self.p.compose(f1.num, x), self.p.compose(f2.den, y))
 
-    def inv(self, f) -> Fraction:
-        return Fraction(f.den, f.num)
-
     def is_identity(self, f) -> bool:
         return self.equal(f, self.identity)
 
