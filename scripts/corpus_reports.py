@@ -8,7 +8,8 @@ Each run calls the command line in process with ``--format json`` and writes
 the file's basename, or, when the command refuses the input (exit 1), the exit
 code and the standard error. The reports carry no checkout path, so the trees
 written from two checkouts compare with one ``diff -r``. Prints one line per
-run with its exit code.
+run with its exit code. BLAS runs on one thread unless the environment sets
+``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS``.
 """
 
 import argparse
@@ -17,7 +18,12 @@ import io
 import json
 import os
 
-from catenv.cli import COMMANDS, main as cli_main
+# one BLAS thread, as in the test suite: with a thread per CPU, any concurrent
+# load slows the numerical work by up to two orders of magnitude
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+
+from catenv.cli import COMMANDS, main as cli_main  # noqa: E402  after the thread cap
 
 FIXDIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "fixtures")
 

@@ -6,13 +6,12 @@ and every identity below is a concrete matrix identity. δ is one linear map:
 its images a⊗λ_g on the graded basis are stored once, in closed form, and any
 other element goes through its coordinates in one span basis of the graded
 basis. `GradedAlgebra.validate` is the one gate: a grading it accepts defines
-a coaction, by the argument in `coaction_from_grading`. Every unitary of
-the crossed products and of duality (λ, ρ, U, V = I⊗US, k_G) permutes basis
-vectors and each k_{c₀}(δ_f), I⊗M_f is a 0/1 diagonal, built from the group
-table as index arrays and masks: Ad(P) is a gather, with the entries of the
-dense product. The double crossed product builds its generators once, and its
-checks on matrices of side d·n³ take them n at a time; the dense formulas are
-the test oracles. One span basis over δ_λ(aᵢ)⊗E_pq gives every δ̃ its
+a coaction, by the argument in `coaction_from_grading`. Every unitary of the
+crossed products and of duality (λ, ρ, U, V = I⊗US, k_G) is a `perm` index
+array from the group table, and each k_{c₀}(δ_f), I⊗M_f a 0/1 diagonal held
+as a mask. The double crossed product builds its generators once, and its
+checks on matrices of side d·n³ take them n at a time; the dense formulas
+are the test oracles. One span basis over δ_λ(aᵢ)⊗E_pq gives every δ̃ its
 coefficients. A coaction builds each of its crossed products once.
 
 Normality is decided exactly when the grading is spatial: some labeling φ of
@@ -34,6 +33,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import perm
 from .envelope import FinDimCStar, block_decompose, is_boundary_ideal
 from .gpd import group_as_groupoid
 from .matrixrep import AlgebraSpan, IsometryVerdict, SpanBasis, matrix_rank
@@ -52,10 +52,10 @@ class NoExtensionFound(RuntimeError):
 
 
 class FiniteGroup:
-    """A finite group with its left and right regular matrices on ℓ²(G), and
-    its table on positions: `mul_index[i, j]` is that of gᵢgⱼ, `inv_index[i]`
-    that of gᵢ⁻¹, and row r of λ_{gᵢ} (ρ_{gᵢ}) has its 1 in column
-    `lam_perms[i, r]` (`rho_perms[i, r]`)."""
+    """A finite group with its left regular matrices on ℓ²(G), and its table
+    on positions: `mul_index[i, j]` is that of gᵢgⱼ, `inv_index[i]`
+    that of gᵢ⁻¹, and `lam_perms[i]` (`rho_perms[i]`) is the index array of
+    λ_{gᵢ} (ρ_{gᵢ})."""
 
     def __init__(self, elements, mul_table, identity):
         self.elements = list(elements)
@@ -67,11 +67,9 @@ class FiniteGroup:
         self.mul_index = np.array([[self.index[self.mul(g, h)] for h in self.elements]
                                    for g in self.elements])
         self.inv_index = np.array([self.index[self.inverse[g]] for g in self.elements])
-        self.lam_perms = self.mul_index[self.inv_index]  # λ_g e_h = e_{gh}
-        self.rho_perms = self.mul_index.T.copy()  # ρ_g e_h = e_{hg⁻¹}
-        eye = np.eye(len(self.elements), dtype=complex)
-        self._lam = {g: eye[p] for g, p in zip(self.elements, self.lam_perms)}
-        self._rho = {g: eye[p] for g, p in zip(self.elements, self.rho_perms)}
+        self.lam_perms = self.mul_index  # λ_g e_h = e_{gh}
+        self.rho_perms = self.mul_index[:, self.inv_index].T.copy()  # ρ_g e_h = e_{hg⁻¹}
+        self._lam = dict(zip(self.elements, perm.dense(self.lam_perms)))
 
     @classmethod
     def cyclic(cls, n):
@@ -87,10 +85,6 @@ class FiniteGroup:
 
     def lam(self, g) -> np.ndarray:
         return self._lam[g]
-
-    def rho(self, g) -> np.ndarray:
-        """Right regular representation: ρ_g e_h = e_{hg⁻¹} (a homomorphism)."""
-        return self._rho[g]
 
     def __len__(self):
         return len(self.elements)
@@ -248,7 +242,7 @@ class Coaction:
             return None
         n = len(self.group)
         w = (np.arange(len(phi))[:, None] * n + self.group.lam_perms[phi]).ravel()
-        conjugates = _conjugate(_kron(np.array(self.graded.basis), np.eye(n)), w)
+        conjugates = perm.conjugate(_kron(np.array(self.graded.basis), np.eye(n)), w)
         if not np.array_equal(conjugates, self.images):
             return None
         return tuple(self.group.elements[i] for i in phi)
@@ -303,23 +297,11 @@ def coaction_from_grading(graded: GradedAlgebra) -> Coaction:
 # -- crossed products and duality -------------------------------------------------
 
 
-def _conjugate(xs, perm):
-    """Ad(P) on the last two axes of xs, P the permutation unitary whose row r
-    has its 1 in column perm[r]: a gather, with the entries of P x P*."""
-    flat = (perm[:, None] * len(perm) + perm).ravel()
-    return np.take(xs.reshape(xs.shape[:-2] + (-1,)), flat, axis=-1).reshape(xs.shape)
-
-
 def _kron(xs, ys):
     """np.kron on the last two axes of two broadcasting stacks."""
     (a, b), (c, d) = xs.shape[-2:], ys.shape[-2:]
     out = xs[..., :, None, :, None] * ys[..., None, :, None, :]
     return out.reshape(out.shape[:-4] + (a * c, b * d))
-
-
-def _lifted(perm, outer):
-    """The index array of I_outer ⊗ P for P given by perm."""
-    return (np.arange(outer)[:, None] * len(perm) + perm).ravel()
 
 
 def _stacks(xs, size):
@@ -346,20 +328,20 @@ class CrossedProduct:
         masks = leg == np.arange(n)[:, None]
         self.generators = (np.array(delta.images)[:, None] * masks[:, None, :]) \
             .reshape(-1, len(leg), len(leg))
-        self.rho_perms = np.array([_lifted(p, self.h_dim) for p in self.group.rho_perms])
+        self.rho_perms = perm.lift(self.group.rho_perms, self.h_dim)
         self.span = AlgebraSpan(self.generators, selfadjoint=False)
 
     def dual_action_formula_check(self) -> bool:
         """δ̂_g(δ_λ(a) j(f)) = δ_λ(a) j(σ_g f) with σ_g(f)(h) = f(hg)."""
         G, gens = self.group, self.generators
         k, f = np.divmod(np.arange(len(gens)), len(G))
-        return all(np.allclose(_conjugate(gens, perm),
+        return all(np.allclose(perm.conjugate(gens, rho),
                                gens[k * len(G) + G.mul_index[f, G.inv_index[g]]], atol=1e-9)
-                   for g, perm in enumerate(self.rho_perms))
+                   for g, rho in enumerate(self.rho_perms))
 
     def dual_action_group_law_check(self) -> bool:
-        moved = [_conjugate(self.generators, perm) for perm in self.rho_perms]
-        return all(np.allclose(_conjugate(moved[h], self.rho_perms[g]),
+        moved = [perm.conjugate(self.generators, rho) for rho in self.rho_perms]
+        return all(np.allclose(perm.conjugate(moved[h], self.rho_perms[g]),
                                moved[self.group.mul_index[g, h]], atol=1e-9)
                    for g, h in np.ndindex(self.group.mul_index.shape))
 
@@ -367,11 +349,11 @@ class CrossedProduct:
 class DoubleCrossedProduct:
     """A ⋊_δ G ⋊^r G on H⊗ℓ²(G)⊗ℓ²(G) with the duality unitaries.
 
-    A unitary is the index array whose entry r is the column of row r's 1:
-    `u_perm` for U e_p⊗e_q = e_p⊗e_{pq}, `v_perm` for V = I⊗US, `g_perms[g]`
-    for k_G(g) = I⊗I⊗λ_g and `big_u_perm` for I⊗I⊗U, the U on the legs a
-    double dual adds; k_{c₀}(δ_f) is the diagonal `c0_masks[f]`, (p, q) ↦
-    [p = f·q]. Checks on matrices of side d·n³ take n generators at a time.
+    The unitaries are index arrays: `u_perm` for U e_p⊗e_q = e_p⊗e_{pq},
+    `v_perm` for V = I⊗US, `g_perms[g]` for k_G(g) = I⊗I⊗λ_g and
+    `big_u_perm` for I⊗I⊗U, the U on the legs a double dual adds;
+    k_{c₀}(δ_f) is the diagonal `c0_masks[f]`, (p, q) ↦ [p = f·q]. Checks
+    on matrices of side d·n³ take n generators at a time.
     """
 
     def __init__(self, delta: Coaction):
@@ -381,25 +363,24 @@ class DoubleCrossedProduct:
         self.n = n = len(G)
         mul, inv = G.mul_index, G.inv_index
         p, q = np.divmod(np.arange(n * n), n)
-        self.u_perm = p * n + mul[inv[p], q]
-        self.v_perm = _lifted(p * n + mul[inv[q], p], d)  # US e_p⊗e_q = e_p⊗e_{pq⁻¹}
+        self.u_perm = p * n + mul[p, q]
+        self.v_perm = perm.lift(p * n + mul[p, inv[q]], d)  # US e_p⊗e_q = e_p⊗e_{pq⁻¹}
         self.c0_masks = np.tile(mul[p, inv[q]], d) == np.arange(n)[:, None]
-        self.g_perms = np.array([_lifted(perm, d * n) for perm in G.lam_perms])
+        self.g_perms = perm.lift(G.lam_perms, d * n)
         self.images = np.array(delta.images)  # δ_λ(a_k)
         self.degree_lams = np.array([G.lam(g) for g in delta.graded.degrees])
 
     @property
     def big_u_perm(self):
-        return _lifted(self.u_perm, self.h_dim * self.n)
+        return perm.lift(self.u_perm, self.h_dim * self.n)
 
     @cached_property
     def generators(self) -> np.ndarray:
         """k_A(a_k) k_{c₀}(δ_f) k_G(g) at position (k·n + f)·n + g, with
         k_A(a) = δ_λ(a)⊗I; each run of n shares (a_k, f)."""
         k_a_c0 = _kron(self.images, np.eye(self.n))[:, None] * self.c0_masks[:, None, :]
-        # column c of X·k_G(g) is column perm⁻¹(c) of X
-        rows, cols = np.arange(len(self.v_perm))[:, None], np.argsort(self.g_perms, axis=1)
-        return k_a_c0[:, :, rows, cols[:, None, :]].reshape((-1,) + k_a_c0.shape[2:])
+        # column c of X·k_G(g) is column g_perms[g, c] of X
+        return np.moveaxis(k_a_c0[..., self.g_perms], 3, 2).reshape((-1,) + k_a_c0.shape[2:])
 
     @cached_property
     def kron_basis(self):
@@ -415,7 +396,7 @@ class DoubleCrossedProduct:
 
     def double_dual(self, xs) -> np.ndarray:
         """δ̂̂(x) = (I⊗I⊗U)(x ⊗ I)(I⊗I⊗U)*, on a stack of x."""
-        return _conjugate(_kron(xs, np.eye(self.n)), self.big_u_perm)
+        return perm.conjugate(_kron(xs, np.eye(self.n)), self.big_u_perm)
 
     def double_dual_formula_check(self) -> bool:
         """δ̂̂(k_A k_{c₀} k_G(g)) = (same) ⊗ λ_g."""
@@ -444,8 +425,8 @@ class DoubleCrossedProduct:
         middle = np.einsum(_MIDDLE, self.images, blocks, self.degree_lams,
                            optimize=self._middle_path)
         side = len(self.big_u_perm)
-        return _conjugate(middle.reshape(len(blocks), side, side),
-                          np.argsort(self.big_u_perm))
+        return perm.conjugate(middle.reshape(len(blocks), side, side),
+                              perm.adjoint(self.big_u_perm))
 
 
 @dataclass
@@ -473,15 +454,16 @@ def katayama_verify(delta: Coaction, tol=1e-12) -> KatayamaReport:
     dcp = delta.double_crossed_product
     G, n, v = delta.group, dcp.n, dcp.v_perm
     das, lams = dcp.images, dcp.degree_lams
-    ok_i = np.allclose(_conjugate(_kron(das, np.eye(n)), v), _kron(das, lams), atol=tol)
+    ok_i = np.allclose(perm.conjugate(_kron(das, np.eye(n)), v), _kron(das, lams), atol=tol)
     # Ad(V) of a 0/1 diagonal or a permutation is again one: compare them exactly
+    v_star = perm.adjoint(v)
     last_leg = np.tile(np.arange(n), dcp.h_dim * n)
-    ok_ii = np.array_equal(dcp.c0_masks[:, v], last_leg == np.arange(n)[:, None])
-    rho = np.array([_lifted(perm, dcp.h_dim * n) for perm in G.rho_perms])
-    ok_iii = np.array_equal(np.argsort(v)[dcp.g_perms[:, v]], rho)
+    ok_ii = np.array_equal(dcp.c0_masks[:, v_star], last_leg == np.arange(n)[:, None])
+    ok_iii = np.array_equal(perm.product(v, dcp.g_perms[:, v_star]),
+                            perm.lift(G.rho_perms, dcp.h_dim * n))
 
     # span equality Ad(V)(double crossed product) = δ_λ(A) ⊗ 𝕂
-    images = _conjugate(dcp.generators, v)
+    images = perm.conjugate(dcp.generators, v)
     target = dcp.kron_basis[0].members
     ri, rt = matrix_rank(images), len(target)  # SpanBasis keeps independent members
     rj = matrix_rank([*images, *target])
@@ -491,7 +473,7 @@ def katayama_verify(delta: Coaction, tol=1e-12) -> KatayamaReport:
     v_n = (v[:, None] * n + np.arange(n)).ravel()  # V⊗I
     inside, blocks = dcp.tilde_coefficients(images)
     conj_ok = bool(inside.all()) and all(
-        np.allclose(_conjugate(dcp.double_dual(xs), v_n), dcp.tilde_delta(cs), atol=tol)
+        np.allclose(perm.conjugate(dcp.double_dual(xs), v_n), dcp.tilde_delta(cs), atol=tol)
         for xs, cs in zip(_stacks(dcp.generators, n), _stacks(blocks, n)))
 
     # invariance of δ_λ(A)⊗P_e under δ̃

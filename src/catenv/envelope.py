@@ -11,14 +11,10 @@ the numerical fallback for any selfadjoint matrix algebra (groupoids with
 isotropy, graded algebras of `coaction`): center from a commutant, spectral
 clusters of a generic central element, one irreducible compression per block.
 
-The Shilov search first checks that its generators generate the cover, by
-dimension (`generated_dim`). For 0/1 partial permutations that count is
-exact: the generated *-algebra is the span of the inverse semigroup they
-generate, and when its idempotents separate and cover the coordinates,
-Möbius inversion over them (Steinberg 2006) gives every diagonal unit, so the
-algebra is ⊕ M_|K| over the classes K the generators join. Other generators
-(dense gradings, isotropy, idempotents that leave a coordinate uncovered) are
-closed under products by `AlgebraSpan`.
+The Shilov search takes a cover that its generators generate: `thesis`
+counts that on the morphism maps' index arrays before the search
+(`generated_dim`), and a cover that `block_decompose` cuts from the
+generators' own span, as `coaction`'s is, has it by construction.
 
 The Shilov search is union-first. A sub-ideal of a boundary ideal is
 boundary, and the Shilov ideal contains every boundary ideal (Arveson 1969;
@@ -63,11 +59,11 @@ level) or numerical certificates with stated effort.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import perm
 from .matrixrep import (AlgebraSpan, IsometryVerdict, NotSelfAdjoint,
                         NumericalFailure, SpanBasis, TOL, _joint_rank, _rank,
                         deviation_search, direct_sum, level_k_norms, matrix_rank,
@@ -75,7 +71,7 @@ from .matrixrep import (AlgebraSpan, IsometryVerdict, NotSelfAdjoint,
 
 
 class NotACover(ValueError):
-    """The generators do not generate the cover handed to the Shilov search."""
+    """The generators do not generate the cover they are to be searched on."""
 
 
 @dataclass
@@ -471,9 +467,8 @@ def shilov_ideal(a_basis, cover: FinDimCStar, levels=None, samples=25,
     their certified combinations, largest first; the first certified one is
     the mask.
 
-    The generators must generate the cover (`generated_dim` against its
-    dimension), else `NotACover`; exact, with no closure, on partial
-    permutations whose idempotents separate and cover the coordinates.
+    The generators must generate the cover; the search does not count that
+    again (`generated_dim`).
 
     `verdicts` maps masks to `IsometryVerdict`s the caller has already decided
     on these generators and this cover, exactly or with at least these levels
@@ -481,9 +476,6 @@ def shilov_ideal(a_basis, cover: FinDimCStar, levels=None, samples=25,
     it, and records it in `ShilovResult.verdicts` as its own.
     """
     a_basis = [np.asarray(a, dtype=complex) for a in a_basis]
-    generated = generated_dim(a_basis)
-    if generated != cover.dim:
-        raise NotACover(f"A generates dimension {generated}, cover has {cover.dim}")
     levels = search_levels(cover, levels)
     seeded = {frozenset(mask): v for mask, v in (verdicts or {}).items()}
     verdicts = {}
@@ -515,78 +507,11 @@ def shilov_ideal(a_basis, cover: FinDimCStar, levels=None, samples=25,
     return result(frozenset())
 
 
-def generated_dim(a_basis) -> int:
-    """Dimension of the *-algebra the matrices generate: exact when they are
-    0/1 partial permutations whose idempotents separate and cover the
-    coordinates (`_partial_permutation_dim`), else `AlgebraSpan`'s."""
-    dim = _partial_permutation_dim(a_basis)
-    return AlgebraSpan(a_basis, selfadjoint=True).dim if dim is None else dim
-
-
-def _index_arrays(a_basis):
-    """The (nb, n) index arrays of matrices that are all 0/1 partial
-    permutations (column j is e_p[j], or zero where p[j] = −1), else None."""
-    stack = np.asarray(a_basis)
-    if not stack.size or not np.all((stack == 0) | (stack == 1)):
-        return None
-    ones = stack == 1
-    if (ones.sum(axis=1) > 1).any() or (ones.sum(axis=2) > 1).any():
-        return None
-    return np.where(ones.any(axis=1), ones.argmax(axis=1), -1)
-
-
-def _partial_permutation_dim(a_basis):
-    """Exact dimension of the *-algebra generated by 0/1 partial permutations,
-    or None when this argument does not apply.
-
-    That algebra is the span of the inverse semigroup S the generators and
-    their inverses generate. An idempotent of S is the identity on the domain
-    of some member, and the domain of w·g is g⁻¹(dom w), so the idempotents'
-    supports are closed from the generators' domains by pulling back along
-    each generator. Closing them, not S itself, stays small where S does not:
-    permutations generate n! members and one idempotent. When those supports
-    cover every coordinate and no two coordinates lie in exactly the same
-    ones, each coordinate x has a least support D_x, and x ↦ D_x is injective,
-    so Möbius inversion over the ∩-closed supports gives every E_xx in span S
-    (Steinberg 2006, "Möbius functions and semigroup representation theory").
-    Then E_yx = s·E_xx lies in span S exactly when some s in S maps x to y,
-    that is, when a path of generators and inverses joins x to y; and every
-    s is a sum of such E_yx. So span S is ⊕ M_|K| over the classes K of that
-    relation, of dimension Σ|K|². Otherwise (coordinates the idempotents do
-    not separate, as under isotropy, or leave uncovered) the answer is None,
-    which refutes nothing.
-    """
-    perms = _index_arrays(a_basis)
-    if perms is None:
-        return None
-    n = perms.shape[1]
-    inverses = np.full_like(perms, -1)
-    for row, inv in zip(perms, inverses):
-        inv[row[row >= 0]] = np.flatnonzero(row >= 0)
-    gens = np.concatenate([perms, inverses])
-    supports, batch = {}, gens >= 0
-    while len(batch):
-        fresh = {d.tobytes(): d for d in batch}
-        fresh = [d for key, d in fresh.items() if key not in supports]
-        supports.update((d.tobytes(), d) for d in fresh)
-        pulled = np.zeros((len(fresh), n + 1), dtype=bool)  # index −1 reads column n
-        pulled[:, :n] = np.reshape(fresh, (-1, n))
-        batch = pulled[:, gens].reshape(-1, n)
-    patterns = np.array(list(supports.values())).T  # coordinate x: the supports holding x
-    if not patterns.any(axis=1).all() or len({x.tobytes() for x in patterns}) < n:
-        return None
-    label = list(range(n))
-
-    def find(x):
-        while label[x] != x:
-            label[x] = label[label[x]]
-            x = label[x]
-        return x
-
-    for g in gens:
-        for x in np.flatnonzero(g >= 0).tolist():
-            label[find(x)] = find(int(g[x]))
-    return sum(size * size for size in Counter(map(find, range(n))).values())
+def generated_dim(perms) -> int:
+    """Dimension of the *-algebra the index arrays `perms` generate:
+    `perm.exact_dim` where it applies, else `AlgebraSpan`'s of their matrices."""
+    dim = perm.exact_dim(perms)
+    return AlgebraSpan(perm.dense(perms), selfadjoint=True).dim if dim is None else dim
 
 
 def detects_ideals(d_basis, cover: FinDimCStar) -> bool:

@@ -4,10 +4,9 @@ matrix levels, and the numerical complete-isometry certifier.
 
 Matrices live over explicitly labelled bases. Every Λ_s and every spanning
 matrix M_s is a 0/1 partial permutation, built once per hull number as an
-index array: the image position of each basis element, −1 where its column is
-zero (`LambdaRep.inverse_perm`, `GermModel.spanning_perm`). `jack_check` works
-on those arrays alone. The dense complex matrices (`inverse_rep`,
-`spanning_matrix`) are derived from them for the float consumers: covers,
+index array of `perm` (`LambdaRep.inverse_perm`, `GermModel.spanning_perm`).
+`jack_check` works on those arrays alone. The dense complex matrices
+(`spanning_matrix`) are derived from them for the float consumers: covers,
 norms and ranks. Reduced norms are operator norms computed by SVD; the
 independent eigen-solve oracle lives in the test suite. Norms on truncation
 windows of infinite inputs are computed matrix-free by `windowed_norm`.
@@ -26,6 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import perm
 from .categories import CategoryPresentation, Morphism
 from .germs import Germ, GermGroupoid
 from .gpd import FiniteGroupoid
@@ -249,28 +249,12 @@ class AlgebraSpan:
 # -- the left regular representation -------------------------------------------
 
 
-def _index_map(basis, index, image) -> np.ndarray:
-    """The index array of e_j ↦ e_{image(basis[j])}: the image's position, −1
-    where the image is None or outside the basis."""
-    out = np.full(len(basis), -1, dtype=np.intp)
-    for j, x in enumerate(basis):
-        y = image(x)
-        if y is not None:
-            out[j] = index.get(y, -1)
-    return out
-
-
-def _dense(p) -> np.ndarray:
-    """The 0/1 matrix of an index array p: column j is e_{p[j]}, or zero where p[j] = −1."""
-    out = np.zeros((len(p), len(p)), dtype=complex)
-    cols = np.flatnonzero(p >= 0)
-    out[p[cols], cols] = 1.0
-    return out
-
-
-def _partial_permutation(basis, index, image) -> np.ndarray:
-    """e_j ↦ e_{image(basis[j])}, dropping images that are None or outside the basis."""
-    return _dense(_index_map(basis, index, image))
+def _read_only(cache: dict, n: int, build) -> np.ndarray:
+    """cache[n], built by build() on the first call and read-only."""
+    if n not in cache:
+        cache[n] = build()
+        cache[n].flags.writeable = False
+    return cache[n]
 
 
 @dataclass
@@ -293,21 +277,13 @@ class LambdaRep:
         return cls(pres, basis, exact)
 
     def lam(self, c: Morphism) -> np.ndarray:
-        return _partial_permutation(self.basis, self.index,
-                                    lambda x: self.pres.compose(c, x))
+        return perm.dense(perm.from_map(self.basis, self.index,
+                                        lambda x: self.pres.compose(c, x)))
 
     def inverse_perm(self, hull_ctx: InverseHull, s: PiecewiseBijection) -> np.ndarray:
         """Λ_s e_x = e_{s(x)} as an index array, built once per hull number and read-only."""
-        n = hull_ctx.index(s)
-        if n not in self._perms:
-            p = _index_map(self.basis, self.index, lambda x: hull_ctx.apply(s, x))
-            p.flags.writeable = False
-            self._perms[n] = p
-        return self._perms[n]
-
-    def inverse_rep(self, hull_ctx: InverseHull, s: PiecewiseBijection) -> np.ndarray:
-        """Λ_s e_x = e_{s(x)}; partial permutation matrix."""
-        return _dense(self.inverse_perm(hull_ctx, s))
+        return _read_only(self._perms, hull_ctx.index(s), lambda: perm.from_map(
+            self.basis, self.index, lambda x: hull_ctx.apply(s, x)))
 
     def toeplitz_algebra(self) -> AlgebraSpan:
         gens = [self.lam(c) for c in self.basis]
@@ -360,28 +336,37 @@ class GermModel:
         """Σ of the bisection's element matrices as an index array, cached and
         read-only: its germs have distinct sources, so it is one partial
         permutation t ↦ g_{r(t)}·t."""
-        n = self.gg.ctx.hull.index(s)
-        if n not in self._perm_cache:
-            g = self.rep.g
+        g = self.rep.g
+
+        def build():
             by_source = {g.source[el]: el for el in self.bisection(s)}
-            p = _index_map(self.rep.basis, self.rep.index, lambda t: g.mul(
+            return perm.from_map(self.rep.basis, self.rep.index, lambda t: g.mul(
                 by_source[g.range[t]], t) if g.range[t] in by_source else None)
-            p.flags.writeable = False
-            self._perm_cache[n] = p
-        return self._perm_cache[n]
+        return _read_only(self._perm_cache, self.gg.ctx.hull.index(s), build)
+
+    @cached_property
+    def spanning_stack(self) -> np.ndarray:
+        """`spanning_perm` over `closure.nonzero()`, one row each, read-only."""
+        stack = np.array([self.spanning_perm(s) for s in self.closure.nonzero()],
+                         dtype=np.intp).reshape(-1, len(self.rep.basis))
+        stack.flags.writeable = False
+        return stack
+
+    @cached_property
+    def generator_rows(self) -> list[int]:
+        """The rows of `spanning_stack` that hold the morphism maps, in the
+        order of `operator_algebra_generators`."""
+        hull = self.gg.ctx.hull
+        row = {hull.index(s): k for k, s in enumerate(self.closure.nonzero())}
+        return [row[hull.index(hull.from_morphism(c))] for c in hull._ball]
 
     def spanning_matrix(self, s: PiecewiseBijection) -> np.ndarray:
         """The dense matrix of `spanning_perm`, cached and read-only."""
-        n = self.gg.ctx.hull.index(s)
-        if n not in self._matrix_cache:
-            m = _dense(self.spanning_perm(s))
-            m.flags.writeable = False
-            self._matrix_cache[n] = m
-        return self._matrix_cache[n]
+        return _read_only(self._matrix_cache, self.gg.ctx.hull.index(s),
+                          lambda: perm.dense(self.spanning_perm(s)))
 
     def reduced_algebra(self) -> AlgebraSpan:
-        mats = [self.spanning_matrix(s) for s in self.closure.nonzero()]
-        return AlgebraSpan(mats, selfadjoint=True)
+        return AlgebraSpan(perm.dense(self.spanning_stack), selfadjoint=True)
 
     def operator_algebra_generators(self):
         """Generators 1_{[c, Ω(𝔡(c)𝔠)]} for the morphism maps c, built once."""
@@ -400,57 +385,34 @@ def jack_check(hull_ctx: InverseHull, closure: HullClosure, model: GermModel,
     families have identical linear dependencies.
 
     Exact, on the index arrays of both families (`LambdaRep.inverse_perm`,
-    `GermModel.spanning_perm`). M_t takes column j to t(j), so M_s·M_t is the
-    gather s∘t: for each s, one gather over the whole stack is compared with
-    M_st by `np.array_equal` (the stack's last row is the zero map), and the
-    first failing t is the witness, as pairwise. M_s* = M_{s⁻¹} exactly when
-    the two arrays are mutually inverse partial maps. A rank does not change
-    when zero columns are dropped, so each of the three ranks is taken on the
-    positions where some member of its family is nonzero."""
+    `GermModel.spanning_stack`): for each s, M_s times the whole stack, one
+    gather, is compared with M_st by `np.array_equal` (the stack's last row is
+    the zero map), and the first failing t is the witness, as pairwise.
+    M_s* = M_{s⁻¹} is `perm.is_adjoint`. Each of the three ranks is taken on
+    `perm.support_rows`."""
     elements = closure.nonzero()
     numbers = [hull_ctx.index(s) for s in elements]
     position = {n: k for k, n in enumerate(numbers)}
     zero = len(elements)
-    stacks = [np.array([*ps, np.full(d, -1)], dtype=np.intp) for ps, d in (
-        ([lam.inverse_perm(hull_ctx, s) for s in elements], len(lam.basis)),
-        ([model.spanning_perm(s) for s in elements], len(model.rep.basis)))]
+    stacks = [np.array([*(lam.inverse_perm(hull_ctx, s) for s in elements),
+                        np.full(len(lam.basis), -1)], dtype=np.intp),
+              np.vstack([model.spanning_stack, np.full(len(model.rep.basis), -1)])]
     for k, s in enumerate(elements):
         st = [position.get(hull_ctx._compose(numbers[k], n), zero) for n in numbers]
         bad = np.zeros(zero, dtype=bool)
         for p in stacks:
-            bad |= (np.append(p[k], -1)[p[:zero]] != p[st]).any(axis=1)
+            bad |= (perm.product(p[k], p[:zero]) != p[st]).any(axis=1)
         if bad.any():
             return False, (s, elements[int(np.argmax(bad))])
         sinv = position[hull_ctx.index(hull_ctx.hinverse(s))]
-        if not all(_mutually_inverse(p[k], p[sinv]) for p in stacks):
+        if not all(perm.is_adjoint(p[k], p[sinv]) for p in stacks):
             return False, s
-    va, vb = (_support_rows(p[:zero]) for p in stacks)
+    va, vb = (perm.support_rows(p[:zero]) for p in stacks)
     ra, rb = matrix_rank(va), matrix_rank(vb)
     rjoint = _joint_rank(va, vb)
     if not (ra == rb == rjoint):
         return False, ("dependency mismatch", ra, rb, rjoint)
     return True, ra
-
-
-def _mutually_inverse(p, q) -> bool:
-    """Whether q[p[j]] = j wherever p[j] ≥ 0 and p[q[i]] = i wherever q[i] ≥ 0:
-    as 0/1 matrices, q is p's adjoint."""
-    return all(np.array_equal(b[a[a >= 0]], np.flatnonzero(a >= 0))
-               for a, b in ((p, q), (q, p)))
-
-
-def _support_rows(stack) -> np.ndarray:
-    """The 0/1 matrices of a stack of index arrays, flattened and kept only at
-    the positions where one of them is nonzero: the dense stack's rank, on
-    fewer columns."""
-    members, cols = np.nonzero(stack >= 0)
-    flat = stack[members, cols] * stack.shape[1] + cols
-    used = np.zeros(stack.shape[1] ** 2, dtype=bool)
-    used[flat] = True
-    # complex, like every other rank: a real SVD would load LAPACK's real routines too
-    rows = np.zeros((len(stack), int(used.sum())), dtype=complex)
-    rows[members, (np.cumsum(used) - 1)[flat]] = 1.0
-    return rows
 
 
 # -- the boundary compressions ϑ_χ ----------------------------------------------

@@ -10,29 +10,25 @@ that orbit's coordinates of the groupoid representation, checked by counting
 Σ|O|² against the spanning family's rank, with no product closure and no
 numerical decomposition. Otherwise (isotropy) the algebra the spanning family
 generates is decomposed numerically by `block_decompose`. Every spanning
-matrix is a 0/1 partial permutation held as an index array, and the checks
-that need no cover coordinates are exact on those arrays: `jack_check`
-(gathers, inverse maps and ranks on the support columns) and the Shilov
-search's generation count (Möbius inversion over the idempotents, then the
-classes the generators join). The restriction π to the boundary model kills
-a set of blocks of that cover (`boundary_quotient`); π is the only map that
-reads the boundary model. On the orbit cover π is certified with no trials
-when the boundary coordinates are a reducing subspace of every spanning
-matrix and each boundary matrix is the spectrum one restricted to them: π is
-then a compression by a projection commuting with the algebra, and it kills
-the orbit blocks with no boundary coordinate. Otherwise a `SpannedStarMap`
-with seeded trials decides π. When π is not a *-homomorphism, the run ends
-at `boundary-isometry`'s rejection with π's witness. Otherwise
-`boundary-isometry` is `is_boundary_ideal` on the kernel mask (exact, with no
-search, when every killed block is a coordinate compression of a kept one, as
-on the orbit cover of every shipped category),
-and the boundary algebra's blocks are the cover's blocks outside it. The
-Shilov search then reads that verdict instead of searching the kernel mask
-again (`shilov_seeds`), so each mask is searched once. The envelope entries
-compare the two masks and the diagonal's ranks in the two quotients
-(`envelope_coincidence`). Finite fixtures get exact verdicts; infinite ones
-run in a truncation window and are downgraded to bounded evidence, carrying
-the LCM chain's entries under an `lcm:` prefix for monoids.
+matrix is a `perm` index array: `jack_check` runs on those arrays, and so does
+the count that the morphism maps generate the cover (`generated_dim`), before
+the Shilov search. The restriction π to the boundary model, the only map that
+reads it, kills a set of blocks of that cover (`boundary_quotient`). On the
+orbit cover π is certified with no trials when the boundary coordinates
+reduce every spanning matrix and each boundary matrix is the spectrum one
+restricted to them: π is then a compression by a projection commuting with
+the algebra, and it kills the orbit blocks with no boundary coordinate.
+Otherwise a `SpannedStarMap` with seeded trials decides π. When π is not a
+*-homomorphism, the run ends at `boundary-isometry`'s rejection with π's
+witness. Otherwise `boundary-isometry` is `is_boundary_ideal` on the kernel
+mask (exact when every killed block is a coordinate compression of a kept
+one, as on the orbit cover of every shipped category), and the boundary
+algebra's blocks are the cover's blocks outside it. The Shilov search reads
+that verdict instead of searching the kernel mask again (`shilov_seeds`).
+The envelope entries compare the two masks and the diagonal's ranks in the
+two quotients (`envelope_coincidence`). Finite fixtures get exact verdicts;
+infinite ones run in a truncation window and are downgraded to bounded
+evidence, carrying the LCM chain's entries under an `lcm:` prefix for monoids.
 
 `truncation_norm_study` compares windowed norms under λ and ⊕ϑ_χ across
 window depths; it is evidence, never certification.
@@ -45,10 +41,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import ideals as IL
+from . import perm
 from .categories import CategoryPresentation
-from .envelope import (FinDimCStar, SpannedStarMap, block_decompose, detects_ideals,
-                       is_boundary_ideal, orbit_cover, quotient_kernel_mask,
-                       search_levels, shilov_ideal)
+from .envelope import (FinDimCStar, NotACover, SpannedStarMap, block_decompose,
+                       detects_ideals, generated_dim, is_boundary_ideal, orbit_cover,
+                       quotient_kernel_mask, search_levels, shilov_ideal)
 from .germs import GermContext
 from .hull import InverseHull
 from .matrixrep import (GermModel, IsometryVerdict, LambdaRep, ThetaRep, _joint_rank,
@@ -157,7 +154,8 @@ def analyze_category(pres: CategoryPresentation, depth: int = 8,
     ctx.update(lambda_rep=lam, model_omega=model_omega, model_boundary=model_bound)
     ok, info = jack_check(hull, closure, model_omega, lam)
     # the Λ family spans the Toeplitz algebra: the closure is closed under ∘ and inverse
-    dim = info if ok else matrix_rank([lam.inverse_rep(hull, s) for s in closure.nonzero()])
+    dim = info if ok else matrix_rank(perm.support_rows(
+        np.array([lam.inverse_perm(hull, s) for s in closure.nonzero()])))
     entries.append(Entry("regular-vs-groupoid-model",
                          "certified" if ok else "rejected",
                          f"spanning correspondence is a *-isomorphism "
@@ -206,7 +204,9 @@ def envelope_coincidence(ctx, levels=None, tol=1e-9, seed=0) -> list[Entry]:
     blocks it kills, `boundary_kernel_mask`. So π induces a *-isomorphism
     from the quotient by that mask onto C*(G_∂), taking q(m_Ω(s)) to m_∂(s):
     the envelope is the boundary quotient exactly when the masks agree, and
-    the ∂-diagonal has the rank of the Ω-diagonal in that quotient.
+    the ∂-diagonal has the rank of the Ω-diagonal in that quotient. The
+    Shilov search needs the morphism maps to generate the cover: that is
+    counted on their index arrays (`generated_dim`), else `NotACover`.
     """
     hull, lat, model_omega = ctx["hull"], ctx["lattice"], ctx["model_omega"]
     cover, ker_mask = ctx["omega_cover"], ctx["boundary_kernel_mask"]
@@ -217,6 +217,9 @@ def envelope_coincidence(ctx, levels=None, tol=1e-9, seed=0) -> list[Entry]:
                      {"omega_blocks": cover.block_sizes,
                       "boundary_blocks": boundary.block_sizes})]
 
+    generated = generated_dim(model_omega.spanning_stack[model_omega.generator_rows])
+    if generated != cover.dim:
+        raise NotACover(f"A generates dimension {generated}, cover has {cover.dim}")
     a_basis = [m for _, m in model_omega.operator_algebra_generators()]
     seeds = shilov_seeds(ker_mask, ctx["boundary_isometry"], cover, levels)
     shilov = shilov_ideal(a_basis, cover, levels=levels, tol=tol, seed=seed,
@@ -280,7 +283,7 @@ def spectrum_cover(model: GermModel, rank=None, seed=0) -> FinDimCStar:
     if not model.rep.g.is_principal():
         return block_decompose(model.reduced_algebra(), seed=seed)
     if rank is None:
-        rank = matrix_rank([model.spanning_matrix(s) for s in model.closure.nonzero()])
+        rank = matrix_rank(perm.support_rows(model.spanning_stack))
     return orbit_cover(model.rep.block_sizes(), rank)
 
 
@@ -306,17 +309,16 @@ def boundary_quotient(model_omega: GermModel, model_bound: GermModel, closure,
     or a restriction that is not a compression) π is a `SpannedStarMap` on
     the spanning pairs: seeded trials give its witness, and its kernel mask is
     read off one matrix unit per block."""
-    elements = closure.nonzero()
     if cover.coordinates is not None:
-        mask = _compression_kernel_mask(model_omega, model_bound, elements, cover)
+        mask = _compression_kernel_mask(model_omega, model_bound, cover)
         if mask is not None:
             return None, mask
     star_map = SpannedStarMap([(model_omega.spanning_matrix(s),
-                                model_bound.spanning_matrix(s)) for s in elements])
+                                model_bound.spanning_matrix(s)) for s in closure.nonzero()])
     return star_map.star_homomorphism_witness(), quotient_kernel_mask(cover, star_map)
 
 
-def _compression_kernel_mask(model_omega: GermModel, model_bound: GermModel, elements,
+def _compression_kernel_mask(model_omega: GermModel, model_bound: GermModel,
                              cover: FinDimCStar):
     """The blocks of the orbit cover π kills, when π is the compression to the
     boundary model's coordinates; else None. Index arrays only.
@@ -328,18 +330,16 @@ def _compression_kernel_mask(model_omega: GermModel, model_bound: GermModel, ele
     restricted to V, π is that compression on the spanning family, hence on
     its span. Its kernel is then the blocks whose coordinates hold no point of V.
     """
-    at = [model_omega.rep.index.get(x, -1) for x in model_bound.rep.basis]
-    if -1 in at:
+    at = perm.from_map(model_bound.rep.basis, model_omega.rep.index, lambda x: x)
+    if (at < 0).any():
         return None
-    at = np.array(at, dtype=np.intp)
     inside = np.zeros(len(model_omega.rep.basis) + 1, dtype=bool)  # index −1: False
     inside[at] = True
-    omega = np.array([model_omega.spanning_perm(s) for s in elements])
-    bound = np.array([model_bound.spanning_perm(s) for s in elements])
+    omega, bound = model_omega.spanning_stack, model_bound.spanning_stack
     moved = omega >= 0
     reducing = np.array_equal(inside[omega][moved],
                               np.broadcast_to(inside[:-1], omega.shape)[moved])
-    if not (reducing and np.array_equal(omega[:, at], np.append(at, -1)[bound])):
+    if not (reducing and np.array_equal(omega[:, at], perm.product(at, bound))):
         return None
     return frozenset(k for k, coords in enumerate(cover.coordinates)
                      if not inside[coords].any())

@@ -31,7 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
-from catenv.coactions import GradedAlgebra, KatayamaReport, NoExtensionFound, _conjugate
+from catenv.coactions import GradedAlgebra, KatayamaReport, NoExtensionFound
 from catenv.envelope import (NotACover, ShilovResult, SpannedStarMap, is_boundary_ideal,
                              search_levels)
 from catenv.germs import InfiniteCharacterSpace, NotInDomain
@@ -39,8 +39,8 @@ from catenv.gpd import FiniteGroupoid, GroupoidError
 from catenv.hull import HullClosure, InconsistentPieces, PiecewiseBijection
 from catenv.lcm import NotCore, core_membership
 from catenv.matrixrep import (AlgebraSpan, IsometryVerdict, SpanBasis, _joint_rank,
-                              _partial_permutation, level_k_norms, matrix_rank,
-                              operator_norm)
+                              level_k_norms, matrix_rank, operator_norm)
+from catenv.perm import conjugate, dense, from_map
 from catenv.report import Entry
 from catenv.univgroup import IsoLetter, OrbitData, UGWord, XLetter, reduce_word
 
@@ -338,11 +338,18 @@ def germ_groupoid_by_definition(ctx, closure, chars):
                           units=tuple(unit_of[chi.min_index] for chi in chars))
 
 
+def inverse_rep(lam, hull_ctx, s) -> np.ndarray:
+    """Λ_s as a dense 0/1 matrix, from its index array. A test double that
+    plants dense matrices no index array holds has its own `inverse_rep`."""
+    planted = getattr(lam, "inverse_rep", None)
+    return planted(hull_ctx, s) if planted else dense(lam.inverse_perm(hull_ctx, s))
+
+
 def jack_check_by_pairs(hull_ctx, closure, model, lam, tol=1e-8):
     """The spanning-element correspondence checked one pair (s, t) at a time,
     with two `np.allclose` per pair."""
     elements = closure.nonzero()
-    lam_mats = {s: lam.inverse_rep(hull_ctx, s) for s in elements}
+    lam_mats = {s: inverse_rep(lam, hull_ctx, s) for s in elements}
     grm_mats = {s: model.spanning_matrix(s) for s in elements}
     for s in elements:
         for t in elements:
@@ -379,7 +386,7 @@ def jack_check_dense(hull_ctx, closure, model, lam, tol=1e-8):
     position = {n: k for k, n in enumerate(numbers)}
     zero = len(elements)
     stacks = [np.array([*ms, np.zeros((d, d))], dtype=complex) for ms, d in (
-        ([lam.inverse_rep(hull_ctx, s) for s in elements], len(lam.basis)),
+        ([inverse_rep(lam, hull_ctx, s) for s in elements], len(lam.basis)),
         ([model.spanning_matrix(s) for s in elements], len(model.rep.basis)))]
     for k, s in enumerate(elements):
         st = [position.get(hull_ctx._compose(numbers[k], n), zero) for n in numbers]
@@ -528,8 +535,13 @@ def point_mass(group, g) -> np.ndarray:
     return out
 
 
+def rho(group, g) -> np.ndarray:
+    """The right regular matrix ρ_g e_h = e_{hg⁻¹} of a `FiniteGroup`."""
+    return dense(group.rho_perms[group.index[g]])
+
+
 def commutation_check(group) -> bool:
-    return all(np.allclose(group.lam(g) @ group.rho(h), group.rho(h) @ group.lam(g))
+    return all(np.allclose(group.lam(g) @ rho(group, h), rho(group, h) @ group.lam(g))
                for g in group.elements for h in group.elements)
 
 
@@ -571,7 +583,7 @@ class DenseCrossedProduct:
                 mat = da @ np.kron(eye, point_mass(self.group, f))
                 self.generators.append(mat)
                 self.generator_tags.append((da, g, f))
-        self.rho = {g: np.kron(eye, self.group.rho(g)) for g in self.group.elements}
+        self.rho = {g: np.kron(eye, rho(self.group, g)) for g in self.group.elements}
 
     def dual_action(self, g, x) -> np.ndarray:
         """δ̂_g = Ad(I⊗ρ_g)."""
@@ -715,7 +727,7 @@ def katayama_verify_dense(delta, dcp=None, tol=1e-12, sample=slice(None)) -> Kat
                             np.kron(np.eye(dcp.h_dim * n), point_mass(G, f)), atol=tol)
                 for f in G.elements)
     ok_iii = all(np.allclose(ad_v(dcp.k_G(g)),
-                             np.kron(np.eye(dcp.h_dim * n), G.rho(g)), atol=tol)
+                             np.kron(np.eye(dcp.h_dim * n), rho(G, g)), atol=tol)
                  for g in G.elements)
 
     generators = [m for _, m in dcp.generators()]
@@ -966,7 +978,7 @@ def separation_by_fixed_sets(hull, closure) -> SeparationVerdict:
 
 def theta_matrix(theta, s) -> np.ndarray:
     """ϑ_χ(s) on the germ basis [𝔠, χ]: e_d ↦ e_{s(d)}."""
-    return _partial_permutation(theta.basis, theta.index, lambda d: theta.hull.apply(s, d))
+    return dense(from_map(theta.basis, theta.index, lambda d: theta.hull.apply(s, d)))
 
 
 def diagonal_indicator(theta, parts) -> np.ndarray:
@@ -1026,8 +1038,8 @@ def inclusion_exclusion_check(hull, s, theta, tol=1e-9):
 def element_matrix(rep, el) -> np.ndarray:
     """The indicator function of a single groupoid element under `GroupoidRep` rep."""
     g = rep.g
-    return _partial_permutation(rep.basis, rep.index,
-                                lambda t: g.mul(el, t) if g.source[el] == g.range[t] else None)
+    return dense(from_map(rep.basis, rep.index,
+                          lambda t: g.mul(el, t) if g.source[el] == g.range[t] else None))
 
 
 def function_matrix(rep, coeffs: dict) -> np.ndarray:
@@ -1079,7 +1091,7 @@ def evaluate_in_group(w: UGWord, x_images: dict, iso_images: dict, mul, inv, uni
 
 def crossed_dual_action(cp, g, x) -> np.ndarray:
     """δ̂_g = Ad(I⊗ρ_g) on x or a stack of x, for the `CrossedProduct` cp."""
-    return _conjugate(x, cp.rho_perms[cp.group.index[g]])
+    return conjugate(x, cp.rho_perms[cp.group.index[g]])
 
 
 def verify_coaction_axioms(basis, images, group, tol=1e-9) -> dict:

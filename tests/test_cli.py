@@ -153,8 +153,8 @@ def test_failed_block_isomorphism_check_exits_four(monkeypatch, capsys):
 
 
 def test_generators_outside_the_cover_exit_four(monkeypatch, capsys):
-    import catenv.envelope
-    monkeypatch.setattr(catenv.envelope, "generated_dim", lambda gens: 0)
+    import catenv.pipeline
+    monkeypatch.setattr(catenv.pipeline, "generated_dim", lambda gens: 0)
     assert_internal_error(capsys, "generates dimension 0", "thesis", fx("edge.cat"))
 
 

@@ -12,8 +12,8 @@ from catenv.fixtures import fix_edge, fix_two, t2_graded, t3_graded
 from catenv.matrixrep import AlgebraSpan, LambdaRep
 from catenv.envelope import block_decompose, shilov_ideal
 from oracles import (DenseDoubleCrossedProduct, commutation_check, crossed_dual_action,
-                     fell_absorption_check, in_span, spectral_subspace_dims_from_reduction,
-                     verify_coaction_axioms)
+                     fell_absorption_check, in_span, rho,
+                     spectral_subspace_dims_from_reduction, verify_coaction_axioms)
 
 
 def t2_delta():
@@ -37,7 +37,7 @@ def test_group_regular_representations():
         for a in g.elements:
             for b in g.elements:
                 assert np.allclose(g.lam(a) @ g.lam(b), g.lam(g.mul(a, b)))
-                assert np.allclose(g.rho(a) @ g.rho(b), g.rho(g.mul(a, b)))
+                assert np.allclose(rho(g, a) @ rho(g, b), rho(g, g.mul(a, b)))
 
 
 # -- gradings vs coactions -----------------------------------------------------------

@@ -12,12 +12,13 @@ import numpy as np
 import pytest
 
 from catenv.coactions import (CrossedProduct, FiniteGroup, GradedAlgebra,
-                              _conjugate, coaction_from_grading, katayama_verify)
+                              coaction_from_grading, katayama_verify)
 from catenv.envelope import _blockwise_deviation, is_boundary_ideal
 from catenv.fixtures import t2_graded, t3_graded
 from catenv.matrixrep import complete_isometry_check, level_k_norms, matrix_rank
+from catenv.perm import conjugate, dense as perm_matrix
 from oracles import (DenseCrossedProduct, DenseDoubleCrossedProduct,
-                     crossed_dual_action, katayama_verify_dense, tilde_delta_dense)
+                     crossed_dual_action, katayama_verify_dense, rho, tilde_delta_dense)
 
 
 def s3():
@@ -92,10 +93,6 @@ def prepared(request):
     return delta, DenseDoubleCrossedProduct(delta)
 
 
-def perm_matrix(perm):
-    return np.eye(len(perm))[perm]
-
-
 def sample_of(delta):
     """Every generator, except on S₃: there the dense oracle takes about 0.3 s
     per generator, so it visits every 12th."""
@@ -107,7 +104,7 @@ def test_s3_degrees_do_not_commute():
     degrees = list(comps)
     assert len(degrees) == 3
     assert any(group.mul(g, h) != group.mul(h, g) for g in degrees for h in degrees)
-    assert any(not np.array_equal(group.lam(g), group.rho(group.inv(g))) for g in degrees)
+    assert any(not np.array_equal(group.lam(g), rho(group, group.inv(g))) for g in degrees)
 
 
 def test_katayama_matches_dense(prepared):
@@ -141,14 +138,14 @@ def test_unitaries_generators_and_kron_basis_match_dense(prepared):
     assert np.array_equal(span.members, dense_span.members)
     assert matrix_rank(span.members) == len(span.members)  # katayama_verify's rank
     # both sides of the conjugation identity, value by value
-    images = _conjugate(generators, dcp.v_perm)
+    images = conjugate(generators, dcp.v_perm)
     inside, blocks = dcp.tilde_coefficients(images)
     assert inside.all()
     v_n = np.kron(dense.data.V, np.eye(n))
     for j in range(len(images))[sample_of(delta)]:
         mat = generators[j]
         assert np.array_equal(dcp.double_dual(mat[None])[0], dense.double_dual(mat))
-        lhs = _conjugate(dcp.double_dual(mat[None]), (dcp.v_perm[:, None] * n + np.arange(n)).ravel())[0]
+        lhs = conjugate(dcp.double_dual(mat[None]), (dcp.v_perm[:, None] * n + np.arange(n)).ravel())[0]
         assert np.array_equal(lhs, v_n @ dense.double_dual(mat) @ v_n.conj().T)
         assert np.allclose(dcp.tilde_delta(blocks[j:j + 1])[0],
                            tilde_delta_dense(dense, images[j], delta), rtol=0, atol=1e-12)
@@ -203,7 +200,9 @@ def test_crossed_product_matches_dense(case):
 
 
 def transpose(perm, dense, i, j):
-    perm[[i, j]] = perm[[j, i]]
+    """Rows i and j of the matrix swapped: in the index array, the images i and j."""
+    at_i, at_j = perm == i, perm == j
+    perm[at_i], perm[at_j] = j, i
     dense[[i, j]] = dense[[j, i]]
 
 

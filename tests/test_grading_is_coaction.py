@@ -46,13 +46,17 @@ def bench_workloads():
     return module
 
 
-def bench_grading(key, seed):
-    """The grading the benchmark generates for the workload input `key`."""
+def bench_grading_text(key, seed):
+    """The document the benchmark generates for the workload input `key`."""
     workloads = sys.modules.get("bench_workloads") or bench_workloads()
     source = workloads.WORKLOADS["coaction-graded"][key][1]
-    text = workloads.graded_text(random.Random(f"{seed}:{key}"), source.order,
+    return workloads.graded_text(random.Random(f"{seed}:{key}"), source.order,
                                  source.dim, source.units)
-    return load_text(text)[1][1]
+
+
+def bench_grading(key, seed):
+    """The grading the benchmark generates for the workload input `key`."""
+    return load_text(bench_grading_text(key, seed))[1][1]
 
 
 def from_case(case):
@@ -68,13 +72,14 @@ def envelope_gradings():
     return out
 
 
+BENCH = [(key, seed) for key in ("coaction:upper2-z2", "coaction:corner3-z2")
+         for seed in (0, 1)]
 GRADINGS = [
     pytest.param(lambda: shipped("t2.grad"), id="t2.grad"),
     pytest.param(lambda: shipped("t3.grad"), id="t3.grad"),
     *(pytest.param(lambda p=p: from_case(p.values[0]), id=f"duality-{p.id}") for p in CASES),
     *(pytest.param(lambda key=key, seed=seed: bench_grading(key, seed),
-                   id=f"bench-{key.split(':')[1]}-seed{seed}")
-      for key in ("coaction:upper2-z2", "coaction:corner3-z2") for seed in (0, 1)),
+                   id=f"bench-{key.split(':')[1]}-seed{seed}") for key, seed in BENCH),
     pytest.param(hadamard_grading, id="hadamard"),
     *(pytest.param(lambda k=k: envelope_gradings()[k], id=f"envelope-{k}") for k in range(5)),
 ]
@@ -119,3 +124,35 @@ def test_a_coaction_run_builds_no_star_map(monkeypatch, fixture):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["coaction", str(ROOT / "fixtures" / fixture)]) == 0
     assert calls == {SpannedStarMap: 0, AlgebraSpan: 3}
+
+
+@pytest.mark.parametrize("write", [
+    *(pytest.param(lambda tmp, name=name: ROOT / "fixtures" / name, id=name)
+      for name in ("t2.grad", "t3.grad")),
+    *(pytest.param(lambda tmp, key=key, seed=seed: bench_file(tmp, key, seed),
+                   id=f"bench-{key.split(':')[1]}-seed{seed}") for key, seed in BENCH)])
+def test_a_coaction_run_closes_its_graded_basis_once(monkeypatch, tmp_path, write):
+    """The cover is cut from the one `AlgebraSpan` of the graded basis, which
+    it generates by construction: the Shilov search does not close the basis
+    again to count that."""
+    path = write(tmp_path)
+    basis = load_path(str(path))[1][1].basis
+    closed = []
+    init = AlgebraSpan.__init__
+
+    def counted(self, generators, *args, **kwargs):
+        gens = list(generators)
+        if len(gens) == len(basis) and all(np.array_equal(g, b) for g, b in zip(gens, basis)):
+            closed.append(args or kwargs)
+        init(self, gens, *args, **kwargs)
+
+    monkeypatch.setattr(AlgebraSpan, "__init__", counted)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["coaction", str(path)]) == 0
+    assert closed == [{"selfadjoint": True}]
+
+
+def bench_file(tmp_path, key, seed):
+    path = tmp_path / f"{key.split(':')[1]}-{seed}.grad"
+    path.write_text(bench_grading_text(key, seed), encoding="utf-8")
+    return path

@@ -16,12 +16,12 @@ from catenv.hull import InverseHull, ZERO
 from catenv import ideals as IL
 from catenv.ideals import PeriodicWordCharacter
 from catenv.matrixrep import (AlgebraSpan, GermModel, GroupoidRep, LambdaRep,
-                              ThetaRep, _dense, complete_isometry_check, direct_sum,
+                              ThetaRep, complete_isometry_check, direct_sum,
                               jack_check, matrix_rank, operator_norm, windowed_norm)
 from catenv.pipeline import boundary_quotient, truncation_norm_study
 from oracles import (DimensionMismatch, compression_identity_check, fix_set,
-                     function_matrix, inclusion_exclusion_check, jack_check_by_pairs,
-                     jack_check_dense, norm_level_k, theta_matrix)
+                     function_matrix, inclusion_exclusion_check, inverse_rep,
+                     jack_check_by_pairs, jack_check_dense, norm_level_k, theta_matrix)
 
 
 def eig_norm(a):
@@ -83,33 +83,33 @@ def test_inverse_rep_examples():
     e = by_word(p, ("e",))
     s = hull.from_morphism(e)
     sinv = hull.hinverse(s)
-    assert np.allclose(lam.inverse_rep(hull, sinv), lam.lam(e).conj().T)
-    assert np.allclose(lam.inverse_rep(hull, ZERO), 0)
+    assert np.allclose(inverse_rep(lam, hull, sinv), lam.lam(e).conj().T)
+    assert np.allclose(inverse_rep(lam, hull, ZERO), 0)
     # Λ_{c⁻¹d} = λ(c)* λ(d) on samples
     for c in p.ball(None):
         for d in p.ball(None):
             comp = hull.hcompose(hull.hinverse(hull.from_morphism(c)),
                                  hull.from_morphism(d))
-            assert np.allclose(lam.inverse_rep(hull, comp),
+            assert np.allclose(inverse_rep(lam, hull, comp),
                                lam.lam(c).conj().T @ lam.lam(d))
 
 
 def test_lambda_multiplicative_and_star_exhaustive():
     p, hull, closure, *_ = EDGE
     lam = LambdaRep.build(p)
-    mats = {s: lam.inverse_rep(hull, s) for s in closure.nonzero()}
+    mats = {s: inverse_rep(lam, hull, s) for s in closure.nonzero()}
     for s, ms in mats.items():
-        assert np.allclose(ms.conj().T, lam.inverse_rep(hull, hull.hinverse(s)))
+        assert np.allclose(ms.conj().T, inverse_rep(lam, hull, hull.hinverse(s)))
         for t, mt in mats.items():
             st = hull.hcompose(s, t)
-            assert np.allclose(ms @ mt, lam.inverse_rep(hull, st))
+            assert np.allclose(ms @ mt, inverse_rep(lam, hull, st))
 
 
 def test_span_identity_dimension():
     p, hull, closure, *_ = EDGE
     lam = LambdaRep.build(p)
     toeplitz = lam.toeplitz_algebra()
-    span = AlgebraSpan([lam.inverse_rep(hull, s) for s in closure.nonzero()])
+    span = AlgebraSpan([inverse_rep(lam, hull, s) for s in closure.nonzero()])
     assert toeplitz.dim == span.dim == 5
 
 
@@ -160,22 +160,19 @@ class PlantedLambda:
         self.basis, self._lam, self._change = lam.basis, lam, change
 
     def inverse_rep(self, hull, s):
-        return self._change(s, self._lam.inverse_rep(hull, s))
+        return self._change(s, inverse_rep(self._lam, hull, s))
 
 
 class PlantedPerms:
     """λ on `sheets` copies of its basis, with the index array of each Λ_s
-    replaced by change(s, array); `inverse_rep` is that array's dense matrix,
-    so the dense oracles read the same family."""
+    replaced by change(s, array); the dense oracles read that array's dense
+    matrix, so they read the same family."""
 
     def __init__(self, lam, change, sheets=1):
         self.basis, self._lam, self._change = lam.basis * sheets, lam, change
 
     def inverse_perm(self, hull, s):
         return self._change(s, self._lam.inverse_perm(hull, s))
-
-    def inverse_rep(self, hull, s):
-        return _dense(self.inverse_perm(hull, s))
 
 
 def _wrong_entry(target):
@@ -316,7 +313,7 @@ def test_theta_sum_injective_on_finite_fixture():
         p, hull, closure, lat, omega, bd, *_ = bundle(pres)
         thetas = [ThetaRep(p, hull, chi) for chi in bd]
         lam = LambdaRep.build(p)
-        pairs = [(lam.inverse_rep(hull, s),
+        pairs = [(inverse_rep(lam, hull, s),
                   direct_sum([theta_matrix(t, s) for t in thetas]))
                  for s in closure.nonzero()]
         # Λ_s ↦ ⊕ϑ_χ(s) extends to a well-defined map with zero kernel

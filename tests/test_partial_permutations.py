@@ -1,7 +1,8 @@
 """The partial-permutation layer of `thesis` is certified exactly on index
 arrays; the dense paths it replaced are the oracles here.
 
-`jack_check` is compared with `jack_check_dense`, the Shilov search's
+Each `perm` operation is compared with its dense matrix on seeded random
+partial permutations. `jack_check` is compared with `jack_check_dense`, the
 generation count with `AlgebraSpan`, and the restriction π with a
 `SpannedStarMap` on the same spanning pairs (its kernel mask, and a witness of
 None). The inputs are the boundary-cover cases, `layered_dag` seeds 0–4 and
@@ -15,18 +16,17 @@ from functools import partial
 import numpy as np
 import pytest
 
-from catenv import cli, envelope, pipeline
-from catenv.envelope import (NotACover, SpannedStarMap, _partial_permutation_dim,
-                             block_decompose, generated_dim, quotient_kernel_mask,
-                             shilov_ideal)
+from catenv import cli, perm, pipeline
+from catenv.envelope import (SpannedStarMap, block_decompose, generated_dim,
+                             quotient_kernel_mask, shilov_ideal)
 from catenv.fixtures import fix_kgraph_acyclic, fix_two
-from catenv.matrixrep import AlgebraSpan, GermModel, SpanBasis, _dense, jack_check
+from catenv.matrixrep import (AlgebraSpan, GermModel, LambdaRep, SpanBasis, jack_check,
+                              matrix_rank)
 from catenv.pipeline import _compression_kernel_mask, analyze_category, boundary_quotient
 from oracles import jack_check_by_pairs, jack_check_dense
 from test_boundary_cover import (CASES, FIXTURES, counting, path_category,
                                  restriction_pairs, spectrum_generators,
                                  transposed_restriction, z2_isotropy)
-from test_envelope import matrix_units
 from test_hull import layered_dag
 
 CHAIN = [(0, 1), (1, 2), (2, 3), (3, 4)]
@@ -53,9 +53,11 @@ def test_exact_checks_match_the_dense_paths(make):
     assert verdict[0] and verdict == jack_check_dense(hull, closure, model_omega, lam)
 
     a_basis = spectrum_generators(res)
-    exact = _partial_permutation_dim(a_basis)
+    gens = model_omega.spanning_stack[model_omega.generator_rows]
+    assert np.array_equal(perm.dense(gens), a_basis)
+    exact = perm.exact_dim(gens)
     assert (exact is not None) == principal  # isotropy: idempotents do not separate
-    assert generated_dim(a_basis) == AlgebraSpan(a_basis, selfadjoint=True).dim == cover.dim
+    assert generated_dim(gens) == AlgebraSpan(a_basis, selfadjoint=True).dim == cover.dim
 
     failure, mask = boundary_quotient(model_omega, model_bound, closure, cover)
     star_map = SpannedStarMap(restriction_pairs(model_omega, model_bound, closure))
@@ -63,8 +65,7 @@ def test_exact_checks_match_the_dense_paths(make):
     assert mask == quotient_kernel_mask(cover, star_map) == ctx["boundary_kernel_mask"]
     assert (cover.coordinates is not None) == principal
     if principal:
-        assert _compression_kernel_mask(model_omega, model_bound, closure.nonzero(),
-                                        cover) == mask
+        assert _compression_kernel_mask(model_omega, model_bound, cover) == mask
 
 
 # -- one planted failure per exact check ---------------------------------------------
@@ -83,8 +84,12 @@ class BrokenModel:
             p[np.flatnonzero(p >= 0)[0]] = -1
         return p
 
+    @property
+    def spanning_stack(self):
+        return np.array([self.spanning_perm(s) for s in self._model.closure.nonzero()])
+
     def spanning_matrix(self, s):
-        return _dense(self.spanning_perm(s))
+        return perm.dense(self.spanning_perm(s))
 
 
 @pytest.mark.parametrize("make", [fix_two, fix_kgraph_acyclic])
@@ -101,6 +106,34 @@ def test_broken_model_product_has_the_pairwise_witness(make):
             == jack_check_dense(hull, closure, model, lam)
 
 
+@pytest.mark.parametrize("make", [fix_two, fix_kgraph_acyclic])
+def test_planted_jack_mismatch_reports_the_dense_rank(monkeypatch, make):
+    """Λ with the last column of every non-idempotent redirected: `thesis`
+    rejects the correspondence, and its `dim` is the dense Λ stack's rank.
+    The orbit cover then counts its blocks against the spanning family's
+    rank, read off the index arrays."""
+    class Redirected(LambdaRep):
+        def inverse_perm(self, hull_ctx, s):
+            p = super().inverse_perm(hull_ctx, s)
+            if hull_ctx.is_idempotent(s):
+                return p
+            p = p.copy()
+            p[-1] = -1 if p[-1] == 0 else 0
+            return p
+
+    monkeypatch.setattr(pipeline, "LambdaRep", Redirected)
+    res = analyze_category(make())
+    entry = res.entry("regular-vs-groupoid-model")
+    assert entry.status == "rejected" and res.exit_code == 2
+    hull, lam = res.context["hull"], res.context["lambda_rep"]
+    elements = res.context["closure"].nonzero()
+    dense_rank = matrix_rank([perm.dense(lam.inverse_perm(hull, s)) for s in elements])
+    assert entry.data["dim"] == dense_rank
+    model = res.context["model_omega"]
+    assert res.context["omega_cover"].dim \
+        == matrix_rank([model.spanning_matrix(s) for s in elements])
+
+
 def count_spans(monkeypatch):
     calls = {"__init__": 0}
     monkeypatch.setattr(AlgebraSpan, "__init__", counting(calls, AlgebraSpan.__init__))
@@ -108,28 +141,24 @@ def count_spans(monkeypatch):
 
 
 def test_generation_falls_back_off_separating_partial_permutations(monkeypatch):
-    units = matrix_units(2)
-    fd = block_decompose(AlgebraSpan(units))
-    scaled = [2 * units[0], *units[1:]]
+    units = np.array([[0, -1], [-1, 0], [1, -1], [-1, 1]])  # E₀₀, E₀₁, E₁₀, E₁₁
+    fd = block_decompose(AlgebraSpan(perm.dense(units)))
     calls = count_spans(monkeypatch)
-    assert _partial_permutation_dim(units) == 4 and shilov_ideal(units, fd).mask == frozenset()
+    assert perm.exact_dim(units) == generated_dim(units) == 4 == fd.dim
+    assert shilov_ideal(list(perm.dense(units)), fd).mask == frozenset()
     assert calls == {"__init__": 0}
-    # a non-0/1 entry: the span engine decides, and M₂ is generated
-    assert _partial_permutation_dim(scaled) is None
-    assert shilov_ideal(scaled, fd).mask == frozenset() and calls == {"__init__": 1}
-    # E₁₁ alone leaves a coordinate in no idempotent: the span engine finds ℂ
-    assert _partial_permutation_dim([units[0]]) is None
-    with pytest.raises(NotACover):
-        shilov_ideal([units[0]], fd)
-    assert calls == {"__init__": 2}
+    # E₀₀ alone leaves a coordinate in no idempotent: the span engine finds ℂ, not M₂
+    assert perm.exact_dim(units[:1]) is None
+    assert generated_dim(units[:1]) == 1 and calls == {"__init__": 1}
 
 
 def test_generation_on_isotropy_falls_back_to_the_same_dimension(monkeypatch):
     res = analyze_category(z2_isotropy())
-    a_basis = spectrum_generators(res)
+    model = res.context["model_omega"]
+    gens = model.spanning_stack[model.generator_rows]
     calls = count_spans(monkeypatch)
-    assert _partial_permutation_dim(a_basis) is None
-    assert generated_dim(a_basis) == 8 == res.context["omega_cover"].dim
+    assert perm.exact_dim(gens) is None
+    assert generated_dim(gens) == 8 == res.context["omega_cover"].dim
     assert calls == {"__init__": 1}
 
 
@@ -137,26 +166,73 @@ def test_permutations_close_one_idempotent_not_the_group():
     """An 8-cycle and a transposition generate all 40,320 permutations, but
     only one idempotent support: it does not separate, so the span engine
     answers, with ℂ ⊕ M₇ (the trivial and standard representations of S₈)."""
-    eye = np.eye(8)
-    gens = [eye[:, np.roll(np.arange(8), 1)], eye[:, [1, 0, *range(2, 8)]]]
-    assert _partial_permutation_dim(gens) is None
+    gens = np.array([np.roll(np.arange(8), 1), [1, 0, *range(2, 8)]])
+    assert perm.exact_dim(gens) is None
     assert generated_dim(gens) == 1 + 7 * 7
 
 
-@pytest.mark.parametrize("seed", range(20))
-def test_generated_dim_matches_the_span_engine_on_random_partial_permutations(seed):
+def random_partial_permutations(seed):
+    """(gens, bent): 1–3 seeded partial permutations of 2–6 points, with zero
+    columns, and the first of them with a second column sent to its first
+    column's image, which is not injective."""
     rng = random.Random(seed)
     n = rng.randint(2, 6)
-    gens = []
-    for _ in range(rng.randint(1, 3)):
-        m = np.zeros((n, n))
+    gens = np.full((rng.randint(1, 3), n), -1)
+    for p in gens:
         columns = rng.sample(range(n), rng.randint(1, n))
-        for j, i in zip(columns, rng.sample(range(n), len(columns))):
+        p[columns] = rng.sample(range(n), len(columns))
+    bent = gens[0].copy()
+    first = np.flatnonzero(bent >= 0)[0]
+    bent[(first + 1) % n] = bent[first]
+    return gens, bent
+
+
+SEEDS = range(20)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_generated_dim_matches_the_span_engine_on_random_partial_permutations(seed):
+    gens, _ = random_partial_permutations(seed)
+    exact = perm.exact_dim(gens)
+    assert exact is None or exact == AlgebraSpan(perm.dense(gens), selfadjoint=True).dim
+    assert generated_dim(gens) == AlgebraSpan(perm.dense(gens), selfadjoint=True).dim
+
+
+def dense_of(p):
+    m = np.zeros((len(p), len(p)))
+    for j, i in enumerate(p):
+        if i >= 0:
             m[i, j] = 1.0
-        gens.append(m)
-    exact = _partial_permutation_dim(gens)
-    assert exact is None or exact == AlgebraSpan(gens, selfadjoint=True).dim
-    assert generated_dim(gens) == AlgebraSpan(gens, selfadjoint=True).dim
+    return m
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_each_perm_operation_matches_its_dense_matrix(seed):
+    gens, bent = random_partial_permutations(seed)
+    n = gens.shape[1]
+    family = [*gens, bent]
+    assert np.array_equal(perm.dense(gens), [dense_of(p) for p in gens])
+    for p in family:
+        assert np.array_equal(perm.dense(p), dense_of(p))
+        for m in (1, 2, 3):
+            assert np.array_equal(perm.dense(perm.lift(p, m)), np.kron(np.eye(m), dense_of(p)))
+        for q in family:
+            assert np.array_equal(perm.dense(perm.product(p, q)), dense_of(p) @ dense_of(q))
+            assert perm.is_adjoint(p, q) == np.array_equal(dense_of(q), dense_of(p).T)
+        assert np.array_equal(perm.product(p, gens), [perm.product(p, q) for q in gens])
+    stars = perm.adjoint(gens)
+    for p, star in zip(gens, stars):
+        assert np.array_equal(perm.dense(star), dense_of(p).T) and perm.is_adjoint(p, star)
+    with pytest.raises(ValueError):
+        perm.adjoint(bent)
+    rng = np.random.default_rng(seed)
+    xs = rng.standard_normal((2, n, n)) + 1j * rng.standard_normal((2, n, n))
+    for p in gens:
+        assert np.array_equal(perm.conjugate(xs, p), dense_of(p) @ xs @ dense_of(p).T)
+    with pytest.raises(ValueError):
+        perm.conjugate(xs, bent)
+    stack = np.array(family)
+    assert matrix_rank(perm.support_rows(stack)) == matrix_rank(perm.dense(stack))
 
 
 def transposed_boundary_model(monkeypatch):
@@ -171,11 +247,7 @@ def transposed_boundary_model(monkeypatch):
 
         def spanning_perm(self, s):
             p = super().spanning_perm(s)
-            if self is not made[1]:
-                return p
-            inverse = np.full_like(p, -1)
-            inverse[p[p >= 0]] = np.flatnonzero(p >= 0)
-            return inverse
+            return perm.adjoint(p) if self is made[1] else p
 
     monkeypatch.setattr(pipeline, "GermModel", Model)
 
@@ -242,7 +314,7 @@ def count_float_work(monkeypatch):
         monkeypatch.setattr(cls, "__init__", wrapper)
 
     scoped(pipeline, "jack_check")
-    scoped(envelope, "generated_dim")
+    scoped(pipeline, "generated_dim")
     scoped(pipeline, "boundary_quotient")
     tally(np, "isclose", "isclose")
     tally(np, "allclose", "allclose")
