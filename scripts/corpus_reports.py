@@ -1,15 +1,21 @@
 #!/usr/bin/env python3
-"""Write the report of every command on every shipped fixture, one file per run.
+"""Write the report of every command on every shipped fixture, one file per run,
+and the ``coaction`` report on four generated dense gradings.
 
 Usage: python scripts/corpus_reports.py OUTDIR [--depth N]
 
 Each run calls the command line in process with ``--format json`` and writes
 ``OUTDIR/<command>__<fixture>.json``: the report with its ``fixture`` cut to
 the file's basename, or, when the command refuses the input (exit 1), the exit
-code and the standard error. The reports carry no checkout path, so the trees
-written from two checkouts compare with one ``diff -r``. Prints one line per
-run with its exit code. BLAS runs on one thread unless the environment sets
-``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS``.
+code and the standard error. The generated gradings are the benchmark's own
+coaction-graded inputs at seed 0 (upper2-z2, corner3-z2), written by its
+``prepare``, and two more shapes from its ``graded_text`` (upper3-z3,
+upper2-z4), each on a stream seeded by its name, so they are the same on every
+run. The reports
+carry no checkout path, so the trees written from two checkouts compare with
+one ``diff -r``. Prints one line per run with its exit code. BLAS runs on one
+thread unless the environment sets ``OPENBLAS_NUM_THREADS`` or
+``OMP_NUM_THREADS``.
 """
 
 import argparse
@@ -17,6 +23,10 @@ import contextlib
 import io
 import json
 import os
+import random
+import sys
+import tempfile
+from pathlib import Path
 
 # one BLAS thread, as in the test suite: with a thread per CPU, any concurrent
 # load slows the numerical work by up to two orders of magnitude
@@ -25,15 +35,23 @@ os.environ.setdefault("OMP_NUM_THREADS", "1")
 
 from catenv.cli import COMMANDS, main as cli_main  # noqa: E402  after the thread cap
 
-FIXDIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "fixtures")
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+FIXDIR = os.path.join(ROOT, "fixtures")
+sys.path.append(ROOT)
+from bench.workloads import CORNER3, UPPER2, Grading, graded_text, prepare  # noqa: E402
+
+# gradings beyond the benchmark's: all of upper triangular M_3 over ℤ/3, and M_2's over ℤ/4
+EXTRA_GRADINGS = {
+    "upper3-z3": Grading(3, 3, CORNER3 + ((0, 2), (1, 2))),
+    "upper2-z4": Grading(4, 2, UPPER2),
+}
 
 
-def run(command, fixture, depth):
+def run(command, path, depth):
     """(exit code, document) of one command line run."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli_main([command, os.path.join(FIXDIR, fixture), "--depth", str(depth),
-                         "--format", "json"])
+        code = cli_main([command, path, "--depth", str(depth), "--format", "json"])
     if code == 1:
         return code, {"exit": code, "stderr": err.getvalue()}
     doc = json.loads(out.getvalue())
@@ -47,13 +65,27 @@ def main(argv=None):
     ap.add_argument("--depth", type=int, default=3)
     args = ap.parse_args(argv)
     os.makedirs(args.outdir, exist_ok=True)
+
+    def write(command, path):
+        code, doc = run(command, path, args.depth)
+        fixture = os.path.basename(path)
+        with open(os.path.join(args.outdir, f"{command}__{fixture}.json"), "w",
+                  encoding="utf-8") as fh:
+            fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        print(f"{command} {fixture} exit {code}")
+
     for command in COMMANDS:
         for fixture in sorted(os.listdir(FIXDIR)):
-            code, doc = run(command, fixture, args.depth)
-            path = os.path.join(args.outdir, f"{command}__{fixture}.json")
+            write(command, os.path.join(FIXDIR, fixture))
+    with tempfile.TemporaryDirectory() as tmp:
+        for op in prepare("coaction-graded", 0, Path(tmp)):
+            if op.argv[1].startswith(tmp):  # skip the shipped fixtures
+                write("coaction", op.argv[1])
+        for name, g in EXTRA_GRADINGS.items():
+            path = os.path.join(tmp, f"{name}.grad")
             with open(path, "w", encoding="utf-8") as fh:
-                fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-            print(f"{command} {fixture} exit {code}")
+                fh.write(graded_text(random.Random(name), g.order, g.dim, g.units))
+            write("coaction", path)
 
 
 if __name__ == "__main__":

@@ -11,8 +11,9 @@ crossed products and of duality (λ, ρ, U, V = I⊗US, k_G) is a `perm` index
 array from the group table, and each k_{c₀}(δ_f), I⊗M_f a 0/1 diagonal held
 as a mask. The double crossed product builds its generators once, and its
 checks on matrices of side d·n³ take them n at a time; the dense formulas
-are the test oracles. One span basis over δ_λ(aᵢ)⊗E_pq gives every δ̃ its
-coefficients. A coaction builds each of its crossed products once.
+are the test oracles. Ψ = Ad V maps each generator to a δ_λ(a_k)⊗E_pq, so δ̃
+reads its coefficients by position and every duality identity holds bit for
+bit. A coaction builds each of its crossed products once.
 
 Normality is decided exactly when the grading is spatial: some labeling φ of
 the ambient coordinates by G has φ(i) = g·φ(j) at every nonzero entry (i, j)
@@ -308,9 +309,6 @@ def _stacks(xs, size):
     return [xs[i:i + size] for i in range(0, len(xs), size)]
 
 
-_MIDDLE = "kac,zkbd,kef->zabecdf"  # Σ_k δ_λ(a_k)⊗C_k⊗λ_{deg a_k} over a stack of C
-
-
 class CrossedProduct:
     """A ⋊_δ G on H⊗ℓ²(G), generated by δ_λ(a)·(I⊗M_f).
 
@@ -335,14 +333,14 @@ class CrossedProduct:
         """δ̂_g(δ_λ(a) j(f)) = δ_λ(a) j(σ_g f) with σ_g(f)(h) = f(hg)."""
         G, gens = self.group, self.generators
         k, f = np.divmod(np.arange(len(gens)), len(G))
-        return all(np.allclose(perm.conjugate(gens, rho),
-                               gens[k * len(G) + G.mul_index[f, G.inv_index[g]]], atol=1e-9)
+        return all(np.array_equal(perm.conjugate(gens, rho),
+                                  gens[k * len(G) + G.mul_index[f, G.inv_index[g]]])
                    for g, rho in enumerate(self.rho_perms))
 
     def dual_action_group_law_check(self) -> bool:
         moved = [perm.conjugate(self.generators, rho) for rho in self.rho_perms]
-        return all(np.allclose(perm.conjugate(moved[h], self.rho_perms[g]),
-                               moved[self.group.mul_index[g, h]], atol=1e-9)
+        return all(np.array_equal(perm.conjugate(moved[h], self.rho_perms[g]),
+                                  moved[self.group.mul_index[g, h]])
                    for g, h in np.ndindex(self.group.mul_index.shape))
 
 
@@ -368,7 +366,8 @@ class DoubleCrossedProduct:
         self.c0_masks = np.tile(mul[p, inv[q]], d) == np.arange(n)[:, None]
         self.g_perms = perm.lift(G.lam_perms, d * n)
         self.images = np.array(delta.images)  # δ_λ(a_k)
-        self.degree_lams = np.array([G.lam(g) for g in delta.graded.degrees])
+        self.degrees = np.array([G.index[g] for g in delta.graded.degrees], dtype=np.intp)
+        self.degree_lams = perm.dense(G.lam_perms[self.degrees])
 
     @property
     def big_u_perm(self):
@@ -382,51 +381,30 @@ class DoubleCrossedProduct:
         # column c of X·k_G(g) is column g_perms[g, c] of X
         return np.moveaxis(k_a_c0[..., self.g_perms], 3, 2).reshape((-1,) + k_a_c0.shape[2:])
 
-    @cached_property
-    def kron_basis(self):
-        """(span, accepted): a span basis of δ_λ(A)⊗𝕂 grown from the
-        B_kr = δ_λ(a_k)⊗E_r, a_k running over the graded basis and E_r over the
-        n² matrix units E_pq of G×G, one batch per a_k, and the positions
-        k·n² + r of the B_kr it accepted."""
-        units = np.eye(self.n * self.n).reshape(-1, self.n, self.n)
-        span, accepted = SpanBasis(), []
-        for k, da in enumerate(self.images):
-            accepted += [k * len(units) + r for r in span.accept(_kron(da, units))]
-        return span, np.array(accepted, dtype=np.intp)
-
     def double_dual(self, xs) -> np.ndarray:
         """δ̂̂(x) = (I⊗I⊗U)(x ⊗ I)(I⊗I⊗U)*, on a stack of x."""
         return perm.conjugate(_kron(xs, np.eye(self.n)), self.big_u_perm)
 
     def double_dual_formula_check(self) -> bool:
         """δ̂̂(k_A k_{c₀} k_G(g)) = (same) ⊗ λ_g."""
-        lams = np.array([self.group.lam(g) for g in self.group.elements])
-        return all(np.allclose(self.double_dual(xs), _kron(xs, lams), atol=1e-9)
+        lams = perm.dense(self.group.lam_perms)
+        return all(np.array_equal(self.double_dual(xs), _kron(xs, lams))
                    for xs in _stacks(self.generators, self.n))
 
-    def tilde_coefficients(self, ys):
-        """(inside, C): whether each y of the stack lies in δ_λ(A)⊗𝕂, and the
-        n×n blocks C[j, k] with ys[j] = Σ_k δ_λ(a_k)⊗C[j, k], a_k graded."""
-        span, accepted = self.kron_basis
-        inside, coef = span.solve(ys)
-        blocks = np.zeros((len(ys), len(self.images) * self.n ** 2), dtype=complex)
-        blocks[:, accepted] = coef
-        return inside, blocks.reshape(len(ys), -1, self.n, self.n)
+    def psi_blocks(self):
+        """(ks, cs): Ψ(generators[j]) = δ_λ(a_{ks[j]})⊗cs[j] when (i)–(iii)
+        hold, with cs[j] = E_{df,fg} at j = (k·n + f)·n + g, d = deg a_k."""
+        mul, n = self.group.mul_index, self.n
+        ks, f, g = np.indices((len(self.images), n, n)).reshape(3, -1)
+        cs = np.zeros((len(ks), n, n))
+        cs[np.arange(len(ks)), mul[self.degrees[ks], f], mul[f, g]] = 1.0
+        return ks, cs
 
-    @cached_property
-    def _middle_path(self):
-        blocks = np.zeros((self.n, len(self.images), self.n, self.n), dtype=complex)
-        return np.einsum_path(_MIDDLE, self.images, blocks, self.degree_lams,
-                              optimize="optimal")[0]
-
-    def tilde_delta(self, blocks) -> np.ndarray:
-        """δ̃(δ_λ(a)⊗K) = (I⊗I⊗U)*(δ_λ(a)⊗K⊗λ_g)(I⊗I⊗U), extended linearly,
-        on the stack with blocks C from `tilde_coefficients`."""
-        middle = np.einsum(_MIDDLE, self.images, blocks, self.degree_lams,
-                           optimize=self._middle_path)
-        side = len(self.big_u_perm)
-        return perm.conjugate(middle.reshape(len(blocks), side, side),
-                              perm.adjoint(self.big_u_perm))
+    def tilde_delta(self, ks, cs) -> np.ndarray:
+        """δ̃(δ_λ(a_k)⊗C) = (I⊗I⊗U)*(δ_λ(a_k)⊗C⊗λ_{deg a_k})(I⊗I⊗U), one block
+        C of cs (or one C for all) per k of ks."""
+        middle = _kron(_kron(self.images[ks], cs), self.degree_lams[ks])
+        return perm.conjugate(middle, perm.adjoint(self.big_u_perm))
 
 
 @dataclass
@@ -436,7 +414,7 @@ class KatayamaReport:
     identity_iii: bool
     span_equality: bool
     image_dim: int
-    conjugation_match: bool
+    conjugation_match: bool  # certifies δ̂̂ only with double_dual_formula_check
     pe_invariance: bool
 
     @property
@@ -446,44 +424,47 @@ class KatayamaReport:
                 if f.type == "bool" and not getattr(self, f.name)]
 
 
-def katayama_verify(delta: Coaction, tol=1e-12) -> KatayamaReport:
-    """Katayama duality through Ad(V): the three conjugation identities, the span
-    equality Ad(V)(A ⋊ G ⋊ G) = δ_λ(A)⊗𝕂, (Ψ⊗id)∘δ̂̂ = δ̃∘Ψ on generators and the
-    invariance of δ_λ(A)⊗P_e under δ̃. An image outside δ_λ(A)⊗𝕂 fails the
-    check that takes δ̃ of it. The large arrays go n generators at a time."""
+def katayama_verify(delta: Coaction) -> KatayamaReport:
+    """Katayama duality through Ψ = Ad(V): the conjugation identities
+    (i) Ψ(k_A(a)) = δ_λ(a)⊗λ_{deg a}, (ii) Ψ(k_{c₀}(δ_f)) = I⊗M_f and
+    (iii) Ψ(k_G(g)) = I⊗ρ_g, the span equality Ψ(A ⋊ G ⋊ G) = δ_λ(A)⊗𝕂,
+    (Ψ⊗id)∘δ̂̂ = δ̃∘Ψ on generators and the invariance of δ_λ(A)⊗P_e under δ̃.
+
+    Ψ is multiplicative, so (i)–(iii) give Ψ(k_A(a_k) k_{c₀}(δ_f) k_G(g)) =
+    δ_λ(a_k)⊗λ_d M_f ρ_g = δ_λ(a_k)⊗E_{df,fg}, d = deg a_k: δ̃ takes its
+    coefficient block by position (`psi_blocks`). As (f, g) runs over G×G,
+    (df, fg) runs over every matrix unit, so the span equality holds exactly
+    when (i)–(iii) do, and the conjugation match fails with it; the image has
+    dimension n²·dim A, dim A read from `GradedAlgebra.span` as for the crossed
+    product. (Ψ⊗id)δ̂̂(x) is taken as Ψ(x)⊗λ_g, so the match certifies the
+    double dual only where `double_dual_formula_check` passes. Every side
+    moves graded-basis entries or multiplies them by 0 or 1, so each identity
+    is compared exactly. The large arrays go n generators at a time.
+    """
     dcp = delta.double_crossed_product
     G, n, v = delta.group, dcp.n, dcp.v_perm
     das, lams = dcp.images, dcp.degree_lams
-    ok_i = np.allclose(perm.conjugate(_kron(das, np.eye(n)), v), _kron(das, lams), atol=tol)
-    # Ad(V) of a 0/1 diagonal or a permutation is again one: compare them exactly
+    ok_i = np.array_equal(perm.conjugate(_kron(das, np.eye(n)), v), _kron(das, lams))
     v_star = perm.adjoint(v)
     last_leg = np.tile(np.arange(n), dcp.h_dim * n)
     ok_ii = np.array_equal(dcp.c0_masks[:, v_star], last_leg == np.arange(n)[:, None])
     ok_iii = np.array_equal(perm.product(v, dcp.g_perms[:, v_star]),
                             perm.lift(G.rho_perms, dcp.h_dim * n))
+    span_ok = ok_i and ok_ii and ok_iii
+    image_dim = n * n * len(delta.graded.span[1])
 
-    # span equality Ad(V)(double crossed product) = δ_λ(A) ⊗ 𝕂
-    images = perm.conjugate(dcp.generators, v)
-    target = dcp.kron_basis[0].members
-    ri, rt = matrix_rank(images), len(target)  # SpanBasis keeps independent members
-    rj = matrix_rank([*images, *target])
-    span_ok = ri == rt == rj
+    gens, (ks, blocks), group_lams = dcp.generators, dcp.psi_blocks(), perm.dense(G.lam_perms)
+    conj_ok = span_ok and all(
+        np.array_equal(_kron(perm.conjugate(gens[j], v), group_lams),
+                       dcp.tilde_delta(ks[j], blocks[j]))
+        for j in _stacks(np.arange(len(gens)), n))
 
-    # conjugation: (Ψ⊗id)∘δ̂̂ = δ̃∘Ψ on generators, with δ̃ the explicit formula
-    v_n = (v[:, None] * n + np.arange(n)).ravel()  # V⊗I
-    inside, blocks = dcp.tilde_coefficients(images)
-    conj_ok = bool(inside.all()) and all(
-        np.allclose(perm.conjugate(dcp.double_dual(xs), v_n), dcp.tilde_delta(cs), atol=tol)
-        for xs, cs in zip(_stacks(dcp.generators, n), _stacks(blocks, n)))
+    # δ_λ(a_k)⊗P_e has the block P_e at k
+    pe = np.diag(np.arange(n) == G.index[G.identity]).astype(float)
+    pe_ok = all(np.array_equal(dcp.tilde_delta(k, pe), _kron(_kron(das[k], pe), lams[k]))
+                for k in _stacks(np.arange(len(das)), n))
 
-    # invariance of δ_λ(A)⊗P_e under δ̃
-    ys = _kron(das, np.diag(np.arange(n) == G.index[G.identity]))
-    inside, blocks = dcp.tilde_coefficients(ys)
-    pe_ok = bool(inside.all()) and all(
-        np.allclose(dcp.tilde_delta(cs), _kron(y, lg), atol=tol)
-        for y, cs, lg in zip(_stacks(ys, n), _stacks(blocks, n), _stacks(lams, n)))
-
-    return KatayamaReport(ok_i, ok_ii, ok_iii, span_ok, ri, conj_ok, pe_ok)
+    return KatayamaReport(ok_i, ok_ii, ok_iii, span_ok, image_dim, conj_ok, pe_ok)
 
 
 # -- extension of the coaction to a computed envelope -----------------------------

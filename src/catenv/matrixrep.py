@@ -188,23 +188,13 @@ class SpanBasis:
             self._pinv = None
         return accepted
 
-    def _pseudo_inverse(self):
-        if self._pinv is None:
-            self._pinv = np.linalg.pinv(np.array([b.ravel() for b in self.members]).T)
-        return self._pinv
-
     def coordinates(self, m) -> np.ndarray:
         """Coefficients c with m = Σ c_i members[i]; ValueError if m is outside."""
         if not self.contains(m):
             raise ValueError("element outside the span")
-        return self._pseudo_inverse() @ np.asarray(m, dtype=complex).ravel()
-
-    def solve(self, ms):
-        """(inside, c): whether each m of the stack ms lies in the span, in one
-        batch, and c[j] with ms[j] = Σ c[j, i] members[i] where it does."""
-        rows = np.asarray(ms, dtype=complex).reshape(len(ms), -1)
-        inside = self._inside(rows, self._residuals(rows))
-        return inside, rows @ self._pseudo_inverse().T
+        if self._pinv is None:
+            self._pinv = np.linalg.pinv(np.array([b.ravel() for b in self.members]).T)
+        return self._pinv @ np.asarray(m, dtype=complex).ravel()
 
 
 # a closure that still grows after this many rounds of products is reported

@@ -92,17 +92,19 @@ def exact_dim(stack):
 
     That algebra is the span of the inverse semigroup S the generators and
     their inverses generate. An idempotent of S is the identity on the domain
-    of some member, and the domain of w·g is g⁻¹(dom w), so the idempotents'
-    supports are closed from the generators' domains by pulling back along
-    each generator; unlike S (permutations generate n! members), they stay
-    few. When they cover every coordinate and no two coordinates lie in
-    exactly the same ones, each coordinate x has its own least support, so
-    Möbius inversion over the ∩-closed supports gives every E_xx in span S
-    (Steinberg 2006, "Möbius functions and semigroup representation theory").
-    Then E_yx = s·E_xx lies in span S exactly when a path of generators and
-    inverses joins x to y, and every s is a sum of such E_yx: span S is
-    ⊕ M_|K| over the classes K of that relation, of dimension Σ|K|², each
-    class named by its least coordinate. Otherwise (isotropy, uncovered
+    of some word, so two coordinates lie in exactly the same idempotent
+    supports when every word is defined at both or at neither. A word w·g is
+    defined at x when g is and w is at g(x): that equivalence is the coarsest
+    partition that separates where each generator is defined and is stable
+    under each, which Moore's partition refinement finds in at most n rounds
+    without listing the supports (they can number 2ⁿ). When each coordinate
+    lies in some support and no two are equivalent, each has its own least
+    support, so Möbius inversion over the ∩-closed supports gives every E_xx
+    in span S (Steinberg 2006, "Möbius functions and semigroup representation
+    theory"). Then E_yx = s·E_xx lies in span S exactly when a path of
+    generators and inverses joins x to y, and every s is a sum of such E_yx:
+    span S is ⊕ M_|K| over the classes K of that relation, of dimension Σ|K|²,
+    each class named by its least coordinate. Otherwise (isotropy, uncovered
     coordinates, an empty stack) the answer is None, which refutes nothing.
     """
     perms = np.asarray(stack, dtype=np.intp)
@@ -110,15 +112,14 @@ def exact_dim(stack):
         return None
     n = perms.shape[1]
     gens = np.concatenate([perms, adjoint(perms)])
-    supports, batch = {}, gens >= 0
-    while len(batch):
-        fresh = {d.tobytes(): d for d in batch if d.tobytes() not in supports}
-        supports.update(fresh)
-        # index −1 reads the False column appended at n
-        pulled = np.pad(np.reshape(list(fresh.values()), (-1, n)), ((0, 0), (0, 1)))
-        batch = pulled[:, gens].reshape(-1, n)
-    patterns = np.array(list(supports.values())).T  # coordinate x: the supports holding x
-    if not patterns.any(axis=1).all() or len({x.tobytes() for x in patterns}) < n:
+    # a coordinate's key: its class, then each generator's image class, −1 where
+    # it is undefined; the first round separates definedness, later ones refine
+    classes, count = np.zeros(n, dtype=np.intp), 0
+    while count <= classes.max():
+        count = classes.max() + 1
+        keys = np.column_stack([classes, np.append(classes, -1)[gens].T])
+        classes = np.unique(keys, axis=0, return_inverse=True)[1].ravel()
+    if count < n or not (gens >= 0).any(axis=0).all():
         return None
     x, y = np.nonzero(gens >= 0)[1], gens[gens >= 0]  # the edges x — g(x), both ways
     label, low = None, np.arange(n)

@@ -9,7 +9,8 @@ a deviation search that scores one trial at a time, the duality checks of
 a coaction with every permutation unitary and 0/1 diagonal a dense matrix,
 germs compared by their pieces with every ideal containment derived from the
 parts, the spanning-family correspondence checked one pair at a time and on
-dense stacks with `isclose` (the exact index-array check replaced both), ideal
+dense stacks with `isclose` (the exact index-array check replaced both), the
+exact generation count with every idempotent support listed, ideal
 detection asked of every set of blocks, a kernel mask read off every matrix
 unit of each block, and the boundary-core chain of a monoid (fractions, κ₀,
 germ equality at the full-support character) on morphisms, through the
@@ -40,7 +41,7 @@ from catenv.hull import HullClosure, InconsistentPieces, PiecewiseBijection
 from catenv.lcm import NotCore, core_membership
 from catenv.matrixrep import (AlgebraSpan, IsometryVerdict, SpanBasis, _joint_rank,
                               level_k_norms, matrix_rank, operator_norm)
-from catenv.perm import conjugate, dense, from_map
+from catenv.perm import adjoint, conjugate, dense, from_map
 from catenv.report import Entry
 from catenv.univgroup import IsoLetter, OrbitData, UGWord, XLetter, reduce_word
 
@@ -404,6 +405,35 @@ def jack_check_dense(hull_ctx, closure, model, lam, tol=1e-8):
     if not (ra == rb == rjoint):
         return False, ("dependency mismatch", ra, rb, rjoint)
     return True, ra
+
+
+def exact_dim_by_support_closure(stack):
+    """`perm.exact_dim` with the idempotent supports listed: the generators'
+    domains, closed by pulling back along each generator and inverse, then the
+    coordinates compared by the supports that hold them. The family can have
+    2ⁿ members."""
+    perms = np.asarray(stack, dtype=np.intp)
+    if not perms.size:
+        return None
+    n = perms.shape[1]
+    gens = np.concatenate([perms, adjoint(perms)])
+    supports, batch = {}, gens >= 0
+    while len(batch):
+        fresh = {d.tobytes(): d for d in batch if d.tobytes() not in supports}
+        supports.update(fresh)
+        # index −1 reads the False column appended at n
+        pulled = np.pad(np.reshape(list(fresh.values()), (-1, n)), ((0, 0), (0, 1)))
+        batch = pulled[:, gens].reshape(-1, n)
+    patterns = np.array(list(supports.values())).T  # coordinate x: the supports holding x
+    if not patterns.any(axis=1).all() or len({x.tobytes() for x in patterns}) < n:
+        return None
+    x, y = np.nonzero(gens >= 0)[1], gens[gens >= 0]
+    label, low = None, np.arange(n)
+    while not np.array_equal(label, low):
+        label = low[low]
+        low = label.copy()
+        np.minimum.at(low, x, label[y])
+    return int((np.unique(label, return_counts=True)[1] ** 2).sum())
 
 
 def shilov_ideal_by_singles(a_basis, cover, levels=None, samples=25, tol=1e-9,

@@ -159,8 +159,9 @@ def test_generators_outside_the_cover_exit_four(monkeypatch, capsys):
 
 
 def test_duality_image_outside_the_span_is_rejected(monkeypatch, capsys):
-    # with V = I the images Ad(V)(generators) leave δ_λ(A)⊗𝕂: δ̃ has no
-    # coefficients for them, which is a rejection, not an error
+    # with V = I identities (i) and (ii) fail, so Ad(V) does not map the
+    # generators onto δ_λ(A)⊗𝕂 and δ̃'s closed-form coefficients do not
+    # apply: a rejection, not an error
     import numpy as np
 
     from catenv.coactions import DoubleCrossedProduct
@@ -179,6 +180,23 @@ def test_duality_image_outside_the_span_is_rejected(monkeypatch, capsys):
     detail = {e["check"]: e["detail"] for e in json.loads(out)["entries"]}
     assert detail["duality"] == ("identity_i, identity_ii, span_equality, conjugation_match "
                                  "failed; image dimension 12")
+
+
+def test_near_dependent_generators_are_one_dimension_in_both_entries(tmp_path, capsys):
+    # the two degree-0 generators differ by 1e-5 in one entry: `SpanBasis`
+    # counts them once, and so does the duality's image, n² = 4 times the
+    # two dimensions of A, where an SVD rank would count three
+    grad = tmp_path / "near.grad"
+    grad.write_text("class: graded_algebra\ngroup: cyclic 2\nambient: 2\ngenerators:\n"
+                    "0 0,0,1;1,1,1\n0 0,0,1;1,1,1.00001\n1 0,1,1\n", encoding="utf-8")
+    code, out, err = run(capsys, "coaction", str(grad), "--format", "json")
+    assert code == 0 and err == ""
+    entries = {e["check"]: e for e in json.loads(out)["entries"]}
+    assert entries["duality"]["status"] == entries["crossed-product"]["status"] == "certified"
+    assert entries["duality"]["detail"] == \
+        "unitary conjugation identities hold; image dimension 8"
+    assert entries["crossed-product"]["detail"] == \
+        "dimension 4; dual action verified on generators"
 
 
 def test_a_wrong_dual_action_names_both_failed_checks(monkeypatch, capsys):

@@ -1,24 +1,34 @@
 """The duality checks of a coaction, run as permutation gathers, against the
-dense formulas in `oracles`: on a non-abelian S₃ grading, the shipped gradings
-and seeded cyclic gradings the checks agree one by one, and each check rejects
-a planted corruption exactly when the dense formula does. Normality, read on
-the blocks of C*(G), against the dense complete-isometry sampler."""
+dense formulas in `oracles`: on a non-abelian S₃ grading, the shipped gradings,
+seeded cyclic gradings and a dependent graded basis the checks agree one by
+one, and each check rejects a planted corruption exactly when the dense
+formula does. `katayama_verify` reads δ̃'s coefficients in closed form, with
+no SVD, span basis or tolerance. Normality, read on the blocks of C*(G),
+against the dense complete-isometry sampler."""
 
+import contextlib
+import io
 import itertools
 import math
+import os
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from catenv import cli
 from catenv.coactions import (CrossedProduct, FiniteGroup, GradedAlgebra,
                               coaction_from_grading, katayama_verify)
 from catenv.envelope import _blockwise_deviation, is_boundary_ideal
 from catenv.fixtures import t2_graded, t3_graded
-from catenv.matrixrep import complete_isometry_check, level_k_norms, matrix_rank
+from catenv.matrixrep import SpanBasis, complete_isometry_check, level_k_norms, matrix_rank
 from catenv.perm import conjugate, dense as perm_matrix
 from oracles import (DenseCrossedProduct, DenseDoubleCrossedProduct,
                      crossed_dual_action, katayama_verify_dense, rho, tilde_delta_dense)
+from test_linalg_oracles import t2_with_repeated_generator
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
 
 def s3():
@@ -78,6 +88,7 @@ CASES = [
                  id="corner3-z2"),
     pytest.param(lambda: bench_shaped_grading(3, 3, 3, UPPER(3)), id="upper3-z3"),
     pytest.param(lambda: bench_shaped_grading(4, 4, 2, UPPER(2)), id="upper2-z4"),
+    pytest.param(lambda: cyclic(t2_with_repeated_generator), id="t2-dependent"),
 ]
 
 
@@ -117,6 +128,39 @@ def test_katayama_matches_dense(prepared):
     assert dcp.double_dual_formula_check() == dense.double_dual_formula_check(sample)
 
 
+def test_katayama_verify_takes_no_svd_span_basis_or_allclose(monkeypatch):
+    """One `coaction` run's `katayama_verify` takes no SVD, builds no
+    `SpanBasis` and calls no `np.allclose`: every identity is exact, and the
+    image dimension is read from the span the grading's validation built.
+    The rest of the run does all three, which shows the counters count."""
+    calls = {True: Counter(), False: Counter()}
+    inside = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[bool(inside)][name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module, name in ((np.linalg, "svd"), (np.linalg, "pinv"), (np.linalg, "lstsq"),
+                         (np, "allclose"), (SpanBasis, "__init__")):
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    verify = cli.katayama_verify
+
+    def tracked(delta):
+        inside.append(True)
+        try:
+            return verify(delta)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(cli, "katayama_verify", tracked)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["coaction", os.path.join(FIXTURES, "t3.grad")]) == 0
+    assert calls[True] == Counter()
+    assert {"svd", "allclose", "__init__"} <= set(calls[False])
+
+
 def test_unitaries_generators_and_kron_basis_match_dense(prepared):
     delta, dense = prepared
     G = delta.group
@@ -131,23 +175,22 @@ def test_unitaries_generators_and_kron_basis_match_dense(prepared):
         assert np.array_equal(np.diag(dcp.c0_masks[i]), dense.k_c0(g))
     generators = dcp.generators
     assert np.array_equal(generators, [m for _, m in dense.generators()])
-    # one SpanBasis.extend per δ_λ(a_k) accepts what one-at-a-time adds accept
-    span, accepted = dcp.kron_basis
-    dense_span, dense_accepted = dense.kron_basis
-    assert np.array_equal(accepted, dense_accepted)
-    assert np.array_equal(span.members, dense_span.members)
-    assert matrix_rank(span.members) == len(span.members)  # katayama_verify's rank
+    # δ_λ(A)⊗𝕂 has n²·dim A dimensions, by the dense kron basis and its SVD rank
+    span, _ = dense.kron_basis
+    assert matrix_rank(span.members) == len(span.members) \
+        == n * n * len(delta.graded.span[1]) == katayama_verify(delta).image_dim
     # both sides of the conjugation identity, value by value
     images = conjugate(generators, dcp.v_perm)
-    inside, blocks = dcp.tilde_coefficients(images)
-    assert inside.all()
+    ks, blocks = dcp.psi_blocks()
     v_n = np.kron(dense.data.V, np.eye(n))
     for j in range(len(images))[sample_of(delta)]:
         mat = generators[j]
         assert np.array_equal(dcp.double_dual(mat[None])[0], dense.double_dual(mat))
         lhs = conjugate(dcp.double_dual(mat[None]), (dcp.v_perm[:, None] * n + np.arange(n)).ravel())[0]
         assert np.array_equal(lhs, v_n @ dense.double_dual(mat) @ v_n.conj().T)
-        assert np.allclose(dcp.tilde_delta(blocks[j:j + 1])[0],
+        # Ψ(x) is δ_λ(a_k)⊗E_{df,fg}, and δ̃ of it is read from that block
+        assert np.array_equal(images[j], np.kron(dcp.images[ks[j]], blocks[j]))
+        assert np.allclose(dcp.tilde_delta(ks[j:j + 1], blocks[j:j + 1])[0],
                            tilde_delta_dense(dense, images[j], delta), rtol=0, atol=1e-12)
 
 

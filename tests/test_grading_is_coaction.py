@@ -6,7 +6,8 @@ more. The reference checker in `oracles` confirms the axioms on every grading
 a `coaction` run builds: the shipped ones, the duality cases, the benchmark's
 generated ones, a grading with no spatial labeling and the envelope gradings
 `extend_grading` returns. `Coaction.delta` agrees with δ = Σ_g m_g⊗λ_g solved
-degree by degree, and a `coaction` run builds no `SpannedStarMap`.
+degree by degree, the duality's image is n times the crossed product, and a
+`coaction` run builds no `SpannedStarMap`.
 """
 
 import contextlib
@@ -21,7 +22,7 @@ import pytest
 
 from catenv import cli
 from catenv.coactions import (GradedAlgebra, NoExtensionFound, coaction_from_grading,
-                              extend_grading)
+                              extend_grading, katayama_verify)
 from catenv.envelope import SpannedStarMap
 from catenv.matrixrep import AlgebraSpan
 from catenv.parsing import load_path, load_text
@@ -109,6 +110,14 @@ def test_delta_matches_the_per_degree_oracle(make):
         c = rng.standard_normal(len(graded.basis)) + 1j * rng.standard_normal(len(graded.basis))
         m = np.tensordot(c, np.array(graded.basis), 1)
         assert np.allclose(delta.delta(m), delta_per_degree(graded, m), atol=1e-9)
+
+
+@pytest.mark.parametrize("make", GRADINGS)
+def test_the_duality_image_is_n_times_the_crossed_product(make):
+    """δ_λ(A)⊗𝕂 has dimension n²·dim A and A ⋊_δ G has n·dim A, both counted
+    by `SpanBasis`'s one test of independence."""
+    delta = coaction_from_grading(make())
+    assert katayama_verify(delta).image_dim == len(delta.group) * delta.crossed_product.span.dim
 
 
 @pytest.mark.parametrize("fixture", ["t2.grad", "t3.grad"])

@@ -197,9 +197,12 @@ def test_coaction_coordinates_match_per_degree_solves(graded_fixture):
     pe = point_mass(group, group.identity)
     ys = [V @ mat @ V.conj().T for _, mat in dense.generators()[::7]]
     ys += [np.kron(delta.delta(a), pe) for a in basis]
-    inside, blocks = dcp.tilde_coefficients(np.array(ys))
-    assert inside.all()
-    for y, value in zip(ys, dcp.tilde_delta(blocks)):
+    # δ̃ in closed form: Ψ of generator j has the block E_{df,fg} at ks[j], and
+    # δ_λ(a_k)⊗P_e the block P_e at k
+    ks, blocks = dcp.psi_blocks()
+    ks = np.concatenate([ks[::7], np.arange(len(basis))])
+    blocks = np.concatenate([blocks[::7], np.broadcast_to(pe, (len(basis),) + pe.shape)])
+    for y, value in zip(ys, dcp.tilde_delta(ks, blocks)):
         assert np.allclose(value, tilde_delta_by_lstsq(dense, y, delta), rtol=0, atol=1e-12)
 
 
