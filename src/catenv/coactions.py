@@ -9,11 +9,11 @@ basis. `GradedAlgebra.validate` is the one gate: a grading it accepts defines
 a coaction, by the argument in `coaction_from_grading`. Every unitary of the
 crossed products and of duality (λ, ρ, U, V = I⊗US, k_G) is a `perm` index
 array from the group table, and each k_{c₀}(δ_f), I⊗M_f a 0/1 diagonal held
-as a mask. The double crossed product builds its generators once, and its
-checks on matrices of side d·n³ take them n at a time; the dense formulas
-are the test oracles. Ψ = Ad V maps each generator to a δ_λ(a_k)⊗E_pq, so δ̃
-reads its coefficients by position and every duality identity holds bit for
-bit. A coaction builds each of its crossed products once.
+as a mask. Ψ = Ad V maps each generator of the double crossed product to a
+δ_λ(a_k)⊗E_pq, and δ̂̂ and δ̃ conjugate by I⊗I⊗U on the group legs only, so
+the duality identities past (i)–(iii) are decided on index arrays of those
+legs, exactly, and no matrix of side d·n³ is built; the dense formulas are
+the test oracles. A coaction builds each of its crossed products once.
 
 Normality is decided exactly when the grading is spatial: some labeling φ of
 the ambient coordinates by G has φ(i) = g·φ(j) at every nonzero entry (i, j)
@@ -305,10 +305,6 @@ def _kron(xs, ys):
     return out.reshape(out.shape[:-4] + (a * c, b * d))
 
 
-def _stacks(xs, size):
-    return [xs[i:i + size] for i in range(0, len(xs), size)]
-
-
 class CrossedProduct:
     """A ⋊_δ G on H⊗ℓ²(G), generated by δ_λ(a)·(I⊗M_f).
 
@@ -348,10 +344,12 @@ class DoubleCrossedProduct:
     """A ⋊_δ G ⋊^r G on H⊗ℓ²(G)⊗ℓ²(G) with the duality unitaries.
 
     The unitaries are index arrays: `u_perm` for U e_p⊗e_q = e_p⊗e_{pq},
-    `v_perm` for V = I⊗US, `g_perms[g]` for k_G(g) = I⊗I⊗λ_g and
-    `big_u_perm` for I⊗I⊗U, the U on the legs a double dual adds;
-    k_{c₀}(δ_f) is the diagonal `c0_masks[f]`, (p, q) ↦ [p = f·q]. Checks
-    on matrices of side d·n³ take n generators at a time.
+    `v_perm` for V = I⊗US and `g_perms[g]` for k_G(g) = I⊗I⊗λ_g;
+    k_{c₀}(δ_f) is the diagonal `c0_masks[f]`, (p, q) ↦ [p = f·q]. A
+    generator k_A(a) k_{c₀}(δ_f) k_G(g) is (δ_λ(a)⊗I)·P with P =
+    k_{c₀}(δ_f) k_G(g) a partial permutation, and δ̂̂ and δ̃ conjugate by
+    I⊗I⊗U, which leaves δ_λ(a) alone: their checks run on index arrays of P
+    and of the group legs, and no matrix of side d·n³ is built.
     """
 
     def __init__(self, delta: Coaction):
@@ -369,42 +367,33 @@ class DoubleCrossedProduct:
         self.degrees = np.array([G.index[g] for g in delta.graded.degrees], dtype=np.intp)
         self.degree_lams = perm.dense(G.lam_perms[self.degrees])
 
-    @property
-    def big_u_perm(self):
-        return perm.lift(self.u_perm, self.h_dim * self.n)
+    def generator_legs(self) -> np.ndarray:
+        """P = k_{c₀}(δ_f) k_G(g) at [f, g], the index arrays with which the
+        generators are k_A(a)·P."""
+        c0 = np.where(self.c0_masks, np.arange(self.c0_masks.shape[1]), -1)
+        return np.array([perm.product(c, self.g_perms) for c in c0])
 
-    @cached_property
-    def generators(self) -> np.ndarray:
-        """k_A(a_k) k_{c₀}(δ_f) k_G(g) at position (k·n + f)·n + g, with
-        k_A(a) = δ_λ(a)⊗I; each run of n shares (a_k, f)."""
-        k_a_c0 = _kron(self.images, np.eye(self.n))[:, None] * self.c0_masks[:, None, :]
-        # column c of X·k_G(g) is column g_perms[g, c] of X
-        return np.moveaxis(k_a_c0[..., self.g_perms], 3, 2).reshape((-1,) + k_a_c0.shape[2:])
+    def double_dual_legs(self, ps) -> np.ndarray:
+        """Ad(I⊗I⊗U)(P⊗1) for a stack of P: δ̂̂((δ_λ(a)⊗I)·P) is δ_λ(a)⊗I⊗I
+        times it, for I⊗I⊗U commutes with δ_λ(a)⊗I⊗I."""
+        big_u = perm.lift(self.u_perm, self.h_dim * self.n)
+        return perm.product(big_u, perm.kron(ps, np.arange(self.n))[..., perm.adjoint(big_u)])
 
-    def double_dual(self, xs) -> np.ndarray:
-        """δ̂̂(x) = (I⊗I⊗U)(x ⊗ I)(I⊗I⊗U)*, on a stack of x."""
-        return perm.conjugate(_kron(xs, np.eye(self.n)), self.big_u_perm)
+    def tilde_delta_legs(self, xs) -> np.ndarray:
+        """U*XU for a stack of index arrays X on the group legs: δ̃(δ_λ(a)⊗C)
+        is δ_λ(a)⊗U*(C⊗λ_{deg a})U, for δ̃ = Ad(I⊗I⊗U)* acts on those legs only."""
+        return perm.product(perm.adjoint(self.u_perm), xs[..., self.u_perm])
 
     def double_dual_formula_check(self) -> bool:
-        """δ̂̂(k_A k_{c₀} k_G(g)) = (same) ⊗ λ_g."""
-        lams = perm.dense(self.group.lam_perms)
-        return all(np.array_equal(self.double_dual(xs), _kron(xs, lams))
-                   for xs in _stacks(self.generators, self.n))
+        """δ̂̂(x) = x⊗λ_g on every generator x = (δ_λ(a)⊗I)·P, P = k_{c₀}(δ_f) k_G(g).
 
-    def psi_blocks(self):
-        """(ks, cs): Ψ(generators[j]) = δ_λ(a_{ks[j]})⊗cs[j] when (i)–(iii)
-        hold, with cs[j] = E_{df,fg} at j = (k·n + f)·n + g, d = deg a_k."""
-        mul, n = self.group.mul_index, self.n
-        ks, f, g = np.indices((len(self.images), n, n)).reshape(3, -1)
-        cs = np.zeros((len(ks), n, n))
-        cs[np.arange(len(ks)), mul[self.degrees[ks], f], mul[f, g]] = 1.0
-        return ks, cs
-
-    def tilde_delta(self, ks, cs) -> np.ndarray:
-        """δ̃(δ_λ(a_k)⊗C) = (I⊗I⊗U)*(δ_λ(a_k)⊗C⊗λ_{deg a_k})(I⊗I⊗U), one block
-        C of cs (or one C for all) per k of ks."""
-        middle = _kron(_kron(self.images[ks], cs), self.degree_lams[ks])
-        return perm.conjugate(middle, perm.adjoint(self.big_u_perm))
+        By `double_dual_legs`, Ad(I⊗I⊗U)(P⊗1) = P⊗λ_g, compared on index
+        arrays of d·n³ points for every (f, g), implies the formula for
+        every a. It is sufficient, not necessary: a U that moved only
+        columns δ_λ(a)⊗I⊗I kills would fail here and not in the formula."""
+        ps = self.generator_legs()
+        return np.array_equal(self.double_dual_legs(ps),
+                              perm.kron(ps, self.group.lam_perms[None]))
 
 
 @dataclass
@@ -431,15 +420,18 @@ def katayama_verify(delta: Coaction) -> KatayamaReport:
     (Ψ⊗id)∘δ̂̂ = δ̃∘Ψ on generators and the invariance of δ_λ(A)⊗P_e under δ̃.
 
     Ψ is multiplicative, so (i)–(iii) give Ψ(k_A(a_k) k_{c₀}(δ_f) k_G(g)) =
-    δ_λ(a_k)⊗λ_d M_f ρ_g = δ_λ(a_k)⊗E_{df,fg}, d = deg a_k: δ̃ takes its
-    coefficient block by position (`psi_blocks`). As (f, g) runs over G×G,
-    (df, fg) runs over every matrix unit, so the span equality holds exactly
-    when (i)–(iii) do, and the conjugation match fails with it; the image has
-    dimension n²·dim A, dim A read from `GradedAlgebra.span` as for the crossed
-    product. (Ψ⊗id)δ̂̂(x) is taken as Ψ(x)⊗λ_g, so the match certifies the
-    double dual only where `double_dual_formula_check` passes. Every side
-    moves graded-basis entries or multiplies them by 0 or 1, so each identity
-    is compared exactly. The large arrays go n generators at a time.
+    δ_λ(a_k)⊗λ_d M_f ρ_g = δ_λ(a_k)⊗E_{df,fg}, d = deg a_k. As (f, g) runs
+    over G×G, (df, fg) runs over every matrix unit, so the span equality holds
+    exactly when (i)–(iii) do; the image has dimension n²·dim A, dim A read
+    from `GradedAlgebra.span` as for the crossed product. δ̃ acts by I⊗I⊗U
+    on the last two legs only, so δ̃(δ_λ(a_k)⊗C) = δ_λ(a_k)⊗U*(C⊗λ_d)U, and
+    (Ψ⊗id)δ̂̂(x) is taken as Ψ(x)⊗λ_g, which the match certifies only where
+    `double_dual_formula_check` passes. With (p, q) = (df, fg), the match
+    holds exactly when (i)–(iii) do and U*(E_pq⊗λ_d)U = E_pq⊗λ_{p⁻¹dq} for
+    every degree d of a nonzero a_k and every (p, q): a gather on n² points
+    each. δ_λ(a_k)⊗P_e is invariant exactly when the cell (p, q) = (e, e) of
+    that table holds. Every side moves graded-basis entries or multiplies
+    them by 0 or 1, so each identity is compared exactly.
     """
     dcp = delta.double_crossed_product
     G, n, v = delta.group, dcp.n, dcp.v_perm
@@ -453,16 +445,14 @@ def katayama_verify(delta: Coaction) -> KatayamaReport:
     span_ok = ok_i and ok_ii and ok_iii
     image_dim = n * n * len(delta.graded.span[1])
 
-    gens, (ks, blocks), group_lams = dcp.generators, dcp.psi_blocks(), perm.dense(G.lam_perms)
-    conj_ok = span_ok and all(
-        np.array_equal(_kron(perm.conjugate(gens[j], v), group_lams),
-                       dcp.tilde_delta(ks[j], blocks[j]))
-        for j in _stacks(np.arange(len(gens)), n))
-
-    # δ_λ(a_k)⊗P_e has the block P_e at k
-    pe = np.diag(np.arange(n) == G.index[G.identity]).astype(float)
-    pe_ok = all(np.array_equal(dcp.tilde_delta(k, pe), _kron(_kron(das[k], pe), lams[k]))
-                for k in _stacks(np.arange(len(das)), n))
+    mul, inv = G.mul_index, G.inv_index
+    d, p, q = np.ix_(np.unique(dcp.degrees[das.any(axis=(1, 2))]), range(n), range(n))
+    units = np.where(np.arange(n) == q[..., None], p[..., None], -1)  # E_pq
+    table = (dcp.tilde_delta_legs(perm.kron(units, G.lam_perms[d]))
+             == perm.kron(units, G.lam_perms[mul[mul[inv[p], d], q]])).all(axis=-1)
+    conj_ok = span_ok and bool(table.all())
+    e = G.index[G.identity]
+    pe_ok = bool(table[:, e, e].all())
 
     return KatayamaReport(ok_i, ok_ii, ok_iii, span_ok, image_dim, conj_ok, pe_ok)
 

@@ -4,8 +4,8 @@ operation on it once.
 An index array p of length n is the n×n 0/1 matrix P with P e_j = e_{p[j]},
 and P e_j = 0 where p[j] = −1; a stack holds one array per row. PQ is the
 gather p[q] (`product`), P* the inverse map (`adjoint`), Ad P a gather by the
-array of P* (`conjugate`) and I_m⊗P is `lift`: each gives the entries of the
-dense product.
+array of P* (`conjugate`), P⊗Q is `kron` and I_m⊗P is `lift`: each gives the
+entries of the dense product.
 """
 
 from __future__ import annotations
@@ -55,11 +55,16 @@ def product(p, q) -> np.ndarray:
     return np.append(p, -1)[q]
 
 
+def kron(p, q) -> np.ndarray:
+    """The index array of P⊗Q, for two arrays or broadcasting stacks."""
+    p, q = np.asarray(p)[..., :, None], np.asarray(q)[..., None, :]
+    out = np.where((p >= 0) & (q >= 0), p * q.shape[-1] + q, -1)
+    return out.reshape(out.shape[:-2] + (-1,))
+
+
 def lift(p, outer) -> np.ndarray:
     """The index array of I_outer ⊗ P, for an array or a stack."""
-    p = np.asarray(p)[..., None, :]
-    out = np.where(p >= 0, np.arange(outer)[:, None] * p.shape[-1] + p, -1)
-    return out.reshape(p.shape[:-2] + (-1,))
+    return kron(np.arange(outer), p)
 
 
 def conjugate(xs, p) -> np.ndarray:

@@ -63,12 +63,6 @@ class PipelineResult:
     def exit_code(self) -> int:
         return exit_code(self.entries)
 
-    def entry(self, check: str) -> Entry:
-        for e in self.entries:
-            if e.check == check:
-                return e
-        raise KeyError(check)
-
 
 def analyze_category(pres: CategoryPresentation, depth: int = 8,
                      levels: int | None = None, tol: float = 1e-9,

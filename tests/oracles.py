@@ -23,7 +23,8 @@ inclusion–exclusion identities of ϑ_χ, groupoid functions as sums of element
 matrices, the one-array level-k norm, word inverses and evaluation in a
 group, the dual action of a crossed product, and the coaction axioms of a
 linear map δ given on a basis, one leg and one basis product at a time: the
-grading validation implies them, and planted maps fail them.
+grading validation implies them, and planted maps fail them. `entry` reads one
+entry of a pipeline result by its check name, which only tests ask for.
 """
 
 import itertools
@@ -927,6 +928,17 @@ def chain_entries_by_morphisms(hull_ctx, closure, bound=4, sample=40) -> list:
                          else ("bounded-evidence" if kernel_ok else "rejected"),
                          "trivial fractions come from equal numerator and denominator"))
     return entries
+
+
+# -- reading a pipeline result ------------------------------------------------------
+
+
+def entry(result, check) -> Entry:
+    """The entry of a `PipelineResult` with the given check name; KeyError if none."""
+    for e in result.entries:
+        if e.check == check:
+            return e
+    raise KeyError(check)
 
 
 # -- reference formulas for identities the library does not compute --------------

@@ -31,7 +31,7 @@ from catenv.univgroup import (CategoryFunctor, Cocycle, IsoLetter, XLetter,
                               idempotent_pure_check, j_map, kernel_subgroupoid,
                               partial_action_iso_check, reduce_word,
                               universal_group, word_mul)
-from oracles import (ExplicitBijection, separation_by_fixed_sets,
+from oracles import (ExplicitBijection, entry, separation_by_fixed_sets,
                      spectral_subspace_dims_from_reduction, verify_coaction_axioms)
 
 
@@ -44,22 +44,22 @@ def test_criterion_01_edge_end_to_end():
     res = analyze_category(fix_edge())
     elapsed = time.time() - t0
     assert res.exit_code == 0
-    assert res.entry("hull-closure").data["size"] == 6
-    lat_data = res.entry("ideal-lattice").data
+    assert entry(res, "hull-closure").data["size"] == 6
+    lat_data = entry(res, "ideal-lattice").data
     assert lat_data == {"ideals": 4, "omega": 3, "maximal": 2, "boundary": 2}
-    germs = res.entry("germ-groupoid").data
+    germs = entry(res, "germ-groupoid").data
     assert germs["boundary_germs"] == 4 and germs["boundary_principal"]
     gb = res.context["groupoid_boundary"].groupoid
     assert len(gb.units) == 2 and all(len(gb.hom_set(u, v)) == 1
                                       for u in gb.units for v in gb.units)
-    assert res.entry("regular-vs-groupoid-model").data["dim"] == 5
-    assert res.entry("block-structure").data["omega_blocks"] == [1, 2]
+    assert entry(res, "regular-vs-groupoid-model").data["dim"] == 5
+    assert entry(res, "block-structure").data["omega_blocks"] == [1, 2]
     shilov = res.context["shilov"]
     assert [res.context["omega_cover"].block_sizes[k] for k in shilov.mask] == [1]
     assert shilov.quotient_blocks == [2]
-    assert res.entry("block-structure").data["boundary_blocks"] == [2]
-    assert res.entry("envelope-coincidence").status == "certified"
-    assert res.entry("boundary-isometry").data["max_deviation"] < 1e-10
+    assert entry(res, "block-structure").data["boundary_blocks"] == [2]
+    assert entry(res, "envelope-coincidence").status == "certified"
+    assert entry(res, "boundary-isometry").data["max_deviation"] < 1e-10
     assert elapsed < 1.0
     report(1, f"hull 6, 𝒥 4, Ω 3, ∂Ω 2, C*-model ℂ⊕M₂, envelope M₂ "
               f"({elapsed:.2f}s)")
@@ -297,7 +297,7 @@ def test_criterion_10_pgraph_principality():
     pres = fix_kgraph_acyclic()
     res = analyze_category(pres)
     assert res.exit_code == 0
-    assert res.entry("envelope-coincidence").status == "certified"
+    assert entry(res, "envelope-coincidence").status == "certified"
     hull, closure = res.context["hull"], res.context["closure"]
     gg = res.context["groupoid_boundary"]
     target = FreeAbelianTarget(2)

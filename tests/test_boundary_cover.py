@@ -29,6 +29,7 @@ from catenv.fixtures import fix_edge, fix_kgraph_acyclic, fix_two, fix_two_mce_c
 from catenv.gpd import pair_groupoid, transitive_groupoid
 from catenv.matrixrep import AlgebraSpan, complete_isometry_check, deviation_search
 from catenv.pipeline import analyze_category
+from oracles import entry
 from test_hull import layered_dag
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -75,15 +76,15 @@ def spectrum_generators(res):
 @pytest.mark.parametrize("make", CASES)
 def test_boundary_side_matches_dense_oracles(make):
     res = analyze_category(make())
-    entry = res.entry("boundary-isometry")
-    levels = entry.data["levels"]
+    found = entry(res, "boundary-isometry")
+    levels = found.data["levels"]
     dense = complete_isometry_check(dense_pairs(res), levels=levels)
     # the blockwise sampler on the same cover and mask, with thesis's effort
     a_basis = spectrum_generators(res)
     cover, ker_mask = res.context["omega_cover"], res.context["boundary_kernel_mask"]
     blockwise = deviation_search(_blockwise_deviation(a_basis, cover, ker_mask),
                                  len(a_basis), levels, samples=40)
-    assert entry.status == dense.status == blockwise.status == "certified"
+    assert found.status == dense.status == blockwise.status == "certified"
     assert blockwise.samples == dense.samples
     assert blockwise.max_deviation < 1e-10 and dense.max_deviation < 1e-10
     # thesis certifies by the exact compression certificate, with no search
@@ -91,17 +92,17 @@ def test_boundary_side_matches_dense_oracles(make):
     assert verdict.certificate is not None and set(verdict.certificate) == ker_mask
     assert (verdict.max_deviation, verdict.levels, verdict.samples, verdict.restarts) \
         == (0.0, levels, 0, 0)
-    assert entry.data == {"levels": levels, "max_deviation": 0.0}
-    assert "exact:" in entry.detail and "trials" not in entry.detail
+    assert found.data == {"levels": levels, "max_deviation": 0.0}
+    assert "exact:" in found.detail and "trials" not in found.detail
 
     model_bound, hull = res.context["model_boundary"], res.context["hull"]
     bound_cover = block_decompose(model_bound.reduced_algebra())
-    assert res.entry("block-structure").data["boundary_blocks"] == bound_cover.block_sizes
+    assert entry(res, "block-structure").data["boundary_blocks"] == bound_cover.block_sizes
 
     lat = res.context["lattice"]
     diag = [model_bound.spanning_matrix(hull.idempotent(lat.ideals[i].parts))
             for i in lat.nonzero_indices()]
-    assert res.entry("diagonal-detects-ideals").data["detects"] \
+    assert entry(res, "diagonal-detects-ideals").data["detects"] \
         == detects_ideals(diag, bound_cover)
 
 
@@ -125,17 +126,17 @@ def transposed_restriction(model_omega, model_bound, closure, cover):
 def test_planted_anti_homomorphism_is_rejected(monkeypatch, make):
     monkeypatch.setattr(pipeline, "boundary_quotient", transposed_restriction)
     res = analyze_category(make())
-    entry = res.entry("boundary-isometry")
+    found = entry(res, "boundary-isometry")
     verdict = res.context["boundary_isometry"]
-    assert entry.status == "rejected" and res.exit_code == 2
-    assert entry.data["max_deviation"] > 1e-9 and "*-homomorphism" in entry.detail
+    assert found.status == "rejected" and res.exit_code == 2
+    assert found.data["max_deviation"] > 1e-9 and "*-homomorphism" in found.detail
     algebra = res.context["model_omega"].reduced_algebra()  # the witness pair lies in it
     assert all(algebra.contains(x) for x in verdict.witness)
     # the dense sampler rejects the transpose too: it is not completely isometric
     dense = complete_isometry_check(dense_pairs(res, transpose=True), levels=2)
     assert dense.status == "rejected" and dense.witness is not None
     # every later entry reads π's kernel mask: the report ends at the rejection
-    assert res.entries[-1] is entry and "shilov" not in res.context
+    assert res.entries[-1] is found and "shilov" not in res.context
 
 
 @pytest.mark.parametrize("make", CASES)
@@ -150,9 +151,9 @@ def test_reused_verdict_gives_the_shilov_entries_of_a_fresh_search(monkeypatch, 
     fresh = analyze_category(make())
     assert all(v is not fresh.context["boundary_isometry"]
                for v in fresh.context["shilov"].verdicts.values())
-    entry, oracle = res.entry("shilov-ideal"), fresh.entry("shilov-ideal")
-    assert (entry.status, entry.data) == (oracle.status, oracle.data)
-    assert res.entry("envelope-coincidence") == fresh.entry("envelope-coincidence")
+    found, oracle = entry(res, "shilov-ideal"), entry(fresh, "shilov-ideal")
+    assert (found.status, found.data) == (oracle.status, oracle.data)
+    assert entry(res, "envelope-coincidence") == entry(fresh, "envelope-coincidence")
 
 
 def counting(calls, fn):
@@ -311,11 +312,11 @@ def test_regular_model_dim_is_the_toeplitz_dim(monkeypatch, make):
     res = analyze_category(make())
     assert calls == {"toeplitz_algebra": 0}
     want = toeplitz(res.context["lambda_rep"]).dim
-    assert res.entry("regular-vs-groupoid-model").data["dim"] == want
+    assert entry(res, "regular-vs-groupoid-model").data["dim"] == want
     model = res.context["model_omega"]
     gens = model.operator_algebra_generators()
     assert gens is model.operator_algebra_generators()
     assert [c for c, _ in gens] == res.context["presentation"].ball(None)
     monkeypatch.setattr(pipeline, "jack_check", lambda *args: (False, "planted"))
-    rejected = analyze_category(make()).entry("regular-vs-groupoid-model")
+    rejected = entry(analyze_category(make()), "regular-vs-groupoid-model")
     assert rejected.status == "rejected" and rejected.data["dim"] == want

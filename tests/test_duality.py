@@ -12,6 +12,7 @@ import itertools
 import math
 import os
 import random
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -23,10 +24,10 @@ from catenv.coactions import (CrossedProduct, FiniteGroup, GradedAlgebra,
 from catenv.envelope import _blockwise_deviation, is_boundary_ideal
 from catenv.fixtures import t2_graded, t3_graded
 from catenv.matrixrep import SpanBasis, complete_isometry_check, level_k_norms, matrix_rank
-from catenv.perm import conjugate, dense as perm_matrix
+from catenv.perm import dense as perm_matrix, lift
 from oracles import (DenseCrossedProduct, DenseDoubleCrossedProduct,
                      crossed_dual_action, katayama_verify_dense, rho, tilde_delta_dense)
-from test_linalg_oracles import t2_with_repeated_generator
+from test_linalg_oracles import t2_with_repeated_generator, tilde_delta_on_legs
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -161,6 +162,23 @@ def test_katayama_verify_takes_no_svd_span_basis_or_allclose(monkeypatch):
     assert {"svd", "allclose", "__init__"} <= set(calls[False])
 
 
+def test_duality_checks_build_no_matrix_of_side_d_n_cubed():
+    """On the S₃ grading, d·n³ = 648: one stack of n = 6 matrices of that
+    side takes 38 MiB. `katayama_verify` and `double_dual_formula_check`
+    decide every identity past (i)–(iii) on the group legs, so together,
+    the double crossed product built inside, they peak under 8 MiB."""
+    delta = coaction(s3_grading)
+    tracemalloc.start()
+    try:
+        report = katayama_verify(delta)
+        assert delta.double_crossed_product.double_dual_formula_check()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.failed == []
+    assert peak < 8 * 2 ** 20
+
+
 def test_unitaries_generators_and_kron_basis_match_dense(prepared):
     delta, dense = prepared
     G = delta.group
@@ -168,30 +186,36 @@ def test_unitaries_generators_and_kron_basis_match_dense(prepared):
     d, n = dcp.h_dim, dcp.n
     assert np.array_equal(perm_matrix(dcp.u_perm), dense.data.U)
     assert np.array_equal(perm_matrix(dcp.v_perm), dense.data.V)
-    assert np.array_equal(perm_matrix(dcp.big_u_perm),
+    assert np.array_equal(perm_matrix(lift(dcp.u_perm, d * n)),
                           np.kron(np.eye(d * n), dense.data.U))
     for i, g in enumerate(G.elements):
         assert np.array_equal(perm_matrix(dcp.g_perms[i]), dense.k_G(g))
         assert np.array_equal(np.diag(dcp.c0_masks[i]), dense.k_c0(g))
-    generators = dcp.generators
-    assert np.array_equal(generators, [m for _, m in dense.generators()])
     # δ_λ(A)⊗𝕂 has n²·dim A dimensions, by the dense kron basis and its SVD rank
     span, _ = dense.kron_basis
     assert matrix_rank(span.members) == len(span.members) \
         == n * n * len(delta.graded.span[1]) == katayama_verify(delta).image_dim
-    # both sides of the conjugation identity, value by value
-    images = conjugate(generators, dcp.v_perm)
-    ks, blocks = dcp.psi_blocks()
-    v_n = np.kron(dense.data.V, np.eye(n))
-    for j in range(len(images))[sample_of(delta)]:
-        mat = generators[j]
-        assert np.array_equal(dcp.double_dual(mat[None])[0], dense.double_dual(mat))
-        lhs = conjugate(dcp.double_dual(mat[None]), (dcp.v_perm[:, None] * n + np.arange(n)).ravel())[0]
-        assert np.array_equal(lhs, v_n @ dense.double_dual(mat) @ v_n.conj().T)
-        # Ψ(x) is δ_λ(a_k)⊗E_{df,fg}, and δ̃ of it is read from that block
-        assert np.array_equal(images[j], np.kron(dcp.images[ks[j]], blocks[j]))
-        assert np.allclose(dcp.tilde_delta(ks[j:j + 1], blocks[j:j + 1])[0],
-                           tilde_delta_dense(dense, images[j], delta), rtol=0, atol=1e-12)
+    # the group-leg arrays, taken dense and tensored with δ_λ(a_k), value by value
+    ps = dcp.generator_legs()
+    moved = dcp.double_dual_legs(ps)
+    V, at = dense.data.V, G.index
+    v_n = np.kron(V, np.eye(n))
+    gens = list(enumerate(dense.generators()))[sample_of(delta)]
+    for j, ((_, deg, f, g), mat) in gens:
+        k, p, q = j // (n * n), at[G.mul(deg, f)], at[G.mul(f, g)]
+        f, g = at[f], at[g]
+        da = dcp.images[k]
+        assert np.allclose(np.kron(da, np.eye(n)) @ perm_matrix(ps[f, g]), mat,
+                           rtol=0, atol=1e-12)
+        double_dual = dense.double_dual(mat)
+        assert np.allclose(np.kron(da, np.eye(n * n)) @ perm_matrix(moved[f, g]), double_dual,
+                           rtol=0, atol=1e-12)
+        # Ψ(x) is δ_λ(a_k)⊗E_{df,fg}, and δ̃ of it is (Ψ⊗id)δ̂̂(x)
+        image = V @ mat @ V.conj().T
+        assert np.array_equal(image, np.kron(da, perm_matrix(np.where(np.arange(n) == q, p, -1))))
+        tilde = tilde_delta_on_legs(dcp, k, p, q)
+        assert np.allclose(tilde, tilde_delta_dense(dense, image, delta), rtol=0, atol=1e-12)
+        assert np.allclose(tilde, v_n @ double_dual @ v_n.conj().T, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("case", CASES)

@@ -11,6 +11,7 @@ from catenv.hull import InverseHull
 from catenv import ideals as IL
 from catenv.matrixrep import AlgebraSpan, GermModel, LambdaRep
 from catenv.pipeline import analyze_category
+from oracles import entry
 
 
 def matrix_units(n):
@@ -180,12 +181,12 @@ def test_diagonal_detects_ideals_in_boundary_model():
 def test_pi_env_is_isomorphism(fixture):
     res = analyze_category(fixture())
     assert res.exit_code == 0
-    entry = res.entry("envelope-coincidence")
-    assert entry.status == "certified"
-    assert res.entry("diagonal-injectivity").status == "certified"
+    found = entry(res, "envelope-coincidence")
+    assert found.status == "certified"
+    assert entry(res, "diagonal-injectivity").status == "certified"
     shilov = res.context["shilov"]
     assert res.context["boundary_kernel_mask"] == shilov.mask
-    bd_blocks = res.entry("block-structure").data["boundary_blocks"]
+    bd_blocks = entry(res, "block-structure").data["boundary_blocks"]
     assert sorted(shilov.quotient_blocks) == sorted(bd_blocks)
 
 
@@ -195,7 +196,7 @@ def test_pi_env_for_groupoid_subcategory():
     sub = GroupoidSub(pair_groupoid((1, 2)), {(1, 1), (2, 2), (2, 1)})
     res = analyze_category(sub)
     assert res.exit_code == 0
-    assert res.entry("envelope-coincidence").status == "certified"
+    assert entry(res, "envelope-coincidence").status == "certified"
 
 
 def test_pi_env_for_doubled_intersection_category():
@@ -204,9 +205,9 @@ def test_pi_env_for_doubled_intersection_category():
     from catenv.fixtures import fix_two_mce_category
     res = analyze_category(fix_two_mce_category())
     assert res.exit_code == 0
-    assert res.entry("germ-groupoid").data["boundary_principal"]
-    assert res.entry("envelope-coincidence").status == "certified"
-    assert res.entry("block-structure").data["boundary_blocks"] == [5]
+    assert entry(res, "germ-groupoid").data["boundary_principal"]
+    assert entry(res, "envelope-coincidence").status == "certified"
+    assert entry(res, "block-structure").data["boundary_blocks"] == [5]
 
 
 def test_pi_env_with_boundary_isotropy():
@@ -220,11 +221,11 @@ def test_pi_env_with_boundary_isotropy():
     amb = transitive_groupoid((1, 2), ["0", "1"], mul2, "0")
     pres = GroupoidSub(amb, set(amb.elements))
     res = analyze_category(pres)
-    assert res.entry("germ-groupoid").data["boundary_germs"] == 8
+    assert entry(res, "germ-groupoid").data["boundary_germs"] == 8
     assert not res.context["groupoid_boundary"].groupoid.is_principal()
-    assert res.entry("block-structure").data["boundary_blocks"] == [2, 2]
-    assert res.entry("envelope-coincidence").status == "certified"
-    assert res.entry("diagonal-detects-ideals").data["detects"] is False
+    assert entry(res, "block-structure").data["boundary_blocks"] == [2, 2]
+    assert entry(res, "envelope-coincidence").status == "certified"
+    assert entry(res, "diagonal-detects-ideals").data["detects"] is False
     assert res.context["shilov"].mask == frozenset()
 
 

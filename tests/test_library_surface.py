@@ -2,8 +2,11 @@
 benchmark runs.
 
 A public function, class or method of `src/catenv` must be referenced from
-`src`, `scripts` or `bench`, by name or as an attribute name given in a
-string (as `bench/layers.py` names what it wraps). Re-exports in
+`src`, `scripts` or `bench`, as the syntax tree reads them. A method counts
+where it is loaded as an attribute or named by a string that is its whole
+name (as `bench/layers.py` names what it wraps); a function or class also
+where it is loaded as a name or imported. A local, a parameter or an
+attribute store of the same name is no reference. Re-exports in
 `catenv/__init__.py` do not count, and neither do the tests: a reference
 formula only tests compare against belongs in `tests/oracles.py`. The
 allowlist holds the groupoid-embedding block of `univgroup.py` and its
@@ -12,9 +15,6 @@ fixture builders.
 """
 
 import ast
-import io
-import re
-import tokenize
 from collections import Counter
 from pathlib import Path
 
@@ -43,18 +43,24 @@ def public_definitions(path):
                     yield f"{node.name}.{sub.name}", sub.name
 
 
-def name_counts(paths):
-    """How often each identifier occurs as a name, or as a whole string literal."""
-    counts = Counter()
+def references(paths):
+    """(names, attributes): how often each identifier is loaded as a name or
+    imported, and how often loaded as an attribute. A string literal that is
+    one whole identifier counts as both."""
+    names, attributes = Counter(), Counter()
     for path in paths:
-        text = path.read_text(encoding="utf-8")
-        for tok in tokenize.generate_tokens(io.StringIO(text).readline):
-            if tok.type == tokenize.NAME:
-                counts[tok.string] += 1
-            elif tok.type == tokenize.STRING and re.fullmatch(r"[rbuRBU]?(['\"])\w+\1",
-                                                             tok.string):
-                counts[tok.string[tok.string.index(tok.string[-1]) + 1:-1]] += 1
-    return counts
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names[node.id] += 1
+            elif isinstance(node, ast.alias):
+                names[node.name] += 1
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                attributes[node.attr] += 1
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                    and node.value.isidentifier():
+                names[node.value] += 1
+                attributes[node.value] += 1
+    return names, attributes
 
 
 def unreferenced(root):
@@ -64,12 +70,38 @@ def unreferenced(root):
     definitions = [(path.name, qualified, name)
                    for path in sorted(library.glob("*.py")) if path.name not in ALLOWED_MODULES
                    for qualified, name in public_definitions(path)]
-    defined = Counter(name for _, _, name in definitions)
-    counts = name_counts(sources)
+    names, attributes = references(sources)
     return [f"{module}:{qualified}" for module, qualified, name in definitions
-            if counts[name] <= defined[name]
+            if not attributes[name] and ("." in qualified or not names[name])
             and qualified.split(".")[0] not in ALLOWED.get(module, ())]
 
 
 def test_every_public_name_is_run_by_the_program():
     assert unreferenced(ROOT) == []
+
+
+def test_only_loads_imports_and_strings_count(tmp_path):
+    """A method counts only where it is loaded as an attribute or named in a
+    string; a function or class also where it is loaded as a name or
+    imported. A local or an attribute store of the same name does not count."""
+    library = tmp_path / "src" / "catenv"
+    library.mkdir(parents=True)
+    (library / "mod.py").write_text(
+        "class Box:\n"
+        "    def opened(self): pass\n"
+        "    def closed(self): pass\n"
+        "    def named(self): pass\n\n\n"
+        "def called(): pass\n\n\n"
+        "def imported(): pass\n\n\n"
+        "def shadowed(): pass\n", encoding="utf-8")
+    (library / "use.py").write_text(
+        "from .mod import imported\n"
+        "Box().opened()\n"
+        "called()\n"
+        "getattr(Box, 'named')\n"
+        "shadowed = 1\n"
+        "closed = Box()\n"
+        "closed.closed = 2\n", encoding="utf-8")
+    for d in ("scripts", "bench"):
+        (tmp_path / d).mkdir()
+    assert unreferenced(tmp_path) == ["mod.py:Box.closed", "mod.py:shadowed"]

@@ -16,6 +16,7 @@ from catenv.envelope import (_blockwise_deviation, _null_space, block_decompose,
 from catenv.fixtures import fix_edge, t2_graded, t3_graded
 from catenv.matrixrep import (AlgebraSpan, GermModel, LambdaRep, SpanBasis, _joint_rank,
                               _rank, complete_isometry_check, direct_sum, matrix_rank)
+from catenv.perm import dense as dense_of, kron
 from oracles import (DenseDoubleCrossedProduct, algebra_span_by_rescan, delta_per_degree,
                      extend_grading_by_all_pairs, in_span, norm_level_k, point_mass,
                      tilde_delta_by_lstsq)
@@ -193,17 +194,25 @@ def test_coaction_coordinates_match_per_degree_solves(graded_fixture):
         assert np.allclose(delta.delta(m), delta_per_degree(delta.graded, m),
                            rtol=0, atol=1e-12)
     dcp, dense = DoubleCrossedProduct(delta), DenseDoubleCrossedProduct(delta)
-    V = dense.data.V
+    V, n, at = dense.data.V, len(group), group.index
     pe = point_mass(group, group.identity)
-    ys = [V @ mat @ V.conj().T for _, mat in dense.generators()[::7]]
-    ys += [np.kron(delta.delta(a), pe) for a in basis]
-    # δ̃ in closed form: Ψ of generator j has the block E_{df,fg} at ks[j], and
-    # δ_λ(a_k)⊗P_e the block P_e at k
-    ks, blocks = dcp.psi_blocks()
-    ks = np.concatenate([ks[::7], np.arange(len(basis))])
-    blocks = np.concatenate([blocks[::7], np.broadcast_to(pe, (len(basis),) + pe.shape)])
-    for y, value in zip(ys, dcp.tilde_delta(ks, blocks)):
-        assert np.allclose(value, tilde_delta_by_lstsq(dense, y, delta), rtol=0, atol=1e-12)
+    # δ̃ on the group legs: Ψ of generator j = (k·n + f)·n + g is
+    # δ_λ(a_k)⊗E_{df,fg}, d = deg a_k, and δ_λ(a_k)⊗P_e is δ_λ(a_k)⊗E_ee
+    cases = [(V @ mat @ V.conj().T, j // (n * n), at[group.mul(d, f)], at[group.mul(f, g)])
+             for j, ((_, d, f, g), mat) in enumerate(dense.generators()) if j % 7 == 0]
+    e = at[group.identity]
+    cases += [(np.kron(delta.delta(a), pe), k, e, e) for k, a in enumerate(basis)]
+    for y, k, p, q in cases:
+        assert np.allclose(tilde_delta_on_legs(dcp, k, p, q),
+                           tilde_delta_by_lstsq(dense, y, delta), rtol=0, atol=1e-12)
+
+
+def tilde_delta_on_legs(dcp, k, p, q):
+    """δ̃(δ_λ(a_k)⊗E_pq) from the library's group-leg array: δ_λ(a_k)
+    tensored with U*(E_pq⊗λ_{deg a_k})U taken dense, for group positions p, q."""
+    unit = np.where(np.arange(dcp.n) == q, p, -1)
+    legs = dcp.tilde_delta_legs(kron(unit, dcp.group.lam_perms[dcp.degrees[k]]))
+    return np.kron(dcp.images[k], dense_of(legs))
 
 
 def matrix_units(dim):

@@ -24,7 +24,7 @@ from catenv.fixtures import fix_kgraph_acyclic, fix_two
 from catenv.matrixrep import (AlgebraSpan, GermModel, LambdaRep, SpanBasis, jack_check,
                               matrix_rank)
 from catenv.pipeline import _compression_kernel_mask, analyze_category, boundary_quotient
-from oracles import exact_dim_by_support_closure, jack_check_by_pairs, jack_check_dense
+from oracles import entry, exact_dim_by_support_closure, jack_check_by_pairs, jack_check_dense
 from test_boundary_cover import (CASES, FIXTURES, counting, path_category,
                                  restriction_pairs, spectrum_generators,
                                  transposed_restriction, z2_isotropy)
@@ -124,12 +124,12 @@ def test_planted_jack_mismatch_reports_the_dense_rank(monkeypatch, make):
 
     monkeypatch.setattr(pipeline, "LambdaRep", Redirected)
     res = analyze_category(make())
-    entry = res.entry("regular-vs-groupoid-model")
-    assert entry.status == "rejected" and res.exit_code == 2
+    found = entry(res, "regular-vs-groupoid-model")
+    assert found.status == "rejected" and res.exit_code == 2
     hull, lam = res.context["hull"], res.context["lambda_rep"]
     elements = res.context["closure"].nonzero()
     dense_rank = matrix_rank([perm.dense(lam.inverse_perm(hull, s)) for s in elements])
-    assert entry.data["dim"] == dense_rank
+    assert found.data["dim"] == dense_rank
     model = res.context["model_omega"]
     assert res.context["omega_cover"].dim \
         == matrix_rank([model.spanning_matrix(s) for s in elements])
@@ -248,8 +248,11 @@ def test_each_perm_operation_matches_its_dense_matrix(seed):
             assert np.array_equal(perm.dense(perm.lift(p, m)), np.kron(np.eye(m), dense_of(p)))
         for q in family:
             assert np.array_equal(perm.dense(perm.product(p, q)), dense_of(p) @ dense_of(q))
+            assert np.array_equal(perm.dense(perm.kron(p, q)), np.kron(dense_of(p), dense_of(q)))
             assert perm.is_adjoint(p, q) == np.array_equal(dense_of(q), dense_of(p).T)
         assert np.array_equal(perm.product(p, gens), [perm.product(p, q) for q in gens])
+    assert np.array_equal(perm.kron(gens[:, None], np.array(family)),
+                          [[perm.kron(p, q) for q in family] for p in gens])
     stars = perm.adjoint(gens)
     for p, star in zip(gens, stars):
         assert np.array_equal(perm.dense(star), dense_of(p).T) and perm.is_adjoint(p, star)
@@ -294,10 +297,10 @@ def test_wrong_boundary_restriction_is_rejected_with_its_witness(monkeypatch, ma
     transposed_boundary_model(monkeypatch)
     res = analyze_category(make())
     assert calls == {"__init__": 1}
-    entry = res.entry("boundary-isometry")
-    assert entry.status == "rejected" and res.exit_code == 2
-    assert "*-homomorphism" in entry.detail and res.entries[-1] is entry
-    assert entry == planted.entry("boundary-isometry")
+    found = entry(res, "boundary-isometry")
+    assert found.status == "rejected" and res.exit_code == 2
+    assert "*-homomorphism" in found.detail and res.entries[-1] is found
+    assert found == entry(planted, "boundary-isometry")
     got, want = res.context["boundary_isometry"], planted.context["boundary_isometry"]
     assert all(np.array_equal(a, b) for a, b in zip(got.witness, want.witness))
 

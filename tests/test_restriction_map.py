@@ -25,7 +25,7 @@ from catenv.envelope import (ShilovResult, SpannedStarMap, detects_ideals,
 from catenv.fixtures import fix_kgraph_acyclic
 from catenv.matrixrep import matrix_rank
 from catenv.pipeline import analyze_category, boundary_quotient
-from oracles import detects_ideals_by_subsets, quotient_kernel_mask_by_units
+from oracles import detects_ideals_by_subsets, entry, quotient_kernel_mask_by_units
 from test_boundary_cover import (CASES, FIXTURES, counting, restriction_pairs,
                                  spectrum_generators)
 from test_hull import layered_dag
@@ -73,14 +73,14 @@ def test_envelope_entries_match_the_boundary_model_maps(make):
     assert pi_map.star_homomorphism_witness() is None
     assert pi_map.domain_dim == matrix_rank(pi_map.ys) \
         == sum(n * n for n in shilov.quotient_blocks)
-    assert res.entry("envelope-coincidence").status == "certified"
+    assert entry(res, "envelope-coincidence").status == "certified"
 
     # its restriction to the diagonal: injective, with the ∂-diagonal's rank
     diag_map = SpannedStarMap(envelope_pairs(omega_diagonal(res)))
     assert diag_map.domain_dim == matrix_rank(diag_map.ys) == matrix_rank(diag_map.xs)
-    entry = res.entry("diagonal-injectivity")
-    assert entry.status == "certified"
-    assert entry.data == {"diagonal_dim": matrix_rank(diag_map.xs)}
+    found = entry(res, "diagonal-injectivity")
+    assert found.status == "certified"
+    assert found.data == {"diagonal_dim": matrix_rank(diag_map.xs)}
 
 
 def planted_shilov(plant):
@@ -129,9 +129,9 @@ def test_equal_ranks_that_do_not_pair_are_rejected(monkeypatch):
                         planted_shilov(lambda mask, kept: frozenset({0, 3})))
     res = analyze_category(fix_kgraph_acyclic())
     assert res.context["boundary_kernel_mask"] == frozenset({0, 1, 2})
-    entry = res.entry("diagonal-injectivity")
-    assert entry.status == "rejected" and entry.data == {"diagonal_dim": 4}
-    assert entry.detail.endswith("rank 4 in the boundary quotient, 4 in the envelope, "
+    found = entry(res, "diagonal-injectivity")
+    assert found.status == "rejected" and found.data == {"diagonal_dim": 4}
+    assert found.detail.endswith("rank 4 in the boundary quotient, 4 in the envelope, "
                                  "8 as pairs")
 
 
