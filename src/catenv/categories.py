@@ -629,21 +629,22 @@ class KGraph(CategoryPresentation):
         return pairs
 
     def ball(self, n=None):
+        """The paths of total degree at most n, every path when n is None.
+        Totals are walked upwards and stop at the first that has no path: a
+        path of total t + 1 has a prefix of total t, so no later one has any."""
         if n is None:
             if not self.is_finite:
                 raise AlignmentUnavailable("infinite k-graph; pass a radius")
             n = len(self.edges) * max(1, len(self.objects))
         out = []
         for total in range(n + 1):
-            for degvec in itertools.product(range(total + 1), repeat=self.k):
-                if sum(degvec) != total:
-                    continue
-                for obj in self.objects:
-                    out.extend(self._extensions(obj, degvec))
-        uniq = sorted(set(out), key=self.sort_key)
-        if self.is_finite and n >= len(self.edges) * max(1, len(self.objects)):
-            return uniq
-        return [m for m in uniq if len(m.word) <= n]
+            paths = [m for degvec in itertools.product(range(total + 1), repeat=self.k)
+                     if sum(degvec) == total
+                     for obj in self.objects for m in self._extensions(obj, degvec)]
+            if not paths:
+                break
+            out += paths
+        return sorted(set(out), key=self.sort_key)
 
     def validate(self):
         rep = ValidationReport(ok=True, mode="structural",

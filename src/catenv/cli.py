@@ -11,6 +11,7 @@ counterexample, 3 inconclusive at the bound, 4 internal numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .categories import MalformedPresentation
@@ -33,7 +34,9 @@ _STOP = {"validate": "validation", "hull": "hull", "ideals": "ideals",
          "thesis": None}
 
 
+@functools.cache
 def build_parser():
+    """The command line's parser, built once: parsing leaves it unchanged."""
     p = argparse.ArgumentParser(prog="catenv", description=__doc__.split("\n")[0])
     p.add_argument("command", choices=COMMANDS)
     p.add_argument("input", help="fixture file (.cat, .gpd, .grad)")

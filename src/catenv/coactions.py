@@ -365,7 +365,6 @@ class DoubleCrossedProduct:
         self.g_perms = perm.lift(G.lam_perms, d * n)
         self.images = np.array(delta.images)  # δ_λ(a_k)
         self.degrees = np.array([G.index[g] for g in delta.graded.degrees], dtype=np.intp)
-        self.degree_lams = perm.dense(G.lam_perms[self.degrees])
 
     def generator_legs(self) -> np.ndarray:
         """P = k_{c₀}(δ_f) k_G(g) at [f, g], the index arrays with which the
@@ -419,6 +418,14 @@ def katayama_verify(delta: Coaction) -> KatayamaReport:
     (iii) Ψ(k_G(g)) = I⊗ρ_g, the span equality Ψ(A ⋊ G ⋊ G) = δ_λ(A)⊗𝕂,
     (Ψ⊗id)∘δ̂̂ = δ̃∘Ψ on generators and the invariance of δ_λ(A)⊗P_e under δ̃.
 
+    (i) is decided on the group legs. k_A(a) = δ_λ(a)⊗1 = a⊗λ_d⊗1 with
+    d = deg a, and V = I⊗US exactly when its index array is `lift` of its
+    first n² entries. Then Ψ(k_A(a)) = a⊗US(λ_d⊗1)(US)*, and for a ≠ 0,
+    a⊗X = a⊗Y exactly when X = Y: (i) holds exactly when
+    US(λ_d⊗1)(US)* = λ_d⊗λ_d, a gather on n² points for each degree d of a
+    nonzero a_k (a zero a_k satisfies (i) trivially). A V not of the form
+    I⊗US fails (i) here; the library builds V in that form.
+
     Ψ is multiplicative, so (i)–(iii) give Ψ(k_A(a_k) k_{c₀}(δ_f) k_G(g)) =
     δ_λ(a_k)⊗λ_d M_f ρ_g = δ_λ(a_k)⊗E_{df,fg}, d = deg a_k. As (f, g) runs
     over G×G, (df, fg) runs over every matrix unit, so the span equality holds
@@ -435,8 +442,12 @@ def katayama_verify(delta: Coaction) -> KatayamaReport:
     """
     dcp = delta.double_crossed_product
     G, n, v = delta.group, dcp.n, dcp.v_perm
-    das, lams = dcp.images, dcp.degree_lams
-    ok_i = np.array_equal(perm.conjugate(_kron(das, np.eye(n)), v), _kron(das, lams))
+    das = dcp.images
+    degrees = np.unique(dcp.degrees[das.any(axis=(1, 2))])
+    us, lams = v[:n * n], G.lam_perms[degrees]
+    ok_i = np.array_equal(v, perm.lift(us, dcp.h_dim)) and np.array_equal(
+        perm.product(us, perm.kron(lams, np.arange(n))[:, perm.adjoint(us)]),
+        perm.kron(lams, lams))
     v_star = perm.adjoint(v)
     last_leg = np.tile(np.arange(n), dcp.h_dim * n)
     ok_ii = np.array_equal(dcp.c0_masks[:, v_star], last_leg == np.arange(n)[:, None])
@@ -446,7 +457,7 @@ def katayama_verify(delta: Coaction) -> KatayamaReport:
     image_dim = n * n * len(delta.graded.span[1])
 
     mul, inv = G.mul_index, G.inv_index
-    d, p, q = np.ix_(np.unique(dcp.degrees[das.any(axis=(1, 2))]), range(n), range(n))
+    d, p, q = np.ix_(degrees, range(n), range(n))
     units = np.where(np.arange(n) == q[..., None], p[..., None], -1)  # E_pq
     table = (dcp.tilde_delta_legs(perm.kron(units, G.lam_perms[d]))
              == perm.kron(units, G.lam_perms[mul[mul[inv[p], d], q]])).all(axis=-1)

@@ -65,10 +65,10 @@ class GermContext:
         hull, lat = self.hull, self.lat
         found = None
         if lat.contains(lat.domain_index(n), x):
-            r = hull.index(hull.restrict(hull._elements[n], lat.ideals[x].parts))
+            r = hull.index(hull.restrict(hull.element(n), lat.ideals[x].parts))
             found = self._germs.get((r << 32) | x)
             if found is None:
-                restricted = hull._elements[r]
+                restricted = hull.element(r)
                 image = lat.index[lat.canonical(hull.image_parts(restricted))]
                 found = self._germs[(r << 32) | x] = (Germ(x, restricted, r), image)
         self._at[key] = found

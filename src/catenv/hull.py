@@ -12,7 +12,9 @@ numbers. Composites, alignments and left quotients of morphisms are cached on
 pairs of morphism numbers, canonical generators and sort keys on one number,
 and products of elements on pairs of element numbers. So each oracle of the
 presentation runs once per argument pair, and a cache lookup hashes integers,
-not nested morphism tuples.
+not nested morphism tuples. An element's number is all the hull keeps of it:
+its `PiecewiseBijection` is built the first time it is read (`element`), and
+a walk's closure keeps numbers, ordered and built into elements when read.
 """
 
 from __future__ import annotations
@@ -49,14 +51,26 @@ class PiecewiseBijection:
 ZERO = PiecewiseBijection(())
 
 
-@dataclass
 class HullClosure:
-    elements: list
-    bound: int | None
-    complete: bool
+    """The elements a walk reached, with its bound and whether it is complete.
+
+    A walk's closure holds its hull and the element numbers it reached:
+    `len()` and `InverseHull.contains_zero` read those numbers, and `elements`
+    is ordered by piece keys and built on its first read. A closure may also
+    be given its elements."""
+
+    def __init__(self, elements=None, bound=None, complete=False, *, hull=None, numbers=None):
+        self.bound, self.complete = bound, complete
+        self.hull, self.numbers = hull, numbers
+        if elements is not None:
+            self.elements = list(elements)
+
+    @cached_property
+    def elements(self) -> list[PiecewiseBijection]:
+        return [self.hull.element(n) for n in self.hull._ordered(self.numbers)]
 
     def __len__(self):
-        return len(self.elements)
+        return len(self.elements) if self.numbers is None else len(self.numbers)
 
     def nonzero(self):
         return [s for s in self.elements if not s.is_zero]
@@ -93,10 +107,11 @@ class InverseHull:
     numbered one (k-graphs and direct products build one per result) misses
     the id() table and is found by value.
 
-    Canonical elements are interned the same way: equal elements are one
-    object, numbered in the order they were first made, found by the id() of
-    that object or by their code, the pieces as (a, b) pairs of morphism
-    numbers. Element 0 is the zero. The caches, on integer keys:
+    Canonical elements are interned by their code, the pieces as (a, b) pairs
+    of morphism numbers, and numbered in the order they were first made.
+    `_elements[n]` is None until `element(n)` builds the object, which is then
+    the one object of that element, found by its id() as well. Element 0 is
+    the zero. The caches, on integer keys:
 
     - (i << 32) | j on element numbers: the product s_i∘s_j;
     - i: the inverse and the domain of s_i;
@@ -115,15 +130,15 @@ class InverseHull:
         self._alignments = _Table(self, InverseHull._fill_alignment)
         self._quotients = _Table(self, InverseHull._fill_quotient)
         self._generators = _Table(self, InverseHull._fill_generator)
-        self._elements: list[PiecewiseBijection] = []
+        self._elements: list[PiecewiseBijection | None] = []  # by number, None until read
         self._codes: list[tuple[tuple[int, int], ...]] = []  # by element number
         self._by_code = _Table(self, InverseHull._fill_element)
-        self._number: dict[int, int] = {}  # id() of an interned element -> its number
+        self._number: dict[int, int] = {}  # id() of a built element -> its number
         self._products = _Table(self, InverseHull._fill_product)
         self._inverses = _Table(self, InverseHull._fill_inverse)
         self._domains: dict[int, tuple[Morphism, ...]] = {}
         self._of_morphism: dict[int, int] = {}  # morphism number -> element number
-        self._add(ZERO, ())
+        self._intern(ZERO, self._by_code[()])
 
     # -- numbering ---------------------------------------------------------
 
@@ -159,25 +174,35 @@ class InverseHull:
 
     # -- interning ---------------------------------------------------------
 
-    def _add(self, s: PiecewiseBijection, code: tuple) -> int:
-        n = self._by_code[code] = self._number[id(s)] = len(self._elements)
-        self._elements.append(s)
-        self._codes.append(code)
-        return n
-
     def _fill_element(self, code: tuple) -> int:
-        ms = self._morphisms
-        return self._add(PiecewiseBijection(tuple((ms[a], ms[b]) for a, b in code)), code)
+        self._codes.append(code)
+        self._elements.append(None)
+        return len(self._codes) - 1
+
+    def _intern(self, s: PiecewiseBijection, n: int) -> PiecewiseBijection:
+        self._elements[n] = s
+        self._number[id(s)] = n  # built elements stay alive, so ids are unique
+        return s
+
+    def element(self, n: int) -> PiecewiseBijection:
+        """The element numbered n, built on its first read."""
+        s = self._elements[n]
+        if s is None:
+            ms = self._morphisms
+            pieces = tuple((ms[a], ms[b]) for a, b in self._codes[n])
+            s = self._intern(PiecewiseBijection(pieces), n)
+        return s
 
     def index(self, s: PiecewiseBijection) -> int:
         """The number of the interned element equal to s; s is interned if new."""
-        n = self._number.get(id(s))  # interned elements stay alive, so ids are unique
+        n = self._number.get(id(s))
         if n is None:
             num = self._morphism
             code = tuple((num(a), num(b)) for a, b in s.pieces)
             n = self._by_code.get(code)
             if n is None:
-                n = self._add(s, code)
+                n = self._by_code[code]
+                self._intern(s, n)
         return n
 
     @cached_property
@@ -189,12 +214,16 @@ class InverseHull:
 
     def from_morphism(self, c: Morphism) -> PiecewiseBijection:
         """The map 𝔡(c)𝔠 → c𝔠, x ↦ cx."""
+        return self.element(self._from_morphism(c))
+
+    def _from_morphism(self, c: Morphism) -> int:
+        """Number of `from_morphism(c)`."""
         m = self._morphism(c)
         n = self._of_morphism.get(m)
         if n is None:
             n = self._of_morphism[m] = self._canonical(
                 [(m, self._morphism(self.p.identity(c.dom)))])
-        return self._elements[n]
+        return n
 
     def idempotent(self, parts) -> PiecewiseBijection:
         """Identity on the union of the principal ideals generated by `parts`."""
@@ -218,7 +247,7 @@ class InverseHull:
     def canonical(self, raw_pieces) -> PiecewiseBijection:
         """The interned element with these pieces, put in canonical form."""
         num = self._morphism
-        return self._elements[self._canonical([(num(a), num(b)) for a, b in raw_pieces])]
+        return self.element(self._canonical([(num(a), num(b)) for a, b in raw_pieces]))
 
     def _canonical(self, raw) -> int:
         """Number of the interned element with pieces `raw`, (a, b) pairs of
@@ -265,17 +294,14 @@ class InverseHull:
     # -- inverse semigroup arithmetic -------------------------------------
 
     def hinverse(self, s: PiecewiseBijection) -> PiecewiseBijection:
-        return self._elements[self._inverses[self.index(s)]]
+        return self.element(self._inverses[self.index(s)])
 
     def _fill_inverse(self, i: int) -> int:
         return self._canonical([(b, a) for a, b in self._codes[i]])
 
-    def hcompose(self, s: PiecewiseBijection, t: PiecewiseBijection) -> PiecewiseBijection:
-        """s∘t; cross-piece products resolve through alignment."""
-        return self._elements[self._compose(self.index(s), self.index(t))]
-
     def _compose(self, i: int, j: int) -> int:
-        """Number of s∘t for the elements s, t numbered i, j."""
+        """Number of s∘t for the elements s, t numbered i, j; cross-piece
+        products resolve through alignment."""
         return self._products[(i << 32) | j]
 
     def _fill_product(self, key: int) -> int:
@@ -325,9 +351,9 @@ class InverseHull:
         """Restriction of s to the ideal ⋃ x𝔠 over x in parts."""
         xs = [self._morphism(x) for x in parts]
         mul, align = self._composites, self._alignments
-        return self._elements[self._canonical(
+        return self.element(self._canonical(
             [(mul[(a << 32) | u], mul[(b << 32) | u]) for a, b in self._codes[self.index(s)]
-             for x in xs for u, _ in align[(b << 32) | x]])]
+             for x in xs for u, _ in align[(b << 32) | x]]))
 
     # -- closure generation ------------------------------------------------
 
@@ -341,21 +367,22 @@ class InverseHull:
         reaches each at its least cost. `bound` caps the cost; None requires a
         finite category. Complete when finite and no product was cut at `bound`.
         Products are cached, so a second walk over the same hull, at the same
-        or a lower bound, reads them.
+        or a lower bound, reads them. The walk runs on element numbers only:
+        the closure builds its elements when they are read.
         """
         if bound is None and not self.p.is_finite:
             raise ValueError("infinite category: a provenance bound is required")
         atoms: dict[int, int] = {}  # element number -> cost
-        for c in self.p.ball(None if bound is None else min(bound, 1)):
+        for c in self._ball if bound is None else self.p.ball(min(bound, 1)):
             if len(c.word) <= 1:
-                n = self.index(self.from_morphism(c))
+                n = self._from_morphism(c)
                 for t in (n, self._inverses[n]):
                     atoms[t] = min(atoms.get(t, 1), len(c.word))
         cost, products = dict(atoms), self._products
         buckets = [[n for n, c in atoms.items() if c == level] for level in (0, 1)]
         if len(self.p.objects) == 1:
             # the identity's map is the unit, and s∘1 = s reaches nothing new
-            atoms.pop(self.index(self.from_morphism(self.p.identity(self.p.objects[0]))), None)
+            atoms.pop(self._from_morphism(self.p.identity(self.p.objects[0])), None)
         truncated = False
         for level, bucket in enumerate(buckets):  # both lists grow while walked
             for i in bucket:
@@ -372,20 +399,25 @@ class InverseHull:
                         if c == len(buckets):
                             buckets.append([])
                         buckets[c].append(k)
-        # pieces compare by (key of b, key of a); distinct morphisms have distinct
-        # keys, so a morphism's rank in key order compares as its key does
+        return HullClosure(bound=bound, complete=self.p.is_finite and not truncated,
+                           hull=self, numbers=cost.keys())
+
+    def _ordered(self, numbers) -> list[int]:
+        """Element numbers ordered by their codes: fewer pieces first, then the
+        pieces' keys, (key of b, key of a) in turn."""
+        # distinct morphisms have distinct keys, so a morphism's rank in key
+        # order compares as its key does, whichever morphisms are numbered
         keys, codes = self._sort_keys, self._codes
         rank = [0] * len(keys)
         for r, m in enumerate(sorted(range(len(keys)), key=keys.__getitem__)):
             rank[m] = r
         size = len(rank)
-        order = sorted(cost, key=lambda n: (len(codes[n]),
-                                            [rank[b] * size + rank[a] for a, b in codes[n]]))
-        complete = self.p.is_finite and not truncated
-        return HullClosure(elements=[self._elements[n] for n in order], bound=bound,
-                           complete=complete)
+        return sorted(numbers, key=lambda n: (len(codes[n]),
+                                              [rank[b] * size + rank[a] for a, b in codes[n]]))
 
     def contains_zero(self, h: HullClosure) -> bool:
+        if h.numbers is not None:
+            return 0 in h.numbers  # the zero is element 0
         return any(s.is_zero for s in h.elements)
 
     # -- the separation criterion -------------------------------------------

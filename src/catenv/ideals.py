@@ -100,7 +100,7 @@ class Semilattice:
         """Index of dom(s) for the hull element s numbered n."""
         d = self._domain_index.get(n)
         if d is None:
-            parts = self.hull.domain_parts(self.hull._elements[n])
+            parts = self.hull.domain_parts(self.hull.element(n))
             d = self._domain_index[n] = self.index[self.canonical(parts)]
         return d
 

@@ -217,13 +217,15 @@ def transformation_iso_check(ore: OreGroup, fractions: dict[int, tuple[int, int]
 
     `fractions` is `ore.kappa0` of the sample: element numbers of `ore.hull`
     to (num, den) pairs of its morphism numbers. The hull numbers morphisms
-    and elements by value, so equal numbers are equal morphisms or elements.
+    and elements by value, so equal numbers are equal morphisms or elements:
+    products are formed and looked up as numbers, and elements are built only
+    for a witness.
     [s,χ] = [t,χ] at the everything-is-one character when s and t agree on
     some principal ideal inside both domains. A mismatch is witnessed by the
     elements (s, t), or ("cocycle", s, t) when κ₀(s∘t) ≠ κ₀(s)·κ₀(t).
     """
     hull = ore.hull
-    codes, align, mul, elements = hull._codes, hull._alignments, hull._composites, hull._elements
+    codes, align, mul, element = hull._codes, hull._alignments, hull._composites, hull.element
     items = list(fractions.items())
     for k, (i, fi) in enumerate(items):
         for j, fj in items[k + 1:]:
@@ -231,15 +233,15 @@ def transformation_iso_check(ore: OreGroup, fractions: dict[int, tuple[int, int]
                             for a1, b1 in codes[i] for a2, b2 in codes[j]
                             for x, y in align[(b1 << 32) | b2])
             if same_germ != ore.equal(fi, fj):
-                return False, (elements[i], elements[j])
+                return False, (element(i), element(j))
     checked = 0
     for i, fi in items:
         for j, fj in items:
-            fij = fractions.get(hull.index(hull.hcompose(elements[i], elements[j])))
+            fij = fractions.get(hull._compose(i, j))
             if fij is None:  # zero, or outside the sample
                 continue
             if not ore.equal(fij, ore.mul(fi, fj)):
-                return False, ("cocycle", elements[i], elements[j])
+                return False, ("cocycle", element(i), element(j))
             checked += 1
     return True, checked
 

@@ -2,7 +2,8 @@
 
 Each is the straightforward formula the library replaced: a fresh least-squares
 solve per question instead of a maintained basis or factorization, loops over
-labels instead of integer tables, closure rounds that visit every pair, hull
+labels instead of integer tables, closure rounds that visit every pair, k-graph paths
+enumerated over every degree vector up to the size bound, hull
 products formed from their pieces with no cache and no interning, a Shilov
 search that runs the numerical search on every single block before any union,
 a deviation search that scores one trial at a time, the duality checks of
@@ -24,7 +25,8 @@ matrices, the one-array level-k norm, word inverses and evaluation in a
 group, the dual action of a crossed product, and the coaction axioms of a
 linear map δ given on a basis, one leg and one basis product at a time: the
 grading validation implies them, and planted maps fail them. `entry` reads one
-entry of a pipeline result by its check name, which only tests ask for.
+entry of a pipeline result by its check name, and `hcompose` forms the product
+of two hull elements as an element: only tests ask for either.
 """
 
 import itertools
@@ -198,6 +200,17 @@ def groupoid_by_scan(elements, source, range_, product, units=None):
     return inverse
 
 
+def kgraph_ball_by_degrees(g, n=None):
+    """`KGraph.ball` over every degree vector up to total n, or up to
+    len(edges)·len(objects) when n is None, with no stop at an empty total."""
+    if n is None:
+        n = len(g.edges) * max(1, len(g.objects))
+    out = [m for total in range(n + 1)
+           for degvec in itertools.product(range(total + 1), repeat=g.k) if sum(degvec) == total
+           for obj in g.objects for m in g._extensions(obj, degvec)]
+    return sorted(set(out), key=g.sort_key)
+
+
 def hull_closure_by_full_scan(hull, bound=None):
     """The hull closure as a fixpoint over all pairs: seed with the map of every
     ball morphism and its inverse, then in each round, over the closure sorted
@@ -230,7 +243,7 @@ def hull_closure_by_full_scan(hull, bound=None):
                 if bound is not None and cs + ct > bound:
                     truncated = True
                     continue
-                if offer(hull.hcompose(s, t), cs + ct):
+                if offer(hcompose(hull, s, t), cs + ct):
                     changed = True
     elements = sorted(cost, key=lambda s: (len(s.pieces),
                                            [(hull.p.sort_key(b), hull.p.sort_key(a))
@@ -282,7 +295,7 @@ def act_by_definition(ctx, s, chi) -> dict:
     hull, lat = ctx.hull, ctx.lat
     out = {}
     for j, X in enumerate(lat.ideals):
-        pulled = lat.canonical(hull.domain_parts(hull.hcompose(hull.idempotent(X.parts), s)))
+        pulled = lat.canonical(hull.domain_parts(hcompose(hull, hull.idempotent(X.parts), s)))
         out[j] = int(contains_by_parts(lat, lat.index[pulled], chi.min_index))
     return out
 
@@ -331,7 +344,7 @@ def germ_groupoid_by_definition(ctx, closure, chars):
     for g in elements:
         for h in elements:
             if members[h][1] == members[g][0]:
-                st = hull.hcompose(g.restricted, h.restricted)
+                st = hcompose(hull, g.restricted, h.restricted)
                 product[(g, h)] = settle(st, members[h][0])[0]
     return FiniteGroupoid(elements,
                           source={g: unit_of[members[g][0]] for g in elements},
@@ -355,7 +368,7 @@ def jack_check_by_pairs(hull_ctx, closure, model, lam, tol=1e-8):
     grm_mats = {s: model.spanning_matrix(s) for s in elements}
     for s in elements:
         for t in elements:
-            st = hull_ctx.hcompose(s, t)
+            st = hcompose(hull_ctx, s, t)
             lhs_l = lam_mats[s] @ lam_mats[t]
             lhs_g = grm_mats[s] @ grm_mats[t]
             rhs_l = lam_mats.get(st, np.zeros_like(lhs_l))
@@ -891,7 +904,7 @@ def transformation_iso_check_by_morphisms(hull_ctx, closure, ore, sample_limit=2
     checked = 0
     for s, fs in items:
         for t, ft in items:
-            fst = fraction_of.get(hull_ctx.index(hull_ctx.hcompose(s, t)))
+            fst = fraction_of.get(hull_ctx.index(hcompose(hull_ctx, s, t)))
             if fst is None:  # zero, or outside the sample
                 continue
             if not ore.equal(fst, ore.mul(fs, ft)):
@@ -930,7 +943,7 @@ def chain_entries_by_morphisms(hull_ctx, closure, bound=4, sample=40) -> list:
     return entries
 
 
-# -- reading a pipeline result ------------------------------------------------------
+# -- reading a pipeline result, and products of hull elements ---------------------
 
 
 def entry(result, check) -> Entry:
@@ -939,6 +952,12 @@ def entry(result, check) -> Entry:
         if e.check == check:
             return e
     raise KeyError(check)
+
+
+def hcompose(hull, s, t) -> PiecewiseBijection:
+    """s∘t in `hull`, as an element: the library forms products on element
+    numbers only."""
+    return hull.element(hull._compose(hull.index(s), hull.index(t)))
 
 
 # -- reference formulas for identities the library does not compute --------------

@@ -5,6 +5,7 @@ computations on enumerated balls.
 """
 
 import itertools
+import os
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,10 @@ from catenv.fixtures import (fix_broken_table, fix_edge, fix_flip_monoid,
                              fix_free2, fix_kgraph_acyclic, fix_n2,
                              fix_two_mce_category)
 from catenv.gpd import pair_groupoid
+from catenv.parsing import load_path
+from oracles import kgraph_ball_by_degrees
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
 
 def fix_pair_sub():
@@ -297,6 +302,37 @@ def test_kgraph_unique_factorization_on_ball():
                        p.divide_left(x, m) is not None]
             # unique left factor of each degree below deg(m)
             assert len(factors) == 1
+
+
+def kgraph_grid(rows, cols, cyclic=False):
+    """The 2-graph of a rows × cols grid: color-0 edges step the row, color-1
+    edges the column, and each unit square commutes. Acyclic, or on the torus
+    ℤ/rows × ℤ/cols (infinite) when `cyclic`."""
+    def node(i, j):
+        return f"{i % rows}.{j % cols}"
+
+    steps = range(rows if cyclic else rows - 1), range(cols if cyclic else cols - 1)
+    edges = [(f"h{i}.{j}", node(i, j), node(i + 1, j), 0) for i in steps[0] for j in range(cols)]
+    edges += [(f"v{i}.{j}", node(i, j), node(i, j + 1), 1) for i in range(rows) for j in steps[1]]
+    squares = [(f"h{i}.{(j + 1) % cols}", f"v{i}.{j}", f"v{(i + 1) % rows}.{j}", f"h{i}.{j}")
+               for i in steps[0] for j in steps[1]]
+    return KGraph([node(i, j) for i in range(rows) for j in range(cols)], edges, squares)
+
+
+@pytest.mark.parametrize("make, finite", [
+    (fix_kgraph_acyclic, True), (fix_flip_monoid, False),
+    (lambda: load_path(os.path.join(FIXTURES, "kgraph-acyclic.cat"))[1], True),
+    (lambda: kgraph_grid(2, 3), True), (lambda: kgraph_grid(2, 3, cyclic=True), False),
+    (lambda: three_graph({1: 1, 2: 2, 3: 3}, {1: 1, 2: 2, 3: 3}), False),
+], ids=["acyclic", "flip", "acyclic-file", "grid", "torus", "three-graph"])
+def test_kgraph_ball_matches_the_enumeration_of_every_degree(make, finite):
+    """`ball` stops at the first total with no path; the enumeration walks
+    every total up to the size bound. They agree at every radius and, on a
+    finite k-graph, on the whole category."""
+    g = make()
+    assert g.is_finite == finite
+    for radius in [0, 1, 2, 3] + ([None] if finite else []):
+        assert g.ball(radius) == kgraph_ball_by_degrees(g, radius)
 
 
 # -- products -------------------------------------------------------------------

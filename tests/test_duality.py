@@ -218,6 +218,39 @@ def test_unitaries_generators_and_kron_basis_match_dense(prepared):
         assert np.allclose(tilde, v_n @ double_dual @ v_n.conj().T, rtol=0, atol=1e-12)
 
 
+def dense_identity_i(delta, v_perm) -> bool:
+    """(i), V(δ_λ(a)⊗1)V* = δ_λ(a)⊗λ_{deg a} for every a of the graded basis,
+    on dense matrices of side d·n²."""
+    G, V = delta.group, perm_matrix(v_perm)
+    eye = np.eye(len(G))
+    return all(np.allclose(V @ np.kron(da, eye) @ V.conj().T, np.kron(da, G.lam(g)),
+                           rtol=0, atol=1e-12)
+               for da, g in zip(delta.images, delta.graded.degrees))
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_identity_i_on_the_legs_matches_dense(case):
+    """(i) is decided from US on n² points. For V = I⊗US with US the true
+    one, the identity, or the true one with two images swapped, it agrees with
+    the dense identity; a V that is not I⊗US fails it."""
+    delta = coaction(case)
+    dcp = delta.double_crossed_product
+    d, n = dcp.h_dim, dcp.n
+    true_us = dcp.v_perm[:n * n].copy()
+    swapped = true_us.copy()
+    swapped[[0, 1]] = swapped[[1, 0]]
+    verdicts = []
+    for us in (true_us, np.arange(n * n), swapped):
+        dcp.v_perm = lift(us, d)
+        verdicts.append(katayama_verify(delta).identity_i)
+        assert verdicts[-1] == dense_identity_i(delta, dcp.v_perm)
+    assert verdicts[0] is True and False in verdicts[1:]
+    assert d > 1
+    dcp.v_perm = lift(true_us, d)
+    dcp.v_perm[[-1, -2]] = dcp.v_perm[[-2, -1]]  # the last block only: US is still read true
+    assert katayama_verify(delta).identity_i is False
+
+
 @pytest.mark.parametrize("case", CASES)
 def test_normality_on_blocks_matches_the_dense_sampler(case):
     """The trivial character's block reads δ(a) as a, and the blocks together

@@ -7,7 +7,7 @@ import pytest
 
 from catenv.categories import DirectProduct, FreeMonoid, GroupoidSub, NkMonoid
 from catenv.fixtures import fix_flip_monoid, fix_free2, fix_n2, fix_trivial_monoid
-from catenv.gpd import cyclic_groupoid
+from catenv.gpd import cyclic_groupoid, group_as_groupoid
 from catenv.hull import InverseHull, PiecewiseBijection
 from catenv.lcm import (NotCore, OreGroup, core_membership, core_unitary_check,
                         is_right_lcm, starling_report, transformation_iso_check)
@@ -18,6 +18,15 @@ from oracles import (MorphismOreGroup, chain_entries_by_morphisms,
 
 def z2_monoid():
     return GroupoidSub(cyclic_groupoid(2), {"z0", "z1"})
+
+
+def s3_monoid():
+    """S₃, the permutations of {0, 1, 2} with (ab)(i) = a(b(i)), as a
+    one-object groupoid subcategory: every element is core, and the
+    cocycle identity tells s∘t from t∘s."""
+    els = list(itertools.permutations(range(3)))
+    mul = {(a, b): tuple(a[i] for i in b) for a in els for b in els}
+    return GroupoidSub(group_as_groupoid(els, mul, (0, 1, 2)), els)
 
 
 # -- LCM certification -----------------------------------------------------------
@@ -229,6 +238,7 @@ AGREEMENT_CASES = {
     "free2": (fix_free2, 4),
     "n1xfree2": (lambda: DirectProduct(NkMonoid(1), FreeMonoid(("a", "b"))), 4),  # a zero, partial core
     "z2": (z2_monoid, 4),  # finite and exact
+    "s3": (s3_monoid, 4),  # finite, exact and not abelian
     "trivial": (fix_trivial_monoid, 4),
 }
 

@@ -20,7 +20,7 @@ from catenv.matrixrep import (AlgebraSpan, GermModel, GroupoidRep, LambdaRep,
                               jack_check, matrix_rank, operator_norm, windowed_norm)
 from catenv.pipeline import boundary_quotient, truncation_norm_study
 from oracles import (DimensionMismatch, compression_identity_check, fix_set,
-                     function_matrix, inclusion_exclusion_check, inverse_rep,
+                     function_matrix, hcompose, inclusion_exclusion_check, inverse_rep,
                      jack_check_by_pairs, jack_check_dense, norm_level_k, theta_matrix)
 
 
@@ -88,7 +88,7 @@ def test_inverse_rep_examples():
     # Λ_{c⁻¹d} = λ(c)* λ(d) on samples
     for c in p.ball(None):
         for d in p.ball(None):
-            comp = hull.hcompose(hull.hinverse(hull.from_morphism(c)),
+            comp = hcompose(hull, hull.hinverse(hull.from_morphism(c)),
                                  hull.from_morphism(d))
             assert np.allclose(inverse_rep(lam, hull, comp),
                                lam.lam(c).conj().T @ lam.lam(d))
@@ -101,7 +101,7 @@ def test_lambda_multiplicative_and_star_exhaustive():
     for s, ms in mats.items():
         assert np.allclose(ms.conj().T, inverse_rep(lam, hull, hull.hinverse(s)))
         for t, mt in mats.items():
-            st = hull.hcompose(s, t)
+            st = hcompose(hull, s, t)
             assert np.allclose(ms @ mt, inverse_rep(lam, hull, st))
 
 
