@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Write the report of every command on every shipped fixture, one file per run,
-and the ``coaction`` report on four generated dense gradings.
+the ``coaction`` report on four generated dense gradings, and the ``thesis``
+report on three generated path categories.
 
 Usage: python scripts/corpus_reports.py OUTDIR [--depth N]
 
@@ -11,7 +12,9 @@ code and the standard error. The generated gradings are the benchmark's own
 coaction-graded inputs at seed 0 (upper2-z2, corner3-z2), written by its
 ``prepare``, and two more shapes from its ``graded_text`` (upper3-z3,
 upper2-z4), each on a stream seeded by its name, so they are the same on every
-run. The reports
+run. The path categories (dag19, dag22, fan) are written by the benchmark's
+``graph_path_text`` on a stream seeded by the name too; their hull closures
+have 100, 135 and 57 elements, more than any shipped fixture's. The reports
 carry no checkout path, so the trees written from two checkouts compare with
 one ``diff -r``. Prints one line per run with its exit code. BLAS runs on one
 thread unless the environment sets ``OPENBLAS_NUM_THREADS`` or
@@ -38,12 +41,22 @@ from catenv.cli import COMMANDS, main as cli_main  # noqa: E402  after the threa
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 FIXDIR = os.path.join(ROOT, "fixtures")
 sys.path.append(ROOT)
-from bench.workloads import CORNER3, UPPER2, Grading, graded_text, prepare  # noqa: E402
+from bench.workloads import (CORNER3, UPPER2, Grading, graded_text, graph_path_text,  # noqa: E402
+                             prepare)
 
 # gradings beyond the benchmark's: all of upper triangular M_3 over ℤ/3, and M_2's over ℤ/4
 EXTRA_GRADINGS = {
     "upper3-z3": Grading(3, 3, CORNER3 + ((0, 2), (1, 2))),
     "upper2-z4": Grading(4, 2, UPPER2),
+}
+
+# path categories for thesis, as (objects, arcs a → b): the chain 0 → … → 4 with
+# the arc 1 → 3, then also 2 → 4, and a fan
+CHAIN = ((0, 1), (1, 2), (2, 3), (3, 4))
+EXTRA_CATEGORIES = {
+    "dag19": (5, CHAIN + ((1, 3),)),
+    "dag22": (5, CHAIN + ((1, 3), (2, 4))),
+    "fan": (6, ((0, 1), (1, 2), (1, 3), (1, 4), (0, 5))),
 }
 
 
@@ -86,6 +99,11 @@ def main(argv=None):
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(graded_text(random.Random(name), g.order, g.dim, g.units))
             write("coaction", path)
+        for name, (n, arcs) in EXTRA_CATEGORIES.items():
+            path = os.path.join(tmp, f"{name}.cat")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(graph_path_text(random.Random(name), n, arcs))
+            write("thesis", path)
 
 
 if __name__ == "__main__":

@@ -163,7 +163,7 @@ def _coaction_report(obj, args, report: Report):
         ("dual_action_formula_check", cp.dual_action_formula_check()),
         ("dual_action_group_law_check", cp.dual_action_group_law_check())) if not ok]
     report.add("crossed-product", "rejected" if failed else "certified",
-               f"dimension {cp.span.dim}; "
+               f"dimension {cp.dim}; "
                + (f"{' and '.join(failed)} failed" if failed else
                   "dual action verified on generators"))
     kat = katayama_verify(delta)

@@ -310,7 +310,9 @@ class CrossedProduct:
 
     `generators[k·n + f]` is δ_λ(a_k) with the columns off the ℓ²(G) leg f
     cleared, which is its product with the diagonal I⊗M_f. The dual action
-    δ̂_g = Ad(I⊗ρ_g) is a gather by `rho_perms[g]`.
+    δ̂_g = Ad(I⊗ρ_g) is a gather by `rho_perms[g]`. Its dimension is n·dim A
+    (`dim`): δ_λ(a)(I⊗M_f) = a⊗E_{df,f} for a of degree d, and ⊕_{d,f}
+    A_d⊗E_{df,f} is closed under products. `span` is built only when read.
     """
 
     def __init__(self, delta: Coaction):
@@ -323,7 +325,11 @@ class CrossedProduct:
         self.generators = (np.array(delta.images)[:, None] * masks[:, None, :]) \
             .reshape(-1, len(leg), len(leg))
         self.rho_perms = perm.lift(self.group.rho_perms, self.h_dim)
-        self.span = AlgebraSpan(self.generators, selfadjoint=False)
+        self.dim = n * len(delta.graded.span[1])
+
+    @cached_property
+    def span(self) -> AlgebraSpan:
+        return AlgebraSpan(self.generators, selfadjoint=False)
 
     def dual_action_formula_check(self) -> bool:
         """δ̂_g(δ_λ(a) j(f)) = δ_λ(a) j(σ_g f) with σ_g(f)(h) = f(hg)."""

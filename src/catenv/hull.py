@@ -13,8 +13,8 @@ pairs of morphism numbers, canonical generators and sort keys on one number,
 and products of elements on pairs of element numbers. So each oracle of the
 presentation runs once per argument pair, and a cache lookup hashes integers,
 not nested morphism tuples. An element's number is all the hull keeps of it:
-its `PiecewiseBijection` is built the first time it is read (`element`), and
-a walk's closure keeps numbers, ordered and built into elements when read.
+its object is built on its first read (`element`). A walk's closure keeps the
+numbers it reached and its atoms', and orders and builds elements when read.
 """
 
 from __future__ import annotations
@@ -54,23 +54,20 @@ ZERO = PiecewiseBijection(())
 class HullClosure:
     """The elements a walk reached, with its bound and whether it is complete.
 
-    A walk's closure holds its hull and the element numbers it reached:
-    `len()` and `InverseHull.contains_zero` read those numbers, and `elements`
-    is ordered by piece keys and built on its first read. A closure may also
-    be given its elements."""
+    It holds its hull, the element numbers the walk reached and the numbers
+    of its atoms: `len()` and `InverseHull.contains_zero` read the numbers,
+    and `elements` is ordered by piece keys and built on its first read."""
 
-    def __init__(self, elements=None, bound=None, complete=False, *, hull=None, numbers=None):
+    def __init__(self, hull, numbers, atoms, bound=None, complete=False):
+        self.hull, self.numbers, self.atoms = hull, numbers, atoms
         self.bound, self.complete = bound, complete
-        self.hull, self.numbers = hull, numbers
-        if elements is not None:
-            self.elements = list(elements)
 
     @cached_property
     def elements(self) -> list[PiecewiseBijection]:
         return [self.hull.element(n) for n in self.hull._ordered(self.numbers)]
 
     def __len__(self):
-        return len(self.elements) if self.numbers is None else len(self.numbers)
+        return len(self.numbers)
 
     def nonzero(self):
         return [s for s in self.elements if not s.is_zero]
@@ -293,9 +290,6 @@ class InverseHull:
 
     # -- inverse semigroup arithmetic -------------------------------------
 
-    def hinverse(self, s: PiecewiseBijection) -> PiecewiseBijection:
-        return self.element(self._inverses[self.index(s)])
-
     def _fill_inverse(self, i: int) -> int:
         return self._canonical([(b, a) for a, b in self._codes[i]])
 
@@ -367,8 +361,9 @@ class InverseHull:
         reaches each at its least cost. `bound` caps the cost; None requires a
         finite category. Complete when finite and no product was cut at `bound`.
         Products are cached, so a second walk over the same hull, at the same
-        or a lower bound, reads them. The walk runs on element numbers only:
-        the closure builds its elements when they are read.
+        or a lower bound, reads them. The walk runs on element numbers only, and
+        its closure keeps the atoms' numbers: the unit's too, though s∘1 = s
+        reaches nothing new and the walk skips it.
         """
         if bound is None and not self.p.is_finite:
             raise ValueError("infinite category: a provenance bound is required")
@@ -380,8 +375,8 @@ class InverseHull:
                     atoms[t] = min(atoms.get(t, 1), len(c.word))
         cost, products = dict(atoms), self._products
         buckets = [[n for n, c in atoms.items() if c == level] for level in (0, 1)]
+        all_atoms = tuple(atoms)
         if len(self.p.objects) == 1:
-            # the identity's map is the unit, and s∘1 = s reaches nothing new
             atoms.pop(self._from_morphism(self.p.identity(self.p.objects[0])), None)
         truncated = False
         for level, bucket in enumerate(buckets):  # both lists grow while walked
@@ -399,8 +394,8 @@ class InverseHull:
                         if c == len(buckets):
                             buckets.append([])
                         buckets[c].append(k)
-        return HullClosure(bound=bound, complete=self.p.is_finite and not truncated,
-                           hull=self, numbers=cost.keys())
+        return HullClosure(self, cost.keys(), all_atoms, bound=bound,
+                           complete=self.p.is_finite and not truncated)
 
     def _ordered(self, numbers) -> list[int]:
         """Element numbers ordered by their codes: fewer pieces first, then the
@@ -416,9 +411,7 @@ class InverseHull:
                                               [rank[b] * size + rank[a] for a, b in codes[n]]))
 
     def contains_zero(self, h: HullClosure) -> bool:
-        if h.numbers is not None:
-            return 0 in h.numbers  # the zero is element 0
-        return any(s.is_zero for s in h.elements)
+        return 0 in h.numbers  # the zero is element 0
 
     # -- the separation criterion -------------------------------------------
 

@@ -155,9 +155,9 @@ class OreGroup:
         mul = self.hull._composites
         return mul[(c << 32) | x], mul[(b << 32) | y]
 
-    def kappa0(self, elements) -> dict[int, tuple[int, int]]:
-        """κ₀ of the germs of `elements` at a boundary character with full
-        support (χ∞ regime), keyed by element number.
+    def kappa0(self, numbers) -> dict[int, tuple[int, int]]:
+        """κ₀ of the germs of the elements numbered `numbers` at a boundary
+        character with full support (χ∞ regime), keyed by element number.
 
         Every piece (a, b) with core entries yields the fraction a·b⁻¹; pieces
         of one element must agree, which is the well-definedness of the
@@ -165,8 +165,7 @@ class OreGroup:
         that disagree or never meet, have no κ₀ and are left out.
         """
         codes, fractions = self.hull._codes, {}
-        for s in elements:
-            i = self.hull.index(s)
+        for i in numbers:
             code = codes[i]
             if not (code and all(self._in_core(a) and self._in_core(b) for a, b in code)):
                 continue
@@ -270,7 +269,8 @@ def starling_report(pres, bound: int = 4, sample: int = 40,
                          "certified" if pres.is_finite else "bounded-evidence",
                          f"{len(core)} certified core elements in the window"))
     ore = OreGroup(hull_ctx, bound=bound)
-    fractions = ore.kappa0(closure.nonzero()[:sample])
+    # the first nonzero numbers in the closure's order (the zero is number 0)
+    fractions = ore.kappa0([n for n in hull_ctx._ordered(closure.numbers) if n][:sample])
     try:
         iso_ok, info = transformation_iso_check(ore, fractions)
         entries.append(Entry(

@@ -374,29 +374,30 @@ def jack_check(hull_ctx: InverseHull, closure: HullClosure, model: GermModel,
     *-isomorphism: products and adjoints match, and the two spanning
     families have identical linear dependencies.
 
-    Exact, on the index arrays of both families (`LambdaRep.inverse_perm`,
-    `GermModel.spanning_stack`): for each s, M_s times the whole stack, one
-    gather, is compared with M_st by `np.array_equal` (the stack's last row is
-    the zero map), and the first failing t is the witness, as pairwise.
-    M_s* = M_{s⁻¹} is `perm.is_adjoint`. Each of the three ranks is taken on
-    `perm.support_rows`."""
+    Products are compared on the walk's Cayley edges only, M_t·M_a = M_{t∘a}
+    for each nonzero t and atom a (`closure.atoms`), and adjoints on the
+    atoms, M_{a⁻¹} = M_a*. That decides every pair: each element is a right
+    product of atoms, so M_s·M_u = M_{s∘u} by induction on u's atom word
+    (M_s·M_{u'}·M_a = M_{s∘u'}·M_a, with M_0 = 0), and as the atoms are closed
+    under inverse, M_{u⁻¹} = M_{a_k⁻¹}⋯M_{a₁⁻¹} = M_u* for u = a₁∘⋯∘a_k. The
+    witness is the first failing edge (t, a), or an atom whose adjoint fails.
+    Exact, on index arrays: per atom, one gather of each stack (its last row
+    is M_0) compared by `np.array_equal`; adjoints by `perm.is_adjoint`, and
+    each of the three ranks on `perm.support_rows`."""
     elements = closure.nonzero()
-    numbers = [hull_ctx.index(s) for s in elements]
-    position = {n: k for k, n in enumerate(numbers)}
+    position = {hull_ctx.index(s): k for k, s in enumerate(elements)}  # in stack order
     zero = len(elements)
     stacks = [np.array([*(lam.inverse_perm(hull_ctx, s) for s in elements),
                         np.full(len(lam.basis), -1)], dtype=np.intp),
               np.vstack([model.spanning_stack, np.full(len(model.rep.basis), -1)])]
-    for k, s in enumerate(elements):
-        st = [position.get(hull_ctx._compose(numbers[k], n), zero) for n in numbers]
-        bad = np.zeros(zero, dtype=bool)
-        for p in stacks:
-            bad |= (perm.product(p[k], p[:zero]) != p[st]).any(axis=1)
+    for a in closure.atoms:
+        k, ainv = position[a], position[hull_ctx._inverses[a]]
+        ta = [position.get(hull_ctx._compose(n, a), zero) for n in position]
+        bad = np.any([(perm.product(p[:zero], p[k]) != p[ta]).any(axis=1) for p in stacks], 0)
         if bad.any():
-            return False, (s, elements[int(np.argmax(bad))])
-        sinv = position[hull_ctx.index(hull_ctx.hinverse(s))]
-        if not all(perm.is_adjoint(p[k], p[sinv]) for p in stacks):
-            return False, s
+            return False, (elements[int(np.argmax(bad))], elements[k])
+        if not all(perm.is_adjoint(p[k], p[ainv]) for p in stacks):
+            return False, elements[k]
     va, vb = (perm.support_rows(p[:zero]) for p in stacks)
     ra, rb = matrix_rank(va), matrix_rank(vb)
     rjoint = _joint_rank(va, vb)

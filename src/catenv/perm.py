@@ -50,9 +50,9 @@ def is_adjoint(p, q) -> bool:
 
 
 def product(p, q) -> np.ndarray:
-    """The index array of PQ, for one array p and an array or a stack q: the
-    gather p[q], −1 where q or p is −1."""
-    return np.append(p, -1)[q]
+    """The index array of PQ, for one array p and an array or a stack q, or a
+    stack p and one array q: the gather p[q], −1 where q or p is −1."""
+    return np.concatenate([p, np.full(np.shape(p)[:-1] + (1,), -1, np.intp)], axis=-1)[..., q]
 
 
 def kron(p, q) -> np.ndarray:

@@ -25,8 +25,9 @@ matrices, the one-array level-k norm, word inverses and evaluation in a
 group, the dual action of a crossed product, and the coaction axioms of a
 linear map δ given on a basis, one leg and one basis product at a time: the
 grading validation implies them, and planted maps fail them. `entry` reads one
-entry of a pipeline result by its check name, and `hcompose` forms the product
-of two hull elements as an element: only tests ask for either.
+entry of a pipeline result by its check name, and `hcompose` and `hinverse`
+form the product of two hull elements and the inverse of one as elements: only
+tests ask for these.
 """
 
 import itertools
@@ -40,7 +41,7 @@ from catenv.envelope import (NotACover, ShilovResult, SpannedStarMap, is_boundar
                              search_levels)
 from catenv.germs import InfiniteCharacterSpace, NotInDomain
 from catenv.gpd import FiniteGroupoid, GroupoidError
-from catenv.hull import HullClosure, InconsistentPieces, PiecewiseBijection
+from catenv.hull import InconsistentPieces, PiecewiseBijection
 from catenv.lcm import NotCore, core_membership
 from catenv.matrixrep import (AlgebraSpan, IsometryVerdict, SpanBasis, _joint_rank,
                               level_k_norms, matrix_rank, operator_norm)
@@ -211,6 +212,16 @@ def kgraph_ball_by_degrees(g, n=None):
     return sorted(set(out), key=g.sort_key)
 
 
+@dataclass
+class GivenClosure:
+    """A closure given by its elements, as the full scan finds them or a test
+    doctors them; the library's `HullClosure` is the record of a walk."""
+
+    elements: list
+    bound: int | None
+    complete: bool
+
+
 def hull_closure_by_full_scan(hull, bound=None):
     """The hull closure as a fixpoint over all pairs: seed with the map of every
     ball morphism and its inverse, then in each round, over the closure sorted
@@ -230,14 +241,14 @@ def hull_closure_by_full_scan(hull, bound=None):
     for c in hull.p.ball(bound):
         s = hull.from_morphism(c)
         offer(s, len(c.word))
-        offer(hull.hinverse(s), len(c.word))
+        offer(hinverse(hull, s), len(c.word))
     truncated = False
     changed = True
     while changed:
         changed = False
         items = sorted(cost.items(), key=lambda kv: (kv[1], str(kv[0])))
         for s, cs in items:
-            if offer(hull.hinverse(s), cs):
+            if offer(hinverse(hull, s), cs):
                 changed = True
             for t, ct in items:
                 if bound is not None and cs + ct > bound:
@@ -248,8 +259,7 @@ def hull_closure_by_full_scan(hull, bound=None):
     elements = sorted(cost, key=lambda s: (len(s.pieces),
                                            [(hull.p.sort_key(b), hull.p.sort_key(a))
                                             for a, b in s.pieces]))
-    return HullClosure(elements=elements, bound=bound,
-                       complete=hull.p.is_finite and not truncated)
+    return GivenClosure(elements, bound, hull.p.is_finite and not truncated)
 
 
 def hull_product_by_definition(hull, s, t):
@@ -378,7 +388,7 @@ def jack_check_by_pairs(hull_ctx, closure, model, lam, tol=1e-8):
             if not (np.allclose(lhs_l, rhs_l, atol=tol)
                     and np.allclose(lhs_g, rhs_g, atol=tol)):
                 return False, (s, t)
-        sinv = hull_ctx.hinverse(s)
+        sinv = hinverse(hull_ctx, s)
         if not (np.allclose(lam_mats[s].conj().T, lam_mats[sinv], atol=tol)
                 and np.allclose(grm_mats[s].conj().T, grm_mats[sinv], atol=tol)):
             return False, s
@@ -410,7 +420,7 @@ def jack_check_dense(hull_ctx, closure, model, lam, tol=1e-8):
             bad |= ~np.isclose(m[k] @ m[:zero], m[st], atol=tol).all(axis=(1, 2))
         if bad.any():
             return False, (s, elements[int(np.argmax(bad))])
-        sinv = position[hull_ctx.index(hull_ctx.hinverse(s))]
+        sinv = position[hull_ctx.index(hinverse(hull_ctx, s))]
         if not all(np.allclose(m[k].conj().T, m[sinv], atol=tol) for m in stacks):
             return False, s
     va, vb = (m[:zero] for m in stacks)
@@ -943,7 +953,46 @@ def chain_entries_by_morphisms(hull_ctx, closure, bound=4, sample=40) -> list:
     return entries
 
 
-# -- reading a pipeline result, and products of hull elements ---------------------
+# -- the closed form of an acyclic path category -------------------------------------
+
+
+def acyclic_path_counts(pres):
+    """(spectrum blocks, envelope blocks, closure size) of `thesis` on the path
+    category of a finite acyclic graph with at least two vertices, read off
+    the graph alone.
+
+    An arc v → w is a morphism with domain v, and a path c is defined on
+    𝔡(c)𝔠 = {t : t ends at 𝔡(c)}. Let m_v count the paths with domain v, the
+    unit included: the unit, and each arc v → w followed by a path with
+    domain w. Two principal ideals of a path category are nested or disjoint,
+    so a product of one-piece maps has at most one piece. The hull is
+    therefore the zero, which the two units' maps of distinct vertices
+    multiply to, and the maps b·t ↦ a·t with 𝔡(a) = 𝔡(b), each equal to
+    (a, 1)∘(1, b): 1 + Σ m_v² elements. Each character of the idempotents
+    is the filter of the ideals holding one path c. The map of (a, b) moves
+    χ_{b·t} to χ_{a·t}, so the orbit of χ_c is the m_v paths with domain
+    v = 𝔡(c), with no isotropy: C*(G_Ω) = ⊕_v M_{m_v}. χ_c is maximal when
+    no longer path c·t exists, that is when 𝔡(c) has no incoming arc. On a
+    finite space the boundary is the maximal characters, so the envelope is
+    ⊕ M_{m_v} over the vertices with no incoming arc.
+    """
+    out, targets = {v: [] for v in pres.objects}, set()
+    for v, w in pres.edges.values():
+        out[v].append(w)
+        targets.add(w)
+    m = {}
+
+    def paths(v):
+        if v not in m:
+            m[v] = 1 + sum(paths(w) for w in out[v])
+        return m[v]
+
+    return (sorted(map(paths, pres.objects)),
+            sorted(paths(v) for v in pres.objects if v not in targets),
+            1 + sum(paths(v) ** 2 for v in pres.objects))
+
+
+# -- reading a pipeline result, and products and inverses of hull elements ---------------------
 
 
 def entry(result, check) -> Entry:
@@ -958,6 +1007,11 @@ def hcompose(hull, s, t) -> PiecewiseBijection:
     """s∘t in `hull`, as an element: the library forms products on element
     numbers only."""
     return hull.element(hull._compose(hull.index(s), hull.index(t)))
+
+
+def hinverse(hull, s) -> PiecewiseBijection:
+    """s⁻¹ in `hull`, as an element: the library inverts element numbers only."""
+    return hull.element(hull._inverses[hull.index(s)])
 
 
 # -- reference formulas for identities the library does not compute --------------

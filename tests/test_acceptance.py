@@ -31,7 +31,7 @@ from catenv.univgroup import (CategoryFunctor, Cocycle, IsoLetter, XLetter,
                               idempotent_pure_check, j_map, kernel_subgroupoid,
                               partial_action_iso_check, reduce_word,
                               universal_group, word_mul)
-from oracles import (ExplicitBijection, entry, separation_by_fixed_sets,
+from oracles import (ExplicitBijection, GivenClosure, entry, separation_by_fixed_sets,
                      spectral_subspace_dims_from_reduction, verify_coaction_axioms)
 
 
@@ -125,8 +125,7 @@ def test_criterion_04_separation_criterion():
     hull = InverseHull(pres)
     closure = hull.generate()
     planted = ExplicitBijection(((pres.identity("v"), pres.identity("v")),))
-    doctored = type(closure)(elements=closure.elements + [planted],
-                             bound=None, complete=True)
+    doctored = GivenClosure(closure.elements + [planted], bound=None, complete=True)
     verdict = separation_by_fixed_sets(hull, doctored)
     assert verdict.status == "counterexample"
     assert verdict.witness[1] == pres.identity("v")
@@ -328,7 +327,7 @@ def test_criterion_11_right_lcm_suite():
     for vec in itertools.product(range(3), repeat=2):
         assert core_membership(n2, n2.vector(vec)).status == "in_core"
     ore = OreGroup(hull)
-    ok, pairs = transformation_iso_check(ore, ore.kappa0(closure.nonzero()[:200]))
+    ok, pairs = transformation_iso_check(ore, ore.kappa0(map(hull.index, closure.nonzero()[:200])))
     assert ok and pairs >= 100
     core_sample = [n2.vector(v) for v in itertools.product(range(4), repeat=2)
                    if sum(v) <= 3][:10]

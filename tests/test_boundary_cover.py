@@ -15,6 +15,7 @@ numerical decomposition of the spectrum algebra, and a `thesis` run on it, are
 its oracle.
 """
 
+import random
 from functools import partial
 from pathlib import Path
 
@@ -29,7 +30,7 @@ from catenv.fixtures import fix_edge, fix_kgraph_acyclic, fix_two, fix_two_mce_c
 from catenv.gpd import pair_groupoid, transitive_groupoid
 from catenv.matrixrep import AlgebraSpan, complete_isometry_check, deviation_search
 from catenv.pipeline import analyze_category
-from oracles import entry
+from oracles import acyclic_path_counts, entry
 from test_hull import layered_dag
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -320,3 +321,50 @@ def test_regular_model_dim_is_the_toeplitz_dim(monkeypatch, make):
     monkeypatch.setattr(pipeline, "jack_check", lambda *args: (False, "planted"))
     rejected = entry(analyze_category(make()), "regular-vs-groupoid-model")
     assert rejected.status == "rejected" and rejected.data["dim"] == want
+
+
+def test_acyclic_path_counts_of_the_probe_graphs():
+    chain = [(0, 1), (1, 2), (2, 3), (3, 4)]
+    assert acyclic_path_counts(path_category(5, chain + [(1, 3), (2, 4)])) \
+        == ([1, 2, 4, 7, 8], [8], 135)  # DAG22
+    assert acyclic_path_counts(path_category(6, [(0, 1), (1, 2), (1, 3), (1, 4), (0, 5)])) \
+        == ([1, 1, 1, 1, 4, 6], [6], 57)  # FAN
+
+
+def acyclic_graph(seed):
+    """A seeded path category of at most 40 morphisms: a layered DAG, each arc
+    between adjacent layers present with chance 0.6, for even seeds, and a
+    chain with each skip arc present with chance 0.3 for odd ones. The
+    vertices are numbered in a shuffled order."""
+    rng = random.Random(seed)
+    while True:
+        if seed % 2 == 0:
+            layers = [rng.randint(1, 3) for _ in range(rng.randint(2, 5))]
+            starts = [sum(layers[:i]) for i in range(len(layers))]
+            arcs = [(starts[i] + a, starts[i + 1] + b) for i in range(len(layers) - 1)
+                    for a in range(layers[i]) for b in range(layers[i + 1])
+                    if rng.random() < 0.6]
+            n = sum(layers)
+        else:
+            n = rng.randint(3, 7)
+            arcs = [(i, i + 1) for i in range(n - 1)] + [
+                (i, j) for i in range(n) for j in range(i + 2, n) if rng.random() < 0.3]
+        label = list(range(n))
+        rng.shuffle(label)
+        pres = path_category(n, [(label[a], label[b]) for a, b in arcs])
+        if arcs and len(pres.ball(None)) <= 40:
+            return pres
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_thesis_matches_the_closed_form_of_an_acyclic_path_category(seed):
+    """`thesis` on a generated acyclic path category reports the closure size,
+    the spectrum blocks and the envelope blocks that the graph's path counts
+    give (`oracles.acyclic_path_counts`)."""
+    pres = acyclic_graph(seed)
+    res = analyze_category(pres)
+    assert res.exit_code == 0
+    omega, envelope_blocks, size = acyclic_path_counts(pres)
+    assert entry(res, "hull-closure").data["size"] == size
+    assert entry(res, "block-structure").data["omega_blocks"] == omega
+    assert entry(res, "shilov-ideal").data["envelope_blocks"] == envelope_blocks

@@ -10,7 +10,7 @@ from catenv.germs import NotInDomain
 from catenv.gpd import cyclic_groupoid, pair_groupoid
 from catenv.ideals import Character
 from conftest import FixtureBundle
-from oracles import act_by_definition, contains_by_parts, germ_groupoid_by_definition
+from oracles import act_by_definition, contains_by_parts, germ_groupoid_by_definition, hinverse
 from test_hull import layered_dag
 
 
@@ -31,7 +31,7 @@ def test_act_examples(edge):
     s = e_map(edge)
     chi_w, chi_e = edge.char("id:w𝔠"), edge.char("e𝔠")
     assert act(ctx, s, chi_w) == chi_e
-    assert act(ctx, hull.hinverse(s), chi_e) == chi_w
+    assert act(ctx, hinverse(hull, s), chi_e) == chi_w
     idv = hull.idempotent([edge.pres.identity("v")])
     chi_v = edge.char("id:v𝔠")
     assert act(ctx, idv, chi_v) == chi_v

@@ -22,9 +22,11 @@ from catenv.fixtures import (fix_edge, fix_flip_monoid, fix_free2, fix_kgraph_ac
                              fix_n2, fix_trivial_monoid, fix_two, fix_two_mce_category)
 from catenv.gpd import cyclic_groupoid, pair_groupoid
 from catenv.hull import InverseHull, PiecewiseBijection, ZERO
+from catenv.lcm import OreGroup, starling_report
 from catenv.pipeline import analyze_category
-from oracles import (ExplicitBijection, fix_set, hcompose, hull_closure_by_full_scan,
-                     hull_product_by_definition, separation_by_fixed_sets)
+from oracles import (ExplicitBijection, GivenClosure, fix_set, hcompose, hinverse,
+                     hull_closure_by_full_scan, hull_product_by_definition,
+                     separation_by_fixed_sets)
 
 
 def graph_of(hull, s, ball):
@@ -80,18 +82,18 @@ def test_hcompose_examples(edge_hull):
     hull, h = edge_hull
     p = hull.p
     s = e_map(hull)
-    sinv = hull.hinverse(s)
+    sinv = hinverse(hull, s)
     idw = hull.idempotent([p.identity("w")])
     assert hcompose(hull, sinv, s) == idw
     assert hcompose(hull, s, idw) == s
-    assert hull.hinverse(hull.hinverse(s)) == s
-    assert hull.hinverse(ZERO) == ZERO
+    assert hinverse(hull, hinverse(hull, s)) == s
+    assert hinverse(hull, ZERO) == ZERO
 
 
 def test_hcompose_zero_in_free_monoid():
     p = fix_free2()
     hull = InverseHull(p)
-    a_inv = hull.hinverse(hull.from_morphism(p.word("a")))
+    a_inv = hinverse(hull, hull.from_morphism(p.word("a")))
     b = hull.from_morphism(p.word("b"))
     assert hcompose(hull, a_inv, b).is_zero
 
@@ -209,14 +211,14 @@ def test_hcompose_matches_product_by_definition(make, bound):
     interned = {s: s for s in els}
     assert len(interned) == len(els)
     for s in els:
-        assert hull.canonical(s.pieces) is s and hull.hinverse(hull.hinverse(s)) is s
+        assert hull.canonical(s.pieces) is s and hinverse(hull, hinverse(hull, s)) is s
         for t in els:
             st = hcompose(hull, s, t)
             assert st == hull_product_by_definition(hull, s, t)
             assert interned.get(st, st) is st and hull.canonical(st.pieces) is st
         copy = PiecewiseBijection(s.pieces)
         assert hcompose(hull, copy, s) is hcompose(hull, s, s)
-        assert hull.hinverse(copy) is hull.hinverse(s)
+        assert hinverse(hull, copy) is hinverse(hull, s)
 
 
 def test_two_mce_has_no_units_but_identities():
@@ -317,6 +319,38 @@ def test_a_bounded_thesis_builds_few_element_objects():
     assert built(hull) < 500
 
 
+@pytest.mark.parametrize("make", [fix_free2, fix_n2])
+def test_the_lcm_sample_builds_no_element(monkeypatch, make):
+    """The LCM chain takes κ₀ of the first 40 nonzero elements of its bound-4
+    walk's order, on their numbers: it builds no element object but the zero."""
+    sampled, kappa0 = [], OreGroup.kappa0
+
+    def recorded(self, numbers):
+        sampled.extend(numbers)
+        return kappa0(self, sampled)
+    monkeypatch.setattr(OreGroup, "kappa0", recorded)
+    hull = InverseHull(make())
+    starling_report(make(), hull=hull)
+    assert built(hull) == 1
+    assert sampled == [hull.index(s) for s in hull.generate(4).nonzero()[:40]]
+
+
+@pytest.mark.parametrize("make,bound", [
+    (fix_edge, None), (fix_two, None), (fix_kgraph_acyclic, None), (fix_two_mce_category, None),
+    (fix_trivial_monoid, None), (fix_flip_monoid, 2), (fix_free2, 3), (fix_n2, 0)])
+def test_a_closure_carries_its_atoms(make, bound):
+    """The walk's atoms are the maps of the identities and generators and
+    their inverses, recorded as element numbers of the closure; the identity's
+    map of a one-object category too, which the walk skips."""
+    pres = make()
+    hull = InverseHull(pres)
+    closure = hull.generate(bound)
+    maps = [hull.from_morphism(c) for c in pres.ball(1 if bound is None else min(bound, 1))
+            if len(c.word) <= 1]
+    assert set(closure.atoms) == {hull.index(t) for s in maps for t in (s, hinverse(hull, s))}
+    assert set(closure.atoms) <= set(closure.numbers)
+
+
 def test_n2_hull_bound_two():
     p = fix_n2()
     hull = InverseHull(p)
@@ -353,7 +387,7 @@ def test_inverse_semigroup_axioms_exhaustive():
         h = hull.generate()
         els = h.nonzero() + [ZERO]
         for s in els:
-            sinv = hull.hinverse(s)
+            sinv = hinverse(hull, s)
             assert hcompose(hull, hcompose(hull, s, sinv), s) == s
             assert hcompose(hull, hcompose(hull, sinv, s), sinv) == sinv
         idems = [s for s in els if hull.is_idempotent(s)]
@@ -403,7 +437,7 @@ def test_multi_piece_elements_match_pointwise_oracle():
     ball = p.ball(3)
     els = h.nonzero()
     for s in els:
-        sinv = hull.hinverse(s)
+        sinv = hinverse(hull, s)
         assert hcompose(hull, hcompose(hull, s, sinv), s) == s
     for s in multi:
         for t in els:
@@ -430,8 +464,7 @@ def test_planted_non_ideal_union_rejected(edge_hull):
     hull, h = edge_hull
     p = hull.p
     planted = ExplicitBijection(((p.identity("v"), p.identity("v")),))
-    doctored = type(h)(elements=h.elements + [planted], bound=h.bound,
-                       complete=h.complete)
+    doctored = GivenClosure(h.elements + [planted], bound=h.bound, complete=h.complete)
     verdict = separation_by_fixed_sets(hull, doctored)
     assert verdict.status == "counterexample"
     offender, witness = verdict.witness

@@ -124,7 +124,7 @@ def test_fractions_reject_non_core():
     hull = InverseHull(f2)
     ore = OreGroup(hull)
     unit = hull.from_morphism(f2.identity("*"))
-    kappa = ore.kappa0([hull.from_morphism(f2.word("a")), unit])
+    kappa = ore.kappa0([hull.index(hull.from_morphism(f2.word("a"))), hull.index(unit)])
     assert kappa == {hull.index(unit): ore.identity}
 
 
@@ -137,7 +137,7 @@ def test_kappa0_examples():
     ore = OreGroup(hull)
     s = hull.canonical([(n2.vector((2, 1)), n2.vector((1, 1)))])
     unit = hull.idempotent([n2.identity()])
-    kappa = ore.kappa0([s, unit])
+    kappa = ore.kappa0([hull.index(s), hull.index(unit)])
     assert ore.equal(kappa[hull.index(s)],
                      fraction(ore, n2.vector((1, 0)), n2.vector((0, 0))))
     assert ore.equal(kappa[hull.index(unit)], ore.identity)
@@ -152,8 +152,8 @@ def test_kappa0_needs_pieces_that_agree():
     v = n2.vector
     agree = PiecewiseBijection(((v((1, 0)), v((0, 0))), (v((1, 1)), v((0, 1)))))
     disagree = PiecewiseBijection(((v((1, 0)), v((0, 0))), (v((0, 0)), v((0, 1)))))
-    assert ore.kappa0([agree, disagree]) == {hull.index(agree): fraction(ore, v((1, 0)),
-                                                                       v((0, 0)))}
+    assert ore.kappa0([hull.index(agree), hull.index(disagree)]) \
+        == {hull.index(agree): fraction(ore, v((1, 0)), v((0, 0)))}
     assert kappa0(hull, agree, ref) == ref.fraction(v((1, 0)), v((0, 0)))
     with pytest.raises(NotCore):
         kappa0(hull, disagree, ref)
@@ -166,7 +166,7 @@ def test_kappa0_constant_on_germ_classes():
     s = hull.canonical([(n2.vector((1, 0)), n2.vector((0, 1)))])
     t = hull.canonical([(n2.vector((2, 1)), n2.vector((1, 2)))])  # restriction of s
     assert germ_equal_at_full_support(hull, s, t)
-    kappa = ore.kappa0([s, t])
+    kappa = ore.kappa0([hull.index(s), hull.index(t)])
     assert ore.equal(kappa[hull.index(s)], kappa[hull.index(t)])
     ref = MorphismOreGroup(n2)
     assert ref.equal(kappa0(hull, s, ref), kappa0(hull, t, ref))
@@ -177,7 +177,7 @@ def test_kappa0_cocycle_identity_on_many_pairs():
     hull = InverseHull(n2)
     h = hull.generate(bound=3)
     ore = OreGroup(hull)
-    ok, pairs = transformation_iso_check(ore, ore.kappa0(h.nonzero()[:200]))
+    ok, pairs = transformation_iso_check(ore, ore.kappa0(map(hull.index, h.nonzero()[:200])))
     assert ok and pairs >= 100
 
 
@@ -248,7 +248,7 @@ def both_chains(pres, bound, sample=40):
     hull = InverseHull(pres)
     closure = hull.generate(None if pres.is_finite else bound)
     ore = OreGroup(hull, bound=bound)
-    ours = transformation_iso_check(ore, ore.kappa0(closure.nonzero()[:sample]))
+    ours = transformation_iso_check(ore, ore.kappa0(map(hull.index, closure.nonzero()[:sample])))
     ref = transformation_iso_check_by_morphisms(hull, closure, MorphismOreGroup(pres, bound),
                                                 sample)
     return ours, ref

@@ -20,7 +20,7 @@ from catenv.matrixrep import (AlgebraSpan, GermModel, GroupoidRep, LambdaRep,
                               jack_check, matrix_rank, operator_norm, windowed_norm)
 from catenv.pipeline import boundary_quotient, truncation_norm_study
 from oracles import (DimensionMismatch, compression_identity_check, fix_set,
-                     function_matrix, hcompose, inclusion_exclusion_check, inverse_rep,
+                     function_matrix, hcompose, hinverse, inclusion_exclusion_check, inverse_rep,
                      jack_check_by_pairs, jack_check_dense, norm_level_k, theta_matrix)
 
 
@@ -82,14 +82,14 @@ def test_inverse_rep_examples():
     lam = LambdaRep.build(p)
     e = by_word(p, ("e",))
     s = hull.from_morphism(e)
-    sinv = hull.hinverse(s)
+    sinv = hinverse(hull, s)
     assert np.allclose(inverse_rep(lam, hull, sinv), lam.lam(e).conj().T)
     assert np.allclose(inverse_rep(lam, hull, ZERO), 0)
     # Λ_{c⁻¹d} = λ(c)* λ(d) on samples
     for c in p.ball(None):
         for d in p.ball(None):
-            comp = hcompose(hull, hull.hinverse(hull.from_morphism(c)),
-                                 hull.from_morphism(d))
+            comp = hcompose(hull, hinverse(hull, hull.from_morphism(c)),
+                            hull.from_morphism(d))
             assert np.allclose(inverse_rep(lam, hull, comp),
                                lam.lam(c).conj().T @ lam.lam(d))
 
@@ -99,7 +99,7 @@ def test_lambda_multiplicative_and_star_exhaustive():
     lam = LambdaRep.build(p)
     mats = {s: inverse_rep(lam, hull, s) for s in closure.nonzero()}
     for s, ms in mats.items():
-        assert np.allclose(ms.conj().T, inverse_rep(lam, hull, hull.hinverse(s)))
+        assert np.allclose(ms.conj().T, inverse_rep(lam, hull, hinverse(hull, s)))
         for t, mt in mats.items():
             st = hcompose(hull, s, t)
             assert np.allclose(ms @ mt, inverse_rep(lam, hull, st))
@@ -220,25 +220,59 @@ def _planted_families(p, hull, closure, g_om, g_bd, plant, change_adjoint):
         "dependency": (lam, model_bd)}
 
 
+def genuine_failure(hull, closure, model, lam, witness) -> bool:
+    """Whether a `jack_check` witness fails in the family it was found in:
+    an edge (t, a) with a an atom and M_t·M_a ≠ M_{t∘a}, or an atom a with
+    M_{a⁻¹} ≠ M_a*, in Λ or in the model, on dense matrices."""
+    def family(s):
+        return [inverse_rep(lam, hull, s), model.spanning_matrix(s)]
+    if isinstance(witness, tuple):
+        t, a = witness
+        ta = hcompose(hull, t, a)
+        lhs = [mt @ ma for mt, ma in zip(family(t), family(a))]
+        rhs = [np.zeros_like(m) for m in lhs] if ta.is_zero else family(ta)
+    else:
+        a = witness
+        lhs, rhs = [m.conj().T for m in family(a)], family(hinverse(hull, a))
+    return hull.index(a) in closure.atoms and not all(map(np.allclose, lhs, rhs))
+
+
+def assert_same_verdict(hull, closure, model, lam):
+    """`jack_check`'s verdict is the pairwise loop's and the dense oracle's,
+    with their rank on success and their tuple on a dependency mismatch; a
+    product or adjoint rejection carries a genuine failing edge or atom
+    adjoint. Returns the verdict."""
+    got = jack_check(hull, closure, model, lam)
+    pairs = jack_check_by_pairs(hull, closure, model, lam)
+    assert got[0] == pairs[0] == jack_check_dense(hull, closure, model, lam)[0]
+    if got[0] or isinstance(got[1], tuple) and got[1][0] == "dependency mismatch":
+        assert got == pairs
+    else:
+        assert genuine_failure(hull, closure, model, lam, got[1])
+    return got
+
+
 @pytest.mark.parametrize("pres", [fix_edge, fix_two, fix_two_mce_category])
 def test_jack_check_matches_pairwise_oracle(pres):
-    """The exact check on index arrays returns the pairwise loop's (ok, info),
-    and the dense stacked oracle's: on the true families, and on planted
-    failures of each kind, with the same first witness."""
+    """The check on the walk's edges and the atoms' adjoints returns the
+    verdict of the pairwise loop and of the dense stacked oracle: on the
+    true families, and on planted failures of each kind, one of them on a
+    product that is no atom. Its witness is the first failing edge or atom
+    adjoint, not the pairwise loop's first failing pair, and it genuinely
+    fails."""
     p, hull, closure, lat, omega, bd, ctx, g_om, g_bd = bundle(pres())
     elements, moves, cases = _planted_families(
         p, hull, closure, g_om, g_bd,
         lambda lam, s: PlantedPerms(lam, _redirected(s)),
         lambda lam: PlantedPerms(lam, _onto_first_sheet, sheets=2))
-    kinds = {}
-    for name, (lam_c, model_c) in cases.items():
-        got = jack_check(hull, closure, model_c, lam_c)
-        assert got == jack_check_by_pairs(hull, closure, model_c, lam_c) \
-            == jack_check_dense(hull, closure, model_c, lam_c), name
-        kinds[name] = got
+    lam, model = cases["true"]
+    product = next(s for s in elements if hull.index(s) not in closure.atoms)
+    cases["product"] = (PlantedPerms(lam, _redirected(product)), model)
+    kinds = {name: assert_same_verdict(hull, closure, model_c, lam_c)
+             for name, (lam_c, model_c) in cases.items()}
     assert kinds["true"][0] and all(not ok for ok, _ in list(kinds.values())[1:])
-    assert all(len(kinds[f"entry{i}"][1]) == 2 for i in range(3))  # a product witness (s, t)
-    assert kinds["adjoint"][1] is elements[0]
+    assert isinstance(kinds["product"][1], tuple)  # no atom's adjoint fails: an edge (t, a)
+    assert not isinstance(kinds["adjoint"][1], tuple)  # an atom
     assert kinds["dependency"][1][0] == "dependency mismatch"
 
 

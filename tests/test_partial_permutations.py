@@ -24,11 +24,12 @@ from catenv.fixtures import fix_kgraph_acyclic, fix_two
 from catenv.matrixrep import (AlgebraSpan, GermModel, LambdaRep, SpanBasis, jack_check,
                               matrix_rank)
 from catenv.pipeline import _compression_kernel_mask, analyze_category, boundary_quotient
-from oracles import entry, exact_dim_by_support_closure, jack_check_by_pairs, jack_check_dense
+from oracles import entry, exact_dim_by_support_closure, jack_check_dense
 from test_boundary_cover import (CASES, FIXTURES, counting, path_category,
                                  restriction_pairs, spectrum_generators,
                                  transposed_restriction, z2_isotropy)
 from test_hull import layered_dag
+from test_matrixrep import assert_same_verdict
 
 CHAIN = [(0, 1), (1, 2), (2, 3), (3, 4)]
 EVERY = CASES + [pytest.param(partial(layered_dag, seed), id=f"dag{seed}") for seed in (3, 4)] \
@@ -94,17 +95,30 @@ class BrokenModel:
 
 
 @pytest.mark.parametrize("make", [fix_two, fix_kgraph_acyclic])
-def test_broken_model_product_has_the_pairwise_witness(make):
+def test_broken_model_product_has_a_genuine_edge_witness(make):
     res = analyze_category(make())
     hull, closure, lam = res.context["hull"], res.context["closure"], \
         res.context["lambda_rep"]
     moves = [s for s in closure.nonzero() if not hull.is_idempotent(s)]
     for target in (closure.nonzero()[0], moves[0], moves[-1]):
         model = BrokenModel(res.context["model_omega"], target)
-        got = jack_check(hull, closure, model, lam)
-        assert not got[0] and len(got[1]) == 2  # a product witness (s, t)
-        assert got == jack_check_by_pairs(hull, closure, model, lam) \
-            == jack_check_dense(hull, closure, model, lam)
+        got = assert_same_verdict(hull, closure, model, lam)
+        assert not got[0] and isinstance(got[1], tuple)  # an edge witness (t, a)
+
+
+@pytest.mark.parametrize("make", EVERY)
+def test_jack_check_forms_no_hull_product(make):
+    """`jack_check` reads the products t∘a the hull walk formed: on these
+    categories, each of more than one object, it forms no hull product. (With
+    one object it would form the s∘1, which the walk skips.)"""
+    res = analyze_category(make(), stop_after="groupoid")
+    hull, closure = res.context["hull"], res.context["closure"]
+    lam = LambdaRep.build(hull.p)
+    model = GermModel(res.context["groupoid_omega"], closure)
+    model.spanning_stack  # its germs are looked up before the count
+    formed = len(hull._products)
+    assert len(hull.p.objects) > 1 and jack_check(hull, closure, model, lam)[0]
+    assert len(hull._products) == formed
 
 
 @pytest.mark.parametrize("make", [fix_two, fix_kgraph_acyclic])
@@ -251,6 +265,7 @@ def test_each_perm_operation_matches_its_dense_matrix(seed):
             assert np.array_equal(perm.dense(perm.kron(p, q)), np.kron(dense_of(p), dense_of(q)))
             assert perm.is_adjoint(p, q) == np.array_equal(dense_of(q), dense_of(p).T)
         assert np.array_equal(perm.product(p, gens), [perm.product(p, q) for q in gens])
+        assert np.array_equal(perm.product(gens, p), [perm.product(q, p) for q in gens])
     assert np.array_equal(perm.kron(gens[:, None], np.array(family)),
                           [[perm.kron(p, q) for q in family] for p in gens])
     stars = perm.adjoint(gens)

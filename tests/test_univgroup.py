@@ -17,7 +17,7 @@ from catenv.univgroup import (CategoryFunctor, Cocycle, IsoLetter, UGWord,
                               idempotent_pure_check, j_map, kernel_subgroupoid,
                               partial_action_iso_check, reduce_word, rho_tilde,
                               universal_group, word_mul)
-from oracles import evaluate_in_group, word_inverse
+from oracles import evaluate_in_group, hinverse, word_inverse
 
 
 # -- presentation data -----------------------------------------------------------
@@ -161,7 +161,7 @@ def test_rho_tilde_examples():
     e = [m for m in pres.ball(None) if m.word == ("e",)][0]
     s = hull.from_morphism(e)
     assert rho_tilde(hull, s, rho) == rho.of(e) == ("v", "w")
-    assert rho_tilde(hull, hull.hinverse(s), rho) == ("w", "v")
+    assert rho_tilde(hull, hinverse(hull, s), rho) == ("w", "v")
     idv = hull.idempotent([pres.identity("v")])
     assert env.is_unit(rho_tilde(hull, idv, rho))
 
