@@ -122,6 +122,8 @@ class CategoryPresentation:
 
     def _prune_alignment(self, c, pairs):
         """Drop pairs whose ideal cx𝔠 sits inside another pair's; dedupe equal ideals."""
+        if len(pairs) <= 1:  # nothing to drop
+            return tuple(pairs)
         items = []
         for x, y in pairs:
             m = self.compose(c, x)

@@ -15,6 +15,8 @@ presentation runs once per argument pair, and a cache lookup hashes integers,
 not nested morphism tuples. An element's number is all the hull keeps of it:
 its object is built on its first read (`element`). A walk's closure keeps the
 numbers it reached and its atoms', and orders and builds elements when read.
+Under right LCM an alignment has at most one pair, so a product of one-piece
+elements is 0 or one piece, put in canonical form by `_piece` alone.
 """
 
 from __future__ import annotations
@@ -131,7 +133,7 @@ class InverseHull:
         self._codes: list[tuple[tuple[int, int], ...]] = []  # by element number
         self._by_code = _Table(self, InverseHull._fill_element)
         self._number: dict[int, int] = {}  # id() of a built element -> its number
-        self._products = _Table(self, InverseHull._fill_product)
+        self._products: dict[int, int] = {}  # filled by its readers from _fill_product
         self._inverses = _Table(self, InverseHull._fill_inverse)
         self._domains: dict[int, tuple[Morphism, ...]] = {}
         self._of_morphism: dict[int, int] = {}  # morphism number -> element number
@@ -251,17 +253,7 @@ class InverseHull:
         morphism numbers, put in canonical form."""
         if not raw:
             return 0
-        ms = self._morphisms
-        trivial_units = self.p.trivial_units_only
-        pieces = []
-        for a, b in raw:
-            if ms[a].dom != ms[b].dom:
-                raise InconsistentPieces(f"piece ({ms[a]}, {ms[b]}) has mismatched domains")
-            if not trivial_units:
-                b, x = self._generators[b]
-                if x is not None:
-                    a = self._composites[(a << 32) | x]
-            pieces.append((a, b))
+        pieces = [self._piece(a, b) for a, b in raw]
         if len(pieces) == 1:  # nothing to sort, check or subsume
             return self._by_code[tuple(pieces)]
         keys, mul, divide = self._sort_keys, self._composites, self._quotients
@@ -276,6 +268,18 @@ class InverseHull:
             else:
                 kept.append((a, b))
         return self._by_code[tuple(kept)]
+
+    def _piece(self, a: int, b: int) -> tuple[int, int]:
+        """The piece (a, b) with b replaced by the canonical generator of b𝔠;
+        raises `InconsistentPieces` when a and b have different domains."""
+        ms = self._morphisms
+        if ms[a].dom != ms[b].dom:
+            raise InconsistentPieces(f"piece ({ms[a]}, {ms[b]}) has mismatched domains")
+        if not self.p.trivial_units_only:
+            b, x = self._generators[b]
+            if x is not None:
+                a = self._composites[(a << 32) | x]
+        return a, b
 
     def _check_consistent(self, pieces):
         # single-valued: overlapping domains agree; injective: same for inverses
@@ -296,17 +300,33 @@ class InverseHull:
     def _compose(self, i: int, j: int) -> int:
         """Number of s∘t for the elements s, t numbered i, j; cross-piece
         products resolve through alignment."""
-        return self._products[(i << 32) | j]
+        key = (i << 32) | j
+        n = self._products.get(key)
+        if n is None:
+            n = self._products[key] = self._fill_product(key)
+        return n
 
     def _fill_product(self, key: int) -> int:
+        """The product for a key of `_products`. One-piece factors (a, b) and
+        (a2, b2) whose alignment has at most one pair (u, v), as under right
+        LCM, give 0 or the one raw piece (a·v, b2·u), which `_canonical` would
+        only pass through `_piece`. A zero factor gives 0 with no such call."""
         mul, align = self._composites, self._alignments
-        right = self._codes[key & _LOW]
+        left, right = self._codes[key >> 32], self._codes[key & _LOW]
+        if len(left) == 1 == len(right):
+            (a, b), (a2, b2) = left[0], right[0]
+            pairs = align[(a2 << 32) | b]
+            if len(pairs) <= 1:
+                n = 0
+                for u, v in pairs:
+                    n = self._by_code[(self._piece(mul[(a << 32) | v], mul[(b2 << 32) | u]),)]
+                return n
         raw = []
-        for a, b in self._codes[key >> 32]:
+        for a, b in left:
             for a2, b2 in right:
                 for u, v in align[(a2 << 32) | b]:
                     raw.append((mul[(a << 32) | v], mul[(b2 << 32) | u]))
-        return self._canonical(raw)
+        return self._canonical(raw) if raw else 0
 
     def apply(self, s: PiecewiseBijection, x: Morphism) -> Morphism | None:
         for a, b in s.pieces:
@@ -373,7 +393,8 @@ class InverseHull:
                 n = self._from_morphism(c)
                 for t in (n, self._inverses[n]):
                     atoms[t] = min(atoms.get(t, 1), len(c.word))
-        cost, products = dict(atoms), self._products
+        cost, products, fill = dict(atoms), self._products, self._fill_product
+        get = products.get
         buckets = [[n for n, c in atoms.items() if c == level] for level in (0, 1)]
         all_atoms = tuple(atoms)
         if len(self.p.objects) == 1:
@@ -388,7 +409,9 @@ class InverseHull:
                     if bound is not None and c > bound:
                         truncated = True
                         continue
-                    k = products[(i << 32) | a]
+                    k = get((i << 32) | a)
+                    if k is None:
+                        k = products[(i << 32) | a] = fill((i << 32) | a)
                     if c < cost.get(k, c + 1):
                         cost[k] = c
                         if c == len(buckets):

@@ -21,7 +21,7 @@ from catenv.categories import (CategoryPresentation, DirectProduct, FreeMonoid, 
 from catenv.fixtures import (fix_edge, fix_flip_monoid, fix_free2, fix_kgraph_acyclic,
                              fix_n2, fix_trivial_monoid, fix_two, fix_two_mce_category)
 from catenv.gpd import cyclic_groupoid, pair_groupoid
-from catenv.hull import InverseHull, PiecewiseBijection, ZERO
+from catenv.hull import InconsistentPieces, InverseHull, PiecewiseBijection, ZERO
 from catenv.lcm import OreGroup, starling_report
 from catenv.pipeline import analyze_category
 from oracles import (ExplicitBijection, GivenClosure, fix_set, hcompose, hinverse,
@@ -121,6 +121,16 @@ def test_canonical_equality_matches_pointwise_equality(edge_hull):
         assert (s == t) == (graph_of(hull, s, ball) == graph_of(hull, t, ball))
 
 
+@pytest.mark.parametrize("extra", [[], ["w"]], ids=["one-piece", "two-piece"])
+def test_a_piece_with_mismatched_domains_is_refused(edge_hull, extra):
+    """A piece (a, b) maps b·t to a·t, so a and b need one domain."""
+    hull, _ = edge_hull
+    p = hull.p
+    bad = (by_word(p, ("e",)), p.identity("v"))  # e starts at w
+    with pytest.raises(InconsistentPieces, match="mismatched domains"):
+        hull.canonical([(p.identity(o), p.identity(o)) for o in extra] + [bad])
+
+
 # -- closure generation -----------------------------------------------------------
 
 
@@ -157,6 +167,26 @@ def layered_dag(seed):
             if rng.random() < 0.7] or [(layers[0][0], layers[1][0])]
     return GraphPath(objects=objects,
                      edges=[(f"e{i}", d, t) for i, (d, t) in enumerate(arcs)])
+
+
+class SkewedKey(DirectProduct):
+    """A path category times ℤ/2, whose sort key puts (c, g) before (c, 1) for
+    a path c of one arc and after it for any other c. A one-piece product's
+    domain b·u, with b and u each least in its class, is then not always least
+    in its ideal, so the product needs the canonical-generator step."""
+
+    def sort_key(self, m):
+        arcs = sum(w.startswith("L:") for w in m.word)
+        unit = any(w.startswith("R:") for w in m.word)
+        return arcs, unit != (arcs == 1), super().sort_key(m)
+
+
+def skewed_chain():
+    z2 = cyclic_groupoid(2)
+    return SkewedKey(GraphPath(objects=["o0", "o1", "o2", "o3"],
+                               edges=[("e0", "o0", "o1"), ("e1", "o1", "o2"),
+                                      ("e2", "o2", "o3")]),
+                     GroupoidSub(z2, z2.elements))
 
 
 @pytest.mark.parametrize("make,bound", [
@@ -201,7 +231,14 @@ def test_generate_matches_full_scan_on_generated_inputs(make, bound):
     pytest.param(partial(DirectProduct, NkMonoid(1), FreeMonoid(("a", "b"))), 3,
                  id="n1xfree2-3"),
     pytest.param(partial(DirectProduct, FreeMonoid(("a",)), fix_two_mce_category()), 2,
-                 id="free1xtwo-mce-2")])
+                 id="free1xtwo-mce-2"),
+    # one-piece factors whose alignment has two pairs: the general fill
+    pytest.param(fix_flip_monoid, 3, id="flip-3"),
+    # isotropy: one-piece products with units besides identities
+    pytest.param(partial(GroupoidSub, cyclic_groupoid(3), cyclic_groupoid(3).elements),
+                 None, id="z3"),
+    # one-piece products whose domain is not the least generator of its ideal
+    pytest.param(skewed_chain, None, id="skewed-key")])
 def test_hcompose_matches_product_by_definition(make, bound):
     """The cached product of interned elements equals the product formed from the
     pieces on every pair of the closure; equal elements are one object, also when
@@ -233,6 +270,38 @@ def test_two_mce_has_no_units_but_identities():
             p.compose(b, y) == p.identity(b.tgt) and p.compose(y, b) == p.identity(b.dom)
             for y in ball)
         assert [m for m in ball if p.in_ideal(b, m) and p.in_ideal(m, b)] == [b]
+
+
+def walk_and_starling(make):
+    hull = InverseHull(make())
+    hull.generate(8)
+    starling_report(hull.p, bound=4, hull=hull)
+    return hull
+
+
+@pytest.mark.parametrize("run,general", [
+    pytest.param(partial(walk_and_starling, fix_free2), False, id="free2"),
+    pytest.param(partial(walk_and_starling, fix_n2), False, id="n2"),
+    pytest.param(lambda: analyze_category(fix_kgraph_acyclic()).context["hull"], False,
+                 id="kgraph-acyclic"),
+    pytest.param(lambda: analyze_category(layered_dag(0)).context["hull"], False, id="dag0"),
+    # two-element alignments: products that take the general fill
+    pytest.param(lambda: InverseHull(fix_two_mce_category()).generate().hull, True,
+                 id="two-mce")])
+def test_right_lcm_products_skip_the_general_fill(monkeypatch, run, general):
+    """Under right LCM an alignment has at most one pair, so the product of two
+    one-piece elements is one piece or 0, and `_fill_product` interns it with
+    no `_canonical` call: in the walk, the LCM cocycle loop and the germ
+    groupoid's product table alike. Two-MCE still reaches the general fill."""
+    callers, canonical = Counter(), InverseHull._canonical
+
+    def counted(self, raw):
+        callers[sys._getframe(1).f_code.co_name] += 1
+        return canonical(self, raw)
+    monkeypatch.setattr(InverseHull, "_canonical", counted)
+    hull = run()
+    assert len(hull._products) > 100
+    assert (callers["_fill_product"] > 0) == general
 
 
 @pytest.mark.parametrize("name", ["free2", "n2"])
