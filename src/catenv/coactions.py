@@ -28,6 +28,7 @@ search on the blocks of C*(G).
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter, deque
 from dataclasses import dataclass, fields
 from functools import cached_property
@@ -37,7 +38,7 @@ import numpy as np
 from . import perm
 from .envelope import FinDimCStar, block_decompose, is_boundary_ideal
 from .gpd import group_as_groupoid
-from .matrixrep import AlgebraSpan, IsometryVerdict, SpanBasis, matrix_rank
+from .matrixrep import AlgebraSpan, IsometryVerdict, SpanBasis
 
 
 class GradingInvalid(ValueError):
@@ -55,8 +56,8 @@ class NoExtensionFound(RuntimeError):
 class FiniteGroup:
     """A finite group with its left regular matrices on ℓ²(G), and its table
     on positions: `mul_index[i, j]` is that of gᵢgⱼ, `inv_index[i]`
-    that of gᵢ⁻¹, and `lam_perms[i]` (`rho_perms[i]`) is the index array of
-    λ_{gᵢ} (ρ_{gᵢ})."""
+    that of gᵢ⁻¹, `lam_perms[i]` (`rho_perms[i]`) is the index array of
+    λ_{gᵢ} (ρ_{gᵢ}) and `lams[i]` the matrix of λ_{gᵢ}."""
 
     def __init__(self, elements, mul_table, identity):
         self.elements = list(elements)
@@ -70,7 +71,7 @@ class FiniteGroup:
         self.inv_index = np.array([self.index[self.inverse[g]] for g in self.elements])
         self.lam_perms = self.mul_index  # λ_g e_h = e_{gh}
         self.rho_perms = self.mul_index[:, self.inv_index].T.copy()  # ρ_g e_h = e_{hg⁻¹}
-        self._lam = dict(zip(self.elements, perm.dense(self.lam_perms)))
+        self.lams = perm.dense(self.lam_perms)
 
     @classmethod
     def cyclic(cls, n):
@@ -85,7 +86,7 @@ class FiniteGroup:
         return self.inverse[g]
 
     def lam(self, g) -> np.ndarray:
-        return self._lam[g]
+        return self.lams[self.index[g]]
 
     def __len__(self):
         return len(self.elements)
@@ -112,7 +113,7 @@ class GradedAlgebra:
         independence: the span of the whole basis (`span`) must accept, in
         each degree, as many members as that degree's own span. A member
         absorbed by the members of other degrees is refused, so the accepted
-        members of each degree span its component."""
+        members of each degree span its component. Products go by stacks."""
         spans = {g: SpanBasis() for g in self.group.elements}
         for g, ms in self.components.items():
             spans[g].extend(ms)
@@ -120,14 +121,11 @@ class GradedAlgebra:
         per_degree = Counter(self.degrees[i] for i in accepted)
         if any(per_degree[g] != len(spans[g].members) for g in self.components):
             raise NotDirectSum("components are not in direct sum")
-        for g, ms in self.components.items():
-            for h, ns in self.components.items():
-                tgt = spans[self.group.mul(g, h)]
-                for a in ms:
-                    for b in ns:
-                        if not tgt.contains(a @ b):
-                            raise GradingInvalid(
-                                f"A_{g}·A_{h} escapes A_{self.group.mul(g, h)}")
+        stacks = {g: np.array(ms) for g, ms in self.components.items()}
+        for (g, ms), (h, ns) in itertools.product(stacks.items(), repeat=2):
+            gh, products = self.group.mul(g, h), ms[:, None] @ ns[None]
+            if not spans[gh].contains_each(products.reshape(-1, *ms.shape[1:])).all():
+                raise GradingInvalid(f"A_{g}·A_{h} escapes A_{gh}")
 
     @cached_property
     def span(self) -> tuple[SpanBasis, list]:
@@ -141,35 +139,34 @@ class GradedAlgebra:
     def unit(self) -> np.ndarray | None:
         """The algebra unit if the span contains one acting neutrally on the basis."""
         span, _ = self.span
-        candidate = sum(b @ b.conj().T for b in self.basis)
-        vals, vecs = np.linalg.eigh(candidate)
+        side = np.concatenate(self.basis, axis=1)
+        vals, vecs = np.linalg.eigh(side @ side.conj().T)
         keep = vecs[:, vals > 1e-9 * max(1.0, vals[-1])]
         u = keep @ keep.conj().T
-        if span.contains(u) and all(np.allclose(u @ b, b) and np.allclose(b @ u, b)
-                                    for b in self.basis):
-            return u
-        return None
+        stack = np.array(self.basis)
+        fixed = np.allclose(u @ stack, stack) and np.allclose(stack @ u, stack)
+        return u if span.contains(u) and fixed else None
 
 
 class Coaction:
     """δ(a) = Σ_g a_g ⊗ u_g with u_g realized as λ_g (full = reduced for finite G).
 
-    `images[i]` = basis[i]⊗λ_{degrees[i]} is δ of the i-th graded basis element;
-    δ of any other element extends these linearly through its coordinates in
-    `GradedAlgebra.span`. Those coordinates are unique, and validation showed
-    that the accepted members of each degree span that component, so the
-    extension is Σ_g m_g⊗λ_g.
+    `images[i]` = basis[i]⊗λ_{degrees[i]} is δ of the i-th graded basis element,
+    one stack; δ of any other element extends these linearly through its
+    coordinates in `GradedAlgebra.span`. Those coordinates are unique, and
+    validation showed that the accepted members of each degree span that
+    component, so the extension is Σ_g m_g⊗λ_g.
     """
 
     def __init__(self, graded: GradedAlgebra):
         self.graded = graded
-        self.group = graded.group
-        self.images = [np.kron(a, self.group.lam(g))
-                       for a, g in zip(graded.basis, graded.degrees)]
+        self.group = G = graded.group
+        self.images = _kron(np.array(graded.basis), G.lams[[G.index[g] for g in graded.degrees]])
         self._span, accepted = graded.span
-        self._span_images = np.array([self.images[i] for i in accepted])
+        self._span_images = self.images[accepted]
 
     def delta(self, m) -> np.ndarray:
+        """δ(m), of one matrix or along the first axis of a stack."""
         try:
             coords = self._span.coordinates(m)
         except ValueError:
@@ -322,8 +319,7 @@ class CrossedProduct:
         n = len(self.group)
         leg = np.tile(np.arange(n), self.h_dim)
         masks = leg == np.arange(n)[:, None]
-        self.generators = (np.array(delta.images)[:, None] * masks[:, None, :]) \
-            .reshape(-1, len(leg), len(leg))
+        self.generators = (delta.images[:, None] * masks[:, None, :]).reshape(-1, len(leg), len(leg))
         self.rho_perms = perm.lift(self.group.rho_perms, self.h_dim)
         self.dim = n * len(delta.graded.span[1])
 
@@ -369,7 +365,7 @@ class DoubleCrossedProduct:
         self.v_perm = perm.lift(p * n + mul[p, inv[q]], d)  # US e_p⊗e_q = e_p⊗e_{pq⁻¹}
         self.c0_masks = np.tile(mul[p, inv[q]], d) == np.arange(n)[:, None]
         self.g_perms = perm.lift(G.lam_perms, d * n)
-        self.images = np.array(delta.images)  # δ_λ(a_k)
+        self.images = delta.images  # δ_λ(a_k)
         self.degrees = np.array([G.index[g] for g in delta.graded.degrees], dtype=np.intp)
 
     def generator_legs(self) -> np.ndarray:
@@ -483,31 +479,29 @@ def extend_grading(graded: GradedAlgebra, env_basis, kappa):
     Degree-g span = closed span of monomials in κ(A_h) and adjoints with total
     degree g. The extension exists exactly when these spans fill the envelope
     and are in direct sum, in `GradedAlgebra.validate`'s sense; otherwise
-    NoExtensionFound. Semi-naive closure: each round multiplies only the
-    previous round's new members by the generators, on the right and then on
-    the left; it stops when no span grows, which their dimensions bound.
-    """
+    NoExtensionFound. The fill test compares `SpanBasis` counts, the
+    envelope's of `env_basis` unclosed: κ of a *-algebra's basis, κ a
+    *-homomorphism, spans a closed space. Semi-naive closure by rounds: the
+    last round's new members m times the generators g, all m·g then all g·m
+    in the order (m, g), one `SpanBasis.extend` per target degree and side,
+    meet each span in the per-product order; of one m, the generators of
+    one degree reach a given target, so their order across degrees is free.
+    It stops when no span grows."""
     G = graded.group
-    env_span = AlgebraSpan([np.asarray(b, dtype=complex) for b in env_basis],
-                           selfadjoint=True)
     degree_spans = {g: SpanBasis() for g in G.elements}
-    candidates = []
-    for a, g in zip(graded.basis, graded.degrees):
-        img = np.asarray(kappa(a), dtype=complex)
-        candidates += [(g, img), (G.inv(g), img.conj().T)]
-    new = [(g, m) for g, m in candidates if degree_spans[g].add(m)]
-    gens = {}
-    for g, m in new:
-        gens.setdefault(g, []).append(m)
-    gens = {h: np.array(ms) for h, ms in gens.items()}
+    images = [np.asarray(kappa(a), dtype=complex) for a in graded.basis]
+    new = _extend_by_degree(degree_spans, [d for g in graded.degrees for d in (g, G.inv(g))],
+                            [m for img in images for m in (img, img.conj().T)])
+    gen_degrees, gen_stack = [h for h, _ in new], np.array([m for _, m in new])
     while new:
-        new = [(G.mul(g, h), p) for g, m in new for h, ms in gens.items()
-               for p in degree_spans[G.mul(g, h)].extend(m @ ms)] \
-            + [(G.mul(h, g), p) for g, m in new for h, ms in gens.items()
-               for p in degree_spans[G.mul(h, g)].extend(ms @ m)]
+        degrees, stack = [g for g, _ in new], np.array([m for _, m in new])[:, None]
+        new = _extend_by_degree(degree_spans, [G.mul(g, h) for g in degrees for h in gen_degrees],
+                                stack @ gen_stack) \
+            + _extend_by_degree(degree_spans, [G.mul(h, g) for g in degrees for h in gen_degrees],
+                                gen_stack @ stack)
     spans = {g: span.members for g, span in degree_spans.items()}
     flat = [m for g in G.elements for m in spans[g]]
-    if matrix_rank(flat) != env_span.dim:
+    if len(SpanBasis().accept(flat)) != len(SpanBasis().accept(env_basis)):
         raise NoExtensionFound("monomial spans do not fill the envelope")
     try:
         return GradedAlgebra(G, {g: spans[g] for g in G.elements if spans[g]})
@@ -515,16 +509,23 @@ def extend_grading(graded: GradedAlgebra, env_basis, kappa):
         raise NoExtensionFound("degree spans are not in direct sum; no extension") from None
 
 
+def _extend_by_degree(spans, degrees, stack) -> list:
+    """Extend spans[t], for each degree t in `degrees`, by the matrices of
+    `stack` (flattened to one axis) of degree t, in one `SpanBasis.extend`
+    per degree; the accepted (degree, matrix) pairs, in stack order."""
+    stack, accepted = np.reshape(stack, (len(degrees),) + np.shape(stack)[-2:]), []
+    for t in dict.fromkeys(degrees):
+        rows = [i for i, d in enumerate(degrees) if d == t]
+        accepted += [rows[k] for k in spans[t].accept(stack[rows])]
+    return [(degrees[i], stack[i]) for i in sorted(accepted)]
+
+
 def equivariance_check(graded: GradedAlgebra, env_delta: Coaction, kappa,
                        tol=1e-9) -> bool:
-    """δ_env(κ(a)) = (κ⊗id)(δ(a)) on the graded basis of A."""
-    G = graded.group
-    for a, g in zip(graded.basis, graded.degrees):
-        lhs = env_delta.delta(np.asarray(kappa(a), dtype=complex))
-        rhs = np.kron(np.asarray(kappa(a), dtype=complex), G.lam(g))
-        if not np.allclose(lhs, rhs, atol=tol):
-            return False
-    return True
+    """δ_env(κ(a)) = (κ⊗id)(δ(a)) on the graded basis of A, as one stack."""
+    G, images = graded.group, np.array([np.asarray(kappa(a), dtype=complex) for a in graded.basis])
+    lams = G.lams[[G.index[g] for g in graded.degrees]]
+    return bool(np.allclose(env_delta.delta(images), _kron(images, lams), atol=tol))
 
 
 def approx_identity_checks(delta: Coaction) -> dict:
@@ -536,9 +537,9 @@ def approx_identity_checks(delta: Coaction) -> dict:
     if unit is None:
         return out
     ee = delta.fourier(unit, delta.group.identity)
-    out["fourier_unit_is_unit"] = all(
-        np.allclose(ee @ b, b, atol=1e-9) and np.allclose(b @ ee, b, atol=1e-9)
-        for b in delta.graded.basis)
+    basis = np.array(delta.graded.basis)
+    out["fourier_unit_is_unit"] = bool(
+        np.allclose(ee @ basis, basis, atol=1e-9) and np.allclose(basis @ ee, basis, atol=1e-9))
     gens = delta.crossed_product.generators
     cai = delta.delta(unit)  # j(χ_G) = I
     out["crossed_product_identity"] = bool(

@@ -134,14 +134,13 @@ def _null_space(a: np.ndarray, tol=TOL):
     return vh[_rank(s, tol):].conj().T
 
 
-def _commutant_basis(mats, dim, tol=TOL):
-    """Basis of {x : xb = bx for all b}; vec is column-major, so
-    bx - xb = 0 ⟺ (I⊗b - bᵀ⊗I)·vec(x) = 0."""
-    rows = []
-    for b in mats:
-        rows.append(np.kron(np.eye(dim), b) - np.kron(b.T, np.eye(dim)))
-    big = np.vstack(rows) if rows else np.zeros((0, dim * dim))
-    ns = _null_space(big, tol)
+def _commutant_basis(mats, tol=TOL):
+    """Basis of {x : xb = bx for all b in mats}; vec is column-major, so
+    bx - xb = 0 ⟺ (I⊗b - bᵀ⊗I)·vec(x) = 0, all block rows in one stack."""
+    mats = np.asarray(mats, dtype=complex)
+    dim, eye = mats.shape[-1], np.eye(mats.shape[-1])[None]
+    big = np.kron(eye, mats) - np.kron(mats.transpose(0, 2, 1), eye)  # kron per member
+    ns = _null_space(big.reshape(-1, dim * dim), tol)
     return [ns[:, i].reshape(dim, dim, order="F") for i in range(ns.shape[1])]
 
 
@@ -181,13 +180,16 @@ def _span_intersection(basis1, basis2, tol=TOL):
 
 
 def block_decompose(algebra: AlgebraSpan, seed=0) -> FinDimCStar:
-    """Minimal central projections and per-block irreducible compressions."""
+    """Minimal central projections and per-block irreducible compressions.
+    Commutants are of `algebra.generators`, which have the algebra's; a
+    central projection QQ* makes b ↦ Q*bQ a homomorphism, so a block's
+    compression has the commutant of the compressed generators."""
     if not algebra.closed_under_adjoint():
         raise NotSelfAdjoint("algebra is not closed under adjoints")
-    basis = algebra.basis
+    basis, stack, gens = algebra.basis, np.array(algebra.basis), np.array(algebra.generators)
     dim_h = basis[0].shape[0]
     # center = algebra ∩ commutant, as a genuine subspace intersection
-    comm = _commutant_basis(basis, dim_h)
+    comm = _commutant_basis(gens)
     center = _span_intersection(basis, comm)
     if not center:
         raise NotSelfAdjoint("algebra has no center; not unital on its support?")
@@ -202,13 +204,12 @@ def block_decompose(algebra: AlgebraSpan, seed=0) -> FinDimCStar:
     sizes, isoms = [], []
     for _, vecs in clusters:
         q, _ = np.linalg.qr(vecs)
-        sub = [q.conj().T @ b @ q for b in basis]
-        subdim = matrix_rank(sub)
+        subdim = matrix_rank(q.conj().T @ stack @ q)
         n = int(round(np.sqrt(subdim)))
         if n * n != subdim:
             raise NumericalFailure(f"central block of dimension {subdim} is not a "
                                    "full matrix algebra")
-        csub = _commutant_basis(sub, q.shape[1])
+        csub = _commutant_basis(q.conj().T @ gens @ q)
         vecs2 = None
         for attempt in range(8):
             zc = _span_solve(csub, q.shape[1], seed + 1 + attempt)
@@ -220,8 +221,7 @@ def block_decompose(algebra: AlgebraSpan, seed=0) -> FinDimCStar:
             raise NumericalFailure("failed to cut a multiplicity copy of the block")
         q2, _ = np.linalg.qr(vecs2)
         w = q @ q2
-        img = [w.conj().T @ b @ w for b in basis]
-        if matrix_rank(img) != n * n:
+        if matrix_rank(w.conj().T @ stack @ w) != n * n:
             raise NumericalFailure("block compression is not irreducible")
         sizes.append(n)
         isoms.append(w)
@@ -258,10 +258,8 @@ def orbit_cover(sizes, rank) -> FinDimCStar:
 
 
 def _support_projection(algebra: AlgebraSpan, tol=1e-8):
-    acc = np.zeros_like(algebra.basis[0])
-    for b in algebra.basis:
-        acc = acc + b @ b.conj().T
-    vals, vecs = np.linalg.eigh(acc)
+    side = np.concatenate(algebra.basis, axis=1)  # Σ b·b* = side·side*
+    vals, vecs = np.linalg.eigh(side @ side.conj().T)
     keep = vecs[:, vals > tol * max(1.0, vals[-1])]
     return keep @ keep.conj().T
 

@@ -154,9 +154,14 @@ class SpanBasis:
         return np.all(np.abs((rows - residuals) - rows) <= 1e-8 + 1e-5 * np.abs(rows),
                       axis=-1)
 
+    def contains_each(self, ms) -> np.ndarray:
+        """One bool per matrix of the stack ms: does it lie in the span?"""
+        ms = np.asarray(ms, dtype=complex)
+        rows = ms.reshape(len(ms), np.prod(ms.shape[1:], dtype=int))
+        return self._inside(rows, self._residuals(rows))
+
     def contains(self, m) -> bool:
-        row = np.asarray(m, dtype=complex).reshape(1, -1)
-        return bool(self._inside(row, self._residuals(row))[0])
+        return bool(self.contains_each(np.asarray(m)[None])[0])
 
     def add(self, m) -> bool:
         """Accept m if it is outside the span; report whether it was."""
@@ -189,12 +194,15 @@ class SpanBasis:
         return accepted
 
     def coordinates(self, m) -> np.ndarray:
-        """Coefficients c with m = Σ c_i members[i]; ValueError if m is outside."""
-        if not self.contains(m):
+        """Coefficients c with m = Σ c_i members[i], of m or each of a stack
+        of them; ValueError if one is outside."""
+        m = np.asarray(m, dtype=complex)
+        stack = m.reshape((-1,) + self.members[0].shape)
+        if not self.contains_each(stack).all():
             raise ValueError("element outside the span")
         if self._pinv is None:
             self._pinv = np.linalg.pinv(np.array([b.ravel() for b in self.members]).T)
-        return self._pinv @ np.asarray(m, dtype=complex).ravel()
+        return (stack.reshape(len(stack), -1) @ self._pinv.T).reshape(m.shape[:-2] + (-1,))
 
 
 # a closure that still grows after this many rounds of products is reported
@@ -204,23 +212,24 @@ _CLOSURE_ROUNDS = 60
 class AlgebraSpan:
     """Linear basis of the algebra (or *-algebra) generated by some matrices.
 
-    Semi-naive closure: each round multiplies by the generators, on either
-    side, only the basis elements the previous round added; the products of
-    older elements already lie in the span. The greedy selection order is that
-    of re-multiplying the whole basis every round.
-    """
+    `generators`, those accepted (and adjoints), are a prefix of `basis`.
+    Semi-naive closure by rounds: one `SpanBasis.extend` of all a·g, then one
+    of all g·a, in the order (a, g), for the generators g and the members a
+    the last round added: the candidates, in order, of re-multiplying the
+    whole basis every round, so the greedy selection is theirs."""
 
     def __init__(self, generators, selfadjoint=False):
         gens = np.array([np.asarray(g, dtype=complex) for g in generators])
         if selfadjoint and len(gens):
             gens = np.concatenate([gens, gens.conj().transpose(0, 2, 1)])
         self._span = SpanBasis()
-        new = self._span.extend(gens)
+        self.generators = new = self._span.extend(gens)
         for _ in range(_CLOSURE_ROUNDS):
             if not new:
                 break
-            new = [m for a in new for m in self._span.extend(a @ gens)] \
-                + [m for a in new for m in self._span.extend(gens @ a)]
+            a = np.array(new)[:, None]
+            new = self._span.extend((a @ gens).reshape((-1,) + gens.shape[1:])) \
+                + self._span.extend((gens @ a).reshape((-1,) + gens.shape[1:]))
         if new:
             raise NumericalFailure("algebra closure did not stabilize")
         self.basis = self._span.members
@@ -229,11 +238,8 @@ class AlgebraSpan:
     def dim(self):
         return len(self.basis)
 
-    def contains(self, m) -> bool:
-        return self._span.contains(m)
-
     def closed_under_adjoint(self) -> bool:
-        return all(self._span.contains(b.conj().T) for b in self.basis)
+        return bool(self._span.contains_each([b.conj().T for b in self.basis]).all())
 
 
 # -- the left regular representation -------------------------------------------
@@ -249,11 +255,10 @@ def _read_only(cache: dict, n: int, build) -> np.ndarray:
 
 @dataclass
 class LambdaRep:
-    """λ on ℓ²(ball(N)); exact when the category is finite and the ball exhausts it."""
+    """λ on ℓ²(ball(N)), the whole category when N is None."""
 
     pres: CategoryPresentation
     basis: list[Morphism]
-    exact: bool
     index: dict = field(init=False)
     _perms: dict = field(init=False, repr=False, default_factory=dict)  # by hull number
 
@@ -262,9 +267,7 @@ class LambdaRep:
 
     @classmethod
     def build(cls, pres: CategoryPresentation, radius=None):
-        basis = pres.ball(radius)
-        exact = pres.is_finite and (radius is None or set(basis) == set(pres.ball(None)))
-        return cls(pres, basis, exact)
+        return cls(pres, pres.ball(radius))
 
     def lam(self, c: Morphism) -> np.ndarray:
         return perm.dense(perm.from_map(self.basis, self.index,
@@ -420,9 +423,7 @@ class ThetaRep:
         self.p = pres
         self.hull = hull_ctx
         self.chi = chi
-        ball = pres.ball(radius)
-        self.exact = pres.is_finite and radius is None
-        self.basis = [d for d in ball if self._admits(d)]
+        self.basis = [d for d in pres.ball(radius) if self._admits(d)]
         self.index = {d: i for i, d in enumerate(self.basis)}
 
     def _admits(self, d: Morphism) -> bool:

@@ -152,6 +152,30 @@ def extend_grading_by_all_pairs(graded, env_basis, kappa):
     return GradedAlgebra(G, {g: spans[g] for g in G.elements if spans[g]})
 
 
+def extend_grading_by_products(graded, kappa):
+    """The degree spans `extend_grading` closes, {g: members}, grown one
+    product at a time: each round multiplies each new member m by each
+    generator stack (those of one degree, degrees as first met), m·gens then
+    gens·m, with one `SpanBasis.extend` per product and side."""
+    G = graded.group
+    degree_spans = {g: SpanBasis() for g in G.elements}
+    candidates = []
+    for a, g in zip(graded.basis, graded.degrees):
+        img = np.asarray(kappa(a), dtype=complex)
+        candidates += [(g, img), (G.inv(g), img.conj().T)]
+    new = [(g, m) for g, m in candidates if degree_spans[g].add(m)]
+    gens = {}
+    for g, m in new:
+        gens.setdefault(g, []).append(m)
+    gens = {h: np.array(ms) for h, ms in gens.items()}
+    while new:
+        new = [(G.mul(g, h), p) for g, m in new for h, ms in gens.items()
+               for p in degree_spans[G.mul(g, h)].extend(m @ ms)] \
+            + [(G.mul(h, g), p) for g, m in new for h, ms in gens.items()
+               for p in degree_spans[G.mul(h, g)].extend(ms @ m)]
+    return {g: span.members for g, span in degree_spans.items()}
+
+
 def groupoid_by_scan(elements, source, range_, product, units=None):
     """The groupoid constructor as label-by-label loops: the inverse scan over
     element pairs and the axiom checks over pairs and triples, each hashing

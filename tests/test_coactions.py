@@ -1,5 +1,7 @@
 """Gradings, coactions, crossed products, duality, envelope extension."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -271,3 +273,56 @@ def test_group_tables_without_inverses_or_associativity_rejected():
     table |= {("a", "a"): "e", ("b", "b"): "e", ("a", "b"): "a", ("b", "a"): "a"}
     with pytest.raises(ValueError, match="^associativity fails at"):
         FiniteGroup("eab", table, "e")
+
+
+# -- plants for the stacked checks: each fails only on the last member --------------------
+
+
+def unit_matrix(d, i, j):
+    m = np.zeros((d, d), dtype=complex)
+    m[i, j] = 1
+    return m
+
+
+def test_an_escape_in_the_last_product_of_a_degree_pair_is_refused():
+    """A_0 = span{E₁₁, E₂₂}, A_1 = span{E₁₂, E₃₃} in M₃: of every product of
+    two basis elements only E₃₃·E₃₃, the last of the pair (1, 1), leaves its
+    target A_0."""
+    e = functools.partial(unit_matrix, 3)
+    with pytest.raises(GradingInvalid, match="^A_1·A_1 escapes A_0$"):
+        GradedAlgebra(FiniteGroup.cyclic(2), {0: [e(0, 0), e(1, 1)],
+                                              1: [e(0, 1), e(2, 2)]})
+
+
+def test_a_basis_member_the_candidate_unit_does_not_fix_leaves_no_unit():
+    """span{E₁₁, E₁₂}, graded by ℤ/2, is an algebra with left unit E₁₁, the
+    candidate: E₁₁ fixes E₁₁ on both sides, but E₁₂·E₁₁ = 0."""
+    e = functools.partial(unit_matrix, 2)
+    graded = GradedAlgebra(FiniteGroup.cyclic(2), {0: [e(0, 0)], 1: [e(0, 1)]})
+    assert graded.span[0].contains(e(0, 0))
+    assert graded.unit() is None
+    assert approx_identity_checks(coaction_from_grading(graded)) == {"unital": False}
+
+
+def test_a_degree_e_unit_that_misses_the_last_member_is_not_a_unit():
+    """The diagonal of M₃ in degree 0 with a planted unit diag(1, 1, 0): its
+    degree-e part fixes E₁₁ and E₂₂ and kills E₃₃, the last basis member."""
+    e = functools.partial(unit_matrix, 3)
+    graded = GradedAlgebra(FiniteGroup.cyclic(2), {0: [e(0, 0), e(1, 1), e(2, 2)]})
+    graded.unit = lambda: e(0, 0) + e(1, 1)
+    checks = approx_identity_checks(coaction_from_grading(graded))
+    assert checks["unital"] and checks["fourier_unit_is_unit"] is False
+
+
+def test_a_kappa_that_moves_the_last_member_out_of_its_degree_is_not_equivariant():
+    """t2 → M₂ extended by κ = id; the planted κ' agrees with κ on E₁₁ and E₂₂
+    and sends E₁₂, the last basis member, of degree 1, to E₁₁, of degree 0."""
+    comps, _ = t2_graded()
+    graded = GradedAlgebra(FiniteGroup.cyclic(2), comps)
+    m2 = [unit_matrix(2, i, j) for i in range(2) for j in range(2)]
+    env_delta = coaction_from_grading(extend_grading(graded, m2, kappa=lambda a: a))
+    assert equivariance_check(graded, env_delta, kappa=lambda a: a)
+    planted = lambda a: a + a[0, 1] * (unit_matrix(2, 0, 0) - unit_matrix(2, 0, 1))  # noqa: E731
+    assert np.allclose(planted(graded.basis[-1]), unit_matrix(2, 0, 0))
+    assert all(np.array_equal(planted(a), a) for a in graded.basis[:-1])
+    assert equivariance_check(graded, env_delta, kappa=planted) is False

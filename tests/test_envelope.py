@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
-from catenv.envelope import (SpannedStarMap, block_decompose, detects_ideals,
-                             generated_dim, is_boundary_ideal, shilov_ideal)
+from catenv.envelope import (SpannedStarMap, _commutant_basis, block_decompose,
+                             detects_ideals, generated_dim, is_boundary_ideal,
+                             shilov_ideal)
 from catenv.fixtures import fix_edge, fix_two
 from catenv.germs import GermContext
 from catenv.hull import InverseHull
 from catenv import ideals as IL
-from catenv.matrixrep import AlgebraSpan, GermModel, LambdaRep
+from catenv.matrixrep import AlgebraSpan, GermModel, LambdaRep, direct_sum
 from catenv.pipeline import analyze_category
 from oracles import entry
 
@@ -246,3 +247,75 @@ def test_spanned_star_map_takes_each_rank_once(monkeypatch):
     star_map = SpannedStarMap([(e11, e11), (e22, e22), (e11 + e22, e11 + e22), (e12, 0 * e12)])
     assert len(calls) == 1
     assert star_map.domain_dim == 3
+
+
+# -- the commutant of the generators ------------------------------------------------
+
+
+def multiplicity_algebra(seed):
+    """(generators, selfadjoint): two random elements of ⊕ M_n ⊗ 1_m over
+    (n, m) in (1, 2), (2, 2), (3, 1), conjugated by a random unitary."""
+    rng = np.random.default_rng(seed)
+    blocks = ((1, 2), (2, 2), (3, 1))
+    d = sum(n * m for n, m in blocks)
+    u, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    gens = []
+    for _ in range(2):
+        parts = [np.kron(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)),
+                         np.eye(m)) for n, m in blocks]
+        gens.append(u @ direct_sum(parts) @ u.conj().T)
+    return gens, True
+
+
+def matrix_unit_cycle():
+    """E₁₂, E₂₃, E₃₁: not closed under adjoints, but they generate all of M₃."""
+    units = matrix_units(3)
+    return [units[1], units[5], units[6]], False
+
+
+def bench_graded_basis(name):
+    from test_grading_is_coaction import bench_grading, shipped
+    if name.endswith(".grad"):
+        return shipped(name).basis, True
+    return bench_grading(f"coaction:{name}", 0).basis, True
+
+
+# (make, whether the generators are fewer than the basis): the graded bases
+# of the benchmark's four inputs already span their *-algebras with adjoints
+GENERATED = [
+    *(pytest.param(lambda s=s: multiplicity_algebra(s), True, id=f"multiplicity-s{s}")
+      for s in range(3)),
+    pytest.param(matrix_unit_cycle, True, id="m3-unit-cycle"),
+    *(pytest.param(lambda n=n: bench_graded_basis(n), False, id=n)
+      for n in ("t2.grad", "t3.grad", "upper2-z2", "corner3-z2")),
+]
+
+
+def projector(ms):
+    v = np.array([m.ravel() for m in ms]).T
+    return v @ v.conj().T
+
+
+@pytest.mark.parametrize("make,fewer", GENERATED)
+def test_the_generators_have_the_commutant_of_the_algebra(make, fewer):
+    """The commutant of `AlgebraSpan.generators` is that of the whole basis,
+    and `block_decompose`, which takes it, cuts the blocks the whole basis
+    gives: an `AlgebraSpan` of its own basis has that basis as generators."""
+    gens, selfadjoint = make()
+    algebra = AlgebraSpan(gens, selfadjoint=selfadjoint)
+    assert algebra.closed_under_adjoint()
+    assert (len(algebra.generators) < algebra.dim) == fewer
+    assert all(np.array_equal(g, b) for g, b in zip(algebra.generators, algebra.basis))
+    by_gens, by_basis = (_commutant_basis(ms) for ms in (algebra.generators, algebra.basis))
+    assert len(by_gens) == len(by_basis)
+    assert np.allclose(projector(by_gens), projector(by_basis), atol=1e-8)
+    whole = AlgebraSpan(algebra.basis)
+    assert len(whole.generators) == whole.dim == algebra.dim
+    fd, fd_whole = block_decompose(algebra), block_decompose(whole)
+    assert fd.block_sizes == fd_whole.block_sizes
+    rng = np.random.default_rng(1)
+    a = np.tensordot(rng.standard_normal(algebra.dim), np.array(algebra.basis), 1)
+    singular = [sorted((n, *np.linalg.svd(c, compute_uv=False)) for n, c in
+                       zip(cover.block_sizes, cover.coords(a))) for cover in (fd, fd_whole)]
+    for x, y in zip(*singular):
+        assert np.allclose(x, y, atol=1e-8)

@@ -5,6 +5,7 @@ against the reference formulas in `oracles`."""
 import functools
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,10 +17,12 @@ from catenv.envelope import (_blockwise_deviation, _null_space, block_decompose,
 from catenv.fixtures import fix_edge, t2_graded, t3_graded
 from catenv.matrixrep import (AlgebraSpan, GermModel, LambdaRep, SpanBasis, _joint_rank,
                               _rank, complete_isometry_check, direct_sum, matrix_rank)
+from catenv.parsing import load_path
 from catenv.perm import dense as dense_of, kron
+from catenv.pipeline import analyze_category
 from oracles import (DenseDoubleCrossedProduct, algebra_span_by_rescan, delta_per_degree,
-                     extend_grading_by_all_pairs, in_span, norm_level_k, point_mass,
-                     tilde_delta_by_lstsq)
+                     extend_grading_by_all_pairs, extend_grading_by_products, in_span,
+                     norm_level_k, point_mass, tilde_delta_by_lstsq)
 
 
 def random_generator_sets(seed):
@@ -269,3 +272,42 @@ def test_extend_grading_matches_all_pairs_closure():
     assert outcomes == [[2, 2], [4], [2, 2], [4, 5], [3, 3, 3],
                         "monomial spans do not fill the envelope",
                         "degree spans are not in direct sum; no extension"]
+
+
+def word_length_cases():
+    """(graded, env_basis, kappa): `kgraph-acyclic.cat`'s spectrum-model
+    morphism maps graded by word length mod 2 and mod 3, into the envelope.
+    Their closures take more than one round, and the greedy members depend
+    on the order of the candidates."""
+    _, pres = load_path(Path(__file__).parents[1] / "fixtures" / "kgraph-acyclic.cat")
+    ctx = analyze_category(pres, stop_after="groupoid").context
+    maps = GermModel(ctx["groupoid_omega"], ctx["closure"]).operator_algebra_generators()
+    for n in (2, 3):
+        components = {}
+        for c, m in maps:
+            components.setdefault(len(c.word) % n, []).append(m)
+        graded = GradedAlgebra(FiniteGroup.cyclic(n), components)
+        span = AlgebraSpan(graded.basis, selfadjoint=True)
+        cover = block_decompose(span)
+        mask = shilov_ideal(graded.basis, cover).mask
+        yield (graded, [cover.rep(b, mask) for b in span.basis],
+               lambda a, cover=cover, mask=mask: cover.rep(a, mask))
+
+
+def test_extend_grading_keeps_the_per_product_members():
+    """The stacked rounds keep the greedy members of one `extend` per
+    product: the candidates reach each degree span in the same order, so
+    each component is the reference's, member for member."""
+    checked = 0
+    for graded, env_basis, kappa in itertools.chain(extension_cases(), word_length_cases()):
+        try:
+            new = extend_grading(graded, env_basis, kappa)
+        except NoExtensionFound:
+            continue
+        ref = {g: ms for g, ms in extend_grading_by_products(graded, kappa).items() if ms}
+        assert list(new.components) == [g for g in graded.group.elements if g in ref]
+        for g, ms in new.components.items():
+            assert len(ms) == len(ref[g])
+            assert all(np.allclose(m, r, atol=1e-12) for m, r in zip(ms, ref[g]))
+        checked += 1
+    assert checked == 7

@@ -67,7 +67,6 @@ def test_lambda_matrices():
 def test_lambda_truncated_shift():
     p = fix_free2()
     lam = LambdaRep.build(p, radius=2)
-    assert not lam.exact
     a_mat = lam.lam(p.word("a"))
     idx = lam.index
     assert a_mat[idx[p.word("a")], idx[p.identity("*")]] == 1
@@ -317,7 +316,6 @@ def test_theta_truncated_shift_on_periodic_character():
     hull = InverseHull(p)
     chi = PeriodicWordCharacter("", "a")
     th = ThetaRep(p, hull, chi, radius=3)
-    assert not th.exact
     s = hull.from_morphism(p.word("a"))
     mat = theta_matrix(th, s)
     assert mat[th.index[p.word("aab")], th.index[p.word("ab")]] == 1

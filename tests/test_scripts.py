@@ -30,6 +30,18 @@ def test_groupoid_zoo_word_maps_hold(monkeypatch, capsys):
                for line in lines)
 
 
+def test_coaction_probe_certifies_every_entry_on_two(monkeypatch, capsys):
+    """`two.cat`'s spectrum model graded by word length mod 2: the seven
+    entries of the `coaction` report, each certified, then the effort line."""
+    lines = run_script(monkeypatch, capsys, "coaction_probe.py",
+                       str(SCRIPTS.parent / "fixtures" / "two.cat"), "--n", "2").splitlines()
+    checks = [line.split(": ")[:2] for line in lines[:-1]]
+    assert checks == [[name, "certified"] for name in (
+        "grading-coaction", "normality", "crossed-product", "duality",
+        "approximate-identity", "envelope", "envelope-coaction")]
+    assert lines[-1].startswith("wall ") and lines[-1].endswith(" MiB")
+
+
 # exit codes of each command over the sorted fixtures: edge.cat, free2.cat,
 # kgraph-acyclic.cat, n2.cat, pairgpd.gpd, t2.grad, t3.grad, two.cat; then
 # coaction's over the benchmark's upper2-z2 and corner3-z2, upper3-z3, upper2-z4,
