@@ -1,46 +1,40 @@
 """Germ groupoids: the transformation groupoid of the hull acting on characters.
 
-A germ [s, χ] is canonicalized by restricting s to the minimal ideal of the
+A germ [s, χ] is canonicalized by restricting s to the minimal ideal X of the
 filter of χ, so germ equality is normal-form comparison. The builder produces an
 explicit FiniteGroupoid whose units are the characters.
 
-Keys are integers: hull element numbers and ideal indices. Each (element,
-character) pair is settled once, and germs are interned, one object per
-(character, number of the restricted element), hashed by those two numbers.
+A germ is its integer key (r << 32) | x: r numbers the restriction s∘1_X in
+the hull, x indexes X. Each (element, character) pair is settled to its key
+once. The builder settles only the pairs whose character lies in the domain
+and hands `FiniteGroupoid` index tables; a `Germ` label is built once per
+germ and is never hashed per pair.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
+
+import numpy as np
 
 from .gpd import FiniteGroupoid
-from .hull import HullClosure, InverseHull, PiecewiseBijection
+from .hull import _LOW, HullClosure, _Table, InverseHull, PiecewiseBijection
 from .ideals import Character, Semilattice
-
-
-class NotInDomain(ValueError):
-    pass
 
 
 class InfiniteCharacterSpace(RuntimeError):
     pass
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Germ:
     """A germ in normal form, interned by its GermContext (compare germs of one
     context only): equality and hash read the two integers, never the pieces."""
 
     chi_min: int                      # index of the character's minimal ideal
-    restricted: PiecewiseBijection    # s restricted to that ideal, canonical
+    restricted: PiecewiseBijection = field(compare=False)  # s on that ideal, canonical
     number: int                       # hull number of `restricted`
-
-    def __eq__(self, other):
-        return (isinstance(other, Germ) and self.chi_min == other.chi_min
-                and self.number == other.number)
-
-    def __hash__(self):
-        return hash((self.chi_min, self.number))
 
     def __repr__(self):
         return f"[{self.restricted} @ χ{self.chi_min}]"
@@ -52,100 +46,109 @@ class GermContext:
     def __init__(self, hull_ctx: InverseHull, lat: Semilattice):
         self.hull = hull_ctx
         self.lat = lat
-        self.p = hull_ctx.p
-        self._at: dict[int, tuple[Germ, int] | None] = {}  # (n << 32) | x
-        self._germs: dict[int, tuple[Germ, int]] = {}  # (restricted number << 32) | x
+        self._at: dict[int, int] = {}  # (n << 32) | x -> germ key, or -1
+        self._image: dict[int, int] = {}  # germ key -> index of the range's minimal ideal
+        self._germs = _Table(self, GermContext._fill_germ)  # germ key -> its Germ
+        self._units = _Table(self, GermContext._fill_unit)  # x -> number of 1 on ideals[x]
+
+    def _settle(self, n: int, x: int) -> int:
+        """The key of [s, χ_X] for s numbered n and X = ideals[x], or −1 when
+        χ_X(dom s) = 0."""
+        key = (n << 32) | x
+        found = self._at.get(key)
+        if found is None:
+            lat, hull = self.lat, self.hull
+            found = -1
+            if lat.contains(lat.domain_index(n), x):
+                r = hull._compose(n, self._units[x])
+                found = (r << 32) | x
+                if found not in self._image:
+                    self._image[found] = lat.domain_index(hull._inverses[r])
+            self._at[key] = found
+        return found
+
+    def _fill_unit(self, x: int) -> int:
+        return self.hull.index(self.hull.idempotent(self.lat.ideals[x].parts))
+
+    def _fill_germ(self, key: int) -> Germ:
+        return Germ(key & _LOW, self.hull.element(key >> 32), key >> 32)
 
     def at(self, n: int, x: int) -> tuple[Germ, int] | None:
         """([s, χ_X], index of the minimal ideal of s.χ_X) for s numbered n and
         X = ideals[x], or None when χ_X(dom s) = 0."""
-        key = (n << 32) | x
-        if key in self._at:
-            return self._at[key]
-        hull, lat = self.hull, self.lat
-        found = None
-        if lat.contains(lat.domain_index(n), x):
-            r = hull.index(hull.restrict(hull.element(n), lat.ideals[x].parts))
-            found = self._germs.get((r << 32) | x)
-            if found is None:
-                restricted = hull.element(r)
-                image = lat.index[lat.canonical(hull.image_parts(restricted))]
-                found = self._germs[(r << 32) | x] = (Germ(x, restricted, r), image)
-        self._at[key] = found
-        return found
-
-    def _in_domain(self, n: int, x: int) -> tuple[Germ, int]:
-        found = self.at(n, x)
-        if found is None:
-            raise NotInDomain(f"χ({self.lat.ideals[self.lat.domain_index(n)]}) = 0")
-        return found
-
-    # -- germs -----------------------------------------------------------------
-
-    def germ(self, s: PiecewiseBijection, chi: Character) -> Germ:
-        return self._in_domain(self.hull.index(s), chi.min_index)[0]
-
-    def unit_germ(self, chi: Character) -> Germ:
-        return self.germ(self.hull.idempotent(chi.min_ideal().parts), chi)
+        key = self._settle(n, x)
+        return None if key < 0 else (self._germs[key], self._image[key])
 
     # -- the groupoid ---------------------------------------------------------
 
     def build_groupoid(self, closure: HullClosure, chars) -> "GermGroupoid":
         """The germ groupoid over `chars`. Separation holds by construction
-        (`InverseHull.hausdorff_check`), so it is not checked again here."""
+        (`InverseHull.hausdorff_check`), so it is not checked again here.
+
+        Germs are numbered by (character, rendering of the restriction); the
+        products run over g in that order and, for each, the h with r(h) =
+        s(g) in that order. The tables go to `FiniteGroupoid` as indices."""
         if not self.lat.complete:
             raise InfiniteCharacterSpace("finite character space required")
         char_by_min = {chi.min_index: chi for chi in chars}
+        lat, settle, mins = self.lat, self._settle, list(char_by_min)
         numbers = [self.hull.index(s) for s in closure.nonzero()]
-        members: dict[Germ, tuple[int, int]] = {}  # germ -> (source min, range min)
-        for chi in chars:
-            x = chi.min_index
-            for n in numbers:
-                found = self.at(n, x)
-                if found is not None and found[1] in char_by_min:
-                    members[found[0]] = (x, found[1])
-        elements = sorted(members, key=lambda g: (g.chi_min, str(g.restricted)))
-        unit_of = {chi.min_index: self.unit_germ(chi) for chi in chars}
-        by_range: dict[int, list[Germ]] = {}
-        for h in elements:
-            by_range.setdefault(members[h][1], []).append(h)
-        product = {}
-        for g in elements:
-            for h in by_range.get(members[g][0], ()):
-                st = self.hull._compose(g.number, h.number)
-                product[(g, h)] = self._in_domain(st, h.chi_min)[0]
-        gpd = FiniteGroupoid(elements,
-                             source={g: unit_of[members[g][0]] for g in elements},
-                             range_={g: unit_of[members[g][1]] for g in elements},
-                             product=product,
-                             units=tuple(unit_of[chi.min_index] for chi in chars))
-        return GermGroupoid(gpd, self, char_by_min)
+        inside = np.array(lat._containment, dtype=bool).reshape(-1, len(lat.ideals))
+        inside = inside[[lat.domain_index(n) for n in numbers]][:, mins]
+        members: dict[int, int] = {}  # germ key -> range min
+        for i, j in zip(*(a.tolist() for a in np.nonzero(inside))):
+            key = settle(numbers[i], mins[j])
+            if self._image[key] in char_by_min:
+                members[key] = self._image[key]
+        keys = np.array(sorted(members, key=lambda k: (k & _LOW, str(self._germs[k].restricted))),
+                        dtype=np.int64).reshape(-1)
+        position = {k: i for i, k in enumerate(keys.tolist())}
+        unit_at = np.zeros(len(lat.ideals), dtype=np.intp)  # x -> position of the unit at χ_X
+        for x in mins:
+            unit_at[x] = position[settle(self._units[x], x)]
+        number, source = keys >> 32, keys & _LOW
+        range_ = np.array([members[k] for k in keys.tolist()], dtype=np.int64)
+        # g·h for r(h) = s(g), g-major: s∘t on X_h is already restricted, so
+        # its key is read off the composite of the restrictions
+        g, h = np.nonzero(source[:, None] == range_[None, :])
+        compose = self.hull._compose
+        gh = [position[(compose(a, b) << 32) | x]
+              for a, b, x in zip(number[g].tolist(), number[h].tolist(), source[h].tolist())]
+        gpd = FiniteGroupoid([self._germs[k] for k in keys.tolist()], unit_at[source],
+                             unit_at[range_], np.transpose([g, h, gh]),
+                             unit_at[[chi.min_index for chi in chars]])
+        return GermGroupoid(gpd, self, char_by_min, keys)
 
 
 @dataclass
 class GermGroupoid:
-    """A built germ groupoid plus the dictionaries linking germs back to the hull."""
+    """A built germ groupoid, the characters of its units and each element's
+    germ key, linking it back to the hull."""
 
     groupoid: FiniteGroupoid
     ctx: GermContext
     char_by_min: dict[int, Character]
+    keys: np.ndarray  # the germ key of each element, in element order
+
+    @cached_property
+    def position(self) -> dict[int, int]:
+        """Germ key -> element index."""
+        return {k: i for i, k in enumerate(self.keys.tolist())}
+
+    def _chi_in(self, chars) -> np.ndarray:
+        """Per element: whether its germ's character is among `chars`."""
+        return np.isin(self.keys & _LOW, [chi.min_index for chi in chars])
 
     def restrict_to(self, chars) -> "GermGroupoid":
         """Full subgroupoid over a sub-character-set (boundary restriction)."""
+        g0, on = self.groupoid, self._chi_in(chars)  # a germ's character is its source
+        keep = on[g0._s] & on[g0._r]
         keep_min = {chi.min_index for chi in chars}
-        g0 = self.groupoid
-        sub = g0.subgroupoid(
-            [g for g in g0.elements
-             if g0.source[g].chi_min in keep_min and g0.range[g].chi_min in keep_min],
-            units=tuple(u for u in g0.units if u.chi_min in keep_min))
+        sub = g0.subgroupoid(keep, g0._u[on[g0._u]])
         return GermGroupoid(sub, self.ctx, {m: c for m, c in self.char_by_min.items()
-                                            if m in keep_min})
+                                            if m in keep_min}, self.keys[keep])
 
     def boundary_invariance_holds(self, boundary_chars) -> bool:
         """act maps boundary characters to boundary characters for every element."""
-        keep = {chi.min_index for chi in boundary_chars}
-        for g in self.groupoid.elements:
-            if self.groupoid.source[g].chi_min in keep:
-                if self.groupoid.range[g].chi_min not in keep:
-                    return False
-        return True
+        g0, on = self.groupoid, self._chi_in(boundary_chars)
+        return not (on[g0._s] & ~on[g0._r]).any()

@@ -3,15 +3,20 @@
 Used both as embedding targets for category functors and as the output type of the
 germ-groupoid builder.
 
-Integer tables inside, labels outside: callers see the labelled `elements`,
-`source`, `range`, `product` and `inverse` dicts, while the constructor interns
-every label once and reads inverses and the axioms off integer arrays, so no
-label is hashed per pair or per triple.
+Integer tables inside, labels outside. The constructor takes index tables
+(endpoints, product triples, units) and reads inverses and the axioms off
+them; `from_labels` numbers the labels of dict tables once and calls it. The
+labelled `source`, `range`, `product` and `inverse` dicts are derived from the
+arrays when read, so no label is hashed per pair or per triple.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
+
+from .perm import components
 
 _MISSING = -2  # the index of an endpoint that the source or range dict lacks
 
@@ -42,56 +47,57 @@ class FiniteGroupoid:
     Elements are arbitrary hashable labels; units are elements with source = range = self
     acting neutrally. The product dict contains exactly the composable pairs.
 
-    Internally element i is the i-th distinct label of `elements`; labels that
-    occur only in the dicts are numbered after them. `_s` and `_r` map an index
-    to its endpoints' indices (`_MISSING` where the dict has no entry) and `_P`
-    is the product table, -1 where undefined. The tables are built once, so the
-    dicts are not to be changed after construction. Each check of `validate`
-    finds its candidate positions with array gathers and runs the per-position
-    test on them in the order of a label-by-label scan (product-dict order,
-    row-major pairs, lexicographic triples), so an error names the same first
-    witness as that scan.
+    The constructor takes index tables: label i is `labels[i]`, the first n of
+    them the elements and the rest labels met only in the tables. `_s` and `_r`
+    map an index to its endpoints' indices (`_MISSING` where unknown),
+    `_entries` holds the (g, h, gh) triples in product order and `_u` the
+    units. `_P` is the product table, -1 where undefined. Labelled tables go
+    through `from_labels`, which numbers every label once. The `source`,
+    `range`, `inverse` and `product` dicts are derived from the arrays when
+    read. Each check of `validate` finds its candidate positions with array
+    gathers and runs the per-position test on them in the order of a
+    label-by-label scan (product order, row-major pairs, lexicographic
+    triples), so an error names the same first witness as that scan.
     """
 
-    def __init__(self, elements, source, range_, product, units=None):
-        self.elements = tuple(elements)
-        self.source = dict(source)
-        self.range = dict(range_)
-        self.product = dict(product)
-        if units is None:
-            units = tuple(sorted((g for g in self.elements
-                                  if self.source[g] == g and self.range[g] == g),
-                                 key=str))
-        self.units = tuple(units)
-        self._unit_set = set(self.units)
-        self._intern()
-        self.inverse = self._find_inverses()
+    def __init__(self, labels, source, range_, entries, units, n=None):
+        self._labels = list(labels)
+        self._n = len(self._labels) if n is None else n
+        self.elements = tuple(self._labels[:self._n])
+        self._s, self._r = (np.asarray(e, dtype=np.intp) for e in (source, range_))
+        self._entries = np.asarray(entries, dtype=np.intp).reshape(-1, 3)
+        self._u = np.asarray(units, dtype=np.intp)
+        self.units = tuple(self._labels[u] for u in self._u.tolist())
+        self._P = np.full((len(self._labels),) * 2, -1, dtype=np.intp)
+        a, b, ab = self._entries.T
+        self._P[a, b] = ab
+        self._inv = self._find_inverses()
         self.validate()
 
-    def _intern(self):
-        """Number the labels and build `_s`, `_r`, `_P` and the product entries."""
+    @classmethod
+    def from_labels(cls, elements, source, range_, product, units=None):
+        """The groupoid of labelled tables. Labels are numbered in the order
+        they are met: the elements, the labels of `product`, their endpoints
+        in `source` and then in `range_`, and the units."""
+        if units is None:
+            units = sorted((g for g in elements if source[g] == g and range_[g] == g),
+                           key=str)
         index = {}
 
         def ix(x):
             return index.setdefault(x, len(index))
 
-        for g in self.elements:
+        for g in elements:
             ix(g)
-        self._n = len(index)
-        self._entries = np.array([(ix(g), ix(h), ix(gh))
-                                  for (g, h), gh in self.product.items()],
-                                 dtype=np.intp).reshape(-1, 3)
+        n = len(index)
+        entries = [(ix(g), ix(h), ix(gh)) for (g, h), gh in product.items()]
         looked_up = list(index)  # elements and product labels: their endpoints are read
         ends = [[ix(d[x]) if x in d else _MISSING for x in looked_up]
-                for d in (self.source, self.range)]
+                for d in (source, range_)]
+        units = [ix(u) for u in units]
         size = len(index)
-        self._s, self._r = (np.array(e + [_MISSING] * (size - len(e)), dtype=np.intp)
-                            for e in ends)
-        self._P = np.full((size, size), -1, dtype=np.intp)
-        a, b, ab = self._entries.T
-        self._P[a, b] = ab
-        self._index = index
-        self._labels = list(index)
+        return cls(list(index), *(e + [_MISSING] * (size - len(e)) for e in ends),
+                   entries, units, n)
 
     def _find_inverses(self):
         """For each element g, the first h in element order with gh = r(g) and hg = s(g)."""
@@ -104,53 +110,74 @@ class FiniteGroupoid:
             raise KeyError(self._labels[unreadable[0]])
         g, h = np.nonzero(hits & (P.T == s[:, None]))
         g, first = np.unique(g, return_index=True)
-        self._inv = np.full(n, -1, dtype=np.intp)
-        self._inv[g] = h[first]
+        inv = np.full(n, -1, dtype=np.intp)
+        inv[g] = h[first]
+        return inv
+
+    def _label_map(self, index_of):
         labels = self._labels
-        return {labels[g]: labels[h] for g, h in enumerate(self._inv.tolist()) if h >= 0}
+        return {labels[i]: labels[j] for i, j in enumerate(index_of.tolist()) if j >= 0}
+
+    # the labelled views, derived from the arrays on first read
+    source = cached_property(lambda self: self._label_map(self._s))
+    range = cached_property(lambda self: self._label_map(self._r))
+    inverse = cached_property(lambda self: self._label_map(self._inv))
+    product = cached_property(lambda self: {
+        (self._labels[g], self._labels[h]): self._labels[gh]
+        for g, h, gh in self._entries.tolist()})
+    _index = cached_property(lambda self: {x: i for i, x in enumerate(self._labels)})
+    _unit_set = cached_property(lambda self: set(self.units))
 
     # -- axioms ---------------------------------------------------------
 
+    def _end(self, ends, i):
+        """ends[i], or the KeyError a dict lookup of label i would raise."""
+        if ends[i] == _MISSING:
+            raise KeyError(self._labels[i])
+        return ends[i]
+
+    def _mul(self, i, j):
+        """P[i, j], or the GroupoidError of `mul` where it is undefined."""
+        if self._P[i, j] < 0:
+            raise GroupoidError(f"{self._labels[i]!r}·{self._labels[j]!r} undefined")
+        return self._P[i, j]
+
     def validate(self):
-        els = set(self.elements)
-        if not self._unit_set <= els:
-            raise GroupoidError("units not among elements")
         n, labels, P, s, r = self._n, self._labels, self._P, self._s, self._r
+        if (self._u >= n).any():
+            raise GroupoidError("units not among elements")
         is_unit = np.zeros(len(labels) + 2, dtype=bool)  # indices -1 and -2 read False
-        is_unit[[self._index[u] for u in self.units]] = True
-        for i in np.flatnonzero(~is_unit[s[:n]] | ~is_unit[r[:n]] | (self._inv < 0)):
-            g = labels[i]
-            if self.source[g] not in self._unit_set or self.range[g] not in self._unit_set:
-                raise GroupoidError(f"source/range of {g!r} is not a unit")
-            if g not in self.inverse:
-                raise GroupoidError(f"no inverse for {g!r}")
+        is_unit[self._u] = True
+        for i in np.flatnonzero(~is_unit[s[:n]] | ~is_unit[r[:n]] | (self._inv < 0)).tolist():
+            if not (is_unit[self._end(s, i)] and is_unit[r[i]]):  # r[i] read by the inverses
+                raise GroupoidError(f"source/range of {labels[i]!r} is not a unit")
+            raise GroupoidError(f"no inverse for {labels[i]!r}")
         a, b, ab = self._entries.T
         lost = (s < 0) | (r < 0)
-        suspects = np.flatnonzero(lost[a] | lost[b] | lost[ab] | (s[a] != r[b])
-                                  | (s[ab] != s[b]) | (r[ab] != r[a]))
-        items = list(self.product.items()) if suspects.size else []
-        for (g, h), gh in (items[i] for i in suspects):
-            if self.source[g] != self.range[h]:
-                raise GroupoidError(f"product defined on non-composable pair {(g, h)!r}")
-            if self.source[gh] != self.source[h] or self.range[gh] != self.range[g]:
-                raise GroupoidError(f"endpoints broken at {(g, h)!r}")
+        for i in np.flatnonzero(lost[a] | lost[b] | lost[ab] | (s[a] != r[b])
+                                | (s[ab] != s[b]) | (r[ab] != r[a])).tolist():
+            g, h, gh = self._entries[i].tolist()
+            if self._end(s, g) != self._end(r, h):
+                raise GroupoidError(f"product defined on non-composable pair "
+                                    f"{(labels[g], labels[h])!r}")
+            if self._end(s, gh) != self._end(s, h) or self._end(r, gh) != self._end(r, g):
+                raise GroupoidError(f"endpoints broken at {(labels[g], labels[h])!r}")
         s, r = s[:n], r[:n]  # from here on every endpoint is a unit, hence an element
-        for i, j in np.argwhere((P[:n, :n] >= 0) != (s[:, None] == r[None, :])):
-            g, h = labels[i], labels[j]
-            defined = (g, h) in self.product
-            if defined != (self.source[g] == self.range[h]):
-                raise GroupoidError(f"composability/table mismatch at {(g, h)!r}")
+        mismatch = np.argwhere((P[:n, :n] >= 0) != (s[:, None] == r[None, :]))
+        if mismatch.size:
+            g, h = mismatch[0].tolist()
+            raise GroupoidError(f"composability/table mismatch at {(labels[g], labels[h])!r}")
         e = np.arange(n)
-        for i in np.flatnonzero((P[e, s] != e) | (P[r, e] != e)):
-            g = labels[i]
-            if self.mul(g, self.source[g]) != g or self.mul(self.range[g], g) != g:
-                raise GroupoidError(f"units not neutral at {g!r}")
+        for i in np.flatnonzero((P[e, s] != e) | (P[r, e] != e)).tolist():
+            if self._mul(i, s[i]) != i or self._mul(r[i], i) != i:
+                raise GroupoidError(f"units not neutral at {labels[i]!r}")
         a, b, c = _composable_triples(P[:n, :n], s, r)
         left, right = P[P[a, b], c], P[a, P[b, c]]
-        for t in np.flatnonzero((left != right) | (left < 0)):
-            g, h, k = labels[a[t]], labels[b[t]], labels[c[t]]
-            if self.mul(self.mul(g, h), k) != self.mul(g, self.mul(h, k)):
-                raise GroupoidError(f"associativity fails at {(g, h, k)!r}")
+        for t in np.flatnonzero((left != right) | (left < 0)).tolist():
+            g, h, k = a[t], b[t], c[t]
+            if self._mul(P[g, h], k) != self._mul(g, P[h, k]):
+                raise GroupoidError(f"associativity fails at "
+                                    f"{(labels[g], labels[h], labels[k])!r}")
 
     # -- arithmetic -----------------------------------------------------
 
@@ -160,16 +187,21 @@ class FiniteGroupoid:
         except KeyError:
             raise GroupoidError(f"{g!r}·{h!r} undefined") from None
 
-    def subgroupoid(self, elements, units) -> "FiniteGroupoid":
-        """The subgroupoid on `elements` with unit space `units`: the tables
-        restricted to it, validated anew."""
-        kept = set(elements)
-        return FiniteGroupoid(elements,
-                              source={g: self.source[g] for g in elements},
-                              range_={g: self.range[g] for g in elements},
-                              product={(g, h): gh for (g, h), gh in self.product.items()
-                                       if g in kept and h in kept},
-                              units=units)
+    def subgroupoid(self, keep, units) -> "FiniteGroupoid":
+        """The subgroupoid on the elements where the mask `keep` holds, with
+        the units at indices `units`: the tables restricted to it, numbered
+        as `from_labels` numbers the restricted dicts, and validated anew."""
+        kept = np.flatnonzero(keep)
+        rows = self._entries[np.isin(self._entries[:, :2], kept).all(axis=1)]
+        s, r = self._s[kept], self._r[kept]
+        met = np.concatenate([kept, rows.ravel(), s, r, units])
+        old = met[np.sort(np.unique(met, return_index=True)[1])]  # in the order met
+        new = np.full(len(self._labels), _MISSING, dtype=np.intp)
+        new[old] = np.arange(old.size)
+        ends = np.full((2, old.size), _MISSING, dtype=np.intp)  # known for elements only
+        ends[0, :kept.size], ends[1, :kept.size] = new[s], new[r]
+        return FiniteGroupoid([self._labels[i] for i in old.tolist()], *ends, new[rows],
+                              new[units], kept.size)
 
     def composable(self, g, h):
         return self.source[g] == self.range[h]
@@ -182,37 +214,31 @@ class FiniteGroupoid:
 
     def hom_set(self, u, v):
         """Elements with source u and range v."""
-        return [g for g in self.elements if self.source[g] == u and self.range[g] == v]
+        n, ix = self._n, self._index
+        at = np.flatnonzero((self._s[:n] == ix.get(u, -1)) & (self._r[:n] == ix.get(v, -1)))
+        return [self._labels[i] for i in at.tolist()]
 
     def isotropy(self, u):
         return self.hom_set(u, u)
 
     def orbits(self):
-        """Partition of the unit space under reachability, deterministically ordered."""
-        parent = {u: u for u in self.units}
-
-        def find(u):
-            while parent[u] != u:
-                parent[u] = parent[parent[u]]
-                u = parent[u]
-            return u
-
-        for g in self.elements:
-            a, b = find(self.source[g]), find(self.range[g])
-            if a != b:
-                parent[max(a, b, key=str)] = min(a, b, key=str)
+        """Partition of the unit space under reachability, deterministically
+        ordered: each orbit sorted by str, the orbits by their first unit."""
+        n = self._n
+        label = components(n, self._s[:n], self._r[:n])
         groups = {}
-        for u in self.units:
-            groups.setdefault(find(u), []).append(u)
-        return [tuple(sorted(groups[r], key=str)) for r in sorted(groups, key=str)]
+        for u in self._u.tolist():
+            groups.setdefault(label[u], []).append(self._labels[u])
+        return sorted((tuple(sorted(orbit, key=str)) for orbit in groups.values()),
+                      key=lambda orbit: str(orbit[0]))
 
     # -- structural predicates ------------------------------------------
 
     def is_principal(self):
         """True when every element with equal range and source is a unit. The
         unit space is discrete, so this is also effectiveness."""
-        return all(self.is_unit(g) for g in self.elements
-                   if self.source[g] == self.range[g])
+        n = self._n
+        return bool(np.isin(np.flatnonzero(self._s[:n] == self._r[:n]), self._u).all())
 
     def __len__(self):
         return len(self.elements)
@@ -230,13 +256,9 @@ def pair_groupoid(labels):
     elements = [(p, q) for p in labels for q in labels]
     source = {(p, q): (q, q) for p, q in elements}
     range_ = {(p, q): (p, p) for p, q in elements}
-    product = {}
-    for p, q in elements:
-        for q2, r in elements:
-            if q2 == q:
-                product[((p, q), (q, r))] = (p, r)
-    return FiniteGroupoid(elements, source, range_, product,
-                          units=tuple((p, p) for p in labels))
+    product = {((p, q), (q, r)): (p, r) for p, q in elements for r in labels}
+    return FiniteGroupoid.from_labels(elements, source, range_, product,
+                                      units=tuple((p, p) for p in labels))
 
 
 def group_as_groupoid(elements, mul, unit):
@@ -244,7 +266,7 @@ def group_as_groupoid(elements, mul, unit):
     elements = tuple(elements)
     source = {g: unit for g in elements}
     range_ = dict(source)
-    return FiniteGroupoid(elements, source, range_, dict(mul), units=(unit,))
+    return FiniteGroupoid.from_labels(elements, source, range_, dict(mul), units=(unit,))
 
 
 def cyclic_groupoid(n, tag="z"):
@@ -254,19 +276,14 @@ def cyclic_groupoid(n, tag="z"):
 
 
 def disjoint_union(g1: FiniteGroupoid, g2: FiniteGroupoid, tags=("A", "B")):
-    def t(tag, x):
-        return (tag, x)
-
-    elements = [t(tags[0], g) for g in g1.elements] + [t(tags[1], g) for g in g2.elements]
-    source, range_, product = {}, {}, {}
-    for tag, g in ((tags[0], g1), (tags[1], g2)):
-        for x in g.elements:
-            source[t(tag, x)] = t(tag, g.source[x])
-            range_[t(tag, x)] = t(tag, g.range[x])
-        for (x, y), xy in g.product.items():
-            product[(t(tag, x), t(tag, y))] = t(tag, xy)
-    units = tuple(t(tags[0], u) for u in g1.units) + tuple(t(tags[1], u) for u in g2.units)
-    return FiniteGroupoid(elements, source, range_, product, units=units)
+    """g1 and g2 side by side, x of g1 labelled (tags[0], x) and y of g2
+    (tags[1], y): their index tables, g2's shifted past g1's."""
+    shift = len(g1.elements)
+    return FiniteGroupoid([(tags[0], x) for x in g1.elements]
+                          + [(tags[1], y) for y in g2.elements],
+                          *(np.concatenate([a, b + shift]) for a, b in (
+                              (g1._s, g2._s), (g1._r, g2._r),
+                              (g1._entries, g2._entries), (g1._u, g2._u))))
 
 
 def transitive_groupoid(labels, iso_els, iso_mul, iso_unit):
@@ -279,13 +296,10 @@ def transitive_groupoid(labels, iso_els, iso_mul, iso_unit):
     elements = [(p, h, q) for p in labels for h in iso_els for q in labels]
     source = {(p, h, q): (q, iso_unit, q) for p, h, q in elements}
     range_ = {(p, h, q): (p, iso_unit, p) for p, h, q in elements}
-    product = {}
-    for p, h, q in elements:
-        for q2, k, r in elements:
-            if q2 == q:
-                product[((p, h, q), (q, k, r))] = (p, iso_mul[(h, k)], r)
-    return FiniteGroupoid(elements, source, range_, product,
-                          units=tuple((p, iso_unit, p) for p in labels))
+    product = {((p, h, q), (q, k, r)): (p, iso_mul[(h, k)], r)
+               for p, h, q in elements for k in iso_els for r in labels}
+    return FiniteGroupoid.from_labels(elements, source, range_, product,
+                                      units=tuple((p, iso_unit, p) for p in labels))
 
 
 class FreeAbelianTarget:

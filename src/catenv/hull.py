@@ -361,14 +361,6 @@ class InverseHull:
     def is_idempotent(self, s: PiecewiseBijection) -> bool:
         return all(a == b for a, b in s.pieces)
 
-    def restrict(self, s: PiecewiseBijection, parts) -> PiecewiseBijection:
-        """Restriction of s to the ideal ⋃ x𝔠 over x in parts."""
-        xs = [self._morphism(x) for x in parts]
-        mul, align = self._composites, self._alignments
-        return self.element(self._canonical(
-            [(mul[(a << 32) | u], mul[(b << 32) | u]) for a, b in self._codes[self.index(s)]
-             for x in xs for u, _ in align[(b << 32) | x]]))
-
     # -- closure generation ------------------------------------------------
 
     def generate(self, bound: int | None = None) -> HullClosure:

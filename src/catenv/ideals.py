@@ -59,7 +59,10 @@ class Semilattice:
             seen, key=lambda X: [self.p.sort_key(b) for b in X.parts])
         self.index = {X: i for i, X in enumerate(self.ideals)}
         self._meet_cache: dict[tuple[int, int], int] = {}
-        self._domain_index: dict[int, int] = {}  # hull number of s -> index of dom(s)
+        # hull number of s -> index of dom(s), known for the closure's elements
+        self._domain_index: dict[int, int] = {
+            hull_ctx.index(s): self.index[Ideal(hull_ctx.domain_parts(s))]
+            for s in closure.elements}
 
     # -- basic structure -----------------------------------------------------
 
@@ -182,7 +185,7 @@ class Character:
         return hash(("chr", self.min_index))
 
     def __repr__(self):
-        return f"χ[{self.lattice.ideals[self.min_index]}]"
+        return f"χ[{self.min_ideal()}]"
 
 
 def enumerate_characters(lat: Semilattice):

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import perm
 from .categories import CategoryPresentation, Morphism
-from .germs import Germ, GermGroupoid
+from .germs import GermGroupoid
 from .gpd import FiniteGroupoid
 from .hull import HullClosure, InverseHull, PiecewiseBijection
 from .ideals import Character
@@ -63,46 +63,53 @@ _WINDOW_ITERATIONS = 110
 _WINDOW_BLOCK = 4
 
 
-def windowed_norm(combo, basis, action) -> float:
-    """Operator norm of A = Σ c·T_x on ℓ²(basis), for combo = [(c, x), ...].
+def _segment_sum(coef, take, put, n):
+    """v ↦ w with w[put[i]] += coef[i]·v[take[i]], as one sorted segment sum:
+    the terms ordered by `put` and summed over each run of equal targets."""
+    order = np.argsort(put, kind="stable")
+    coef, take, put = coef[order][:, None], take[order], put[order]
+    starts = np.flatnonzero(np.diff(put, prepend=-1))  # targets are ≥ 0
 
-    T_x e_d = e_{action(x, d)}; images that are None or outside the basis are
-    dropped, which is the truncation window of a partial-isometry
-    representation. Matrix-free: block subspace iteration on A*A from a seeded
-    start, then the largest Ritz value.
+    def apply(v):
+        w = np.zeros((n,) + v.shape[1:], dtype=complex)
+        w[put[starts]] = np.add.reduceat(coef * v[take], starts)
+        return w
+    return apply
+
+
+def window_arrays(basis, action, xs) -> dict:
+    """T_x e_d = e_{action(x, d)} on ℓ²(basis) for each x in xs, as a (2, m)
+    array: positions of the columns d, over those of their images. Images that
+    are None or outside the basis are dropped: the truncation window."""
+    index = {m: i for i, m in enumerate(basis)}
+    return {x: np.array([(j, index[y]) for j, d in enumerate(basis)
+                         if (y := action(x, d)) is not None and y in index],
+                        dtype=np.intp).reshape(-1, 2).T for x in xs}
+
+
+def windowed_norm(combo, arrays, n) -> float:
+    """Operator norm of A = Σ c·T_x on ℓ²(basis), for combo = [(c, x), ...],
+    with T_x from `window_arrays` on a basis of n members.
+
+    Matrix-free: block subspace iteration on A*A from a seeded start, A and
+    A* each a sorted segment sum, then the largest Ritz value.
     """
-    n = len(basis)
     if n == 0:
         return 0.0
-    index = {m: i for i, m in enumerate(basis)}
-    coef, src, dst = [], [], []
-    for c, x in combo:
-        for j, d in enumerate(basis):
-            image = action(x, d)
-            if image is not None and image in index:
-                coef.append(c)
-                src.append(j)
-                dst.append(index[image])
-    coef = np.array(coef, dtype=complex)[:, None]
-    src, dst = np.array(src, dtype=int), np.array(dst, dtype=int)
-
-    def gram(v):
-        av = np.zeros_like(v)
-        np.add.at(av, dst, coef * v[src])
-        out = np.zeros_like(v)
-        np.add.at(out, src, coef.conj() * av[dst])
-        return out
+    coef = np.concatenate([np.full(arrays[x].shape[1], c, dtype=complex) for c, x in combo])
+    src, dst = (np.concatenate([arrays[x][k] for _, x in combo]) for k in (0, 1))
+    a, a_star = _segment_sum(coef, src, dst, n), _segment_sum(coef.conj(), dst, src, n)
 
     block = min(_WINDOW_BLOCK, n)
     rng = np.random.default_rng(7)
     v = rng.standard_normal((n, block)) + 1j * rng.standard_normal((n, block))
     v, _ = np.linalg.qr(v)
     for _ in range(_WINDOW_ITERATIONS):
-        w = gram(v)
+        w = a_star(a(v))
         if np.linalg.norm(w) < 1e-30:
             return 0.0
         v, _ = np.linalg.qr(w)
-    ritz = v.conj().T @ gram(v)
+    ritz = v.conj().T @ a_star(a(v))
     lam = max(np.linalg.eigvalsh((ritz + ritz.conj().T) / 2).max(), 0.0)
     return float(np.sqrt(lam))
 
@@ -287,19 +294,27 @@ class LambdaRep:
 
 
 class GroupoidRep:
-    """⊕ of one left regular representation per unit orbit (multiplicity pruned)."""
+    """⊕ of one left regular representation per unit orbit (multiplicity pruned).
+
+    Read off the groupoid's index arrays: `positions` holds the element
+    indices of the basis, and `column` maps an element index to its basis
+    column, −1 off the basis."""
 
     def __init__(self, g: FiniteGroupoid):
         self.g = g
         self.rep_units = [orbit[0] for orbit in g.orbits()]
-        self.basis = [x for u in self.rep_units for x in sorted(
-            (y for y in g.elements if g.source[y] == u), key=str)]
-        self.index = {x: i for i, x in enumerate(self.basis)}
+        labels, s = g.elements, g._s[:len(g.elements)]
+        blocks = [sorted(np.flatnonzero(s == g._index[u]).tolist(),
+                         key=lambda i: str(labels[i])) for u in self.rep_units]
+        self._sizes = [len(block) for block in blocks]
+        self.positions = np.array([i for block in blocks for i in block], dtype=np.intp)
+        self.basis = [labels[i] for i in self.positions.tolist()]
+        self.column = np.full(len(labels), -1, dtype=np.intp)
+        self.column[self.positions] = np.arange(len(self.positions))
 
     def block_sizes(self):
         """Sizes ℓ²(G_χ) per orbit representative."""
-        return [sum(1 for x in self.basis if self.g.source[x] == u)
-                for u in self.rep_units]
+        return list(self._sizes)
 
 
 # -- spanning families over germ groupoids --------------------------------------
@@ -312,30 +327,27 @@ class GermModel:
         self.gg = germ_gpd
         self.rep = GroupoidRep(germ_gpd.groupoid)
         self.closure = closure
-        self._bisection_cache: dict[int, list[Germ]] = {}  # by hull number
         self._perm_cache: dict[int, np.ndarray] = {}  # by hull number, read-only
         self._matrix_cache: dict[int, np.ndarray] = {}  # by hull number, read-only
-
-    def bisection(self, s: PiecewiseBijection):
-        """All germs of s over the groupoid's character set."""
-        ctx = self.gg.ctx
-        n = ctx.hull.index(s)
-        if n not in self._bisection_cache:
-            self._bisection_cache[n] = [found[0] for x in sorted(self.gg.char_by_min)
-                                        if (found := ctx.at(n, x)) is not None]
-        return self._bisection_cache[n]
 
     def spanning_perm(self, s: PiecewiseBijection) -> np.ndarray:
         """Σ of the bisection's element matrices as an index array, cached and
         read-only: its germs have distinct sources, so it is one partial
-        permutation t ↦ g_{r(t)}·t."""
-        g = self.rep.g
+        permutation t ↦ g_{r(t)}·t, one gather of the product table."""
+        gg, rep = self.gg, self.rep
+        n = gg.ctx.hull.index(s)
 
         def build():
-            by_source = {g.source[el]: el for el in self.bisection(s)}
-            return perm.from_map(self.rep.basis, self.rep.index, lambda t: g.mul(
-                by_source[g.range[t]], t) if g.range[t] in by_source else None)
-        return _read_only(self._perm_cache, self.gg.ctx.hull.index(s), build)
+            g = rep.g
+            at_source = np.full(len(g.elements), -1, dtype=np.intp)
+            for x in sorted(gg.char_by_min):
+                key = gg.ctx._settle(n, x)
+                if key >= 0:
+                    at = gg.position[key]
+                    at_source[g._s[at]] = at
+            left, t = at_source[g._r[rep.positions]], rep.positions
+            return np.where(left >= 0, rep.column[g._P[left, t]], -1)
+        return _read_only(self._perm_cache, n, build)
 
     @cached_property
     def spanning_stack(self) -> np.ndarray:

@@ -195,7 +195,7 @@ def _groupoid_from_sections(scalars, sections) -> FiniteGroupoid:
             if x not in source:
                 raise ParseError(f"unknown element {x!r}", lineno)
         product[(g, h)] = gh
-    return FiniteGroupoid(elements, source, range_, product, units=tuple(units))
+    return FiniteGroupoid.from_labels(elements, source, range_, product, units=tuple(units))
 
 
 def _integer(token, what, lineno, low=None, high=None):

@@ -126,10 +126,17 @@ def exact_dim(stack):
         classes = np.unique(keys, axis=0, return_inverse=True)[1].ravel()
     if count < n or not (gens >= 0).any(axis=0).all():
         return None
-    x, y = np.nonzero(gens >= 0)[1], gens[gens >= 0]  # the edges x — g(x), both ways
+    label = components(n, np.nonzero(gens >= 0)[1], gens[gens >= 0])  # x — g(x)
+    return int((np.unique(label, return_counts=True)[1] ** 2).sum())
+
+
+def components(n, x, y) -> np.ndarray:
+    """For each of n points, the least point joined to it by a path of the
+    edges x[i] — y[i]: pointer jumping, then the least label over each edge."""
     label, low = None, np.arange(n)
     while not np.array_equal(label, low):
         label = low[low]
         low = label.copy()
         np.minimum.at(low, x, label[y])
-    return int((np.unique(label, return_counts=True)[1] ** 2).sum())
+        np.minimum.at(low, y, label[x])
+    return label

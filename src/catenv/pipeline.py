@@ -49,7 +49,7 @@ from .envelope import (FinDimCStar, NotACover, SpannedStarMap, block_decompose,
 from .germs import GermContext
 from .hull import InverseHull
 from .matrixrep import (GermModel, IsometryVerdict, LambdaRep, ThetaRep, _joint_rank,
-                        jack_check, matrix_rank, windowed_norm)
+                        jack_check, matrix_rank, window_arrays, windowed_norm)
 from .matrixrep import complete_isometry_check  # noqa: F401  traced by bench/layers.py
 from .report import Entry, exit_code
 
@@ -324,7 +324,8 @@ def _compression_kernel_mask(model_omega: GermModel, model_bound: GermModel,
     restricted to V, π is that compression on the spanning family, hence on
     its span. Its kernel is then the blocks whose coordinates hold no point of V.
     """
-    at = perm.from_map(model_bound.rep.basis, model_omega.rep.index, lambda x: x)
+    at = model_omega.rep.column[[model_omega.gg.position[k] for k in
+                                 model_bound.gg.keys[model_bound.rep.positions].tolist()]]
     if (at < 0).any():
         return None
     inside = np.zeros(len(model_omega.rep.basis) + 1, dtype=bool)  # index −1: False
@@ -372,17 +373,22 @@ def truncation_norm_study(pres, hull_ctx, boundary_chars, elements, depths) -> d
     def theta_action(x, d):
         return hull_ctx.apply(hull_of[x], d)
 
+    xs = list(dict.fromkeys(x for combo in elements for _, x in combo))
     gaps = {}
     for depth in depths:
         lam_basis = LambdaRep.build(pres, radius=depth).basis
-        # characters with the same window have the same ϑ-norm: one evaluation each
         theta_bases = dict.fromkeys(tuple(ThetaRep(pres, hull_ctx, chi, radius=depth).basis)
                                     for chi in boundary_chars)
-        worst = 0.0
-        for combo in elements:
-            n_lam = windowed_norm(combo, lam_basis, pres.compose)
-            n_theta = max((windowed_norm(combo, basis, theta_action)
-                           for basis in theta_bases), default=0.0)
-            worst = max(worst, abs(n_lam - n_theta))
-        gaps[depth] = worst
+        # T_x is built once per window; windows with the same arrays (a ϑ window
+        # equal to another or to the λ window) have equal norms, taken once
+        windows, keys = {}, []
+        for basis, action in [(lam_basis, pres.compose),
+                              *((basis, theta_action) for basis in theta_bases)]:
+            arrays = window_arrays(basis, action, xs)
+            keys.append((len(basis), *(arrays[x].tobytes() for x in xs)))
+            windows.setdefault(keys[-1], (len(basis), arrays))
+        norms = {key: [windowed_norm(combo, arrays, n) for combo in elements]
+                 for key, (n, arrays) in windows.items()}
+        gaps[depth] = max((abs(n_lam - max(n_theta, default=0.0)) for n_lam, *n_theta
+                           in zip(*(norms[key] for key in keys))), default=0.0)
     return gaps

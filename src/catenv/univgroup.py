@@ -221,8 +221,8 @@ class Cocycle:
 def kernel_subgroupoid(germ_gpd: GermGroupoid, cocycle: Cocycle) -> FiniteGroupoid:
     """The subgroupoid {g : κ(g) = identity}; same unit space."""
     g0 = germ_gpd.groupoid
-    return g0.subgroupoid([g for g in g0.elements
-                           if cocycle.is_identity_value(cocycle.of(g))], units=g0.units)
+    return g0.subgroupoid([cocycle.is_identity_value(cocycle.of(g)) for g in g0.elements],
+                          g0._u)
 
 
 def cocycle_identity_holds(germ_gpd: GermGroupoid, cocycle: Cocycle) -> bool:
@@ -308,7 +308,7 @@ def enveloping_groupoid(pres):
                 if q2 == q and find(p) == find(q):
                     if find(q) == find(r):
                         product[((p, q), (q, r))] = (p, r)
-        env = FiniteGroupoid(elements, source, range_, product)
+        env = FiniteGroupoid.from_labels(elements, source, range_, product)
         rho = CategoryFunctor(
             pres, env,
             object_map={o: (o, o) for o in pres.objects},

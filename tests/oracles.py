@@ -25,9 +25,10 @@ matrices, the one-array level-k norm, word inverses and evaluation in a
 group, the dual action of a crossed product, and the coaction axioms of a
 linear map δ given on a basis, one leg and one basis product at a time: the
 grading validation implies them, and planted maps fail them. `entry` reads one
-entry of a pipeline result by its check name, and `hcompose` and `hinverse`
-form the product of two hull elements and the inverse of one as elements: only
-tests ask for these.
+entry of a pipeline result by its check name; `hcompose`, `hinverse` and
+`hrestrict` form the product of two hull elements, the inverse and a
+restriction of one as elements, and `germ` and `bisection` read germs as
+objects: only tests ask for these.
 """
 
 import itertools
@@ -39,7 +40,7 @@ import numpy as np
 from catenv.coactions import GradedAlgebra, KatayamaReport, NoExtensionFound
 from catenv.envelope import (NotACover, ShilovResult, SpannedStarMap, is_boundary_ideal,
                              search_levels)
-from catenv.germs import InfiniteCharacterSpace, NotInDomain
+from catenv.germs import InfiniteCharacterSpace
 from catenv.gpd import FiniteGroupoid, GroupoidError
 from catenv.hull import InconsistentPieces, PiecewiseBijection
 from catenv.lcm import NotCore, core_membership
@@ -358,7 +359,7 @@ def germ_groupoid_by_definition(ctx, closure, chars):
         dom = lat.index[lat.canonical(hull.domain_parts(s))]
         if not contains_by_parts(lat, dom, x):
             raise NotInDomain(f"χ({lat.ideals[dom]}) = 0")
-        restricted = hull.restrict(s, lat.ideals[x].parts)
+        restricted = hrestrict(hull, s, lat.ideals[x].parts)
         return (StructuralGerm(x, restricted),
                 lat.index[lat.canonical(hull.image_parts(restricted))])
 
@@ -380,11 +381,10 @@ def germ_groupoid_by_definition(ctx, closure, chars):
             if members[h][1] == members[g][0]:
                 st = hcompose(hull, g.restricted, h.restricted)
                 product[(g, h)] = settle(st, members[h][0])[0]
-    return FiniteGroupoid(elements,
-                          source={g: unit_of[members[g][0]] for g in elements},
-                          range_={g: unit_of[members[g][1]] for g in elements},
-                          product=product,
-                          units=tuple(unit_of[chi.min_index] for chi in chars))
+    return FiniteGroupoid.from_labels(
+        elements, source={g: unit_of[members[g][0]] for g in elements},
+        range_={g: unit_of[members[g][1]] for g in elements}, product=product,
+        units=tuple(unit_of[chi.min_index] for chi in chars))
 
 
 def inverse_rep(lam, hull_ctx, s) -> np.ndarray:
@@ -1038,6 +1038,36 @@ def hinverse(hull, s) -> PiecewiseBijection:
     return hull.element(hull._inverses[hull.index(s)])
 
 
+def hrestrict(hull, s, parts) -> PiecewiseBijection:
+    """s restricted to the ideal ⋃ x𝔠 over x in parts, from the pieces: a
+    piece (a, b) meets x𝔠 in b·u for each alignment (u, _) of b and x. The
+    library restricts by composing with the idempotent on the ideal."""
+    p = hull.p
+    return hull.canonical([(p.compose(a, u), p.compose(b, u)) for a, b in s.pieces
+                           for x in parts for u, _ in p.align(b, x)])
+
+
+class NotInDomain(ValueError):
+    pass
+
+
+def germ(ctx, s, chi):
+    """The germ [s, χ], read off `GermContext.at`; NotInDomain when χ(dom s) = 0."""
+    found = ctx.at(ctx.hull.index(s), chi.min_index)
+    if found is None:
+        raise NotInDomain(f"χ({ctx.lat.ideals[ctx.lat.domain_index(ctx.hull.index(s))]}) = 0")
+    return found[0]
+
+
+def bisection(model, s) -> list:
+    """The germs of s over the characters of `model`'s groupoid, in the
+    order of their minimal ideals."""
+    ctx = model.gg.ctx
+    n = ctx.hull.index(s)
+    return [found[0] for x in sorted(model.gg.char_by_min)
+            if (found := ctx.at(n, x)) is not None]
+
+
 # -- reference formulas for identities the library does not compute --------------
 
 
@@ -1139,18 +1169,17 @@ def compression_identity_check(model, theta, tol=1e-9):
     fiber_index = {x: i for i, x in enumerate(fiber)}
     morphism_germ = {}
     for d in theta.basis:
-        germ = ctx.germ(ctx.hull.from_morphism(d), chi)
-        morphism_germ[d] = germ
-        if germ not in fiber_index:
+        morphism_germ[d] = germ_d = germ(ctx, ctx.hull.from_morphism(d), chi)
+        if germ_d not in fiber_index:
             return False, f"germ of {d} missing from the χ-fiber"
     proj = np.zeros((len(theta.basis), len(fiber)), dtype=complex)
     for d, i in theta.index.items():
         proj[i, fiber_index[morphism_germ[d]]] = 1.0
-    for c in ctx.p.ball(None):
+    for c in ctx.hull.p.ball(None):
         s = ctx.hull.from_morphism(c)
         rho_fiber = np.zeros((len(fiber), len(fiber)), dtype=complex)
         for j, t in enumerate(fiber):
-            for el in model.bisection(s):
+            for el in bisection(model, s):
                 if g.source[el] == g.range[t]:
                     rho_fiber[fiber_index[g.mul(el, t)], j] += 1.0
         lhs = proj @ rho_fiber @ proj.conj().T
@@ -1176,8 +1205,8 @@ def inclusion_exclusion_check(hull, s, theta, tol=1e-9):
 
 def element_matrix(rep, el) -> np.ndarray:
     """The indicator function of a single groupoid element under `GroupoidRep` rep."""
-    g = rep.g
-    return dense(from_map(rep.basis, rep.index,
+    g, index = rep.g, {x: i for i, x in enumerate(rep.basis)}
+    return dense(from_map(rep.basis, index,
                           lambda t: g.mul(el, t) if g.source[el] == g.range[t] else None))
 
 

@@ -24,7 +24,7 @@ from catenv.hull import InverseHull
 from catenv.lcm import (OreGroup, core_membership, core_unitary_check,
                         starling_report, transformation_iso_check)
 from catenv.matrixrep import (GermModel, LambdaRep, complete_isometry_check,
-                              jack_check, operator_norm, windowed_norm)
+                              jack_check, operator_norm, window_arrays, windowed_norm)
 from catenv.pipeline import analyze_category, truncation_norm_study
 from catenv.univgroup import (CategoryFunctor, Cocycle, IsoLetter, XLetter,
                               cocycle_identity_holds, enveloping_groupoid,
@@ -371,7 +371,8 @@ def test_criterion_12_truncation_evidence():
     lam4 = LambdaRep.build(pres, radius=4)
     for combo in elements[:5]:
         dense = operator_norm(sum(c * lam4.lam(x) for c, x in combo))
-        fast = windowed_norm(combo, lam4.basis, pres.compose)
+        xs = [x for _, x in combo]
+        fast = windowed_norm(combo, window_arrays(lam4.basis, pres.compose, xs), len(lam4.basis))
         assert abs(dense - fast) < 1e-6
 
     assert gaps[10] < 1e-3

@@ -2,22 +2,26 @@
 
 from functools import partial
 
+import numpy as np
 import pytest
 
 from catenv.categories import GroupoidSub
 from catenv.fixtures import fix_edge, fix_kgraph_acyclic, fix_two
-from catenv.germs import NotInDomain
 from catenv.gpd import cyclic_groupoid, pair_groupoid
 from catenv.ideals import Character
 from conftest import FixtureBundle
-from oracles import act_by_definition, contains_by_parts, germ_groupoid_by_definition, hinverse
+from oracles import (NotInDomain, act_by_definition, contains_by_parts, germ,
+                     germ_groupoid_by_definition, hinverse)
 from test_hull import layered_dag
 
 
 def act(ctx, s, chi):
     """s.χ, using s.χ_X = χ_{s(X)} for the principal filter at X, read off
     `GermContext.at`; NotInDomain when χ(dom s) = 0."""
-    return Character(ctx.lat, ctx._in_domain(ctx.hull.index(s), chi.min_index)[1])
+    found = ctx.at(ctx.hull.index(s), chi.min_index)
+    if found is None:
+        raise NotInDomain("χ(dom s) = 0")
+    return Character(ctx.lat, found[1])
 
 
 def e_map(bundle):
@@ -56,11 +60,11 @@ def test_germ_equality_examples(edge):
     chi_e, chi_w = edge.char("e𝔠"), edge.char("id:w𝔠")
     idv = hull.idempotent([p.identity("v")])
     ide = hull.idempotent([by_word(p, ("e",))])
-    assert ctx.germ(idv, chi_e) == ctx.germ(ide, chi_e)
+    assert germ(ctx, idv, chi_e) == germ(ctx, ide, chi_e)
     s = e_map(edge)
-    assert ctx.germ(s, chi_w) == ctx.germ(s, chi_w)
+    assert germ(ctx, s, chi_w) == germ(ctx, s, chi_w)
     idw = hull.idempotent([p.identity("w")])
-    assert ctx.germ(s, chi_w) != ctx.germ(idw, chi_w)
+    assert germ(ctx, s, chi_w) != germ(ctx, idw, chi_w)
 
 
 def by_word(p, word):
@@ -96,13 +100,6 @@ def test_range_source_laws(edge):
     for x in g.elements:
         for y in g.elements:
             assert ((x, y) in g.product) == (g.source[x] == g.range[y])
-
-
-def test_restriction_is_functorial(edge):
-    direct = edge.germs.build_groupoid(edge.closure, edge.boundary)
-    restricted = edge.g_boundary
-    assert set(direct.groupoid.elements) == set(restricted.groupoid.elements)
-    assert direct.groupoid.product == restricted.groupoid.product
 
 
 def test_restriction_of_trivial_groupoid_is_itself():
@@ -189,6 +186,22 @@ def test_build_matches_germ_groupoid_by_definition(generated):
         assert [_key(u) for u in fast.units] == [_key(u) for u in slow.units]
 
 
+def test_restriction_is_functorial(generated):
+    """Restricting the spectrum groupoid to the boundary gives the groupoid
+    built over the boundary: the same elements and keys in the same order,
+    the same endpoints, inverses and units, and the same product entries in
+    the same order."""
+    direct = generated.germs.build_groupoid(generated.closure, generated.boundary)
+    restricted = generated.g_boundary
+    d, r = direct.groupoid, restricted.groupoid
+    assert list(d.elements) == list(r.elements)
+    assert np.array_equal(direct.keys, restricted.keys)
+    for x, y in ((d.source, r.source), (d.range, r.range), (d.inverse, r.inverse)):
+        assert list(x.items()) == list(y.items())
+    assert list(d.product.items()) == list(r.product.items())
+    assert d.units == r.units and direct.char_by_min.keys() == restricted.char_by_min.keys()
+
+
 def test_act_matches_act_by_definition(generated):
     ctx, lat = generated.germs, generated.lattice
     for s in generated.closure.nonzero():
@@ -212,7 +225,7 @@ def test_contains_matches_parts(generated):
 
 def test_germs_equal_exactly_when_restrictions_are(generated):
     ctx = generated.germs
-    germs = [ctx.germ(s, chi) for s in generated.closure.nonzero() for chi in generated.omega
+    germs = [germ(ctx, s, chi) for s in generated.closure.nonzero() for chi in generated.omega
              if ctx.at(generated.hull.index(s), chi.min_index) is not None]
     for g in germs:
         for h in germs:

@@ -14,7 +14,7 @@ from catenv.categories import GraphPath
 from catenv.fixtures import (fix_edge, fix_kgraph_acyclic, fix_two,
                              fix_two_mce_category)
 from catenv.germs import GermContext
-from catenv.gpd import (FiniteGroupoid, GroupoidError, cyclic_groupoid,
+from catenv.gpd import (_MISSING, FiniteGroupoid, GroupoidError, cyclic_groupoid,
                         disjoint_union, pair_groupoid, transitive_groupoid)
 from catenv.hull import InverseHull
 from oracles import groupoid_by_scan
@@ -53,11 +53,11 @@ def test_transitive_groupoid_isotropy():
 
 def test_broken_product_table_rejected():
     with pytest.raises(GroupoidError):
-        FiniteGroupoid(elements=["u", "g"],
-                       source={"u": "u", "g": "u"},
-                       range_={"u": "u", "g": "u"},
-                       product={("u", "u"): "u", ("u", "g"): "g",
-                                ("g", "u"): "g"})  # missing ("g", "g")
+        FiniteGroupoid.from_labels(elements=["u", "g"],
+                                   source={"u": "u", "g": "u"},
+                                   range_={"u": "u", "g": "u"},
+                                   product={("u", "u"): "u", ("u", "g"): "g",
+                                            ("g", "u"): "g"})  # missing ("g", "g")
 
 
 # -- the integer tables against the label-by-label scan --------------------------
@@ -163,14 +163,34 @@ def corrupted(rng, g):
     return els, src, rng_, prod, units
 
 
+def index_tables(elements, source, range_, product, units=None):
+    """Labelled tables as the constructor's index tables, numbered apart from
+    `from_labels`: the elements in order of first appearance, then every
+    other label in reverse order of first appearance; an endpoint is known
+    wherever the dict has one."""
+    if units is None:
+        units = sorted((g for g in elements if source[g] == g and range_[g] == g), key=str)
+    met = [*elements, *(x for (g, h), gh in product.items() for x in (g, h, gh)),
+           *(x for d in (source, range_) for item in d.items() for x in item), *units]
+    n = len(dict.fromkeys(elements))
+    labels = list(dict.fromkeys(elements))
+    labels += reversed(list(dict.fromkeys(x for x in met if x not in labels[:n])))
+    index = {x: i for i, x in enumerate(labels)}
+    ends = [[index[d[x]] if x in d else _MISSING for x in labels] for d in (source, range_)]
+    entries = [(index[g], index[h], index[gh]) for (g, h), gh in product.items()]
+    return labels, *ends, entries, [index[u] for u in units], n
+
+
 def test_corrupted_tables_fail_like_the_scan():
+    """Through both entry points: the labelled tables, and index tables."""
     rng = random.Random(5)
     small = [g for g in valid_groupoids() if len(g) <= 12]
     seen = set()
     for _ in range(600):
         args = corrupted(rng, rng.choice(small))
         expected = outcome(lambda: groupoid_by_scan(*args))
-        assert outcome(lambda: FiniteGroupoid(*args).inverse) == expected, args
+        assert outcome(lambda: FiniteGroupoid.from_labels(*args).inverse) == expected, args
+        assert outcome(lambda: FiniteGroupoid(*index_tables(*args)).inverse) == expected, args
         seen.add(expected[0] if expected[0] != GroupoidError else expected[1][0][:12])
     assert {"ok", KeyError, "no inverse f", "source/range", "composabilit",
             "endpoints br", "product defi", "units not ne", "associativit"} <= seen
@@ -179,7 +199,7 @@ def test_corrupted_tables_fail_like_the_scan():
 def failure(elements, source, range_, product, units):
     """The message the constructor raises, checked against the scan's."""
     with pytest.raises(GroupoidError) as caught:
-        FiniteGroupoid(elements, source, range_, product, units)
+        FiniteGroupoid.from_labels(elements, source, range_, product, units)
     with pytest.raises(GroupoidError) as scanned_caught:
         groupoid_by_scan(elements, source, range_, product, units)
     assert str(caught.value) == str(scanned_caught.value)

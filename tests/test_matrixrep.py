@@ -5,6 +5,8 @@ Operator norms from the SVD path are cross-checked against an independent
 eigen-solve oracle sqrt(λ_max(A*A)).
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -17,9 +19,11 @@ from catenv import ideals as IL
 from catenv.ideals import PeriodicWordCharacter
 from catenv.matrixrep import (AlgebraSpan, GermModel, GroupoidRep, LambdaRep,
                               ThetaRep, complete_isometry_check, direct_sum,
-                              jack_check, matrix_rank, operator_norm, windowed_norm)
+                              jack_check, matrix_rank, operator_norm, window_arrays,
+                              windowed_norm)
 from catenv.pipeline import boundary_quotient, truncation_norm_study
-from oracles import (DimensionMismatch, compression_identity_check, fix_set,
+from test_hull import layered_dag
+from oracles import (DimensionMismatch, bisection, compression_identity_check, fix_set,
                      function_matrix, hcompose, hinverse, inclusion_exclusion_check, inverse_rep,
                      jack_check_by_pairs, jack_check_dense, norm_level_k, theta_matrix)
 
@@ -127,16 +131,19 @@ def test_groupoid_rep_blocks():
 
 
 @pytest.mark.parametrize("pres", [fix_edge, fix_two, fix_kgraph_acyclic,
-                                  fix_two_mce_category])
+                                  fix_two_mce_category,
+                                  *(pytest.param(partial(layered_dag, seed), id=f"dag{seed}")
+                                    for seed in range(5))])
 def test_spanning_matrix_is_the_function_matrix_sum(pres):
-    """The one partial permutation per bisection equals Σ of its element
-    matrices, on both models; it is cached by hull number and read-only."""
+    """The one partial permutation per bisection, gathered from the product
+    table, equals Σ of its element matrices, each built from the labelled
+    product dict, on both models; it is cached by hull number and read-only."""
     *_, closure, _, _, _, _, g_om, g_bd = bundle(pres())
     for model in (GermModel(g_om, closure), GermModel(g_bd, closure)):
         for s in closure.nonzero():
             m = model.spanning_matrix(s)
             assert np.array_equal(m, function_matrix(
-                model.rep, {g: 1.0 for g in model.bisection(s)}))
+                model.rep, {g: 1.0 for g in bisection(model, s)}))
             assert model.spanning_matrix(s) is m and not m.flags.writeable
             with pytest.raises(ValueError):
                 m[0, 0] = 2.0
@@ -472,16 +479,46 @@ def test_windowed_norms_match_dense_oracle():
         dense_gap = 0.0
         for combo in elements:
             n_lam = operator_norm(sum(c * lam.lam(x) for c, x in combo))
-            assert abs(windowed_norm(combo, lam.basis, p.compose) - n_lam) < 1e-6
+            xs = [x for _, x in combo]
+            arrays = window_arrays(lam.basis, p.compose, xs)
+            assert abs(windowed_norm(combo, arrays, len(lam.basis)) - n_lam) < 1e-6
             n_thetas = []
             for th in thetas:
                 n_th = operator_norm(sum(c * theta_matrix(th, hull.from_morphism(x))
                                          for c, x in combo))
-                fast = windowed_norm(combo, th.basis, lambda x, d:
-                                     hull.apply(hull.from_morphism(x), d))
+                arrays = window_arrays(th.basis, lambda x, d:
+                                       hull.apply(hull.from_morphism(x), d), xs)
+                fast = windowed_norm(combo, arrays, len(th.basis))
                 assert abs(fast - n_th) < 1e-6
                 n_thetas.append(n_th)
             dense_gap = max(dense_gap, abs(n_lam - max(n_thetas)))
+        assert abs(gaps[depth] - dense_gap) < 1e-6
+
+
+@pytest.mark.parametrize("pres", [fix_edge, fix_two, partial(layered_dag, 1)],
+                         ids=["edge", "two", "dag1"])
+def test_truncation_study_matches_dense_on_several_objects(pres):
+    """Where ϑ_χ windows differ from the λ window and from each other, the
+    study's gaps are those of SVDs of the dense windows."""
+    p, hull, _, _, _, bd, *_ = bundle(pres())
+    rng = np.random.default_rng(3)
+    words = p.ball(None)
+    elements = [[(complex(rng.standard_normal(), rng.standard_normal()), words[i])
+                 for i in rng.choice(len(words), size=min(3, len(words)), replace=False)]
+                for _ in range(4)]
+    depths = (0, 1, 2)
+    gaps = truncation_norm_study(p, hull, bd, elements, depths)
+    assert any(tuple(ThetaRep(p, hull, chi, radius=2).basis) != tuple(p.ball(2))
+               for chi in bd)
+    for depth in depths:
+        lam = LambdaRep.build(p, radius=depth)
+        thetas = [ThetaRep(p, hull, chi, radius=depth) for chi in bd]
+        dense_gap = 0.0
+        for combo in elements:
+            n_lam = operator_norm(sum(c * lam.lam(x) for c, x in combo))
+            n_theta = max(operator_norm(sum(c * theta_matrix(th, hull.from_morphism(x))
+                                            for c, x in combo)) for th in thetas)
+            dense_gap = max(dense_gap, abs(n_lam - n_theta))
         assert abs(gaps[depth] - dense_gap) < 1e-6
 
 

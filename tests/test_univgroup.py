@@ -17,7 +17,7 @@ from catenv.univgroup import (CategoryFunctor, Cocycle, IsoLetter, UGWord,
                               idempotent_pure_check, j_map, kernel_subgroupoid,
                               partial_action_iso_check, reduce_word, rho_tilde,
                               universal_group, word_mul)
-from oracles import evaluate_in_group, hinverse, word_inverse
+from oracles import evaluate_in_group, germ, hinverse, word_inverse
 
 
 # -- presentation data -----------------------------------------------------------
@@ -200,7 +200,7 @@ def test_kappa_invariant_under_representative_change():
     chi_e = [c for c in bd if repr(c.min_ideal()) == "e𝔠"][0]
     idv = hull.idempotent([pres.identity("v")])
     ide = hull.idempotent([[m for m in pres.ball(None) if m.word == ("e",)][0]])
-    g1, g2 = ctx.germ(idv, chi_e), ctx.germ(ide, chi_e)
+    g1, g2 = germ(ctx, idv, chi_e), germ(ctx, ide, chi_e)
     assert g1 == g2 and coc.of(g1) == coc.of(g2)
 
 
