@@ -6,7 +6,12 @@ A cover comes one of two ways. `orbit_cover` is exact: the C*-algebra of a
 principal finite groupoid is ⊕_orbits M_|O| (Renault 1980; Muhly, Renault and
 Williams 1987), each block on its orbit's coordinates, and a count of Σ|O|²
 against the spanning family's rank stands in for any decomposition; `thesis`
-takes it whenever the spectrum groupoid is principal. `block_decompose` is
+takes it whenever the spectrum groupoid is principal. Its isometries are
+identity columns, so a block's coordinates are a slice of the matrix, with
+no product (`FinDimCStar.coords`); the kernel pre-test reads the
+generators' index arrays, exact when their supports are disjoint, and the
+diagonal's ranks read its diagonal entries only (`image_rows`,
+`detects_ideals`). `block_decompose` is
 the numerical fallback for any selfadjoint matrix algebra (groupoids with
 isotropy, graded algebras of `coaction`): center from a commutant, spectral
 clusters of a generic central element, one irreducible compression per block.
@@ -44,8 +49,9 @@ categories every killed orbit block is such a compression. Where no
 certificate is found (float covers from `block_decompose`, rejections that
 need a witness) the numerical search runs: its trials compare level-k norms
 block by block in the cover's coordinates (the norm of a block-diagonal
-element is its largest block norm). Null spaces come from a thin SVD unless
-the matrix is wide.
+element is its largest block norm). Null spaces, where the exact paths do
+not decide (covers from `block_decompose`, generators whose supports
+overlap), come from a thin SVD unless the matrix is wide.
 
 An ideal of a cover ⊕ M_n is a sum of blocks, each simple: a
 *-homomorphism's kernel is read off one matrix unit per block
@@ -90,7 +96,11 @@ class FinDimCStar:
         return sum(n * n for n in self.block_sizes)
 
     def coords(self, m) -> list[np.ndarray]:
+        """W_k* m W_k per block k; with `coordinates`, the slice m[c][:, c],
+        which is that product exactly."""
         m = np.asarray(m, dtype=complex)
+        if self.coordinates is not None:
+            return [m[np.ix_(c, c)] for c in self.coordinates]
         return [w.conj().T @ m @ w for w in self.isometries]
 
     def rep(self, m, mask=frozenset()) -> np.ndarray:
@@ -302,7 +312,7 @@ class ShilovResult:
 
 
 def is_boundary_ideal(a_basis, cover: FinDimCStar, mask, levels=None,
-                      samples=25, tol=1e-9, seed=0) -> IsometryVerdict:
+                      samples=25, tol=1e-9, seed=0, perms=None) -> IsometryVerdict:
     """Does quotienting by the masked blocks stay completely isometric on A?
 
     A sound exact pre-test first: an isometry is injective, so any nonzero
@@ -310,13 +320,14 @@ def is_boundary_ideal(a_basis, cover: FinDimCStar, mask, levels=None,
     Then the exact `compression_certificate`, which certifies at every level
     with no search; only without one does `deviation_search` run on
     `_blockwise_deviation`. `levels` below 1 raise `ValueError` first: a
-    search that runs no trials certifies nothing.
+    search that runs no trials certifies nothing. `perms`, the generators'
+    index arrays, let the pre-test decide exactly (`_span_kernel_element`).
     """
     mask = frozenset(mask)
     levels = search_levels(cover, levels)
     if levels < 1:
         raise ValueError(f"a boundary search needs levels >= 1, got {levels}")
-    kernel_witness = _span_kernel_element(a_basis, cover, mask)
+    kernel_witness = _span_kernel_element(a_basis, cover, mask, perms=perms)
     if kernel_witness is not None:
         return _kernel_rejection(kernel_witness, tol)
     certificate = compression_certificate(a_basis, cover, mask)
@@ -432,11 +443,27 @@ def _blockwise_deviation(a_basis, cover: FinDimCStar, mask):
     return deviation
 
 
-def _span_kernel_element(a_basis, cover: FinDimCStar, mask, tol=TOL):
+def _span_kernel_element(a_basis, cover: FinDimCStar, mask, tol=TOL, perms=None):
     """A nonzero element of span(a_basis) with zero coordinates off the mask.
 
     With every block masked there are no coordinates to vanish, and this is
-    the first nonzero generator."""
+    the first nonzero generator.
+
+    `perms`, the generators' index arrays, decide it exactly on a cover with
+    `coordinates`. A block's coordinates of a generator hold its entries
+    (p[j], j) with both ends in that block; entries that cross blocks are in
+    no coordinates. When these counted entries of the generators are
+    pairwise disjoint, the kept blocks' coordinates of Σ c_i a_i are c_i at
+    each counted entry of a_i in a kept block, so they vanish exactly when
+    c_i = 0 for every a_i with such an entry. A nonzero element vanishing off
+    the mask then exists exactly when some nonzero generator has no counted
+    entry in a kept block, and the first one is the witness
+    (`_unkept_generators`). Overlapping entries fall back to the null space
+    below."""
+    if perms is not None and cover.coordinates is not None:
+        unkept = _unkept_generators(perms, cover, mask)
+        if unkept is not None:
+            return np.asarray(a_basis[unkept[0]], dtype=complex) if len(unkept) else None
     a_basis = [np.asarray(a, dtype=complex) for a in a_basis]
     outside = [k for k in range(len(cover.block_sizes)) if k not in mask]
     rows = []
@@ -452,8 +479,29 @@ def _span_kernel_element(a_basis, cover: FinDimCStar, mask, tol=TOL):
     return None
 
 
+def _unkept_generators(perms, cover: FinDimCStar, mask):
+    """The rows of `perms` that are nonzero and have no entry (p[j], j) with
+    both ends in one kept block, in order; None when two rows share an entry
+    with both ends in one block, masked or kept."""
+    perms = np.asarray(perms)
+    block = np.full(perms.shape[1], -1)
+    for k, c in enumerate(cover.coordinates):
+        block[c] = k
+    rows, cols = np.nonzero(perms >= 0)
+    images = perms[rows, cols]
+    counted = (block[cols] >= 0) & (block[cols] == block[images])
+    rows, cols, images = rows[counted], cols[counted], images[counted]
+    if len(np.unique(images * perms.shape[1] + cols)) < len(cols):
+        return None
+    kept = np.ones(len(cover.block_sizes), dtype=bool)
+    kept[list(mask)] = False
+    hit = np.zeros(len(perms), dtype=bool)
+    hit[rows[kept[block[cols]]]] = True
+    return np.flatnonzero((perms >= 0).any(axis=1) & ~hit)
+
+
 def shilov_ideal(a_basis, cover: FinDimCStar, levels=None, samples=25,
-                 tol=1e-9, seed=0, verdicts=None) -> ShilovResult:
+                 tol=1e-9, seed=0, verdicts=None, perms=None) -> ShilovResult:
     """Largest boundary ideal, union first.
 
     The exact kernel pre-test runs on each single block, and one
@@ -471,7 +519,9 @@ def shilov_ideal(a_basis, cover: FinDimCStar, levels=None, samples=25,
     `verdicts` maps masks to `IsometryVerdict`s the caller has already decided
     on these generators and this cover, exactly or with at least these levels
     and samples. The search reads such a mask's verdict instead of deciding
-    it, and records it in `ShilovResult.verdicts` as its own.
+    it, and records it in `ShilovResult.verdicts` as its own. `perms`, the
+    generators' index arrays, let the kernel pre-tests decide exactly
+    (`_span_kernel_element`).
     """
     a_basis = [np.asarray(a, dtype=complex) for a in a_basis]
     levels = search_levels(cover, levels)
@@ -481,7 +531,7 @@ def shilov_ideal(a_basis, cover: FinDimCStar, levels=None, samples=25,
     def certified(mask):
         if mask not in verdicts:
             verdicts[mask] = seeded[mask] if mask in seeded else \
-                is_boundary_ideal(a_basis, cover, mask, levels, samples, tol, seed)
+                is_boundary_ideal(a_basis, cover, mask, levels, samples, tol, seed, perms)
         return verdicts[mask].certified
 
     def result(mask):
@@ -489,7 +539,7 @@ def shilov_ideal(a_basis, cover: FinDimCStar, levels=None, samples=25,
 
     passing = []
     for k in range(len(cover.block_sizes)):
-        witness = _span_kernel_element(a_basis, cover, {k})
+        witness = _span_kernel_element(a_basis, cover, {k}, perms=perms)
         if witness is None:
             passing.append(k)
         else:
@@ -512,22 +562,56 @@ def generated_dim(perms) -> int:
     return AlgebraSpan(perm.dense(perms), selfadjoint=True).dim if dim is None else dim
 
 
+def _diagonals(cover: FinDimCStar, ds):
+    """The diagonals of the matrices `ds`, one row each, when the cover has
+    `coordinates` and every d is diagonal; else None.
+
+    A diagonal d then has diagonal block coordinates, d[c, c] on block c, so
+    every other entry of its flattened coordinates is zero in every d, and
+    dropping zero columns leaves the singular values, hence every rank,
+    unchanged."""
+    if cover.coordinates is None or not len(ds):
+        return None
+    ds = np.asarray(ds)
+    diagonals = np.diagonal(ds, axis1=-2, axis2=-1)
+    return diagonals if np.count_nonzero(diagonals) == np.count_nonzero(ds) else None
+
+
+def image_rows(cover: FinDimCStar, ds, mask=frozenset()):
+    """Rows with the ranks, alone or side by side, of the images
+    `cover.rep(d, mask)`: where `_diagonals` applies, each d's diagonal at the
+    kept blocks' coordinates, which are the only entries of its image that
+    can be nonzero; else the images."""
+    diagonals = _diagonals(cover, ds)
+    if diagonals is None:
+        return [cover.rep(d, mask) for d in ds]
+    return diagonals[:, np.concatenate([np.zeros(0, dtype=np.intp),
+                                        *cover.quotient(mask).coordinates])]
+
+
 def detects_ideals(d_basis, cover: FinDimCStar) -> bool:
     """Every nonzero block ideal must intersect span(D) nontrivially.
 
     Each contains a single block, so the single blocks are asked (with one
     block, the algebra itself). D is read in the cover's coordinates, so on a
-    quotient cover this is the question for the image of D."""
-    d_coords = [cover.coords(d) for d in d_basis]
-    d_rank = matrix_rank([np.concatenate([c.ravel() for c in coords])
-                          for coords in d_coords])
+    quotient cover this is the question for the image of D. Where
+    `_diagonals` applies, each block's rows are D's diagonal entries at its
+    coordinates, with the ranks of its flattened coordinates."""
+    if not len(d_basis):
+        return False
+    diagonals = _diagonals(cover, d_basis)
+    if diagonals is None:
+        blocks = [np.array([c.ravel() for c in block])
+                  for block in zip(*(cover.coords(d) for d in d_basis))]
+    else:
+        blocks = [diagonals[:, c] for c in cover.coordinates]
+    d_rank = matrix_rank(np.hstack(blocks))
     if d_rank == 0:
         return False
     dependencies = len(d_basis) - d_rank
-    nblocks = len(cover.block_sizes)
+    nblocks = len(blocks)
     for k in range(nblocks if nblocks > 1 else 0):
-        rows = [np.concatenate([c.ravel() for j, c in enumerate(coords) if j != k])
-                for coords in d_coords]
+        rows = np.hstack(blocks[:k] + blocks[k + 1:])
         # kernel elements beyond the dependencies of D land inside block k
         if len(rows) - matrix_rank(rows) <= dependencies:
             return False

@@ -100,11 +100,12 @@ class Semilattice:
         return self._containment[i][j]
 
     def domain_index(self, n: int) -> int:
-        """Index of dom(s) for the hull element s numbered n."""
+        """Index of dom(s) for the hull element s numbered n: `domain_parts`
+        are already canonical, so they name the ideal as they are."""
         d = self._domain_index.get(n)
         if d is None:
             parts = self.hull.domain_parts(self.hull.element(n))
-            d = self._domain_index[n] = self.index[self.canonical(parts)]
+            d = self._domain_index[n] = self.index[Ideal(parts)]
         return d
 
     def meet(self, i: int, j: int) -> int:

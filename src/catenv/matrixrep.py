@@ -383,6 +383,10 @@ class GermModel:
         return [(c, self.spanning_matrix(hull.from_morphism(c))) for c in hull._ball]
 
 
+# index entries one gather of `jack_check` may hold: a few tens of MiB
+_EDGE_BUDGET = 1 << 22
+
+
 def jack_check(hull_ctx: InverseHull, closure: HullClosure, model: GermModel,
                lam: LambdaRep):
     """Certify the spanning-element correspondence 1_{[s,Ω(dom s)]} ↦ Λ_s is a
@@ -395,24 +399,35 @@ def jack_check(hull_ctx: InverseHull, closure: HullClosure, model: GermModel,
     product of atoms, so M_s·M_u = M_{s∘u} by induction on u's atom word
     (M_s·M_{u'}·M_a = M_{s∘u'}·M_a, with M_0 = 0), and as the atoms are closed
     under inverse, M_{u⁻¹} = M_{a_k⁻¹}⋯M_{a₁⁻¹} = M_u* for u = a₁∘⋯∘a_k. The
-    witness is the first failing edge (t, a), or an atom whose adjoint fails.
-    Exact, on index arrays: per atom, one gather of each stack (its last row
-    is M_0) compared by `np.array_equal`; adjoints by `perm.is_adjoint`, and
-    each of the three ranks on `perm.support_rows`."""
+    witness is the first failing edge (t, a), atom by atom, or an atom whose
+    adjoint fails, checked after that atom's edges. Exact, on index arrays:
+    all the edges of each stack (its last row is M_0) in one gather,
+    product(p[:N], p[atoms]) against p[t∘a], cut into runs of atoms only
+    when the gather would pass `_EDGE_BUDGET` entries; the atoms' adjoints
+    by one `perm.is_adjoint` per stack, and each of the three ranks on
+    `perm.support_rows`."""
     elements = closure.nonzero()
     position = {hull_ctx.index(s): k for k, s in enumerate(elements)}  # in stack order
     zero = len(elements)
     stacks = [np.array([*(lam.inverse_perm(hull_ctx, s) for s in elements),
                         np.full(len(lam.basis), -1)], dtype=np.intp),
               np.vstack([model.spanning_stack, np.full(len(model.rep.basis), -1)])]
-    for a in closure.atoms:
-        k, ainv = position[a], position[hull_ctx._inverses[a]]
-        ta = [position.get(hull_ctx._compose(n, a), zero) for n in position]
-        bad = np.any([(perm.product(p[:zero], p[k]) != p[ta]).any(axis=1) for p in stacks], 0)
-        if bad.any():
-            return False, (elements[int(np.argmax(bad))], elements[k])
-        if not all(perm.is_adjoint(p[k], p[ainv]) for p in stacks):
-            return False, elements[k]
+    atoms = list(closure.atoms)
+    ks = np.array([position[a] for a in atoms], dtype=np.intp)
+    ta = np.array([[position.get(hull_ctx._compose(n, a), zero) for a in atoms]
+                   for n in position], dtype=np.intp).reshape(zero, len(atoms))
+    inverses = np.array([position[hull_ctx._inverses[a]] for a in atoms], dtype=np.intp)
+    adjoint = np.all([perm.is_adjoint(p[ks], p[inverses]) for p in stacks], axis=0)
+    step = max(1, _EDGE_BUDGET // max(1, zero * max(p.shape[1] for p in stacks)))
+    for lo in range(0, len(atoms), step):
+        run = slice(lo, lo + step)
+        bad = np.any([(perm.product(p[:zero], p[ks[run]]) != p[ta[:, run]]).any(axis=2)
+                      for p in stacks], 0)
+        for i, edges in enumerate(bad.T, lo):
+            if edges.any():
+                return False, (elements[int(np.argmax(edges))], elements[ks[i]])
+            if not adjoint[i]:
+                return False, elements[ks[i]]
     va, vb = (perm.support_rows(p[:zero]) for p in stacks)
     ra, rb = matrix_rank(va), matrix_rank(vb)
     rjoint = _joint_rank(va, vb)

@@ -42,16 +42,23 @@ def adjoint(p) -> np.ndarray:
     return out
 
 
-def is_adjoint(p, q) -> bool:
+def is_adjoint(p, q):
     """Whether Q = P*: q[p[j]] = j wherever p[j] ≥ 0 and p[q[i]] = i wherever
-    q[i] ≥ 0. False whenever p is not injective."""
-    return all(np.array_equal(b[a[a >= 0]], np.flatnonzero(a >= 0))
-               for a, b in ((p, q), (q, p)))
+    q[i] ≥ 0. False whenever p is not injective. For stacks, row by row."""
+    p, q = np.asarray(p), np.asarray(q)
+    at = np.arange(p.shape[-1])
+
+    def inverts(a, b):  # b[a[j]] = j wherever a[j] ≥ 0; a[j] = −1 reads the −1 appended to b
+        back = np.take_along_axis(np.concatenate([b, np.full_like(b[..., :1], -1)], axis=-1),
+                                  a, axis=-1)
+        return ((a < 0) | (back == at)).all(axis=-1)
+    return inverts(p, q) & inverts(q, p)
 
 
 def product(p, q) -> np.ndarray:
     """The index array of PQ, for one array p and an array or a stack q, or a
-    stack p and one array q: the gather p[q], −1 where q or p is −1."""
+    stack p and one array q: the gather p[q], −1 where q or p is −1. For
+    stacks p and q it is every product, out[i, j] = p[i]·q[j]."""
     return np.concatenate([p, np.full(np.shape(p)[:-1] + (1,), -1, np.intp)], axis=-1)[..., q]
 
 
@@ -123,11 +130,22 @@ def exact_dim(stack):
     while count <= classes.max():
         count = classes.max() + 1
         keys = np.column_stack([classes, np.append(classes, -1)[gens].T])
-        classes = np.unique(keys, axis=0, return_inverse=True)[1].ravel()
+        classes = refine(keys)
     if count < n or not (gens >= 0).any(axis=0).all():
         return None
     label = components(n, np.nonzero(gens >= 0)[1], gens[gens >= 0])  # x — g(x)
     return int((np.unique(label, return_counts=True)[1] ** 2).sum())
+
+
+def refine(keys) -> np.ndarray:
+    """Each row's rank among the distinct rows of the integer matrix `keys`,
+    in lexicographic order: `np.unique(keys, axis=0, return_inverse=True)`'s
+    inverse, from one `np.lexsort` and a difference of neighbouring rows."""
+    order = np.lexsort(keys.T[::-1])
+    ordered = keys[order]
+    label = np.empty(len(keys), dtype=np.intp)
+    label[order] = np.concatenate([[0], np.cumsum((ordered[1:] != ordered[:-1]).any(axis=1))])
+    return label
 
 
 def components(n, x, y) -> np.ndarray:

@@ -26,7 +26,11 @@ one, as on the orbit cover of every shipped category), and the boundary
 algebra's blocks are the cover's blocks outside it. The Shilov search reads
 that verdict instead of searching the kernel mask again (`shilov_seeds`).
 The envelope entries compare the two masks and the diagonal's ranks in the
-two quotients (`envelope_coincidence`). Finite fixtures get exact verdicts;
+two quotients (`envelope_coincidence`). On the orbit cover these stages
+read index arrays and slices: the kernel pre-tests decide on the morphism
+maps' arrays, block coordinates are slices of the
+matrix, and the diagonal's ranks are taken on its diagonal entries at the
+kept coordinates (`image_rows`). Finite fixtures get exact verdicts;
 infinite ones run in a truncation window and are downgraded to bounded
 evidence, carrying the LCM chain's entries under an `lcm:` prefix for monoids.
 
@@ -44,8 +48,8 @@ from . import ideals as IL
 from . import perm
 from .categories import CategoryPresentation
 from .envelope import (FinDimCStar, NotACover, SpannedStarMap, block_decompose,
-                       detects_ideals, generated_dim, is_boundary_ideal, orbit_cover,
-                       quotient_kernel_mask, search_levels, shilov_ideal)
+                       detects_ideals, generated_dim, image_rows, is_boundary_ideal,
+                       orbit_cover, quotient_kernel_mask, search_levels, shilov_ideal)
 from .germs import GermContext
 from .hull import InverseHull
 from .matrixrep import (GermModel, IsometryVerdict, LambdaRep, ThetaRep, _joint_rank,
@@ -162,8 +166,9 @@ def analyze_category(pres: CategoryPresentation, depth: int = 8,
     if failure is None:
         # π is isometric off its kernel blocks: its norm is a blockwise maximum
         a_basis = [m for _, m in model_omega.operator_algebra_generators()]
-        iso = is_boundary_ideal(a_basis, cover, ker_mask, levels=lv, samples=40,
-                                tol=tol, seed=seed)
+        iso = is_boundary_ideal(a_basis, cover, ker_mask, levels=lv, samples=40, tol=tol,
+                                seed=seed,
+                                perms=model_omega.spanning_stack[model_omega.generator_rows])
         detail = isometry_detail(iso, lv)
     else:
         iso = IsometryVerdict(False, failure[0], 0, 0, 0, tol, witness=failure[1:])
@@ -211,13 +216,14 @@ def envelope_coincidence(ctx, levels=None, tol=1e-9, seed=0) -> list[Entry]:
                      {"omega_blocks": cover.block_sizes,
                       "boundary_blocks": boundary.block_sizes})]
 
-    generated = generated_dim(model_omega.spanning_stack[model_omega.generator_rows])
+    perms = model_omega.spanning_stack[model_omega.generator_rows]
+    generated = generated_dim(perms)
     if generated != cover.dim:
         raise NotACover(f"A generates dimension {generated}, cover has {cover.dim}")
     a_basis = [m for _, m in model_omega.operator_algebra_generators()]
     seeds = shilov_seeds(ker_mask, ctx["boundary_isometry"], cover, levels)
     shilov = shilov_ideal(a_basis, cover, levels=levels, tol=tol, seed=seed,
-                          verdicts=seeds)
+                          verdicts=seeds, perms=perms)
     ctx["shilov"] = shilov
     reused = any(shilov.verdicts.get(m) is v for m, v in seeds.items())
     decided = shilov.verdicts.values()
@@ -246,8 +252,8 @@ def envelope_coincidence(ctx, levels=None, tol=1e-9, seed=0) -> list[Entry]:
     # the diagonal is injectively carried, and detects ideals of the boundary quotient
     idempotents = [hull.idempotent(lat.ideals[i].parts) for i in lat.nonzero_indices()]
     diag_omega = [model_omega.spanning_matrix(e) for e in idempotents]
-    in_boundary = [cover.rep(d, ker_mask) for d in diag_omega]
-    in_envelope = [cover.rep(d, shilov.mask) for d in diag_omega]
+    in_boundary = image_rows(cover, diag_omega, ker_mask)
+    in_envelope = image_rows(cover, diag_omega, shilov.mask)
     rb, re = matrix_rank(in_boundary), matrix_rank(in_envelope)
     joint = _joint_rank(in_boundary, in_envelope)
     injective = rb == re == joint  # well defined and injective from one image to the other

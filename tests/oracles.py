@@ -46,7 +46,7 @@ from catenv.hull import InconsistentPieces, PiecewiseBijection
 from catenv.lcm import NotCore, core_membership
 from catenv.matrixrep import (AlgebraSpan, IsometryVerdict, SpanBasis, _joint_rank,
                               level_k_norms, matrix_rank, operator_norm)
-from catenv.perm import adjoint, conjugate, dense, from_map
+from catenv.perm import adjoint, components, conjugate, dense, from_map
 from catenv.report import Entry
 from catenv.univgroup import IsoLetter, OrbitData, UGWord, XLetter, reduce_word
 
@@ -453,6 +453,30 @@ def jack_check_dense(hull_ctx, closure, model, lam, tol=1e-8):
     if not (ra == rb == rjoint):
         return False, ("dependency mismatch", ra, rb, rjoint)
     return True, ra
+
+
+def refine_by_unique(keys):
+    """`perm.refine` by `np.unique(axis=0)`: each row's rank among the
+    distinct rows, as `perm.exact_dim` first refined its classes."""
+    return np.unique(keys, axis=0, return_inverse=True)[1].ravel()
+
+
+def exact_dim_by_unique(stack):
+    """`perm.exact_dim` with each round refined by `refine_by_unique`."""
+    perms = np.asarray(stack, dtype=np.intp)
+    if not perms.size:
+        return None
+    n = perms.shape[1]
+    gens = np.concatenate([perms, adjoint(perms)])
+    classes, count = np.zeros(n, dtype=np.intp), 0
+    while count <= classes.max():
+        count = classes.max() + 1
+        keys = np.column_stack([classes, np.append(classes, -1)[gens].T])
+        classes = refine_by_unique(keys)
+    if count < n or not (gens >= 0).any(axis=0).all():
+        return None
+    label = components(n, np.nonzero(gens >= 0)[1], gens[gens >= 0])
+    return int((np.unique(label, return_counts=True)[1] ** 2).sum())
 
 
 def exact_dim_by_support_closure(stack):

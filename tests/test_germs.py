@@ -8,6 +8,7 @@ import pytest
 from catenv.categories import GroupoidSub
 from catenv.fixtures import fix_edge, fix_kgraph_acyclic, fix_two
 from catenv.gpd import cyclic_groupoid, pair_groupoid
+from catenv import ideals as IL
 from catenv.ideals import Character
 from conftest import FixtureBundle
 from oracles import (NotInDomain, act_by_definition, contains_by_parts, germ,
@@ -104,7 +105,6 @@ def test_range_source_laws(edge):
 
 def test_restriction_of_trivial_groupoid_is_itself():
     from catenv.fixtures import fix_trivial_monoid
-    from catenv import ideals as IL
     from catenv.hull import InverseHull
     from catenv.germs import GermContext
     hull = InverseHull(fix_trivial_monoid())
@@ -214,6 +214,18 @@ def test_act_matches_act_by_definition(generated):
             result = act(ctx, s, chi)
             assert act_by_definition(ctx, s, chi) == \
                 {j: result.value(j) for j in range(len(lat.ideals))}
+
+
+def test_domain_index_reads_the_canonical_parts_as_they_are(generated):
+    """On a miss, `domain_index` looks up `domain_parts` without putting them
+    in canonical form again: for every closure element, the index the
+    `canonical` route gives."""
+    hull = generated.hull
+    lat = IL.Semilattice(hull, generated.closure)
+    lat._domain_index.clear()
+    for s in generated.closure.elements:
+        assert lat.domain_index(hull.index(s)) == \
+            lat.index[lat.canonical(hull.domain_parts(s))]
 
 
 def test_contains_matches_parts(generated):

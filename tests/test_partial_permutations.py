@@ -24,7 +24,8 @@ from catenv.fixtures import fix_kgraph_acyclic, fix_two
 from catenv.matrixrep import (AlgebraSpan, GermModel, LambdaRep, SpanBasis, jack_check,
                               matrix_rank)
 from catenv.pipeline import _compression_kernel_mask, analyze_category, boundary_quotient
-from oracles import entry, exact_dim_by_support_closure, jack_check_dense
+from oracles import (entry, exact_dim_by_support_closure, exact_dim_by_unique,
+                     jack_check_dense, refine_by_unique)
 from test_boundary_cover import (CASES, FIXTURES, counting, path_category,
                                  restriction_pairs, spectrum_generators,
                                  transposed_restriction, z2_isotropy)
@@ -240,6 +241,45 @@ def test_exact_dim_matches_the_span_engine_on_near_permutations():
     gens = near_permutations(6, 12, 2, 6)  # three classes, not a full matrix algebra
     assert perm.exact_dim(gens) == exact_dim_by_support_closure(gens) \
         == AlgebraSpan(perm.dense(gens), selfadjoint=True).dim == 102
+
+
+def checked_refinement(monkeypatch):
+    """Replace `perm.refine` with a wrapper that checks every round against
+    `refine_by_unique`; returns the list of the keys it refined."""
+    rounds, refine = [], perm.refine
+
+    def checked(keys):
+        rounds.append(keys)
+        out = refine(keys)
+        assert np.array_equal(out, refine_by_unique(keys))
+        return out
+    monkeypatch.setattr(perm, "refine", checked)
+    return rounds
+
+
+def test_refinement_matches_unique_on_the_seeded_stacks(monkeypatch):
+    """Every round of `exact_dim`'s refinement labels the rows as
+    `np.unique(axis=0)` does, on this module's seeded stacks."""
+    stacks = [random_partial_permutations(seed)[0] for seed in SEEDS] \
+        + [near_permutations(6, 27, 5, 2), near_permutations(6, 12, 2, 6)]
+    rounds = checked_refinement(monkeypatch)
+    for gens in stacks:
+        assert perm.exact_dim(gens) == exact_dim_by_unique(gens)
+    assert len(rounds) >= len(stacks)
+
+
+def test_refinement_matches_unique_on_random_injective_stacks(monkeypatch):
+    """3,000 seeded stacks of 1–4 injective index arrays on n ≤ 12 points,
+    each column −1 with chance 1/4: `exact_dim` and every round of its
+    refinement agree with the `np.unique` reference."""
+    rng = np.random.default_rng(30)
+    rounds = checked_refinement(monkeypatch)
+    for _ in range(3000):
+        n, count = rng.integers(1, 13), rng.integers(1, 5)
+        gens = np.array([rng.permutation(n) for _ in range(count)])
+        gens[rng.random(gens.shape) < 0.25] = -1
+        assert perm.exact_dim(gens) == exact_dim_by_unique(gens)
+    assert len(rounds) >= 3000
 
 
 def dense_of(p):

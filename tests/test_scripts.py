@@ -42,6 +42,18 @@ def test_coaction_probe_certifies_every_entry_on_two(monkeypatch, capsys):
     assert lines[-1].startswith("wall ") and lines[-1].endswith(" MiB")
 
 
+def test_thesis_probe_certifies_every_entry(monkeypatch, capsys):
+    """The chain 0 → 1 → 2: every `thesis` entry certified, then the effort line."""
+    lines = run_script(monkeypatch, capsys, "thesis_probe.py", "--arcs", "0-1", "1-2"
+                       ).splitlines()
+    checks = [line.split(": ")[:2] for line in lines[:-1]]
+    assert [check for check, _ in checks][:2] == ["validation", "hull-closure"]
+    assert "envelope-coincidence" in dict(checks)
+    assert all(status == "certified" for _, status in checks)
+    assert lines[1] == "hull-closure: certified: 15 elements"
+    assert lines[-1].startswith("wall ") and lines[-1].endswith(" MiB")
+
+
 # exit codes of each command over the sorted fixtures: edge.cat, free2.cat,
 # kgraph-acyclic.cat, n2.cat, pairgpd.gpd, t2.grad, t3.grad, two.cat; then
 # coaction's over the benchmark's upper2-z2 and corner3-z2, upper3-z3, upper2-z4,
