@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Write the report of every command on every shipped fixture, one file per run,
 the ``coaction`` report on four generated dense gradings, and the ``thesis``
-report on three generated path categories.
+report on three generated path categories and three generated groupoid
+subcategories with isotropy.
 
 Usage: python scripts/corpus_reports.py OUTDIR [--depth N]
 
@@ -14,7 +15,12 @@ coaction-graded inputs at seed 0 (upper2-z2, corner3-z2), written by its
 upper2-z4), each on a stream seeded by its name, so they are the same on every
 run. The path categories (dag19, dag22, fan) are written by the benchmark's
 ``graph_path_text`` on a stream seeded by the name too; their hull closures
-have 100, 135 and 57 elements, more than any shipped fixture's. The reports
+have 100, 135 and 57 elements, more than any shipped fixture's. The groupoid
+subcategories (z2-isotropy, s3, s3-sub2) are written by ``groupoid_sub_text``:
+the transitive groupoid on units 1, 2 with isotropy ℤ/2, S₃ as a one-unit
+groupoid, and the subcategory of the transitive groupoid on 1, 2 with
+isotropy S₃ that holds the arrows 1 → 2 and both isotropy groups. Their
+spectrum covers come from the numerical block decomposition. The reports
 carry no checkout path, so the trees written from two checkouts compare with
 one ``diff -r``. Prints one line per run with its exit code. BLAS runs on one
 thread unless the environment sets ``OPENBLAS_NUM_THREADS`` or
@@ -24,6 +30,7 @@ thread unless the environment sets ``OPENBLAS_NUM_THREADS`` or
 import argparse
 import contextlib
 import io
+import itertools
 import json
 import os
 import random
@@ -37,6 +44,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 os.environ.setdefault("OMP_NUM_THREADS", "1")
 
 from catenv.cli import COMMANDS, main as cli_main  # noqa: E402  after the thread cap
+from catenv.gpd import transitive_groupoid  # noqa: E402
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 FIXDIR = os.path.join(ROOT, "fixtures")
@@ -58,6 +66,45 @@ EXTRA_CATEGORIES = {
     "dag22": (5, CHAIN + ((1, 3), (2, 4))),
     "fan": (6, ((0, 1), (1, 2), (1, 3), (1, 4), (0, 5))),
 }
+
+# S₃ as the permutations of 012 written as strings, with (ab)(i) = a(b(i))
+S3 = ["".join(map(str, p)) for p in itertools.permutations(range(3))]
+S3_MUL = {(a, b): "".join(a[int(i)] for i in b) for a in S3 for b in S3}
+Z2_MUL = {("0", "0"): "0", ("0", "1"): "1", ("1", "0"): "1", ("1", "1"): "0"}
+
+# groupoid subcategories for thesis, as (units, isotropy group, its unit, whether
+# to keep the arrow (p, h, q): q → p); one with isotropy on two units, one
+# group, and a subcategory that is not a groupoid
+EXTRA_GROUPOIDS = {
+    "z2-isotropy": ((1, 2), Z2_MUL, "0", lambda p, q: True),
+    "s3": ((1,), S3_MUL, "012", lambda p, q: True),
+    "s3-sub2": ((1, 2), S3_MUL, "012", lambda p, q: q <= p),
+}
+
+
+def groupoid_sub_text(g, chosen) -> str:
+    """A ``groupoid_sub`` document for the subcategory ``chosen`` of the finite
+    groupoid ``g``: every element named by its label's parts joined by ``_``,
+    the products of non-units listed, those with a unit implied."""
+    def name(x):
+        return "_".join(map(str, x)) if isinstance(x, tuple) else str(x)
+
+    arrows = [x for x in g.elements if not g.is_unit(x)]
+    rows = [f"{name(x)} {name(y)} {name(g.mul(x, y))}"
+            for x in arrows for y in arrows if g.composable(x, y)]
+    return ("class: groupoid_sub\n"
+            f"units: {' '.join(name(u) for u in g.elements if g.is_unit(u))}\n"
+            "arrows:\n"
+            + "".join(f"{name(x)} {name(g.source[x])} {name(g.range[x])}\n" for x in arrows)
+            + "products:\n" + "".join(row + "\n" for row in rows)
+            + "chosen:\n" + "".join(name(x) + "\n" for x in g.elements if x in chosen))
+
+
+def extra_groupoid_sub(name) -> str:
+    """The ``groupoid_sub`` document of ``EXTRA_GROUPOIDS[name]``."""
+    units, mul, unit, keep = EXTRA_GROUPOIDS[name]
+    g = transitive_groupoid(units, sorted({h for h, _ in mul}), mul, unit)
+    return groupoid_sub_text(g, {(p, h, q) for p, h, q in g.elements if keep(p, q)})
 
 
 def run(command, path, depth):
@@ -103,6 +150,11 @@ def main(argv=None):
             path = os.path.join(tmp, f"{name}.cat")
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(graph_path_text(random.Random(name), n, arcs))
+            write("thesis", path)
+        for name in EXTRA_GROUPOIDS:
+            path = os.path.join(tmp, f"{name}.cat")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(extra_groupoid_sub(name))
             write("thesis", path)
 
 

@@ -5,7 +5,7 @@
 
 Commands: validate | hull | ideals | boundary | groupoid | envelope | coaction
 | lcm | thesis. Exit codes: 0 all certified, 1 input error, 2 rejection or
-counterexample, 3 inconclusive at the bound, 4 internal numerical failure.
+counterexample, 3 inconclusive at the bound, 4 internal failure.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .envelope import NotACover, block_decompose, shilov_ideal
 from .matrixrep import AlgebraSpan, NumericalFailure
 from .lcm import starling_report
 from .parsing import ParseError, load_path
-from .pipeline import analyze_category
+from .pipeline import NotACompression, analyze_category
 from .report import Report
 from .univgroup import j_map, universal_group
 
@@ -71,7 +71,7 @@ def main(argv=None) -> int:
     except (ParseError, MalformedPresentation, GradingInvalid) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (NumericalFailure, NotACover) as exc:
+    except (NumericalFailure, NotACover, NotACompression) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
     text = report.as_json() if args.format == "json" else report.as_text()

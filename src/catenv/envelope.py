@@ -53,9 +53,8 @@ element is its largest block norm). Null spaces, where the exact paths do
 not decide (covers from `block_decompose`, generators whose supports
 overlap), come from a thin SVD unless the matrix is wide.
 
-An ideal of a cover ⊕ M_n is a sum of blocks, each simple: a
-*-homomorphism's kernel is read off one matrix unit per block
-(`quotient_kernel_mask`), and ideal detection asks only of single blocks.
+An ideal of a cover ⊕ M_n is a sum of blocks, each simple, so ideal
+detection asks only of single blocks.
 
 Certification semantics: REJECT verdicts carry an explicit witness and are
 sound; CERTIFY verdicts are exact (a compression certificate, valid at every
@@ -71,9 +70,8 @@ import numpy as np
 
 from . import perm
 from .matrixrep import (AlgebraSpan, IsometryVerdict, NotSelfAdjoint,
-                        NumericalFailure, SpanBasis, TOL, _joint_rank, _rank,
-                        deviation_search, direct_sum, level_k_norms, matrix_rank,
-                        operator_norm)
+                        NumericalFailure, TOL, _rank, deviation_search, direct_sum,
+                        level_k_norms, matrix_rank, operator_norm)
 
 
 class NotACover(ValueError):
@@ -118,11 +116,6 @@ class FinDimCStar:
     def norm(self, m) -> float:
         return max((operator_norm(c) for c in self.coords(m)), default=0.0)
 
-    def block_element(self, k: int, i: int, j: int) -> np.ndarray:
-        """The ambient algebra element sitting over the (i, j) matrix unit of block k."""
-        w = self.isometries[k]
-        return w[:, [i]] @ w[:, [j]].conj().T
-
 
 def _hermitian_parts(ms):
     out = []
@@ -144,11 +137,23 @@ def _null_space(a: np.ndarray, tol=TOL):
     return vh[_rank(s, tol):].conj().T
 
 
+# complex entries the Kronecker stack of `_commutant_basis` may hold, 128 MiB:
+# above the largest stack the tests, the benchmark, the report corpus and the
+# coaction probe build (4.3 M entries, the probe's), far below the 141 M of a
+# 36-morphism category with S₃ isotropy, whose stack would not fit in memory
+_COMMUTANT_BUDGET = 1 << 23
+
+
 def _commutant_basis(mats, tol=TOL):
     """Basis of {x : xb = bx for all b in mats}; vec is column-major, so
-    bx - xb = 0 ⟺ (I⊗b - bᵀ⊗I)·vec(x) = 0, all block rows in one stack."""
+    bx - xb = 0 ⟺ (I⊗b - bᵀ⊗I)·vec(x) = 0, all block rows in one stack.
+    A stack past `_COMMUTANT_BUDGET` entries raises `NumericalFailure`."""
     mats = np.asarray(mats, dtype=complex)
     dim, eye = mats.shape[-1], np.eye(mats.shape[-1])[None]
+    if len(mats) * dim ** 4 > _COMMUTANT_BUDGET:
+        raise NumericalFailure(f"the commutant of {len(mats)} matrices of side {dim} "
+                               f"needs a stack of {len(mats) * dim ** 4:,} entries, "
+                               f"past the budget of {_COMMUTANT_BUDGET:,}")
     big = np.kron(eye, mats) - np.kron(mats.transpose(0, 2, 1), eye)  # kron per member
     ns = _null_space(big.reshape(-1, dim * dim), tol)
     return [ns[:, i].reshape(dim, dim, order="F") for i in range(ns.shape[1])]
@@ -617,58 +622,3 @@ def detects_ideals(d_basis, cover: FinDimCStar) -> bool:
             return False
     return True
 
-
-# -- linear *-maps between spanned algebras --------------------------------------
-
-
-class SpannedStarMap:
-    """A linear map defined on a spanning family.
-
-    Pairs (x_i, y_i) must satisfy every dependency among the x's among the y's
-    too, or construction raises `ValueError`; `star_homomorphism_witness` tests
-    whether products and adjoints map consistently.
-    """
-
-    def __init__(self, pairs):
-        self.xs = [np.asarray(x, dtype=complex) for x, _ in pairs]
-        self.ys = [np.asarray(y, dtype=complex) for _, y in pairs]
-        self.domain_dim = matrix_rank(self.xs)
-        if _joint_rank(self.xs, self.ys) != self.domain_dim:
-            raise ValueError("map is not well defined on the span")
-        self._domain = SpanBasis()
-        self._basis_y = np.array([y for x, y in zip(self.xs, self.ys)
-                                  if self._domain.add(x)])
-
-    def apply(self, m) -> np.ndarray:
-        """The image of m; ValueError if m is outside the domain span."""
-        return np.tensordot(self._domain.coordinates(m), self._basis_y, 1)
-
-    def star_homomorphism_witness(self, rng_seed=3, trials=8):
-        """None when products and adjoints map consistently on `trials` seeded
-        random pairs (a, b) of the domain; else (defect, a, b) for the first that
-        fails: the largest |entry| of π(ab) − π(a)π(b) and π(a*) − π(a)*, or inf
-        off the domain span."""
-        rng = np.random.default_rng(rng_seed)
-        basis_x = self._domain.members
-        n = len(basis_x)
-        for _ in range(trials):
-            c1 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            c2 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            a = sum(c * b for c, b in zip(c1, basis_x))
-            b = sum(c * m for c, m in zip(c2, basis_x))
-            try:
-                sides = [(self.apply(a @ b), self.apply(a) @ self.apply(b)),
-                         (self.apply(a.conj().T), self.apply(a).conj().T)]
-            except ValueError:
-                return np.inf, a, b
-            if not all(np.allclose(x, y, atol=1e-7) for x, y in sides):
-                return max(float(np.abs(x - y).max()) for x, y in sides), a, b
-        return None
-
-
-def quotient_kernel_mask(cover: FinDimCStar, star_map: SpannedStarMap,
-                         tol=1e-8) -> frozenset:
-    """Blocks of the cover killed by a *-homomorphism (or anti-homomorphism)
-    defined on its algebra: its kernel is an ideal, so those whose E_00 it kills."""
-    return frozenset(k for k in range(len(cover.block_sizes))
-                     if operator_norm(star_map.apply(cover.block_element(k, 0, 0))) <= tol)

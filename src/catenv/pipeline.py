@@ -13,14 +13,13 @@ generates is decomposed numerically by `block_decompose`. Every spanning
 matrix is a `perm` index array: `jack_check` runs on those arrays, and so does
 the count that the morphism maps generate the cover (`generated_dim`), before
 the Shilov search. The restriction π to the boundary model, the only map that
-reads it, kills a set of blocks of that cover (`boundary_quotient`). On the
-orbit cover π is certified with no trials when the boundary coordinates
-reduce every spanning matrix and each boundary matrix is the spectrum one
-restricted to them: π is then a compression by a projection commuting with
-the algebra, and it kills the orbit blocks with no boundary coordinate.
-Otherwise a `SpannedStarMap` with seeded trials decides π. When π is not a
-*-homomorphism, the run ends at `boundary-isometry`'s rejection with π's
-witness. Otherwise `boundary-isometry` is `is_boundary_ideal` on the kernel
+reads it, kills a set of blocks of that cover (`boundary_quotient`). On every
+cover π is certified with no trials: the boundary coordinates reduce every
+spanning matrix and each boundary matrix is the spectrum one restricted to
+them, so π is a compression by a central projection, and it kills the blocks
+whose isometries have no weight on those coordinates. A boundary model that
+is not such a compression is an internal fault (`NotACompression`).
+`boundary-isometry` is `is_boundary_ideal` on the kernel
 mask (exact when every killed block is a coordinate compression of a kept
 one, as on the orbit cover of every shipped category), and the boundary
 algebra's blocks are the cover's blocks outside it. The Shilov search reads
@@ -47,13 +46,14 @@ import numpy as np
 from . import ideals as IL
 from . import perm
 from .categories import CategoryPresentation
-from .envelope import (FinDimCStar, NotACover, SpannedStarMap, block_decompose,
-                       detects_ideals, generated_dim, image_rows, is_boundary_ideal,
-                       orbit_cover, quotient_kernel_mask, search_levels, shilov_ideal)
+from .envelope import (FinDimCStar, NotACover, block_decompose, detects_ideals,
+                       generated_dim, image_rows, is_boundary_ideal, orbit_cover,
+                       search_levels, shilov_ideal)
 from .germs import GermContext
 from .hull import InverseHull
-from .matrixrep import (GermModel, IsometryVerdict, LambdaRep, ThetaRep, _joint_rank,
-                        jack_check, matrix_rank, window_arrays, windowed_norm)
+from .matrixrep import (GermModel, IsometryVerdict, LambdaRep, NumericalFailure, ThetaRep,
+                        _joint_rank, jack_check, matrix_rank, window_arrays,
+                        windowed_norm)
 from .matrixrep import complete_isometry_check  # noqa: F401  traced by bench/layers.py
 from .report import Entry, exit_code
 
@@ -161,24 +161,17 @@ def analyze_category(pres: CategoryPresentation, depth: int = 8,
                          {"dim": dim}))
 
     cover = spectrum_cover(model_omega, info if ok else None, seed=seed)
-    failure, ker_mask = boundary_quotient(model_omega, model_bound, closure, cover)
+    ker_mask = boundary_quotient(model_omega, model_bound, cover)
     lv = levels if levels is not None else max(model_bound.rep.block_sizes() + [1])
-    if failure is None:
-        # π is isometric off its kernel blocks: its norm is a blockwise maximum
-        a_basis = [m for _, m in model_omega.operator_algebra_generators()]
-        iso = is_boundary_ideal(a_basis, cover, ker_mask, levels=lv, samples=40, tol=tol,
-                                seed=seed,
-                                perms=model_omega.spanning_stack[model_omega.generator_rows])
-        detail = isometry_detail(iso, lv)
-    else:
-        iso = IsometryVerdict(False, failure[0], 0, 0, 0, tol, witness=failure[1:])
-        detail = f"restriction map is not a *-homomorphism (defect {failure[0]:.2e})"
-    entries.append(Entry("boundary-isometry", iso.status, detail,
+    # π is isometric off its kernel blocks: its norm is a blockwise maximum
+    a_basis = [m for _, m in model_omega.operator_algebra_generators()]
+    iso = is_boundary_ideal(a_basis, cover, ker_mask, levels=lv, samples=40, tol=tol,
+                            seed=seed,
+                            perms=model_omega.spanning_stack[model_omega.generator_rows])
+    entries.append(Entry("boundary-isometry", iso.status, isometry_detail(iso, lv),
                          {"levels": lv, "max_deviation": iso.max_deviation}))
     ctx.update(omega_cover=cover, boundary_kernel_mask=ker_mask, boundary_isometry=iso)
-    if failure is None:
-        # every later entry reads π's kernel mask, which needs π a *-homomorphism
-        entries.extend(envelope_coincidence(ctx, levels=levels, tol=tol, seed=seed))
+    entries.extend(envelope_coincidence(ctx, levels=levels, tol=tol, seed=seed))
     return PipelineResult(entries, ctx)
 
 
@@ -198,7 +191,8 @@ def envelope_coincidence(ctx, levels=None, tol=1e-9, seed=0) -> list[Entry]:
     """Shilov quotient of the spectrum model vs the boundary quotient, both on
     the spectrum model's cover; nothing here reads the boundary model.
 
-    The restriction π is certified a *-homomorphism first. The spanning family
+    The restriction π is certified a *-homomorphism first
+    (`boundary_quotient`). The spanning family
     spans the cover, and π's kernel is an ideal, so it is the sum of the
     blocks it kills, `boundary_kernel_mask`. So π induces a *-isomorphism
     from the quotient by that mask onto C*(G_∂), taking q(m_Ω(s)) to m_∂(s):
@@ -298,52 +292,77 @@ def shilov_seeds(ker_mask, iso: IsometryVerdict, cover: FinDimCStar, levels=None
         else {ker_mask: iso}
 
 
-def boundary_quotient(model_omega: GermModel, model_bound: GermModel, closure,
-                      cover: FinDimCStar):
-    """(failure, kernel mask) of the restriction π: m_Ω(s) ↦ m_∂(s) to the
-    boundary model: None when π is a *-homomorphism, else its witness
-    (defect, a, b); and the blocks of `cover`, the spectrum algebra's, it kills.
-
-    On the orbit cover π is certified exactly, with no trials
-    (`_compression_kernel_mask`). Otherwise (a cover from `block_decompose`,
-    or a restriction that is not a compression) π is a `SpannedStarMap` on
-    the spanning pairs: seeded trials give its witness, and its kernel mask is
-    read off one matrix unit per block."""
-    if cover.coordinates is not None:
-        mask = _compression_kernel_mask(model_omega, model_bound, cover)
-        if mask is not None:
-            return None, mask
-    star_map = SpannedStarMap([(model_omega.spanning_matrix(s),
-                                model_bound.spanning_matrix(s)) for s in closure.nonzero()])
-    return star_map.star_homomorphism_witness(), quotient_kernel_mask(cover, star_map)
+class NotACompression(RuntimeError):
+    """The boundary model is not the spectrum model compressed to a reducing
+    set of its coordinates. Every model the library builds is, so this is an
+    internal fault, not a verdict on the input; exact, so not numerical."""
 
 
-def _compression_kernel_mask(model_omega: GermModel, model_bound: GermModel,
-                             cover: FinDimCStar):
-    """The blocks of the orbit cover π kills, when π is the compression to the
-    boundary model's coordinates; else None. Index arrays only.
+# a column entry below this is read as zero: the accuracy `block_decompose`
+# checks its blocks to
+_WEIGHT_TOL = 1e-7
+
+
+def boundary_quotient(model_omega: GermModel, model_bound: GermModel,
+                      cover: FinDimCStar) -> frozenset:
+    """The blocks of `cover`, the spectrum algebra's, killed by the restriction
+    π: m_Ω(s) ↦ m_∂(s) to the boundary model. Index arrays and the cover's
+    isometries only: no trials and no factorization, on every cover.
 
     Let V be the boundary model's basis, placed among the spectrum model's.
     When every M^Ω_s maps V into V and (M^Ω_s)* does too, V is a reducing
-    subspace of the spectrum algebra, so its projection P commutes with the
-    algebra and a ↦ aP is a *-homomorphism. When also every M^∂_s is M^Ω_s
+    subspace of the spectrum algebra, so its projection P_V commutes with the
+    algebra and a ↦ aP_V is a *-homomorphism. When also every M^∂_s is M^Ω_s
     restricted to V, π is that compression on the spanning family, hence on
-    its span. Its kernel is then the blocks whose coordinates hold no point of V.
+    its span. Else `NotACompression` names the first spanning element at
+    which this fails.
+
+    The kernel is then read off the cover. The spanning family moves any
+    point of ℓ²(G_u) to any other, so a reducing coordinate set is a union of
+    whole ℓ²(G_u), and P_V is the unit of those orbits' summands, which is
+    central. A block's isotypic component, which holds the range of its
+    isometry W_k, therefore lies inside V or outside it, whatever the block's
+    multiplicity, and π kills block k exactly when W_k has no weight on V. On
+    the orbit cover W_k is identity columns, and the weight is exactly zero
+    or not; a float cover (`block_decompose`) whose W_k has weight both on V
+    and off it raises `NumericalFailure`.
     """
+    inside = _boundary_coordinates(model_omega, model_bound)
+    killed = []
+    for k, w in enumerate(cover.isometries):
+        on, off = (float(np.vdot(part, part).real) for part in (w[inside], w[~inside]))
+        if min(on, off) > w.shape[1] * _WEIGHT_TOL ** 2:
+            raise NumericalFailure(f"block {k} of the cover straddles the boundary "
+                                   f"coordinates (squared weights {on:.2e} on, "
+                                   f"{off:.2e} off)")
+        if on <= off:
+            killed.append(k)
+    return frozenset(killed)
+
+
+def _boundary_coordinates(model_omega: GermModel, model_bound: GermModel) -> np.ndarray:
+    """The boundary model's coordinates V among the spectrum model's, as a
+    boolean mask, once π is checked to be the compression to V (see
+    `boundary_quotient`); else `NotACompression`."""
     at = model_omega.rep.column[[model_omega.gg.position[k] for k in
                                  model_bound.gg.keys[model_bound.rep.positions].tolist()]]
     if (at < 0).any():
-        return None
+        raise NotACompression(f"boundary basis element "
+                              f"{model_bound.rep.basis[int(np.argmax(at < 0))]} is "
+                              "not in the spectrum model's basis")
     inside = np.zeros(len(model_omega.rep.basis) + 1, dtype=bool)  # index −1: False
     inside[at] = True
     omega, bound = model_omega.spanning_stack, model_bound.spanning_stack
-    moved = omega >= 0
-    reducing = np.array_equal(inside[omega][moved],
-                              np.broadcast_to(inside[:-1], omega.shape)[moved])
-    if not (reducing and np.array_equal(omega[:, at], perm.product(at, bound))):
-        return None
-    return frozenset(k for k, coords in enumerate(cover.coordinates)
-                     if not inside[coords].any())
+    leaves = ((omega >= 0) & (inside[omega] != inside[:-1])).any(axis=1)
+    differs = (omega[:, at] != perm.product(at, bound)).any(axis=1)
+    bad = np.flatnonzero(leaves | differs)
+    if len(bad):
+        s = model_omega.closure.nonzero()[bad[0]]
+        raise NotACompression(f"the restriction is not the compression to the boundary "
+                              f"coordinates at the spanning element {s!r}: "
+                              + ("V does not reduce it" if leaves[bad[0]]
+                                 else "its boundary matrix is not its restriction"))
+    return inside[:-1]
 
 
 def _bounded_tail(pres, hull, depth, entries, ctx):

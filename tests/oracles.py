@@ -12,8 +12,10 @@ germs compared by their pieces with every ideal containment derived from the
 parts, the spanning-family correspondence checked one pair at a time and on
 dense stacks with `isclose` (the exact index-array check replaced both), the
 exact generation count with every idempotent support listed, ideal
-detection asked of every set of blocks, a kernel mask read off every matrix
-unit of each block, and the boundary-core chain of a monoid (fractions, κ₀,
+detection asked of every set of blocks, the restriction π as a linear map on
+its spanning pairs with seeded *-homomorphism trials (`SpannedStarMap`), its
+kernel mask read off one matrix unit per block or every one, each unit the
+algebra element solved for from its block coordinates, and the boundary-core chain of a monoid (fractions, κ₀,
 germ equality at the full-support character) on morphisms, through the
 presentation's `align` and `compose` instead of the hull's morphism numbers.
 
@@ -38,8 +40,7 @@ from functools import cached_property
 import numpy as np
 
 from catenv.coactions import GradedAlgebra, KatayamaReport, NoExtensionFound
-from catenv.envelope import (NotACover, ShilovResult, SpannedStarMap, is_boundary_ideal,
-                             search_levels)
+from catenv.envelope import NotACover, ShilovResult, is_boundary_ideal, search_levels
 from catenv.germs import InfiniteCharacterSpace
 from catenv.gpd import FiniteGroupoid, GroupoidError
 from catenv.hull import InconsistentPieces, PiecewiseBijection
@@ -558,10 +559,83 @@ def detects_ideals_by_subsets(d_basis, cover) -> bool:
     return True
 
 
+class SpannedStarMap:
+    """A linear map defined on a spanning family.
+
+    Pairs (x_i, y_i) must satisfy every dependency among the x's among the y's
+    too, or construction raises `ValueError`; `star_homomorphism_witness` tests
+    whether products and adjoints map consistently.
+    """
+
+    def __init__(self, pairs):
+        self.xs = [np.asarray(x, dtype=complex) for x, _ in pairs]
+        self.ys = [np.asarray(y, dtype=complex) for _, y in pairs]
+        self.domain_dim = matrix_rank(self.xs)
+        if _joint_rank(self.xs, self.ys) != self.domain_dim:
+            raise ValueError("map is not well defined on the span")
+        self._domain = SpanBasis()
+        self._basis_y = np.array([y for x, y in zip(self.xs, self.ys)
+                                  if self._domain.add(x)])
+
+    def apply(self, m) -> np.ndarray:
+        """The image of m; ValueError if m is outside the domain span."""
+        return np.tensordot(self._domain.coordinates(m), self._basis_y, 1)
+
+    def star_homomorphism_witness(self, rng_seed=3, trials=8):
+        """None when products and adjoints map consistently on `trials` seeded
+        random pairs (a, b) of the domain; else (defect, a, b) for the first that
+        fails: the largest |entry| of π(ab) − π(a)π(b) and π(a*) − π(a)*, or inf
+        off the domain span."""
+        rng = np.random.default_rng(rng_seed)
+        basis_x = self._domain.members
+        n = len(basis_x)
+        for _ in range(trials):
+            c1 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            c2 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            a = sum(c * b for c, b in zip(c1, basis_x))
+            b = sum(c * m for c, m in zip(c2, basis_x))
+            try:
+                sides = [(self.apply(a @ b), self.apply(a) @ self.apply(b)),
+                         (self.apply(a.conj().T), self.apply(a).conj().T)]
+            except ValueError:
+                return np.inf, a, b
+            if not all(np.allclose(x, y, atol=1e-7) for x, y in sides):
+                return max(float(np.abs(x - y).max()) for x, y in sides), a, b
+        return None
+
+
+def block_element(cover, basis, k, i, j, tol=1e-8) -> np.ndarray:
+    """The element of span(basis) whose cover coordinates are the matrix unit
+    E_ij in block k and zero in every other block, by a least-squares solve
+    of `cover.coords` over the basis; ValueError when the span has none.
+
+    For block k's isometry W, W e_i (W e_j)* is that element only when the
+    block has multiplicity 1; above it, it lies outside the algebra."""
+    basis = np.asarray(basis, dtype=complex)
+    rows = np.array([np.concatenate([c.ravel() for c in cover.coords(b)]) for b in basis]).T
+    n, start = cover.block_sizes[k], sum(m * m for m in cover.block_sizes[:k])
+    target = np.zeros(len(rows), dtype=complex)
+    target[start + i * n + j] = 1
+    coef, *_ = np.linalg.lstsq(rows, target, rcond=None)
+    if not np.allclose(rows @ coef, target, atol=tol):
+        raise ValueError(f"no element of the span has E_{i}{j} of block {k} as coordinates")
+    return np.tensordot(coef, basis, 1)
+
+
+def quotient_kernel_mask(cover, star_map, tol=1e-8) -> frozenset:
+    """Blocks of the cover killed by a *-homomorphism (or anti-homomorphism)
+    defined on its algebra, the span of `star_map.xs`: its kernel is an
+    ideal, so those whose E_00 it kills."""
+    return frozenset(k for k in range(len(cover.block_sizes))
+                     if operator_norm(star_map.apply(
+                         block_element(cover, star_map.xs, k, 0, 0))) <= tol)
+
+
 def quotient_kernel_mask_by_units(cover, star_map, tol=1e-8) -> frozenset:
     """The blocks on every one of whose matrix units the map vanishes."""
     return frozenset(k for k, n in enumerate(cover.block_sizes)
-                     if all(operator_norm(star_map.apply(cover.block_element(k, i, j))) <= tol
+                     if all(operator_norm(star_map.apply(
+                         block_element(cover, star_map.xs, k, i, j))) <= tol
                             for i in range(n) for j in range(n)))
 
 

@@ -24,13 +24,12 @@ import pytest
 from catenv import cli, envelope, matrixrep, pipeline
 from catenv import hull as hull_module
 from catenv.categories import GraphPath, GroupoidSub
-from catenv.envelope import (SpannedStarMap, _blockwise_deviation, block_decompose,
-                             detects_ideals, quotient_kernel_mask)
+from catenv.envelope import _blockwise_deviation, block_decompose, detects_ideals
 from catenv.fixtures import fix_edge, fix_kgraph_acyclic, fix_two, fix_two_mce_category
 from catenv.gpd import pair_groupoid, transitive_groupoid
 from catenv.matrixrep import AlgebraSpan, complete_isometry_check, deviation_search
 from catenv.pipeline import analyze_category
-from oracles import acyclic_path_counts, entry, in_span
+from oracles import acyclic_path_counts, entry
 from test_hull import layered_dag
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -112,32 +111,6 @@ def restriction_pairs(model_omega, model_bound, closure, transpose=False):
     return [(model_omega.spanning_matrix(s),
              model_bound.spanning_matrix(s).T if transpose
              else model_bound.spanning_matrix(s)) for s in closure.nonzero()]
-
-
-def transposed_restriction(model_omega, model_bound, closure, cover):
-    """`boundary_quotient` for the restriction followed by the transpose:
-    linear, *-preserving and well defined, but it reverses products on every
-    M_n block with n ≥ 2."""
-    star_map = SpannedStarMap(restriction_pairs(model_omega, model_bound, closure,
-                                                transpose=True))
-    return star_map.star_homomorphism_witness(), quotient_kernel_mask(cover, star_map)
-
-
-@pytest.mark.parametrize("make", [fix_edge, fix_two])
-def test_planted_anti_homomorphism_is_rejected(monkeypatch, make):
-    monkeypatch.setattr(pipeline, "boundary_quotient", transposed_restriction)
-    res = analyze_category(make())
-    found = entry(res, "boundary-isometry")
-    verdict = res.context["boundary_isometry"]
-    assert found.status == "rejected" and res.exit_code == 2
-    assert found.data["max_deviation"] > 1e-9 and "*-homomorphism" in found.detail
-    algebra = res.context["model_omega"].reduced_algebra()  # the witness pair lies in it
-    assert all(in_span(x, algebra.basis) for x in verdict.witness)
-    # the dense sampler rejects the transpose too: it is not completely isometric
-    dense = complete_isometry_check(dense_pairs(res, transpose=True), levels=2)
-    assert dense.status == "rejected" and dense.witness is not None
-    # every later entry reads π's kernel mask: the report ends at the rejection
-    assert res.entries[-1] is found and "shilov" not in res.context
 
 
 @pytest.mark.parametrize("make", CASES)

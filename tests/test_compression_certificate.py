@@ -14,12 +14,13 @@ from functools import partial
 import numpy as np
 import pytest
 
-from catenv import envelope
+from catenv import envelope, perm
 from catenv.envelope import (FinDimCStar, _blockwise_deviation, _coordinate_injection,
                              compression_certificate, is_boundary_ideal, search_levels)
 from catenv.fixtures import fix_kgraph_acyclic
 from catenv.matrixrep import deviation_search
 from catenv.pipeline import analyze_category
+from oracles import block_element
 from test_boundary_cover import CASES, spectrum_generators
 from test_hull import layered_dag
 
@@ -37,6 +38,11 @@ def spectrum(make):
     res = analyze_category(make())
     return spectrum_generators(res), res.context["omega_cover"], \
         res.context["boundary_kernel_mask"]
+
+
+def spanning_family(make):
+    """The spectrum model's spanning matrices, which span its algebra."""
+    return perm.dense(analyze_category(make()).context["model_omega"].spanning_stack)
 
 
 def assert_compressions(a_basis, cover, certificate):
@@ -91,7 +97,8 @@ def test_corrupted_kept_coordinate_is_refused():
                    for i, j in itertools.product(range(len(s)), repeat=2)
                    if cover.coords(a)[m][i, j] == 0)
     corrupted = list(a_basis)
-    corrupted[b] = a_basis[b] + 0.5 * cover.block_element(k, s[i], s[j])
+    corrupted[b] = a_basis[b] + 0.5 * block_element(
+        cover, spanning_family(fix_kgraph_acyclic), k, s[i], s[j])
     assert compression_certificate(corrupted, cover, {m}) is None
     verdict = is_boundary_ideal(corrupted, cover, {m})
     assert verdict.certificate is None
@@ -104,7 +111,8 @@ def test_corrupted_masked_coordinate_is_refused():
     a_basis, cover, ker_mask = spectrum(fix_kgraph_acyclic)
     m = max(ker_mask, key=lambda k: cover.block_sizes[k])
     corrupted = list(a_basis)
-    corrupted[0] = a_basis[0] + 0.5 * cover.block_element(m, 0, 1)
+    corrupted[0] = a_basis[0] + 0.5 * block_element(
+        cover, spanning_family(fix_kgraph_acyclic), m, 0, 1)
     assert compression_certificate(corrupted, cover, {m}) is None
     verdict = is_boundary_ideal(corrupted, cover, {m})
     assert verdict.certificate is None and verdict.samples > 0

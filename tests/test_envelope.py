@@ -3,16 +3,15 @@
 import numpy as np
 import pytest
 
-from catenv.envelope import (SpannedStarMap, _commutant_basis, block_decompose,
-                             detects_ideals, generated_dim, is_boundary_ideal,
-                             shilov_ideal)
+from catenv.envelope import (_commutant_basis, block_decompose, detects_ideals,
+                             generated_dim, is_boundary_ideal, shilov_ideal)
 from catenv.fixtures import fix_edge, fix_two
 from catenv.germs import GermContext
 from catenv.hull import InverseHull
 from catenv import ideals as IL
-from catenv.matrixrep import AlgebraSpan, GermModel, LambdaRep, direct_sum
+from catenv.matrixrep import AlgebraSpan, GermModel, LambdaRep, NumericalFailure, direct_sum
 from catenv.pipeline import analyze_category
-from oracles import entry
+from oracles import SpannedStarMap, block_element, entry
 
 
 def matrix_units(n):
@@ -140,9 +139,10 @@ def test_detects_ideals_examples():
     diag = [np.diag([1, 0]).astype(complex), np.diag([0, 1]).astype(complex)]
     assert detects_ideals(diag, fd2)
     lam = LambdaRep.build(fix_edge())
-    fd = block_decompose(lam.toeplitz_algebra())
+    algebra = lam.toeplitz_algebra()
+    fd = block_decompose(algebra)
     scalar_block = [k for k, n in enumerate(fd.block_sizes) if n == 1][0]
-    only_scalar = [fd.block_element(scalar_block, 0, 0)]
+    only_scalar = [block_element(fd, algebra.basis, scalar_block, 0, 0)]
     assert not detects_ideals(only_scalar, fd)
 
 
@@ -239,10 +239,10 @@ def test_spanned_star_map_rejects_ill_defined():
 
 def test_spanned_star_map_takes_each_rank_once(monkeypatch):
     """The domain rank is the one the well-definedness test takes."""
-    from catenv import envelope
+    import oracles
     calls = []
-    rank = envelope.matrix_rank
-    monkeypatch.setattr(envelope, "matrix_rank", lambda ms: calls.append(len(ms)) or rank(ms))
+    rank = oracles.matrix_rank
+    monkeypatch.setattr(oracles, "matrix_rank", lambda ms: calls.append(len(ms)) or rank(ms))
     e11, e12, _, e22 = matrix_units(2)
     star_map = SpannedStarMap([(e11, e11), (e22, e22), (e11 + e22, e11 + e22), (e12, 0 * e12)])
     assert len(calls) == 1
@@ -250,6 +250,13 @@ def test_spanned_star_map_takes_each_rank_once(monkeypatch):
 
 
 # -- the commutant of the generators ------------------------------------------------
+
+
+def test_a_commutant_past_the_budget_raises_before_its_stack_is_built():
+    """84 generators of side 36, a 36-morphism category with S₃ isotropy on
+    three units: a stack of 141 M complex entries, 2.3 GB."""
+    with pytest.raises(NumericalFailure, match="141,087,744 entries"):
+        _commutant_basis(np.zeros((84, 36, 36)))
 
 
 def multiplicity_algebra(seed):

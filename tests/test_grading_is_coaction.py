@@ -23,10 +23,9 @@ import pytest
 from catenv import cli
 from catenv.coactions import (GradedAlgebra, NoExtensionFound, coaction_from_grading,
                               extend_grading, katayama_verify)
-from catenv.envelope import SpannedStarMap
 from catenv.matrixrep import AlgebraSpan
 from catenv.parsing import load_path, load_text
-from oracles import axiom_failures, delta_per_degree
+from oracles import SpannedStarMap, axiom_failures, delta_per_degree
 from test_duality import CASES
 from test_linalg_oracles import extension_cases
 from test_spatial_grading import hadamard_grading

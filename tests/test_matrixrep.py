@@ -347,7 +347,7 @@ def test_compression_identity_on_boundary_characters():
 
 
 def test_theta_sum_injective_on_finite_fixture():
-    from catenv.envelope import SpannedStarMap
+    from oracles import SpannedStarMap
     for pres in (fix_edge(), fix_two(), fix_two_mce_category()):
         p, hull, closure, lat, omega, bd, *_ = bundle(pres)
         thetas = [ThetaRep(p, hull, chi) for chi in bd]
@@ -383,20 +383,21 @@ def test_boundary_quotient_blocks():
     p, hull, closure, lat, omega, bd, ctx, g_om, g_bd = EDGE
     model_om = GermModel(g_om, closure)
     model_bd = GermModel(g_bd, closure)
-    from catenv.envelope import SpannedStarMap, block_decompose
+    from catenv.envelope import block_decompose
     from catenv.pipeline import spectrum_cover
+    from oracles import SpannedStarMap
     cover = block_decompose(model_om.reduced_algebra())
-    failure, mask = boundary_quotient(model_om, model_bd, closure, cover)
+    mask = boundary_quotient(model_om, model_bd, cover)
     qmap = SpannedStarMap([(model_om.spanning_matrix(s), model_bd.spanning_matrix(s))
                            for s in closure.nonzero()])
     assert qmap.domain_dim == cover.dim  # the spanning family spans the cover
     assert matrix_rank(qmap.ys) == model_bd.reduced_algebra().dim  # onto the boundary algebra
-    assert failure is None and qmap.star_homomorphism_witness() is None
+    assert qmap.star_homomorphism_witness() is None
     assert [cover.block_sizes[k] for k in sorted(mask)] == [1]  # the χ_v block dies
     # on the orbit cover, the exact path kills the same block
     orbits = spectrum_cover(model_om)
-    failure, mask = boundary_quotient(model_om, model_bd, closure, orbits)
-    assert failure is None and [orbits.block_sizes[k] for k in sorted(mask)] == [1]
+    mask = boundary_quotient(model_om, model_bd, orbits)
+    assert [orbits.block_sizes[k] for k in sorted(mask)] == [1]
 
 
 # -- norms ------------------------------------------------------------------------------

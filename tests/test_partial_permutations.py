@@ -18,17 +18,16 @@ import numpy as np
 import pytest
 
 from catenv import cli, perm, pipeline
-from catenv.envelope import (SpannedStarMap, block_decompose, generated_dim,
-                             quotient_kernel_mask, shilov_ideal)
+from catenv.envelope import block_decompose, generated_dim, shilov_ideal
 from catenv.fixtures import fix_kgraph_acyclic, fix_two
 from catenv.matrixrep import (AlgebraSpan, GermModel, LambdaRep, SpanBasis, jack_check,
                               matrix_rank)
-from catenv.pipeline import _compression_kernel_mask, analyze_category, boundary_quotient
-from oracles import (entry, exact_dim_by_support_closure, exact_dim_by_unique,
-                     jack_check_dense, refine_by_unique)
+from catenv.parsing import load_path
+from catenv.pipeline import _boundary_coordinates, analyze_category, boundary_quotient
+from oracles import (SpannedStarMap, entry, exact_dim_by_support_closure, exact_dim_by_unique,
+                     jack_check_dense, quotient_kernel_mask, refine_by_unique)
 from test_boundary_cover import (CASES, FIXTURES, counting, path_category,
-                                 restriction_pairs, spectrum_generators,
-                                 transposed_restriction, z2_isotropy)
+                                 restriction_pairs, spectrum_generators, z2_isotropy)
 from test_hull import layered_dag
 from test_matrixrep import assert_same_verdict
 
@@ -62,13 +61,14 @@ def test_exact_checks_match_the_dense_paths(make):
     assert (exact is not None) == principal  # isotropy: idempotents do not separate
     assert generated_dim(gens) == AlgebraSpan(a_basis, selfadjoint=True).dim == cover.dim
 
-    failure, mask = boundary_quotient(model_omega, model_bound, closure, cover)
+    mask = boundary_quotient(model_omega, model_bound, cover)
     star_map = SpannedStarMap(restriction_pairs(model_omega, model_bound, closure))
-    assert failure is None and star_map.star_homomorphism_witness() is None
+    assert star_map.star_homomorphism_witness() is None
     assert mask == quotient_kernel_mask(cover, star_map) == ctx["boundary_kernel_mask"]
     assert (cover.coordinates is not None) == principal
-    if principal:
-        assert _compression_kernel_mask(model_omega, model_bound, cover) == mask
+    if principal:  # the orbit blocks with no boundary coordinate
+        inside = _boundary_coordinates(model_omega, model_bound)
+        assert mask == {k for k, c in enumerate(cover.coordinates) if not inside[c].any()}
 
 
 # -- one planted failure per exact check ---------------------------------------------
@@ -340,24 +340,23 @@ def transposed_boundary_model(monkeypatch):
     monkeypatch.setattr(pipeline, "GermModel", Model)
 
 
-@pytest.mark.parametrize("make", [fix_two, fix_kgraph_acyclic])
-def test_wrong_boundary_restriction_is_rejected_with_its_witness(monkeypatch, make):
-    """The exact path refuses it, and the `SpannedStarMap` it falls back to
-    rejects it as the planted transposed restriction is rejected."""
-    with monkeypatch.context() as patch:
-        patch.setattr(pipeline, "boundary_quotient", transposed_restriction)
-        planted = analyze_category(make())
-    calls = {"__init__": 0}
-    monkeypatch.setattr(SpannedStarMap, "__init__", counting(calls, SpannedStarMap.__init__))
+@pytest.mark.parametrize("name", ["two", "kgraph-acyclic"])
+def test_wrong_boundary_restriction_exits_four_naming_its_element(monkeypatch, capsys, name):
+    """The restriction is not the compression: an internal error that names
+    the first spanning element whose boundary matrix is not its spectrum
+    matrix restricted, here the first the transpose changes."""
+    ctx = analyze_category(load_path(FIXTURES / f"{name}.cat")[1], stop_after="groupoid").context
+    bound = GermModel(ctx["groupoid_boundary"], ctx["closure"])
+    first = next(s for s in ctx["closure"].nonzero()
+                 if not np.array_equal(perm.adjoint(bound.spanning_perm(s)),
+                                       bound.spanning_perm(s)))
     transposed_boundary_model(monkeypatch)
-    res = analyze_category(make())
-    assert calls == {"__init__": 1}
-    found = entry(res, "boundary-isometry")
-    assert found.status == "rejected" and res.exit_code == 2
-    assert "*-homomorphism" in found.detail and res.entries[-1] is found
-    assert found == entry(planted, "boundary-isometry")
-    got, want = res.context["boundary_isometry"], planted.context["boundary_isometry"]
-    assert all(np.array_equal(a, b) for a, b in zip(got.witness, want.witness))
+    assert cli.main(["thesis", str(FIXTURES / f"{name}.cat")]) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and err == (
+        "internal error: the restriction is not the compression to the boundary "
+        f"coordinates at the spanning element {first!r}: "
+        "its boundary matrix is not its restriction\n")
 
 
 # -- the float work the exact paths leave out ---------------------------------------
@@ -423,11 +422,15 @@ def test_principal_thesis_runs_no_float_partial_permutation_work(monkeypatch):
                      "boundary_quotient": none, "SpannedStarMap": 0, "AlgebraSpan": 0}
 
 
-def test_isotropy_thesis_keeps_the_float_fallbacks(monkeypatch):
-    """z2-isotropy's cover is numerical: π is one `SpannedStarMap`, and the
-    generation count closes the generators under products."""
+def test_isotropy_thesis_restricts_exactly_and_keeps_the_float_generation_count(
+        monkeypatch):
+    """z2-isotropy's cover is numerical, but π is certified on index arrays
+    as on the orbit cover; the generation count closes the generators under
+    products."""
     calls = count_float_work(monkeypatch)
     assert analyze_category(z2_isotropy()).exit_code == 3
-    assert calls["SpannedStarMap"] == 1
+    assert calls["SpannedStarMap"] == 0
+    assert calls["boundary_quotient"] == {"isclose": 0, "allclose": 0, "svd": 0,
+                                          "SpanBasis": 0}
     assert calls["generated_dim"]["SpanBasis"] == 1
     assert calls["jack_check"] == {"isclose": 0, "allclose": 0, "svd": 3, "SpanBasis": 0}

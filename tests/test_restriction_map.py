@@ -8,24 +8,27 @@ correspondence m_∂(s) ↦ q(m_Ω(s)) onto the Shilov quotient, a
 that differs from the kernel mask is rejected with no traceback, and
 `diagonal-injectivity` rejects a diagonal of equal rank in both quotients
 whose images do not pair. Ideal
-detection on single blocks and the kernel mask read off one matrix unit per
-block are checked against their every-subset and every-unit references in
-`oracles`.
+detection on single blocks is checked against its every-subset reference in
+`oracles`, and π's kernel mask, read off the cover, against the masks read
+off one matrix unit and every matrix unit per block; with S₃ isotropy, whose
+blocks have multiplicity above 1, `thesis` exits 3 with that mask.
 """
 
 import itertools
 import json
+import runpy
 from functools import partial
 
 import pytest
 
 from catenv import cli, envelope, pipeline
-from catenv.envelope import (ShilovResult, SpannedStarMap, detects_ideals,
-                             quotient_kernel_mask)
+from catenv.envelope import ShilovResult, detects_ideals
 from catenv.fixtures import fix_kgraph_acyclic
+from catenv.gpd import transitive_groupoid
 from catenv.matrixrep import matrix_rank
 from catenv.pipeline import analyze_category, boundary_quotient
-from oracles import detects_ideals_by_subsets, entry, quotient_kernel_mask_by_units
+from oracles import (SpannedStarMap, detects_ideals_by_subsets, entry, quotient_kernel_mask,
+                     quotient_kernel_mask_by_units)
 from test_boundary_cover import (CASES, FIXTURES, counting, restriction_pairs,
                                  spectrum_generators)
 from test_hull import layered_dag
@@ -138,14 +141,14 @@ def test_equal_ranks_that_do_not_pair_are_rejected(monkeypatch):
 @pytest.mark.parametrize("make", CASES)
 def test_kernel_mask_from_one_unit_per_block(make):
     """π and the planted transpose, an anti-homomorphism, each kill whole
-    blocks: the mask `boundary_quotient` returns, exact on the orbit cover,
-    is the one read off each map's units."""
+    blocks: the mask `boundary_quotient` returns, exact on every cover, is
+    the one read off each map's units."""
     res = analyze_category(make())
     ctx = res.context
     cover = ctx["omega_cover"]
     args = (ctx["model_omega"], ctx["model_boundary"], ctx["closure"])
-    failure, mask = boundary_quotient(*args, cover)
-    assert failure is None and mask == ctx["boundary_kernel_mask"]
+    mask = boundary_quotient(ctx["model_omega"], ctx["model_boundary"], cover)
+    assert mask == ctx["boundary_kernel_mask"]
     for transpose in (False, True):
         star_map = SpannedStarMap(restriction_pairs(*args, transpose=transpose))
         assert mask == quotient_kernel_mask(cover, star_map) \
@@ -168,3 +171,45 @@ def test_detects_ideals_on_single_blocks_matches_every_subset(make):
                 assert verdict == detects_ideals_by_subsets(d_basis, quotient)
                 seen.add(verdict)
     assert seen == {True, False} or len(cover.block_sizes) == 1
+
+
+# S₃ isotropy: (units, keep the arrow q → p, spectrum blocks, kernel mask)
+S3_CASES = {
+    "one-unit": ((1,), lambda p, q: True, [1, 1, 2], set()),
+    "two-units": ((1, 2), lambda p, q: True, [2, 2, 4], set()),
+    "arrows-1-to-2": ((1, 2), lambda p, q: q <= p, [1, 1, 2, 2, 2, 4], {0, 1, 3}),
+}
+
+
+@pytest.mark.parametrize("case", [*S3_CASES, "z2-isotropy"])
+def test_isotropy_thesis_exits_three_with_the_oracle_kernel_mask(monkeypatch, capsys,
+                                                                 tmp_path, case):
+    """A non-abelian isotropy group gives blocks of multiplicity above 1, where
+    one isometry column's outer product lies outside the algebra; π's kernel
+    mask is read off the cover's isometries, and it is the oracle's."""
+    corpus = runpy.run_path(str(FIXTURES.parent / "scripts" / "corpus_reports.py"),
+                            run_name="corpus")
+    path = tmp_path / f"{case}.cat"
+    if case == "z2-isotropy":
+        path.write_text(corpus["extra_groupoid_sub"](case))
+        blocks, mask = [2, 2], set()
+    else:
+        units, keep, blocks, mask = S3_CASES[case]
+        g = transitive_groupoid(units, corpus["S3"], corpus["S3_MUL"], "012")
+        path.write_text(corpus["groupoid_sub_text"](
+            g, {(p, h, q) for p, h, q in g.elements if keep(p, q)}))
+    runs = []
+    monkeypatch.setattr(cli, "analyze_category",
+                        lambda *args, **kwargs: runs.append(analyze_category(*args, **kwargs))
+                        or runs[-1])
+    assert cli.main(["thesis", str(path), "--format", "json"]) == 3
+    out, err = capsys.readouterr()
+    assert err == ""
+    entries = {e["check"]: e for e in json.loads(out)["entries"]}
+    assert entries["block-structure"]["data"]["omega_blocks"] == blocks
+    assert set(entries["envelope-coincidence"]["data"]["kernel_mask"]) == mask
+    ctx = runs[0].context
+    star_map = SpannedStarMap(restriction_pairs(ctx["model_omega"], ctx["model_boundary"],
+                                                ctx["closure"]))
+    assert star_map.star_homomorphism_witness() is None
+    assert quotient_kernel_mask(ctx["omega_cover"], star_map) == mask

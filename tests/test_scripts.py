@@ -57,11 +57,11 @@ def test_thesis_probe_certifies_every_entry(monkeypatch, capsys):
 # exit codes of each command over the sorted fixtures: edge.cat, free2.cat,
 # kgraph-acyclic.cat, n2.cat, pairgpd.gpd, t2.grad, t3.grad, two.cat; then
 # coaction's over the benchmark's upper2-z2 and corner3-z2, upper3-z3, upper2-z4,
-# and thesis's over dag19, dag22 and fan
+# and thesis's over dag19, dag22 and fan, then z2-isotropy, s3 and s3-sub2
 CORPUS_EXITS = {
     "validate": "00001110", "hull": "03031110", "ideals": "03031110",
     "boundary": "03031110", "groupoid": "03030110", "envelope": "03031110",
-    "coaction": "111110010000", "lcm": "13131111", "thesis": "03031110000",
+    "coaction": "111110010000", "lcm": "13131111", "thesis": "03031110000333",
 }
 
 
@@ -78,4 +78,4 @@ def test_corpus_reports_cover_every_command_and_fixture(monkeypatch, capsys, tmp
         else:
             assert doc["command"] == command and doc["fixture"] == fixture
     assert exits == CORPUS_EXITS
-    assert len(list(tmp_path.iterdir())) == 79
+    assert len(list(tmp_path.iterdir())) == 82
